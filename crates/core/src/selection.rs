@@ -61,9 +61,39 @@ pub fn passes_edge_check(
     !tables.of(candidate).contains_any(edge_list)
 }
 
+/// Does the CSQ refuse at `candidate` on overlap grounds alone? The checks
+/// common to all methods plus, for the edge method only, the `Edge_List`
+/// check. Draws nothing, and — zone membership being symmetric — holds
+/// exactly when `candidate` lies in the zone of the source, of one of its
+/// contacts or (EM) of one of its edge nodes: the per-source *refusal set*
+/// the CSQ walk stamps once instead of probing per candidate.
+pub fn refuses_on_overlap(
+    cfg: &CardConfig,
+    tables: &NeighborhoodTables,
+    candidate: NodeId,
+    source: NodeId,
+    contact_list: &[NodeId],
+    edge_list: &[NodeId],
+) -> bool {
+    !passes_overlap_checks(tables, candidate, source, contact_list)
+        || (cfg.method == SelectionMethod::Edge && !passes_edge_check(tables, candidate, edge_list))
+}
+
+/// The method's acceptance draw for a candidate at walk hop count `d` that
+/// survived the overlap checks: PM draws eq. 1 / eq. 2 from `rng`, EM
+/// accepts outright (its extra condition is an overlap check).
+pub fn passes_acceptance_draw(cfg: &CardConfig, d: u16, rng: &mut RngStream) -> bool {
+    let eq2 = match cfg.method {
+        SelectionMethod::ProbabilisticEq1 => false,
+        SelectionMethod::ProbabilisticEq2 => true,
+        SelectionMethod::Edge => return true,
+    };
+    rng.chance(pm_probability(d, cfg.radius, cfg.max_contact_distance, eq2))
+}
+
 /// Full §III.C.2 decision at candidate node `candidate`, walk hop count
 /// `d`. `edge_list` is consulted only by the edge method. Draws from `rng`
-/// only for the probabilistic methods.
+/// only for the probabilistic methods, and only past the overlap checks.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol message fields
 pub fn decides_to_be_contact(
     cfg: &CardConfig,
@@ -75,24 +105,8 @@ pub fn decides_to_be_contact(
     d: u16,
     rng: &mut RngStream,
 ) -> bool {
-    if !passes_overlap_checks(tables, candidate, source, contact_list) {
-        return false;
-    }
-    match cfg.method {
-        SelectionMethod::ProbabilisticEq1 => rng.chance(pm_probability(
-            d,
-            cfg.radius,
-            cfg.max_contact_distance,
-            false,
-        )),
-        SelectionMethod::ProbabilisticEq2 => rng.chance(pm_probability(
-            d,
-            cfg.radius,
-            cfg.max_contact_distance,
-            true,
-        )),
-        SelectionMethod::Edge => passes_edge_check(tables, candidate, edge_list),
-    }
+    !refuses_on_overlap(cfg, tables, candidate, source, contact_list, edge_list)
+        && passes_acceptance_draw(cfg, d, rng)
 }
 
 #[cfg(test)]
@@ -267,6 +281,43 @@ mod tests {
                 let phi = pm_probability(hi, radius, r, eq2);
                 prop_assert!((0.0..=1.0).contains(&plo));
                 prop_assert!(plo <= phi);
+            }
+        }
+
+        /// The refusal-set reading of the overlap checks, which the CSQ walk
+        /// stamps once per source: a candidate refuses exactly when it lies
+        /// in the zone of the source, of a contact or (EM) of an edge node.
+        #[test]
+        fn prop_overlap_refusal_is_zone_union(
+            edges in proptest::collection::vec((0u32..18, 0u32..18), 0..60),
+            contacts in proptest::collection::vec(0u32..18, 0..4),
+            src in 0u32..18, radius in 1u16..3, method in 0usize..3,
+        ) {
+            let mut adj = Adjacency::with_nodes(18);
+            for &(a, b) in &edges {
+                if a != b {
+                    adj.add_edge(n(a), n(b));
+                }
+            }
+            let tables = NeighborhoodTables::compute(&adj, radius);
+            let cfg = CardConfig::default().with_radius(radius).with_method([
+                SelectionMethod::Edge,
+                SelectionMethod::ProbabilisticEq1,
+                SelectionMethod::ProbabilisticEq2,
+            ][method]);
+            let contacts: Vec<NodeId> = contacts.iter().map(|&c| n(c)).collect();
+            let edge_list = tables.of(n(src)).edge_nodes();
+            let mut refusing: Vec<NodeId> = contacts.clone();
+            refusing.push(n(src));
+            if cfg.method == SelectionMethod::Edge {
+                refusing.extend_from_slice(edge_list);
+            }
+            for cand in NodeId::all(18) {
+                let in_union = refusing.iter().any(|&z| tables.of(z).contains(cand));
+                prop_assert_eq!(
+                    refuses_on_overlap(&cfg, &tables, cand, n(src), &contacts, edge_list),
+                    in_union
+                );
             }
         }
 

@@ -133,8 +133,19 @@ impl Neighborhood {
 
     /// Hop-shortest intra-zone path from the owner to `node` (inclusive).
     pub fn path_to(&self, node: NodeId) -> Option<Vec<NodeId>> {
-        let mut k = self.pos(node)?;
-        let mut path = Vec::with_capacity(self.dist[k] as usize + 1);
+        let mut path = Vec::new();
+        self.path_into(node, &mut path).then_some(path)
+    }
+
+    /// [`Neighborhood::path_to`] into a caller-owned buffer (overwritten):
+    /// `false`, leaving `path` empty, when `node` is outside the
+    /// neighborhood. The allocation-free form for per-walk hot paths.
+    pub fn path_into(&self, node: NodeId, path: &mut Vec<NodeId>) -> bool {
+        path.clear();
+        let Some(mut k) = self.pos(node) else {
+            return false;
+        };
+        path.reserve(self.dist[k] as usize + 1);
         let mut cur = node;
         path.push(cur);
         while cur != self.owner {
@@ -143,7 +154,7 @@ impl Neighborhood {
             k = self.pos(cur).expect("parents stay inside the neighborhood");
         }
         path.reverse();
-        Some(path)
+        true
     }
 
     /// Members in ascending id order (owner included).
@@ -317,6 +328,12 @@ mod tests {
             Some(vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)])
         );
         assert_eq!(nb0.path_to(NodeId(4)), None);
+        // The buffer form overwrites whatever the buffer held.
+        let mut buf = vec![NodeId(9); 7];
+        assert!(nb0.path_into(NodeId(2), &mut buf));
+        assert_eq!(buf, vec![NodeId(0), NodeId(1), NodeId(2)]);
+        assert!(!nb0.path_into(NodeId(4), &mut buf));
+        assert!(buf.is_empty());
     }
 
     #[test]

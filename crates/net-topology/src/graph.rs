@@ -859,6 +859,24 @@ impl Adjacency {
         &self.edges[start..start + self.lens[i] as usize]
     }
 
+    /// `node`'s first CSR slot together with its live neighbors: neighbor
+    /// `j` of the returned slice occupies slot `first + j`, and every slot
+    /// is below [`Adjacency::slot_count`]. Slots are a *layout* key for
+    /// per-edge side arrays (the CSQ walk's tried stamps): valid only until
+    /// the next mutation, which may move any row.
+    #[inline]
+    pub fn row(&self, node: NodeId) -> (usize, &[NodeId]) {
+        let start = self.offsets[node.index()] as usize;
+        (start, self.neighbors(node))
+    }
+
+    /// Total CSR slots (live entries plus slack) — the length a per-slot
+    /// side array needs; see [`Adjacency::row`].
+    #[inline]
+    pub fn slot_count(&self) -> usize {
+        self.edges.len()
+    }
+
     /// Degree of `node`.
     #[inline]
     pub fn degree(&self, node: NodeId) -> usize {
@@ -1007,6 +1025,9 @@ mod tests {
                 "row {node} live length exceeds capacity"
             );
             let nbs = adj.neighbors(node);
+            let (first, row) = adj.row(node);
+            assert_eq!((first, row), (offsets[i] as usize, nbs));
+            assert!(first + row.len() <= adj.slot_count());
             for w in nbs.windows(2) {
                 assert!(w[0] < w[1], "neighbor slice of {node} not strictly sorted");
             }
