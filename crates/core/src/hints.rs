@@ -40,7 +40,9 @@
 //!   hints are the ones mobility may have broken). Hints *through* a
 //!   departed contact are caught at use: the probe resolves its next hop
 //!   against the holder's live [`ContactTable`](crate::contact::ContactTable)
-//!   and a missing contact is a `stale_contact` miss, not a forward.
+//!   and a missing contact — or, under an armed fault plan, one the
+//!   walk's edge veto rejects (crashed, or across an open partition) —
+//!   is a `stale_contact` miss, not a forward.
 //!
 //! ## Determinism
 //!
@@ -53,7 +55,8 @@
 //! different stores touch disjoint slots, so — together with the
 //! per-node LRU clocks — outcomes, hint statistics *and the stores
 //! themselves* are a pure function of `(network, tables, store, pairs)`
-//! at any worker or shard count; with the cache disabled the sweep is
+//! at any worker or shard count. With the cache disabled the same sweep
+//! runs without a hint view — no lookup, no deposit stage — and is
 //! bit-identical to `query_all_serial` (pinned by `tests/hint_cache.rs`).
 
 use net_topology::node::NodeId;

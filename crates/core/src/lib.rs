@@ -18,12 +18,13 @@
 //! * [`maintenance`] — periodic contact validation with local recovery
 //!   (§III.C.3);
 //! * [`query`] — the Destination Search Query with depth-of-search
-//!   escalation (§III.C.4), re-platformed as a zero-allocation engine: an
-//!   epoch-stamped [`query::QueryScratch`] walk workspace shared by node
-//!   queries, resource queries and reachability, with *incremental*
+//!   escalation (§III.C.4): one zero-allocation walk on an epoch-stamped
+//!   [`query::QueryScratch`], shared by node queries, resource queries
+//!   and reachability, calm or faulted (the fault view is the walk's
+//!   edge-veto argument, not a second walk), with *incremental*
 //!   escalation (depth d only walks its final level; accounting stays
 //!   bit-identical to the per-depth re-walk reference
-//!   [`query::dsq_query_rewalk`]) and a batched
+//!   [`query::dsq_query_rewalk`]) and one batched
 //!   [`world::CardWorld::query_all`] sweep sharded over the worker pool;
 //! * [`hints`] — the §V route-hint cache: bounded per-node hint tables
 //!   (distance-bucketed, LRU within a bucket, one flat slot array) that
@@ -44,7 +45,8 @@
 //!   `sim_core::faults` plan can be armed on any world
 //!   ([`world::CardWorld::enable_faults`]) for deterministic crash/
 //!   partition/message-loss injection with tombstone, retry-timer, and
-//!   query-retry hardening.
+//!   query-retry hardening — as extra stages and arguments of the same
+//!   round, sweep and query body, never as copies of them.
 
 #![warn(missing_docs)]
 pub mod config;

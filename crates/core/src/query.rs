@@ -24,6 +24,14 @@
 //!   generic level-synchronous contact walker
 //!   (`QueryScratch::advance_level`), differing only in their per-contact
 //!   visit closure.
+//! * There is **one walk, calm or faulted**. Every function on the path
+//!   takes an *edge veto* `edge_ok(holder, contact)` as a generic,
+//!   statically dispatched parameter: a vetoed contact edge is neither
+//!   traversed, marked nor charged. The calm instantiation is the named
+//!   pass-all `any_edge` (which compiles to the unconditional walk); a
+//!   world with an armed fault plan passes [`QueryFaultFilter::edge_ok`],
+//!   so crashed relays and edges across an open partition drop out of the
+//!   walk, the hint chase and the answer predicate alike.
 //! * Escalation is **incremental**: on the wire, a depth-d attempt re-sends
 //!   DSQs along levels 1‥d−1 before probing level d, but the simulator need
 //!   not re-traverse them — the scratch caches the deepest frontier and the
@@ -35,8 +43,8 @@
 //! * Batched sweeps (`CardWorld::query_all`) fan pair lists out over
 //!   protocol shards with shard-owned scratches; queries draw no
 //!   randomness, so outcomes are a pure function of `(network, tables,
-//!   pair)` and the sweep is bit-identical to its serial reference at any
-//!   worker or shard count.
+//!   fault view, pair)` and the sweep is bit-identical to its serial
+//!   reference at any worker or shard count.
 
 use manet_routing::network::Network;
 use net_topology::node::NodeId;
@@ -60,10 +68,44 @@ pub struct QueryOutcome {
 }
 
 impl QueryOutcome {
+    /// Nothing asked, nothing found: a query that could not be issued (a
+    /// crashed endpoint), and the filler of sweep output buffers.
+    pub const MISS: QueryOutcome = QueryOutcome {
+        found: false,
+        depth_used: 0,
+        query_msgs: 0,
+        reply_msgs: 0,
+    };
+
+    /// Answered from the source's own neighborhood table: depth 0, free.
+    pub const LOCAL_HIT: QueryOutcome = QueryOutcome {
+        found: true,
+        depth_used: 0,
+        query_msgs: 0,
+        reply_msgs: 0,
+    };
+
     /// Total control messages.
     pub fn total_messages(&self) -> u64 {
         self.query_msgs + self.reply_msgs
     }
+
+    /// Record this query's DSQ forwards and reply chain at `at` (a zero
+    /// count never records, so free and unissued queries stay invisible
+    /// in the buckets).
+    pub(crate) fn recorded(self, stats: &mut MsgStats, at: SimTime) -> Self {
+        stats.record_n(at, MsgKind::Dsq, self.query_msgs);
+        stats.record_n(at, MsgKind::DsqReply, self.reply_msgs);
+        self
+    }
+}
+
+/// The calm edge veto: every contact edge may be walked. One named
+/// function rather than a closure literal per call site, so all calm
+/// callers share a single instantiation of the (large) hinted escalation.
+#[inline]
+pub(crate) fn any_edge(_holder: NodeId, _contact: NodeId) -> bool {
+    true
 }
 
 /// Reusable query-walk workspace: persistent *seen* marks (epoch-stamped)
@@ -92,6 +134,9 @@ pub struct QueryScratch {
     /// query reconstruct the source → answer contact chain so route hints
     /// can be deposited along it (§V; see [`crate::hints`]).
     parent: Vec<NodeId>,
+    /// The contact whose visit ended the current walk (see
+    /// [`QueryScratch::answerer`]).
+    hit: Option<NodeId>,
 }
 
 impl QueryScratch {
@@ -131,6 +176,7 @@ impl QueryScratch {
         self.parent[source.index()] = source; // chain terminator
         self.frontier.push((source, 0));
         self.walked = 0;
+        self.hit = None;
     }
 
     /// DSQ messages a from-scratch walk of every completed level would
@@ -145,15 +191,21 @@ impl QueryScratch {
     /// the current frontier (each contact at its *minimal* level — loop
     /// prevention via the epoch marks, matching §III.C.4's query IDs),
     /// charging its path hops to `msgs` and calling
-    /// `visit(contact, hops from source)`. A `Some` from `visit` aborts
-    /// the walk immediately (the query was answered; the scratch is left
-    /// mid-level and must be re-`begin`ed). Otherwise the discovered
-    /// contacts become the new frontier and the level's cost is added to
+    /// `visit(contact, hops from source)`. A contact edge
+    /// `(holder, contact)` vetoed by `edge_ok` is neither traversed, marked
+    /// nor charged — the holder learned from its failed validation that the
+    /// relay is gone, so no probe is emitted — and the contact stays
+    /// discoverable through a different (allowed) edge at this or a deeper
+    /// level. A `Some` from `visit` aborts the walk immediately (the query
+    /// was answered; the scratch is left mid-level and must be
+    /// re-`begin`ed). Otherwise the discovered contacts become the new
+    /// frontier and the level's cost is added to
     /// [`QueryScratch::walked_msgs`].
     pub(crate) fn advance_level<R, T: TableSource + ?Sized>(
         &mut self,
         contact_tables: &T,
         msgs: &mut u64,
+        edge_ok: impl Fn(NodeId, NodeId) -> bool,
         mut visit: impl FnMut(NodeId, u64) -> Option<R>,
     ) -> Option<R> {
         self.next.clear();
@@ -163,7 +215,7 @@ impl QueryScratch {
             let (node, dist) = self.frontier[fi];
             for contact in contact_tables.table(node.index()).contacts() {
                 let c = contact.id;
-                if self.mark[c.index()] == epoch {
+                if self.mark[c.index()] == epoch || !edge_ok(node, c) {
                     continue;
                 }
                 self.mark[c.index()] = epoch;
@@ -173,50 +225,7 @@ impl QueryScratch {
                 *msgs += hops;
                 level_msgs += hops;
                 if let Some(r) = visit(c, at_contact) {
-                    return Some(r);
-                }
-                self.next.push((c, at_contact));
-            }
-        }
-        std::mem::swap(&mut self.frontier, &mut self.next);
-        self.walked += level_msgs;
-        None
-    }
-
-    /// [`advance_level`](Self::advance_level) with a fault filter: a
-    /// contact edge `(holder, contact)` vetoed by `edge_ok` is neither
-    /// traversed, marked, nor charged — the sender learned from its failed
-    /// validation that the relay is gone, so no probe is emitted. A vetoed
-    /// contact stays discoverable through a different (allowed) edge at
-    /// this or a deeper level. With a pass-all filter this is exactly
-    /// `advance_level`.
-    pub(crate) fn advance_level_filtered<R, T: TableSource + ?Sized>(
-        &mut self,
-        contact_tables: &T,
-        msgs: &mut u64,
-        edge_ok: &dyn Fn(NodeId, NodeId) -> bool,
-        mut visit: impl FnMut(NodeId, u64) -> Option<R>,
-    ) -> Option<R> {
-        self.next.clear();
-        let epoch = self.epoch;
-        let mut level_msgs = 0u64;
-        for fi in 0..self.frontier.len() {
-            let (node, dist) = self.frontier[fi];
-            for contact in contact_tables.table(node.index()).contacts() {
-                let c = contact.id;
-                if self.mark[c.index()] == epoch {
-                    continue;
-                }
-                if !edge_ok(node, c) {
-                    continue;
-                }
-                self.mark[c.index()] = epoch;
-                self.parent[c.index()] = node;
-                let hops = contact.hops() as u64;
-                let at_contact = dist + hops;
-                *msgs += hops;
-                level_msgs += hops;
-                if let Some(r) = visit(c, at_contact) {
+                    self.hit = Some(c);
                     return Some(r);
                 }
                 self.next.push((c, at_contact));
@@ -231,6 +240,12 @@ impl QueryScratch {
     /// charge — anything).
     pub(crate) fn exhausted(&self) -> bool {
         self.frontier.is_empty()
+    }
+
+    /// The contact whose visit ended the current walk — for a plain
+    /// escalation, the node that answered. `None` until a walk resolves.
+    pub(crate) fn answerer(&self) -> Option<NodeId> {
+        self.hit
     }
 
     /// The contact chain source → `node` recorded by the current walk's
@@ -252,22 +267,22 @@ impl QueryScratch {
     }
 }
 
-/// The shared escalation driver behind [`dsq_query`] and
-/// [`crate::resources::resource_query`], *without* statistics recording:
-/// walk depths 1‥`max_depth`, each depth charging the full re-walk cost of
-/// the levels below it ([`QueryScratch::walked_msgs`]) and then traversing
-/// only its final level, where `answers(contact)` is the
-/// neighborhood-table lookup. Message totals and outcomes are bit-identical
-/// to the per-depth re-walk ([`dsq_query_rewalk`]). Batched sweeps use
-/// this directly and record per-shard message *totals* once — identical
-/// buckets, since every query of a sweep lands at the same instant and
-/// zero counts never record.
+/// The plain escalation driver, *without* statistics recording: walk
+/// depths 1‥`max_depth` under the edge veto, each depth charging the full
+/// re-walk cost of the levels below it ([`QueryScratch::walked_msgs`]) and
+/// then traversing only its final level, where `answers(contact)` is the
+/// neighborhood-table lookup (callers fold any target-side fault check
+/// into it). Message totals and outcomes are bit-identical to the
+/// per-depth re-walk ([`dsq_query_rewalk`]). Batched sweeps record
+/// per-shard message *totals* once — identical buckets, since every query
+/// of a sweep lands at the same instant and zero counts never record.
 pub(crate) fn escalate_unrecorded<T: TableSource>(
     n: usize,
     contact_tables: T,
     source: NodeId,
     max_depth: u16,
     scratch: &mut QueryScratch,
+    edge_ok: impl Fn(NodeId, NodeId) -> bool + Copy,
     mut answers: impl FnMut(NodeId) -> bool,
 ) -> QueryOutcome {
     scratch.begin(n, source);
@@ -275,9 +290,12 @@ pub(crate) fn escalate_unrecorded<T: TableSource>(
     for depth in 1..=max_depth {
         // The wire cost of re-sending the query along levels 1..depth-1.
         query_msgs += scratch.walked_msgs();
-        let reply = scratch.advance_level(&contact_tables, &mut query_msgs, |c, at_contact| {
-            answers(c).then_some(at_contact)
-        });
+        let reply = scratch.advance_level(
+            &contact_tables,
+            &mut query_msgs,
+            edge_ok,
+            |c, at_contact| answers(c).then_some(at_contact),
+        );
         if let Some(reply) = reply {
             return QueryOutcome {
                 found: true,
@@ -295,31 +313,17 @@ pub(crate) fn escalate_unrecorded<T: TableSource>(
     }
 }
 
-/// [`escalate_unrecorded`] plus the per-query statistics recording of the
-/// single-query entry points: DSQ forwards always, the reply chain when a
-/// depth ≥ 1 level answered (a zero count never records, so the no-contact
-/// miss stays invisible in the buckets, as it always was).
-#[allow(clippy::too_many_arguments)] // mirrors the protocol message fields
-pub(crate) fn escalate<T: TableSource>(
-    n: usize,
-    contact_tables: T,
-    source: NodeId,
-    max_depth: u16,
-    stats: &mut MsgStats,
-    at: SimTime,
-    scratch: &mut QueryScratch,
-    answers: impl FnMut(NodeId) -> bool,
-) -> QueryOutcome {
-    let out = escalate_unrecorded(n, contact_tables, source, max_depth, scratch, answers);
-    stats.record_n(at, MsgKind::Dsq, out.query_msgs);
-    stats.record_n(at, MsgKind::DsqReply, out.reply_msgs);
-    out
-}
-
-/// [`dsq_query`] without statistics recording — the per-pair body of the
-/// batched `CardWorld::query_all` sweep, which accounts its shard's
-/// message totals in bulk (bit-identical bucket sums; see
-/// [`escalate_unrecorded`]).
+/// [`dsq_query`] without statistics recording and under an edge veto — the
+/// per-pair body of `CardWorld`'s single queries and batched sweep (which
+/// accounts its shard's message totals in bulk) on a world without the §V
+/// cache: answer from the source's own zone for free, else escalate
+/// ([`escalate_unrecorded`]). A zone answers only if it can actually reach
+/// the target: the depth-0 shortcut and the answer predicate both require
+/// `edge_ok(c, target)`.
+///
+/// The hinted twin below is a separate function, not an `Option` argument
+/// of this one: folding both escalations into one body cost the plain
+/// sweep 4–7% of its throughput (`card_bench`, `query_escalate`).
 pub(crate) fn dsq_query_unrecorded<T: TableSource>(
     net: &Network,
     contact_tables: T,
@@ -327,15 +331,11 @@ pub(crate) fn dsq_query_unrecorded<T: TableSource>(
     target: NodeId,
     max_depth: u16,
     scratch: &mut QueryScratch,
+    edge_ok: impl Fn(NodeId, NodeId) -> bool + Copy,
 ) -> QueryOutcome {
-    let tables = net.tables();
-    if tables.of(source).contains(target) {
-        return QueryOutcome {
-            found: true,
-            depth_used: 0,
-            query_msgs: 0,
-            reply_msgs: 0,
-        };
+    let zones = net.tables();
+    if zones.of(source).contains(target) && edge_ok(source, target) {
+        return QueryOutcome::LOCAL_HIT;
     }
     escalate_unrecorded(
         net.node_count(),
@@ -343,7 +343,8 @@ pub(crate) fn dsq_query_unrecorded<T: TableSource>(
         source,
         max_depth,
         scratch,
-        |c| tables.of(c).contains(target),
+        edge_ok,
+        |c| zones.of(c).contains(target) && edge_ok(c, target),
     )
 }
 
@@ -362,10 +363,16 @@ pub fn dsq_query<T: TableSource>(
     at: SimTime,
     scratch: &mut QueryScratch,
 ) -> QueryOutcome {
-    let out = dsq_query_unrecorded(net, contact_tables, source, target, max_depth, scratch);
-    stats.record_n(at, MsgKind::Dsq, out.query_msgs);
-    stats.record_n(at, MsgKind::DsqReply, out.reply_msgs);
-    out
+    dsq_query_unrecorded(
+        net,
+        contact_tables,
+        source,
+        target,
+        max_depth,
+        scratch,
+        any_edge,
+    )
+    .recorded(stats, at)
 }
 
 // ---------------------------------------------------------------------------
@@ -409,10 +416,11 @@ struct Chase {
 /// Follow hints for `key` from `start` (at `start_dist` reply hops from
 /// the source) for at most `budget` contact-graph steps, verifying each
 /// reached node against `answers`. Every hop resolves the hint's next
-/// contact against the holder's *live* contact table — a departed contact
-/// is a `stale_contact` miss, never a forward — so a probe can only reach
-/// nodes the plain escalation could also reach, only cheaper. The chain
-/// walked is left in `chain[..=steps]`.
+/// contact against the holder's *live* contact table and the edge veto — a
+/// departed contact, a crashed relay or a next hop beyond the partition
+/// cut is a `stale_contact` miss, never a forward (the caller's walk takes
+/// over) — so a probe can only reach nodes the plain escalation could
+/// also reach, only cheaper. The chain walked is left in `chain[..=steps]`.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol message fields
 fn chase<T: TableSource + ?Sized, S: HintLookup + ?Sized>(
     contact_tables: &T,
@@ -423,6 +431,7 @@ fn chase<T: TableSource + ?Sized, S: HintLookup + ?Sized>(
     start_dist: u64,
     budget: usize,
     chain: &mut [NodeId; MAX_CHAIN],
+    edge_ok: impl Fn(NodeId, NodeId) -> bool,
     answers: &mut impl FnMut(NodeId) -> bool,
 ) -> Chase {
     let budget = budget.min(MAX_CHAIN - 1);
@@ -444,7 +453,11 @@ fn chase<T: TableSource + ?Sized, S: HintLookup + ?Sized>(
                 break;
             }
         };
-        let Some(contact) = contact_tables.table(node.index()).get(hint.next_hop) else {
+        let Some(contact) = contact_tables
+            .table(node.index())
+            .get(hint.next_hop)
+            .filter(|_| edge_ok(node, hint.next_hop))
+        else {
             stats.stale_contact += 1;
             break;
         };
@@ -501,14 +514,17 @@ enum HintedHit {
 /// own hints first; on miss, fall back to the standard incremental
 /// escalation ([`escalate_unrecorded`]), peeking at each visited relay's
 /// hints along the way (a fresh relay hint forks a bounded probe for the
-/// remaining depth). Either way the answer predicate is always verified
-/// against live state, so *outcomes* match the plain escalation exactly —
-/// hints change message cost, never answers: any node a probe can reach
-/// lies ≤ `max_depth` contact-edges from the source (probes follow
-/// contact-table edges, the same relation the walk expands, and the walk
-/// visits every such node at its minimal level), and a probe miss falls
-/// back to the full walk. Resolved queries queue §V hint deposits along
-/// the entire source → answer chain.
+/// remaining depth). The source probe, every relay probe and the fallback
+/// walk share one edge veto, so a cached hint pointing at a dead relay
+/// degrades into a `stale_contact` miss and the (vetoed) walk takes over.
+/// Either way the answer predicate is always verified against live state,
+/// so *outcomes* match the plain escalation exactly — hints change message
+/// cost, never answers: any node a probe can reach lies ≤ `max_depth`
+/// allowed contact-edges from the source (probes follow contact-table
+/// edges, the same relation the walk expands, and the walk visits every
+/// such node at its minimal level), and a probe miss falls back to the
+/// full walk. Resolved queries queue §V hint deposits along the entire
+/// source → answer chain.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol message fields
 pub(crate) fn escalate_hinted_unrecorded<T: TableSource, S: HintLookup>(
     n: usize,
@@ -518,6 +534,7 @@ pub(crate) fn escalate_hinted_unrecorded<T: TableSource, S: HintLookup>(
     source: NodeId,
     max_depth: u16,
     scratch: &mut QueryScratch,
+    edge_ok: impl Fn(NodeId, NodeId) -> bool + Copy,
     mut answers: impl FnMut(NodeId) -> bool,
 ) -> QueryOutcome {
     // Source-side probe: a fresh chain answers for probe messages alone.
@@ -531,6 +548,7 @@ pub(crate) fn escalate_hinted_unrecorded<T: TableSource, S: HintLookup>(
         0,
         max_depth as usize,
         &mut src_chain,
+        edge_ok,
         &mut answers,
     );
     if src.steps > 0 {
@@ -567,7 +585,7 @@ pub(crate) fn escalate_hinted_unrecorded<T: TableSource, S: HintLookup>(
             let probe = &mut probe_spent;
             let chain = &mut chase_chain;
             let ans = &mut answers;
-            scratch.advance_level(tables, &mut query_msgs, |c, at_contact| {
+            scratch.advance_level(tables, &mut query_msgs, edge_ok, |c, at_contact| {
                 if ans(c) {
                     return Some(HintedHit::Walk {
                         answer: c,
@@ -576,358 +594,8 @@ pub(crate) fn escalate_hinted_unrecorded<T: TableSource, S: HintLookup>(
                 }
                 if depth < max_depth && *failed < MAX_FAILED_CHASES {
                     let budget = (max_depth - depth) as usize;
-                    let res = chase(tables, store, stats, key, c, at_contact, budget, chain, ans);
-                    if res.steps > 0 {
-                        stats.chases += 1;
-                    }
-                    stats.probe_msgs += res.probe_msgs;
-                    *probe += res.probe_msgs;
-                    if let Some(reply) = res.reply {
-                        stats.chase_hits += 1;
-                        return Some(HintedHit::Chase {
-                            relay: c,
-                            steps: res.steps,
-                            reply,
-                        });
-                    }
-                    if res.steps > 0 {
-                        *failed += 1;
-                    }
-                }
-                None
-            })
-        };
-        query_msgs += probe_spent;
-        if let Some(hit) = hit {
-            let mut path: Vec<NodeId> = Vec::new();
-            return match hit {
-                HintedHit::Walk { answer, reply } => {
-                    scratch.walk_path(answer, &mut path);
-                    push_chain_deposits(ctx.deposits, key, &path);
-                    QueryOutcome {
-                        found: true,
-                        depth_used: depth,
-                        query_msgs,
-                        reply_msgs: reply,
-                    }
-                }
-                HintedHit::Chase {
-                    relay,
-                    steps,
-                    reply,
-                } => {
-                    scratch.walk_path(relay, &mut path);
-                    path.extend_from_slice(&chase_chain[1..=steps]);
-                    push_chain_deposits(ctx.deposits, key, &path);
-                    QueryOutcome {
-                        found: true,
-                        depth_used: depth + steps as u16,
-                        query_msgs,
-                        reply_msgs: reply,
-                    }
-                }
-            };
-        }
-    }
-    QueryOutcome {
-        found: false,
-        depth_used: max_depth,
-        query_msgs,
-        reply_msgs: 0,
-    }
-}
-
-/// [`dsq_query_hinted`] without statistics recording — the per-pair body
-/// of the hinted `CardWorld::query_all` sweep.
-pub(crate) fn dsq_query_hinted_unrecorded<T: TableSource, S: HintLookup>(
-    net: &Network,
-    contact_tables: T,
-    ctx: &mut HintContext<'_, S>,
-    source: NodeId,
-    target: NodeId,
-    max_depth: u16,
-    scratch: &mut QueryScratch,
-) -> QueryOutcome {
-    let tables = net.tables();
-    if tables.of(source).contains(target) {
-        return QueryOutcome {
-            found: true,
-            depth_used: 0,
-            query_msgs: 0,
-            reply_msgs: 0,
-        };
-    }
-    escalate_hinted_unrecorded(
-        net.node_count(),
-        contact_tables,
-        ctx,
-        HintKey::node(target),
-        source,
-        max_depth,
-        scratch,
-        |c| tables.of(c).contains(target),
-    )
-}
-
-/// [`dsq_query`] with the §V route-hint cache consulted first and hint
-/// deposits queued on resolution (see [`HintContext`] and
-/// [`crate::hints`]). Outcome `found`/`depth` semantics match
-/// [`dsq_query`]; only the message cost differs.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol message fields
-pub fn dsq_query_hinted<T: TableSource, S: HintLookup>(
-    net: &Network,
-    contact_tables: T,
-    ctx: &mut HintContext<'_, S>,
-    source: NodeId,
-    target: NodeId,
-    max_depth: u16,
-    stats: &mut MsgStats,
-    at: SimTime,
-    scratch: &mut QueryScratch,
-) -> QueryOutcome {
-    let out =
-        dsq_query_hinted_unrecorded(net, contact_tables, ctx, source, target, max_depth, scratch);
-    stats.record_n(at, MsgKind::Dsq, out.query_msgs);
-    stats.record_n(at, MsgKind::DsqReply, out.reply_msgs);
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Faulted queries — the fault-injection variants of the walk and the chase.
-// ---------------------------------------------------------------------------
-
-/// Fault view threaded through the faulted query paths: the crash mask and
-/// (while a partition window is open) the frozen per-node sides. Borrowed
-/// from the world's `FaultState` for the duration of one query.
-#[derive(Clone, Copy)]
-pub struct QueryFaultFilter<'a> {
-    /// `down[i]` — node `i` is crashed.
-    pub down: &'a [bool],
-    /// Frozen partition sides, `None` while no partition is active.
-    pub sides: Option<&'a [u8]>,
-}
-
-impl QueryFaultFilter<'_> {
-    /// Can a query hop travel from `a` to `b`? `a` is assumed alive (it
-    /// is holding the query); `b` must be alive and on the same side of
-    /// an open partition.
-    #[inline]
-    pub fn edge_ok(&self, a: NodeId, b: NodeId) -> bool {
-        !self.down[b.index()] && self.sides.is_none_or(|s| s[a.index()] == s[b.index()])
-    }
-}
-
-/// [`escalate_unrecorded`] under a fault filter: contact edges into
-/// crashed nodes or across the partition cut are vetoed (see
-/// [`QueryScratch::advance_level_filtered`]). The `answers` predicate
-/// still decides resolution, so callers fold target-side fault checks
-/// into it.
-pub(crate) fn escalate_faulted_unrecorded<T: TableSource>(
-    n: usize,
-    contact_tables: T,
-    source: NodeId,
-    max_depth: u16,
-    scratch: &mut QueryScratch,
-    filter: &QueryFaultFilter<'_>,
-    mut answers: impl FnMut(NodeId) -> bool,
-) -> QueryOutcome {
-    scratch.begin(n, source);
-    let mut query_msgs = 0u64;
-    let edge_ok = |a: NodeId, b: NodeId| filter.edge_ok(a, b);
-    for depth in 1..=max_depth {
-        query_msgs += scratch.walked_msgs();
-        let reply =
-            scratch.advance_level_filtered(&contact_tables, &mut query_msgs, &edge_ok, |c, d| {
-                answers(c).then_some(d)
-            });
-        if let Some(reply) = reply {
-            return QueryOutcome {
-                found: true,
-                depth_used: depth,
-                query_msgs,
-                reply_msgs: reply,
-            };
-        }
-    }
-    QueryOutcome {
-        found: false,
-        depth_used: max_depth,
-        query_msgs,
-        reply_msgs: 0,
-    }
-}
-
-/// [`dsq_query_unrecorded`] under a fault filter. The depth-0 shortcut and
-/// the answer predicate both require the answering zone to actually reach
-/// the target: the target must be up (checked by the caller or by
-/// `edge_ok`) and on the answerer's side of an open partition.
-pub(crate) fn dsq_query_faulted_unrecorded<T: TableSource>(
-    net: &Network,
-    contact_tables: T,
-    source: NodeId,
-    target: NodeId,
-    max_depth: u16,
-    scratch: &mut QueryScratch,
-    filter: &QueryFaultFilter<'_>,
-) -> QueryOutcome {
-    let tables = net.tables();
-    if tables.of(source).contains(target) && filter.edge_ok(source, target) {
-        return QueryOutcome {
-            found: true,
-            depth_used: 0,
-            query_msgs: 0,
-            reply_msgs: 0,
-        };
-    }
-    escalate_faulted_unrecorded(
-        net.node_count(),
-        contact_tables,
-        source,
-        max_depth,
-        scratch,
-        filter,
-        |c| tables.of(c).contains(target) && filter.edge_ok(c, target),
-    )
-}
-
-/// [`chase`] under a fault filter: a hint whose next hop is crashed or
-/// beyond the partition cut ends the probe as a `stale_contact` miss (the
-/// dead-relay fallback — the caller's walk takes over), instead of
-/// chasing a dead relay or forwarding into a stale id.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol message fields
-fn chase_faulted<T: TableSource + ?Sized, S: HintLookup + ?Sized>(
-    contact_tables: &T,
-    store: &S,
-    stats: &mut HintStats,
-    key: HintKey,
-    start: NodeId,
-    start_dist: u64,
-    budget: usize,
-    chain: &mut [NodeId; MAX_CHAIN],
-    filter: &QueryFaultFilter<'_>,
-    answers: &mut impl FnMut(NodeId) -> bool,
-) -> Chase {
-    let budget = budget.min(MAX_CHAIN - 1);
-    chain[0] = start;
-    let mut node = start;
-    let mut dist = start_dist;
-    let mut probe_msgs = 0u64;
-    let mut steps = 0usize;
-    while steps < budget {
-        stats.lookups += 1;
-        let hint = match store.lookup(node, key) {
-            Lookup::Hit(h) => h,
-            Lookup::Expired => {
-                stats.stale_ttl += 1;
-                break;
-            }
-            Lookup::Absent => {
-                stats.miss_absent += 1;
-                break;
-            }
-        };
-        let Some(contact) = contact_tables.table(node.index()).get(hint.next_hop) else {
-            stats.stale_contact += 1;
-            break;
-        };
-        if !filter.edge_ok(node, hint.next_hop) {
-            stats.stale_contact += 1;
-            break;
-        }
-        stats.hits += 1;
-        let hops = contact.hops() as u64;
-        probe_msgs += hops;
-        dist += hops;
-        node = hint.next_hop;
-        steps += 1;
-        chain[steps] = node;
-        if answers(node) {
-            return Chase {
-                reply: Some(dist),
-                steps,
-                probe_msgs,
-            };
-        }
-    }
-    Chase {
-        reply: None,
-        steps,
-        probe_msgs,
-    }
-}
-
-/// [`escalate_hinted_unrecorded`] under a fault filter: the source probe,
-/// every relay probe and the fallback walk all veto edges into crashed
-/// nodes and across the partition cut, so a cached hint pointing at a
-/// dead relay degrades into a `stale_contact` miss and the query falls
-/// back to the (filtered) walk.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol message fields
-pub(crate) fn escalate_hinted_faulted_unrecorded<T: TableSource, S: HintLookup>(
-    n: usize,
-    contact_tables: T,
-    ctx: &mut HintContext<'_, S>,
-    key: HintKey,
-    source: NodeId,
-    max_depth: u16,
-    scratch: &mut QueryScratch,
-    filter: &QueryFaultFilter<'_>,
-    mut answers: impl FnMut(NodeId) -> bool,
-) -> QueryOutcome {
-    let mut src_chain = [source; MAX_CHAIN];
-    let src = chase_faulted(
-        &contact_tables,
-        &ctx.store,
-        ctx.stats,
-        key,
-        source,
-        0,
-        max_depth as usize,
-        &mut src_chain,
-        filter,
-        &mut answers,
-    );
-    if src.steps > 0 {
-        ctx.stats.chases += 1;
-    }
-    ctx.stats.probe_msgs += src.probe_msgs;
-    if let Some(reply) = src.reply {
-        ctx.stats.chase_hits += 1;
-        push_chain_deposits(ctx.deposits, key, &src_chain[..=src.steps]);
-        return QueryOutcome {
-            found: true,
-            depth_used: src.steps as u16,
-            query_msgs: src.probe_msgs,
-            reply_msgs: reply,
-        };
-    }
-    let mut failed_chases: u32 = (src.steps > 0) as u32;
-
-    scratch.begin(n, source);
-    let mut query_msgs = src.probe_msgs;
-    let mut chase_chain = [source; MAX_CHAIN];
-    let edge_ok = |a: NodeId, b: NodeId| filter.edge_ok(a, b);
-    for depth in 1..=max_depth {
-        query_msgs += scratch.walked_msgs();
-        let mut probe_spent = 0u64;
-        let hit = {
-            let tables = &contact_tables;
-            let stats = &mut *ctx.stats;
-            let store = &ctx.store;
-            let failed = &mut failed_chases;
-            let probe = &mut probe_spent;
-            let chain = &mut chase_chain;
-            let ans = &mut answers;
-            scratch.advance_level_filtered(tables, &mut query_msgs, &edge_ok, |c, at_contact| {
-                if ans(c) {
-                    return Some(HintedHit::Walk {
-                        answer: c,
-                        reply: at_contact,
-                    });
-                }
-                if depth < max_depth && *failed < MAX_FAILED_CHASES {
-                    let budget = (max_depth - depth) as usize;
-                    let res = chase_faulted(
-                        tables, store, stats, key, c, at_contact, budget, chain, filter, ans,
+                    let res = chase(
+                        tables, store, stats, key, c, at_contact, budget, chain, edge_ok, ans,
                     );
                     if res.steps > 0 {
                         stats.chases += 1;
@@ -989,10 +657,11 @@ pub(crate) fn escalate_hinted_faulted_unrecorded<T: TableSource, S: HintLookup>(
     }
 }
 
-/// [`dsq_query_hinted_unrecorded`] under a fault filter (see
-/// [`escalate_hinted_faulted_unrecorded`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn dsq_query_hinted_faulted_unrecorded<T: TableSource, S: HintLookup>(
+/// [`dsq_query_unrecorded`] through the §V route-hint cache
+/// ([`escalate_hinted_unrecorded`]): same zone shortcut, same answer
+/// predicate, same edge veto.
+#[allow(clippy::too_many_arguments)] // mirrors the protocol message fields
+pub(crate) fn dsq_query_hinted_unrecorded<T: TableSource, S: HintLookup>(
     net: &Network,
     contact_tables: T,
     ctx: &mut HintContext<'_, S>,
@@ -1000,18 +669,13 @@ pub(crate) fn dsq_query_hinted_faulted_unrecorded<T: TableSource, S: HintLookup>
     target: NodeId,
     max_depth: u16,
     scratch: &mut QueryScratch,
-    filter: &QueryFaultFilter<'_>,
+    edge_ok: impl Fn(NodeId, NodeId) -> bool + Copy,
 ) -> QueryOutcome {
-    let tables = net.tables();
-    if tables.of(source).contains(target) && filter.edge_ok(source, target) {
-        return QueryOutcome {
-            found: true,
-            depth_used: 0,
-            query_msgs: 0,
-            reply_msgs: 0,
-        };
+    let zones = net.tables();
+    if zones.of(source).contains(target) && edge_ok(source, target) {
+        return QueryOutcome::LOCAL_HIT;
     }
-    escalate_hinted_faulted_unrecorded(
+    escalate_hinted_unrecorded(
         net.node_count(),
         contact_tables,
         ctx,
@@ -1019,9 +683,71 @@ pub(crate) fn dsq_query_hinted_faulted_unrecorded<T: TableSource, S: HintLookup>
         source,
         max_depth,
         scratch,
-        filter,
-        |c| tables.of(c).contains(target) && filter.edge_ok(c, target),
+        edge_ok,
+        |c| zones.of(c).contains(target) && edge_ok(c, target),
     )
+}
+
+/// [`dsq_query`] with the §V route-hint cache consulted first and hint
+/// deposits queued on resolution (see [`HintContext`] and
+/// [`crate::hints`]). Outcome `found`/`depth` semantics match
+/// [`dsq_query`]; only the message cost differs.
+#[allow(clippy::too_many_arguments)] // mirrors the protocol message fields
+pub fn dsq_query_hinted<T: TableSource, S: HintLookup>(
+    net: &Network,
+    contact_tables: T,
+    ctx: &mut HintContext<'_, S>,
+    source: NodeId,
+    target: NodeId,
+    max_depth: u16,
+    stats: &mut MsgStats,
+    at: SimTime,
+    scratch: &mut QueryScratch,
+) -> QueryOutcome {
+    dsq_query_hinted_unrecorded(
+        net,
+        contact_tables,
+        ctx,
+        source,
+        target,
+        max_depth,
+        scratch,
+        any_edge,
+    )
+    .recorded(stats, at)
+}
+
+// ---------------------------------------------------------------------------
+// The fault view — where the non-trivial edge veto comes from.
+// ---------------------------------------------------------------------------
+
+/// Fault view of a query: the crash mask and (while a partition window is
+/// open) the frozen per-node sides, borrowed from the world's `FaultState`
+/// once per query call or sweep span. Its [`edge_ok`](Self::edge_ok) is the
+/// edge veto of every walk under an armed plan.
+#[derive(Clone, Copy)]
+pub struct QueryFaultFilter<'a> {
+    /// `down[i]` — node `i` is crashed.
+    pub down: &'a [bool],
+    /// Frozen partition sides, `None` while no partition is active.
+    pub sides: Option<&'a [u8]>,
+}
+
+impl QueryFaultFilter<'_> {
+    /// Can a query hop travel from `a` to `b`? `a` is assumed alive (it
+    /// is holding the query); `b` must be alive and on the same side of
+    /// an open partition.
+    #[inline]
+    pub fn edge_ok(&self, a: NodeId, b: NodeId) -> bool {
+        !self.down[b.index()] && self.sides.is_none_or(|s| s[a.index()] == s[b.index()])
+    }
+
+    /// Are both endpoints of a query up? A crashed endpoint fails the
+    /// query outright with no messages — nobody to ask, nobody to answer.
+    #[inline]
+    pub fn endpoints_up(&self, source: NodeId, target: NodeId) -> bool {
+        !self.down[source.index()] && !self.down[target.index()]
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1214,12 +940,7 @@ pub fn dsq_query_rewalk<T: TableSource>(
     at: SimTime,
 ) -> QueryOutcome {
     if net.tables().of(source).contains(target) {
-        return QueryOutcome {
-            found: true,
-            depth_used: 0,
-            query_msgs: 0,
-            reply_msgs: 0,
-        };
+        return QueryOutcome::LOCAL_HIT;
     }
 
     let mut query_msgs = 0u64;
@@ -1494,32 +1215,22 @@ mod tests {
         assert_eq!(first, again);
     }
 
-    #[test]
-    fn pass_all_filter_matches_unfiltered_walk() {
-        let net = line_net();
-        let tables = tables_for_line(&net);
-        let down = vec![false; net.node_count()];
-        let filter = QueryFaultFilter {
-            down: &down,
-            sides: None,
-        };
-        let mut scratch = QueryScratch::new();
-        for target in 0..16u32 {
-            for depth in 1..=3u16 {
-                let faulted = dsq_query_faulted_unrecorded(
-                    &net,
-                    &tables,
-                    n(0),
-                    n(target),
-                    depth,
-                    &mut scratch,
-                    &filter,
-                );
-                let plain =
-                    dsq_query_unrecorded(&net, &tables, n(0), n(target), depth, &mut scratch);
-                assert_eq!(faulted, plain, "target {target} depth {depth}");
-            }
-        }
+    /// The plain unrecorded walk from node 0 under `filter`'s edge veto.
+    fn walk_under(
+        net: &Network,
+        tables: &[ContactTable],
+        target: NodeId,
+        filter: QueryFaultFilter<'_>,
+    ) -> QueryOutcome {
+        dsq_query_unrecorded(
+            net,
+            tables,
+            n(0),
+            target,
+            3,
+            &mut QueryScratch::new(),
+            |a, b| filter.edge_ok(a, b),
+        )
     }
 
     #[test]
@@ -1534,9 +1245,7 @@ mod tests {
             down: &down,
             sides: None,
         };
-        let mut scratch = QueryScratch::new();
-        let out =
-            dsq_query_faulted_unrecorded(&net, &tables, n(0), n(13), 3, &mut scratch, &filter);
+        let out = walk_under(&net, &tables, n(13), filter);
         assert!(!out.found);
         assert_eq!(out.query_msgs, 0, "no probe is sent to a known-dead relay");
     }
@@ -1552,13 +1261,11 @@ mod tests {
             down: &down,
             sides: Some(&sides),
         };
-        let mut scratch = QueryScratch::new();
         // Target 13 lives across the cut: depth-2 contact 12 is vetoed.
-        let out =
-            dsq_query_faulted_unrecorded(&net, &tables, n(0), n(13), 3, &mut scratch, &filter);
+        let out = walk_under(&net, &tables, n(13), filter);
         assert!(!out.found);
         // Target 7 is on the source side and still resolves.
-        let out = dsq_query_faulted_unrecorded(&net, &tables, n(0), n(7), 3, &mut scratch, &filter);
+        let out = walk_under(&net, &tables, n(7), filter);
         assert!(out.found);
         assert_eq!(out.depth_used, 1);
     }

@@ -14,7 +14,7 @@ use sim_core::util::BitSet;
 use std::cell::RefCell;
 
 use crate::contact::TableSource;
-use crate::query::QueryScratch;
+use crate::query::{any_edge, QueryScratch};
 
 /// Histogram bucket width used by every reachability figure (percent).
 pub const REACH_BUCKET_PCT: f64 = 5.0;
@@ -55,11 +55,11 @@ pub fn reachability_set_into<T: TableSource>(
         if scratch.exhausted() {
             break;
         }
-        scratch.advance_level::<(), _>(&contact_tables, &mut no_msgs, |c, _| {
+        scratch.advance_level(&contact_tables, &mut no_msgs, any_edge, |c, _| {
             for m in tables.of(c).iter_members() {
                 out.insert(m.index());
             }
-            None
+            None::<()>
         });
     }
 }

@@ -28,8 +28,11 @@ use sim_core::time::SimTime;
 use sim_core::util::BitSet;
 
 use crate::contact::TableSource;
-use crate::hints::HintLookup;
-use crate::query::{QueryOutcome, QueryScratch};
+use crate::hints::{HintKey, HintLookup};
+use crate::query::{
+    any_edge, escalate_hinted_unrecorded, escalate_unrecorded, HintContext, QueryOutcome,
+    QueryScratch,
+};
 
 /// An application-level resource identifier.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -115,18 +118,29 @@ impl ResourceRegistry {
 
     /// Is some host of `resource` inside the neighborhood `nb`? This is
     /// the table lookup a contact performs on receiving a DSQ for ρ.
+    pub fn hosted_in_neighborhood(&self, resource: ResourceId, nb: &Neighborhood) -> bool {
+        self.hosted_in_neighborhood_where(resource, nb, |_| true)
+    }
+
+    /// Is some host of `resource` that satisfies `usable` inside `nb`?
     ///
     /// Iterates whichever side is smaller: the host set against the
     /// zone-local membership (O(hosts · log zone), the common few-replica
     /// case), or the zone members against the host bitset (O(zone), which
     /// keeps heavily replicated resources from degrading to O(N) probes).
     /// No O(N) bitset is materialized either way.
-    pub fn hosted_in_neighborhood(&self, resource: ResourceId, nb: &Neighborhood) -> bool {
+    pub(crate) fn hosted_in_neighborhood_where(
+        &self,
+        resource: ResourceId,
+        nb: &Neighborhood,
+        usable: impl Fn(NodeId) -> bool,
+    ) -> bool {
         if self.host_count(resource) <= nb.size() {
-            self.hosts_of(resource).any(|h| nb.contains(h))
+            self.hosts_of(resource).any(|h| nb.contains(h) && usable(h))
         } else {
             let hosts = &self.hosts[resource.index()];
-            nb.iter_members().any(|m| hosts.contains(m.index()))
+            nb.iter_members()
+                .any(|m| hosts.contains(m.index()) && usable(m))
         }
     }
 
@@ -197,6 +211,56 @@ pub fn distribute(
     reg
 }
 
+/// Both resource queries without statistics recording and under an edge
+/// veto — the per-call body of `CardWorld::query_resource`. A resource is
+/// its hosts: a zone answers iff it lists a host the answerer can actually
+/// reach (`edge_ok(answerer, host)`; with the pass-all veto this is the
+/// plain [`ResourceRegistry::hosted_in_neighborhood`] lookup).
+#[allow(clippy::too_many_arguments)] // mirrors the protocol message fields
+pub(crate) fn resource_query_unrecorded<T: TableSource, S: HintLookup>(
+    net: &Network,
+    contact_tables: T,
+    registry: &ResourceRegistry,
+    hints: Option<&mut HintContext<'_, S>>,
+    source: NodeId,
+    resource: ResourceId,
+    max_depth: u16,
+    scratch: &mut QueryScratch,
+    edge_ok: impl Fn(NodeId, NodeId) -> bool + Copy,
+) -> QueryOutcome {
+    let n = net.node_count();
+    let zones = net.tables();
+    let key = HintKey::resource(resource);
+    let hosted =
+        |c: NodeId| registry.hosted_in_neighborhood_where(resource, zones.of(c), |h| edge_ok(c, h));
+    // Zone-local instance: answered from the proactive tables, free.
+    if hosted(source) {
+        return QueryOutcome::LOCAL_HIT;
+    }
+    match hints {
+        Some(ctx) => escalate_hinted_unrecorded(
+            n,
+            contact_tables,
+            ctx,
+            key,
+            source,
+            max_depth,
+            scratch,
+            edge_ok,
+            hosted,
+        ),
+        None => escalate_unrecorded(
+            n,
+            contact_tables,
+            source,
+            max_depth,
+            scratch,
+            edge_ok,
+            hosted,
+        ),
+    }
+}
+
 /// Anycast resource query (§III.C.4 with a resource target): check the own
 /// zone, then escalate D = 1, 2, … `max_depth`, forwarding to contacts
 /// level-synchronously; a final-level contact answers iff some host of the
@@ -219,26 +283,18 @@ pub fn resource_query<T: TableSource>(
     at: SimTime,
     scratch: &mut QueryScratch,
 ) -> QueryOutcome {
-    let tables = net.tables();
-    // Zone-local instance: answered from the proactive tables, free.
-    if registry.hosted_in_neighborhood(resource, tables.of(source)) {
-        return QueryOutcome {
-            found: true,
-            depth_used: 0,
-            query_msgs: 0,
-            reply_msgs: 0,
-        };
-    }
-    crate::query::escalate(
-        net.node_count(),
+    resource_query_unrecorded(
+        net,
         contact_tables,
+        registry,
+        None::<&mut HintContext<'_>>,
         source,
+        resource,
         max_depth,
-        stats,
-        at,
         scratch,
-        |c| registry.hosted_in_neighborhood(resource, tables.of(c)),
+        any_edge,
     )
+    .recorded(stats, at)
 }
 
 /// [`resource_query`] with the §V route-hint cache consulted first and
@@ -251,7 +307,7 @@ pub fn resource_query_hinted<T: TableSource, S: HintLookup>(
     net: &Network,
     contact_tables: T,
     registry: &ResourceRegistry,
-    ctx: &mut crate::query::HintContext<'_, S>,
+    ctx: &mut HintContext<'_, S>,
     source: NodeId,
     resource: ResourceId,
     max_depth: u16,
@@ -259,28 +315,18 @@ pub fn resource_query_hinted<T: TableSource, S: HintLookup>(
     at: SimTime,
     scratch: &mut QueryScratch,
 ) -> QueryOutcome {
-    let tables = net.tables();
-    if registry.hosted_in_neighborhood(resource, tables.of(source)) {
-        return QueryOutcome {
-            found: true,
-            depth_used: 0,
-            query_msgs: 0,
-            reply_msgs: 0,
-        };
-    }
-    let out = crate::query::escalate_hinted_unrecorded(
-        net.node_count(),
+    resource_query_unrecorded(
+        net,
         contact_tables,
-        ctx,
-        crate::hints::HintKey::resource(resource),
+        registry,
+        Some(ctx),
         source,
+        resource,
         max_depth,
         scratch,
-        |c| registry.hosted_in_neighborhood(resource, tables.of(c)),
-    );
-    stats.record_n(at, sim_core::stats::MsgKind::Dsq, out.query_msgs);
-    stats.record_n(at, sim_core::stats::MsgKind::DsqReply, out.reply_msgs);
-    out
+        any_edge,
+    )
+    .recorded(stats, at)
 }
 
 /// The set of resources discoverable by `source` at contact depth `depth`:

@@ -15,8 +15,8 @@
 //! [`sim_core::par::shard_spans`] partition; `per = ceil(N / shards)`).
 //! There is no flat whole-network array behind the shards; cross-shard
 //! reads go through read-only views ([`TablesView`], [`HintsView`]) and
-//! cross-shard *writes* become typed `ProtocolMsg` messages routed
-//! through a [`MessagePlane`] and applied by the owning shard in a
+//! cross-shard *writes* — hint deposits — become [`HintDeposit`] messages
+//! routed through a [`MessagePlane`] and applied by the owning shard in a
 //! deterministic drain phase.
 //!
 //! The whole-network protocol sweeps ([`CardWorld::select_all_contacts`]
@@ -39,24 +39,18 @@
 //!
 //! ## The message plane
 //!
-//! Three protocol interactions cross shard-ownership boundaries and are
-//! expressed as messages:
+//! Two protocol interactions cross shard-ownership boundaries:
 //!
-//! * **Hint deposits** (`ProtocolMsg::Deposit`): a resolved query of a
-//!   batched sweep deposits hints at relay nodes that usually live on
-//!   other shards. The sweep logs deposits per source shard, routes them
-//!   to the holder's owner shard through one exchange round, and each
-//!   shard applies its own mailbox — see [`CardWorld::query_all`].
-//! * **Query expansion** (`ProtocolMsg::Expand` /
-//!   `ProtocolMsg::Contacts`): the plane-routed sweep
-//!   [`CardWorld::query_all_plane`] expands query frontiers by asking the
-//!   owner shard of each frontier node for its contact list instead of
-//!   reading the table directly (two exchange rounds per escalation
-//!   depth).
+//! * **Hint deposits** ([`HintDeposit`], the plane's one message type): a
+//!   resolved query of a batched sweep deposits hints at relay nodes that
+//!   usually live on other shards. The sweep logs deposits per source
+//!   shard, routes them to the holder's owner shard through one exchange
+//!   round, and each shard applies its own mailbox — see
+//!   [`CardWorld::query_all`]. Query *reads* (remote contact tables) stay
+//!   direct reads through [`TablesView`].
 //! * **Validation traffic metering**: contact-path validation walks paths
-//!   that cross span boundaries; the retained direct-read implementation
-//!   meters those crossings per round into
-//!   [`PlaneStats::metered_crossings`] (via
+//!   that cross span boundaries; the direct-read implementation meters
+//!   those crossings per round into [`PlaneStats::metered_crossings`] (via
 //!   [`crate::maintenance::path_shard_crossings`]) without materializing
 //!   per-hop messages, so the plane's traffic columns stay honest at
 //!   N=10⁶.
@@ -67,11 +61,18 @@
 //! src-major. Because batched sweeps send in pair order within each source
 //! shard, the per-holder deposit sequence any store observes equals the
 //! global pair order restricted to that holder, which is what makes
-//! plane-routed sweeps bit-identical to the serial reference at *any*
-//! shard count (the one-shard plane degenerates to a single local lane
-//! with the same ordering).
+//! hinted sweeps bit-identical at *any* shard count (the one-shard plane
+//! degenerates to a single local lane with the same ordering).
 //!
-//! ## Batched query sweeps
+//! ## One query body, one sweep
+//!
+//! Every world-level query — [`CardWorld::query`], the retry drain,
+//! [`CardWorld::query_resource`], standing resolution and each pair of
+//! [`CardWorld::query_all`] — runs the same private per-pair body
+//! (`QueryView::query`): the table, hint and fault views are picked once
+//! per call or sweep, a crashed endpoint fails fast, and the
+//! [`crate::query`] walk runs under the view's edge veto (pass-all on a
+//! calm world, [`QueryFaultFilter::edge_ok`] under an armed plan).
 //!
 //! Queries are read-only over the protocol state (contact tables and
 //! neighborhood tables; no RNG draws), so [`CardWorld::query_all`] shards
@@ -82,16 +83,22 @@
 //! shard order. Every query of a sweep lands at the same virtual instant
 //! and zero counts never record, so the shard deltas are plain counter
 //! pairs recorded in bulk — the resulting buckets are bit-identical to
-//! per-query recording, minus thousands of map probes per sweep. Outcomes
-//! are a pure function of `(network, tables, pair)`, so the sweep equals
-//! [`CardWorld::query_all_serial`] — and a loop of [`CardWorld::query`]
-//! calls — bit for bit at any worker or shard count.
+//! per-query recording, minus thousands of map probes per sweep. With the
+//! hint cache on, the sweep reads hint views *frozen* for the whole
+//! parallel phase and a deposit stage follows it (see above); with it off,
+//! outcomes are a pure function of `(network, tables, fault view, pair)`,
+//! so the sweep equals [`CardWorld::query_all_serial`] — a loop of
+//! [`CardWorld::query`] calls — bit for bit at any worker or shard count.
 //!
 //! ## Fault injection
 //!
 //! [`CardWorld::enable_faults`] arms a seeded [`FaultPlan`]
 //! (crash/rejoin events, a partition window, per-message drop/delay —
-//! see [`sim_core::faults`]). Fault application is fused to the
+//! see [`sim_core::faults`]). Faults are a *parameter* of the one
+//! production path, not a fork of it: the one validation round runs its
+//! fault stages (event application, tombstones and retry windows, the
+//! retry drain) only when a plan is armed, and the one query body takes
+//! the fault view as its edge veto. Fault application is fused to the
 //! validation round itself: every driver (the tick loop, the event
 //! driver, direct calls) applies round `r`'s node events and partition
 //! transitions immediately before executing round `r`, so tick and
@@ -112,7 +119,7 @@ use mobility::model::MobilityModel;
 use net_topology::node::NodeId;
 use net_topology::scenario::Scenario;
 use sim_core::engine::Engine;
-use sim_core::faults::{FaultPlan, FaultState, FaultVerdict, NodeFaultKind};
+use sim_core::faults::{FaultPlan, FaultState, NodeFaultKind};
 use sim_core::par::{max_workers, parallel_shard_map, shard_spans};
 use sim_core::plane::{MessagePlane, PlaneStats};
 use sim_core::rng::{RngStream, SeedSplitter};
@@ -122,18 +129,16 @@ use sim_core::time::{SimDuration, SimTime};
 use crate::config::CardConfig;
 use crate::contact::{ContactTable, TableSource};
 use crate::csq::{select_contacts, CsqScratch, ALL_EDGE_NODES};
-use crate::hints::{HintDeposit, HintLookup, HintStats, HintStore, Lookup};
+use crate::hints::{HintDeposit, HintKey, HintLookup, HintStats, HintStore, Lookup};
 use crate::maintenance::{
     path_shard_crossings, validate_contacts, validate_contacts_filtered, ValidationReport,
 };
 use crate::query::{
-    dsq_query, dsq_query_faulted_unrecorded, dsq_query_hinted, dsq_query_hinted_faulted_unrecorded,
-    dsq_query_hinted_unrecorded, dsq_query_unrecorded, escalate_faulted_unrecorded,
-    escalate_unrecorded, HintContext, QueryFaultFilter, QueryOutcome, QueryRetryQueue,
-    QueryScratch, RetryStats,
+    any_edge, dsq_query_hinted_unrecorded, dsq_query_unrecorded, HintContext, QueryFaultFilter,
+    QueryOutcome, QueryRetryQueue, QueryScratch, RetryStats,
 };
 use crate::reachability::ReachabilitySummary;
-use crate::resources::{resource_query, resource_query_hinted, ResourceId, ResourceRegistry};
+use crate::resources::{resource_query_unrecorded, ResourceId, ResourceRegistry};
 use crate::standing::StandingQueries;
 use manet_routing::network::DirtyReport;
 
@@ -244,32 +249,6 @@ impl ProtocolShard {
     }
 }
 
-/// Typed cross-shard protocol messages routed through the world's
-/// [`MessagePlane`].
-#[derive(Clone, Debug)]
-enum ProtocolMsg {
-    /// Deposit a route hint at `HintDeposit::holder` (owner shard applies).
-    Deposit(HintDeposit),
-    /// Plane-routed sweep: query `q` asks the owner of `node` for its
-    /// contact list.
-    Expand {
-        /// Index of the asking query in the sweep's pair list.
-        q: u32,
-        /// The frontier node whose table is requested.
-        node: NodeId,
-    },
-    /// Reply to an [`ProtocolMsg::Expand`]: `node`'s contact list as
-    /// `(contact, path hops)` pairs, in table order.
-    Contacts {
-        /// Index of the asking query.
-        q: u32,
-        /// The node whose table this is.
-        node: NodeId,
-        /// `(contact id, stored path hops)` per live contact.
-        list: Vec<(NodeId, u16)>,
-    },
-}
-
 /// Read-only view over every node's contact table across the shard-owned
 /// spans — the [`TableSource`] the query/reachability/resource layers use
 /// now that no flat whole-network table array exists.
@@ -373,8 +352,139 @@ impl HintsView<'_> {
 
 impl HintLookup for HintsView<'_> {
     #[inline]
-    fn lookup(&self, holder: NodeId, key: crate::hints::HintKey) -> Lookup {
+    fn lookup(&self, holder: NodeId, key: HintKey) -> Lookup {
         self.store_of(holder).lookup(holder, key)
+    }
+}
+
+/// What one query is looking for.
+#[derive(Clone, Copy)]
+enum Goal<'a> {
+    /// A node lookup (the DSQ of §III.C.4).
+    Node(NodeId),
+    /// Any host of a resource (anycast).
+    Resource(&'a ResourceRegistry, ResourceId),
+}
+
+/// Everything a query reads, frozen for one call or one sweep: the
+/// network, the table and hint views over the shards, and the fault view
+/// picked from the armed plan.
+#[derive(Clone, Copy)]
+struct QueryView<'a> {
+    net: &'a Network,
+    tables: TablesView<'a>,
+    /// The §V hint spans, when the query consults (and feeds) the cache.
+    hints: Option<HintsView<'a>>,
+    depth: u16,
+    /// `None` on a calm world.
+    faults: Option<QueryFaultFilter<'a>>,
+}
+
+/// What one query writes: its walk workspace and, with the cache on, the
+/// hint counters and the deposit log.
+struct QuerySink<'a> {
+    scratch: &'a mut QueryScratch,
+    hint_stats: &'a mut HintStats,
+    deposits: &'a mut Vec<HintDeposit>,
+}
+
+impl<'a> QueryView<'a> {
+    fn over(
+        net: &'a Network,
+        shards: &'a [ProtocolShard],
+        per: usize,
+        hints: bool,
+        depth: u16,
+        faults: &'a Option<FaultRuntime>,
+    ) -> Self {
+        QueryView {
+            net,
+            tables: TablesView {
+                shards,
+                per,
+                n: net.node_count(),
+            },
+            hints: hints.then_some(HintsView { shards, per }),
+            depth,
+            faults: faults.as_ref().map(|rt| QueryFaultFilter {
+                down: rt.state.down_mask(),
+                sides: rt.state.sides(),
+            }),
+        }
+    }
+
+    /// The one per-pair body behind every world-level query — single
+    /// queries, the retry drain, standing resolution and each pair of the
+    /// batched sweep. This is the only place the calm/faulted choice is
+    /// made: a calm world walks under the pass-all veto; under a fault view
+    /// a crashed endpoint fails fast (no messages — nobody to ask, nobody
+    /// to answer; a resource has no single target, so only its source is
+    /// tested) and the walk vetoes crashed relays and cross-partition
+    /// edges, falling back from a hint whose next hop is down to the plain
+    /// escalation.
+    fn query(&self, source: NodeId, goal: Goal<'_>, sink: &mut QuerySink<'_>) -> QueryOutcome {
+        match self.faults {
+            None => self.walk(source, goal, sink, any_edge),
+            Some(f) => {
+                let up = match goal {
+                    Goal::Node(target) => f.endpoints_up(source, target),
+                    Goal::Resource(..) => !f.down[source.index()],
+                };
+                if !up {
+                    return QueryOutcome::MISS;
+                }
+                self.walk(source, goal, sink, move |a, b| f.edge_ok(a, b))
+            }
+        }
+    }
+
+    /// The unrecorded [`crate::query`] walk for `goal` under one edge veto.
+    fn walk(
+        &self,
+        source: NodeId,
+        goal: Goal<'_>,
+        sink: &mut QuerySink<'_>,
+        edge_ok: impl Fn(NodeId, NodeId) -> bool + Copy,
+    ) -> QueryOutcome {
+        let mut ctx = self.hints.map(|store| HintContext {
+            store,
+            stats: &mut *sink.hint_stats,
+            deposits: &mut *sink.deposits,
+        });
+        match goal {
+            Goal::Node(target) => match ctx.as_mut() {
+                None => dsq_query_unrecorded(
+                    self.net,
+                    self.tables,
+                    source,
+                    target,
+                    self.depth,
+                    sink.scratch,
+                    edge_ok,
+                ),
+                Some(ctx) => dsq_query_hinted_unrecorded(
+                    self.net,
+                    self.tables,
+                    ctx,
+                    source,
+                    target,
+                    self.depth,
+                    sink.scratch,
+                    edge_ok,
+                ),
+            },
+            Goal::Resource(registry, resource) => resource_query_unrecorded(
+                self.net,
+                self.tables,
+                registry,
+                ctx.as_mut(),
+                source,
+                resource,
+                self.depth,
+                sink.scratch,
+                edge_ok,
+            ),
+        }
     }
 }
 
@@ -398,21 +508,6 @@ enum SimEvent {
     MobilityTick,
     /// Validate every node's contacts; re-select up to NoC (§III.C.3.5).
     ValidationRound,
-}
-
-/// In-flight state of one query in the plane-routed sweep
-/// ([`CardWorld::query_all_plane`]).
-struct PlaneQuery {
-    target: NodeId,
-    frontier: Vec<(NodeId, u64)>,
-    next: Vec<(NodeId, u64)>,
-    /// Nodes already consumed by this query's walk (frontiers are small —
-    /// bounded by NoC^depth — so a linear scan beats a hash set here).
-    seen: Vec<NodeId>,
-    /// Cumulative hop cost of completed levels (the re-send charge base).
-    walked: u64,
-    query_msgs: u64,
-    done: Option<QueryOutcome>,
 }
 
 /// The CARD world: network + shard-owned protocol state + measurement.
@@ -440,9 +535,9 @@ pub struct CardWorld {
     /// these live outside the shards, in lockstep with them). Scratch 0
     /// also serves the one-off [`CardWorld::query`] path.
     query_scratch: Vec<QueryScratch>,
-    /// The cross-shard message plane (hint deposits, plane-routed query
-    /// expansion, metered validation crossings).
-    plane: MessagePlane<ProtocolMsg>,
+    /// The cross-shard message plane (hint deposits, metered validation
+    /// crossings).
+    plane: MessagePlane<HintDeposit>,
     /// Is the §V route-hint cache active (spans allocated in the shards)?
     hints_on: bool,
     /// Hit/miss/staleness counters of the hint subsystem.
@@ -656,12 +751,7 @@ impl CardWorld {
         self.plane = MessagePlane::new(shards);
         *self.plane.stats_mut() = plane_stats;
         let new_per = self.per;
-        let route = move |msg: &ProtocolMsg| -> usize {
-            let ProtocolMsg::Deposit(d) = msg else {
-                unreachable!("mid-call plane messages cannot survive a reshard");
-            };
-            d.holder.index() / new_per
-        };
+        let route = move |d: &HintDeposit| d.holder.index() / new_per;
         for msg in deferred {
             let dst = route(&msg);
             self.plane.defer(dst, dst, msg);
@@ -931,9 +1021,9 @@ impl CardWorld {
 
     /// Enable or disable the route-hint cache at runtime. Enabling builds
     /// an empty span store in every shard from the config's sizing knobs;
-    /// disabling drops the stores entirely (the cache-off query paths
-    /// never touch the subsystem, so a disabled world is bit-identical to
-    /// one that never had hints).
+    /// disabling drops the stores entirely (without a hint view a query
+    /// never touches the subsystem, so a disabled world is bit-identical
+    /// to one that never had hints).
     pub fn set_hints_enabled(&mut self, enabled: bool) {
         if enabled && !self.hints_on {
             let (spb, ttl) = (self.cfg.hint_slots_per_bucket, self.cfg.hint_ttl);
@@ -1090,7 +1180,10 @@ impl CardWorld {
     /// re-select toward NoC. The sweep fans out over the protocol shards;
     /// [`CardWorld::validation_round_serial`] is the bit-identical serial
     /// reference. Span-boundary crossings of the validated paths are
-    /// metered into [`PlaneStats::metered_crossings`].
+    /// metered into [`PlaneStats::metered_crossings`]. With a fault plan
+    /// armed the round first applies its scheduled fault events and
+    /// finally re-runs the due query retries — fused here so every driver
+    /// sees one fault history.
     ///
     /// Re-selection is throttled twice, which is what keeps steady-state
     /// overhead at the per-node magnitudes of Figs 10–13 (the paper's
@@ -1103,76 +1196,19 @@ impl CardWorld {
     ///   (NoC above the annulus capacity) therefore go quiet instead of
     ///   re-sweeping the region every period.
     pub fn validation_round(&mut self) {
-        if self.faults.is_some() {
-            self.validation_round_faulted(false);
-            return;
-        }
-        let per = self.per;
-        let CardWorld {
-            net,
-            cfg,
-            stats,
-            now,
-            maintenance,
-            shards,
-            plane,
-            ..
-        } = self;
-        let width = stats.bucket_width();
-        let at = *now;
-        let deltas = parallel_shard_map(shards, |_, shard| {
-            Self::validate_span(net, cfg, shard, at, width, per)
-        });
-        let mut crossings = 0u64;
-        for delta in &deltas {
-            stats.merge(&delta.stats);
-            maintenance.merge(&delta.maintenance);
-            crossings += delta.crossings;
-        }
-        plane.stats_mut().metered_crossings += crossings;
-        self.advance_hint_epochs();
-        self.contacts_series
-            .push(self.now, self.total_contacts() as f64);
+        self.run_validation_round(true);
     }
 
     /// Serial reference for [`CardWorld::validation_round`]: the same
-    /// validate-then-reselect pass over the shards in order on the
-    /// caller's thread.
+    /// round with the shards mapped in order on the caller's thread.
     pub fn validation_round_serial(&mut self) {
-        if self.faults.is_some() {
-            self.validation_round_faulted(true);
-            return;
-        }
-        let per = self.per;
-        let CardWorld {
-            net,
-            cfg,
-            stats,
-            now,
-            maintenance,
-            shards,
-            plane,
-            ..
-        } = self;
-        let width = stats.bucket_width();
-        let at = *now;
-        for shard in shards.iter_mut() {
-            let delta = Self::validate_span(net, cfg, shard, at, width, per);
-            stats.merge(&delta.stats);
-            maintenance.merge(&delta.maintenance);
-            plane.stats_mut().metered_crossings += delta.crossings;
-        }
-        self.advance_hint_epochs();
-        self.contacts_series
-            .push(self.now, self.total_contacts() as f64);
+        self.run_validation_round(false);
     }
 
-    /// A validation round under an armed fault plan: apply the round's
-    /// fault events, sweep every shard through the fault-aware span body
-    /// ([`CardWorld::validate_span_faulted`] — serial or fanned out, bit
-    /// for bit the same), then re-run the due query retries. Fused here so
-    /// every driver sees one fault history.
-    fn validation_round_faulted(&mut self, serial: bool) {
+    /// The one round body. Its fault stages no-op on a calm world:
+    /// [`CardWorld::apply_fault_round`] without a plan, the span body's
+    /// fault block without a fault view, the retry drain on an empty queue.
+    fn run_validation_round(&mut self, fan_out: bool) {
         self.apply_fault_round();
         let per = self.per;
         let CardWorld {
@@ -1186,40 +1222,29 @@ impl CardWorld {
             faults,
             ..
         } = self;
-        let rt = faults.as_ref().expect("faulted round without a runtime");
-        let plan = &rt.plan;
-        let state = &rt.state;
-        let round = rt.round - 1;
+        let fault_view = faults
+            .as_ref()
+            .map(|rt| (&rt.plan, &rt.state, rt.round - 1));
         let width = stats.bucket_width();
         let at = *now;
-        let mut crossings = 0u64;
+        let span = |shard: &mut ProtocolShard| {
+            Self::validate_span(net, cfg, shard, at, width, per, fault_view)
+        };
+        let deltas: Vec<ShardDelta> = if fan_out {
+            parallel_shard_map(shards, |_, shard| span(shard))
+        } else {
+            shards.iter_mut().map(span).collect()
+        };
         let mut liveness = 0u64;
-        let mut fold = |delta: &ShardDelta| {
+        for delta in &deltas {
             stats.merge(&delta.stats);
             maintenance.merge(&delta.maintenance);
-            crossings += delta.crossings;
+            plane.stats_mut().metered_crossings += delta.crossings;
             liveness += delta.liveness_violations;
-        };
-        if serial {
-            for shard in shards.iter_mut() {
-                let delta = Self::validate_span_faulted(
-                    net, cfg, shard, at, width, per, plan, state, round,
-                );
-                fold(&delta);
-            }
-        } else {
-            let deltas = parallel_shard_map(shards, |_, shard| {
-                Self::validate_span_faulted(net, cfg, shard, at, width, per, plan, state, round)
-            });
-            for delta in &deltas {
-                fold(delta);
-            }
         }
-        plane.stats_mut().metered_crossings += crossings;
-        self.faults
-            .as_mut()
-            .expect("faulted round without a runtime")
-            .liveness_violations += liveness;
+        if let Some(rt) = faults {
+            rt.liveness_violations += liveness;
+        }
         self.advance_hint_epochs();
         self.contacts_series
             .push(self.now, self.total_contacts() as f64);
@@ -1243,6 +1268,16 @@ impl CardWorld {
     /// span, then (throttled) re-select. Touches only shard-owned state and
     /// the immutable network; emits its message/maintenance counters and
     /// metered path crossings as a delta for in-order merging.
+    ///
+    /// Under a fault view `(plan, state, round)`, per up node: tombstone
+    /// confirmed-dead contacts (evicted now, barred from re-selection until
+    /// the TTL expires), hold out contacts inside a retry window or whose
+    /// probe the plan loses this round (unacked probes extend the window;
+    /// past `cfg.validation_retry_cap` the contact is dropped) and validate
+    /// the rest with crashed/partitioned hops vetoed (including
+    /// local-recovery splices). Crashed nodes send nothing and maintain
+    /// nothing. The in-run liveness check counts any tombstone observed
+    /// past its TTL before the round's decay.
     fn validate_span(
         net: &Network,
         cfg: &CardConfig,
@@ -1250,6 +1285,7 @@ impl CardWorld {
         at: SimTime,
         bucket_width: SimDuration,
         per: usize,
+        fault_view: Option<(&FaultPlan, &FaultState, u32)>,
     ) -> ShardDelta {
         let mut delta = ShardDelta {
             stats: MsgStats::new(bucket_width),
@@ -1257,154 +1293,96 @@ impl CardWorld {
             crossings: 0,
             liveness_violations: 0,
         };
-        for k in 0..shard.contacts.len() {
-            let node = NodeId::from(shard.start + k);
-            // Meter the validation traffic this node is about to send down
-            // its stored paths: every span-boundary crossing is a message
-            // the plane would carry if validation were materialized.
-            for c in shard.contacts[k].contacts() {
-                delta.crossings += path_shard_crossings(&c.path, per);
-            }
-            let report =
-                validate_contacts(net, cfg, node, &mut shard.contacts[k], &mut delta.stats, at);
-            delta.maintenance.absorb(&report);
-            if shard.contacts[k].len() >= cfg.target_contacts {
-                shard.backoff_level[k] = 0;
-                shard.backoff_remaining[k] = 0;
-                continue;
-            }
-            if shard.backoff_remaining[k] > 0 {
-                shard.backoff_remaining[k] -= 1;
-                continue;
-            }
-            let before = shard.contacts[k].len();
-            select_contacts(
-                net,
-                cfg,
-                node,
-                &mut shard.contacts[k],
-                &mut shard.rngs[k],
-                &mut delta.stats,
-                at,
-                cfg.selection_walks_per_round,
-                &mut shard.scratch,
-            );
-            if shard.contacts[k].len() > before {
-                shard.backoff_level[k] = 0;
-                shard.backoff_remaining[k] = 0;
-            } else {
-                shard.backoff_level[k] = (shard.backoff_level[k] + 1).min(MAX_BACKOFF_LEVEL);
-                shard.backoff_remaining[k] = (1u32 << shard.backoff_level[k]) - 1;
-            }
-        }
-        delta
-    }
-
-    /// The fault-aware span body of a validation round. Per up node:
-    /// tombstone confirmed-dead contacts (evicted now, barred from
-    /// re-selection until the TTL expires), hold out contacts inside a
-    /// retry window or whose probe the plan loses this round (unacked
-    /// probes extend the window; past `cfg.validation_retry_cap` the
-    /// contact is dropped), validate the rest with crashed/partitioned
-    /// hops vetoed (including local-recovery splices), then re-select
-    /// under the same throttles as the calm path. Crashed nodes send
-    /// nothing and maintain nothing. The in-run liveness check counts any
-    /// tombstone observed past its TTL before the round's decay.
-    #[allow(clippy::too_many_arguments)]
-    fn validate_span_faulted(
-        net: &Network,
-        cfg: &CardConfig,
-        shard: &mut ProtocolShard,
-        at: SimTime,
-        bucket_width: SimDuration,
-        per: usize,
-        plan: &FaultPlan,
-        state: &FaultState,
-        round: u32,
-    ) -> ShardDelta {
-        let mut delta = ShardDelta {
-            stats: MsgStats::new(bucket_width),
-            maintenance: MaintenanceTotals::default(),
-            crossings: 0,
-            liveness_violations: 0,
-        };
-        let allowed = |a: NodeId, b: NodeId| state.link_allowed(a.index(), b.index());
         let mut ids: Vec<NodeId> = Vec::new();
         let mut held: Vec<crate::contact::Contact> = Vec::new();
         for k in 0..shard.contacts.len() {
             let node = NodeId::from(shard.start + k);
-            if state.is_down(node.index()) {
+            if fault_view.is_some_and(|(_, state, _)| state.is_down(node.index())) {
                 // Radio off: no probes, no selection; the table was wiped
                 // at the crash and stays empty until rejoin.
                 continue;
             }
             let table = &mut shard.contacts[k];
+            // Meter the validation traffic this node is about to send down
+            // its stored paths: every span-boundary crossing is a message
+            // the plane would carry if validation were materialized.
             for c in table.contacts() {
                 delta.crossings += path_shard_crossings(&c.path, per);
             }
-            // Confirmed-dead contacts: tombstoned up front so neither
-            // validation nor this round's re-selection resurrects them.
-            ids.clear();
-            ids.extend(table.contacts().iter().map(|c| c.id));
-            for &c in &ids {
-                if state.is_down(c.index()) {
-                    table.tombstone(c, cfg.tombstone_ttl);
-                    delta.maintenance.lost += 1;
+            if let Some((plan, state, round)) = fault_view {
+                // Confirmed-dead contacts: tombstoned up front so neither
+                // validation nor this round's re-selection resurrects them.
+                ids.clear();
+                ids.extend(table.contacts().iter().map(|c| c.id));
+                for &c in &ids {
+                    if state.is_down(c.index()) {
+                        table.tombstone(c, cfg.tombstone_ttl);
+                        delta.maintenance.lost += 1;
+                    }
                 }
-            }
-            // Retry windows: a contact mid-window skips this round's
-            // probe; a probe the plan loses goes unacked — its hops are
-            // still charged, the window doubles, and past the cap the
-            // contact is dropped.
-            ids.clear();
-            ids.extend(table.contacts().iter().map(|c| c.id));
-            held.clear();
-            for &c in &ids {
-                if table.retry_skip(c) {
+                // Retry windows: a contact mid-window skips this round's
+                // probe; a probe the plan loses goes unacked — its hops are
+                // still charged, the window doubles, and past the cap the
+                // contact is dropped.
+                ids.clear();
+                ids.extend(table.contacts().iter().map(|c| c.id));
+                for &c in &ids {
+                    let in_window = table.retry_skip(c);
+                    if !in_window
+                        && !plan.validation_lost(node.index() as u32, c.index() as u32, round)
+                    {
+                        continue;
+                    }
                     let cs = table.contacts_mut();
                     let pos = cs
                         .iter()
                         .position(|x| x.id == c)
-                        .expect("retrying contact present");
-                    held.push(cs.remove(pos));
-                    continue;
-                }
-                if !plan.validation_lost(node.index() as u32, c.index() as u32, round) {
-                    continue;
-                }
-                let cs = table.contacts_mut();
-                let pos = cs
-                    .iter()
-                    .position(|x| x.id == c)
-                    .expect("probed contact present");
-                let entry = cs.remove(pos);
-                delta
-                    .stats
-                    .record_n(at, MsgKind::Validation, entry.hops() as u64);
-                let level = table.note_unacked(c);
-                if level > cfg.validation_retry_cap {
-                    table.clear_retry(c);
-                    delta.maintenance.lost += 1;
-                } else {
-                    held.push(entry);
+                        .expect("held-out contact present");
+                    let entry = cs.remove(pos);
+                    if in_window {
+                        held.push(entry);
+                        continue;
+                    }
+                    delta
+                        .stats
+                        .record_n(at, MsgKind::Validation, entry.hops() as u64);
+                    let level = table.note_unacked(c);
+                    if level > cfg.validation_retry_cap {
+                        table.clear_retry(c);
+                        delta.maintenance.lost += 1;
+                    } else {
+                        held.push(entry);
+                    }
                 }
             }
-            let report =
-                validate_contacts_filtered(net, cfg, node, table, &mut delta.stats, at, &allowed);
+            let report = match fault_view {
+                None => validate_contacts(net, cfg, node, table, &mut delta.stats, at),
+                Some((_, state, _)) => validate_contacts_filtered(
+                    net,
+                    cfg,
+                    node,
+                    table,
+                    &mut delta.stats,
+                    at,
+                    &|a, b| state.link_allowed(a.index(), b.index()),
+                ),
+            };
             delta.maintenance.absorb(&report);
-            // An acked validation resets the contact's retry state.
-            ids.clear();
-            ids.extend(table.contacts().iter().map(|c| c.id));
-            for &c in &ids {
-                table.clear_retry(c);
+            if fault_view.is_some() {
+                // An acked validation resets the contact's retry state.
+                ids.clear();
+                ids.extend(table.contacts().iter().map(|c| c.id));
+                for &c in &ids {
+                    table.clear_retry(c);
+                }
+                // Re-admit the held-out contacts, windows intact.
+                table.contacts_mut().append(&mut held);
+                // Liveness: no tombstone may be observed past its TTL.
+                if table.max_tombstone_ttl() > cfg.tombstone_ttl {
+                    delta.liveness_violations += 1;
+                }
+                table.decay_tombstones();
             }
-            // Re-admit the held-out contacts, windows intact.
-            table.contacts_mut().append(&mut held);
-            // Liveness: no tombstone may be observed past its TTL.
-            if table.max_tombstone_ttl() > cfg.tombstone_ttl {
-                delta.liveness_violations += 1;
-            }
-            table.decay_tombstones();
             if table.len() >= cfg.target_contacts {
                 shard.backoff_level[k] = 0;
                 shard.backoff_remaining[k] = 0;
@@ -1414,19 +1392,19 @@ impl CardWorld {
                 shard.backoff_remaining[k] -= 1;
                 continue;
             }
-            let before = shard.contacts[k].len();
+            let before = table.len();
             select_contacts(
                 net,
                 cfg,
                 node,
-                &mut shard.contacts[k],
+                table,
                 &mut shard.rngs[k],
                 &mut delta.stats,
                 at,
                 cfg.selection_walks_per_round,
                 &mut shard.scratch,
             );
-            if shard.contacts[k].len() > before {
+            if table.len() > before {
                 shard.backoff_level[k] = 0;
                 shard.backoff_remaining[k] = 0;
             } else {
@@ -1445,89 +1423,21 @@ impl CardWorld {
     /// applied to their owner shards immediately (live queries warm the
     /// very next call; this host-local apply is the plane's one-round
     /// degenerate case — a single query's deposits drain in log order).
+    /// Under an armed fault plan a failed query enters the retry queue.
     pub fn query(&mut self, source: NodeId, target: NodeId) -> QueryOutcome {
-        if self.faults.is_some() {
-            let out = self.query_faulted(source, target);
-            if !out.found {
-                self.query_retry.schedule(source, target);
-            }
-            return out;
+        let out = self.query_once(source, Goal::Node(target));
+        if self.faults.is_some() && !out.found {
+            self.query_retry.schedule(source, target);
         }
-        let per = self.per;
-        let n = self.net.node_count();
-        let CardWorld {
-            net,
-            cfg,
-            stats,
-            now,
-            shards,
-            query_scratch,
-            hints_on,
-            hint_stats,
-            hint_deposits,
-            ..
-        } = self;
-        if *hints_on {
-            hint_deposits.clear();
-            let out = {
-                let tables = TablesView {
-                    shards: &*shards,
-                    per,
-                    n,
-                };
-                let hview = HintsView {
-                    shards: &*shards,
-                    per,
-                };
-                let mut ctx = HintContext {
-                    store: hview,
-                    stats: hint_stats,
-                    deposits: hint_deposits,
-                };
-                dsq_query_hinted(
-                    net,
-                    tables,
-                    &mut ctx,
-                    source,
-                    target,
-                    cfg.depth,
-                    stats,
-                    *now,
-                    &mut query_scratch[0],
-                )
-            };
-            Self::apply_deposits_to_shards(shards, per, hint_stats, hint_deposits);
-            out
-        } else {
-            let tables = TablesView {
-                shards: &*shards,
-                per,
-                n,
-            };
-            dsq_query(
-                net,
-                tables,
-                source,
-                target,
-                cfg.depth,
-                stats,
-                *now,
-                &mut query_scratch[0],
-            )
-        }
+        out
     }
 
-    /// One faulted query, without retry scheduling (the retry drain calls
-    /// this directly so a re-run never re-queues itself —
-    /// [`QueryRetryQueue::report`] owns the requeue decision). Crashed
-    /// endpoints fail fast; otherwise the walk runs with crashed relays
-    /// and cross-partition edges vetoed, falling back from a hint whose
-    /// next hop is down to the plain escalation. Messages are recorded
-    /// exactly as the calm sweeps record them (Dsq/DsqReply from the
-    /// outcome).
-    fn query_faulted(&mut self, source: NodeId, target: NodeId) -> QueryOutcome {
+    /// One live query through the shared per-pair body, recorded at `now`,
+    /// without retry scheduling (the retry drain calls this directly so a
+    /// re-run never re-queues itself — [`QueryRetryQueue::report`] owns the
+    /// requeue decision).
+    fn query_once(&mut self, source: NodeId, goal: Goal<'_>) -> QueryOutcome {
         let per = self.per;
-        let n = self.net.node_count();
         let CardWorld {
             net,
             cfg,
@@ -1541,68 +1451,18 @@ impl CardWorld {
             faults,
             ..
         } = self;
-        let rt = faults.as_ref().expect("faulted query without a runtime");
-        if rt.state.is_down(source.index()) || rt.state.is_down(target.index()) {
-            return QueryOutcome {
-                found: false,
-                depth_used: 0,
-                query_msgs: 0,
-                reply_msgs: 0,
-            };
-        }
-        let filter = QueryFaultFilter {
-            down: rt.state.down_mask(),
-            sides: rt.state.sides(),
-        };
-        let out = if *hints_on {
-            hint_deposits.clear();
-            let out = {
-                let tables = TablesView {
-                    shards: &*shards,
-                    per,
-                    n,
-                };
-                let hview = HintsView {
-                    shards: &*shards,
-                    per,
-                };
-                let mut ctx = HintContext {
-                    store: hview,
-                    stats: hint_stats,
-                    deposits: hint_deposits,
-                };
-                dsq_query_hinted_faulted_unrecorded(
-                    net,
-                    tables,
-                    &mut ctx,
-                    source,
-                    target,
-                    cfg.depth,
-                    &mut query_scratch[0],
-                    &filter,
-                )
-            };
-            Self::apply_deposits_to_shards(shards, per, hint_stats, hint_deposits);
-            out
-        } else {
-            let tables = TablesView {
-                shards: &*shards,
-                per,
-                n,
-            };
-            dsq_query_faulted_unrecorded(
-                net,
-                tables,
-                source,
-                target,
-                cfg.depth,
-                &mut query_scratch[0],
-                &filter,
-            )
-        };
-        stats.record_n(*now, MsgKind::Dsq, out.query_msgs);
-        stats.record_n(*now, MsgKind::DsqReply, out.reply_msgs);
-        out
+        hint_deposits.clear();
+        let out = QueryView::over(net, shards, per, *hints_on, cfg.depth, faults).query(
+            source,
+            goal,
+            &mut QuerySink {
+                scratch: &mut query_scratch[0],
+                hint_stats: &mut *hint_stats,
+                deposits: &mut *hint_deposits,
+            },
+        );
+        Self::apply_deposits_to_shards(shards, per, hint_stats, hint_deposits);
+        out.recorded(stats, *now)
     }
 
     /// Advance the retry queue one round and re-run the due queries,
@@ -1615,7 +1475,7 @@ impl CardWorld {
         let mut due = std::mem::take(&mut self.retry_due);
         self.query_retry.tick(&mut due);
         for &(source, target, attempt) in &due {
-            let out = self.query_faulted(source, target);
+            let out = self.query_once(source, Goal::Node(target));
             self.query_retry.report(source, target, attempt, out.found);
         }
         due.clear();
@@ -1625,77 +1485,18 @@ impl CardWorld {
     /// Issue an anycast resource query (§III.C.4 with a resource target)
     /// from `source`, escalating up to `cfg.depth` and consulting the
     /// route-hint cache when enabled (hints are keyed by the resource, so
-    /// any replica's answer warms later queries for it).
+    /// any replica's answer warms later queries for it). Under an armed
+    /// fault plan a crashed source asks nothing, crashed or partitioned
+    /// relays forward nothing, and a zone answers only through a host that
+    /// is up and on the answerer's side. Resource queries are never
+    /// retried: the retry queue is keyed by target *node*.
     pub fn query_resource(
         &mut self,
         registry: &ResourceRegistry,
         source: NodeId,
         resource: ResourceId,
     ) -> QueryOutcome {
-        let per = self.per;
-        let n = self.net.node_count();
-        let CardWorld {
-            net,
-            cfg,
-            stats,
-            now,
-            shards,
-            query_scratch,
-            hints_on,
-            hint_stats,
-            hint_deposits,
-            ..
-        } = self;
-        if *hints_on {
-            hint_deposits.clear();
-            let out = {
-                let tables = TablesView {
-                    shards: &*shards,
-                    per,
-                    n,
-                };
-                let hview = HintsView {
-                    shards: &*shards,
-                    per,
-                };
-                let mut ctx = HintContext {
-                    store: hview,
-                    stats: hint_stats,
-                    deposits: hint_deposits,
-                };
-                resource_query_hinted(
-                    net,
-                    tables,
-                    registry,
-                    &mut ctx,
-                    source,
-                    resource,
-                    cfg.depth,
-                    stats,
-                    *now,
-                    &mut query_scratch[0],
-                )
-            };
-            Self::apply_deposits_to_shards(shards, per, hint_stats, hint_deposits);
-            out
-        } else {
-            let tables = TablesView {
-                shards: &*shards,
-                per,
-                n,
-            };
-            resource_query(
-                net,
-                tables,
-                registry,
-                source,
-                resource,
-                cfg.depth,
-                stats,
-                *now,
-                &mut query_scratch[0],
-            )
-        }
+        self.query_once(source, Goal::Resource(registry, resource))
     }
 
     /// Apply a deposit log to the holders' owner shards in log order,
@@ -1722,12 +1523,11 @@ impl CardWorld {
     /// Run a batch of queries — one DSQ per `(source, target)` pair,
     /// escalating up to `cfg.depth` — fanned out over the protocol shards
     /// (the *pair list* is sharded; see the module docs), returning the
-    /// outcomes in pair order. With the route-hint cache disabled this is
-    /// exactly [`CardWorld::query_all_cache_off`]; with it enabled the
-    /// sweep consults views *frozen* for the whole parallel phase and
-    /// routes the shards' deposit logs through the message plane to their
-    /// owner shards afterwards, so either way results and statistics are
-    /// bit-identical at any worker or shard count (the cache-off path
+    /// outcomes in pair order. With the route-hint cache enabled the sweep
+    /// consults views *frozen* for the whole parallel phase and routes the
+    /// shards' deposit logs through the message plane to their owner shards
+    /// afterwards, so either way results and statistics are bit-identical
+    /// at any worker or shard count (with the cache off the sweep
     /// additionally equals [`CardWorld::query_all_serial`]).
     pub fn query_all(&mut self, pairs: &[(NodeId, NodeId)]) -> Vec<QueryOutcome> {
         let mut out = Vec::new();
@@ -1738,21 +1538,72 @@ impl CardWorld {
     /// [`CardWorld::query_all`] into a caller-owned buffer: `out` is
     /// cleared and refilled, so repeated sweeps (scale tiers, benches)
     /// reuse one allocation instead of building a fresh `Vec` per sweep.
+    ///
+    /// This is the one sweep. Each span of the pair list runs the shared
+    /// per-pair body against views frozen for the whole parallel phase —
+    /// with the hint cache on, every query sees the same cache and logs its
+    /// deposits into a per-span buffer (reused across sweeps); they become
+    /// visible to the *next* sweep, exactly as in a batch of concurrently
+    /// in-flight queries. Message counters land in per-span deltas merged
+    /// in shard order; the deposit stage follows when hints are on.
     pub fn query_all_into(&mut self, pairs: &[(NodeId, NodeId)], out: &mut Vec<QueryOutcome>) {
         out.clear();
-        out.resize(
-            pairs.len(),
-            QueryOutcome {
-                found: false,
-                depth_used: 0,
-                query_msgs: 0,
-                reply_msgs: 0,
-            },
-        );
+        out.resize(pairs.len(), QueryOutcome::MISS);
+        let per = self.per;
+        let CardWorld {
+            net,
+            cfg,
+            stats,
+            now,
+            shards,
+            query_scratch,
+            hints_on,
+            hint_stats,
+            sweep_deposits,
+            faults,
+            ..
+        } = self;
+        let view = QueryView::over(net, shards, per, *hints_on, cfg.depth, faults);
+        // Each span owns its slice of the pair list, the matching slice of
+        // the output buffer (written in place — no per-span collection),
+        // one walk scratch and one deposit log.
+        let spans = shard_spans(pairs.len(), query_scratch.len());
+        let mut work = Vec::with_capacity(spans.len());
+        let mut out_rest: &mut [QueryOutcome] = out;
+        let mut lanes = query_scratch.iter_mut().zip(sweep_deposits.iter_mut());
+        for span in spans {
+            let (slots, rest) = out_rest.split_at_mut(span.end - span.start);
+            out_rest = rest;
+            let (scratch, deposits) = lanes.next().expect("span count exceeds shard count");
+            work.push((&pairs[span], slots, scratch, deposits));
+        }
+        let deltas = parallel_shard_map(&mut work, |_, (pairs, slots, scratch, deposits)| {
+            deposits.clear();
+            // The span's message delta: every query lands at the same
+            // instant, so two counters recorded in bulk afterwards produce
+            // buckets bit-identical to per-query recording.
+            let (mut dsq, mut reply) = (0u64, 0u64);
+            let mut hint_delta = HintStats::default();
+            let mut sink = QuerySink {
+                scratch,
+                hint_stats: &mut hint_delta,
+                deposits,
+            };
+            for (slot, &(s, t)) in slots.iter_mut().zip(pairs.iter()) {
+                let o = view.query(s, Goal::Node(t), &mut sink);
+                dsq += o.query_msgs;
+                reply += o.reply_msgs;
+                *slot = o;
+            }
+            (dsq, reply, hint_delta)
+        });
+        for (dsq, reply, hint_delta) in &deltas {
+            stats.record_n(*now, MsgKind::Dsq, *dsq);
+            stats.record_n(*now, MsgKind::DsqReply, *reply);
+            hint_stats.merge(hint_delta);
+        }
         if self.hints_on {
-            self.sweep_hinted(pairs, out);
-        } else {
-            self.sweep_cache_off(pairs, out);
+            self.exchange_sweep_deposits();
         }
         // Under faults, failed sweep queries enter the retry queue in pair
         // order — the same sequence a loop of [`CardWorld::query`] calls
@@ -1766,224 +1617,31 @@ impl CardWorld {
         }
     }
 
-    /// The retained cache-off sweep — the §V baseline the hinted sweep is
-    /// measured against, and the path [`CardWorld::query_all`] takes when
-    /// hints are disabled. Message counters land in per-shard [`MsgStats`]
-    /// deltas merged in shard order, so results and statistics are
-    /// bit-identical to [`CardWorld::query_all_serial`] at any worker or
-    /// shard count. Never touches the hint store, even when one is
-    /// enabled.
-    pub fn query_all_cache_off(&mut self, pairs: &[(NodeId, NodeId)]) -> Vec<QueryOutcome> {
-        let mut out = vec![
-            QueryOutcome {
-                found: false,
-                depth_used: 0,
-                query_msgs: 0,
-                reply_msgs: 0,
-            };
-            pairs.len()
-        ];
-        self.sweep_cache_off(pairs, &mut out);
-        out
-    }
-
-    /// Shared body of the cache-off pair sweep: outcomes into `out`
-    /// (already sized), counters merged in shard order.
-    fn sweep_cache_off(&mut self, pairs: &[(NodeId, NodeId)], out: &mut [QueryOutcome]) {
-        let per = self.per;
-        let n = self.net.node_count();
-        let CardWorld {
-            net,
-            cfg,
-            stats,
-            now,
-            shards,
-            query_scratch,
-            faults,
-            ..
-        } = self;
-        let tables = TablesView {
-            shards: &*shards,
-            per,
-            n,
-        };
-        let filter = faults.as_ref().map(|rt| QueryFaultFilter {
-            down: rt.state.down_mask(),
-            sides: rt.state.sides(),
-        });
-        let at = *now;
-        let depth = cfg.depth;
-        let spans = shard_spans(pairs.len(), query_scratch.len());
-        // Each shard owns its span of the pair list, the matching span of
-        // the output buffer (written in place — no per-shard collection),
-        // and one walk scratch.
-        let mut work = Vec::with_capacity(spans.len());
-        let mut out_rest: &mut [QueryOutcome] = out;
-        let mut scratches = query_scratch.iter_mut();
-        for span in spans {
-            let (slots, rest) = out_rest.split_at_mut(span.end - span.start);
-            out_rest = rest;
-            work.push((
-                &pairs[span],
-                slots,
-                scratches.next().expect("span count exceeds scratch count"),
-            ));
-        }
-        let deltas = parallel_shard_map(&mut work, |_, (pairs, slots, scratch)| {
-            // The shard's message delta: every query lands at the same
-            // instant, so two counters recorded in bulk afterwards produce
-            // buckets bit-identical to per-query recording.
-            let mut dsq = 0u64;
-            let mut reply = 0u64;
-            for (slot, &(s, t)) in slots.iter_mut().zip(pairs.iter()) {
-                let o = match &filter {
-                    Some(f) => Self::pair_query_faulted(net, tables, s, t, depth, scratch, f),
-                    None => dsq_query_unrecorded(net, tables, s, t, depth, scratch),
-                };
-                dsq += o.query_msgs;
-                reply += o.reply_msgs;
-                *slot = o;
-            }
-            (dsq, reply)
-        });
-        for (dsq, reply) in deltas {
-            stats.record_n(at, MsgKind::Dsq, dsq);
-            stats.record_n(at, MsgKind::DsqReply, reply);
-        }
-    }
-
-    /// One cache-off pair of a faulted sweep: crashed endpoints fail fast
-    /// (no messages — nobody to ask, nobody to answer), otherwise the walk
-    /// runs with crashed/partitioned edges vetoed.
-    fn pair_query_faulted(
-        net: &Network,
-        tables: TablesView<'_>,
-        source: NodeId,
-        target: NodeId,
-        depth: u16,
-        scratch: &mut QueryScratch,
-        filter: &QueryFaultFilter<'_>,
-    ) -> QueryOutcome {
-        if filter.down[source.index()] || filter.down[target.index()] {
-            return QueryOutcome {
-                found: false,
-                depth_used: 0,
-                query_msgs: 0,
-                reply_msgs: 0,
-            };
-        }
-        dsq_query_faulted_unrecorded(net, tables, source, target, depth, scratch, filter)
-    }
-
-    /// The hinted sharded sweep behind [`CardWorld::query_all`]. The
-    /// parallel phase reads table and hint views *frozen* for the whole
-    /// sweep (every query sees the same cache — deposits become visible
-    /// to the *next* sweep, exactly as in a batch of concurrently
-    /// in-flight queries) while logging deposits into per-source-shard
-    /// buffers (reused across sweeps). Counter deltas merge in shard
-    /// order; deposits are then routed through the message plane to each
-    /// holder's owner shard and applied in a parallel drain phase.
+    /// The deposit stage of a hinted sweep: route the per-span deposit logs
+    /// through the message plane to each holder's owner shard and apply
+    /// them in a parallel drain phase.
     ///
     /// Delivery order makes the drain deterministic: a mailbox is sorted
     /// by `(source shard, send sequence)` and sends happen in pair order
     /// within each source shard, so the deposit sequence each holder
     /// observes is the global pair order restricted to that holder —
-    /// bit-identical to the serial one-query-at-a-time reference at any
-    /// worker or shard count (pinned by `tests/hint_cache.rs` and
-    /// `tests/message_plane.rs`).
-    fn sweep_hinted(&mut self, pairs: &[(NodeId, NodeId)], out: &mut [QueryOutcome]) {
+    /// bit-identical at any worker or shard count (pinned by
+    /// `tests/hint_cache.rs` and `tests/message_plane.rs`).
+    fn exchange_sweep_deposits(&mut self) {
         let per = self.per;
-        let n = self.net.node_count();
         let CardWorld {
-            net,
-            cfg,
-            stats,
-            now,
             shards,
-            query_scratch,
             hint_stats,
             sweep_deposits,
             plane,
             faults,
             ..
         } = self;
-        let at = *now;
-        let depth = cfg.depth;
-        let spans = shard_spans(pairs.len(), query_scratch.len());
-        let deltas = {
-            let tables = TablesView {
-                shards: &*shards,
-                per,
-                n,
-            };
-            let hview = HintsView {
-                shards: &*shards,
-                per,
-            };
-            let filter = faults.as_ref().map(|rt| QueryFaultFilter {
-                down: rt.state.down_mask(),
-                sides: rt.state.sides(),
-            });
-            let mut work = Vec::with_capacity(spans.len());
-            let mut out_rest: &mut [QueryOutcome] = out;
-            let mut scratches = query_scratch.iter_mut();
-            let mut dep_bufs = sweep_deposits.iter_mut();
-            for span in spans {
-                let (slots, rest) = out_rest.split_at_mut(span.end - span.start);
-                out_rest = rest;
-                work.push((
-                    &pairs[span],
-                    slots,
-                    scratches.next().expect("span count exceeds scratch count"),
-                    dep_bufs.next().expect("span count exceeds deposit buffers"),
-                ));
-            }
-            parallel_shard_map(&mut work, |_, (pairs, slots, scratch, deposits)| {
-                deposits.clear();
-                let mut dsq = 0u64;
-                let mut reply = 0u64;
-                let mut shard_stats = HintStats::default();
-                for (slot, &(s, t)) in slots.iter_mut().zip(pairs.iter()) {
-                    let mut ctx = HintContext {
-                        store: hview,
-                        stats: &mut shard_stats,
-                        deposits,
-                    };
-                    let o = match &filter {
-                        Some(f) if f.down[s.index()] || f.down[t.index()] => QueryOutcome {
-                            found: false,
-                            depth_used: 0,
-                            query_msgs: 0,
-                            reply_msgs: 0,
-                        },
-                        Some(f) => dsq_query_hinted_faulted_unrecorded(
-                            net, tables, &mut ctx, s, t, depth, scratch, f,
-                        ),
-                        None => {
-                            dsq_query_hinted_unrecorded(net, tables, &mut ctx, s, t, depth, scratch)
-                        }
-                    };
-                    dsq += o.query_msgs;
-                    reply += o.reply_msgs;
-                    *slot = o;
-                }
-                (dsq, reply, shard_stats)
-            })
-        };
-        for (dsq, reply, shard_stats) in &deltas {
-            stats.record_n(at, MsgKind::Dsq, *dsq);
-            stats.record_n(at, MsgKind::DsqReply, *reply);
-            hint_stats.merge(shard_stats);
-        }
-        // Route every logged deposit to its holder's owner shard. Sends
-        // happen in pair order within each source shard, which (with the
-        // plane's (dst, src, seq) delivery order) fixes the per-holder
-        // apply sequence to the global pair order restricted to the holder.
         {
             let (outboxes, _) = plane.split_mut();
             for (src, deposits) in sweep_deposits.iter_mut().enumerate() {
                 for d in deposits.drain(..) {
-                    outboxes[src].send(d.holder.index() / per, ProtocolMsg::Deposit(d));
+                    outboxes[src].send(d.holder.index() / per, d);
                 }
             }
         }
@@ -1998,10 +1656,7 @@ impl CardWorld {
                 rt.sweep_counter += 1;
                 let sweep = rt.sweep_counter;
                 let plan = &rt.plan;
-                plane.exchange_faulted(|_, _, msg| {
-                    let ProtocolMsg::Deposit(d) = msg else {
-                        return FaultVerdict::Deliver;
-                    };
+                plane.exchange_faulted(|_, _, d| {
                     plan.message_verdict(FaultPlan::salted_key(&[
                         d.holder.index() as u64,
                         d.next_hop.index() as u64,
@@ -2027,10 +1682,7 @@ impl CardWorld {
                 .hints
                 .as_mut()
                 .expect("hinted sweep without span stores");
-            for (_src, msg) in mailbox.drain() {
-                let ProtocolMsg::Deposit(d) = msg else {
-                    unreachable!("hinted sweep routes only deposits");
-                };
+            for (_src, d) in mailbox.drain() {
                 let out = store.deposit(d.holder, d.key, d.next_hop, d.depth);
                 deposits += 1;
                 if out.evicted_live {
@@ -2043,234 +1695,6 @@ impl CardWorld {
             hint_stats.deposits += deposits;
             hint_stats.evicted_lru += evicted;
         }
-    }
-
-    /// Deliver and apply any hint deposits still parked in the plane's
-    /// deferred lane (a lossy fault plane delays deposits by one
-    /// exchange; normally the next hinted sweep drains them). The
-    /// plane-routed query sweep shares the plane, so it flushes first to
-    /// keep its own request/reply rounds homogeneous. Deposits landing
-    /// after the hint cache was disabled are dropped — the store they
-    /// were bound for no longer exists.
-    fn flush_deferred_deposits(&mut self) {
-        if self.plane.deferred_pending() == 0 {
-            return;
-        }
-        self.plane.exchange();
-        let CardWorld {
-            shards,
-            plane,
-            hint_stats,
-            ..
-        } = self;
-        let (_, mailboxes) = plane.split_mut();
-        for (shard, mailbox) in shards.iter_mut().zip(mailboxes.iter_mut()) {
-            for (_src, msg) in mailbox.drain() {
-                let ProtocolMsg::Deposit(d) = msg else {
-                    unreachable!("the deferred lane carries only deposits");
-                };
-                if let Some(store) = shard.hints.as_mut() {
-                    let out = store.deposit(d.holder, d.key, d.next_hop, d.depth);
-                    hint_stats.deposits += 1;
-                    if out.evicted_live {
-                        hint_stats.evicted_lru += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Cache-off sweep with *plane-routed* frontier expansion: instead of
-    /// reading remote contact tables directly, each escalation depth asks
-    /// the owner shard of every frontier node for its contact list
-    /// (`ProtocolMsg::Expand`) and integrates the replies
-    /// (`ProtocolMsg::Contacts`) — two exchange rounds per depth. This
-    /// is the fully message-mediated form of the protocol walk; outcomes
-    /// and statistics are bit-identical to [`CardWorld::query_all_cache_off`]
-    /// (and hence [`CardWorld::query_all_serial`]) at any shard count,
-    /// pinned by `tests/message_plane.rs`. The direct-read sweep stays the
-    /// fast path; this one exists to validate the plane's ordering
-    /// contract and to measure true cross-shard query traffic.
-    pub fn query_all_plane(&mut self, pairs: &[(NodeId, NodeId)]) -> Vec<QueryOutcome> {
-        self.flush_deferred_deposits();
-        let per = self.per;
-        let k = self.shards.len();
-        let CardWorld {
-            net,
-            cfg,
-            stats,
-            now,
-            shards,
-            plane,
-            ..
-        } = self;
-        let at = *now;
-        let depth_max = cfg.depth;
-        let tables = net.tables();
-        let mut queries: Vec<PlaneQuery> = pairs
-            .iter()
-            .map(|&(s, t)| {
-                let mut q = PlaneQuery {
-                    target: t,
-                    frontier: vec![(s, 0)],
-                    next: Vec::new(),
-                    seen: vec![s],
-                    walked: 0,
-                    query_msgs: 0,
-                    done: None,
-                };
-                if tables.of(s).contains(t) {
-                    q.done = Some(QueryOutcome {
-                        found: true,
-                        depth_used: 0,
-                        query_msgs: 0,
-                        reply_msgs: 0,
-                    });
-                }
-                q
-            })
-            .collect();
-        let spans = shard_spans(pairs.len(), k);
-        for depth in 1..=depth_max {
-            if queries.iter().all(|q| q.done.is_some()) {
-                break;
-            }
-            // Request phase: every live query re-sends down its walked
-            // levels (the serial escalation's re-send charge, applied even
-            // when the frontier is empty) and asks the owner shard of each
-            // frontier node for its table.
-            {
-                let (outboxes, _) = plane.split_mut();
-                for (p, span) in spans.iter().enumerate() {
-                    for qi in span.clone() {
-                        let q = &mut queries[qi];
-                        if q.done.is_some() {
-                            continue;
-                        }
-                        q.query_msgs += q.walked;
-                        for &(node, _) in &q.frontier {
-                            outboxes[p].send(
-                                node.index() / per,
-                                ProtocolMsg::Expand { q: qi as u32, node },
-                            );
-                        }
-                    }
-                }
-            }
-            plane.exchange();
-            // Serve phase: each shard answers the expansion requests in
-            // its mailbox from its own tables, in delivery order.
-            {
-                let (outboxes, mailboxes) = plane.split_mut();
-                for (s, (shard, mailbox)) in shards.iter().zip(mailboxes.iter_mut()).enumerate() {
-                    for (src, msg) in mailbox.drain() {
-                        let ProtocolMsg::Expand { q, node } = msg else {
-                            unreachable!("request round carries only expansions");
-                        };
-                        let table = &shard.contacts[node.index() - shard.start];
-                        let list = table.contacts().iter().map(|c| (c.id, c.hops())).collect();
-                        outboxes[s].send(src as usize, ProtocolMsg::Contacts { q, node, list });
-                    }
-                }
-            }
-            plane.exchange();
-            // Integrate phase: replies in a mailbox are sorted by serving
-            // shard; within one serving shard they appear in the order the
-            // requests were delivered there — i.e. in this pair shard's
-            // send order. A cursor per serving shard therefore re-aligns
-            // replies with frontier entries exactly.
-            for (p, span) in spans.iter().enumerate() {
-                let msgs = plane.mailbox(p).msgs();
-                let mut cursors = vec![usize::MAX; k];
-                for (i, (src, _)) in msgs.iter().enumerate() {
-                    let src = *src as usize;
-                    if cursors[src] == usize::MAX {
-                        cursors[src] = i;
-                    }
-                }
-                for qi in span.clone() {
-                    let q = &mut queries[qi];
-                    if q.done.is_some() {
-                        continue;
-                    }
-                    let mut answered = false;
-                    let mut level_msgs = 0u64;
-                    q.next.clear();
-                    for fi in 0..q.frontier.len() {
-                        let (node, dist) = q.frontier[fi];
-                        let src = node.index() / per;
-                        let cur = cursors[src];
-                        cursors[src] = cur + 1;
-                        let (_, msg) = &msgs[cur];
-                        let ProtocolMsg::Contacts {
-                            q: rq,
-                            node: rnode,
-                            list,
-                        } = msg
-                        else {
-                            unreachable!("reply round carries only contact lists");
-                        };
-                        debug_assert_eq!(*rq, qi as u32, "reply misaligned with query");
-                        debug_assert_eq!(*rnode, node, "reply misaligned with frontier");
-                        if answered {
-                            // Mid-level abort: the answer was found earlier
-                            // this level; later replies are consumed (the
-                            // cursor must advance) but never charged —
-                            // exactly the serial walk's abort semantics.
-                            continue;
-                        }
-                        for &(c, hops) in list {
-                            if q.seen.contains(&c) {
-                                continue;
-                            }
-                            q.seen.push(c);
-                            let at_contact = dist + hops as u64;
-                            q.query_msgs += hops as u64;
-                            level_msgs += hops as u64;
-                            if tables.of(c).contains(q.target) {
-                                q.done = Some(QueryOutcome {
-                                    found: true,
-                                    depth_used: depth,
-                                    query_msgs: q.query_msgs,
-                                    reply_msgs: at_contact,
-                                });
-                                answered = true;
-                                break;
-                            }
-                            q.next.push((c, at_contact));
-                        }
-                    }
-                    if !answered {
-                        std::mem::swap(&mut q.frontier, &mut q.next);
-                        q.walked += level_msgs;
-                    }
-                }
-            }
-        }
-        // Per-pair-shard counter deltas, recorded in shard order — the
-        // same bulk recording the direct-read sweep performs.
-        let out: Vec<QueryOutcome> = queries
-            .into_iter()
-            .map(|q| {
-                q.done.unwrap_or(QueryOutcome {
-                    found: false,
-                    depth_used: depth_max,
-                    query_msgs: q.query_msgs,
-                    reply_msgs: 0,
-                })
-            })
-            .collect();
-        for span in &spans {
-            let mut dsq = 0u64;
-            let mut reply = 0u64;
-            for o in &out[span.clone()] {
-                dsq += o.query_msgs;
-                reply += o.reply_msgs;
-            }
-            stats.record_n(at, MsgKind::Dsq, dsq);
-            stats.record_n(at, MsgKind::DsqReply, reply);
-        }
-        out
     }
 
     /// Serial reference for [`CardWorld::query_all`]: the same queries one
@@ -2409,12 +1833,14 @@ impl CardWorld {
         &self.standing
     }
 
-    /// Resolve (or re-resolve) standing query `id`: depth-0 if the target
-    /// sits in the source's own neighborhood, otherwise a full escalation
-    /// whose answer chain is captured from the walk's parent pointers.
+    /// Resolve (or re-resolve) standing query `id` through the shared
+    /// per-pair body, without the hint cache: depth-0 if the target sits in
+    /// the source's own neighborhood, otherwise a full escalation whose
+    /// answer chain is captured from the walk's parent pointers. Under
+    /// faults a crashed endpoint fails the subscription outright (the
+    /// round heartbeat re-marks it, so a rejoin re-resolves).
     fn standing_resolve(&mut self, id: u32, initial: bool) {
         let per = self.per;
-        let n = self.net.node_count();
         let CardWorld {
             net,
             cfg,
@@ -2422,6 +1848,8 @@ impl CardWorld {
             now,
             shards,
             query_scratch,
+            hint_stats,
+            hint_deposits,
             standing,
             faults,
             ..
@@ -2430,59 +1858,31 @@ impl CardWorld {
             let q = standing.get(id);
             (q.source, q.target)
         };
-        // Under faults a crashed endpoint fails the subscription outright
-        // (the round heartbeat re-marks it, so a rejoin re-resolves), and
-        // the escalation walks with crashed/partitioned edges vetoed.
-        let filter = faults.as_ref().map(|rt| QueryFaultFilter {
-            down: rt.state.down_mask(),
-            sides: rt.state.sides(),
-        });
-        if let Some(f) = &filter {
-            if f.down[source.index()] || f.down[target.index()] {
-                standing.set_failed(id);
-                return;
-            }
-        }
-        let tables = net.tables();
-        if tables.of(source).contains(target)
-            && filter.as_ref().is_none_or(|f| f.edge_ok(source, target))
-        {
-            standing.set_resolved(id, vec![source], *now, initial);
-            return;
-        }
-        let view = TablesView {
-            shards: &*shards,
-            per,
-            n,
-        };
         let scratch = &mut query_scratch[0];
-        let mut answer = None;
-        let out = match &filter {
-            Some(f) => escalate_faulted_unrecorded(n, view, source, cfg.depth, scratch, f, |c| {
-                let hit = tables.of(c).contains(target) && f.edge_ok(c, target);
-                if hit {
-                    answer = Some(c);
-                }
-                hit
-            }),
-            None => escalate_unrecorded(n, view, source, cfg.depth, scratch, |c| {
-                let hit = tables.of(c).contains(target);
-                if hit {
-                    answer = Some(c);
-                }
-                hit
-            }),
-        };
+        let out = QueryView::over(net, shards, per, false, cfg.depth, faults).query(
+            source,
+            Goal::Node(target),
+            // A view without hint spans leaves the hint half untouched.
+            &mut QuerySink {
+                scratch: &mut *scratch,
+                hint_stats,
+                deposits: hint_deposits,
+            },
+        );
         stats.record_n(*now, MsgKind::StandingDsq, out.query_msgs);
         stats.record_n(*now, MsgKind::StandingReply, out.reply_msgs);
-        match answer {
-            Some(c) => {
-                let mut path = Vec::new();
-                scratch.walk_path(c, &mut path);
-                standing.set_resolved(id, path, *now, initial);
-            }
-            None => standing.set_failed(id),
+        if !out.found {
+            standing.set_failed(id);
+            return;
         }
+        let mut path = vec![source];
+        if out.depth_used > 0 {
+            let answer = scratch
+                .answerer()
+                .expect("a resolved escalation has an answerer");
+            scratch.walk_path(answer, &mut path);
+        }
+        standing.set_resolved(id, path, *now, initial);
     }
 
     /// Probe standing query `id`'s cached chain against the live contact
@@ -2910,8 +2310,8 @@ mod tests {
     #[test]
     fn hinted_queries_agree_with_cache_off_on_found() {
         // Hints may only change the *cost* of a query, never its answer:
-        // across repeated (warming) sweeps, every outcome's `found` and
-        // `depth_used`-reachability verdict must match the cache-off path.
+        // across repeated (warming) sweeps, every outcome's `found` verdict
+        // must match the same sweep on a hints-off twin.
         let pairs: Vec<(NodeId, NodeId)> = (0..80u32)
             .map(|i| (NodeId::new(i % 150), NodeId::new((i * 13 + 31) % 150)))
             .collect();
@@ -2919,7 +2319,7 @@ mod tests {
         base.select_all_contacts();
         let mut hinted = CardWorld::build(&scenario(), cfg().with_depth(3).with_hints(true));
         hinted.select_all_contacts();
-        let expected = base.query_all_cache_off(&pairs);
+        let expected = base.query_all(&pairs);
         for sweep in 0..3 {
             let got = hinted.query_all(&pairs);
             assert_eq!(got.len(), expected.len());
@@ -3030,40 +2430,6 @@ mod tests {
             em >= pm * 0.95,
             "EM ({em:.1}%) should not trail PM ({pm:.1}%) meaningfully"
         );
-    }
-
-    #[test]
-    fn plane_sweep_matches_cache_off_and_serial() {
-        // The fully message-mediated walk must be bit-identical to the
-        // direct-read sweep and the serial reference — outcomes AND the
-        // recorded message series — at every shard count.
-        let pairs: Vec<(NodeId, NodeId)> = (0..70u32)
-            .map(|i| (NodeId::new((i * 11) % 150), NodeId::new((i * 29 + 3) % 150)))
-            .collect();
-        let build = |shards: Option<usize>| {
-            let mut w = CardWorld::build(&scenario(), cfg().with_depth(3));
-            if let Some(k) = shards {
-                w.set_shard_count(k);
-            }
-            w.select_all_contacts();
-            w
-        };
-        let mut reference = build(Some(1));
-        let expected = reference.query_all_cache_off(&pairs);
-        let expected_series = reference.stats().series_where(|_| true);
-        for shards in [None, Some(1), Some(4), Some(150)] {
-            let mut w = build(shards);
-            let got = w.query_all_plane(&pairs);
-            assert_eq!(got, expected, "plane sweep diverged at shards {shards:?}");
-            assert_eq!(
-                w.stats().series_where(|_| true),
-                expected_series,
-                "plane sweep series diverged at shards {shards:?}"
-            );
-            let ps = w.plane_stats();
-            assert!(ps.rounds > 0, "plane sweep must exchange");
-            assert!(ps.sent > 0, "plane sweep must send expansions");
-        }
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! tombstoned/rejoined nodes.
 
 use card_core::prelude::*;
+use card_core::resources::distribute;
 use mobility::walk::RandomWalk;
 use net_topology::geometry::Point2;
 use net_topology::node::NodeId;
@@ -254,8 +255,164 @@ fn serial_and_parallel_validation_agree_under_faults() {
     }
 }
 
+/// Everything a null plan must leave untouched: the world snapshot (its
+/// fault report blanked — an armed plan counts applied rounds), the
+/// standing table and every outcome handed back along the way.
+type NullRun = (Snapshot, StandingQueries, Vec<QueryOutcome>);
+
+/// One world through every query and maintenance entry point — selection,
+/// four driven rounds with query and standing arrivals, a single query, a
+/// sweep with hints off, a cold and a warm sweep with hints on, resource
+/// queries, a fresh standing registration and one direct round —
+/// optionally armed with a plan that schedules nothing.
+fn drive_null(seed: u64, shards: usize, mode: DriveMode, armed: bool) -> NullRun {
+    let mut w = CardWorld::build(&scenario(), cfg(seed).with_query_retry_cap(0));
+    w.set_shard_count(shards);
+    if armed {
+        w.enable_faults(FaultPlan::calm(seed));
+    }
+    w.select_all_contacts();
+    let mut m = model(seed, w.network().field());
+    // Rounds ride the 1 s lattice: 3.6 s covers rounds 0..=3.
+    let horizon_ms = 3600u64;
+    let mut arrivals = workload(seed, horizon_ms);
+    arrivals.push(Arrival {
+        at: SimDuration::from_millis(500),
+        kind: ArrivalKind::Standing {
+            source: NodeId::new((seed % NODES as u64) as u32),
+            target: NodeId::new(((seed / 7 + 61) % NODES as u64) as u32),
+        },
+    });
+    let mut driver = EventDriver::new(&w, &m, mode, arrivals);
+    driver.drive(&mut w, &mut m, SimDuration::from_millis(horizon_ms));
+    let mut outcomes = driver.report().outcomes.clone();
+    let pairs: Vec<(NodeId, NodeId)> = (0..48u32)
+        .map(|i| {
+            (
+                NodeId::new(i % NODES as u32),
+                NodeId::new((i * 29 + 7) % NODES as u32),
+            )
+        })
+        .collect();
+    outcomes.push(w.query(pairs[5].0, pairs[5].1));
+    outcomes.extend(w.query_all(&pairs));
+    w.set_hints_enabled(true);
+    outcomes.extend(w.query_all(&pairs));
+    outcomes.extend(w.query_all(&pairs));
+    let registry = distribute(
+        w.network(),
+        6,
+        ResourceDistribution::UniformReplicated { replicas: 2 },
+        &mut SeedSplitter::new(seed).stream("resources", 0),
+    );
+    for r in 0..6u32 {
+        let source = NodeId::new(r * 17 % NODES as u32);
+        outcomes.push(w.query_resource(&registry, source, ResourceId(r)));
+    }
+    w.standing_register(pairs[9].0, pairs[9].1);
+    w.validation_round();
+    let mut snap = snapshot(&w);
+    snap.fault_report = FaultReport::default();
+    (snap, w.standing_queries().clone(), outcomes)
+}
+
+/// `CardWorld::query_resource` under an armed plan: a resource whose only
+/// host is crashed cannot be answered — not even from the asker's own
+/// zone, whose table still lists the silent host — a host across an open
+/// partition is out of reach, and both come back with the rejoin and the
+/// heal.
+#[test]
+fn resource_queries_honour_the_fault_plan() {
+    // Every victim crashes at round 1 and rejoins at round 3; the
+    // partition is open over rounds 4 and 5.
+    let plan = FaultPlan::generate(
+        &FaultConfig {
+            churn_rate: 0.05,
+            rejoin_after: 2,
+            partition: Some(PartitionWindow {
+                start_round: 4,
+                end_round: 6,
+                fraction: 0.5,
+            }),
+            drop_rate: 0.0,
+            delay_rate: 0.0,
+            rounds: 1,
+        },
+        NODES,
+        9,
+    );
+    let mut w = world(9, 2, false);
+    let zone_mate = |w: &CardWorld, host: NodeId, ok: &dyn Fn(NodeId) -> bool| {
+        let zone = w.network().tables().of(host);
+        zone.iter_members().find(|&m| m != host && ok(m))
+    };
+    let victims: Vec<usize> = plan.events().iter().map(|e| e.node as usize).collect();
+    let host = NodeId::from(victims[0]);
+    let source = zone_mate(&w, host, &|m| !victims.contains(&m.index()))
+        .expect("the host has a neighbor that stays up");
+    let mut registry = ResourceRegistry::new(NODES, 2);
+    registry.add_host(ResourceId(0), host);
+    w.enable_faults(plan);
+
+    w.validation_round(); // round 0: calm
+    assert_eq!(
+        w.query_resource(&registry, source, ResourceId(0)),
+        QueryOutcome::LOCAL_HIT
+    );
+    w.validation_round(); // round 1: the only host crashes
+    assert!(w.fault_state().unwrap().is_down(host.index()));
+    let down = w.query_resource(&registry, source, ResourceId(0));
+    assert!(!down.found, "a crashed host must not answer");
+    assert_eq!(down.reply_msgs, 0);
+    let silent = w.query_resource(&registry, host, ResourceId(0));
+    assert_eq!(silent, QueryOutcome::MISS, "a crashed source asks nothing");
+    assert_eq!(w.pending_query_retries(), 0, "resource queries never retry");
+    w.validation_round();
+    w.validation_round(); // round 3: the host rejoins
+    assert_eq!(
+        w.query_resource(&registry, source, ResourceId(0)),
+        QueryOutcome::LOCAL_HIT
+    );
+
+    w.validation_round(); // round 4: the partition opens
+    let sides = w.fault_state().unwrap().sides().expect("open").to_vec();
+    let (asker, far_host) = NodeId::all(NODES)
+        .find_map(|h| zone_mate(&w, h, &|m| sides[m.index()] != sides[h.index()]).map(|a| (a, h)))
+        .expect("some zone straddles the cut");
+    registry.add_host(ResourceId(1), far_host);
+    let cut = w.query_resource(&registry, asker, ResourceId(1));
+    assert!(!cut.found, "a host across an open partition is unreachable");
+    assert_eq!(cut.reply_msgs, 0);
+    w.validation_round();
+    w.validation_round(); // round 6: the cut heals
+    assert_eq!(
+        w.query_resource(&registry, asker, ResourceId(1)),
+        QueryOutcome::LOCAL_HIT
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
+
+    /// Null plan ≡ no plan: arming a plan with no events, no partition
+    /// window and a lossless plane (and no retry queue) changes nothing a
+    /// run can observe — the fault stages of the one round, the one sweep
+    /// and the one query body are exact no-ops on it, at any shard count
+    /// and under either driver.
+    #[test]
+    fn prop_null_plan_is_bit_identical_to_no_plan(seed in 1u64..1_000_000) {
+        for shards in [1usize, 4] {
+            for mode in [DriveMode::Tick, DriveMode::Event] {
+                prop_assert_eq!(
+                    drive_null(seed, shards, mode, true),
+                    drive_null(seed, shards, mode, false),
+                    "null plan diverged at {} shards, {:?}",
+                    shards,
+                    mode
+                );
+            }
+        }
+    }
 
     /// Chaos differential: random fault regimes replay bit-identically
     /// across shard counts and drive modes, with a closed plane ledger

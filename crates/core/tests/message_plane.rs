@@ -1,9 +1,9 @@
 //! Proptest harness pinning the cross-shard message plane's delivery
-//! contract: every plane-routed protocol path — hint deposits drained in
-//! `(dst shard, src shard, seq)` order, the fully message-mediated
-//! `query_all_plane` walk, and the metered validation traffic — must be
-//! **bit-identical** across protocol shard counts (including the
-//! one-shard degenerate case and more shards than nodes) and across
+//! contract: what the protocol routes through the plane — hint deposits
+//! drained in `(dst shard, src shard, seq)` order — and what it meters
+//! against it (validation traffic) must be **bit-identical** across
+//! protocol shard counts (including the one-shard degenerate case and
+//! more shards than nodes) and across
 //! worker participation (the `*_serial` sweeps run the same rounds
 //! inline on one thread; the parallel sweeps fan out over the worker
 //! pool — the pool size itself is fixed per host, so serial-vs-pool is
@@ -77,8 +77,7 @@ struct Trace {
 /// so both modes keep the sweep's frozen-batch hint semantics (the
 /// one-at-a-time `query_all_serial` deliberately differs with hints on:
 /// each query's deposits become visible to the *next* query in the
-/// batch — that reference is pinned hints-off in the plane-walk
-/// property below).
+/// batch — that reference is pinned hints-off in `tests/hint_cache.rs`).
 fn trace(seed: u64, hints: bool, shards: usize, serial: bool) -> Trace {
     let mut w = CardWorld::build(&scenario(), cfg(seed, hints));
     w.set_shard_count(shards);
@@ -150,48 +149,6 @@ proptest! {
             "shards={} serial={} hints={} diverged from the 1-shard serial reference",
             shards, serial, hints
         );
-    }
-
-    /// The fully message-mediated walk: `query_all_plane` must agree with
-    /// the batched escalation sweep outcome for outcome — and with the
-    /// recorded message series — at every shard count.
-    #[test]
-    fn prop_plane_walk_matches_escalation_sweep(
-        seed in 1u64..1_000_000,
-        shards_ix in 0usize..8,
-    ) {
-        let shards = [1usize, 2, 3, 4, 5, 7, 8, NODES * 2][shards_ix];
-        let workload = pairs(seed ^ 0x5eed, 40);
-        let build = || {
-            let mut w = CardWorld::build(&scenario(), cfg(seed, false));
-            w.set_shard_count(shards);
-            w.select_all_contacts();
-            w
-        };
-        let mut via_sweep = build();
-        let sweep_out = via_sweep.query_all_cache_off(&workload);
-        let mut via_plane = build();
-        let plane_out = via_plane.query_all_plane(&workload);
-        let mut via_serial = build();
-        let serial_out = via_serial.query_all_serial(&workload);
-        prop_assert_eq!(&plane_out, &sweep_out);
-        prop_assert_eq!(&plane_out, &serial_out, "one-at-a-time reference");
-        prop_assert_eq!(
-            via_plane.stats().series_where(|_| true),
-            via_sweep.stats().series_where(|_| true),
-            "plane-walk message accounting diverged at {} shards",
-            shards
-        );
-        prop_assert_eq!(
-            via_plane.stats().series_where(|_| true),
-            via_serial.stats().series_where(|_| true),
-            "plane-walk accounting diverged from the serial reference"
-        );
-        // The plane run actually exchanged (unless every query resolved
-        // in its source zone, which this workload does not allow).
-        if plane_out.iter().any(|o| o.query_msgs > 0) {
-            prop_assert!(via_plane.plane_stats().rounds > 0);
-        }
     }
 
     /// Hint deposits routed through the plane build the same cache as

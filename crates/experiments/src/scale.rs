@@ -460,7 +460,7 @@ fn run_one(scenario: &Scenario, profile: MobilityProfile, p: &Params) -> ScaleRo
                 )
             })
             .collect();
-        let outs = world.query_all_cache_off(&candidates);
+        let outs = world.query_all(&candidates);
         pool.extend(
             candidates
                 .iter()
@@ -480,7 +480,7 @@ fn run_one(scenario: &Scenario, profile: MobilityProfile, p: &Params) -> ScaleRo
         .map(|_| pool[mix_rng.index(pool.len())])
         .collect();
 
-    let baseline = world.query_all_cache_off(&workload);
+    let baseline = world.query_all(&workload);
     let hint_base_msgs_per = msgs_per(&baseline);
     world.set_hints_enabled(true);
     world.clear_hints();

@@ -17,7 +17,6 @@
 //!   independent reproducible stream;
 //! * [`stats`] — counters, per-kind message accounting and time-bucketed
 //!   series used for every overhead figure in the paper;
-//! * [`trace`] — an optional bounded event trace for protocol debugging;
 //! * [`util`] — a compact fixed-capacity bitset (per-query reachability
 //!   sets) and a tiny Bloom filter ([`util::BloomSet`], the fast-negative
 //!   half of the O(zone) neighborhood membership tests);
@@ -82,7 +81,6 @@ pub mod plane;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 pub mod util;
 
 /// Convenience re-exports for downstream crates.
@@ -95,7 +93,6 @@ pub mod prelude {
     pub use crate::rng::{RngStream, SeedSplitter};
     pub use crate::stats::{Counter, MsgStats, TimeSeries};
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::trace::{Trace, TraceCategory};
     pub use crate::util::{BitSet, BloomSet};
 }
 

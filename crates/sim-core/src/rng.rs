@@ -119,6 +119,11 @@ impl RngStream {
     }
 
     /// Fisher–Yates shuffle of a slice.
+    // Out of line on purpose: its one hot caller is `csq::select_contacts`
+    // (once per node), and whether LLVM inlines it there flips with
+    // unrelated changes to the crate; inlined, the selection sweep reads
+    // ≈2% slower (`card_bench`, `bootstrap_static` / `mobile_*`).
+    #[inline(never)]
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
             let j = self.index(i + 1);

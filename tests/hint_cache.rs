@@ -3,11 +3,9 @@
 //! The contracts pinned here (see `card_core::hints` and the hinted-sweep
 //! section of `card_core::world`):
 //!
-//! 1. **cache-off bit-identity** — with hints disabled, `query_all` (and
-//!    the retained `query_all_cache_off` path of a hints-*enabled* world)
-//!    is bit-identical to `query_all_serial`: same outcomes, same
-//!    `MsgStats` bucket series, at any shard count — and the cache-off
-//!    path never touches the store;
+//! 1. **cache-off bit-identity** — with hints disabled, `query_all` is
+//!    bit-identical to `query_all_serial`: same outcomes, same `MsgStats`
+//!    bucket series, at any shard count — and never consults the cache;
 //! 2. **hints change cost, never answers** — across arbitrarily warmed
 //!    repeat-heavy sweeps, every hinted outcome's `found` flag equals the
 //!    cache-off verdict, and the whole hinted sweep (outcomes, message
@@ -68,8 +66,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Contract 1: the cache-off sweep is bit-identical to the serial
-    /// reference at any shard count, whether hints are disabled or merely
-    /// bypassed — and bypassing leaves the store untouched.
+    /// reference at any shard count.
     #[test]
     fn prop_cache_off_sweep_is_bit_identical(
         seed in 0u64..200,
@@ -85,17 +82,8 @@ proptest! {
         let mut off = world(seed, false);
         off.set_shard_count(shards);
         prop_assert_eq!(&off.query_all(&pairs), &expected);
-        prop_assert_eq!(off.stats().series_where(|_| true), expected_series.clone());
-
-        let mut hinted = world(seed, true);
-        hinted.set_shard_count(shards);
-        prop_assert_eq!(&hinted.query_all_cache_off(&pairs), &expected);
-        prop_assert_eq!(hinted.stats().series_where(|_| true), expected_series);
-        prop_assert!(
-            hinted.hint_store().expect("hints stay enabled").is_empty(),
-            "the cache-off path must never write hints"
-        );
-        prop_assert_eq!(hinted.hint_stats().lookups, 0);
+        prop_assert_eq!(off.stats().series_where(|_| true), expected_series);
+        prop_assert_eq!(off.hint_stats().lookups, 0);
     }
 
     /// Contract 2: warmed hinted sweeps keep exact answer parity with the
@@ -165,7 +153,7 @@ proptest! {
         hinted.query_all(&pairs); // warm pre-churn
         hinted.run_mobile(&mut mh, SimDuration::from_secs(3));
         base.run_mobile(&mut mb, SimDuration::from_secs(3));
-        let expected = base.query_all_cache_off(&pairs);
+        let expected = base.query_all(&pairs);
         let got = hinted.query_all(&pairs);
         for (g, e) in got.iter().zip(&expected) {
             prop_assert_eq!(
