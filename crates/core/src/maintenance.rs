@@ -51,65 +51,69 @@ fn compress_loops(path: &mut Vec<NodeId>) {
     }
 }
 
-/// Validate one stored path against the current topology, healing it with
-/// local recovery where allowed. Returns the healed path (`None` ⇒ lost)
-/// plus (validation message count, recovery-used flag).
+/// Validate one stored path against the current topology, healing it into
+/// `healed` with local recovery where allowed (`route` is the splice
+/// workspace). Returns (path survived, recovery used); the validation
+/// messages are added to `msgs`.
 ///
 /// `allowed` is an extra per-hop admission predicate layered on top of the
-/// substrate's `is_link`: the calm path passes `|_, _| true` (and compiles
-/// to exactly the pre-fault behavior), while fault injection uses it to
-/// veto hops into crashed nodes or across a partition cut — including the
-/// hops of a locally recovered splice, which would otherwise smuggle a
-/// route through a region the fault plane has taken down.
+/// substrate's `is_link`: the calm path passes `query::any_edge` (and compiles
+/// to the unconditional walk), while fault injection uses it to veto hops
+/// into crashed nodes or across a partition cut — including the hops of a
+/// locally recovered splice, which would otherwise smuggle a route through
+/// a region the fault plane has taken down.
 fn validate_path(
     net: &Network,
     cfg: &CardConfig,
     path: &[NodeId],
     msgs: &mut u64,
-    allowed: &dyn Fn(NodeId, NodeId) -> bool,
-) -> (Option<Vec<NodeId>>, bool) {
-    let mut healed: Vec<NodeId> = vec![path[0]];
-    let mut rest: Vec<NodeId> = path[1..].to_vec();
+    allowed: impl Fn(NodeId, NodeId) -> bool + Copy,
+    healed: &mut Vec<NodeId>,
+    route: &mut Vec<NodeId>,
+) -> (bool, bool) {
+    healed.clear();
+    healed.push(path[0]);
+    // `path[at..]` is the part of the stored path still to be walked.
+    let mut at = 1;
     let mut used_recovery = false;
 
-    'outer: while !rest.is_empty() {
+    'outer: while at < path.len() {
         let cur = *healed.last().unwrap();
-        let next = rest[0];
+        let next = path[at];
         if net.is_link(cur, next) && allowed(cur, next) {
             *msgs += 1; // the validation message traverses this hop
             healed.push(next);
-            rest.remove(0);
+            at += 1;
             continue;
         }
         // Next hop is gone. Local recovery (§III.C.3): look for the next
         // hop — or any later node of the source path — in cur's
         // neighborhood table and splice the intra-zone route in.
         if cfg.local_recovery {
-            for (k, &candidate) in rest.iter().enumerate() {
+            for (k, &candidate) in path.iter().enumerate().skip(at) {
                 if candidate == cur {
                     // the path folds back onto the current node: skip ahead
-                    rest.drain(..=k);
+                    at = k + 1;
                     used_recovery = true;
                     continue 'outer;
                 }
-                if let Some(route) = net.tables().of(cur).path_to(candidate) {
-                    if !route.windows(2).all(|w| allowed(w[0], w[1])) {
-                        continue;
-                    }
+                if net.tables().of(cur).path_into(candidate, route)
+                    && route.windows(2).all(|w| allowed(w[0], w[1]))
+                {
                     // route = [cur, ..., candidate]; message walks it
                     *msgs += route.len() as u64 - 1;
                     healed.extend_from_slice(&route[1..]);
-                    rest.drain(..=k);
+                    at = k + 1;
                     used_recovery = true;
                     continue 'outer;
                 }
             }
         }
-        return (None, used_recovery);
+        return (false, used_recovery);
     }
 
-    compress_loops(&mut healed);
-    (Some(healed), used_recovery)
+    compress_loops(healed);
+    (true, used_recovery)
 }
 
 /// Number of shard-boundary crossings along `path` when nodes are
@@ -119,13 +123,29 @@ fn validate_path(
 /// `CardWorld::validation_round` and `PlaneStats::metered_crossings`).
 pub fn path_shard_crossings(path: &[NodeId], span_width: usize) -> u64 {
     let w = span_width.max(1);
-    path.windows(2)
-        .filter(|p| p[0].index() / w != p[1].index() / w)
-        .count() as u64
+    let Some((first, rest)) = path.split_first() else {
+        return 0;
+    };
+    // `[lo, lo + w)` is the span of the last node seen: one division per
+    // crossing, none for the hops that stay inside it.
+    let mut lo = first.index() - first.index() % w;
+    let mut crossings = 0;
+    for v in rest.iter().map(|v| v.index()) {
+        if v.wrapping_sub(lo) >= w {
+            lo = v - v % w;
+            crossings += 1;
+        }
+    }
+    crossings
 }
 
 /// Run one §III.C.3 validation round for `source`: walk every contact
 /// path, heal or drop, enforce the hop-range rule, count messages.
+///
+/// A hop `(cur, next)` is only traversable when it is a substrate link
+/// *and* `allowed(cur, next)` holds: the calm round passes `query::any_edge`,
+/// fault injection a predicate that vetoes crashed endpoints and
+/// partition-crossing hops.
 pub fn validate_contacts(
     net: &Network,
     cfg: &CardConfig,
@@ -133,55 +153,42 @@ pub fn validate_contacts(
     table: &mut ContactTable,
     stats: &mut MsgStats,
     at: SimTime,
-) -> ValidationReport {
-    validate_contacts_filtered(net, cfg, source, table, stats, at, &|_, _| true)
-}
-
-/// [`validate_contacts`] with a per-hop admission predicate: a hop
-/// `(cur, next)` is only traversable when it is a substrate link *and*
-/// `allowed(cur, next)` holds. Fault injection passes a predicate that
-/// vetoes crashed endpoints and partition-crossing hops; with the
-/// pass-all predicate this is byte-identical to [`validate_contacts`].
-pub fn validate_contacts_filtered(
-    net: &Network,
-    cfg: &CardConfig,
-    source: NodeId,
-    table: &mut ContactTable,
-    stats: &mut MsgStats,
-    at: SimTime,
-    allowed: &dyn Fn(NodeId, NodeId) -> bool,
+    allowed: impl Fn(NodeId, NodeId) -> bool + Copy,
 ) -> ValidationReport {
     let mut report = ValidationReport::default();
     let (min_hops, max_hops) = cfg.valid_path_hops();
+    let (mut healed, mut route) = (Vec::new(), Vec::new());
 
-    let contacts = std::mem::take(table.contacts_mut());
-    for mut contact in contacts {
+    table.contacts_mut().retain_mut(|contact| {
         debug_assert_eq!(contact.source(), source, "foreign contact in table");
-        let mut msgs = 0u64;
-        let (healed, recovered) = validate_path(net, cfg, &contact.path, &mut msgs, allowed);
-        report.validation_msgs += msgs;
-        if recovered {
-            report.recovered += 1;
+        let (alive, recovered) = validate_path(
+            net,
+            cfg,
+            &contact.path,
+            &mut report.validation_msgs,
+            allowed,
+            &mut healed,
+            &mut route,
+        );
+        report.recovered += usize::from(recovered);
+        if !alive {
+            report.lost += 1;
+            return false;
         }
-        match healed {
-            None => {
-                report.lost += 1;
-            }
-            Some(path) => {
-                let hops = (path.len() - 1) as u16;
-                if hops < min_hops || hops > max_hops {
-                    // Rule 4: contact drifted too close or too far.
-                    report.dropped_out_of_range += 1;
-                } else {
-                    // Ack travels back along the healed path.
-                    report.reply_msgs += hops as u64;
-                    report.validated += 1;
-                    contact.path = path;
-                    table.contacts_mut().push(contact);
-                }
-            }
+        let hops = (healed.len() - 1) as u16;
+        if hops < min_hops || hops > max_hops {
+            // Rule 4: contact drifted too close or too far.
+            report.dropped_out_of_range += 1;
+            return false;
         }
-    }
+        // Ack travels back along the healed path.
+        report.reply_msgs += hops as u64;
+        report.validated += 1;
+        if contact.path != healed {
+            contact.path.clone_from(&healed);
+        }
+        true
+    });
 
     stats.record_n(at, MsgKind::Validation, report.validation_msgs);
     stats.record_n(at, MsgKind::ValidationReply, report.reply_msgs);
@@ -192,6 +199,7 @@ pub fn validate_contacts_filtered(
 mod tests {
     use super::*;
     use crate::contact::Contact;
+    use crate::query::any_edge;
     use net_topology::geometry::{Field, Point2};
 
     fn n(i: u32) -> NodeId {
@@ -221,6 +229,16 @@ mod tests {
         MsgStats::new(sim_core::time::SimDuration::from_secs(2))
     }
 
+    /// A calm validation round of node 0 at time zero.
+    fn validate(
+        net: &Network,
+        cfg: &CardConfig,
+        table: &mut ContactTable,
+        st: &mut MsgStats,
+    ) -> ValidationReport {
+        validate_contacts(net, cfg, n(0), table, st, SimTime::ZERO, any_edge)
+    }
+
     #[test]
     fn intact_path_validates_with_roundtrip_messages() {
         let net = line_net(10, 1);
@@ -229,7 +247,7 @@ mod tests {
         let mut table = ContactTable::new();
         table.add(Contact::new(n(4), path));
         let mut st = mk_stats();
-        let rep = validate_contacts(&net, &cfg, n(0), &mut table, &mut st, SimTime::ZERO);
+        let rep = validate(&net, &cfg, &mut table, &mut st);
         assert_eq!(rep.validated, 1);
         assert_eq!(rep.lost, 0);
         assert_eq!(rep.recovered, 0);
@@ -251,7 +269,7 @@ mod tests {
         let mut table = ContactTable::new();
         table.add(Contact::new(n(5), broken));
         let mut st = mk_stats();
-        let rep = validate_contacts(&net, &cfg, n(0), &mut table, &mut st, SimTime::ZERO);
+        let rep = validate(&net, &cfg, &mut table, &mut st);
         assert_eq!(rep.validated, 1);
         assert_eq!(rep.recovered, 1);
         assert_eq!(
@@ -273,7 +291,7 @@ mod tests {
         let mut table = ContactTable::new();
         table.add(Contact::new(n(7), broken));
         let mut st = mk_stats();
-        let rep = validate_contacts(&net, &cfg, n(0), &mut table, &mut st, SimTime::ZERO);
+        let rep = validate(&net, &cfg, &mut table, &mut st);
         assert_eq!(rep.validated, 1, "should skip 9 and resume at 4");
         assert_eq!(rep.recovered, 1);
         assert_eq!(table.contacts()[0].path, (0..8).map(n).collect::<Vec<_>>());
@@ -288,7 +306,7 @@ mod tests {
         let mut table = ContactTable::new();
         table.add(Contact::new(n(8), broken));
         let mut st = mk_stats();
-        let rep = validate_contacts(&net, &cfg, n(0), &mut table, &mut st, SimTime::ZERO);
+        let rep = validate(&net, &cfg, &mut table, &mut st);
         assert_eq!(rep.lost, 1);
         assert_eq!(rep.validated, 0);
         assert!(table.is_empty());
@@ -304,7 +322,7 @@ mod tests {
         let mut table = ContactTable::new();
         table.add(Contact::new(n(5), broken));
         let mut st = mk_stats();
-        let rep = validate_contacts(&net, &c, n(0), &mut table, &mut st, SimTime::ZERO);
+        let rep = validate(&net, &c, &mut table, &mut st);
         assert_eq!(rep.lost, 1);
         assert_eq!(rep.recovered, 0);
         assert!(table.is_empty());
@@ -318,7 +336,7 @@ mod tests {
         let mut table = ContactTable::new();
         table.add(Contact::new(n(3), path));
         let mut st = mk_stats();
-        let rep = validate_contacts(&net, &cfg, n(0), &mut table, &mut st, SimTime::ZERO);
+        let rep = validate(&net, &cfg, &mut table, &mut st);
         assert_eq!(rep.dropped_out_of_range, 1);
         assert_eq!(rep.validated, 0);
         assert!(table.is_empty());
@@ -332,7 +350,7 @@ mod tests {
         let mut table = ContactTable::new();
         table.add(Contact::new(n(8), path));
         let mut st = mk_stats();
-        let rep = validate_contacts(&net, &cfg, n(0), &mut table, &mut st, SimTime::ZERO);
+        let rep = validate(&net, &cfg, &mut table, &mut st);
         assert_eq!(rep.dropped_out_of_range, 1);
         assert!(table.is_empty());
     }
@@ -348,21 +366,21 @@ mod tests {
         table.add(Contact::new(n(5), broken.clone()));
         let mut st = mk_stats();
         let down = n(2);
-        let rep = validate_contacts_filtered(
+        let rep = validate_contacts(
             &net,
             &cfg,
             n(0),
             &mut table,
             &mut st,
             SimTime::ZERO,
-            &|a, b| a != down && b != down,
+            |a, b| a != down && b != down,
         );
         assert_eq!(rep.lost, 1, "recovery must not route through a down node");
         assert!(table.is_empty());
         // With the pass-all predicate the same path recovers.
         let mut table = ContactTable::new();
         table.add(Contact::new(n(5), broken));
-        let rep = validate_contacts(&net, &cfg, n(0), &mut table, &mut st, SimTime::ZERO);
+        let rep = validate(&net, &cfg, &mut table, &mut st);
         assert_eq!(rep.validated, 1);
         assert_eq!(rep.recovered, 1);
     }
@@ -378,6 +396,17 @@ mod tests {
         let mut r = vec![n(0), n(1), n(0), n(1), n(2)];
         compress_loops(&mut r);
         assert_eq!(r, vec![n(0), n(1), n(2)]);
+    }
+
+    #[test]
+    fn shard_crossings_on_degenerate_paths_and_widths() {
+        assert_eq!(path_shard_crossings(&[], 4), 0);
+        assert_eq!(path_shard_crossings(&[n(9)], 4), 0);
+        // w = 0 is read as 1: every hop between distinct nodes crosses
+        assert_eq!(path_shard_crossings(&[n(3), n(4), n(4), n(2)], 0), 2);
+        // 3 and 9 share span [0, 10); 12 does not; back again
+        assert_eq!(path_shard_crossings(&[n(3), n(9), n(12), n(3)], 10), 2);
+        assert_eq!(path_shard_crossings(&[n(3), n(9), n(12)], usize::MAX), 0);
     }
 
     mod properties {
@@ -431,7 +460,8 @@ mod tests {
 
                 let (min_hops, max_hops) = config.valid_path_hops();
                 for (node, table) in &mut tables {
-                    validate_contacts(&net, &config, *node, table, &mut stats, SimTime::ZERO);
+                    validate_contacts(
+                        &net, &config, *node, table, &mut stats, SimTime::ZERO, any_edge);
                     for c in table.contacts() {
                         prop_assert_eq!(c.source(), *node);
                         prop_assert!(c.hops() >= min_hops && c.hops() <= max_hops);
@@ -448,6 +478,23 @@ mod tests {
                         }
                     }
                 }
+            }
+
+            /// The span-tracking count equals the definition — hops whose
+            /// endpoints fall in different `w`-wide spans — for every
+            /// width from 1 past the node count, on paths that revisit
+            /// nodes and fold back.
+            #[test]
+            fn prop_shard_crossings_match_the_per_hop_definition(
+                raw in proptest::collection::vec(0u32..40, 0..30),
+                w in 1usize..50,
+            ) {
+                let path: Vec<NodeId> = raw.iter().map(|&i| NodeId::new(i)).collect();
+                let by_definition = path
+                    .windows(2)
+                    .filter(|p| p[0].index() / w != p[1].index() / w)
+                    .count() as u64;
+                prop_assert_eq!(path_shard_crossings(&path, w), by_definition);
             }
 
             /// compress_loops is idempotent and never grows a path.
@@ -479,7 +526,7 @@ mod tests {
         table.add(Contact::new(n(4), (0..5).map(n).collect())); // 4 hops, = 2R fine
         table.add(Contact::new(n(3), (0..4).map(n).collect())); // 3 hops < 2R drop
         let mut st = mk_stats();
-        let rep = validate_contacts(&net, &cfg, n(0), &mut table, &mut st, SimTime::ZERO);
+        let rep = validate(&net, &cfg, &mut table, &mut st);
         assert_eq!(rep.validated, 2);
         assert_eq!(rep.dropped_out_of_range, 1);
         assert_eq!(table.len(), 2);

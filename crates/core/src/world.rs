@@ -130,9 +130,7 @@ use crate::config::CardConfig;
 use crate::contact::{ContactTable, TableSource};
 use crate::csq::{select_contacts, CsqScratch, ALL_EDGE_NODES};
 use crate::hints::{HintDeposit, HintKey, HintLookup, HintStats, HintStore, Lookup};
-use crate::maintenance::{
-    path_shard_crossings, validate_contacts, validate_contacts_filtered, ValidationReport,
-};
+use crate::maintenance::{path_shard_crossings, validate_contacts, ValidationReport};
 use crate::query::{
     any_edge, dsq_query_hinted_unrecorded, dsq_query_unrecorded, HintContext, QueryFaultFilter,
     QueryOutcome, QueryRetryQueue, QueryScratch, RetryStats,
@@ -1355,17 +1353,14 @@ impl CardWorld {
                     }
                 }
             }
+            let stats = &mut delta.stats;
             let report = match fault_view {
-                None => validate_contacts(net, cfg, node, table, &mut delta.stats, at),
-                Some((_, state, _)) => validate_contacts_filtered(
-                    net,
-                    cfg,
-                    node,
-                    table,
-                    &mut delta.stats,
-                    at,
-                    &|a, b| state.link_allowed(a.index(), b.index()),
-                ),
+                None => validate_contacts(net, cfg, node, table, stats, at, any_edge),
+                Some((_, state, _)) => {
+                    validate_contacts(net, cfg, node, table, stats, at, |a, b| {
+                        state.link_allowed(a.index(), b.index())
+                    })
+                }
             };
             delta.maintenance.absorb(&report);
             if fault_view.is_some() {

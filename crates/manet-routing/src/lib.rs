@@ -42,12 +42,13 @@
 //! model report exactly which nodes changed position, (2) patches the
 //! spatial grid and the CSR adjacency around those movers
 //! (`Adjacency::patch_with_grid`: residency checks and row re-queries
-//! only for movers and their cell-ball neighbors — the changed-row set
-//! falls out of the patch, no O(N) diff), (3) marks as dirty exactly the
-//! union of the (R−1)-hop balls around the changed nodes in the old and
-//! new graphs, and (4) rebuilds only the dirty tables, fanned out over
-//! the persistent `sim_core::par` worker pool with per-worker BFS
-//! scratch. [`network::Network::refresh`] keeps the report-free variant
+//! only for movers, half-edge edits at the far ends of their flipped
+//! links — the changed-row set falls out of the patch, no O(N) diff),
+//! (3) marks as dirty exactly the union of the (R−1)-hop balls around the
+//! changed nodes in the old and new graphs, and (4) rebuilds only the
+//! dirty tables, each in its own buffers, fanned out over the persistent
+//! `sim_core::par` worker pool with per-worker BFS scratch.
+//! [`network::Network::refresh`] keeps the report-free variant
 //! (wholesale rebuild + all-rows diff) for callers that mutate positions
 //! directly, and every stage falls back to it on churn past the
 //! thresholds.

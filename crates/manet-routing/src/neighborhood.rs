@@ -59,32 +59,51 @@ pub struct Neighborhood {
     edge_nodes: Vec<NodeId>,
 }
 
+/// Empty `buf` and make room for exactly `len` entries.
+fn refill<T>(buf: &mut Vec<T>, len: usize) {
+    buf.clear();
+    buf.reserve_exact(len);
+}
+
 impl Neighborhood {
-    /// Capture one node's neighborhood from a hop-limited BFS view.
+    /// Capture one node's neighborhood from a hop-limited BFS view: an
+    /// empty table, filled.
     fn from_view(owner: NodeId, view: BfsView<'_>, radius: u16) -> Self {
-        let mut ids = view.visited().to_vec();
-        ids.sort_unstable();
-        let mut filter = BloomSet::with_capacity(ids.len());
-        let mut dist = Vec::with_capacity(ids.len());
-        let mut parent = Vec::with_capacity(ids.len());
-        let mut edge_nodes = Vec::new();
-        for &v in &ids {
-            filter.insert(u64::from(v.0));
-            let d = view.distance(v).expect("visited node has a distance");
-            dist.push(d);
-            parent.push(view.parent(v).expect("visited node has a parent"));
-            if d == radius {
-                edge_nodes.push(v);
-            }
-        }
-        Neighborhood {
+        let mut nb = Neighborhood {
             owner,
-            ids,
-            filter,
-            dist,
-            parent,
-            edge_nodes,
+            ids: Vec::new(),
+            filter: BloomSet::with_capacity(view.visited_count()),
+            dist: Vec::new(),
+            parent: Vec::new(),
+            edge_nodes: Vec::new(),
+        };
+        nb.fill(view, radius);
+        nb
+    }
+
+    /// Overwrite this table from a hop-limited BFS view of its owner,
+    /// reusing its buffers. Growth is exact, so a long-lived table holds
+    /// the largest zone it ever had, not an amortized doubling of it.
+    fn fill(&mut self, view: BfsView<'_>, radius: u16) {
+        let visited = view.visited();
+        refill(&mut self.ids, visited.len());
+        self.ids.extend_from_slice(visited);
+        self.ids.sort_unstable();
+        self.filter.reset(visited.len());
+        refill(&mut self.dist, visited.len());
+        refill(&mut self.parent, visited.len());
+        for &v in &self.ids {
+            self.filter.insert(u64::from(v.0));
+            self.dist
+                .push(view.distance(v).expect("visited node has a distance"));
+            self.parent
+                .push(view.parent(v).expect("visited node has a parent"));
         }
+        let at_radius = self.dist.iter().filter(|&&d| d == radius).count();
+        refill(&mut self.edge_nodes, at_radius);
+        let members = self.ids.iter().zip(&self.dist);
+        self.edge_nodes
+            .extend(members.filter(|&(_, &d)| d == radius).map(|(&v, _)| v));
     }
 
     /// Position of `node` in the sorted member arrays.
@@ -214,35 +233,45 @@ impl NeighborhoodTables {
         }
     }
 
-    /// Recompute the neighborhoods of `nodes` only (in parallel, reusing
-    /// per-worker scratch), leaving every other table untouched. The caller
-    /// guarantees `nodes` covers every node whose R-hop view changed —
-    /// see `Network::refresh` for how that set is derived.
-    pub fn recompute_nodes(&mut self, adj: &Adjacency, nodes: &[NodeId]) {
+    /// Recompute the neighborhoods of `nodes` only, each in its own
+    /// buffers, leaving every other table untouched. The caller guarantees
+    /// `nodes` covers every node whose R-hop view changed — see
+    /// `Network::refresh` for how that set is derived. Small sets run on
+    /// the caller's `scratch`; larger ones fan out over the worker pool
+    /// with one scratch per worker.
+    pub fn recompute_nodes(&mut self, adj: &Adjacency, nodes: &[NodeId], scratch: &mut BfsScratch) {
         let n = adj.node_count();
         assert_eq!(n, self.tables.len(), "node count changed; use compute()");
         let radius = self.radius;
         // Small dirty sets: one scratch on the caller's thread beats even
         // the pool's publish/wake cost.
         if nodes.len() < 96 {
-            let mut scratch = BfsScratch::with_capacity(n);
             for &src in nodes {
-                self.tables[src.index()] =
-                    Neighborhood::from_view(src, scratch.khop(adj, src, radius), radius);
+                self.tables[src.index()].fill(scratch.khop(adj, src, radius), radius);
             }
             return;
         }
-        let chunks: Vec<&[NodeId]> = nodes.chunks(chunk_len(nodes.len())).collect();
-        let rebuilt = parallel_map_with(chunks, BfsScratch::new, |scratch, chunk| {
-            chunk
-                .iter()
-                .map(|&src| Neighborhood::from_view(src, scratch.khop(adj, src, radius), radius))
-                .collect::<Vec<_>>()
+        // Chunks of the sorted node list cover disjoint, ascending index
+        // ranges: split the matching table spans off the front in turn.
+        let mut order = nodes.to_vec();
+        order.sort_unstable();
+        order.dedup();
+        let (mut rest, mut base) = (&mut self.tables[..], 0);
+        let spans: Vec<_> = order
+            .chunks(chunk_len(order.len()))
+            .map(|ids| {
+                let end = ids[ids.len() - 1].index() + 1;
+                let (span, tail) = std::mem::take(&mut rest).split_at_mut(end - base);
+                let item = (base, span, ids);
+                (rest, base) = (tail, end);
+                item
+            })
+            .collect();
+        parallel_map_with(spans, BfsScratch::new, |scratch, (base, span, ids)| {
+            for &src in ids {
+                span[src.index() - base].fill(scratch.khop(adj, src, radius), radius);
+            }
         });
-        for nb in rebuilt.into_iter().flatten() {
-            let slot = nb.owner.index();
-            self.tables[slot] = nb;
-        }
     }
 
     /// The zone radius R these tables were built with.
@@ -410,7 +439,7 @@ mod tests {
         let mut tables = NeighborhoodTables::compute(&adj, 1);
         // Add edge 0-4, then refresh only nodes 0 and 4.
         adj.add_edge(NodeId(0), NodeId(4));
-        tables.recompute_nodes(&adj, &[NodeId(0), NodeId(4)]);
+        tables.recompute_nodes(&adj, &[NodeId(0), NodeId(4)], &mut BfsScratch::new());
         assert!(tables.of(NodeId(0)).contains(NodeId(4)));
         assert!(tables.of(NodeId(4)).contains(NodeId(0)));
         // node 2's table was intentionally left stale (not in the list)
@@ -451,6 +480,64 @@ mod tests {
                     .collect();
                 expect_edges.sort_unstable();
                 prop_assert_eq!(nb.edge_nodes(), &expect_edges[..]);
+            }
+        }
+
+        /// Long-lived tables rebuilt in place through rounds of link edits
+        /// that grow and shrink zones equal a fresh `compute` on the same
+        /// graph, field for field — a stale tail or a Bloom bit left over
+        /// from a larger zone would show — and on `contains` for every
+        /// node. `serial` holds every call under the fan-out threshold;
+        /// `fanned` hands over all 120 nodes at once, out of order and with
+        /// a duplicate.
+        #[test]
+        fn prop_in_place_rebuild_equals_fresh_compute(
+            rounds in proptest::collection::vec(
+                proptest::collection::vec((0u32..120, 0u32..120, any::<bool>()), 1..80),
+                1..5),
+            radius in 0u16..4,
+        ) {
+            let n = 120;
+            let mut adj = random_graph(n, &[]);
+            let mut serial = NeighborhoodTables::compute(&adj, radius);
+            let mut fanned = serial.clone();
+            let mut scratch = BfsScratch::new();
+            let mut all: Vec<NodeId> = NodeId::all(n).collect();
+            all.reverse();
+            // sorted, the pair straddles the first (32-node) chunk boundary
+            all.push(NodeId(31));
+            for edits in &rounds {
+                for &(a, b, add) in edits {
+                    match (a != b, add) {
+                        (false, _) => {}
+                        (true, true) => adj.add_edge(NodeId(a), NodeId(b)),
+                        // dense removals: take a's whole row down with it
+                        (true, false) => {
+                            for nb in adj.neighbors(NodeId(a)).to_vec() {
+                                adj.remove_edge(NodeId(a), nb);
+                            }
+                        }
+                    }
+                }
+                for part in all.chunks(50) {
+                    serial.recompute_nodes(&adj, part, &mut scratch);
+                }
+                fanned.recompute_nodes(&adj, &all, &mut scratch);
+                let fresh = NeighborhoodTables::compute(&adj, radius);
+                for tables in [&serial, &fanned] {
+                    for owner in NodeId::all(n) {
+                        let (got, want) = (tables.of(owner), fresh.of(owner));
+                        prop_assert_eq!(got.owner, owner);
+                        prop_assert_eq!(&got.ids, &want.ids, "members of {}", owner);
+                        prop_assert_eq!(&got.dist, &want.dist, "distances of {}", owner);
+                        prop_assert_eq!(&got.parent, &want.parent, "parents of {}", owner);
+                        prop_assert_eq!(&got.edge_nodes, &want.edge_nodes, "edges of {}", owner);
+                        prop_assert_eq!(&got.filter, &want.filter, "filter of {}", owner);
+                        for v in NodeId::all(n) {
+                            prop_assert_eq!(got.contains(v), want.contains(v));
+                        }
+                    }
+                }
             }
         }
 

@@ -16,12 +16,13 @@
 //! 2. the adjacency is *patched* in place
 //!    (`Adjacency::patch_with_grid`): the spatial grid re-buckets only
 //!    reported movers that crossed a cell boundary, and only the movers
-//!    plus the occupants of their old/new 3×3 cell balls have their CSR
-//!    rows re-queried — the patch emits the *changed* nodes (endpoints of
-//!    appeared/disappeared links) directly, with no O(N) snapshot diff,
-//!    and saves each rewritten row's pre-patch content to a per-row
-//!    **undo log** in the patch scratch (O(changed · degree) copies)
-//!    because step 4 needs the old graph;
+//!    the annulus pre-filter could not prove link-inert have their CSR
+//!    rows re-queried. Each such row is diffed against its old content
+//!    and the far, non-mover end of every appeared/disappeared link takes
+//!    a half-edge edit — so the patch emits the *changed* nodes directly,
+//!    with no O(N) snapshot diff, and saves each changed row's pre-patch
+//!    content to a per-row **undo log** in the patch scratch
+//!    (O(changed · degree) copies) because step 3 needs the old graph;
 //! 3. a node `u`'s R-hop BFS relaxes exactly the edges incident to nodes
 //!    at depth ≤ R−1 from `u`, so its table can only have changed if some
 //!    changed node lies within **R−1** hops of `u` — in the old or the new
@@ -33,7 +34,8 @@
 //!    that serves patched rows from the undo log and every other row from
 //!    the live CSR; at R = 0 zones are `{self}` and no link change can
 //!    dirty anything;
-//! 4. only the dirty neighborhoods are rebuilt, in parallel, with
+//! 4. only the dirty neighborhoods are rebuilt, each in its own buffers:
+//!    small sets on the dirty-ball scratch, larger ones in parallel with
 //!    per-worker [`net_topology::bfs::BfsScratch`] workspaces.
 //!
 //! Between mobility and the neighborhood refresh, no stage runs per-node
@@ -79,14 +81,14 @@ pub struct PipelineCounters {
     /// a report-free refresh).
     pub movers_reported: usize,
     /// Reported movers the range-annulus pre-filter proved link-inert and
-    /// dropped from the patch's candidate seed (0 when the filter's profit
+    /// dropped from the patch's re-query set (0 when the filter's profit
     /// gate stayed off or a wholesale fallback ran).
     pub movers_skipped: usize,
     /// Grid entries re-bucketed: boundary-crossing movers, or N on a full
     /// relayout.
     pub grid_rebucketed: usize,
-    /// CSR adjacency rows re-queried: movers + their cell-ball neighbors,
-    /// or N on a full rebuild.
+    /// CSR adjacency rows re-queried: the movers the pre-filter kept, or
+    /// N on a full rebuild.
     pub rows_patched: usize,
     /// Rows whose link set actually changed (the dirty-ball seeds).
     pub changed: usize,
@@ -363,8 +365,8 @@ impl Network {
         // The tables currently reflect `adj`; patch it in place. Old rows
         // live on in the patch scratch's undo log — no snapshot copy.
         // The grid still re-buckets the *full* report (residency must
-        // track every position change), only the candidate seeding is
-        // restricted to the active movers. Row re-queries run through the
+        // track every position change), only the row re-queries are
+        // restricted to the active movers. They run through the
         // two-phase f32 kernel against the SoA plane (mover lanes are
         // refreshed first); link decisions are bit-identical to the
         // scalar f64 scan.
@@ -413,7 +415,7 @@ impl Network {
     }
 
     /// The range-annulus pre-filter: copy into `out` the subset of
-    /// `movers` that must stay in the patch's candidate seed, returning
+    /// `movers` whose rows the patch must re-query, returning
     /// whether the filter engaged at all (`false` leaves `out` untouched
     /// and the caller uses the full report).
     ///
@@ -670,7 +672,7 @@ impl Network {
         };
         collect(scratch.ball_with(adj.node_count(), old_neighbors, changed, radius - 1));
         collect(scratch.ball(adj, changed, radius - 1));
-        tables.recompute_nodes(adj, dirty);
+        tables.recompute_nodes(adj, dirty, scratch);
         for &v in dirty.iter() {
             dirty_flags[v.index()] = false;
         }

@@ -21,14 +21,16 @@
 //!
 //! [`Adjacency::rebuild_with_grid`] re-queries the 3×3 cell ball of *every*
 //! node — O(N · avg-degree) per call. It stays as the reference path, but
-//! the mobility hot path is [`Adjacency::patch_with_grid`]: given the set
-//! of nodes that actually moved this tick, only the movers and the nodes
-//! whose link set a mover may have touched (found via the movers' old and
-//! new 3×3 cell balls) are re-queried, and their rows are rewritten in
-//! place inside the slack. A row outgrowing its slack triggers a whole-CSR
-//! compaction that re-provisions slack (rare); mover churn past a
-//! threshold falls back to the full rebuild, so heavy motion degrades to
-//! exactly the old cost rather than to patch churn.
+//! the mobility hot path is [`Adjacency::patch_with_grid`], an **edge
+//! diff**: a link can only appear or disappear if a mover is one of its
+//! endpoints, so only the movers' rows are re-queried. Each mover's sorted
+//! old row is merge-diffed against its new one, and every appeared or
+//! disappeared neighbor that is not itself a mover gets the matching
+//! half-edge inserted into / removed from its row in place, inside the
+//! slack. A row outgrowing its slack triggers a whole-CSR compaction that
+//! re-provisions slack (rare); mover churn past a threshold falls back to
+//! the full rebuild, so heavy motion degrades to exactly the old cost
+//! rather than to patch churn.
 //!
 //! `add_edge` / `remove_edge` splice a single row in place (growing the
 //! CSR only when the row's slack is exhausted); they exist for tests and
@@ -46,10 +48,12 @@ use sim_core::par;
 const FILLER: NodeId = NodeId(u32::MAX);
 
 /// Churn fallback: if more than `max(N / PATCH_CHURN_DIVISOR,
-/// PATCH_CHURN_FLOOR)` nodes moved in one tick, patching (roughly nine
-/// cell scans plus one range query per mover) costs more than one full
-/// rebuild (one range query per node), so
-/// [`Adjacency::patch_with_grid`] falls back to the wholesale path. The
+/// PATCH_CHURN_FLOOR)` nodes moved in one tick,
+/// [`Adjacency::patch_with_grid`] falls back to the wholesale path. A
+/// patch costs one range query, one row diff and a few half-edge splices
+/// per mover, against one (cheaper, half-ball) range query per node for
+/// the rebuild; the divisor was priced for the costlier cell-ball patch
+/// this one replaced and is deliberately left alone (ROADMAP item 1). The
 /// floor keeps tiny graphs — where the ratio test degenerates to "any
 /// mover at all" — on the patch path, since a handful of rows is cheap
 /// either way.
@@ -60,12 +64,15 @@ const PATCH_CHURN_FLOOR: usize = 4;
 /// Outcome of an [`Adjacency::patch_with_grid`] call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AdjacencyUpdate {
-    /// Only candidate rows (movers plus their cell-ball neighbors) were
-    /// re-queried; the rest of the CSR was not touched.
+    /// Only the active movers' rows were re-queried; their non-mover
+    /// neighbors' rows took half-edge edits, and the rest of the CSR was
+    /// not touched.
     Patched {
-        /// Rows re-queried against the grid this tick.
+        /// Rows re-queried against the grid this tick (the distinct
+        /// active movers).
         rows_patched: usize,
-        /// Rows whose neighbor set actually changed (⊆ `rows_patched`).
+        /// Rows whose neighbor set actually changed: movers whose re-query
+        /// differed plus the far endpoints of their flipped links.
         rows_changed: usize,
         /// Whole-CSR re-layouts triggered by row-slack overflow.
         compactions: usize,
@@ -84,25 +91,28 @@ pub enum AdjacencyUpdate {
 }
 
 /// Reusable workspace for [`Adjacency::patch_with_grid`] (epoch-stamped
-/// candidate dedup plus row scratch — no allocation in the steady state).
+/// mover dedup plus row scratch — no allocation in the steady state).
 ///
 /// The scratch doubles as the patch's **per-row undo log**: for every row
-/// the patch actually rewrote, the pre-patch live neighbor slice is saved
-/// (O(changed · degree) copies — exactly the data that changed, never the
-/// whole CSR). Callers that need the *old* graph after a patch — the
-/// mover-driven refresh walks it for the old-snapshot dirty ball — read it
-/// back through [`PatchScratch::undo_count`] / [`PatchScratch::undo_entry`]
-/// instead of keeping an O(E) snapshot copy.
+/// the patch actually changed, the pre-patch live neighbor slice is saved
+/// once, before the row's first edit (O(changed · degree) copies — exactly
+/// the data that changed, never the whole CSR). Callers that need the *old*
+/// graph after a patch — the mover-driven refresh walks it for the
+/// old-snapshot dirty ball — read it back through
+/// [`PatchScratch::undo_count`] / [`PatchScratch::undo_entry`] instead of
+/// keeping an O(E) snapshot copy.
 #[derive(Clone, Debug, Default)]
 pub struct PatchScratch {
-    /// `stamp[i] == epoch` ⇔ node `i` is already a candidate this patch.
+    /// `stamp[i] == epoch` ⇔ node `i` is an active mover of this patch.
     stamp: Vec<u32>,
+    /// `logged[i] == epoch` ⇔ non-mover row `i` already has its undo entry.
+    logged: Vec<u32>,
     epoch: u32,
-    /// Candidate rows of the current patch, in discovery order.
+    /// The distinct active movers of the current patch, in report order.
     candidates: Vec<NodeId>,
     /// The freshly recomputed row being compared/written.
     row: Vec<NodeId>,
-    /// Undo log: `(rewritten row, offset into undo_edges)` per changed row
+    /// Undo log: `(changed row, offset into undo_edges)` per changed row
     /// of the last patch, in the same order as the `changed` output.
     undo_rows: Vec<(NodeId, u32)>,
     /// Flat pre-patch row contents; row `k` of the log spans
@@ -117,13 +127,15 @@ impl PatchScratch {
     }
 
     /// Start a new patch over `n` nodes: bump the epoch (recycling the
-    /// stamp array without clearing it) and reset the candidate list and
-    /// undo log.
+    /// stamp arrays without clearing them) and reset the candidate list
+    /// and undo log.
     fn begin(&mut self, n: usize) {
         self.stamp.resize(n, 0);
+        self.logged.resize(n, 0);
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             self.stamp.fill(0);
+            self.logged.fill(0);
             self.epoch = 1;
         }
         self.candidates.clear();
@@ -138,7 +150,7 @@ impl PatchScratch {
         self.undo_rows.len()
     }
 
-    /// The `k`-th undo entry: the rewritten row and its *pre-patch* live
+    /// The `k`-th undo entry: the changed row and its *pre-patch* live
     /// neighbor slice.
     ///
     /// # Panics
@@ -573,19 +585,18 @@ impl Adjacency {
 
     /// Patch the CSR in place after a mobility tick, given the nodes whose
     /// positions changed (`moved`, from
-    /// `MobilityModel::advance_reporting`). Only the movers and the nodes
-    /// whose link set a mover may have touched — the occupants of each
-    /// mover's old and new 3×3 cell balls — are re-queried; everyone
-    /// else's row is provably unchanged (an edge can only appear or
-    /// disappear if at least one endpoint moved, and the untouched
-    /// endpoint then sits in one of those balls).
+    /// `MobilityModel::advance_reporting`). Only the movers' rows are
+    /// re-queried: an edge can only appear or disappear if at least one
+    /// endpoint moved, so each mover's old row is diffed against its new
+    /// one and the non-mover end of every flipped link takes a half-edge
+    /// insert or remove; everyone else's row is provably unchanged.
     ///
     /// `changed` receives the rows whose neighbor set actually changed (in
-    /// candidate-discovery order) — exactly the seed set an incremental
+    /// first-edit order) — exactly the seed set an incremental
     /// neighborhood refresh needs, with no O(N) snapshot diff. Each changed
     /// row's *pre-patch* content is saved to `scratch`'s undo log
-    /// ([`PatchScratch::undo_entry`]), so callers can reconstruct any old
-    /// row without double-buffering the whole CSR.
+    /// ([`PatchScratch::undo_entry`], same order), so callers can
+    /// reconstruct any old row without double-buffering the whole CSR.
     ///
     /// Falls back to [`Adjacency::rebuild_with_grid`] (returning
     /// [`AdjacencyUpdate::Full`] with the grid outcome, `changed` left
@@ -615,8 +626,8 @@ impl Adjacency {
         self.patch_with_grid_active(grid, positions, range, moved, moved, changed, scratch)
     }
 
-    /// [`Adjacency::patch_with_grid`] with a pre-filtered candidate seed:
-    /// rows are re-queried only around the `active` movers, while the
+    /// [`Adjacency::patch_with_grid`] with a pre-filtered mover set: only
+    /// the `active` movers' rows are re-queried and diffed, while the
     /// grid's cell residency is still brought up to date from the full
     /// `moved` report. Churn viability is judged on `active` — this is
     /// how a sound pre-filter (e.g. the annulus filter in
@@ -624,11 +635,11 @@ impl Adjacency {
     ///
     /// # Contract
     /// In addition to the [`Adjacency::patch_with_grid`] contract on
-    /// `moved`, every node whose link set changed must be an `active`
-    /// mover or an occupant of an active mover's old/new 3×3 cell ball —
-    /// i.e. the caller must *prove* each dropped mover has no changed
-    /// incident link (no node near its range annulus). Passing
-    /// `active = moved` recovers the unfiltered behavior.
+    /// `moved`, every link that changed state must have an `active` mover
+    /// as an endpoint — i.e. the caller must *prove* each dropped mover
+    /// has no changed incident link (no node near its range annulus);
+    /// debug builds assert that no half-edge edit lands on a dropped
+    /// mover. Passing `active = moved` recovers the unfiltered behavior.
     #[allow(clippy::too_many_arguments)] // thin pre-filter seam over patch_with_grid
     pub fn patch_with_grid_active(
         &mut self,
@@ -686,9 +697,6 @@ impl Adjacency {
                 self.rebuild_with_grid_parallel(grid, plane, positions, range, kscratch);
             return AdjacencyUpdate::Full { grid: grid_update };
         }
-        // Lane refresh is independent of the grid state, so it can run
-        // before candidate seeding; the seeding below must still read the
-        // *pre-update* grid residency.
         plane.update_reported(positions, moved);
         self.patch_core(
             grid,
@@ -703,10 +711,10 @@ impl Adjacency {
     }
 
     /// Shared body of the scalar and kernel patch paths (fallbacks
-    /// already handled by the wrappers). With `kernel` present, candidate
-    /// rows are re-queried through the gather kernel; the rest —
-    /// candidate seeding, grid update, slack rewrite, undo log — is
-    /// byte-for-byte the same machinery.
+    /// already handled by the wrappers). With `kernel` present, mover rows
+    /// are re-queried through the gather kernel; the rest — grid update,
+    /// edge diff, slack edits, undo log — is byte-for-byte the same
+    /// machinery.
     #[allow(clippy::too_many_arguments)]
     fn patch_core(
         &mut self,
@@ -719,55 +727,42 @@ impl Adjacency {
         scratch: &mut PatchScratch,
         mut kernel: Option<(&PositionPlane, &mut KernelScratch)>,
     ) -> AdjacencyUpdate {
-        let n = positions.len();
-        // 1. Candidate rows, deduped with epoch stamps: every mover, plus
-        //    every occupant of the 3×3 cell balls around each mover's old
-        //    and new cell — read from the *pre-update* grid, which is
-        //    exact because non-movers keep their residency across the
-        //    update and movers are included explicitly.
-        scratch.begin(n);
-        {
-            let PatchScratch {
-                stamp,
-                epoch,
-                candidates,
-                ..
-            } = scratch;
-            let ep = *epoch;
-            let mut add = |id: NodeId| {
-                let s = &mut stamp[id.index()];
-                if *s != ep {
-                    *s = ep;
-                    candidates.push(id);
-                }
-            };
-            for &m in active {
-                add(m);
-            }
-            for &m in active {
-                let old_cell = grid.node_cell(m);
-                let new_cell = grid.cell_at(positions[m.index()]);
-                grid.for_each_in_cell_ball(old_cell, &mut add);
-                if new_cell != old_cell {
-                    grid.for_each_in_cell_ball(new_cell, &mut add);
-                }
+        // 1. The rows to re-query: the active movers, deduped with epoch
+        //    stamps. Every flipped link has one as an endpoint (the
+        //    `active` contract), so no other row needs a range query.
+        scratch.begin(positions.len());
+        let PatchScratch {
+            stamp,
+            logged,
+            epoch,
+            candidates,
+            row,
+            undo_rows,
+            undo_edges,
+        } = scratch;
+        let ep = *epoch;
+        for &m in active {
+            if std::mem::replace(&mut stamp[m.index()], ep) != ep {
+                candidates.push(m);
             }
         }
 
         // 2. Bring the grid up to date — O(movers), not O(N).
         let grid_update = grid.update_reported(positions, moved);
 
-        // 3. Re-query each candidate against the new grid; rewrite rows
-        //    that differ inside their slack (saving the old content to the
-        //    undo log first), compacting on overflow.
+        // 3. Re-query each mover against the new grid. A row that differs
+        //    is logged and rewritten inside its slack (compacting on
+        //    overflow), then merge-diffed against its logged old content:
+        //    the non-mover end of every appeared / disappeared link takes
+        //    the half-edge edit, logged before its first one. A mover on
+        //    the far end rewrites its own row — the range verdict is
+        //    symmetric, so both ends agree.
         let mut compactions = 0usize;
-        let PatchScratch {
-            candidates,
-            row,
-            undo_rows,
-            undo_edges,
-            ..
-        } = scratch;
+        let mut log = |adj: &Adjacency, v: NodeId, undo_edges: &mut Vec<NodeId>| {
+            changed.push(v);
+            undo_rows.push((v, undo_edges.len() as u32));
+            undo_edges.extend_from_slice(adj.neighbors(v));
+        };
         for &c in candidates.iter() {
             let i = c.index();
             row.clear();
@@ -788,20 +783,17 @@ impl Adjacency {
                 }
             }
             Self::sort_row(row);
-            let start = self.offsets[i] as usize;
-            let len = self.lens[i] as usize;
-            if self.edges[start..start + len] == row[..] {
+            if self.neighbors(c) == &row[..] {
                 continue;
             }
-            changed.push(c);
-            undo_rows.push((c, undo_edges.len() as u32));
-            undo_edges.extend_from_slice(&self.edges[start..start + len]);
-            let cap = (self.offsets[i + 1] - self.offsets[i]) as usize;
-            if row.len() > cap {
+            log(self, c, undo_edges);
+            let old_end = undo_edges.len();
+            let (mut a, mut b) = (old_end - self.lens[i] as usize, 0);
+            if row.len() > (self.offsets[i + 1] - self.offsets[i]) as usize {
                 compactions += 1;
                 self.reprovision(i, row.len() as u32);
             }
-            let start = self.offsets[i] as usize;
+            let (start, len) = (self.offsets[i] as usize, self.lens[i] as usize);
             self.edges[start..start + row.len()].copy_from_slice(row);
             if row.len() < len {
                 // Shrunk row: re-stamp the vacated tail so stale ids can't
@@ -810,6 +802,37 @@ impl Adjacency {
             }
             self.live = self.live - len + row.len();
             self.lens[i] = row.len() as u32;
+            // Merge walk over the old (logged) and new row: each step takes
+            // the smaller head, or both when equal. `FILLER` sorts after
+            // every live id, so it stands in for an exhausted side.
+            loop {
+                let gone = if a < old_end { undo_edges[a] } else { FILLER };
+                let came = row.get(b).copied().unwrap_or(FILLER);
+                a += usize::from(gone <= came);
+                b += usize::from(came <= gone);
+                if gone == came {
+                    if gone == FILLER {
+                        break;
+                    }
+                    continue;
+                }
+                let y = gone.min(came);
+                if stamp[y.index()] == ep {
+                    continue;
+                }
+                debug_assert!(
+                    !moved.contains(&y),
+                    "link {c}-{y} flipped, but mover {y} was dropped as link-inert"
+                );
+                if std::mem::replace(&mut logged[y.index()], ep) != ep {
+                    log(self, y, undo_edges);
+                }
+                if came < gone {
+                    compactions += usize::from(self.insert_half_edge(y, c));
+                } else {
+                    self.remove_half_edge(y, c);
+                }
+            }
         }
         AdjacencyUpdate::Patched {
             rows_patched: candidates.len(),
@@ -946,15 +969,16 @@ impl Adjacency {
     }
 
     /// Insert `y` into `x`'s sorted row if absent (O(row) shift; grows the
-    /// CSR only when the row's slack is exhausted).
-    fn insert_half_edge(&mut self, x: NodeId, y: NodeId) {
+    /// CSR only when the row's slack is exhausted — returns whether that
+    /// compaction ran).
+    fn insert_half_edge(&mut self, x: NodeId, y: NodeId) -> bool {
         let i = x.index();
         let Err(pos) = self.neighbors(x).binary_search(&y) else {
-            return;
+            return false;
         };
         let len = self.lens[i] as usize;
-        let cap = (self.offsets[i + 1] - self.offsets[i]) as usize;
-        if len == cap {
+        let compacted = len == (self.offsets[i + 1] - self.offsets[i]) as usize;
+        if compacted {
             self.reprovision(i, len as u32 + 1);
         }
         let start = self.offsets[i] as usize;
@@ -963,6 +987,7 @@ impl Adjacency {
         self.edges[start + pos] = y;
         self.lens[i] += 1;
         self.live += 1;
+        compacted
     }
 
     /// Remove `y` from `x`'s sorted row if present (O(row) shift; the
@@ -1038,6 +1063,34 @@ mod tests {
             for &slot in &edges[tail] {
                 assert_eq!(slot, super::FILLER, "slack slot holds a live-looking id");
             }
+        }
+    }
+
+    /// What a patch must report: `changed`, as a set, is exactly the rows
+    /// that differ between the pre-patch graph and the patched one (checked
+    /// against a fresh build by the caller), and the undo log holds each
+    /// one's exact pre-patch row, in `changed` order.
+    fn assert_patch_report(
+        before: &Adjacency,
+        after: &Adjacency,
+        changed: &[NodeId],
+        scratch: &PatchScratch,
+    ) {
+        let mut got = changed.to_vec();
+        got.sort();
+        let expect: Vec<NodeId> = NodeId::all(after.node_count())
+            .filter(|&v| after.neighbors_changed(before, v))
+            .collect();
+        assert_eq!(got, expect, "changed-row report is wrong");
+        assert_eq!(scratch.undo_count(), changed.len());
+        for (k, &row) in changed.iter().enumerate() {
+            let (node, old) = scratch.undo_entry(k);
+            assert_eq!(node, row);
+            assert_eq!(
+                old,
+                before.neighbors(node),
+                "undo row {node} does not match the snapshot"
+            );
         }
     }
 
@@ -1266,6 +1319,187 @@ mod tests {
     }
 
     #[test]
+    fn lone_mover_requeries_exactly_its_own_row() {
+        // Nobody within range before or after: the only row the patch may
+        // look at is the mover's own, however crowded the cells around it.
+        let field = Field::square(400.0);
+        let mut pos = vec![
+            Point2::new(200.0, 200.0),
+            Point2::new(260.0, 200.0),
+            Point2::new(200.0, 260.0),
+            Point2::new(140.0, 140.0),
+        ];
+        let mut grid = SpatialGrid::new(field, 50.0);
+        let mut adj = Adjacency::build_with_grid(&mut grid, &pos, 50.0);
+        assert_eq!(adj.link_count(), 0);
+        let mut scratch = PatchScratch::new();
+        let mut changed = Vec::new();
+        pos[0] = Point2::new(205.0, 205.0);
+        let movers = [NodeId(0)];
+        let out = adj.patch_with_grid(&mut grid, &pos, 50.0, &movers, &mut changed, &mut scratch);
+        assert!(
+            matches!(
+                out,
+                AdjacencyUpdate::Patched {
+                    rows_patched: 1,
+                    rows_changed: 0,
+                    ..
+                }
+            ),
+            "{out:?}"
+        );
+        assert!(changed.is_empty());
+        assert_eq!(scratch.undo_count(), 0);
+        assert_eq!(adj, Adjacency::build(field, &pos, 50.0));
+    }
+
+    #[test]
+    fn swapping_mover_pair_hands_its_static_neighbor_over() {
+        // A and B are linked and sit in adjacent cells; C hears only A. The
+        // two swap places (and cells): A-B survives with both ends active,
+        // C — never re-queried — loses A and gains B by half-edge edits,
+        // and is logged once for the two.
+        let field = Field::square(200.0);
+        let (a, b, c) = (NodeId(0), NodeId(1), NodeId(2));
+        let mut pos = vec![
+            Point2::new(40.0, 25.0),
+            Point2::new(60.0, 25.0),
+            Point2::new(0.0, 25.0),
+        ];
+        let mut grid = SpatialGrid::new(field, 50.0);
+        let mut adj = Adjacency::build_with_grid(&mut grid, &pos, 50.0);
+        assert_eq!(adj.neighbors(c), &[a]);
+        let before = adj.clone();
+        pos.swap(0, 1);
+        let mut scratch = PatchScratch::new();
+        let mut changed = Vec::new();
+        // duplicates in the report change nothing
+        let movers = [a, b, b, a];
+        let out = adj.patch_with_grid(&mut grid, &pos, 50.0, &movers, &mut changed, &mut scratch);
+        assert!(
+            matches!(
+                out,
+                AdjacencyUpdate::Patched {
+                    rows_patched: 2,
+                    rows_changed: 3,
+                    ..
+                }
+            ),
+            "{out:?}"
+        );
+        assert_eq!(adj.neighbors(c), &[b]);
+        assert_eq!(adj, Adjacency::build(field, &pos, 50.0));
+        assert_csr_invariants(&adj);
+        assert_patch_report(&before, &adj, &changed, &scratch);
+    }
+
+    /// Three movers leave static `z` (node 4) and land around static, so
+    /// far isolated `y` (node 3), whose fresh-build row has one slack slot.
+    fn pile_up() -> (Field, Vec<Point2>, Vec<Point2>) {
+        let far = |k: usize| Point2::new(300.0 + 2.0 * k as f64, 300.0);
+        let near = |k: usize| Point2::new(100.0 + 2.0 * k as f64, 104.0);
+        let y = Point2::new(100.0, 100.0);
+        let before = vec![far(0), far(1), far(2), y, far(3)];
+        let after = vec![near(0), near(1), near(2), y, far(3)];
+        (Field::square(400.0), before, after)
+    }
+
+    #[test]
+    fn full_non_mover_row_compacts_mid_patch_and_keeps_the_undo_log() {
+        let (field, pos, moved_pos) = pile_up();
+        let mut grid = SpatialGrid::new(field, 50.0);
+        let mut adj = Adjacency::build_with_grid(&mut grid, &pos, 50.0);
+        let (offsets, lens, _) = adj.raw_csr();
+        assert_eq!((lens[3], offsets[4] - offsets[3]), (0, 1), "y: one slot");
+        let before = adj.clone();
+        let mut scratch = PatchScratch::new();
+        let mut changed = Vec::new();
+        let movers = [NodeId(0), NodeId(1), NodeId(2)];
+        let out = adj.patch_with_grid(
+            &mut grid,
+            &moved_pos,
+            50.0,
+            &movers,
+            &mut changed,
+            &mut scratch,
+        );
+        // y's second arriving mover finds the row full: the whole CSR is
+        // re-laid out while the entries of both movers, y and z are
+        // already in the log.
+        match out {
+            AdjacencyUpdate::Patched {
+                rows_patched,
+                rows_changed,
+                compactions,
+                ..
+            } => {
+                assert_eq!((rows_patched, rows_changed), (3, 5));
+                assert!(compactions >= 1, "y's row must overflow its slack");
+            }
+            AdjacencyUpdate::Full { .. } => panic!("three movers of five must patch"),
+        }
+        assert_eq!(adj.neighbors(NodeId(3)), &movers[..]);
+        assert_eq!(adj.degree(NodeId(4)), 0);
+        assert_eq!(adj, Adjacency::build(field, &moved_pos, 50.0));
+        assert_csr_invariants(&adj);
+        assert_patch_report(&before, &adj, &changed, &scratch);
+    }
+
+    #[test]
+    fn epoch_wraparound_zeroes_both_patch_stamp_arrays() {
+        let (field, pos, moved_pos) = pile_up();
+        let mut grid = SpatialGrid::new(field, 50.0);
+        let mut adj = Adjacency::build_with_grid(&mut grid, &pos, 50.0);
+        let mut scratch = PatchScratch::new();
+        let mut changed = Vec::new();
+        // Size the arrays, then plant the worst case: every stamp equals
+        // the first epoch after the wrap and the counter sits on the brink.
+        // Without the zeroing every node would read as a mover already
+        // queued (nothing re-queried) and every row as already logged (no
+        // undo entry for y or z).
+        adj.patch_with_grid(&mut grid, &pos, 50.0, &[], &mut changed, &mut scratch);
+        scratch.stamp.fill(1);
+        scratch.logged.fill(1);
+        scratch.epoch = u32::MAX;
+        let before = adj.clone();
+        let movers = [NodeId(0), NodeId(1), NodeId(2)];
+        adj.patch_with_grid(
+            &mut grid,
+            &moved_pos,
+            50.0,
+            &movers,
+            &mut changed,
+            &mut scratch,
+        );
+        assert_eq!(scratch.epoch, 1);
+        assert_eq!(adj, Adjacency::build(field, &moved_pos, 50.0));
+        assert_patch_report(&before, &adj, &changed, &scratch);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "dropped as link-inert")]
+    fn dropping_a_mover_whose_link_flipped_trips_the_debug_assert() {
+        // Node 1 walks out of node 0's range and node 0 jiggles. A caller
+        // that drops node 0 from `active` claims none of its links changed
+        // — the edit landing on its row proves the claim wrong.
+        let (field, mut pos) = line3();
+        let mut grid = SpatialGrid::new(field, 50.0);
+        let mut adj = Adjacency::build_with_grid(&mut grid, &pos, 50.0);
+        pos[0] = Point2::new(10.5, 10.0);
+        pos[1] = Point2::new(95.0, 10.0);
+        adj.patch_with_grid_active(
+            &mut grid,
+            &pos,
+            50.0,
+            &[NodeId(0), NodeId(1)],
+            &[NodeId(1)],
+            &mut Vec::new(),
+            &mut PatchScratch::new(),
+        );
+    }
+
+    #[test]
     fn add_remove_edge() {
         let mut adj = Adjacency::with_nodes(4);
         adj.add_edge(NodeId(0), NodeId(2));
@@ -1467,23 +1701,72 @@ mod tests {
                 prop_assert_eq!(adj.canonical_csr(), fresh.canonical_csr());
                 assert_csr_invariants(&adj);
                 if let AdjacencyUpdate::Patched { .. } = out {
-                    // `changed` must be exactly the rows that differ from
-                    // the pre-patch snapshot
-                    let mut got = changed.clone();
-                    got.sort();
-                    let expect: Vec<NodeId> = NodeId::all(positions.len())
-                        .filter(|&v| adj.neighbors_changed(&before, v))
-                        .collect();
-                    prop_assert_eq!(got, expect, "changed-row report is wrong");
-                    // the undo log must reconstruct every changed row's
-                    // pre-patch content, in the changed-row order
-                    prop_assert_eq!(scratch.undo_count(), changed.len());
-                    for (k, &row) in changed.iter().enumerate() {
-                        let (node, old) = scratch.undo_entry(k);
-                        prop_assert_eq!(node, row);
-                        prop_assert_eq!(old, before.neighbors(node),
-                            "undo row {} does not match the snapshot", node);
+                    assert_patch_report(&before, &adj, &changed, &scratch);
+                }
+            }
+        }
+
+        /// The edge diff under a pre-filtered report: `moved` is a noisy
+        /// superset (stationary nodes, duplicates), `active` keeps every
+        /// mover with a flipped link plus an arbitrary share of the
+        /// link-inert ones (jiggles and stationary nodes), also with
+        /// duplicates. Far jumps put both ends of a link among the active
+        /// movers; jiggles next to them put dropped movers beside edited
+        /// rows. The CSR must equal the fresh build, and the changed-row
+        /// report and undo log must be exact.
+        #[test]
+        fn prop_active_subset_patch_reports_exactly_the_changed_rows(
+            pts in proptest::collection::vec((0.0..300.0f64, 0.0..300.0f64), 2..48),
+            steps in proptest::collection::vec(
+                proptest::collection::vec(
+                    (-90.0..90.0f64, -90.0..90.0f64, 0u8..64), 1..48),
+                1..4),
+            range in 30.0..60.0f64,
+        ) {
+            let field = Field::square(300.0);
+            let mut positions: Vec<Point2> =
+                pts.iter().map(|&(x, y)| Point2::new(x, y)).collect();
+            let n = positions.len();
+            let mut grid = SpatialGrid::new(field, range);
+            let mut adj = Adjacency::build_with_grid(&mut grid, &positions, range);
+            let mut scratch = PatchScratch::new();
+            let mut changed = Vec::new();
+            for step in &steps {
+                // One node in eight draws a kind from its low two bits —
+                // 0: stay unreported, 1: stay but reported, 2: jiggle,
+                // 3: jump — so most reports fit the patch budget; bit 2:
+                // keep active even if inert
+                let mut moved = Vec::new();
+                for (i, &(dx, dy, bits)) in step.iter().cycle().take(n).enumerate() {
+                    let kind = if bits < 8 { bits & 3 } else { 0 };
+                    let scale = [0.0, 0.0, 1e-3, 1.0][kind as usize];
+                    let p = &mut positions[i];
+                    p.x = (p.x + dx * scale).clamp(0.0, 300.0);
+                    p.y = (p.y + dy * scale).clamp(0.0, 300.0);
+                    if kind > 0 {
+                        moved.push(NodeId::from(i));
                     }
+                }
+                moved.extend_from_within(..moved.len() / 2);
+                let fresh = Adjacency::build(field, &positions, range);
+                let keep = |m: NodeId| step[m.index() % step.len()].2 & 4 != 0;
+                let active: Vec<NodeId> = moved
+                    .iter()
+                    .copied()
+                    .filter(|&m| keep(m) || fresh.neighbors_changed(&adj, m))
+                    .collect();
+                let mut distinct = active.clone();
+                distinct.sort();
+                distinct.dedup();
+                let before = adj.clone();
+                let out = adj.patch_with_grid_active(
+                    &mut grid, &positions, range, &moved, &active, &mut changed, &mut scratch);
+                prop_assert_eq!(adj.canonical_csr(), fresh.canonical_csr());
+                assert_csr_invariants(&adj);
+                if let AdjacencyUpdate::Patched { rows_patched, rows_changed, .. } = out {
+                    prop_assert_eq!(rows_patched, distinct.len());
+                    prop_assert_eq!(rows_changed, changed.len());
+                    assert_patch_report(&before, &adj, &changed, &scratch);
                 }
             }
         }

@@ -27,13 +27,17 @@ impl BloomSet {
     /// A filter sized for about `expected` elements (~8 bits each, minimum
     /// 128 bits).
     pub fn with_capacity(expected: usize) -> Self {
-        let words = (expected * Self::BITS_PER_ELEMENT)
+        BloomSet {
+            words: vec![0u64; Self::words_for(expected)].into_boxed_slice(),
+        }
+    }
+
+    /// Word count of a filter sized for `expected` elements.
+    fn words_for(expected: usize) -> usize {
+        (expected * Self::BITS_PER_ELEMENT)
             .div_ceil(64)
             .next_power_of_two()
-            .max(2);
-        BloomSet {
-            words: vec![0u64; words].into_boxed_slice(),
-        }
+            .max(2)
     }
 
     /// SplitMix64 finalizer: both probe positions come from one mix.
@@ -73,6 +77,17 @@ impl BloomSet {
     /// Remove every element (keeps the allocated size).
     pub fn clear(&mut self) {
         self.words.fill(0);
+    }
+
+    /// Empty the filter and size it for about `expected` elements, exactly
+    /// as [`BloomSet::with_capacity`] would: cleared in place when that
+    /// size is the current one, reallocated otherwise.
+    pub fn reset(&mut self, expected: usize) {
+        if Self::words_for(expected) == self.words.len() {
+            self.clear();
+        } else {
+            *self = Self::with_capacity(expected);
+        }
     }
 
     /// Heap bytes held by the filter.
@@ -255,6 +270,20 @@ mod tests {
         f.clear();
         assert!(!f.may_contain(42));
         assert!(f.heap_bytes() >= 16);
+    }
+
+    #[test]
+    fn bloom_reset_equals_a_fresh_filter_of_that_capacity() {
+        let mut f = BloomSet::with_capacity(10);
+        f.insert(42);
+        f.reset(12); // same word count: cleared in place
+        assert_eq!(f, BloomSet::with_capacity(12));
+        f.insert(42);
+        f.reset(300); // grows
+        assert_eq!(f, BloomSet::with_capacity(300));
+        f.insert(42);
+        f.reset(0); // shrinks
+        assert_eq!(f, BloomSet::with_capacity(0));
     }
 
     #[test]
