@@ -140,11 +140,9 @@ fn bench_adjacency_rebuild(c: &mut Criterion) {
 }
 
 /// The cell-ball range scan head-to-head at n10000: the scalar f64 walk
-/// (`for_each_within`), the per-row gather kernel the patch path uses
-/// (`for_each_within_kernel`), and the entry-aligned mirror kernel the
-/// parallel rebuild streams (`for_each_within_mirror`, mirror fill
-/// amortized outside the timed region as in a real rebuild). Each id
-/// sweeps the same 512 query centers.
+/// of the oracle build (`for_each_within`) and the per-row gather kernel
+/// the patch uses (`for_each_within_kernel`). Each id sweeps the same 512
+/// query centers.
 fn bench_grid_kernel_scan(c: &mut Criterion) {
     use net_topology::plane::{KernelScratch, PositionPlane};
     let n = 10_000usize;
@@ -180,25 +178,6 @@ fn bench_grid_kernel_scan(c: &mut Criterion) {
                     &positions,
                     positions[q.index()],
                     scenario.tx_range,
-                    Some(q),
-                    &mut scratch,
-                    |_| visited += 1,
-                );
-            }
-            black_box(visited)
-        })
-    });
-    group.bench_function("mirror", |b| {
-        let mut scratch = KernelScratch::new();
-        grid.fill_lane_mirror(&plane, &mut scratch);
-        let band = plane.band(scenario.tx_range, grid.cell_side());
-        b.iter(|| {
-            let mut visited = 0usize;
-            for &q in &centers {
-                grid.for_each_within_mirror(
-                    band,
-                    &positions,
-                    positions[q.index()],
                     Some(q),
                     &mut scratch,
                     |_| visited += 1,
@@ -353,14 +332,15 @@ fn pipeline_traces(n: usize) -> Vec<(&'static str, MobilityTrace)> {
     ]
 }
 
-/// Mover-driven CSR adjacency patching per tick at N = 10000. Under the
-/// pedestrian (dwell) report the patch re-queries only the movers' cell
-/// neighborhoods and must sit several times under the
-/// `adjacency_rebuild/n10000` full path; under the vehicular report every
-/// tick trips the churn fallback, pricing the wholesale path through the
-/// patch entry point.
+/// Mover-driven CSR adjacency patching per tick at N = 10000, through the
+/// one patch entry `Network` calls. Under the pedestrian (dwell) report
+/// the patch re-queries only the movers' rows and must sit several times
+/// under the `adjacency_rebuild/n10000` full path; under the vehicular
+/// report every tick trips the churn fallback, pricing the parallel
+/// rebuild through the patch entry point.
 fn bench_adjacency_patch(c: &mut Criterion) {
     use net_topology::graph::PatchScratch;
+    use net_topology::plane::{KernelScratch, PositionPlane};
     let n = 10_000usize;
     let scenario = scaled_scenario(n);
     let mut group = c.benchmark_group(format!("adjacency_patch/n{n}"));
@@ -372,6 +352,8 @@ fn bench_adjacency_patch(c: &mut Criterion) {
                 &trace.snapshots[0],
                 scenario.tx_range,
             );
+            let mut plane = PositionPlane::with_positions(&trace.snapshots[0]);
+            let mut kscratch = KernelScratch::new();
             let mut scratch = PatchScratch::new();
             let mut changed = Vec::new();
             let mut prev = 0usize;
@@ -379,14 +361,17 @@ fn bench_adjacency_patch(c: &mut Criterion) {
             b.iter(|| {
                 i += 1;
                 let cur = trace.bounce(i);
-                let movers = trace.transition_movers(prev, cur);
+                let movers = black_box(trace.transition_movers(prev, cur));
                 let out = adj.patch_with_grid(
                     &mut grid,
+                    &mut plane,
                     &trace.snapshots[cur],
                     scenario.tx_range,
-                    black_box(movers),
+                    movers,
+                    movers,
                     &mut changed,
                     &mut scratch,
+                    &mut kscratch,
                 );
                 prev = cur;
                 black_box(out)

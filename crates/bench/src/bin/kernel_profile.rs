@@ -5,7 +5,6 @@
 use experiments::scale::scaled_scenario;
 use net_topology::graph::Adjacency;
 use net_topology::grid::SpatialGrid;
-use net_topology::node::NodeId;
 use net_topology::plane::{KernelScratch, PositionPlane};
 use std::time::Instant;
 
@@ -63,46 +62,4 @@ fn main() {
         grid.fill_lane_mirror(&plane, &mut scratch);
     }
     println!("fill_lane_mirror   {:>10.1?}", t.elapsed() / iters);
-
-    let band = plane.band(scenario.tx_range, grid.cell_side());
-    let mut rows: Vec<NodeId> = Vec::with_capacity(n * 12);
-    let mut lens: Vec<u32> = Vec::with_capacity(n);
-
-    let t = Instant::now();
-    for _ in 0..iters {
-        rows.clear();
-        for i in 0..n {
-            grid.for_each_within_mirror(
-                band,
-                &positions,
-                positions[i],
-                Some(NodeId::from(i)),
-                &mut scratch,
-                |id| rows.push(id),
-            );
-        }
-    }
-    println!("query only         {:>10.1?}", t.elapsed() / iters);
-    std::hint::black_box(&rows);
-
-    let t = Instant::now();
-    for _ in 0..iters {
-        rows.clear();
-        lens.clear();
-        for i in 0..n {
-            let start = rows.len();
-            grid.for_each_within_mirror(
-                band,
-                &positions,
-                positions[i],
-                Some(NodeId::from(i)),
-                &mut scratch,
-                |id| rows.push(id),
-            );
-            rows[start..].sort_unstable();
-            lens.push((rows.len() - start) as u32);
-        }
-    }
-    println!("query + sort       {:>10.1?}", t.elapsed() / iters);
-    std::hint::black_box((&rows, &lens));
 }

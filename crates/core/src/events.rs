@@ -1,20 +1,27 @@
-//! The event-driven simulation core.
+//! The event-driven simulation core: the one clock that steps a world.
 //!
-//! [`EventDriver`] re-platforms the mobile pipeline of
-//! [`CardWorld::run_mobile`] onto an externally-owned event schedule over a
-//! [`RegionalMobility`] partition. Three event kinds drive everything:
+//! [`EventDriver`] owns the only [`Engine`] that advances a [`CardWorld`]
+//! through virtual time; [`CardWorld::run_mobile`] is one `drive` of a
+//! fresh driver over an empty workload. It schedules any
+//! [`MobilityModel`] by the trait's region surface — a plain model is one
+//! region, a [`mobility::regional::RegionalMobility`] partition is many.
+//! Three event kinds drive everything:
 //!
 //! * **Regional mobility wake-ups** — each non-static region is woken on
 //!   the global tick lattice (`base + k · mobility_tick`) and advanced by
-//!   exactly the virtual time since its own last wake. In
-//!   [`DriveMode::Tick`] every region wakes every tick — the reference
-//!   schedule. In [`DriveMode::Event`] a region whose model reports a
-//!   quiescent window ([`mobility::MobilityModel::quiescent_for`]) sleeps
-//!   through `ceil(window / tick)` ticks and is advanced by the whole span
-//!   in one step at the wake where motion first becomes possible.
-//! * **Validation rounds** — `CardWorld::event_validation_round` on the
-//!   `base + 1 µs + m · validation_period` lattice, exactly as
-//!   `run_mobile` schedules them.
+//!   exactly the virtual time since its own last wake; all wakes of an
+//!   instant fold into one [`CardWorld::event_mobility_refresh`]. In
+//!   [`DriveMode::Event`] — the production schedule — a region whose
+//!   model reports a quiescent window
+//!   ([`MobilityModel::quiescent_for`]) sleeps through
+//!   `ceil(window / tick)` ticks and is advanced by the whole span in one
+//!   step at the wake where motion first becomes possible. In
+//!   [`DriveMode::Tick`] every region wakes every tick — the oracle
+//!   schedule the differential harnesses compare against.
+//! * **Validation rounds** — [`CardWorld::validation_round`] on the
+//!   `base + 1 µs + m · validation_period` lattice: the first round
+//!   effectively at the start (selection begins immediately), the 1 µs
+//!   offset so a coincident mobility update applies first.
 //! * **Workload arrivals** — queries and standing-query registrations at
 //!   pre-declared offsets, executed over the live world.
 //!
@@ -26,7 +33,7 @@
 //! this). The load-bearing facts:
 //!
 //! * Skipped wakes are observational no-ops: inside a quiescent window the
-//!   tick reference performs pure integer dwell-timer decrements — no
+//!   tick schedule performs pure integer dwell-timer decrements — no
 //!   position changes, no RNG draws, no dirty nodes — so eliding those
 //!   region-ticks (and their empty refreshes) leaves every observable
 //!   equal. The subdivision contract of `quiescent_for` makes the one big
@@ -38,8 +45,8 @@
 //!   delivers them ahead of any wake or round at the same instant; all
 //!   wakes at one instant are drained together, advanced in ascending
 //!   region order (per-region advances commute — disjoint position spans
-//!   and RNG streams), and folded into a *single* refresh, exactly like
-//!   the tick reference's whole-network advance.
+//!   and RNG streams), and folded into a *single* refresh, exactly like a
+//!   whole-network advance.
 //! * Wake and validation instants never collide: the constructor rejects
 //!   configurations where the `1 µs`-offset validation lattice can
 //!   intersect the tick lattice (`gcd(tick, period)` must exceed 1 µs).
@@ -48,16 +55,16 @@
 //! * Fault injection rides the ValidationRound lattice: an armed
 //!   `sim_core::faults` plan is applied inside
 //!   [`CardWorld::validation_round`] itself (crashes, rejoins, partition
-//!   windows — see the world module's fault section), so tick loops,
-//!   event drives and direct round calls replay one fault history by
-//!   construction; no separate fault event kind exists.
+//!   windows — see the world module's fault section), so either schedule
+//!   and a hand-stepped world replay one fault history by construction;
+//!   no separate fault event kind exists.
 //!
 //! At the end of each `drive` segment, regions still asleep are brought
 //! forward to the last tick-lattice instant before the horizon (a pure
 //! dwell decrement, asserted mover-free in debug builds), so both modes
 //! hand identical model state to whatever runs next.
 
-use mobility::regional::RegionalMobility;
+use mobility::model::MobilityModel;
 use net_topology::node::NodeId;
 use sim_core::engine::Engine;
 use sim_core::time::{SimDuration, SimTime};
@@ -71,7 +78,7 @@ enum CardEvent {
     /// Advance one mobility region (all wakes at an instant are drained
     /// and folded into one refresh).
     MobilityWake {
-        /// Region index into the [`RegionalMobility`] partition.
+        /// Region index into the model's partition.
         region: u32,
     },
     /// Validate contacts and recheck standing queries.
@@ -83,11 +90,12 @@ enum CardEvent {
 /// How the driver schedules regional mobility.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DriveMode {
-    /// Wake every non-static region every tick — the reference schedule,
-    /// equivalent to [`CardWorld::run_mobile`].
+    /// Wake every non-static region every tick — the oracle schedule
+    /// `event_equivalence.rs` / `fault_injection.rs` compare against.
     Tick,
     /// Let quiescent regions sleep through their still windows; wakes are
-    /// elided, not merely cheap.
+    /// elided, not merely cheap. What [`CardWorld::run_mobile`] and every
+    /// benchmark and scale tier run.
     Event,
 }
 
@@ -169,31 +177,27 @@ pub struct EventDriver {
     /// Scratch: global mover report of the instant being handled.
     movers: Vec<NodeId>,
     report: DriveReport,
-    /// Samples per mover-bearing refresh for the grid-residency audit.
-    audit_samples: usize,
 }
 
+/// Nodes sampled by the grid-residency audit on each mover-bearing refresh.
+const AUDIT_SAMPLES: usize = 8;
+
 impl EventDriver {
-    /// Build a driver over `world` and the `model` partition, scheduling
+    /// Build a driver over `world` and the regions of `model`, scheduling
     /// `workload` relative to the world's current instant. The same
     /// `model` must be passed to every subsequent [`EventDriver::drive`].
     ///
     /// # Panics
-    /// Panics if the partition does not cover the world's nodes, or if the
-    /// tick and validation lattices can collide (`gcd(mobility_tick,
-    /// validation_period)` must exceed 1 µs — satisfied whenever the tick
-    /// divides the period and is at least 2 µs, as with the defaults).
-    pub fn new(
+    /// Panics if the tick and validation lattices can collide
+    /// (`gcd(mobility_tick, validation_period)` must exceed 1 µs —
+    /// satisfied whenever the tick divides the period and is at least
+    /// 2 µs, as with the defaults).
+    pub fn new<M: MobilityModel + ?Sized>(
         world: &CardWorld,
-        model: &RegionalMobility,
+        model: &M,
         mode: DriveMode,
         workload: Vec<Arrival>,
     ) -> Self {
-        assert_eq!(
-            model.node_count(),
-            world.network().node_count(),
-            "mobility partition must cover the network"
-        );
         let tick = world.config().mobility_tick;
         let period = world.config().validation_period;
         assert!(
@@ -209,8 +213,6 @@ impl EventDriver {
         for (i, a) in workload.iter().enumerate() {
             engine.schedule_at(base + a.at, CardEvent::Arrival { index: i as u32 });
         }
-        // Wakes before the round, mirroring `run_mobile`'s construction
-        // order (the lattices themselves never collide; see above).
         for r in 0..model.region_count() {
             if !model.region_is_static(r) {
                 engine.schedule_at(base + tick, CardEvent::MobilityWake { region: r as u32 });
@@ -230,7 +232,6 @@ impl EventDriver {
             due: Vec::new(),
             movers: Vec::new(),
             report: DriveReport::default(),
-            audit_samples: 8,
         }
     }
 
@@ -244,20 +245,18 @@ impl EventDriver {
         &self.report
     }
 
-    /// Samples per mover-bearing refresh for the sampled grid audit
-    /// (default 8; 0 disables). Both modes of an equivalence pair must use
-    /// the same value.
-    pub fn set_audit_samples(&mut self, samples: usize) {
-        self.audit_samples = samples;
-    }
-
     /// Advance the world by `duration` of virtual time, delivering every
     /// event strictly before the new horizon. Segments stack: driving
     /// twice for `d` equals driving once for `2 d`.
-    pub fn drive(
+    ///
+    /// # Panics
+    /// Panics at the first wake if `model` does not cover the world's
+    /// nodes ("mobility partition must cover the network" for a regional
+    /// partition; each plain model names its own node count).
+    pub fn drive<M: MobilityModel + ?Sized>(
         &mut self,
         world: &mut CardWorld,
-        model: &mut RegionalMobility,
+        model: &mut M,
         duration: SimDuration,
     ) {
         let tick = world.config().mobility_tick;
@@ -271,7 +270,7 @@ impl EventDriver {
                     self.handle_wakes(world, model, t, region, tick);
                 }
                 CardEvent::ValidationRound => {
-                    world.event_validation_round();
+                    world.validation_round();
                     self.report.validation_rounds += 1;
                     self.engine
                         .schedule_in(world.config().validation_period, CardEvent::ValidationRound);
@@ -298,12 +297,11 @@ impl EventDriver {
     /// FIFO tie-break guarantees no arrival can still be queued at `t`,
     /// and the lattice assertion keeps rounds off tick instants), advance
     /// the due regions in ascending order, then fold the union mover
-    /// report into one refresh — the same single refresh per instant the
-    /// tick reference performs.
-    fn handle_wakes(
+    /// report into one refresh per instant.
+    fn handle_wakes<M: MobilityModel + ?Sized>(
         &mut self,
         world: &mut CardWorld,
-        model: &mut RegionalMobility,
+        model: &mut M,
         t: SimTime,
         first: u32,
         tick: SimDuration,
@@ -356,7 +354,7 @@ impl EventDriver {
         );
         self.report.refreshes += 1;
         self.report.audit_violations +=
-            world.event_mobility_refresh(&self.movers, self.audit_samples) as u64;
+            world.event_mobility_refresh(&self.movers, AUDIT_SAMPLES) as u64;
     }
 
     /// Bring every lagging region forward to the last tick-lattice instant
@@ -364,10 +362,10 @@ impl EventDriver {
     /// model state. The caught-up span lies inside a quiescent window (the
     /// region's next wake is at or past `end`), so the advance is a pure
     /// dwell decrement — asserted mover-free in debug builds.
-    fn finalize_segment(
+    fn finalize_segment<M: MobilityModel + ?Sized>(
         &mut self,
         world: &mut CardWorld,
-        model: &mut RegionalMobility,
+        model: &mut M,
         end: SimTime,
         tick: SimDuration,
     ) {
@@ -410,8 +408,10 @@ fn gcd(a: u64, b: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::config::CardConfig;
+    use mobility::regional::RegionalMobility;
     use mobility::statics::StaticModel;
     use mobility::walk::RandomWalk;
+    use mobility::waypoint::RandomWaypoint;
     use net_topology::scenario::Scenario;
     use sim_core::rng::SeedSplitter;
 
@@ -460,38 +460,6 @@ mod tests {
             Box::new(dwell_region(n - n / 2, pause, 6, field)),
         );
         m
-    }
-
-    #[test]
-    fn tick_mode_matches_run_mobile_reference() {
-        // A tick-mode driver with an empty workload is `run_mobile` with a
-        // different loop skeleton: world state must agree exactly.
-        let mut legacy = world();
-        let mut legacy_model = partition(&legacy, 0.7);
-        legacy.run_mobile(&mut legacy_model, SimDuration::from_secs(3));
-
-        let mut driven = world();
-        let mut driven_model = partition(&driven, 0.7);
-        let mut driver = EventDriver::new(&driven, &driven_model, DriveMode::Tick, Vec::new());
-        driver.set_audit_samples(0); // run_mobile never audits
-        driver.drive(&mut driven, &mut driven_model, SimDuration::from_secs(3));
-
-        assert_eq!(driven.now(), legacy.now());
-        assert_eq!(
-            driven.network().adj().canonical_csr(),
-            legacy.network().adj().canonical_csr()
-        );
-        assert_eq!(
-            driven.stats().series_where(|_| true),
-            legacy.stats().series_where(|_| true)
-        );
-        assert_eq!(driven.maintenance_totals(), legacy.maintenance_totals());
-        assert_eq!(driver.report().validation_rounds, 3);
-        assert_eq!(
-            driver.report().region_ticks_skipped,
-            0,
-            "tick mode skips nothing"
-        );
     }
 
     #[test]
@@ -562,21 +530,41 @@ mod tests {
 
     #[test]
     fn segments_stack_like_one_long_drive() {
-        let run = |chunks: &[u64]| {
-            let mut w = world();
-            let mut model = partition(&w, 0.9);
-            let mut driver = EventDriver::new(&w, &model, DriveMode::Event, Vec::new());
+        let start = world();
+        let run = |mode: DriveMode, model: &mut dyn MobilityModel, chunks: &[u64]| {
+            let mut w = start.clone();
+            let mut driver = EventDriver::new(&w, model, mode, Vec::new());
             for &ms in chunks {
-                driver.drive(&mut w, &mut model, SimDuration::from_millis(ms));
+                driver.drive(&mut w, model, SimDuration::from_millis(ms));
             }
             (
                 w.now(),
+                w.network().positions().to_vec(),
                 w.network().adj().canonical_csr(),
                 w.stats().series_where(|_| true),
             )
         };
-        // 3 s in one go vs awkward non-lattice splits
-        assert_eq!(run(&[3000]), run(&[1250, 50, 1700]));
+        // A regional partition with skippable dwell windows, or a plain
+        // model scheduled as one region (what `run_mobile` is handed).
+        let model = |regional: bool| -> Box<dyn MobilityModel> {
+            if regional {
+                return Box::new(partition(&start, 0.9));
+            }
+            let rng = SeedSplitter::new(7).stream("mobility", 0);
+            let field = start.network().field();
+            Box::new(RandomWaypoint::new(120, field, 5.0, 10.0, 0.5, rng))
+        };
+        for regional in [true, false] {
+            for mode in [DriveMode::Event, DriveMode::Tick] {
+                // 3 s in one go vs awkward non-lattice splits, and vs
+                // per-second segments ending exactly on a tick instant (the
+                // seam a fresh schedule per segment would drop a tick at).
+                let whole = run(mode, model(regional).as_mut(), &[3000]);
+                for chunks in [&[1250, 50, 1700], &[1000, 1000, 1000]] {
+                    assert_eq!(whole, run(mode, model(regional).as_mut(), chunks));
+                }
+            }
+        }
     }
 
     #[test]
@@ -589,6 +577,17 @@ mod tests {
         let mut m = RegionalMobility::new();
         m.push_region(w.network().node_count(), Box::new(StaticModel));
         let _ = EventDriver::new(&w, &m, DriveMode::Event, Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "must cover the network")]
+    fn short_partition_rejected_at_its_first_wake() {
+        let mut w = world();
+        let mut m = RegionalMobility::new();
+        let field = w.network().field();
+        m.push_region(60, Box::new(dwell_region(60, 0.5, 5, field)));
+        let mut driver = EventDriver::new(&w, &m, DriveMode::Event, Vec::new());
+        driver.drive(&mut w, &mut m, SimDuration::from_secs(1));
     }
 
     #[test]

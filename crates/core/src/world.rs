@@ -1,10 +1,12 @@
 //! `CardWorld` — the complete protocol-over-network world.
 //!
 //! Couples a [`Network`] with per-node CARD state (contact tables, RNG
-//! streams) and drives the event loop of the mobile experiments: mobility
-//! ticks (topology refresh) interleaved with per-period validation rounds
-//! (§III.C.3) and re-selection (rule 5). All static analyses (reachability,
-//! one-shot selection, queries) are direct method calls.
+//! streams). Everything the protocol does is a direct method call on the
+//! world — one-shot selection, a validation round with re-selection
+//! (§III.C.3, rule 5) and the standing-query recheck, queries,
+//! reachability. The world owns no clock: [`crate::events::EventDriver`]
+//! steps it through virtual time (mobility wake-ups interleaved with
+//! per-period rounds), and [`CardWorld::run_mobile`] is one drive of it.
 //!
 //! ## Shard-owned protocol state
 //!
@@ -99,10 +101,10 @@
 //! fault stages (event application, tombstones and retry windows, the
 //! retry drain) only when a plan is armed, and the one query body takes
 //! the fault view as its edge veto. Fault application is fused to the
-//! validation round itself: every driver (the tick loop, the event
-//! driver, direct calls) applies round `r`'s node events and partition
-//! transitions immediately before executing round `r`, so tick and
-//! event modes see identical fault histories by construction. All fault
+//! validation round itself: round `r`'s node events and partition
+//! transitions apply immediately before round `r` executes, whether the
+//! event driver (either drive mode) or a direct call runs it, so all see
+//! identical fault histories by construction. All fault
 //! decisions key on protocol content (node ids, rounds, message
 //! payloads) hashed with the plan seed — never on shard or worker
 //! coordinates — which keeps a faulted run bit-identical at any shard
@@ -118,7 +120,6 @@ use manet_routing::network::Network;
 use mobility::model::MobilityModel;
 use net_topology::node::NodeId;
 use net_topology::scenario::Scenario;
-use sim_core::engine::Engine;
 use sim_core::faults::{FaultPlan, FaultState, NodeFaultKind};
 use sim_core::par::{max_workers, parallel_shard_map, shard_spans};
 use sim_core::plane::{MessagePlane, PlaneStats};
@@ -129,6 +130,7 @@ use sim_core::time::{SimDuration, SimTime};
 use crate::config::CardConfig;
 use crate::contact::{ContactTable, TableSource};
 use crate::csq::{select_contacts, CsqScratch, ALL_EDGE_NODES};
+use crate::events::{DriveMode, EventDriver};
 use crate::hints::{HintDeposit, HintKey, HintLookup, HintStats, HintStore, Lookup};
 use crate::maintenance::{path_shard_crossings, validate_contacts, ValidationReport};
 use crate::query::{
@@ -499,15 +501,6 @@ struct ShardDelta {
     liveness_violations: u64,
 }
 
-/// Simulation events of the mobile run loop.
-enum SimEvent {
-    /// Move nodes, then incrementally refresh connectivity and the dirty
-    /// neighborhood tables (see [`Network::refresh`]).
-    MobilityTick,
-    /// Validate every node's contacts; re-select up to NoC (§III.C.3.5).
-    ValidationRound,
-}
-
 /// The CARD world: network + shard-owned protocol state + measurement.
 ///
 /// `Clone` snapshots the entire world — network, shards, RNG streams,
@@ -518,7 +511,7 @@ pub struct CardWorld {
     net: Network,
     cfg: CardConfig,
     stats: MsgStats,
-    /// Absolute virtual time reached so far (advanced by `run_mobile`).
+    /// Absolute virtual time reached so far (advanced by the event driver).
     now: SimTime,
     /// (time, total live contacts) after each validation round (Fig 13).
     contacts_series: TimeSeries,
@@ -769,7 +762,7 @@ impl CardWorld {
     }
 
     /// Stage-by-stage work counters of the network's last topology
-    /// refresh. Mobility ticks inside [`CardWorld::run_mobile`] run the
+    /// refresh. A driven world's mobility ticks run the
     /// mover-driven pipeline (mobility reports its movers, the grid and
     /// CSR adjacency are patched around them), and these counters are the
     /// observability hook: movers reported, grid entries re-bucketed,
@@ -1180,8 +1173,10 @@ impl CardWorld {
     /// reference. Span-boundary crossings of the validated paths are
     /// metered into [`PlaneStats::metered_crossings`]. With a fault plan
     /// armed the round first applies its scheduled fault events and
-    /// finally re-runs the due query retries — fused here so every driver
-    /// sees one fault history.
+    /// re-runs the due query retries after the sweep — fused here so a
+    /// driven and a hand-stepped world see one fault history. The round
+    /// ends by rechecking every standing query (nothing on an empty
+    /// table), which makes this *the* round entry either way.
     ///
     /// Re-selection is throttled twice, which is what keeps steady-state
     /// overhead at the per-node magnitudes of Figs 10–13 (the paper's
@@ -1247,6 +1242,13 @@ impl CardWorld {
         self.contacts_series
             .push(self.now, self.total_contacts() as f64);
         self.drain_query_retries();
+        // Maintenance may rewrite contact tables wholesale, so every
+        // standing chain is rechecked (a broken subscription uses the
+        // round as its retry heartbeat).
+        if !self.standing.is_empty() {
+            self.standing.mark_all();
+            self.standing_revalidate_marked();
+        }
     }
 
     /// Advance the freshness epoch of every hint span (all spans move
@@ -1706,58 +1708,22 @@ impl CardWorld {
         ReachabilitySummary::compute(&self.net, self.contact_tables(), depth)
     }
 
-    /// Run the mobile protocol loop for `duration`: mobility ticks every
-    /// `cfg.mobility_tick`, validation rounds every `cfg.validation_period`
-    /// (offset by 1 µs so coincident mobility updates apply first).
-    ///
-    /// Virtual time (`now()`), statistics and the contacts series all
-    /// advance; calling `run_mobile` again continues the same timeline.
+    /// Run the mobile protocol for `duration` under [`EventDriver`]'s
+    /// production schedule: mobility wake-ups on the `cfg.mobility_tick`
+    /// lattice, validation rounds every `cfg.validation_period`, no
+    /// workload. Virtual time (`now()`), statistics and the contacts series
+    /// all advance, and a later call continues the timeline — but each
+    /// call is one *fresh* schedule whose tick lattice restarts at `now()`
+    /// and whose first round runs at once. To stack segments on one
+    /// lattice (`d` twice ≡ `2 d` once), hold an [`EventDriver`] and
+    /// `drive` it per segment.
     pub fn run_mobile(&mut self, model: &mut dyn MobilityModel, duration: SimDuration) {
-        let base = self.now;
-        let mut engine: Engine<SimEvent> = Engine::with_horizon(SimTime::ZERO + duration);
-        if !model.is_static() {
-            engine.schedule_at(
-                SimTime::ZERO + self.cfg.mobility_tick,
-                SimEvent::MobilityTick,
-            );
-        }
-        // First round effectively at t=0 (selection starts immediately),
-        // then every period; the 1 µs offset makes coincident mobility
-        // ticks apply before the round.
-        engine.schedule_at(
-            SimTime::ZERO + SimDuration::from_micros(1),
-            SimEvent::ValidationRound,
-        );
-
-        while let Some((t, ev)) = engine.next_event() {
-            self.now = base + t.since(SimTime::ZERO);
-            match ev {
-                SimEvent::MobilityTick => {
-                    self.net.advance(model, self.cfg.mobility_tick);
-                    // Mobility invalidation: hints *held at* nodes whose
-                    // neighborhood changed point along links that may be
-                    // gone, so evict them eagerly.
-                    self.evict_dirty_hints();
-                    engine.schedule_in(self.cfg.mobility_tick, SimEvent::MobilityTick);
-                }
-                SimEvent::ValidationRound => {
-                    self.validation_round();
-                    engine.schedule_in(self.cfg.validation_period, SimEvent::ValidationRound);
-                }
-            }
-        }
-        self.now = base + duration;
+        EventDriver::new(self, model, DriveMode::Event, Vec::new()).drive(self, model, duration);
     }
 
     // -----------------------------------------------------------------
-    // Event-driven pipeline hooks (see `crate::events::EventDriver`).
-    //
-    // `run_mobile` above is the retained tick-synchronous reference; the
-    // methods below expose its per-event bodies so the driver can invoke
-    // them from an externally-owned schedule. Each one must stay
-    // bit-identical to the corresponding arm of `run_mobile` (plus the
-    // standing-query and audit extensions, which both drive modes share),
-    // which `tests/event_equivalence.rs` pins.
+    // What `crate::events::EventDriver` steps a world through, besides
+    // `validation_round`, `query` and `standing_register`.
     // -----------------------------------------------------------------
 
     /// Advance the virtual clock to `t` (event delivery). Never rewinds.
@@ -1773,13 +1739,13 @@ impl CardWorld {
         self.net.positions_mut()
     }
 
-    /// The post-motion half of a mobility tick, factored out of
-    /// [`CardWorld::run_mobile`]'s `MobilityTick` arm: refresh connectivity
-    /// around `movers`, evict route hints held at dirty nodes, revalidate
-    /// the standing queries whose chains the dirty set touches, and (only
-    /// when something moved — so both drive modes advance the sampling
-    /// cursor identically) run the sampled grid-residency audit. Returns
-    /// the number of audit violations (0 in a healthy pipeline).
+    /// The post-motion half of a mobility tick: refresh connectivity
+    /// around `movers`, evict route hints held at dirty nodes (they point
+    /// along links that may be gone), revalidate the standing queries
+    /// whose chains the dirty set touches, and (only when something moved
+    /// — so both drive modes advance the sampling cursor identically) run
+    /// the sampled grid-residency audit. Returns the number of audit
+    /// violations (0 in a healthy pipeline).
     pub fn event_mobility_refresh(&mut self, movers: &[NodeId], audit_samples: usize) -> usize {
         self.net.refresh_movers(movers);
         self.evict_dirty_hints();
@@ -1798,18 +1764,6 @@ impl CardWorld {
             0
         } else {
             self.net.audit_grid_residency(audit_samples)
-        }
-    }
-
-    /// A validation round plus the standing-query recheck: maintenance may
-    /// rewrite contact tables wholesale, so every standing chain is marked
-    /// and revalidated (broken queries use the round as their retry
-    /// heartbeat).
-    pub fn event_validation_round(&mut self) {
-        self.validation_round();
-        if !self.standing.is_empty() {
-            self.standing.mark_all();
-            self.standing_revalidate_marked();
         }
     }
 
@@ -2090,6 +2044,29 @@ mod tests {
             w.maintenance_totals().recovered > 0,
             "mild mobility should exercise local recovery"
         );
+    }
+
+    #[test]
+    fn standing_queries_are_rechecked_by_mobile_runs_and_by_hand_stepped_rounds() {
+        let mut w = CardWorld::build(&scenario(), cfg());
+        w.select_all_contacts();
+        for i in 0..20 {
+            w.standing_register(NodeId::new(i), NodeId::new(149 - i));
+        }
+        let mut model = RandomWaypoint::new(
+            150,
+            w.network().field(),
+            5.0,
+            10.0,
+            0.0,
+            SeedSplitter::new(7).stream("mobility", 0),
+        );
+        w.run_mobile(&mut model, SimDuration::from_secs(6));
+        let driven = w.standing_queries().stats().revalidations;
+        assert!(driven > 0, "a mobile run must recheck its subscriptions");
+        // A round stepped by hand rechecks every subscription once.
+        w.validation_round();
+        assert_eq!(w.standing_queries().stats().revalidations, driven + 20);
     }
 
     #[test]

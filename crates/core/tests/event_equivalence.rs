@@ -1,11 +1,11 @@
-//! Differential harness pinning the event-driven core to the tick
-//! reference.
+//! Differential harness pinning the production schedule to its oracle.
 //!
 //! Two identical worlds are driven through the same virtual timeline and
-//! the same workload — one by a [`DriveMode::Tick`] driver (every region
-//! wakes every tick, the faithful re-skeleton of `run_mobile`), one by a
-//! [`DriveMode::Event`] driver (quiescent regions sleep through their
-//! still windows). At every synchronization instant (each `drive` segment
+//! the same workload by the one `EventDriver` — one under the
+//! [`DriveMode::Tick`] schedule (every region wakes every tick: the
+//! oracle, run nowhere else), one under [`DriveMode::Event`] (quiescent
+//! regions sleep through their still windows: what `run_mobile`, the
+//! benchmark and the scale tiers run). At every synchronization instant (each `drive` segment
 //! boundary) the full observable state must be **bit-identical**:
 //! canonical CSR adjacency, per-node neighborhood tables (members and hop
 //! distances), contact tables (ids and paths), exact node positions, the

@@ -256,8 +256,11 @@ impl Network {
         &self.positions
     }
 
-    /// Mutable node positions (custom placements in tests/benches; callers
-    /// must follow with [`Network::refresh`] or [`Network::refresh_full`]).
+    /// Mutable node positions. Every write must be followed by a refresh:
+    /// [`Network::refresh_movers`] with a report covering the written
+    /// nodes (what the event driver does after a per-region mobility
+    /// advance), or the report-free [`Network::refresh`] /
+    /// [`Network::refresh_full`] (custom placements in tests and benches).
     pub fn positions_mut(&mut self) -> &mut [Point2] {
         &mut self.positions
     }
@@ -371,7 +374,7 @@ impl Network {
         // refreshed first); link decisions are bit-identical to the
         // scalar f64 scan.
         self.kernel_scratch.stats = KernelStats::default();
-        let outcome = self.adj.patch_with_grid_kernel(
+        let outcome = self.adj.patch_with_grid(
             &mut self.grid,
             &mut self.plane,
             &self.positions,

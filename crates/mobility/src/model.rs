@@ -68,6 +68,48 @@ pub trait MobilityModel {
     fn quiescent_for(&self) -> Option<SimDuration> {
         None
     }
+
+    /// Number of independently schedulable *regions*: contiguous id spans
+    /// with their own kinematic state and randomness, so that per-region
+    /// advances at one instant commute. A plain model is one region — the
+    /// default of this and the three methods below;
+    /// [`crate::regional::RegionalMobility`] overrides all four.
+    fn region_count(&self) -> usize {
+        1
+    }
+
+    /// Whether region `r` is static (never needs waking).
+    fn region_is_static(&self, _r: usize) -> bool {
+        self.is_static()
+    }
+
+    /// Region `r`'s quiescent window, if any (see
+    /// [`MobilityModel::quiescent_for`]).
+    fn region_quiescent_for(&self, _r: usize) -> Option<SimDuration> {
+        self.quiescent_for()
+    }
+
+    /// Advance only region `r` by `dt`, *appending* its movers to `movers`
+    /// as global node ids (ascending within the region). `positions` is the
+    /// full global slice.
+    ///
+    /// # Panics
+    /// Panics if `r` is not a region of this model.
+    fn advance_region_reporting(
+        &mut self,
+        r: usize,
+        positions: &mut [Point2],
+        dt: SimDuration,
+        movers: &mut Vec<NodeId>,
+    ) {
+        assert_eq!(r, 0, "a plain model is one region");
+        // `advance_reporting` clears its output, so what `movers` held is
+        // set aside (nothing, hence no allocation, when region 0 reports
+        // first — as under a driver) and put back in front.
+        let held = movers.to_vec();
+        self.advance_reporting(positions, dt, movers);
+        movers.splice(0..0, held);
+    }
 }
 
 #[cfg(test)]
@@ -105,5 +147,14 @@ mod tests {
         m.advance_reporting(&mut pos, SimDuration::from_secs(1), &mut movers);
         let expect: Vec<NodeId> = NodeId::all(4).collect();
         assert_eq!(movers, expect);
+        // The default region surface is that same model as region 0, its
+        // report appended rather than replacing.
+        assert_eq!(m.region_count(), 1);
+        assert!(!m.region_is_static(0));
+        assert_eq!(m.region_quiescent_for(0), None);
+        let mut appended = vec![NodeId::new(99)];
+        m.advance_region_reporting(0, &mut pos, SimDuration::from_secs(1), &mut appended);
+        assert_eq!(appended[0], NodeId::new(99));
+        assert_eq!(appended[1..], expect[..]);
     }
 }

@@ -2,16 +2,18 @@
 //!
 //! [`RegionalMobility`] partitions the node id space into contiguous
 //! *regions*, each owned by an independent [`MobilityModel`] over its own
-//! position sub-slice. The composite is itself a `MobilityModel`, so the
-//! tick-synchronous pipeline drives it unchanged; the point of the split is
-//! the *event-driven* driver, which advances each region on its own
-//! schedule: a region whose model reports a quiescent window
-//! ([`MobilityModel::quiescent_for`]) sleeps until the window expires
+//! position sub-slice. It is the one model that overrides the trait's
+//! region surface ([`MobilityModel::region_count`] and the three methods
+//! beside it; every other model is a single region), which is what a
+//! driver schedules by: a region whose model reports a quiescent window
+//! ([`MobilityModel::quiescent_for`]) can sleep until the window expires
 //! instead of being woken every tick. Because each region owns its RNG
 //! stream and a disjoint slice of positions, per-region advances commute —
 //! waking regions in any order at the same instant produces the same state
-//! — which is what keeps the event schedule bit-identical to the tick
-//! reference.
+//! — so a schedule that skips still regions is bit-identical to one that
+//! wakes every region every tick. Advanced as a whole
+//! ([`MobilityModel::advance_reporting`]) the composite is every region
+//! stepped in ascending order.
 
 use crate::model::MobilityModel;
 use net_topology::geometry::Point2;
@@ -49,11 +51,6 @@ impl RegionalMobility {
         self.models.push(model);
     }
 
-    /// Number of regions.
-    pub fn region_count(&self) -> usize {
-        self.models.len()
-    }
-
     /// Total number of nodes across all regions.
     pub fn node_count(&self) -> usize {
         self.spans.last().map_or(0, |s| s.end)
@@ -62,44 +59,6 @@ impl RegionalMobility {
     /// The global id range region `r` owns.
     pub fn region_span(&self, r: usize) -> Range<usize> {
         self.spans[r].clone()
-    }
-
-    /// Whether region `r`'s model is static (never needs waking).
-    pub fn region_is_static(&self, r: usize) -> bool {
-        self.models[r].is_static()
-    }
-
-    /// Region `r`'s quiescent window, if any (see
-    /// [`MobilityModel::quiescent_for`]).
-    pub fn region_quiescent_for(&self, r: usize) -> Option<SimDuration> {
-        self.models[r].quiescent_for()
-    }
-
-    /// Advance only region `r` by `dt`, *appending* its movers to `movers`
-    /// as global node ids (ascending within the region). `positions` is the
-    /// full global slice; the region's sub-slice is carved out internally.
-    pub fn advance_region_reporting(
-        &mut self,
-        r: usize,
-        positions: &mut [Point2],
-        dt: SimDuration,
-        movers: &mut Vec<NodeId>,
-    ) {
-        let span = self.spans[r].clone();
-        assert!(
-            span.end <= positions.len(),
-            "region {r} spans {span:?} but only {} positions given",
-            positions.len()
-        );
-        let RegionalMobility {
-            models, scratch, ..
-        } = self;
-        models[r].advance_reporting(&mut positions[span.clone()], dt, scratch);
-        movers.extend(
-            scratch
-                .iter()
-                .map(|id| NodeId::from(span.start + id.index())),
-        );
     }
 }
 
@@ -122,26 +81,11 @@ impl MobilityModel for RegionalMobility {
         dt: SimDuration,
         movers: &mut Vec<NodeId>,
     ) {
-        assert_eq!(
-            positions.len(),
-            self.node_count(),
-            "RegionalMobility built for {} nodes",
-            self.node_count()
-        );
         movers.clear();
         // Regions ascend and each reports ascending local ids, so the
         // concatenated global report is ascending too.
         for r in 0..self.models.len() {
-            let span = self.spans[r].clone();
-            let RegionalMobility {
-                models, scratch, ..
-            } = self;
-            models[r].advance_reporting(&mut positions[span.clone()], dt, scratch);
-            movers.extend(
-                scratch
-                    .iter()
-                    .map(|id| NodeId::from(span.start + id.index())),
-            );
+            self.advance_region_reporting(r, positions, dt, movers);
         }
     }
 
@@ -169,6 +113,46 @@ impl MobilityModel for RegionalMobility {
             });
         }
         min
+    }
+
+    fn region_count(&self) -> usize {
+        self.models.len()
+    }
+
+    fn region_is_static(&self, r: usize) -> bool {
+        self.models[r].is_static()
+    }
+
+    fn region_quiescent_for(&self, r: usize) -> Option<SimDuration> {
+        self.models[r].quiescent_for()
+    }
+
+    /// The region's sub-slice of `positions` is carved out internally.
+    ///
+    /// # Panics
+    /// Panics if `positions` is not the whole slice the partition covers.
+    fn advance_region_reporting(
+        &mut self,
+        r: usize,
+        positions: &mut [Point2],
+        dt: SimDuration,
+        movers: &mut Vec<NodeId>,
+    ) {
+        assert_eq!(
+            positions.len(),
+            self.node_count(),
+            "mobility partition must cover the network"
+        );
+        let span = self.spans[r].clone();
+        let RegionalMobility {
+            models, scratch, ..
+        } = self;
+        models[r].advance_reporting(&mut positions[span.clone()], dt, scratch);
+        movers.extend(
+            scratch
+                .iter()
+                .map(|id| NodeId::from(span.start + id.index())),
+        );
     }
 }
 

@@ -17,20 +17,28 @@
 //! rebuilds in place with zero per-node allocation, and BFS walks touch
 //! one contiguous cache-friendly buffer.
 //!
-//! ## Mover-driven patching
+//! ## One patch, one rebuild, one oracle
 //!
-//! [`Adjacency::rebuild_with_grid`] re-queries the 3×3 cell ball of *every*
-//! node — O(N · avg-degree) per call. It stays as the reference path, but
-//! the mobility hot path is [`Adjacency::patch_with_grid`], an **edge
-//! diff**: a link can only appear or disappear if a mover is one of its
-//! endpoints, so only the movers' rows are re-queried. Each mover's sorted
-//! old row is merge-diffed against its new one, and every appeared or
-//! disappeared neighbor that is not itself a mover gets the matching
-//! half-edge inserted into / removed from its row in place, inside the
-//! slack. A row outgrowing its slack triggers a whole-CSR compaction that
-//! re-provisions slack (rare); mover churn past a threshold falls back to
-//! the full rebuild, so heavy motion degrades to exactly the old cost
-//! rather than to patch churn.
+//! * [`Adjacency::patch_with_grid`] — the mobility hot path and the only
+//!   patch entry, an **edge diff**: a link can only appear or disappear if
+//!   a mover is one of its endpoints, so only the (active) movers' rows
+//!   are re-queried, through the f32 gather kernel
+//!   ([`SpatialGrid::for_each_within_kernel`]). Each mover's sorted old row
+//!   is merge-diffed against its new one, and every appeared or
+//!   disappeared neighbor that is not itself a mover gets the matching
+//!   half-edge inserted into / removed from its row in place, inside the
+//!   slack. A row outgrowing its slack triggers a whole-CSR compaction
+//!   that re-provisions slack (rare).
+//! * [`Adjacency::rebuild_with_grid_parallel`] — the wholesale production
+//!   build, and the patch's fallback when mover churn passes a threshold:
+//!   heavy motion degrades to exactly the rebuild's cost rather than to
+//!   patch churn. It streams half cell balls through the same two-phase
+//!   kernel over an entry-aligned lane mirror.
+//! * [`Adjacency::build`] / [`Adjacency::rebuild_with_grid`] — the scalar
+//!   f64 build over [`SpatialGrid::for_each_within`], re-querying the 3×3
+//!   cell ball of *every* node: the layer's one oracle. Tests compare the
+//!   patch and the parallel rebuild against it (canonical CSR); nothing on
+//!   a mobility tick calls it.
 //!
 //! `add_edge` / `remove_edge` splice a single row in place (growing the
 //! CSR only when the row's slack is exhausted); they exist for tests and
@@ -320,10 +328,10 @@ impl Adjacency {
     }
 
     /// Would [`Adjacency::patch_with_grid`] take the patch path (rather
-    /// than the churn fallback) for `movers` moved nodes out of `n`?
-    /// Callers that must do per-tick work *before* patching (e.g. the
-    /// double-buffer snapshot copy in `Network`) use this to skip that
-    /// work when the fallback would run anyway.
+    /// than the churn fallback) for `movers` active movers out of `n`?
+    /// `Network::refresh_movers` asks first: when the fallback would run
+    /// anyway it takes the report-free refresh, whose all-rows diff
+    /// recovers the changed set a wholesale rebuild cannot report.
     #[inline]
     pub fn patch_viable(n: usize, movers: usize) -> bool {
         movers <= Self::patch_budget(n)
@@ -360,9 +368,10 @@ impl Adjacency {
     }
 
     /// Rebuild in place (reusing the CSR buffers) from new positions,
-    /// re-querying the grid for **every** node and re-provisioning row
-    /// slack. This is the wholesale reference path; the mobility hot path
-    /// is [`Adjacency::patch_with_grid`].
+    /// re-querying the grid for **every** node with the scalar f64 scan
+    /// and re-provisioning row slack. This is the oracle the kernel paths
+    /// ([`Adjacency::patch_with_grid`],
+    /// [`Adjacency::rebuild_with_grid_parallel`]) are tested against.
     ///
     /// The grid is brought up to date with [`SpatialGrid::update`]: only
     /// nodes that crossed a cell boundary are re-bucketed (with automatic
@@ -494,7 +503,6 @@ impl Adjacency {
                             positions,
                             center,
                             min_id,
-                            None,
                             cand,
                             &mut out.stats,
                             &mut |nb| out.pairs.push((id, nb)),
@@ -585,11 +593,15 @@ impl Adjacency {
 
     /// Patch the CSR in place after a mobility tick, given the nodes whose
     /// positions changed (`moved`, from
-    /// `MobilityModel::advance_reporting`). Only the movers' rows are
-    /// re-queried: an edge can only appear or disappear if at least one
-    /// endpoint moved, so each mover's old row is diffed against its new
-    /// one and the non-mover end of every flipped link takes a half-edge
-    /// insert or remove; everyone else's row is provably unchanged.
+    /// `MobilityModel::advance_reporting`) and the subset of them whose
+    /// rows need a look (`active`). Only the active movers' rows are
+    /// re-queried — through the gather kernel
+    /// ([`SpatialGrid::for_each_within_kernel`]): an edge can only appear
+    /// or disappear if at least one endpoint moved, so each mover's old row
+    /// is diffed against its new one and the non-mover end of every
+    /// flipped link takes a half-edge insert or remove; everyone else's
+    /// row is provably unchanged. The grid's cell residency and the plane
+    /// are brought up to date from the full `moved` report.
     ///
     /// `changed` receives the rows whose neighbor set actually changed (in
     /// first-edit order) — exactly the seed set an incremental
@@ -597,85 +609,34 @@ impl Adjacency {
     /// row's *pre-patch* content is saved to `scratch`'s undo log
     /// ([`PatchScratch::undo_entry`], same order), so callers can
     /// reconstruct any old row without double-buffering the whole CSR.
+    /// Kernel lane/exact counters accumulate into `kscratch.stats`.
     ///
-    /// Falls back to [`Adjacency::rebuild_with_grid`] (returning
+    /// Falls back to [`Adjacency::rebuild_with_grid_parallel`] (returning
     /// [`AdjacencyUpdate::Full`] with the grid outcome, `changed` left
-    /// empty) when the node count changed or the mover count exceeds
-    /// `max(N / 8, 4)`.
+    /// empty) when the node count changed or `active` exceeds
+    /// `max(N / 8, 4)` — churn viability is judged on `active`, which is
+    /// how a sound pre-filter (the annulus filter in `manet-routing`)
+    /// keeps small-displacement ticks on the patch path.
     ///
     /// # Contract
     /// `self` must currently equal `build(field, previous_positions,
-    /// range)`, the grid must be up to date with those previous positions,
-    /// and `moved` must contain every node whose position differs between
-    /// `previous_positions` and `positions` (supersets and duplicates are
-    /// tolerated). The equivalence of this path with a fresh build is
-    /// pinned by proptests here and in `tests/topology_refresh.rs`.
+    /// range)`, the grid and the plane must be up to date with those
+    /// previous positions, and `moved` must contain every node whose
+    /// position differs between `previous_positions` and `positions`
+    /// (supersets and duplicates are tolerated). Every link that changed
+    /// state must have an `active` mover as an endpoint — i.e. the caller
+    /// must *prove* each dropped mover has no changed incident link (no
+    /// node near its range annulus); debug builds assert that no half-edge
+    /// edit lands on a dropped mover. `active = moved` is the unfiltered
+    /// patch. The equivalence with a fresh scalar build
+    /// ([`Adjacency::build`], the layer's one oracle) is pinned by
+    /// proptests here and in `tests/topology_refresh.rs`.
     ///
     /// # Panics
     /// Panics if a compaction would overflow the `u32` CSR offsets, or if
     /// `moved` names a node outside `0..positions.len()`.
+    #[allow(clippy::too_many_arguments)] // the refresh's long-lived state, borrowed piecewise
     pub fn patch_with_grid(
-        &mut self,
-        grid: &mut SpatialGrid,
-        positions: &[Point2],
-        range: f64,
-        moved: &[NodeId],
-        changed: &mut Vec<NodeId>,
-        scratch: &mut PatchScratch,
-    ) -> AdjacencyUpdate {
-        self.patch_with_grid_active(grid, positions, range, moved, moved, changed, scratch)
-    }
-
-    /// [`Adjacency::patch_with_grid`] with a pre-filtered mover set: only
-    /// the `active` movers' rows are re-queried and diffed, while the
-    /// grid's cell residency is still brought up to date from the full
-    /// `moved` report. Churn viability is judged on `active` — this is
-    /// how a sound pre-filter (e.g. the annulus filter in
-    /// `manet-routing`) keeps small-displacement ticks on the patch path.
-    ///
-    /// # Contract
-    /// In addition to the [`Adjacency::patch_with_grid`] contract on
-    /// `moved`, every link that changed state must have an `active` mover
-    /// as an endpoint — i.e. the caller must *prove* each dropped mover
-    /// has no changed incident link (no node near its range annulus);
-    /// debug builds assert that no half-edge edit lands on a dropped
-    /// mover. Passing `active = moved` recovers the unfiltered behavior.
-    #[allow(clippy::too_many_arguments)] // thin pre-filter seam over patch_with_grid
-    pub fn patch_with_grid_active(
-        &mut self,
-        grid: &mut SpatialGrid,
-        positions: &[Point2],
-        range: f64,
-        moved: &[NodeId],
-        active: &[NodeId],
-        changed: &mut Vec<NodeId>,
-        scratch: &mut PatchScratch,
-    ) -> AdjacencyUpdate {
-        changed.clear();
-        let n = positions.len();
-        if self.node_count() != n
-            || grid.tracked_nodes() != n
-            || !Self::patch_viable(n, active.len())
-        {
-            let grid_update = self.rebuild_with_grid(grid, positions, range);
-            return AdjacencyUpdate::Full { grid: grid_update };
-        }
-        self.patch_core(
-            grid, positions, range, moved, active, changed, scratch, None,
-        )
-    }
-
-    /// [`Adjacency::patch_with_grid_active`] with the row re-queries run
-    /// through the batched two-phase f32 kernel
-    /// ([`SpatialGrid::for_each_within_kernel`]) instead of the scalar
-    /// f64 scan, and the churn/count fallback routed to
-    /// [`Adjacency::rebuild_with_grid_parallel`]. The plane is kept
-    /// coherent from the same mover report that updates the grid, and
-    /// kernel lane/exact counters accumulate into `kscratch.stats`.
-    /// Same contract, same canonical CSR — pinned by the equivalence
-    /// proptests against the scalar patch and the fresh build.
-    #[allow(clippy::too_many_arguments)] // mirrors patch_with_grid_active + kernel state
-    pub fn patch_with_grid_kernel(
         &mut self,
         grid: &mut SpatialGrid,
         plane: &mut PositionPlane,
@@ -698,39 +659,11 @@ impl Adjacency {
             return AdjacencyUpdate::Full { grid: grid_update };
         }
         plane.update_reported(positions, moved);
-        self.patch_core(
-            grid,
-            positions,
-            range,
-            moved,
-            active,
-            changed,
-            scratch,
-            Some((plane, kscratch)),
-        )
-    }
 
-    /// Shared body of the scalar and kernel patch paths (fallbacks
-    /// already handled by the wrappers). With `kernel` present, mover rows
-    /// are re-queried through the gather kernel; the rest — grid update,
-    /// edge diff, slack edits, undo log — is byte-for-byte the same
-    /// machinery.
-    #[allow(clippy::too_many_arguments)]
-    fn patch_core(
-        &mut self,
-        grid: &mut SpatialGrid,
-        positions: &[Point2],
-        range: f64,
-        moved: &[NodeId],
-        active: &[NodeId],
-        changed: &mut Vec<NodeId>,
-        scratch: &mut PatchScratch,
-        mut kernel: Option<(&PositionPlane, &mut KernelScratch)>,
-    ) -> AdjacencyUpdate {
         // 1. The rows to re-query: the active movers, deduped with epoch
         //    stamps. Every flipped link has one as an endpoint (the
         //    `active` contract), so no other row needs a range query.
-        scratch.begin(positions.len());
+        scratch.begin(n);
         let PatchScratch {
             stamp,
             logged,
@@ -766,22 +699,15 @@ impl Adjacency {
         for &c in candidates.iter() {
             let i = c.index();
             row.clear();
-            match kernel.as_mut() {
-                Some((plane, ks)) => grid.for_each_within_kernel(
-                    plane,
-                    positions,
-                    positions[i],
-                    range,
-                    Some(c),
-                    ks,
-                    |nb| row.push(nb),
-                ),
-                None => {
-                    grid.for_each_within(positions, positions[i], range, Some(c), |nb| {
-                        row.push(nb)
-                    });
-                }
-            }
+            grid.for_each_within_kernel(
+                plane,
+                positions,
+                positions[i],
+                range,
+                Some(c),
+                kscratch,
+                |nb| row.push(nb),
+            );
             Self::sort_row(row);
             if self.neighbors(c) == &row[..] {
                 continue;
@@ -1094,6 +1020,68 @@ mod tests {
         }
     }
 
+    /// The long-lived state a patch runs on, held as `Network` holds it:
+    /// grid and plane in step with the positions of the previous call.
+    struct PatchRig {
+        range: f64,
+        grid: SpatialGrid,
+        plane: PositionPlane,
+        kernel: KernelScratch,
+        scratch: PatchScratch,
+        changed: Vec<NodeId>,
+    }
+
+    impl PatchRig {
+        /// The oracle build of `positions` (tight slack) and a rig in step
+        /// with it.
+        fn build(field: Field, positions: &[Point2], range: f64) -> (Adjacency, PatchRig) {
+            let mut grid = SpatialGrid::new(field, range);
+            let adj = Adjacency::build_with_grid(&mut grid, positions, range);
+            let rig = PatchRig {
+                range,
+                grid,
+                plane: PositionPlane::with_positions(positions),
+                kernel: KernelScratch::new(),
+                scratch: PatchScratch::new(),
+                changed: Vec::new(),
+            };
+            (adj, rig)
+        }
+
+        /// The one patch entry, with `active` of `moved` re-queried.
+        fn patch_active(
+            &mut self,
+            adj: &mut Adjacency,
+            positions: &[Point2],
+            moved: &[NodeId],
+            active: &[NodeId],
+        ) -> AdjacencyUpdate {
+            let out = adj.patch_with_grid(
+                &mut self.grid,
+                &mut self.plane,
+                positions,
+                self.range,
+                moved,
+                active,
+                &mut self.changed,
+                &mut self.scratch,
+                &mut self.kernel,
+            );
+            assert!(self.plane.is_coherent(positions), "plane lost coherence");
+            out
+        }
+
+        /// The unfiltered patch: every reported mover is active.
+        fn patch(
+            &mut self,
+            adj: &mut Adjacency,
+            positions: &[Point2],
+            moved: &[NodeId],
+        ) -> AdjacencyUpdate {
+            self.patch_active(adj, positions, moved, moved)
+        }
+    }
+
     /// Three nodes in a line, 40 m apart, range 50 m: 0-1 and 1-2 connect,
     /// 0-2 (80 m) does not.
     fn line3() -> (Field, Vec<Point2>) {
@@ -1151,20 +1139,10 @@ mod tests {
     #[test]
     fn patch_reflects_movement() {
         let (field, mut pos) = line3();
-        let mut grid = SpatialGrid::new(field, 50.0);
-        let mut adj = Adjacency::build_with_grid(&mut grid, &pos, 50.0);
-        let mut scratch = PatchScratch::new();
-        let mut changed = Vec::new();
+        let (mut adj, mut rig) = PatchRig::build(field, &pos, 50.0);
         // node 1 steps just out of node 0's range but stays near node 2
         pos[1] = Point2::new(95.0, 10.0);
-        let out = adj.patch_with_grid(
-            &mut grid,
-            &pos,
-            50.0,
-            &[NodeId(1)],
-            &mut changed,
-            &mut scratch,
-        );
+        let out = rig.patch(&mut adj, &pos, &[NodeId(1)]);
         assert!(
             matches!(
                 out,
@@ -1175,15 +1153,15 @@ mod tests {
             ),
             "exactly nodes 0 and 1 change ({out:?})"
         );
-        let mut sorted = changed.clone();
+        let mut sorted = rig.changed.clone();
         sorted.sort();
         assert_eq!(sorted, vec![NodeId(0), NodeId(1)]);
         assert_eq!(adj, Adjacency::build(field, &pos, 50.0));
         assert_csr_invariants(&adj);
         // the undo log holds exactly the changed rows' pre-patch content
-        assert_eq!(scratch.undo_count(), 2);
-        for (k, &row) in changed.iter().enumerate() {
-            let (node, old) = scratch.undo_entry(k);
+        assert_eq!(rig.scratch.undo_count(), 2);
+        for (k, &row) in rig.changed.iter().enumerate() {
+            let (node, old) = rig.scratch.undo_entry(k);
             assert_eq!(node, row);
             // before the move, 0-1 and 1-2 were the links
             let expect: &[NodeId] = match node.raw() {
@@ -1194,7 +1172,7 @@ mod tests {
             assert_eq!(old, expect);
         }
         // no movement → nothing patched rows change
-        let out = adj.patch_with_grid(&mut grid, &pos, 50.0, &[], &mut changed, &mut scratch);
+        let out = rig.patch(&mut adj, &pos, &[]);
         assert!(
             matches!(
                 out,
@@ -1206,28 +1184,17 @@ mod tests {
             ),
             "{out:?}"
         );
-        assert!(changed.is_empty());
+        assert!(rig.changed.is_empty());
     }
 
     #[test]
     fn patch_with_active_subset_skips_provably_inert_movers() {
         let (field, mut pos) = line3();
-        let mut grid = SpatialGrid::new(field, 50.0);
-        let mut adj = Adjacency::build_with_grid(&mut grid, &pos, 50.0);
-        let mut scratch = PatchScratch::new();
-        let mut changed = Vec::new();
+        let (mut adj, mut rig) = PatchRig::build(field, &pos, 50.0);
         // node 2 jiggles one meter: both its links keep their state, so a
         // caller that proved that may drop it from the candidate seed
         pos[2] = Point2::new(91.0, 10.0);
-        let out = adj.patch_with_grid_active(
-            &mut grid,
-            &pos,
-            50.0,
-            &[NodeId(2)],
-            &[],
-            &mut changed,
-            &mut scratch,
-        );
+        let out = rig.patch_active(&mut adj, &pos, &[NodeId(2)], &[]);
         assert!(
             matches!(
                 out,
@@ -1239,19 +1206,12 @@ mod tests {
             ),
             "{out:?}"
         );
-        assert!(changed.is_empty());
+        assert!(rig.changed.is_empty());
         assert_eq!(adj, Adjacency::build(field, &pos, 50.0));
-        // the grid's residency still tracked the full mover report: a
-        // follow-up patch around node 2's new position stays exact
+        // the grid's residency and the plane still tracked the full mover
+        // report: a follow-up patch around node 2's new position stays exact
         pos[2] = Point2::new(95.0, 10.0);
-        adj.patch_with_grid(
-            &mut grid,
-            &pos,
-            50.0,
-            &[NodeId(2)],
-            &mut changed,
-            &mut scratch,
-        );
+        rig.patch(&mut adj, &pos, &[NodeId(2)]);
         assert_eq!(adj, Adjacency::build(field, &pos, 50.0));
         assert_csr_invariants(&adj);
     }
@@ -1262,17 +1222,14 @@ mod tests {
         let pos: Vec<Point2> = (0..10)
             .map(|i| Point2::new(i as f64 * 30.0 + 5.0, 150.0))
             .collect();
-        let mut grid = SpatialGrid::new(field, 50.0);
-        let mut adj = Adjacency::build_with_grid(&mut grid, &pos, 50.0);
-        let mut scratch = PatchScratch::new();
-        let mut changed = Vec::new();
+        let (mut adj, mut rig) = PatchRig::build(field, &pos, 50.0);
         // churn: more than N/8 movers
         let all: Vec<NodeId> = NodeId::all(10).collect();
-        let out = adj.patch_with_grid(&mut grid, &pos, 50.0, &all, &mut changed, &mut scratch);
+        let out = rig.patch(&mut adj, &pos, &all);
         assert!(matches!(out, AdjacencyUpdate::Full { .. }), "{out:?}");
         // node count change
         let fewer = &pos[..7];
-        let out = adj.patch_with_grid(&mut grid, fewer, 50.0, &[], &mut changed, &mut scratch);
+        let out = rig.patch(&mut adj, fewer, &[]);
         assert!(matches!(out, AdjacencyUpdate::Full { .. }), "{out:?}");
         assert_eq!(adj.node_count(), 7);
         assert_eq!(adj, Adjacency::build(field, fewer, 50.0));
@@ -1287,21 +1244,11 @@ mod tests {
         for (i, p) in pos.iter_mut().enumerate().skip(1) {
             *p = Point2::new(300.0 + (i as f64), 300.0);
         }
-        let mut grid = SpatialGrid::new(field, 50.0);
-        let mut adj = Adjacency::build_with_grid(&mut grid, &pos, 50.0);
+        let (mut adj, mut rig) = PatchRig::build(field, &pos, 50.0);
         assert_eq!(adj.degree(NodeId(0)), 0);
-        let mut scratch = PatchScratch::new();
-        let mut changed = Vec::new();
         // node 0 teleports into the middle of the cluster
         pos[0] = Point2::new(304.0, 300.0);
-        let out = adj.patch_with_grid(
-            &mut grid,
-            &pos,
-            50.0,
-            &[NodeId(0)],
-            &mut changed,
-            &mut scratch,
-        );
+        let out = rig.patch(&mut adj, &pos, &[NodeId(0)]);
         match out {
             AdjacencyUpdate::Patched {
                 rows_changed,
@@ -1329,14 +1276,11 @@ mod tests {
             Point2::new(200.0, 260.0),
             Point2::new(140.0, 140.0),
         ];
-        let mut grid = SpatialGrid::new(field, 50.0);
-        let mut adj = Adjacency::build_with_grid(&mut grid, &pos, 50.0);
+        let (mut adj, mut rig) = PatchRig::build(field, &pos, 50.0);
         assert_eq!(adj.link_count(), 0);
-        let mut scratch = PatchScratch::new();
-        let mut changed = Vec::new();
         pos[0] = Point2::new(205.0, 205.0);
         let movers = [NodeId(0)];
-        let out = adj.patch_with_grid(&mut grid, &pos, 50.0, &movers, &mut changed, &mut scratch);
+        let out = rig.patch(&mut adj, &pos, &movers);
         assert!(
             matches!(
                 out,
@@ -1348,8 +1292,8 @@ mod tests {
             ),
             "{out:?}"
         );
-        assert!(changed.is_empty());
-        assert_eq!(scratch.undo_count(), 0);
+        assert!(rig.changed.is_empty());
+        assert_eq!(rig.scratch.undo_count(), 0);
         assert_eq!(adj, Adjacency::build(field, &pos, 50.0));
     }
 
@@ -1366,16 +1310,13 @@ mod tests {
             Point2::new(60.0, 25.0),
             Point2::new(0.0, 25.0),
         ];
-        let mut grid = SpatialGrid::new(field, 50.0);
-        let mut adj = Adjacency::build_with_grid(&mut grid, &pos, 50.0);
+        let (mut adj, mut rig) = PatchRig::build(field, &pos, 50.0);
         assert_eq!(adj.neighbors(c), &[a]);
         let before = adj.clone();
         pos.swap(0, 1);
-        let mut scratch = PatchScratch::new();
-        let mut changed = Vec::new();
         // duplicates in the report change nothing
         let movers = [a, b, b, a];
-        let out = adj.patch_with_grid(&mut grid, &pos, 50.0, &movers, &mut changed, &mut scratch);
+        let out = rig.patch(&mut adj, &pos, &movers);
         assert!(
             matches!(
                 out,
@@ -1390,7 +1331,7 @@ mod tests {
         assert_eq!(adj.neighbors(c), &[b]);
         assert_eq!(adj, Adjacency::build(field, &pos, 50.0));
         assert_csr_invariants(&adj);
-        assert_patch_report(&before, &adj, &changed, &scratch);
+        assert_patch_report(&before, &adj, &rig.changed, &rig.scratch);
     }
 
     /// Three movers leave static `z` (node 4) and land around static, so
@@ -1407,22 +1348,12 @@ mod tests {
     #[test]
     fn full_non_mover_row_compacts_mid_patch_and_keeps_the_undo_log() {
         let (field, pos, moved_pos) = pile_up();
-        let mut grid = SpatialGrid::new(field, 50.0);
-        let mut adj = Adjacency::build_with_grid(&mut grid, &pos, 50.0);
+        let (mut adj, mut rig) = PatchRig::build(field, &pos, 50.0);
         let (offsets, lens, _) = adj.raw_csr();
         assert_eq!((lens[3], offsets[4] - offsets[3]), (0, 1), "y: one slot");
         let before = adj.clone();
-        let mut scratch = PatchScratch::new();
-        let mut changed = Vec::new();
         let movers = [NodeId(0), NodeId(1), NodeId(2)];
-        let out = adj.patch_with_grid(
-            &mut grid,
-            &moved_pos,
-            50.0,
-            &movers,
-            &mut changed,
-            &mut scratch,
-        );
+        let out = rig.patch(&mut adj, &moved_pos, &movers);
         // y's second arriving mover finds the row full: the whole CSR is
         // re-laid out while the entries of both movers, y and z are
         // already in the log.
@@ -1442,38 +1373,28 @@ mod tests {
         assert_eq!(adj.degree(NodeId(4)), 0);
         assert_eq!(adj, Adjacency::build(field, &moved_pos, 50.0));
         assert_csr_invariants(&adj);
-        assert_patch_report(&before, &adj, &changed, &scratch);
+        assert_patch_report(&before, &adj, &rig.changed, &rig.scratch);
     }
 
     #[test]
     fn epoch_wraparound_zeroes_both_patch_stamp_arrays() {
         let (field, pos, moved_pos) = pile_up();
-        let mut grid = SpatialGrid::new(field, 50.0);
-        let mut adj = Adjacency::build_with_grid(&mut grid, &pos, 50.0);
-        let mut scratch = PatchScratch::new();
-        let mut changed = Vec::new();
+        let (mut adj, mut rig) = PatchRig::build(field, &pos, 50.0);
         // Size the arrays, then plant the worst case: every stamp equals
         // the first epoch after the wrap and the counter sits on the brink.
         // Without the zeroing every node would read as a mover already
         // queued (nothing re-queried) and every row as already logged (no
         // undo entry for y or z).
-        adj.patch_with_grid(&mut grid, &pos, 50.0, &[], &mut changed, &mut scratch);
-        scratch.stamp.fill(1);
-        scratch.logged.fill(1);
-        scratch.epoch = u32::MAX;
+        rig.patch(&mut adj, &pos, &[]);
+        rig.scratch.stamp.fill(1);
+        rig.scratch.logged.fill(1);
+        rig.scratch.epoch = u32::MAX;
         let before = adj.clone();
         let movers = [NodeId(0), NodeId(1), NodeId(2)];
-        adj.patch_with_grid(
-            &mut grid,
-            &moved_pos,
-            50.0,
-            &movers,
-            &mut changed,
-            &mut scratch,
-        );
-        assert_eq!(scratch.epoch, 1);
+        rig.patch(&mut adj, &moved_pos, &movers);
+        assert_eq!(rig.scratch.epoch, 1);
         assert_eq!(adj, Adjacency::build(field, &moved_pos, 50.0));
-        assert_patch_report(&before, &adj, &changed, &scratch);
+        assert_patch_report(&before, &adj, &rig.changed, &rig.scratch);
     }
 
     #[test]
@@ -1484,19 +1405,10 @@ mod tests {
         // that drops node 0 from `active` claims none of its links changed
         // — the edit landing on its row proves the claim wrong.
         let (field, mut pos) = line3();
-        let mut grid = SpatialGrid::new(field, 50.0);
-        let mut adj = Adjacency::build_with_grid(&mut grid, &pos, 50.0);
+        let (mut adj, mut rig) = PatchRig::build(field, &pos, 50.0);
         pos[0] = Point2::new(10.5, 10.0);
         pos[1] = Point2::new(95.0, 10.0);
-        adj.patch_with_grid_active(
-            &mut grid,
-            &pos,
-            50.0,
-            &[NodeId(0), NodeId(1)],
-            &[NodeId(1)],
-            &mut Vec::new(),
-            &mut PatchScratch::new(),
-        );
+        rig.patch_active(&mut adj, &pos, &[NodeId(0), NodeId(1)], &[NodeId(1)]);
     }
 
     #[test]
@@ -1662,7 +1574,9 @@ mod tests {
         /// Multi-step mover-driven patching stays bit-identical (canonical
         /// CSR) to a fresh build, across per-step displacement magnitudes
         /// that keep some nodes still (exact mover reports), exercise the
-        /// slack/compaction path, and trip the churn fallback.
+        /// slack/compaction path, node jumps, and the churn fallback into
+        /// the parallel rebuild — and the position plane stays coherent
+        /// throughout (asserted by the rig after every patch).
         #[test]
         fn prop_patch_equals_fresh_build(
             pts in proptest::collection::vec((0.0..400.0f64, 0.0..400.0f64), 1..60),
@@ -1674,10 +1588,7 @@ mod tests {
             let field = Field::square(400.0);
             let mut positions: Vec<Point2> =
                 pts.iter().map(|&(x, y)| Point2::new(x, y)).collect();
-            let mut grid = SpatialGrid::new(field, range);
-            let mut adj = Adjacency::build_with_grid(&mut grid, &positions, range);
-            let mut scratch = PatchScratch::new();
-            let mut changed = Vec::new();
+            let (mut adj, mut rig) = PatchRig::build(field, &positions, range);
             for step in &steps {
                 // move an arbitrary subset (small draws mean "stay put",
                 // so some nodes never move); report exactly who moved
@@ -1695,13 +1606,12 @@ mod tests {
                     }
                 }
                 let before = adj.clone();
-                let out = adj.patch_with_grid(
-                    &mut grid, &positions, range, &movers, &mut changed, &mut scratch);
+                let out = rig.patch(&mut adj, &positions, &movers);
                 let fresh = Adjacency::build(field, &positions, range);
                 prop_assert_eq!(adj.canonical_csr(), fresh.canonical_csr());
                 assert_csr_invariants(&adj);
                 if let AdjacencyUpdate::Patched { .. } = out {
-                    assert_patch_report(&before, &adj, &changed, &scratch);
+                    assert_patch_report(&before, &adj, &rig.changed, &rig.scratch);
                 }
             }
         }
@@ -1727,10 +1637,7 @@ mod tests {
             let mut positions: Vec<Point2> =
                 pts.iter().map(|&(x, y)| Point2::new(x, y)).collect();
             let n = positions.len();
-            let mut grid = SpatialGrid::new(field, range);
-            let mut adj = Adjacency::build_with_grid(&mut grid, &positions, range);
-            let mut scratch = PatchScratch::new();
-            let mut changed = Vec::new();
+            let (mut adj, mut rig) = PatchRig::build(field, &positions, range);
             for step in &steps {
                 // One node in eight draws a kind from its low two bits —
                 // 0: stay unreported, 1: stay but reported, 2: jiggle,
@@ -1759,75 +1666,14 @@ mod tests {
                 distinct.sort();
                 distinct.dedup();
                 let before = adj.clone();
-                let out = adj.patch_with_grid_active(
-                    &mut grid, &positions, range, &moved, &active, &mut changed, &mut scratch);
+                let out = rig.patch_active(&mut adj, &positions, &moved, &active);
                 prop_assert_eq!(adj.canonical_csr(), fresh.canonical_csr());
                 assert_csr_invariants(&adj);
                 if let AdjacencyUpdate::Patched { rows_patched, rows_changed, .. } = out {
                     prop_assert_eq!(rows_patched, distinct.len());
-                    prop_assert_eq!(rows_changed, changed.len());
-                    assert_patch_report(&before, &adj, &changed, &scratch);
+                    prop_assert_eq!(rows_changed, rig.changed.len());
+                    assert_patch_report(&before, &adj, &rig.changed, &rig.scratch);
                 }
-            }
-        }
-
-        /// The parallel kernel rebuild and the kernel patch are
-        /// bit-identical (canonical CSR) to the serial scalar reference
-        /// across multi-step movement sequences that exercise the patch
-        /// path, the churn fallback and node jumps — and the position
-        /// plane stays coherent throughout.
-        #[test]
-        fn prop_kernel_paths_equal_scalar_reference(
-            pts in proptest::collection::vec((0.0..400.0f64, 0.0..400.0f64), 1..60),
-            steps in proptest::collection::vec(
-                proptest::collection::vec((-80.0..80.0f64, -80.0..80.0f64), 1..60),
-                1..5),
-            range in 30.0..60.0f64,
-        ) {
-            let field = Field::square(400.0);
-            let mut positions: Vec<Point2> =
-                pts.iter().map(|&(x, y)| Point2::new(x, y)).collect();
-            let mut grid_k = SpatialGrid::new(field, range);
-            let mut plane = PositionPlane::new();
-            let mut kscratch = KernelScratch::new();
-            let mut kernel = Adjacency::with_nodes(positions.len());
-            kernel.rebuild_with_grid_parallel(
-                &mut grid_k, &mut plane, &positions, range, &mut kscratch);
-            let mut grid_s = SpatialGrid::new(field, range);
-            let mut scalar = Adjacency::build_with_grid(&mut grid_s, &positions, range);
-            prop_assert_eq!(kernel.canonical_csr(), scalar.canonical_csr());
-            let mut kpatch = PatchScratch::new();
-            let mut spatch = PatchScratch::new();
-            let (mut kchanged, mut schanged) = (Vec::new(), Vec::new());
-            for step in &steps {
-                let mut movers = Vec::new();
-                for (i, &(dx, dy)) in step.iter().cycle().take(positions.len()).enumerate() {
-                    if dx.abs() + dy.abs() < 40.0 {
-                        continue;
-                    }
-                    let p = &mut positions[i];
-                    let before = *p;
-                    p.x = (p.x + dx).clamp(0.0, 400.0);
-                    p.y = (p.y + dy).clamp(0.0, 400.0);
-                    if *p != before {
-                        movers.push(NodeId::from(i));
-                    }
-                }
-                kernel.patch_with_grid_kernel(
-                    &mut grid_k, &mut plane, &positions, range,
-                    &movers, &movers, &mut kchanged, &mut kpatch, &mut kscratch);
-                scalar.patch_with_grid_active(
-                    &mut grid_s, &positions, range,
-                    &movers, &movers, &mut schanged, &mut spatch);
-                prop_assert_eq!(kernel.canonical_csr(), scalar.canonical_csr());
-                prop_assert!(plane.is_coherent(&positions), "plane lost coherence");
-                assert_csr_invariants(&kernel);
-                // both paths agree on the changed-row report
-                let mut kc = kchanged.clone();
-                let mut sc = schanged.clone();
-                kc.sort();
-                sc.sort();
-                prop_assert_eq!(kc, sc);
             }
         }
 

@@ -32,6 +32,21 @@
 //! back to [`SpatialGrid::rebuild`] — a full counting-sort relayout that
 //! re-provisions slack — so heavy churn degrades to exactly the old
 //! full-rebuild cost rather than to splice churn.
+//!
+//! ## Range scans
+//!
+//! Three scans read the buckets, one per job:
+//!
+//! * [`SpatialGrid::for_each_within`] — the scalar f64 walk of the 3×3
+//!   cell ball. It is the oracle: [`crate::graph::Adjacency::build`] is
+//!   built on it, and both kernel scans are tested against it.
+//! * [`SpatialGrid::for_each_within_kernel`] — the two-phase f32 kernel
+//!   over lanes *gathered* per row from the position plane; what the
+//!   adjacency patch re-queries a mover's row with.
+//! * `kernel_scan_row` over an entry-aligned lane mirror
+//!   ([`SpatialGrid::fill_lane_mirror`]) and forward half-balls
+//!   ([`SpatialGrid::half_ball_rows`]) — the same two-phase kernel as a
+//!   contiguous stream; what the whole-CSR parallel rebuild runs.
 
 use crate::geometry::{Field, Point2};
 use crate::node::NodeId;
@@ -528,8 +543,8 @@ impl SpatialGrid {
     /// the plane's infinite sentinel lane (branch-free, and infinity
     /// classifies as "out of range" in every kernel pass for free). The
     /// mirror is valid until the grid or the plane next changes; the
-    /// whole-CSR rebuild kernels fill it once and then stream contiguous
-    /// slices instead of gathering per row.
+    /// whole-CSR rebuild fills it once and then streams contiguous slices
+    /// of it through `kernel_scan_row` instead of gathering per row.
     pub fn fill_lane_mirror(&self, plane: &PositionPlane, scratch: &mut KernelScratch) {
         let (xs, ys) = plane.lanes();
         let n = plane.len();
@@ -543,53 +558,13 @@ impl SpatialGrid {
             .extend(self.entries.iter().map(|&id| ys[id.index().min(n)]));
     }
 
-    /// Kernel variant of [`SpatialGrid::for_each_within`] reading the
-    /// prefilled lane mirror (see [`SpatialGrid::fill_lane_mirror`]):
-    /// per fused row, squared f32 distances over contiguous mirror lanes
-    /// are classified through `band` in one streaming pass — fast accept,
-    /// fast reject, or exact f64 resolution for borderline lanes. Visits
-    /// exactly the nodes the scalar path visits, in the same order.
-    pub fn for_each_within_mirror(
-        &self,
-        band: KernelBand,
-        positions: &[Point2],
-        center: Point2,
-        exclude: Option<NodeId>,
-        scratch: &mut KernelScratch,
-        mut visit: impl FnMut(NodeId),
-    ) {
-        let (spans, count) = self.ball_rows(center);
-        let KernelScratch {
-            mirror_x,
-            mirror_y,
-            cand,
-            stats,
-            ..
-        } = scratch;
-        for &(lo, hi) in &spans[..count] {
-            let (lo, hi) = (lo as usize, hi as usize);
-            kernel_scan_row(
-                &self.entries[lo..hi],
-                &mirror_x[lo..hi],
-                &mirror_y[lo..hi],
-                band,
-                positions,
-                center,
-                0,
-                exclude,
-                cand,
-                stats,
-                &mut visit,
-            );
-        }
-    }
-
-    /// Kernel variant of [`SpatialGrid::for_each_within`] that gathers
-    /// candidate lanes per row straight from the plane (no mirror
-    /// required — the patch path uses this for its handful of row
-    /// re-queries, where filling a whole-CSR mirror would cost O(N)).
-    /// Computes its own band from the plane; visits exactly the nodes the
-    /// scalar path visits, in the same order.
+    /// The two-phase f32 kernel form of [`SpatialGrid::for_each_within`]:
+    /// candidate lanes are gathered per row straight from the plane (the
+    /// patch re-queries a handful of rows, where filling a whole-CSR
+    /// mirror would cost O(N)), classified through the plane's band —
+    /// fast accept, fast reject, exact f64 resolution for borderline
+    /// lanes. Visits exactly the nodes the scalar scan visits, in the same
+    /// order.
     #[allow(clippy::too_many_arguments)]
     pub fn for_each_within_kernel(
         &self,
@@ -676,8 +651,7 @@ impl SpatialGrid {
 /// free. Pass 2 resolves the handful of survivors in lane order
 /// (matching the scalar visit order): skip ids below `min_id` (the
 /// half-ball rebuild's same-cell deduplication — pass 0 to keep every
-/// id) and the excluded id, fast-accept at `<= lo`, exact f64 `dist_sq`
-/// for borderline lanes.
+/// id), fast-accept at `<= lo`, exact f64 `dist_sq` for borderline lanes.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn kernel_scan_row(
@@ -688,7 +662,6 @@ pub(crate) fn kernel_scan_row(
     positions: &[Point2],
     center: Point2,
     min_id: u32,
-    exclude: Option<NodeId>,
     cand: &mut Vec<(f32, NodeId)>,
     stats: &mut KernelStats,
     visit: &mut impl FnMut(NodeId),
@@ -713,7 +686,7 @@ pub(crate) fn kernel_scan_row(
         m += (d2 <= band.hi) as usize;
     }
     for &(d2, id) in &buf[..m] {
-        if (id.index() as u32) < min_id || Some(id) == exclude {
+        if (id.index() as u32) < min_id {
             continue;
         }
         if d2 > band.lo {
@@ -1089,9 +1062,9 @@ mod tests {
             }
         }
 
-        /// The two-phase f32 kernels (gather and mirror variants) visit
-        /// exactly the nodes the scalar f64 scan visits, in the same
-        /// order, for arbitrary point clouds, query centers and radii.
+        /// The two-phase f32 gather kernel visits exactly the nodes the
+        /// scalar f64 scan visits, in the same order, for arbitrary point
+        /// clouds, query centers and radii.
         #[test]
         fn prop_kernel_scans_equal_scalar_scan(
             pts in proptest::collection::vec((0.0..710.0f64, 0.0..710.0f64), 0..120),
@@ -1116,14 +1089,6 @@ mod tests {
                 |id| gathered.push(id),
             );
             prop_assert_eq!(&scalar, &gathered, "gather kernel diverged");
-            grid.fill_lane_mirror(&plane, &mut scratch);
-            let band = plane.band(radius, grid.cell_side());
-            let mut mirrored = Vec::new();
-            grid.for_each_within_mirror(
-                band, &positions, center, exclude, &mut scratch,
-                |id| mirrored.push(id),
-            );
-            prop_assert_eq!(&scalar, &mirrored, "mirror kernel diverged");
             prop_assert!(scratch.stats.lanes >= scratch.stats.exact_checks);
         }
     }

@@ -10,6 +10,7 @@
 //! The example prints a per-second report of contact churn and shows how
 //! much of the healing is done locally instead of by fresh selections.
 
+use card_manet::card::events::{DriveMode, EventDriver};
 use card_manet::mobility::GroupMobility;
 use card_manet::prelude::*;
 use card_manet::sim::rng::SeedSplitter;
@@ -50,10 +51,13 @@ fn main() {
         world.network().node_count()
     );
 
+    // One driver for the whole march: its per-second segments stack on one
+    // tick lattice (a fresh `run_mobile` per second would restart it).
+    let mut driver = EventDriver::new(&world, &squads, DriveMode::Event, Vec::new());
     let mut prev_recovered = 0;
     let mut prev_lost = 0;
     for second in 1..=10u64 {
-        world.run_mobile(&mut squads, SimDuration::from_secs(1));
+        driver.drive(&mut world, &mut squads, SimDuration::from_secs(1));
         let totals = world.maintenance_totals();
         let recovered = totals.recovered - prev_recovered;
         let lost = (totals.lost + totals.dropped_out_of_range) - prev_lost;

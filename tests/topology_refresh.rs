@@ -284,6 +284,8 @@ proptest! {
         let mut model = mobility_model(kind, nodes, field, seed);
         let mut grid = SpatialGrid::new(field, 50.0);
         let mut patched = Adjacency::build_with_grid(&mut grid, &positions, 50.0);
+        let mut plane = PositionPlane::with_positions(&positions);
+        let mut kscratch = KernelScratch::new();
         let mut grid_ref = SpatialGrid::new(field, 50.0);
         let mut rebuilt = Adjacency::build_with_grid(&mut grid_ref, &positions, 50.0);
         let mut scratch = PatchScratch::new();
@@ -291,7 +293,9 @@ proptest! {
         let mut movers = Vec::new();
         for step in 0..steps {
             model.advance_reporting(&mut positions, SimDuration::from_millis(600), &mut movers);
-            patched.patch_with_grid(&mut grid, &positions, 50.0, &movers, &mut changed, &mut scratch);
+            patched.patch_with_grid(
+                &mut grid, &mut plane, &positions, 50.0,
+                &movers, &movers, &mut changed, &mut scratch, &mut kscratch);
             rebuilt.rebuild_with_grid(&mut grid_ref, &positions, 50.0);
             let fresh = Adjacency::build(field, &positions, 50.0);
             prop_assert_eq!(
@@ -464,85 +468,14 @@ proptest! {
     }
 }
 
-#[test]
-fn patch_survives_node_count_transitions() {
-    // Tick a dwell walk (patch path), shrink the node set (Full fallback),
-    // then keep ticking on the new count — equivalence must hold through
-    // every transition.
-    let scenario = Scenario::new(60, 400.0, 400.0, 50.0);
-    let field = scenario.field();
-    let (mut positions, _) = scenario.instantiate(11);
-    let mut grid = SpatialGrid::new(field, 50.0);
-    let mut adj = Adjacency::build_with_grid(&mut grid, &positions, 50.0);
-    let mut scratch = PatchScratch::new();
-    let mut changed = Vec::new();
-    let mut movers = Vec::new();
-
-    let mut model = RandomWalk::new_with_dwell(
-        60,
-        field,
-        0.5,
-        2.0,
-        1.0,
-        0.9,
-        SeedSplitter::new(3).stream("count-change", 0),
-    );
-    for _ in 0..3 {
-        model.advance_reporting(&mut positions, SimDuration::from_millis(500), &mut movers);
-        adj.patch_with_grid(
-            &mut grid,
-            &positions,
-            50.0,
-            &movers,
-            &mut changed,
-            &mut scratch,
-        );
-        assert_eq!(
-            adj.canonical_csr(),
-            Adjacency::build(field, &positions, 50.0).canonical_csr()
-        );
-    }
-    // shrink: the patch must detect the count change and rebuild wholesale
-    positions.truncate(40);
-    adj.patch_with_grid(&mut grid, &positions, 50.0, &[], &mut changed, &mut scratch);
-    assert_eq!(adj.node_count(), 40);
-    assert_eq!(
-        adj.canonical_csr(),
-        Adjacency::build(field, &positions, 50.0).canonical_csr()
-    );
-    // and patching keeps working on the new population
-    let mut model = RandomWalk::new_with_dwell(
-        40,
-        field,
-        0.5,
-        2.0,
-        1.0,
-        0.9,
-        SeedSplitter::new(3).stream("count-change", 1),
-    );
-    for _ in 0..3 {
-        model.advance_reporting(&mut positions, SimDuration::from_millis(500), &mut movers);
-        adj.patch_with_grid(
-            &mut grid,
-            &positions,
-            50.0,
-            &movers,
-            &mut changed,
-            &mut scratch,
-        );
-        assert_eq!(
-            adj.canonical_csr(),
-            Adjacency::build(field, &positions, 50.0).canonical_csr()
-        );
-    }
-}
-
-#[test]
-fn kernel_patch_survives_node_count_transitions() {
-    // The kernel twin of `patch_survives_node_count_transitions`: the
-    // plane-backed patch path through a shrink of the node set. The plane
-    // must re-mirror itself on the count change and every CSR stay equal
-    // to the from-scratch build.
+/// Patch through a shrink of the node set and keep ticking on the new
+/// count: the patch must detect the count change and fall back to the
+/// parallel rebuild, the plane must re-mirror the shorter array, and every
+/// CSR must equal the from-scratch oracle build through each transition.
+/// `parallel_start` picks how the first CSR was laid out: the parallel
+/// rebuild (histogram slack, what `Network` starts from) or the oracle
+/// build (tight slack).
+fn patch_through_node_count_change(parallel_start: bool) {
     let scenario = Scenario::new(60, 400.0, 400.0, 50.0);
     let field = scenario.field();
     let (mut positions, _) = scenario.instantiate(11);
@@ -550,89 +483,66 @@ fn kernel_patch_survives_node_count_transitions() {
     let mut plane = PositionPlane::new();
     let mut kscratch = KernelScratch::new();
     let mut adj = Adjacency::with_nodes(positions.len());
-    adj.rebuild_with_grid_parallel(&mut grid, &mut plane, &positions, 50.0, &mut kscratch);
+    if parallel_start {
+        adj.rebuild_with_grid_parallel(&mut grid, &mut plane, &positions, 50.0, &mut kscratch);
+    } else {
+        adj.rebuild_with_grid(&mut grid, &positions, 50.0);
+        plane.rebuild(&positions);
+    }
     let mut scratch = PatchScratch::new();
     let mut changed = Vec::new();
     let mut movers = Vec::new();
 
-    let mut tick = |adj: &mut Adjacency,
-                    grid: &mut SpatialGrid,
-                    plane: &mut PositionPlane,
-                    kscratch: &mut KernelScratch,
-                    positions: &[Point2],
-                    movers: &[NodeId]| {
-        adj.patch_with_grid_kernel(
-            grid,
-            plane,
+    let mut tick = |positions: &[Point2], movers: &[NodeId]| {
+        adj.patch_with_grid(
+            &mut grid,
+            &mut plane,
             positions,
             50.0,
             movers,
             movers,
             &mut changed,
             &mut scratch,
-            kscratch,
+            &mut kscratch,
         );
         assert!(plane.is_coherent(positions), "plane incoherent");
+        assert_eq!(plane.len(), positions.len());
+        assert_eq!(adj.node_count(), positions.len());
         assert_eq!(
             adj.canonical_csr(),
             Adjacency::build(field, positions, 50.0).canonical_csr()
         );
     };
 
-    let mut model = RandomWalk::new_with_dwell(
-        60,
-        field,
-        0.5,
-        2.0,
-        1.0,
-        0.9,
-        SeedSplitter::new(3).stream("kernel-count-change", 0),
-    );
-    for _ in 0..3 {
-        model.advance_reporting(&mut positions, SimDuration::from_millis(500), &mut movers);
-        tick(
-            &mut adj,
-            &mut grid,
-            &mut plane,
-            &mut kscratch,
-            &positions,
-            &movers,
+    for (n, stream) in [(60, 0), (40, 1)] {
+        if positions.len() != n {
+            positions.truncate(n);
+            tick(&positions, &[]);
+        }
+        let mut model = RandomWalk::new_with_dwell(
+            n,
+            field,
+            0.5,
+            2.0,
+            1.0,
+            0.9,
+            SeedSplitter::new(3).stream("count-change", stream),
         );
+        for _ in 0..3 {
+            model.advance_reporting(&mut positions, SimDuration::from_millis(500), &mut movers);
+            tick(&positions, &movers);
+        }
     }
-    // shrink: patch detects the count change, falls back to the parallel
-    // kernel rebuild, and the plane re-mirrors the shorter array
-    positions.truncate(40);
-    tick(
-        &mut adj,
-        &mut grid,
-        &mut plane,
-        &mut kscratch,
-        &positions,
-        &[],
-    );
-    assert_eq!(adj.node_count(), 40);
-    assert_eq!(plane.len(), 40);
-    // and kernel patching keeps working on the new population
-    let mut model = RandomWalk::new_with_dwell(
-        40,
-        field,
-        0.5,
-        2.0,
-        1.0,
-        0.9,
-        SeedSplitter::new(3).stream("kernel-count-change", 1),
-    );
-    for _ in 0..3 {
-        model.advance_reporting(&mut positions, SimDuration::from_millis(500), &mut movers);
-        tick(
-            &mut adj,
-            &mut grid,
-            &mut plane,
-            &mut kscratch,
-            &positions,
-            &movers,
-        );
-    }
+}
+
+#[test]
+fn patch_survives_node_count_transitions() {
+    patch_through_node_count_change(false);
+}
+
+#[test]
+fn kernel_patch_survives_node_count_transitions() {
+    patch_through_node_count_change(true);
 }
 
 #[test]
