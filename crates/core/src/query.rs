@@ -16,13 +16,12 @@
 //! for zero per-query allocation and shared by every consumer:
 //!
 //! * [`QueryScratch`] is an epoch-stamped workspace (mirroring
-//!   `net_topology::bfs::BfsScratch`): the *seen* marks and both frontier
-//!   buffers persist across queries, so starting a new walk is O(1) — no
-//!   clearing, no zeroing, no allocation once the buffers have grown to
+//!   `net_topology::bfs::BfsScratch`; "State layout" below), so starting a
+//!   new walk is O(1) and allocation-free once its buffers have grown to
 //!   the network size. [`dsq_query`], [`crate::resources::resource_query`]
 //!   and [`crate::reachability::reachability_set`] all run on the same
 //!   generic level-synchronous contact walker
-//!   (`QueryScratch::advance_level`), differing only in their per-contact
+//!   (`WalkScratch::advance_level`), differing only in their per-contact
 //!   visit closure.
 //! * There is **one walk, calm or faulted**. Every function on the path
 //!   takes an *edge veto* `edge_ok(holder, contact)` as a generic,
@@ -35,7 +34,7 @@
 //! * Escalation is **incremental**: on the wire, a depth-d attempt re-sends
 //!   DSQs along levels 1‥d−1 before probing level d, but the simulator need
 //!   not re-traverse them — the scratch caches the deepest frontier and the
-//!   cumulative per-level message cost (`QueryScratch::walked_msgs`), so
+//!   cumulative per-level message cost (`WalkScratch::walked_msgs`), so
 //!   depth d only walks its final level while the *accounting* stays
 //!   bit-identical to the from-scratch re-walk. [`dsq_query_rewalk`] keeps
 //!   the literal per-depth re-walk as the equivalence reference (pinned by
@@ -45,6 +44,29 @@
 //!   randomness, so outcomes are a pure function of `(network, tables,
 //!   fault view, pair)` and the sweep is bit-identical to its serial
 //!   reference at any worker or shard count.
+//!
+//! ## State layout
+//!
+//! A contact answers from its own table for zero messages, so the host
+//! cost per visited contact is memory traffic. [`QueryScratch`] makes it
+//! two array reads:
+//!
+//! * **Marks and parents** (`WalkScratch`): `mark[v] == epoch` is "seen
+//!   this walk" and validates `parent[v]`, the frontier node that found
+//!   `v`. A fresh epoch per walk; zeroed once per `u32` wrap.
+//! * **Zone stamps**, one `u32` per node. Zone membership is symmetric
+//!   (hop distance on an undirected graph, all tables built from one
+//!   adjacency snapshot; proptested in `manet_routing::network`), so
+//!   "target ∈ zone(c)" is "c ∈ zone(target)": `target_zone` stamps the
+//!   target's ~24 members once per node query, under its own epoch, and
+//!   the depth-0 shortcut, the answer predicate and every hint-chase step
+//!   read `zone[c] == zone_epoch` where they used to fetch up to 84
+//!   different `Neighborhood`s and Bloom-probe each (D = 3, NoC = 4).
+//!   Grown on first use, so target-less walks never pay for it. The
+//!   pointwise lookup stays the spec: asserted on every evaluation in
+//!   debug builds, and all [`dsq_query_rewalk`] uses. Resource goals keep
+//!   it (a replica set's zones can outnumber the walk).
+//! * **Frontiers and the answer chain**: plain reused buffers.
 
 use manet_routing::network::Network;
 use net_topology::node::NodeId;
@@ -108,13 +130,38 @@ pub(crate) fn any_edge(_holder: NodeId, _contact: NodeId) -> bool {
     true
 }
 
-/// Reusable query-walk workspace: persistent *seen* marks (epoch-stamped)
-/// and frontier buffers, plus the incremental-escalation cache (deepest
-/// frontier, cumulative walk cost). One scratch serves any number of
-/// sequential queries over graphs of any size; buffers grow to the largest
-/// network seen and are then reused allocation-free (see the module docs).
+/// Reusable query workspace: the contact-graph walk state plus the
+/// target-zone stamps ("State layout" in the module docs). One scratch
+/// serves any number of sequential queries over graphs of any size.
 #[derive(Clone, Debug, Default)]
 pub struct QueryScratch {
+    /// Borrowed mutably by the level walker while the predicate reads `zone`.
+    pub(crate) walk: WalkScratch,
+    /// `zone[v] == zone_epoch` means `v` lies in the current target's zone.
+    zone: Vec<u32>,
+    zone_epoch: u32,
+}
+
+impl QueryScratch {
+    /// A fresh workspace (buffers grow on first use).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// A workspace whose walk arrays are pre-sized for networks of `n`
+    /// nodes (the zone stamps stay lazy: target-less walks never use them).
+    pub fn with_capacity(n: usize) -> Self {
+        let mut s = Self::default();
+        s.walk.mark.resize(n, 0);
+        s.walk.parent.resize(n, NodeId::new(u32::MAX));
+        s
+    }
+}
+
+/// The walk half of a [`QueryScratch`]: epoch-stamped *seen* marks, frontier
+/// buffers and the incremental-escalation cache (cumulative walk cost).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct WalkScratch {
     /// Epoch stamp per node; `mark[v] == epoch` means seen this query.
     mark: Vec<u32>,
     /// Current epoch (bumped per query; marks are only valid against it).
@@ -127,7 +174,7 @@ pub struct QueryScratch {
     next: Vec<(NodeId, u64)>,
     /// Cumulative DSQ messages of all *completed* levels — what a
     /// from-scratch re-walk of those levels would charge (see
-    /// [`QueryScratch::walked_msgs`]).
+    /// [`WalkScratch::walked_msgs`]).
     walked: u64,
     /// BFS parent per node (valid only where `mark[v] == epoch`): the
     /// frontier node whose contact link discovered `v`. Lets a resolved
@@ -135,25 +182,13 @@ pub struct QueryScratch {
     /// can be deposited along it (§V; see [`crate::hints`]).
     parent: Vec<NodeId>,
     /// The contact whose visit ended the current walk (see
-    /// [`QueryScratch::answerer`]).
+    /// [`WalkScratch::answerer`]).
     hit: Option<NodeId>,
+    /// The answer chain of the last [`WalkScratch::walk_path`].
+    path: Vec<NodeId>,
 }
 
-impl QueryScratch {
-    /// A fresh workspace (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A workspace pre-sized for networks of `n` nodes.
-    pub fn with_capacity(n: usize) -> Self {
-        let mut s = Self::default();
-        if s.mark.len() < n {
-            s.mark.resize(n, 0);
-        }
-        s
-    }
-
+impl WalkScratch {
     /// Open a new walk from `source` over a network of `n` nodes: bump the
     /// epoch (recycling the mark array without clearing it) and reset the
     /// frontier to the source. O(1) amortized.
@@ -200,7 +235,7 @@ impl QueryScratch {
     /// was answered; the scratch is left mid-level and must be
     /// re-`begin`ed). Otherwise the discovered contacts become the new
     /// frontier and the level's cost is added to
-    /// [`QueryScratch::walked_msgs`].
+    /// [`WalkScratch::walked_msgs`].
     pub(crate) fn advance_level<R, T: TableSource + ?Sized>(
         &mut self,
         contact_tables: &T,
@@ -249,27 +284,28 @@ impl QueryScratch {
     }
 
     /// The contact chain source → `node` recorded by the current walk's
-    /// parent pointers, written into `buf` source-first. `node` must have
-    /// been visited in the current epoch (parents of unvisited nodes are
-    /// stale).
-    pub(crate) fn walk_path(&self, node: NodeId, buf: &mut Vec<NodeId>) {
-        buf.clear();
+    /// parent pointers, source-first, in the scratch-owned chain buffer.
+    /// `node` must have been visited in the current epoch (parents of
+    /// unvisited nodes are stale).
+    pub(crate) fn walk_path(&mut self, node: NodeId) -> &mut Vec<NodeId> {
+        self.path.clear();
         let mut cur = node;
         loop {
-            buf.push(cur);
+            self.path.push(cur);
             let p = self.parent[cur.index()];
             if p == cur {
                 break;
             }
             cur = p;
         }
-        buf.reverse();
+        self.path.reverse();
+        &mut self.path
     }
 }
 
 /// The plain escalation driver, *without* statistics recording: walk
 /// depths 1‥`max_depth` under the edge veto, each depth charging the full
-/// re-walk cost of the levels below it ([`QueryScratch::walked_msgs`]) and
+/// re-walk cost of the levels below it ([`WalkScratch::walked_msgs`]) and
 /// then traversing only its final level, where `answers(contact)` is the
 /// neighborhood-table lookup (callers fold any target-side fault check
 /// into it). Message totals and outcomes are bit-identical to the
@@ -281,7 +317,7 @@ pub(crate) fn escalate_unrecorded<T: TableSource>(
     contact_tables: T,
     source: NodeId,
     max_depth: u16,
-    scratch: &mut QueryScratch,
+    scratch: &mut WalkScratch,
     edge_ok: impl Fn(NodeId, NodeId) -> bool + Copy,
     mut answers: impl FnMut(NodeId) -> bool,
 ) -> QueryOutcome {
@@ -313,13 +349,44 @@ pub(crate) fn escalate_unrecorded<T: TableSource>(
     }
 }
 
+/// Open a node query: stamp `target`'s zone under a fresh zone epoch and
+/// hand back the walk half with the predicate "`c`'s zone lists `target`
+/// and `c` can reach it" — by symmetry one stamp read ("State layout" in
+/// the module docs), checked against the table lookup in debug builds.
+fn target_zone<'a>(
+    net: &'a Network,
+    scratch: &'a mut QueryScratch,
+    target: NodeId,
+    edge_ok: impl Fn(NodeId, NodeId) -> bool + Copy + 'a,
+) -> (&'a mut WalkScratch, impl Fn(NodeId) -> bool + Copy + 'a) {
+    if scratch.zone.len() < net.node_count() {
+        scratch.zone.resize(net.node_count(), 0);
+    }
+    scratch.zone_epoch = scratch.zone_epoch.wrapping_add(1);
+    if scratch.zone_epoch == 0 {
+        // Epoch counter wrapped: invalidate every stale stamp once.
+        scratch.zone.fill(0);
+        scratch.zone_epoch = 1;
+    }
+    let epoch = scratch.zone_epoch;
+    for &m in net.tables().of(target).members() {
+        scratch.zone[m.index()] = epoch;
+    }
+    let zone = &scratch.zone[..];
+    (&mut scratch.walk, move |c: NodeId| {
+        let listed = zone[c.index()] == epoch;
+        debug_assert_eq!(listed, net.tables().of(c).contains(target));
+        listed && edge_ok(c, target)
+    })
+}
+
 /// [`dsq_query`] without statistics recording and under an edge veto — the
 /// per-pair body of `CardWorld`'s single queries and batched sweep (which
 /// accounts its shard's message totals in bulk) on a world without the §V
 /// cache: answer from the source's own zone for free, else escalate
 /// ([`escalate_unrecorded`]). A zone answers only if it can actually reach
-/// the target: the depth-0 shortcut and the answer predicate both require
-/// `edge_ok(c, target)`.
+/// the target: the depth-0 shortcut and the answer predicate are the one
+/// [`target_zone`] closure.
 ///
 /// The hinted twin below is a separate function, not an `Option` argument
 /// of this one: folding both escalations into one body cost the plain
@@ -333,8 +400,8 @@ pub(crate) fn dsq_query_unrecorded<T: TableSource>(
     scratch: &mut QueryScratch,
     edge_ok: impl Fn(NodeId, NodeId) -> bool + Copy,
 ) -> QueryOutcome {
-    let zones = net.tables();
-    if zones.of(source).contains(target) && edge_ok(source, target) {
+    let (walk, answers) = target_zone(net, scratch, target, edge_ok);
+    if answers(source) {
         return QueryOutcome::LOCAL_HIT;
     }
     escalate_unrecorded(
@@ -342,9 +409,9 @@ pub(crate) fn dsq_query_unrecorded<T: TableSource>(
         contact_tables,
         source,
         max_depth,
-        scratch,
+        walk,
         edge_ok,
-        |c| zones.of(c).contains(target) && edge_ok(c, target),
+        answers,
     )
 }
 
@@ -533,7 +600,7 @@ pub(crate) fn escalate_hinted_unrecorded<T: TableSource, S: HintLookup>(
     key: HintKey,
     source: NodeId,
     max_depth: u16,
-    scratch: &mut QueryScratch,
+    scratch: &mut WalkScratch,
     edge_ok: impl Fn(NodeId, NodeId) -> bool + Copy,
     mut answers: impl FnMut(NodeId) -> bool,
 ) -> QueryOutcome {
@@ -619,11 +686,9 @@ pub(crate) fn escalate_hinted_unrecorded<T: TableSource, S: HintLookup>(
         };
         query_msgs += probe_spent;
         if let Some(hit) = hit {
-            let mut path: Vec<NodeId> = Vec::new();
             return match hit {
                 HintedHit::Walk { answer, reply } => {
-                    scratch.walk_path(answer, &mut path);
-                    push_chain_deposits(ctx.deposits, key, &path);
+                    push_chain_deposits(ctx.deposits, key, scratch.walk_path(answer));
                     QueryOutcome {
                         found: true,
                         depth_used: depth,
@@ -636,9 +701,9 @@ pub(crate) fn escalate_hinted_unrecorded<T: TableSource, S: HintLookup>(
                     steps,
                     reply,
                 } => {
-                    scratch.walk_path(relay, &mut path);
+                    let path = scratch.walk_path(relay);
                     path.extend_from_slice(&chase_chain[1..=steps]);
-                    push_chain_deposits(ctx.deposits, key, &path);
+                    push_chain_deposits(ctx.deposits, key, path);
                     QueryOutcome {
                         found: true,
                         depth_used: depth + steps as u16,
@@ -671,8 +736,8 @@ pub(crate) fn dsq_query_hinted_unrecorded<T: TableSource, S: HintLookup>(
     scratch: &mut QueryScratch,
     edge_ok: impl Fn(NodeId, NodeId) -> bool + Copy,
 ) -> QueryOutcome {
-    let zones = net.tables();
-    if zones.of(source).contains(target) && edge_ok(source, target) {
+    let (walk, answers) = target_zone(net, scratch, target, edge_ok);
+    if answers(source) {
         return QueryOutcome::LOCAL_HIT;
     }
     escalate_hinted_unrecorded(
@@ -682,9 +747,9 @@ pub(crate) fn dsq_query_hinted_unrecorded<T: TableSource, S: HintLookup>(
         HintKey::node(target),
         source,
         max_depth,
-        scratch,
+        walk,
         edge_ok,
-        |c| zones.of(c).contains(target) && edge_ok(c, target),
+        answers,
     )
 }
 
@@ -971,8 +1036,14 @@ pub fn dsq_query_rewalk<T: TableSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CardConfig;
     use crate::contact::{Contact, ContactTable};
+    use crate::world::CardWorld;
+    use mobility::waypoint::RandomWaypoint;
     use net_topology::geometry::{Field, Point2};
+    use net_topology::scenario::Scenario;
+    use proptest::prelude::*;
+    use sim_core::rng::RngStream;
     use sim_core::time::SimDuration;
 
     fn n(i: u32) -> NodeId {
@@ -1201,7 +1272,7 @@ mod tests {
             &mut scratch,
         );
         // Force the epoch to the wrap point: stale marks must not leak.
-        scratch.epoch = u32::MAX;
+        scratch.walk.epoch = u32::MAX;
         let again = dsq_query(
             &net,
             &tables,
@@ -1213,6 +1284,97 @@ mod tests {
             &mut scratch,
         );
         assert_eq!(first, again);
+    }
+
+    #[test]
+    fn zone_epoch_wraparound_resets_stamps() {
+        let net = line_net();
+        let tables = tables_for_line(&net);
+        let mut scratch = QueryScratch::new();
+        let mut st = mk_stats();
+        let mut ask = |scratch: &mut QueryScratch, target| {
+            dsq_query(
+                &net,
+                &tables,
+                n(0),
+                n(target),
+                2,
+                &mut st,
+                SimTime::ZERO,
+                scratch,
+            )
+        };
+        // Zone epoch 1 stamps zone(13) = {11..15}, contact 12 among them.
+        assert!(ask(&mut scratch, 13).found);
+        // Force the wrap: the next query runs under epoch 1 again, and
+        // zone(15) = {13, 14, 15} excludes 12 — unless the stale stamp of
+        // the first query survived and contact 12 "answers" for 15.
+        scratch.zone_epoch = u32::MAX;
+        assert!(!ask(&mut scratch, 15).found, "stale zone stamp leaked");
+        assert_eq!(scratch.zone_epoch, 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The stamped predicate equals the pointwise table lookup at every
+        /// node (a superset of the contacts any walk or chase can visit),
+        /// and the plain and hinted walks built on it equal the pointwise
+        /// re-walk — on ONE scratch reused across sources, targets,
+        /// radii-sized zones and mobility ticks (tables are rebuilt
+        /// incrementally under it; stale stamps must never answer).
+        #[test]
+        fn prop_stamped_zone_equals_pointwise(
+            seed in 0u64..500,
+            radius in 1u16..4,
+            ticks in 1usize..4,
+        ) {
+            let nodes = 70;
+            let cfg = CardConfig::default()
+                .with_radius(radius)
+                .with_max_contact_distance(2 * radius + 3)
+                .with_target_contacts(3)
+                .with_hints(true)
+                .with_seed(seed);
+            let mut world = CardWorld::build(&Scenario::new(nodes, 350.0, 350.0, 60.0), cfg);
+            world.select_all_contacts();
+            let field = world.network().field();
+            let mut model =
+                RandomWaypoint::new(nodes, field, 2.0, 12.0, 0.0, RngStream::seed_from_u64(seed));
+            let mut rng = RngStream::seed_from_u64(seed ^ 0x2003);
+            let mut scratch = QueryScratch::new();
+            let (mut st, mut hint_stats, mut deposits) = (mk_stats(), HintStats::default(), Vec::new());
+            for _ in 0..ticks {
+                world.run_mobile(&mut model, SimDuration::from_secs(1));
+                let pairs: Vec<(NodeId, NodeId)> = (0..60)
+                    .map(|_| (NodeId::from(rng.index(nodes)), NodeId::from(rng.index(nodes))))
+                    .collect();
+                world.query_all(&pairs); // warm the hint tables the chases read
+                let (net, tables) = (world.network(), world.contact_tables());
+                let store = world.hint_store().expect("hints are on");
+                for &(source, target) in &pairs {
+                    {
+                        let (_, answers) = target_zone(net, &mut scratch, target, any_edge);
+                        for node in NodeId::all(nodes) {
+                            prop_assert_eq!(
+                                answers(node),
+                                net.tables().of(node).contains(target),
+                                "zone stamp of {} at {}", target, node
+                            );
+                        }
+                    }
+                    let oracle = dsq_query_rewalk(net, tables, source, target, 3, &mut st, SimTime::ZERO);
+                    let plain =
+                        dsq_query(net, tables, source, target, 3, &mut st, SimTime::ZERO, &mut scratch);
+                    prop_assert_eq!(&plain, &oracle, "plain walk {} -> {}", source, target);
+                    let mut ctx = HintContext { store, stats: &mut hint_stats, deposits: &mut deposits };
+                    let hinted = dsq_query_hinted(
+                        net, tables, &mut ctx, source, target, 3, &mut st, SimTime::ZERO, &mut scratch,
+                    );
+                    prop_assert_eq!(hinted.found, oracle.found, "hinted walk {} -> {}", source, target);
+                }
+            }
+        }
     }
 
     /// The plain unrecorded walk from node 0 under `filter`'s edge veto.

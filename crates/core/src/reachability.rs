@@ -49,13 +49,14 @@ pub fn reachability_set_into<T: TableSource>(
     // Level-synchronous walk of the contact graph on the query engine;
     // every newly consumed contact unions its neighborhood in. Messages
     // are not charged (this is the paper's §III.B *metric*, not a query).
-    scratch.begin(net.node_count(), source);
+    let walk = &mut scratch.walk;
+    walk.begin(net.node_count(), source);
     let mut no_msgs = 0u64;
     for _ in 0..depth {
-        if scratch.exhausted() {
+        if walk.exhausted() {
             break;
         }
-        scratch.advance_level(&contact_tables, &mut no_msgs, any_edge, |c, _| {
+        walk.advance_level(&contact_tables, &mut no_msgs, any_edge, |c, _| {
             for m in tables.of(c).iter_members() {
                 out.insert(m.index());
             }

@@ -245,7 +245,7 @@ pub(crate) fn resource_query_unrecorded<T: TableSource, S: HintLookup>(
             key,
             source,
             max_depth,
-            scratch,
+            &mut scratch.walk,
             edge_ok,
             hosted,
         ),
@@ -254,7 +254,7 @@ pub(crate) fn resource_query_unrecorded<T: TableSource, S: HintLookup>(
             contact_tables,
             source,
             max_depth,
-            scratch,
+            &mut scratch.walk,
             edge_ok,
             hosted,
         ),

@@ -150,20 +150,21 @@ impl StandingQueries {
 
     /// Install a freshly resolved chain: index it, flip the state, account
     /// the resolve (and the broken interval, for re-resolves).
-    pub(crate) fn set_resolved(&mut self, id: u32, path: Vec<NodeId>, now: SimTime, initial: bool) {
+    pub(crate) fn set_resolved(&mut self, id: u32, path: &[NodeId], now: SimTime, initial: bool) {
         debug_assert!(
             !path.is_empty(),
             "a resolved chain holds at least the source"
         );
         let q = &mut self.queries[id as usize];
         debug_assert_eq!(q.state, StandingState::Broken, "resolve of a live chain");
-        for &node in &path {
+        for &node in path {
             self.path_index[node.index()].push(id);
         }
         if !path.contains(&q.target) {
             self.path_index[q.target.index()].push(id);
         }
-        q.path = path;
+        debug_assert!(q.path.is_empty(), "a broken query holds no chain");
+        q.path.extend_from_slice(path); // into the broken chain's buffer
         q.state = StandingState::Resolved;
         if initial {
             self.stats.resolved += 1;
@@ -256,7 +257,7 @@ mod tests {
         let id = sq.register(n(0), n(5), SimTime::from_secs(1));
         assert_eq!(sq.len(), 1);
         assert!(!sq.get(id).is_resolved());
-        sq.set_resolved(id, vec![n(0), n(3)], SimTime::from_secs(2), true);
+        sq.set_resolved(id, &[n(0), n(3)], SimTime::from_secs(2), true);
         assert!(sq.get(id).is_resolved());
         assert_eq!(sq.get(id).path, vec![n(0), n(3)]);
         assert_eq!(sq.stats().resolved, 1);
@@ -279,7 +280,7 @@ mod tests {
         sq.mark_node_dirty(n(5));
         assert!(!sq.has_marks());
         // re-resolve accumulates broken time separately
-        sq.set_resolved(id, vec![n(0), n(7)], SimTime::from_secs(7), false);
+        sq.set_resolved(id, &[n(0), n(7)], SimTime::from_secs(7), false);
         assert_eq!(sq.stats().reresolved, 1);
         assert_eq!(sq.stats().broken_ticks, 4_000_000);
     }
@@ -289,7 +290,7 @@ mod tests {
         let mut sq = StandingQueries::new(4);
         let a = sq.register(n(0), n(1), SimTime::ZERO);
         let b = sq.register(n(2), n(3), SimTime::ZERO);
-        sq.set_resolved(a, vec![n(0)], SimTime::ZERO, true);
+        sq.set_resolved(a, &[n(0)], SimTime::ZERO, true);
         sq.set_failed(b);
         assert_eq!(sq.stats().resolve_failures, 1);
         sq.mark_all();
@@ -302,7 +303,7 @@ mod tests {
     fn duplicate_marks_count_once() {
         let mut sq = StandingQueries::new(4);
         let id = sq.register(n(0), n(3), SimTime::ZERO);
-        sq.set_resolved(id, vec![n(0), n(1), n(2)], SimTime::ZERO, true);
+        sq.set_resolved(id, &[n(0), n(1), n(2)], SimTime::ZERO, true);
         sq.mark_node_dirty(n(1));
         sq.mark_node_dirty(n(2));
         let mut ids = Vec::new();

@@ -652,7 +652,7 @@ impl CardWorld {
             maintenance: MaintenanceTotals::default(),
             shards,
             per: n.div_ceil(k).max(1),
-            query_scratch: (0..k).map(|_| QueryScratch::new()).collect(),
+            query_scratch: (0..k).map(|_| QueryScratch::with_capacity(n)).collect(),
             plane: MessagePlane::new(k),
             hints_on,
             hint_stats: HintStats::default(),
@@ -677,7 +677,11 @@ impl CardWorld {
     /// are shard-count-independent — per-node RNG streams make each node's
     /// decisions a function of its own state, and plane delivery order is
     /// pinned to the protocol's send order — so this only moves the
-    /// parallelism/memory trade-off.
+    /// parallelism/memory trade-off. Only non-empty spans of the canonical
+    /// partition (`ceil(N / shards)` nodes each) become shards, and
+    /// [`shard_count`](Self::shard_count) reports those: 5 nodes over 4
+    /// requested shards are 3 spans of 2, 2 and 1. Worlds smaller than
+    /// their shard count are therefore valid, down to N = 1.
     ///
     /// # Panics
     /// Panics if `shards == 0`.
@@ -723,7 +727,8 @@ impl CardWorld {
         }
         self.shards = new_shards;
         self.per = n.div_ceil(shards).max(1);
-        self.query_scratch.resize_with(shards, QueryScratch::new);
+        self.query_scratch
+            .resize_with(shards, || QueryScratch::with_capacity(n));
         self.query_scratch.shrink_to_fit();
         self.sweep_deposits.resize_with(shards, Vec::new);
         self.sweep_deposits.shrink_to_fit();
@@ -1824,13 +1829,15 @@ impl CardWorld {
             standing.set_failed(id);
             return;
         }
-        let mut path = vec![source];
-        if out.depth_used > 0 {
-            let answer = scratch
-                .answerer()
-                .expect("a resolved escalation has an answerer");
-            scratch.walk_path(answer, &mut path);
-        }
+        let own_zone = [source];
+        let path: &[NodeId] = if out.depth_used > 0 {
+            let answer = scratch.walk.answerer();
+            scratch
+                .walk
+                .walk_path(answer.expect("a resolved escalation has an answerer"))
+        } else {
+            &own_zone
+        };
         standing.set_resolved(id, path, *now, initial);
     }
 

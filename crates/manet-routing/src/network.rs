@@ -783,6 +783,7 @@ mod tests {
     use super::*;
     use mobility::statics::StaticModel;
     use mobility::waypoint::RandomWaypoint;
+    use proptest::prelude::*;
     use sim_core::rng::RngStream;
 
     fn small_scenario() -> Scenario {
@@ -1197,6 +1198,59 @@ mod tests {
         assert!(large > small, "bigger R must not shrink neighborhoods");
         net.set_radius(3); // no-op path
         assert_eq!(net.radius(), 3);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Zone membership is symmetric after every kind of refresh, at
+        /// every radius: `a ∈ zone(b)` iff `b ∈ zone(a)`. Two layers of
+        /// `card_core` answer "is X in *their* zone" by stamping *X's*
+        /// members (the CSQ refusal set, the DSQ target zone), so a table
+        /// left behind by an incremental rebuild would corrupt both.
+        #[test]
+        fn prop_zone_membership_is_symmetric(
+            seed in 0u64..1000,
+            radius in 0u16..4,
+            steps in 1usize..8,
+        ) {
+            let n = 48;
+            let scenario = Scenario::new(n, 300.0, 300.0, 60.0);
+            let mut net = Network::from_scenario(&scenario, radius, seed);
+            let mut rng = RngStream::seed_from_u64(seed ^ 0x5a5a);
+            for step in 0..steps {
+                // Few movers keep the patch path, most of the network
+                // trips the churn (`Full`) fallback.
+                let share = [0.05, 0.1, 1.0][rng.index(3)];
+                let movers: Vec<NodeId> =
+                    NodeId::all(n).filter(|_| rng.chance(share)).collect();
+                for &m in &movers {
+                    let p = net.positions()[m.index()];
+                    let (dx, dy) = (rng.range_f64(-45.0, 45.0), rng.range_f64(-45.0, 45.0));
+                    net.positions_mut()[m.index()] =
+                        net.field().clamp(Point2::new(p.x + dx, p.y + dy));
+                }
+                let op = rng.index(4);
+                match op {
+                    0 => net.refresh(),
+                    1 => net.refresh_full(),
+                    _ => net.refresh_movers(&movers),
+                }
+                if op == 3 {
+                    net.set_radius(rng.index(4) as u16);
+                }
+                for a in NodeId::all(n) {
+                    for b in NodeId::all(n) {
+                        prop_assert_eq!(
+                            net.tables().of(a).contains(b),
+                            net.tables().of(b).contains(a),
+                            "zone({}) vs zone({}) at step {} (op {}, {} movers, R = {})",
+                            a, b, step, op, movers.len(), net.radius()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

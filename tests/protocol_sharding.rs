@@ -177,3 +177,50 @@ fn repeat_parallel_runs_are_identical() {
     assert_eq!(first, run(true), "parallel runs must repeat exactly");
     assert_eq!(first, run(false), "parallel must equal serial end-to-end");
 }
+
+/// Degenerate sizes (ROADMAP 5(d)): worlds smaller than their shard count,
+/// empty and duplicated pair lists. Every sweep and query must return its
+/// documented outcome — never panic — and equal the 1-shard world's.
+#[test]
+fn tiny_worlds_match_one_shard_at_any_shard_count() {
+    let tiny = |n: usize, shards: usize, hints: bool| {
+        let cfg = CardConfig::default()
+            .with_radius(1)
+            .with_max_contact_distance(4)
+            .with_target_contacts(2)
+            .with_hints(hints)
+            .with_seed(5);
+        let mut w = CardWorld::build(&Scenario::new(n, 120.0, 120.0, 50.0), cfg);
+        w.set_shard_count(shards);
+        w
+    };
+    let run = |n: usize, shards: usize, hints: bool| {
+        let mut w = tiny(n, shards, hints);
+        w.select_all_contacts();
+        w.validation_round();
+        let pairs: Vec<(NodeId, NodeId)> = NodeId::all(n)
+            .flat_map(|a| NodeId::all(n).map(move |b| (a, b)))
+            .flat_map(|pair| [pair, pair])
+            .collect();
+        let swept = w.query_all(&pairs);
+        assert!(w.query_all(&[]).is_empty());
+        let single = w.query(NodeId::new(0), NodeId::from(n - 1));
+        (snapshot(&w), swept, single, w.hint_stats().clone())
+    };
+    for n in [1usize, 2, 3, 5, 7] {
+        for hints in [false, true] {
+            let expected = run(n, 1, hints);
+            for shards in [2usize, 4, 16] {
+                assert_eq!(
+                    run(n, shards, hints),
+                    expected,
+                    "N={n} shards={shards} hints={hints}"
+                );
+            }
+        }
+    }
+    // `shard_count()` reports the non-empty spans of the canonical
+    // partition, not the request: 5 nodes in spans of ceil(5/4) = 2.
+    assert_eq!(tiny(5, 4, false).shard_count(), 3);
+    assert_eq!(tiny(7, 4, false).shard_count(), 4);
+}
