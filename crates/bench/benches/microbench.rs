@@ -13,7 +13,7 @@
 //! runs this file under `BENCH_QUICK=1` (see [`bench::config`]).
 
 use card_core::csq::{select_contacts, CsqScratch, ALL_EDGE_NODES};
-use card_core::hints::{HintStats, HintStore};
+use card_core::hints::{DepositLog, HintStats, HintStore};
 use card_core::query::{dsq_query, dsq_query_hinted, dsq_query_rewalk, HintContext, QueryScratch};
 use card_core::{CardConfig, ContactTable};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -705,7 +705,7 @@ fn bench_query_engine(c: &mut Criterion) {
     // discarded when frozen (the sharded-sweep read phase).
     let hinted_batch = |store: &mut HintStore, live: bool, scratch: &mut QueryScratch| {
         let mut hstats = HintStats::default();
-        let mut deposits = Vec::new();
+        let mut deposits = DepositLog::new();
         let mut stats = MsgStats::default();
         let mut total = 0u64;
         for &(s, t) in &pairs[..256] {
@@ -729,8 +729,8 @@ fn bench_query_engine(c: &mut Criterion) {
                 )
             };
             if live {
-                for d in &deposits {
-                    store.deposit(d.holder, d.key, d.next_hop, d.depth);
+                for d in deposits.runs() {
+                    store.deposit(d, &mut hstats);
                 }
             }
             total += out.total_messages();
@@ -793,8 +793,12 @@ fn bench_query_engine(c: &mut Criterion) {
 /// guard exactly the per-sweep overhead `CardWorld` pays to make
 /// cross-shard writes explicit.
 fn bench_message_plane(c: &mut Criterion) {
-    use sim_core::plane::MessagePlane;
-    type Payload = (u32, u32, u16); // holder, next-hop, depth — deposit-shaped
+    use sim_core::plane::{Envelope, MessagePlane};
+    /// Holder, next-hop, depth — deposit-shaped (the drain reads only the
+    /// holder; the rest is payload the exchange moves).
+    #[allow(dead_code)]
+    struct Payload(u32, u32, u16);
+    impl Envelope for Payload {}
     let msgs = 8192usize;
     let splitter = SeedSplitter::new(41);
     let mut group = c.benchmark_group("message_plane");
@@ -808,7 +812,7 @@ fn bench_message_plane(c: &mut Criterion) {
             b.iter(|| {
                 let (outboxes, _) = plane.split_mut();
                 for (i, &(src, dst)) in routes.iter().enumerate() {
-                    outboxes[src].send(dst, (i as u32, i as u32 ^ 7, 2));
+                    outboxes[src].send(dst, Payload(i as u32, i as u32 ^ 7, 2));
                 }
                 black_box(plane.exchange())
             })
@@ -818,12 +822,12 @@ fn bench_message_plane(c: &mut Criterion) {
             b.iter(|| {
                 let (outboxes, _) = plane.split_mut();
                 for (i, &(src, dst)) in routes.iter().enumerate() {
-                    outboxes[src].send(dst, (i as u32, i as u32 ^ 7, 2));
+                    outboxes[src].send(dst, Payload(i as u32, i as u32 ^ 7, 2));
                 }
                 plane.exchange();
                 let mut sum = 0u64;
                 for mb in plane.mailboxes_mut() {
-                    for (src, (a, _, _)) in mb.drain() {
+                    for (src, Payload(a, _, _)) in mb.drain() {
                         sum += src as u64 + a as u64;
                     }
                 }

@@ -58,8 +58,34 @@
 //! at any worker or shard count. With the cache disabled the same sweep
 //! runs without a hint view — no lookup, no deposit stage — and is
 //! bit-identical to `query_all_serial` (pinned by `tests/hint_cache.rs`).
+//!
+//! ## Runs: deposits combine at the sender
+//!
+//! Under a skewed query mix a sweep deposits the same hint at the same
+//! holder over and over. A [`DepositLog`] therefore merges a push into
+//! that holder's *latest* entry when key, next hop and depth match, and
+//! the entry becomes a counted run ([`HintDeposit::count`]) that crosses
+//! the plane as one envelope. [`HintStore::deposit`] applies a run
+//! exactly: the first copy places the hint (and may evict), the other
+//! copies would find it in place and only re-stamp it, so the run costs
+//! one write at the holder's clock advanced by `count`. This equals
+//! applying the copies one at a time because
+//!
+//! * a holder's state depends only on its own deposit order, and merging
+//!   into the holder's latest entry — never an earlier one — leaves that
+//!   order unchanged;
+//! * the plane delivers one lane's traffic to one holder contiguously in
+//!   `(src, seq)` order, and a log is one lane of one sweep: runs never
+//!   span lanes, sweeps or deferred envelopes;
+//! * fault verdicts are keyed on a deposit's content, which excludes
+//!   `count`, so every copy of a run would draw the run's one verdict —
+//!   dropped, delayed or delivered together.
+//!
+//! The single-query path logs into the same type and applies through the
+//! same `deposit`; its chains rarely repeat, so its runs are all of 1.
 
 use net_topology::node::NodeId;
+use sim_core::plane::Envelope;
 
 use crate::resources::ResourceId;
 
@@ -100,7 +126,7 @@ impl HintKey {
 const EMPTY: u64 = u64::MAX;
 
 /// One stored hint (flat-array slot).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct HintSlot {
     /// Packed [`HintKey`], or [`EMPTY`].
     key: u64,
@@ -143,15 +169,9 @@ pub enum Lookup {
     Absent,
 }
 
-/// What a deposit displaced.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DepositOutcome {
-    /// A *fresh* (non-expired) hint for a different key was evicted.
-    pub evicted_live: bool,
-}
-
-/// A hint queued for deposit — the unit the sharded sweep logs during its
-/// frozen parallel phase and applies in shard order afterwards.
+/// A run of identical hints queued for deposit — the unit the sharded
+/// sweep logs during its frozen parallel phase and applies in shard order
+/// afterwards (see "Runs" in the module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HintDeposit {
     /// Node the hint is stored at.
@@ -162,6 +182,124 @@ pub struct HintDeposit {
     pub next_hop: NodeId,
     /// Contact-graph steps from `holder` to the answer.
     pub depth: u16,
+    /// Consecutive identical deposits this entry stands for (≥ 1).
+    pub count: u32,
+}
+
+impl HintDeposit {
+    /// One deposit (a run of 1).
+    pub fn new(holder: NodeId, key: HintKey, next_hop: NodeId, depth: u16) -> Self {
+        HintDeposit {
+            holder,
+            key,
+            next_hop,
+            depth,
+            count: 1,
+        }
+    }
+}
+
+/// A run weighs its count in the message plane's ledger.
+impl Envelope for HintDeposit {
+    #[inline]
+    fn weight(&self) -> u64 {
+        self.count as u64
+    }
+}
+
+/// Index slot of a vacant [`DepositLog`] holder entry.
+const NO_RUN: u32 = u32::MAX;
+
+/// A deposit log that combines at the sender: a push merges into its
+/// holder's *latest* entry when the hint is the same, so repeated
+/// deposits become counted runs (see "Runs" in the module docs).
+#[derive(Clone, Debug, Default)]
+pub struct DepositLog {
+    runs: Vec<HintDeposit>,
+    /// Open-addressing index `(holder, position of its latest run)`,
+    /// vacant slots `(_, NO_RUN)`: a power of two at most half full,
+    /// sized to the holders logged and allocated on the first push, so a
+    /// log that never sees a deposit costs nothing.
+    latest: Vec<(u32, u32)>,
+    /// Occupied index slots (distinct holders logged).
+    holders: usize,
+}
+
+impl DepositLog {
+    /// An empty log.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The logged runs, in push order of their first copy.
+    pub fn runs(&self) -> &[HintDeposit] {
+        &self.runs
+    }
+
+    /// Log `d`: merged into its holder's latest run when that run holds
+    /// the same hint, appended as a new run otherwise.
+    pub fn push(&mut self, d: HintDeposit) {
+        if 2 * (self.holders + 1) > self.latest.len() {
+            self.grow();
+        }
+        let holder = d.holder.raw();
+        let mask = self.latest.len() - 1;
+        let mut i = Self::home(holder, mask);
+        loop {
+            let (h, pos) = self.latest[i];
+            if pos == NO_RUN {
+                self.latest[i] = (holder, self.runs.len() as u32);
+                self.holders += 1;
+                break;
+            }
+            if h == holder {
+                let run = &mut self.runs[pos as usize];
+                if (run.key, run.next_hop, run.depth) == (d.key, d.next_hop, d.depth) {
+                    run.count += d.count;
+                    return;
+                }
+                self.latest[i].1 = self.runs.len() as u32;
+                break;
+            }
+            i = (i + 1) & mask;
+        }
+        self.runs.push(d);
+    }
+
+    /// Empty the log, keeping its buffers.
+    pub fn clear(&mut self) {
+        self.runs.clear();
+        if self.holders > 0 {
+            self.latest.fill((0, NO_RUN));
+            self.holders = 0;
+        }
+    }
+
+    /// Heap bytes reserved by the runs and the holder index.
+    pub fn memory_bytes(&self) -> usize {
+        self.runs.capacity() * std::mem::size_of::<HintDeposit>()
+            + self.latest.capacity() * std::mem::size_of::<(u32, u32)>()
+    }
+
+    /// Fibonacci hash of a holder into a power-of-two index.
+    #[inline]
+    fn home(holder: u32, mask: usize) -> usize {
+        (u64::from(holder).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask
+    }
+
+    /// Double the index (16 slots at first) and re-seat its holders.
+    fn grow(&mut self) {
+        let len = (2 * self.latest.len()).max(16);
+        let old = std::mem::replace(&mut self.latest, vec![(0, NO_RUN); len]);
+        let mask = len - 1;
+        for (holder, pos) in old.into_iter().filter(|&(_, pos)| pos != NO_RUN) {
+            let mut i = Self::home(holder, mask);
+            while self.latest[i].1 != NO_RUN {
+                i = (i + 1) & mask;
+            }
+            self.latest[i] = (holder, pos);
+        }
+    }
 }
 
 /// Counters of the hint subsystem, merged across shards in shard order
@@ -252,7 +390,7 @@ impl<T: HintLookup + ?Sized> HintLookup for &mut T {
 /// Bounded per-node hint tables over one flat slot array, covering a
 /// contiguous node span (see the module docs for layout, staleness, and
 /// determinism).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HintStore {
     slots: Vec<HintSlot>,
     /// First node index covered by this store (0 for a whole-network
@@ -406,19 +544,26 @@ impl HintStore {
         }
     }
 
-    /// Store (or refresh) a hint at `holder`. An existing slot for the
-    /// same key is updated in place (migrating buckets when the depth
-    /// moved); otherwise the bucket's first vacant slot is used, then the
-    /// coldest expired slot, then the coldest live slot (LRU eviction).
-    pub fn deposit(
-        &mut self,
-        holder: NodeId,
-        key: HintKey,
-        next_hop: NodeId,
-        depth: u16,
-    ) -> DepositOutcome {
+    /// Store (or refresh) the run `d` at its holder, counting it into
+    /// `stats`. An existing slot for the same key is updated in place
+    /// (migrating buckets when the depth moved); otherwise the bucket's
+    /// first vacant slot is used, then the coldest expired slot, then the
+    /// coldest live slot (LRU eviction). A run of `count` copies is
+    /// exactly `count` single deposits: the first may evict, the rest
+    /// re-stamp its slot, so the holder's clock advances by `count`, the
+    /// slot carries the last value, and only the first eviction counts.
+    pub fn deposit(&mut self, d: &HintDeposit, stats: &mut HintStats) {
+        debug_assert!(d.count >= 1, "a run carries at least one deposit");
+        stats.deposits += d.count as u64;
+        let HintDeposit {
+            holder,
+            key,
+            next_hop,
+            depth,
+            count,
+        } = *d;
         let node_clock = &mut self.clocks[holder.index() - self.start];
-        *node_clock = node_clock.wrapping_add(1);
+        *node_clock = node_clock.wrapping_add(count);
         let clock = *node_clock;
         let epoch = self.epoch;
         let bucket = self.bucket_of(depth);
@@ -440,9 +585,7 @@ impl HintStore {
                     stamp: epoch,
                     used: clock,
                 };
-                return DepositOutcome {
-                    evicted_live: false,
-                };
+                return;
             }
             self.slots[region.start + off] = VACANT;
         }
@@ -466,7 +609,7 @@ impl HintStore {
                 victim = i;
             }
         }
-        let evicted_live = victim_rank.0 == 2;
+        stats.evicted_lru += u64::from(victim_rank.0 == 2);
         self.slots[bucket_start + victim] = HintSlot {
             key: key.0,
             next_hop,
@@ -474,7 +617,6 @@ impl HintStore {
             stamp: epoch,
             used: clock,
         };
-        DepositOutcome { evicted_live }
     }
 
     /// Drop every hint held at `node` (mobility invalidation: its
@@ -513,9 +655,24 @@ impl HintStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
+    }
+
+    /// Deposit one hint; reports whether it evicted a live one.
+    fn put(
+        store: &mut HintStore,
+        holder: NodeId,
+        key: HintKey,
+        next_hop: NodeId,
+        depth: u16,
+    ) -> bool {
+        let mut stats = HintStats::default();
+        store.deposit(&HintDeposit::new(holder, key, next_hop, depth), &mut stats);
+        assert_eq!(stats.deposits, 1);
+        stats.evicted_lru == 1
     }
 
     #[test]
@@ -534,7 +691,7 @@ mod tests {
     #[test]
     fn deposit_then_lookup_round_trips() {
         let mut store = HintStore::new(4, 2, 8);
-        store.deposit(n(0), HintKey::node(n(3)), n(1), 2);
+        put(&mut store, n(0), HintKey::node(n(3)), n(1), 2);
         assert_eq!(
             store.lookup(n(0), HintKey::node(n(3))),
             Lookup::Hit(Hint {
@@ -552,11 +709,17 @@ mod tests {
         let mut store = HintStore::new(1, 1, 8);
         // One slot per bucket: four different-depth keys must coexist.
         for (i, depth) in [1u16, 2, 3, 9].iter().enumerate() {
-            store.deposit(n(0), HintKey::node(n(10 + i as u32)), n(1), *depth);
+            put(
+                &mut store,
+                n(0),
+                HintKey::node(n(10 + i as u32)),
+                n(1),
+                *depth,
+            );
         }
         assert_eq!(store.len(), 4, "distinct buckets must not evict each other");
         // Depth ≥ HINT_BUCKETS shares the last bucket with depth 4.
-        store.deposit(n(0), HintKey::node(n(99)), n(1), 4);
+        put(&mut store, n(0), HintKey::node(n(99)), n(1), 4);
         assert_eq!(store.len(), 4, "depth 4 and 9 share the far bucket");
         assert_eq!(store.lookup(n(0), HintKey::node(n(13))), Lookup::Absent);
     }
@@ -564,12 +727,12 @@ mod tests {
     #[test]
     fn lru_evicts_the_coldest_slot() {
         let mut store = HintStore::new(1, 2, 8);
-        store.deposit(n(0), HintKey::node(n(10)), n(1), 1);
-        store.deposit(n(0), HintKey::node(n(11)), n(2), 1);
+        put(&mut store, n(0), HintKey::node(n(10)), n(1), 1);
+        put(&mut store, n(0), HintKey::node(n(11)), n(2), 1);
         // Touch 10 (refresh): 11 becomes the coldest.
-        store.deposit(n(0), HintKey::node(n(10)), n(1), 1);
-        let out = store.deposit(n(0), HintKey::node(n(12)), n(3), 1);
-        assert!(out.evicted_live);
+        put(&mut store, n(0), HintKey::node(n(10)), n(1), 1);
+        let evicted = put(&mut store, n(0), HintKey::node(n(12)), n(3), 1);
+        assert!(evicted);
         assert_eq!(store.lookup(n(0), HintKey::node(n(11))), Lookup::Absent);
         assert!(matches!(
             store.lookup(n(0), HintKey::node(n(10))),
@@ -580,9 +743,9 @@ mod tests {
     #[test]
     fn refresh_updates_in_place_and_migrates_buckets() {
         let mut store = HintStore::new(1, 2, 8);
-        store.deposit(n(0), HintKey::node(n(10)), n(1), 3);
+        put(&mut store, n(0), HintKey::node(n(10)), n(1), 3);
         // Same key re-deposited at a nearer depth: moves bucket, one copy.
-        store.deposit(n(0), HintKey::node(n(10)), n(2), 1);
+        put(&mut store, n(0), HintKey::node(n(10)), n(2), 1);
         assert_eq!(store.len(), 1);
         assert_eq!(
             store.lookup(n(0), HintKey::node(n(10))),
@@ -596,7 +759,7 @@ mod tests {
     #[test]
     fn ttl_expires_hints_and_deposits_recycle_them() {
         let mut store = HintStore::new(1, 1, 2);
-        store.deposit(n(0), HintKey::node(n(10)), n(1), 1);
+        put(&mut store, n(0), HintKey::node(n(10)), n(1), 1);
         for _ in 0..2 {
             store.advance_epoch();
         }
@@ -607,20 +770,20 @@ mod tests {
         store.advance_epoch(); // now 3 epochs old > ttl 2
         assert_eq!(store.lookup(n(0), HintKey::node(n(10))), Lookup::Expired);
         // An expired slot is preferred over evicting live hints.
-        let out = store.deposit(n(0), HintKey::node(n(11)), n(2), 1);
-        assert!(!out.evicted_live);
+        let evicted = put(&mut store, n(0), HintKey::node(n(11)), n(2), 1);
+        assert!(!evicted);
         assert_eq!(store.lookup(n(0), HintKey::node(n(10))), Lookup::Absent);
     }
 
     #[test]
     fn lookup_prefers_the_shallowest_fresh_hint() {
         let mut store = HintStore::new(1, 1, 8);
-        store.deposit(n(0), HintKey::node(n(10)), n(1), 3);
-        store.deposit(n(0), HintKey::node(n(10)), n(2), 1);
+        put(&mut store, n(0), HintKey::node(n(10)), n(1), 3);
+        put(&mut store, n(0), HintKey::node(n(10)), n(2), 1);
         // The bucket migration kept one copy; a *different* key at depth 3
         // then a fresh same-key deposit at depth 3 exercises min-depth
         // selection across buckets.
-        store.deposit(n(0), HintKey::node(n(11)), n(3), 3);
+        put(&mut store, n(0), HintKey::node(n(11)), n(3), 3);
         match store.lookup(n(0), HintKey::node(n(10))) {
             Lookup::Hit(h) => assert_eq!(h.depth, 1),
             other => panic!("expected hit, got {other:?}"),
@@ -632,8 +795,8 @@ mod tests {
         let mut store = HintStore::new_span(100, 4, 2, 8);
         assert_eq!(store.span_start(), 100);
         assert_eq!(store.node_count(), 4);
-        store.deposit(n(100), HintKey::node(n(3)), n(101), 1);
-        store.deposit(n(103), HintKey::node(n(3)), n(102), 2);
+        put(&mut store, n(100), HintKey::node(n(3)), n(101), 1);
+        put(&mut store, n(103), HintKey::node(n(3)), n(102), 2);
         assert!(matches!(
             store.lookup(n(100), HintKey::node(n(3))),
             Lookup::Hit(_)
@@ -646,8 +809,8 @@ mod tests {
     #[test]
     fn copy_node_from_migrates_slots_and_clock() {
         let mut whole = HintStore::new(6, 2, 8);
-        whole.deposit(n(4), HintKey::node(n(1)), n(5), 1);
-        whole.deposit(n(4), HintKey::node(n(2)), n(5), 1);
+        put(&mut whole, n(4), HintKey::node(n(1)), n(5), 1);
+        put(&mut whole, n(4), HintKey::node(n(2)), n(5), 1);
         whole.advance_epoch();
         let mut span = HintStore::new_span(3, 3, 2, 8);
         span.set_epoch(whole.epoch());
@@ -660,8 +823,8 @@ mod tests {
         );
         // LRU state migrated too: the next deposit must evict the same
         // victim in both stores.
-        let a = span.deposit(n(4), HintKey::node(n(9)), n(5), 1);
-        let b = whole.deposit(n(4), HintKey::node(n(9)), n(5), 1);
+        let a = put(&mut span, n(4), HintKey::node(n(9)), n(5), 1);
+        let b = put(&mut whole, n(4), HintKey::node(n(9)), n(5), 1);
         assert_eq!(a, b);
         assert_eq!(
             span.lookup(n(4), HintKey::node(n(1))),
@@ -674,11 +837,96 @@ mod tests {
     }
 
     #[test]
+    fn log_merges_only_into_the_holders_latest_entry() {
+        let mut log = DepositLog::new();
+        assert_eq!(log.memory_bytes(), 0, "an unused log allocates nothing");
+        let a = HintDeposit::new(n(1), HintKey::node(n(9)), n(2), 2);
+        let b = HintDeposit {
+            next_hop: n(3),
+            ..a
+        };
+        let other = HintDeposit::new(n(5), HintKey::node(n(9)), n(6), 1);
+        // a a | other (another holder) | a: still a's latest → one run of 3
+        for d in [a, a, other, a] {
+            log.push(d);
+        }
+        assert_eq!(log.runs(), &[HintDeposit { count: 3, ..a }, other]);
+        // b displaces a as holder 1's latest; a no longer merges back.
+        log.push(b);
+        log.push(a);
+        assert_eq!(log.runs().len(), 4);
+        assert_eq!(log.runs()[3], a);
+        // A cleared log starts fresh: the old latest entries are gone.
+        log.clear();
+        log.push(a);
+        assert_eq!(log.runs(), &[a]);
+    }
+
+    #[test]
+    fn log_index_grows_past_many_holders() {
+        let mut log = DepositLog::new();
+        for round in 0..3 {
+            for h in 0..1000u32 {
+                log.push(HintDeposit::new(n(h * 7919), HintKey::node(n(1)), n(h), 1));
+            }
+            assert_eq!(log.runs().len(), 1000, "round {round}: one run per holder");
+        }
+        assert!(log.runs().iter().all(|r| r.count == 3));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// A log's combined runs leave the store — slot for slot, with its
+        /// per-node clocks — and the deposit/eviction counters exactly as
+        /// applying the raw sequence one deposit at a time does, across
+        /// runs, interleavings, bucket migrations, LRU evictions and
+        /// expired-slot reuse.
+        #[test]
+        fn prop_combined_runs_apply_like_single_deposits(
+            spb_ix in 0usize..3,
+            ttl in 1u32..4,
+            batches in collection::vec(
+                (
+                    0u32..4,
+                    collection::vec(((0u32..4, 0u32..3), (0u32..3, 1u16..6), 1u32..5), 0..40),
+                ),
+                1..6,
+            ),
+        ) {
+            let mut raw = HintStore::new(4, [1, 2, 4][spb_ix], ttl);
+            let mut combined = raw.clone();
+            let mut raw_stats = HintStats::default();
+            let mut combined_stats = HintStats::default();
+            let mut log = DepositLog::new();
+            for (advance, deposits) in &batches {
+                for _ in 0..*advance {
+                    raw.advance_epoch();
+                    combined.advance_epoch();
+                }
+                log.clear();
+                for &((holder, key), (hop, depth), reps) in deposits {
+                    let d = HintDeposit::new(n(holder), HintKey::node(n(10 + key)), n(20 + hop), depth);
+                    for _ in 0..reps {
+                        raw.deposit(&d, &mut raw_stats);
+                        log.push(d);
+                    }
+                }
+                for run in log.runs() {
+                    combined.deposit(run, &mut combined_stats);
+                }
+                prop_assert_eq!(&combined, &raw);
+                prop_assert_eq!(&combined_stats, &raw_stats);
+            }
+        }
+    }
+
+    #[test]
     fn invalidation_evicts_per_node_and_wholesale() {
         let mut store = HintStore::new(3, 2, 8);
-        store.deposit(n(0), HintKey::node(n(10)), n(1), 1);
-        store.deposit(n(1), HintKey::node(n(10)), n(2), 2);
-        store.deposit(n(2), HintKey::resource(ResourceId(0)), n(1), 1);
+        put(&mut store, n(0), HintKey::node(n(10)), n(1), 1);
+        put(&mut store, n(1), HintKey::node(n(10)), n(2), 2);
+        put(&mut store, n(2), HintKey::resource(ResourceId(0)), n(1), 1);
         assert_eq!(store.invalidate_node(n(1)), 1);
         assert_eq!(store.lookup(n(1), HintKey::node(n(10))), Lookup::Absent);
         assert!(matches!(

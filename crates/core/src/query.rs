@@ -74,7 +74,7 @@ use sim_core::stats::{MsgKind, MsgStats};
 use sim_core::time::SimTime;
 
 use crate::contact::TableSource;
-use crate::hints::{HintDeposit, HintKey, HintLookup, HintStats, HintStore, Lookup};
+use crate::hints::{DepositLog, HintDeposit, HintKey, HintLookup, HintStats, HintStore, Lookup};
 
 /// Result of one resource-discovery query.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -460,14 +460,15 @@ const MAX_FAILED_CHASES: u32 = 4;
 /// sweep), the caller's counters, and a deposit log. Deposits are queued,
 /// not applied — `CardWorld` applies them in shard order after the sweep
 /// (or immediately after a single live query), which keeps hinted sweeps
-/// bit-identical at any worker or shard count.
+/// bit-identical at any worker or shard count. The log combines repeated
+/// deposits into counted runs as they are queued (see [`DepositLog`]).
 pub struct HintContext<'a, S: HintLookup = &'a HintStore> {
     /// The hint tables consulted (never written during the query).
     pub store: S,
     /// Hit/miss/staleness counters (summed, so shard merges commute).
     pub stats: &'a mut HintStats,
     /// Hints the resolved query wants deposited along its answer chain.
-    pub deposits: &'a mut Vec<HintDeposit>,
+    pub deposits: &'a mut DepositLog,
 }
 
 /// Outcome of one directed probe down a hint chain.
@@ -553,15 +554,10 @@ fn chase<T: TableSource + ?Sized, S: HintLookup + ?Sized>(
 /// Queue one hint per chain node (except the answer itself): at chain
 /// node `i`, forward to `chain[i+1]`, with the remaining steps as the
 /// distance-bucket depth.
-fn push_chain_deposits(deposits: &mut Vec<HintDeposit>, key: HintKey, chain: &[NodeId]) {
+fn push_chain_deposits(deposits: &mut DepositLog, key: HintKey, chain: &[NodeId]) {
     let last = chain.len() - 1;
     for (i, pair) in chain.windows(2).enumerate() {
-        deposits.push(HintDeposit {
-            holder: pair[0],
-            key,
-            next_hop: pair[1],
-            depth: (last - i) as u16,
-        });
+        deposits.push(HintDeposit::new(pair[0], key, pair[1], (last - i) as u16));
     }
 }
 
@@ -1343,7 +1339,7 @@ mod tests {
                 RandomWaypoint::new(nodes, field, 2.0, 12.0, 0.0, RngStream::seed_from_u64(seed));
             let mut rng = RngStream::seed_from_u64(seed ^ 0x2003);
             let mut scratch = QueryScratch::new();
-            let (mut st, mut hint_stats, mut deposits) = (mk_stats(), HintStats::default(), Vec::new());
+            let (mut st, mut hint_stats, mut deposits) = (mk_stats(), HintStats::default(), DepositLog::new());
             for _ in 0..ticks {
                 world.run_mobile(&mut model, SimDuration::from_secs(1));
                 let pairs: Vec<(NodeId, NodeId)> = (0..60)

@@ -17,7 +17,7 @@
 //! [`sim_core::par::shard_spans`] partition; `per = ceil(N / shards)`).
 //! There is no flat whole-network array behind the shards; cross-shard
 //! reads go through read-only views ([`TablesView`], [`HintsView`]) and
-//! cross-shard *writes* — hint deposits — become [`HintDeposit`] messages
+//! cross-shard *writes* — hint deposits — become [`HintDeposit`] runs
 //! routed through a [`MessagePlane`] and applied by the owning shard in a
 //! deterministic drain phase.
 //!
@@ -46,10 +46,18 @@
 //! * **Hint deposits** ([`HintDeposit`], the plane's one message type): a
 //!   resolved query of a batched sweep deposits hints at relay nodes that
 //!   usually live on other shards. The sweep logs deposits per source
-//!   shard, routes them to the holder's owner shard through one exchange
-//!   round, and each shard applies its own mailbox — see
-//!   [`CardWorld::query_all`]. Query *reads* (remote contact tables) stay
-//!   direct reads through [`TablesView`].
+//!   shard into a [`DepositLog`], which combines at the sender: a push
+//!   that repeats its holder's *latest* entry (key, next hop, depth) bumps
+//!   that entry's `count`, so a skewed sweep logs one run where it used
+//!   to log hundreds of copies; runs never span lanes, sweeps or deferred
+//!   envelopes. Each run crosses the plane as one envelope to the
+//!   holder's owner shard in one exchange round. It weighs its count in
+//!   the plane's ledger and draws one content-keyed fault verdict — the
+//!   one every copy would have drawn. Each shard applies its own mailbox
+//!   through `HintStore::deposit`, which applies a run exactly as that
+//!   many single deposits ("Runs" in [`crate::hints`]; see
+//!   [`CardWorld::query_all`]). Query *reads* (remote contact tables)
+//!   stay direct reads through [`TablesView`].
 //! * **Validation traffic metering**: contact-path validation walks paths
 //!   that cross span boundaries; the direct-read implementation meters
 //!   those crossings per round into [`PlaneStats::metered_crossings`] (via
@@ -131,7 +139,7 @@ use crate::config::CardConfig;
 use crate::contact::{ContactTable, TableSource};
 use crate::csq::{select_contacts, CsqScratch, ALL_EDGE_NODES};
 use crate::events::{DriveMode, EventDriver};
-use crate::hints::{HintDeposit, HintKey, HintLookup, HintStats, HintStore, Lookup};
+use crate::hints::{DepositLog, HintDeposit, HintKey, HintLookup, HintStats, HintStore, Lookup};
 use crate::maintenance::{path_shard_crossings, validate_contacts, ValidationReport};
 use crate::query::{
     any_edge, dsq_query_hinted_unrecorded, dsq_query_unrecorded, HintContext, QueryFaultFilter,
@@ -385,7 +393,7 @@ struct QueryView<'a> {
 struct QuerySink<'a> {
     scratch: &'a mut QueryScratch,
     hint_stats: &'a mut HintStats,
-    deposits: &'a mut Vec<HintDeposit>,
+    deposits: &'a mut DepositLog,
 }
 
 impl<'a> QueryView<'a> {
@@ -534,10 +542,10 @@ pub struct CardWorld {
     /// Hit/miss/staleness counters of the hint subsystem.
     hint_stats: HintStats,
     /// Reusable deposit log for the live single-query path.
-    hint_deposits: Vec<HintDeposit>,
+    hint_deposits: DepositLog,
     /// Per-source-shard deposit logs reused across batched sweeps
     /// (allocated once, cleared per sweep).
-    sweep_deposits: Vec<Vec<HintDeposit>>,
+    sweep_deposits: Vec<DepositLog>,
     /// Long-lived standing subscriptions (see [`crate::standing`]).
     standing: StandingQueries,
     /// Reusable drain buffer for pending standing-query revalidations.
@@ -656,8 +664,8 @@ impl CardWorld {
             plane: MessagePlane::new(k),
             hints_on,
             hint_stats: HintStats::default(),
-            hint_deposits: Vec::new(),
-            sweep_deposits: (0..k).map(|_| Vec::new()).collect(),
+            hint_deposits: DepositLog::new(),
+            sweep_deposits: (0..k).map(|_| DepositLog::new()).collect(),
             standing: StandingQueries::new(n),
             standing_ids: Vec::new(),
             faults: None,
@@ -730,7 +738,7 @@ impl CardWorld {
         self.query_scratch
             .resize_with(shards, || QueryScratch::with_capacity(n));
         self.query_scratch.shrink_to_fit();
-        self.sweep_deposits.resize_with(shards, Vec::new);
+        self.sweep_deposits.resize_with(shards, DepositLog::new);
         self.sweep_deposits.shrink_to_fit();
         // Rebuild the plane at the new width, migrating any undelivered
         // messages (a lossy fault plane can park deferred deposits between
@@ -797,6 +805,20 @@ impl CardWorld {
     /// instant: `sent == local + cross_shard + dropped + deferred`.
     pub fn plane_deferred_pending(&self) -> usize {
         self.plane.deferred_pending()
+    }
+
+    /// Heap bytes held by the hint-deposit transport between sweeps: the
+    /// deposit logs' runs and holder indexes plus the plane's outbox lanes,
+    /// deferred lanes and mailboxes. Transient traffic that
+    /// [`CardWorld::shard_memory_bytes`] (protocol state) leaves out.
+    pub fn plane_buffer_bytes(&self) -> usize {
+        self.hint_deposits.memory_bytes()
+            + self
+                .sweep_deposits
+                .iter()
+                .map(DepositLog::memory_bytes)
+                .sum::<usize>()
+            + self.plane.buffer_bytes()
     }
 
     /// Zero the plane statistics (phase-by-phase measurement).
@@ -1507,18 +1529,14 @@ impl CardWorld {
         shards: &mut [ProtocolShard],
         per: usize,
         stats: &mut HintStats,
-        deposits: &[HintDeposit],
+        deposits: &DepositLog,
     ) {
-        for d in deposits {
-            let store = shards[d.holder.index() / per]
+        for d in deposits.runs() {
+            shards[d.holder.index() / per]
                 .hints
                 .as_mut()
-                .expect("deposit into a world without hint stores");
-            let out = store.deposit(d.holder, d.key, d.next_hop, d.depth);
-            stats.deposits += 1;
-            if out.evicted_live {
-                stats.evicted_lru += 1;
-            }
+                .expect("deposit into a world without hint stores")
+                .deposit(d, stats);
         }
     }
 
@@ -1628,7 +1646,10 @@ impl CardWorld {
     /// within each source shard, so the deposit sequence each holder
     /// observes is the global pair order restricted to that holder —
     /// bit-identical at any worker or shard count (pinned by
-    /// `tests/hint_cache.rs` and `tests/message_plane.rs`).
+    /// `tests/hint_cache.rs` and `tests/message_plane.rs`). A run stands
+    /// for its copies at the position of its first one; since it only
+    /// ever absorbed pushes made while it was its holder's latest entry,
+    /// the expanded sequence is unchanged.
     fn exchange_sweep_deposits(&mut self) {
         let per = self.per;
         let CardWorld {
@@ -1642,17 +1663,19 @@ impl CardWorld {
         {
             let (outboxes, _) = plane.split_mut();
             for (src, deposits) in sweep_deposits.iter_mut().enumerate() {
-                for d in deposits.drain(..) {
+                for &d in deposits.runs() {
                     outboxes[src].send(d.holder.index() / per, d);
                 }
+                deposits.clear();
             }
         }
         // A lossy fault plane judges each deposit by its *content* (plus a
         // shard-invariant sweep salt, so identical payloads in different
         // sweeps draw independent verdicts) — never by transport
         // coordinates — keeping faulted deliveries bit-identical at any
-        // shard count. Delayed deposits park in the plane's deferred lane
-        // and land at the next exchange.
+        // shard count. The key leaves out a run's `count`: every copy
+        // would draw the run's one verdict. Delayed deposits park in the
+        // plane's deferred lane and land at the next exchange.
         match faults.as_mut().filter(|rt| rt.plan.lossy()) {
             Some(rt) => {
                 rt.sweep_counter += 1;
@@ -1678,24 +1701,18 @@ impl CardWorld {
         let (_, mailboxes) = plane.split_mut();
         let mut drains: Vec<_> = shards.iter_mut().zip(mailboxes.iter_mut()).collect();
         let applied = parallel_shard_map(&mut drains, |_, (shard, mailbox)| {
-            let mut deposits = 0u64;
-            let mut evicted = 0u64;
+            let mut delta = HintStats::default();
             let store = shard
                 .hints
                 .as_mut()
                 .expect("hinted sweep without span stores");
             for (_src, d) in mailbox.drain() {
-                let out = store.deposit(d.holder, d.key, d.next_hop, d.depth);
-                deposits += 1;
-                if out.evicted_live {
-                    evicted += 1;
-                }
+                store.deposit(&d, &mut delta);
             }
-            (deposits, evicted)
+            delta
         });
-        for (deposits, evicted) in applied {
-            hint_stats.deposits += deposits;
-            hint_stats.evicted_lru += evicted;
+        for delta in &applied {
+            hint_stats.merge(delta);
         }
     }
 
@@ -2641,6 +2658,58 @@ mod tests {
         assert_eq!(report.retry.scheduled, 1);
         assert!(report.retry.retried >= 1);
         assert_eq!(w.pending_query_retries(), 0, "cap bounds the queue");
+    }
+
+    #[test]
+    fn plane_buffers_scale_with_runs_not_queries() {
+        // A few resolvable pairs, each repeated in one block: a cold sweep
+        // logs one run per chain hop whatever the block length, so the
+        // deposit transport's buffers must not grow with the repeats.
+        let mut base = CardWorld::build(&scenario(), cfg().with_depth(3).with_hints(true));
+        base.select_all_contacts();
+        assert_eq!(base.plane_buffer_bytes(), 0, "no sweep, no buffers");
+        let candidates: Vec<(NodeId, NodeId)> = (0..150u32)
+            .map(|i| (NodeId::new(i), NodeId::new((i * 37 + 70) % 150)))
+            .collect();
+        let mut probe = base.clone();
+        probe.set_hints_enabled(false);
+        let outs = probe.query_all(&candidates);
+        let few: Vec<(NodeId, NodeId)> = candidates
+            .iter()
+            .zip(&outs)
+            .filter(|(_, o)| o.found && o.depth_used > 0)
+            .map(|(&p, _)| p)
+            .take(4)
+            .collect();
+        assert!(!few.is_empty(), "some pair resolves beyond its zone");
+        let sweep = |reps: usize, shards: usize| {
+            let mut w = base.clone();
+            w.set_shard_count(shards);
+            let pairs: Vec<(NodeId, NodeId)> = few
+                .iter()
+                .flat_map(|&p| std::iter::repeat_n(p, reps))
+                .collect();
+            w.query_all(&pairs);
+            let ps = w.plane_stats();
+            assert_eq!(ps.sent, w.hint_stats().deposits);
+            (w.plane_buffer_bytes(), ps.sent, ps.envelopes)
+        };
+        for shards in [1, 3] {
+            let (short, _, _) = sweep(10, shards);
+            let (long, deposits, envelopes) = sweep(400, shards);
+            assert!(
+                envelopes * 50 < deposits,
+                "{envelopes} envelopes for {deposits} deposits"
+            );
+            assert!(
+                long <= 2 * short,
+                "buffers grew with the queries: {short} B at 10 repeats, {long} B at 400"
+            );
+            assert!(
+                long * 10 < deposits as usize * std::mem::size_of::<HintDeposit>(),
+                "{long} B of buffers for {deposits} deposits"
+            );
+        }
     }
 
     #[test]

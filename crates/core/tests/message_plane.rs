@@ -203,66 +203,156 @@ proptest! {
     ) {
         let before = [1usize, 2, 3, 5][before_ix];
         let after = [1usize, 2, 4, 6, NODES + 1][after_ix];
-        let fault_cfg = FaultConfig {
-            churn_rate: churn_pct as f64 / 100.0,
-            rejoin_after: 1,
-            partition: Some(PartitionWindow {
-                start_round: 1,
-                end_round: 3,
-                fraction: 0.5,
-            }),
-            drop_rate: drop_pct as f64 / 100.0,
-            delay_rate: delay_pct as f64 / 100.0,
-            rounds: 4,
-        };
+        let plan = lossy_plan(seed, churn_pct, drop_pct, delay_pct);
         let workload = pairs(seed ^ 0xd00d, 48);
-        let run = |reshard: Option<usize>| {
-            let mut w = CardWorld::build(&scenario(), cfg(seed, true));
-            w.set_shard_count(before);
-            w.select_all_contacts();
-            w.enable_faults(FaultPlan::generate(&fault_cfg, NODES, seed ^ 0xfa));
-            w.validation_round();
-            let cold = w.query_all(&workload); // lossy: deposits drop/defer
-            if let Some(k) = reshard {
-                w.set_shard_count(k); // migrates deferred + queued messages
-            }
-            w.validation_round();
-            let warm = w.query_all(&workload);
-            w.validation_round();
-            let ps = w.plane_stats();
-            (
-                cold,
-                warm,
-                w.contact_tables()
-                    .iter()
-                    .map(|t| {
-                        (
-                            t.contacts()
-                                .iter()
-                                .map(|c| (c.id, c.path.clone()))
-                                .collect::<Vec<_>>(),
-                            t.tombstones().to_vec(),
-                        )
-                    })
-                    .collect::<Vec<_>>(),
-                w.stats().series_where(|_| true),
-                w.maintenance_totals().clone(),
-                w.hint_stats().clone(),
-                w.fault_report(),
-                // Shard-invariant plane projection: the local/cross split
-                // moves with the boundaries, the totals may not.
-                (ps.sent, ps.dropped, ps.delayed, ps.local + ps.cross_shard),
-                w.plane_deferred_pending(),
-                w.pending_query_retries(),
-            )
-        };
-        let stayed = run(None);
-        let moved = run(Some(after));
+        let (stayed, _) = lossy_run(seed, &plan, &workload, before, None);
+        let (moved, _) = lossy_run(seed, &plan, &workload, before, Some(after));
         prop_assert_eq!(&stayed, &moved, "reshard under churn changed the run");
         // The ledger closes on both sides of the migration.
         let (sent, dropped, _delayed, delivered) = stayed.7;
         prop_assert_eq!(sent, delivered + dropped + stayed.8 as u64, "plane ledger");
     }
+
+    /// The same lossy, resharded run on a skewed workload — a handful of
+    /// resolvable pairs repeated to a few hundred queries — where the
+    /// deposit logs combine repeats into runs: each run draws one verdict
+    /// and is dropped, delayed (and migrated) or delivered whole, so the
+    /// trace still ignores the shard count before and after the reshard,
+    /// and the ledger still counts every logical deposit.
+    #[test]
+    fn prop_skewed_lossy_sweeps_survive_reshard(
+        seed in 1u64..1_000_000,
+        before_ix in 0usize..4,
+        after_ix in 0usize..5,
+        churn_pct in 0u32..25,
+        drop_pct in 1u32..12,
+        delay_pct in 1u32..12,
+        block in 1usize..16,
+    ) {
+        let before = [1usize, 2, 3, 5][before_ix];
+        let after = [1usize, 2, 4, 6, NODES + 1][after_ix];
+        let plan = lossy_plan(seed, churn_pct, drop_pct, delay_pct);
+        let workload = skewed_pairs(seed, block, 240);
+        let (stayed, envelopes) = lossy_run(seed, &plan, &workload, before, None);
+        let (moved, _) = lossy_run(seed, &plan, &workload, before, Some(after));
+        let (other, _) = lossy_run(seed, &plan, &workload, 1, Some(before));
+        prop_assert_eq!(&stayed, &moved, "reshard changed the skewed run");
+        prop_assert_eq!(&stayed, &other, "shard counts changed the skewed run");
+        let (sent, dropped, _delayed, delivered) = stayed.7;
+        prop_assert_eq!(sent, delivered + dropped + stayed.8 as u64, "plane ledger");
+        prop_assert!(
+            envelopes < sent,
+            "runs must combine: {} envelopes for {} deposits", envelopes, sent
+        );
+    }
+}
+
+/// The hostile plan of the lossy-run proptests: churn, a partition window
+/// over rounds 1–3, and per-message drop and delay.
+fn lossy_plan(seed: u64, churn_pct: u32, drop_pct: u32, delay_pct: u32) -> FaultPlan {
+    let fault_cfg = FaultConfig {
+        churn_rate: churn_pct as f64 / 100.0,
+        rejoin_after: 1,
+        partition: Some(PartitionWindow {
+            start_round: 1,
+            end_round: 3,
+            fraction: 0.5,
+        }),
+        drop_rate: drop_pct as f64 / 100.0,
+        delay_rate: delay_pct as f64 / 100.0,
+        rounds: 4,
+    };
+    FaultPlan::generate(&fault_cfg, NODES, seed ^ 0xfa)
+}
+
+/// Five pairs that a calm, selected world resolves beyond the source's
+/// zone (so they deposit hints), repeated to `len` queries in blocks of
+/// `block`: block 1 interleaves them, longer blocks form runs.
+fn skewed_pairs(seed: u64, block: usize, len: usize) -> Vec<(NodeId, NodeId)> {
+    let mut w = CardWorld::build(&scenario(), cfg(seed, false));
+    w.select_all_contacts();
+    let candidates = pairs(seed ^ 0x5eed, 96);
+    let outs = w.query_all(&candidates);
+    let handful: Vec<(NodeId, NodeId)> = candidates
+        .iter()
+        .zip(&outs)
+        .filter(|(_, o)| o.found && o.depth_used > 0)
+        .map(|(&p, _)| p)
+        .take(5)
+        .collect();
+    assert!(!handful.is_empty(), "seed {seed}: no resolvable pair");
+    (0..len)
+        .map(|i| handful[(i / block) % handful.len()])
+        .collect()
+}
+
+/// Everything a lossy run leaves that the plane could corrupt: outcomes,
+/// contact tables with tombstones, message series, maintenance, hint and
+/// fault counters, the shard-invariant plane projection, deferred
+/// deposits and pending retries.
+type LossyTrace = (
+    Vec<QueryOutcome>,
+    Vec<QueryOutcome>,
+    Vec<(Vec<(NodeId, Vec<NodeId>)>, Vec<(NodeId, u32)>)>,
+    Vec<u64>,
+    MaintenanceTotals,
+    HintStats,
+    FaultReport,
+    (u64, u64, u64, u64),
+    usize,
+    usize,
+);
+
+/// Selection, a faulted round, a lossy cold sweep, an optional reshard
+/// (while the deferred lane may hold delayed runs), a round, a warm
+/// sweep and a round: the trace, plus the envelopes the plane moved
+/// (which depend on the shard counts, so they stay out of the trace).
+fn lossy_run(
+    seed: u64,
+    plan: &FaultPlan,
+    workload: &[(NodeId, NodeId)],
+    before: usize,
+    reshard: Option<usize>,
+) -> (LossyTrace, u64) {
+    let mut w = CardWorld::build(&scenario(), cfg(seed, true));
+    w.set_shard_count(before);
+    w.select_all_contacts();
+    w.enable_faults(plan.clone());
+    w.validation_round();
+    let cold = w.query_all(workload); // lossy: deposits drop/defer
+    if let Some(k) = reshard {
+        w.set_shard_count(k); // migrates deferred + queued messages
+    }
+    w.validation_round();
+    let warm = w.query_all(workload);
+    w.validation_round();
+    let ps = w.plane_stats();
+    let trace = (
+        cold,
+        warm,
+        w.contact_tables()
+            .iter()
+            .map(|t| {
+                (
+                    t.contacts()
+                        .iter()
+                        .map(|c| (c.id, c.path.clone()))
+                        .collect::<Vec<_>>(),
+                    t.tombstones().to_vec(),
+                )
+            })
+            .collect::<Vec<_>>(),
+        w.stats().series_where(|_| true),
+        w.maintenance_totals().clone(),
+        w.hint_stats().clone(),
+        w.fault_report(),
+        // Shard-invariant plane projection: the local/cross split
+        // moves with the boundaries, the totals may not.
+        (ps.sent, ps.dropped, ps.delayed, ps.local + ps.cross_shard),
+        w.plane_deferred_pending(),
+        w.pending_query_retries(),
+    );
+    (trace, ps.envelopes)
 }
 
 /// Non-proptest smoke pinning the degenerate cases by name: one shard,

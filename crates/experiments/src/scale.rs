@@ -295,6 +295,12 @@ pub struct ScaleRow {
     pub zipf_warm_msgs_per: f64,
     /// Warm-sweep hit rate over the Zipf-skewed mix.
     pub zipf_hit_rate: f64,
+    /// Largest per-shard protocol state after the Zipf sweeps, bytes
+    /// ([`CardWorld::shard_memory_bytes`]).
+    pub zipf_shard_mem_max: usize,
+    /// Deposit-transport buffers (deposit logs, plane lanes, mailboxes)
+    /// held after the Zipf sweeps, bytes ([`CardWorld::plane_buffer_bytes`]).
+    pub zipf_plane_buffer_bytes: usize,
 }
 
 /// Run every (N, mobility-profile) combination of `p`.
@@ -533,6 +539,8 @@ fn run_one(scenario: &Scenario, profile: MobilityProfile, p: &Params) -> ScaleRo
     let zipf_warm = world.query_all(&zipf_workload);
     let zipf_warm_msgs_per = msgs_per(&zipf_warm);
     let zipf_hit_rate = world.hint_stats().hit_rate();
+    let zipf_shard_mem_max = world.shard_memory_bytes().into_iter().max().unwrap_or(0);
+    let zipf_plane_buffer_bytes = world.plane_buffer_bytes();
 
     ScaleRow {
         scenario: *scenario,
@@ -577,6 +585,8 @@ fn run_one(scenario: &Scenario, profile: MobilityProfile, p: &Params) -> ScaleRo
         hint_stale_total,
         zipf_warm_msgs_per,
         zipf_hit_rate,
+        zipf_shard_mem_max,
+        zipf_plane_buffer_bytes,
     }
 }
 
@@ -1126,6 +1136,8 @@ pub fn render(p: &Params, rows: &[ScaleRow]) -> String {
         "Stale",
         "Zipf msgs/q",
         "Zipf hit %",
+        "Shard mem max",
+        "Deposit buffers",
     ];
     let hint_body: Vec<Vec<String>> = rows
         .iter()
@@ -1148,6 +1160,8 @@ pub fn render(p: &Params, rows: &[ScaleRow]) -> String {
                 r.hint_stale_total.to_string(),
                 format!("{:.1}", r.zipf_warm_msgs_per),
                 format!("{:.1}%", 100.0 * r.zipf_hit_rate),
+                fmt_bytes(r.zipf_shard_mem_max),
+                fmt_bytes(r.zipf_plane_buffer_bytes),
             ]
         })
         .collect();
@@ -1155,7 +1169,7 @@ pub fn render(p: &Params, rows: &[ScaleRow]) -> String {
         "### Scale — {}-tick mobility runs at scenario-5 density (R={}, tick={:.0} ms)\n\n{}\n\n\
          ### Scale — full-protocol phase (sharded sweeps; EM, r={}, NoC={}, {} validation rounds)\n\n{}\n\n\
          ### Scale — query workload phase (sharded `query_all` DSQs at D={}; resource mixes {}×{} replicas)\n\n{}\n\n\
-         ### Scale — route-hint cache phase (repeat-heavy + Zipf s={} mixes over the resolvable pool; churn burst of {} ticks)\n\n{}",
+         ### Scale — route-hint cache phase (repeat-heavy + Zipf s={} mixes over the resolvable pool; churn burst of {} ticks; memory after the Zipf sweeps)\n\n{}",
         p.ticks,
         p.radius,
         p.tick.as_secs_f64() * 1e3,
@@ -1276,6 +1290,7 @@ mod tests {
         assert!(text.contains("route-hint cache phase"));
         assert!(text.contains("Warm Δ%"));
         assert!(text.contains("Zipf msgs/q"));
+        assert!(text.contains("Deposit buffers"));
     }
 
     #[test]

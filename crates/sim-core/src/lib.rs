@@ -89,7 +89,7 @@ pub mod prelude {
     pub use crate::event::EventQueue;
     pub use crate::faults::{FaultConfig, FaultPlan, FaultState, FaultVerdict};
     pub use crate::par::{parallel_map, parallel_map_with, parallel_shard_map};
-    pub use crate::plane::{Mailbox, MessagePlane, Outbox, PlaneStats};
+    pub use crate::plane::{Envelope, Mailbox, MessagePlane, Outbox, PlaneStats};
     pub use crate::rng::{RngStream, SeedSplitter};
     pub use crate::stats::{Counter, MsgStats, TimeSeries};
     pub use crate::time::{SimDuration, SimTime};

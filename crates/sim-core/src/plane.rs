@@ -55,8 +55,42 @@
 //! which collapses to `sent == local + cross_shard + dropped` whenever
 //! the deferred lanes are drained (and to the familiar
 //! `sent == local + cross_shard` on a fault-free plane).
+//!
+//! ## Logical messages and envelopes
+//!
+//! A sender may combine identical logical messages into one *envelope*
+//! that carries a count ([`Envelope::weight`]). The ledger above is kept
+//! in logical messages: an envelope weighs its count in `sent`, `local`,
+//! `cross_shard`, `dropped`, `delayed`, `max_round_msgs` and
+//! [`MessagePlane::deferred_pending`], so combining at the sender moves
+//! none of them. [`PlaneStats::envelopes`] counts what physically moved
+//! (each fresh envelope once, at its first exchange); like the
+//! local/cross split it depends on how senders are partitioned, so it is
+//! not shard-invariant. An envelope draws *one* fault verdict, which is
+//! exact as long as the verdict is keyed on content that excludes the
+//! count: every logical copy would have drawn that same verdict.
 
 use crate::faults::FaultVerdict;
+
+/// A plane message's weight in the traffic ledger: how many logical
+/// messages one envelope carries. Plain messages weigh one (the default);
+/// a sender-side combined run weighs its count.
+pub trait Envelope {
+    /// Logical messages carried (at least 1).
+    #[inline]
+    fn weight(&self) -> u64 {
+        1
+    }
+}
+
+macro_rules! single_message {
+    ($($t:ty),*) => {$(
+        /// A bare integer payload is one logical message.
+        impl Envelope for $t {}
+    )*};
+}
+
+single_message!(u8, u32, u64);
 
 /// Per-source-shard send queue, one FIFO lane per destination shard.
 ///
@@ -81,9 +115,20 @@ impl<M> Outbox<M> {
         self.lanes[dst].push(msg);
     }
 
-    /// Messages queued across all lanes (not yet exchanged).
+    /// Heap bytes reserved by the lanes.
+    fn buffer_bytes(&self) -> usize {
+        self.lanes.iter().map(Vec::capacity).sum::<usize>() * std::mem::size_of::<M>()
+    }
+}
+
+impl<M: Envelope> Outbox<M> {
+    /// Logical messages queued across all lanes (not yet exchanged).
     pub fn pending(&self) -> usize {
-        self.lanes.iter().map(Vec::len).sum()
+        self.lanes
+            .iter()
+            .flatten()
+            .map(|m| m.weight() as usize)
+            .sum()
     }
 }
 
@@ -130,8 +175,11 @@ impl<M> Mailbox<M> {
 pub struct PlaneStats {
     /// Exchange barriers run.
     pub rounds: u64,
-    /// Total messages moved through exchanges.
+    /// Total logical messages moved through exchanges.
     pub sent: u64,
+    /// Envelopes that carried them: `sent`'s physical count (equal to
+    /// `sent` unless senders combine runs; not shard-invariant).
+    pub envelopes: u64,
     /// Messages whose source and destination shard differ.
     pub cross_shard: u64,
     /// Messages delivered back to their own shard.
@@ -155,6 +203,7 @@ impl PlaneStats {
     pub fn merge(&mut self, other: &PlaneStats) {
         self.rounds += other.rounds;
         self.sent += other.sent;
+        self.envelopes += other.envelopes;
         self.cross_shard += other.cross_shard;
         self.local += other.local;
         self.max_round_msgs = self.max_round_msgs.max(other.max_round_msgs);
@@ -192,7 +241,7 @@ pub struct MessagePlane<M> {
     stats: PlaneStats,
 }
 
-impl<M> MessagePlane<M> {
+impl<M: Envelope> MessagePlane<M> {
     /// A plane connecting `shards` shards (at least 1).
     pub fn new(shards: usize) -> Self {
         let shards = shards.max(1);
@@ -239,7 +288,7 @@ impl<M> MessagePlane<M> {
     /// Clears each mailbox (keeping capacity), then for destination
     /// shards in ascending order appends each source shard's lane in
     /// ascending source order, preserving per-lane FIFO. Returns the
-    /// number of messages moved this round.
+    /// number of logical messages moved this round.
     pub fn exchange(&mut self) -> usize {
         self.exchange_faulted(|_, _, _| FaultVerdict::Deliver)
     }
@@ -250,7 +299,7 @@ impl<M> MessagePlane<M> {
     /// exchange. Messages deferred by a *previous* exchange are delivered
     /// unconditionally first, ahead of the same lane's fresh traffic, so
     /// surviving messages keep per-channel FIFO order and nothing is
-    /// delayed twice. Returns the number of messages delivered.
+    /// delayed twice. Returns the number of logical messages delivered.
     ///
     /// For the determinism contract, `verdict` must depend only on
     /// message content (plus any round salt) — never on shard indices or
@@ -268,42 +317,39 @@ impl<M> MessagePlane<M> {
         }
         for src in 0..self.shards {
             for dst in 0..self.shards {
+                // Logical deliveries on this lane (deferred and fresh).
+                let mut delivered = 0u64;
                 // Deferred traffic first: its send sequence predates this
                 // round's lane and its verdict was already spent.
                 let dlane = &mut self.deferred[src].lanes[dst];
                 if !dlane.is_empty() {
-                    round += dlane.len() as u64;
-                    if src == dst {
-                        self.stats.local += dlane.len() as u64;
-                    } else {
-                        self.stats.cross_shard += dlane.len() as u64;
-                    }
+                    delivered += dlane.iter().map(M::weight).sum::<u64>();
                     self.mailboxes[dst]
                         .msgs
                         .extend(dlane.drain(..).map(|m| (src as u32, m)));
                 }
                 let lane = &mut self.outboxes[src].lanes[dst];
-                if lane.is_empty() {
-                    continue;
-                }
-                fresh += lane.len() as u64;
+                self.stats.envelopes += lane.len() as u64;
                 for m in lane.drain(..) {
+                    let w = m.weight();
+                    fresh += w;
                     match verdict(src, dst, &m) {
                         FaultVerdict::Deliver => {
-                            round += 1;
-                            if src == dst {
-                                self.stats.local += 1;
-                            } else {
-                                self.stats.cross_shard += 1;
-                            }
+                            delivered += w;
                             self.mailboxes[dst].msgs.push((src as u32, m));
                         }
-                        FaultVerdict::Drop => self.stats.dropped += 1,
+                        FaultVerdict::Drop => self.stats.dropped += w,
                         FaultVerdict::Delay => {
-                            self.stats.delayed += 1;
+                            self.stats.delayed += w;
                             self.deferred[src].lanes[dst].push(m);
                         }
                     }
+                }
+                round += delivered;
+                if src == dst {
+                    self.stats.local += delivered;
+                } else {
+                    self.stats.cross_shard += delivered;
                 }
             }
         }
@@ -343,10 +389,24 @@ impl<M> MessagePlane<M> {
         }
     }
 
-    /// Messages currently parked in the deferred lanes (delayed by a
-    /// faulted exchange and not yet delivered).
+    /// Logical messages currently parked in the deferred lanes (delayed
+    /// by a faulted exchange and not yet delivered).
     pub fn deferred_pending(&self) -> usize {
         self.deferred.iter().map(Outbox::pending).sum()
+    }
+
+    /// Heap bytes reserved by the outbox lanes, deferred lanes and
+    /// mailboxes — transient buffers that live between exchanges, kept
+    /// for reuse (see "Double buffering").
+    pub fn buffer_bytes(&self) -> usize {
+        let lanes: usize = self
+            .outboxes
+            .iter()
+            .chain(&self.deferred)
+            .map(Outbox::buffer_bytes)
+            .sum();
+        let mailboxes: usize = self.mailboxes.iter().map(|mb| mb.msgs.capacity()).sum();
+        lanes + mailboxes * std::mem::size_of::<(u32, M)>()
     }
 
     /// Take every undelivered message out of the plane, for migration to
@@ -460,6 +520,7 @@ mod tests {
         let mut a = PlaneStats {
             rounds: 1,
             sent: 10,
+            envelopes: 7,
             cross_shard: 4,
             local: 6,
             max_round_msgs: 10,
@@ -470,6 +531,7 @@ mod tests {
         let b = PlaneStats {
             rounds: 2,
             sent: 5,
+            envelopes: 5,
             cross_shard: 5,
             local: 0,
             max_round_msgs: 12,
@@ -480,6 +542,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.rounds, 3);
         assert_eq!(a.sent, 15);
+        assert_eq!(a.envelopes, 12);
         assert_eq!(a.max_round_msgs, 12);
         assert_eq!(a.dropped, 4);
         assert_eq!(a.delayed, 3);
@@ -519,6 +582,51 @@ mod tests {
         assert_eq!(plane.deferred_pending(), 0);
         let s = plane.stats();
         assert_eq!(s.sent, s.local + s.cross_shard + s.dropped);
+    }
+
+    /// A counted run of identical payloads, as a sender-side combiner
+    /// emits them.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    struct Run(u32, u32);
+
+    impl Envelope for Run {
+        fn weight(&self) -> u64 {
+            self.1 as u64
+        }
+    }
+
+    #[test]
+    fn envelopes_weigh_their_count_in_the_ledger() {
+        let mut plane: MessagePlane<Run> = MessagePlane::new(2);
+        plane.outboxes_mut()[0].send(1, Run(1, 5)); // dropped
+        plane.outboxes_mut()[0].send(1, Run(2, 3)); // delayed
+        plane.outboxes_mut()[0].send(0, Run(3, 4)); // delivered (local)
+        plane.outboxes_mut()[1].send(0, Run(4, 2)); // delivered (cross)
+        assert_eq!(plane.outboxes_mut()[0].pending(), 12);
+        let moved = plane.exchange_faulted(|_, _, m| match m.0 {
+            1 => FaultVerdict::Drop,
+            2 => FaultVerdict::Delay,
+            _ => FaultVerdict::Deliver,
+        });
+        assert_eq!(moved, 6);
+        assert_eq!(plane.mailbox(0).msgs(), &[(0, Run(3, 4)), (1, Run(4, 2))]);
+        let s = plane.stats().clone();
+        assert_eq!((s.sent, s.envelopes), (14, 4));
+        assert_eq!((s.local, s.cross_shard, s.dropped, s.delayed), (4, 2, 5, 3));
+        assert_eq!(s.max_round_msgs, 6);
+        assert_eq!(plane.deferred_pending(), 3);
+        assert_eq!(
+            s.sent,
+            s.local + s.cross_shard + s.dropped + plane.deferred_pending() as u64
+        );
+        // The delayed run lands whole at the next exchange; it was sent
+        // (and counted as an envelope) once, at its first exchange.
+        assert_eq!(plane.exchange(), 3);
+        assert_eq!(plane.mailbox(1).msgs(), &[(0, Run(2, 3))]);
+        let s = plane.stats();
+        assert_eq!((s.sent, s.envelopes, s.cross_shard), (14, 4, 5));
+        assert_eq!(s.sent, s.local + s.cross_shard + s.dropped);
+        assert!(plane.buffer_bytes() > 0, "drained buffers keep capacity");
     }
 
     #[test]

@@ -15,10 +15,15 @@
 //!    whose next hop is no longer a live contact of its holder falls back
 //!    to the plain escalation with the identical outcome and cost, and
 //!    churned worlds keep answer parity with an identically-evolved
-//!    cache-off world.
+//!    cache-off world;
+//! 4. **runs are exact** — on duplicate-heavy sweeps, where the deposit
+//!    logs combine repeats into counted runs, the sharded sweep equals a
+//!    serial reference that applies every deposit one at a time.
 
-use card_manet::card::hints::{HintKey, HintStore};
-use card_manet::card::query::{dsq_query, dsq_query_hinted, HintContext, QueryScratch};
+use card_manet::card::hints::{DepositLog, HintDeposit, HintKey, HintLookup, HintStats, HintStore};
+use card_manet::card::query::{
+    dsq_query, dsq_query_hinted, HintContext, QueryOutcome, QueryScratch,
+};
 use card_manet::card::world::CardWorld;
 use card_manet::card::CardConfig;
 use card_manet::mobility::waypoint::RandomWaypoint;
@@ -165,6 +170,137 @@ proptest! {
     }
 }
 
+/// A handful of pairs that resolve beyond the source's zone (so they
+/// deposit hints) out of `raw`, repeated to `len` queries in blocks of
+/// `block`: block 1 interleaves the handful, longer blocks form runs.
+fn duplicate_heavy(
+    w: &CardWorld,
+    raw: &[(usize, usize)],
+    block: usize,
+    len: usize,
+) -> Vec<(NodeId, NodeId)> {
+    let candidates = repeat_pairs(raw, 1);
+    let mut probe = w.clone();
+    probe.set_hints_enabled(false);
+    let outs = probe.query_all(&candidates);
+    let handful: Vec<(NodeId, NodeId)> = candidates
+        .iter()
+        .zip(&outs)
+        .filter(|(_, o)| o.found && o.depth_used > 0)
+        .map(|(&p, _)| p)
+        .take(5)
+        .collect();
+    if handful.is_empty() {
+        return handful;
+    }
+    (0..len)
+        .map(|i| handful[(i / block) % handful.len()])
+        .collect()
+}
+
+/// The serial reference of a hinted sweep: every query reads the store
+/// as it stood before the sweep, then each logged deposit is applied
+/// alone, copy by copy, in pair order — no runs, no plane.
+fn serial_hinted_sweep(
+    w: &CardWorld,
+    store: &mut HintStore,
+    stats: &mut HintStats,
+    pairs: &[(NodeId, NodeId)],
+) -> Vec<QueryOutcome> {
+    let mut scratch = QueryScratch::new();
+    let mut msgs = MsgStats::new(SimDuration::from_secs(2));
+    let mut queued = Vec::new();
+    let mut log = DepositLog::new();
+    let outs = pairs
+        .iter()
+        .map(|&(s, t)| {
+            log.clear();
+            let mut ctx = HintContext {
+                store: &*store,
+                stats: &mut *stats,
+                deposits: &mut log,
+            };
+            let out = dsq_query_hinted(
+                w.network(),
+                w.contact_tables(),
+                &mut ctx,
+                s,
+                t,
+                w.config().depth,
+                &mut msgs,
+                w.now(),
+                &mut scratch,
+            );
+            for run in log.runs() {
+                let one = HintDeposit { count: 1, ..*run };
+                queued.extend(std::iter::repeat_n(one, run.count as usize));
+            }
+            out
+        })
+        .collect();
+    for d in &queued {
+        store.deposit(d, stats);
+    }
+    outs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// Contract 4: duplicate-heavy sweeps (a handful of pairs repeated to
+    /// a few hundred queries, one slot per bucket so runs evict) give the
+    /// sharded hinted sweep the serial reference's outcomes, hint
+    /// counters and store at 1, 2, 4 and 7 shards — while the plane
+    /// carries fewer envelopes than logical deposits.
+    #[test]
+    fn prop_duplicate_heavy_sweeps_equal_the_serial_reference(
+        seed in 0u64..200,
+        raw in proptest::collection::vec((0usize..NODES, 0usize..NODES), 24),
+        block in 1usize..24,
+        len in 150usize..400,
+    ) {
+        let cfg = config(seed, true).with_hint_slots_per_bucket(1);
+        let mut base = CardWorld::build(&Scenario::new(NODES, 460.0, 460.0, 55.0), cfg);
+        base.select_all_contacts();
+        let pairs = duplicate_heavy(&base, &raw, block, len);
+        prop_assume!(!pairs.is_empty());
+
+        let mut store = HintStore::new(NODES, cfg.hint_slots_per_bucket, cfg.hint_ttl);
+        let mut stats = HintStats::default();
+        let expected: Vec<Vec<QueryOutcome>> = (0..3)
+            .map(|_| serial_hinted_sweep(&base, &mut store, &mut stats, &pairs))
+            .collect();
+        for shards in [1usize, 2, 4, 7] {
+            let mut w = base.clone();
+            w.set_shard_count(shards);
+            for (sweep, want) in expected.iter().enumerate() {
+                prop_assert_eq!(
+                    &w.query_all(&pairs), want,
+                    "sweep {} outcomes at {} shards", sweep, shards
+                );
+            }
+            prop_assert_eq!(w.hint_stats(), &stats, "hint counters at {} shards", shards);
+            let view = w.hint_store().expect("hinted world");
+            prop_assert_eq!(view.len(), store.len(), "live slots at {} shards", shards);
+            for holder in NodeId::all(NODES) {
+                for &(_, t) in &pairs {
+                    prop_assert_eq!(
+                        view.lookup(holder, HintKey::node(t)),
+                        store.lookup(holder, HintKey::node(t)),
+                        "hint for {} at {} ({} shards)", t, holder, shards
+                    );
+                }
+            }
+            let ps = w.plane_stats();
+            prop_assert_eq!(ps.sent, stats.deposits, "the ledger counts deposits");
+            prop_assert!(
+                ps.envelopes < ps.sent,
+                "runs must combine: {} envelopes for {} deposits", ps.envelopes, ps.sent
+            );
+        }
+    }
+}
+
 /// A fresh hint whose next hop has left the holder's contact table is a
 /// `stale_contact` miss: no probe is launched down the dead edge and the
 /// fallback walk reproduces the plain query bit for bit.
@@ -201,10 +337,14 @@ fn stale_contact_hint_falls_back_to_the_plain_walk() {
         .find(|&v| v != source && w.contact_tables()[source.index()].get(v).is_none())
         .expect("source cannot have contacted everyone");
     let mut store = HintStore::new(NODES, 4, 32);
-    store.deposit(source, HintKey::node(target), bogus, 1);
+    let mut stats = HintStats::default();
+    store.deposit(
+        &HintDeposit::new(source, HintKey::node(target), bogus, 1),
+        &mut stats,
+    );
 
-    let mut stats = card_manet::card::hints::HintStats::default();
-    let mut deposits = Vec::new();
+    let mut stats = HintStats::default();
+    let mut deposits = DepositLog::new();
     let mut ctx = HintContext {
         store: &store,
         stats: &mut stats,
