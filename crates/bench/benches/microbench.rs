@@ -14,7 +14,7 @@
 
 use card_core::csq::{select_contacts, CsqScratch, ALL_EDGE_NODES};
 use card_core::hints::{DepositLog, HintStats, HintStore};
-use card_core::query::{dsq_query, dsq_query_hinted, dsq_query_rewalk, HintContext, QueryScratch};
+use card_core::query::{dsq_query, dsq_query_rewalk, HintContext, QueryScratch};
 use card_core::{CardConfig, ContactTable};
 use criterion::{criterion_group, criterion_main, Criterion};
 // scenario-5 density scaled to N nodes — shared with the scale experiments
@@ -669,6 +669,7 @@ fn bench_query_engine(c: &mut Criterion) {
                 total += dsq_query(
                     world.network(),
                     world.contact_tables(),
+                    None,
                     black_box(s),
                     t,
                     3,
@@ -716,10 +717,10 @@ fn bench_query_engine(c: &mut Criterion) {
                     stats: &mut hstats,
                     deposits: &mut deposits,
                 };
-                dsq_query_hinted(
+                dsq_query(
                     world.network(),
                     world.contact_tables(),
-                    &mut ctx,
+                    Some(&mut ctx),
                     black_box(s),
                     t,
                     3,

@@ -1,6 +1,6 @@
 //! Shared infrastructure for the criterion benches and the CI bench-id
-//! guard. The benchmarks themselves live in `benches/`; run them with
-//! `cargo bench --workspace` (set `BENCH_JSON=<path>` to record a
+//! guard. The benchmarks themselves live in `benches/microbench.rs`; run
+//! them with `cargo bench -p bench` (set `BENCH_JSON=<path>` to record a
 //! machine-readable baseline, `BENCH_QUICK=1` for the fast CI profile).
 
 use std::time::Duration;

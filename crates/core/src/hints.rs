@@ -440,16 +440,6 @@ impl HintStore {
         self.slots.len() / self.per_node.max(1)
     }
 
-    /// First node index covered.
-    pub fn span_start(&self) -> usize {
-        self.start
-    }
-
-    /// Total slots per node.
-    pub fn capacity_per_node(&self) -> usize {
-        self.per_node
-    }
-
     /// Current TTL epoch.
     pub fn epoch(&self) -> u32 {
         self.epoch
@@ -793,7 +783,6 @@ mod tests {
     #[test]
     fn span_store_offsets_regions() {
         let mut store = HintStore::new_span(100, 4, 2, 8);
-        assert_eq!(store.span_start(), 100);
         assert_eq!(store.node_count(), 4);
         put(&mut store, n(100), HintKey::node(n(3)), n(101), 1);
         put(&mut store, n(103), HintKey::node(n(3)), n(102), 2);

@@ -419,10 +419,17 @@ pub(crate) fn dsq_query_unrecorded<T: TableSource>(
 /// of search from 1 to `max_depth` (§III.C.4). Messages are recorded into
 /// `stats` at time `at`; the walk runs allocation-free on `scratch`
 /// (escalation is incremental — see the module docs).
+///
+/// With `hints`, the §V route-hint cache is consulted first and hint
+/// deposits are queued on resolution (see [`HintContext`] and
+/// [`crate::hints`]): `found` and `depth_used` match the plain query; only
+/// the message cost differs. The two cases run separate node bodies
+/// (`dsq_query_unrecorded` and `dsq_query_hinted_unrecorded`).
 #[allow(clippy::too_many_arguments)] // mirrors the protocol message fields
 pub fn dsq_query<T: TableSource>(
     net: &Network,
     contact_tables: T,
+    hints: Option<&mut HintContext<'_>>,
     source: NodeId,
     target: NodeId,
     max_depth: u16,
@@ -430,16 +437,28 @@ pub fn dsq_query<T: TableSource>(
     at: SimTime,
     scratch: &mut QueryScratch,
 ) -> QueryOutcome {
-    dsq_query_unrecorded(
-        net,
-        contact_tables,
-        source,
-        target,
-        max_depth,
-        scratch,
-        any_edge,
-    )
-    .recorded(stats, at)
+    let out = match hints {
+        Some(ctx) => dsq_query_hinted_unrecorded(
+            net,
+            contact_tables,
+            ctx,
+            source,
+            target,
+            max_depth,
+            scratch,
+            any_edge,
+        ),
+        None => dsq_query_unrecorded(
+            net,
+            contact_tables,
+            source,
+            target,
+            max_depth,
+            scratch,
+            any_edge,
+        ),
+    };
+    out.recorded(stats, at)
 }
 
 // ---------------------------------------------------------------------------
@@ -749,35 +768,6 @@ pub(crate) fn dsq_query_hinted_unrecorded<T: TableSource, S: HintLookup>(
     )
 }
 
-/// [`dsq_query`] with the §V route-hint cache consulted first and hint
-/// deposits queued on resolution (see [`HintContext`] and
-/// [`crate::hints`]). Outcome `found`/`depth` semantics match
-/// [`dsq_query`]; only the message cost differs.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol message fields
-pub fn dsq_query_hinted<T: TableSource, S: HintLookup>(
-    net: &Network,
-    contact_tables: T,
-    ctx: &mut HintContext<'_, S>,
-    source: NodeId,
-    target: NodeId,
-    max_depth: u16,
-    stats: &mut MsgStats,
-    at: SimTime,
-    scratch: &mut QueryScratch,
-) -> QueryOutcome {
-    dsq_query_hinted_unrecorded(
-        net,
-        contact_tables,
-        ctx,
-        source,
-        target,
-        max_depth,
-        scratch,
-        any_edge,
-    )
-    .recorded(stats, at)
-}
-
 // ---------------------------------------------------------------------------
 // The fault view — where the non-trivial edge veto comes from.
 // ---------------------------------------------------------------------------
@@ -1065,6 +1055,7 @@ mod tests {
         let out = dsq_query(
             net,
             tables,
+            None,
             source,
             target,
             max_depth,
@@ -1227,6 +1218,7 @@ mod tests {
                 let out = dsq_query(
                     &net,
                     &tables,
+                    None,
                     n(0),
                     n(target),
                     depth,
@@ -1238,6 +1230,7 @@ mod tests {
                 let fresh = dsq_query(
                     &net,
                     &tables,
+                    None,
                     n(0),
                     n(target),
                     depth,
@@ -1260,6 +1253,7 @@ mod tests {
         let first = dsq_query(
             &net,
             &tables,
+            None,
             n(0),
             n(13),
             3,
@@ -1272,6 +1266,7 @@ mod tests {
         let again = dsq_query(
             &net,
             &tables,
+            None,
             n(0),
             n(13),
             3,
@@ -1292,6 +1287,7 @@ mod tests {
             dsq_query(
                 &net,
                 &tables,
+                None,
                 n(0),
                 n(target),
                 2,
@@ -1361,11 +1357,11 @@ mod tests {
                     }
                     let oracle = dsq_query_rewalk(net, tables, source, target, 3, &mut st, SimTime::ZERO);
                     let plain =
-                        dsq_query(net, tables, source, target, 3, &mut st, SimTime::ZERO, &mut scratch);
+                        dsq_query(net, tables, None, source, target, 3, &mut st, SimTime::ZERO, &mut scratch);
                     prop_assert_eq!(&plain, &oracle, "plain walk {} -> {}", source, target);
                     let mut ctx = HintContext { store, stats: &mut hint_stats, deposits: &mut deposits };
-                    let hinted = dsq_query_hinted(
-                        net, tables, &mut ctx, source, target, 3, &mut st, SimTime::ZERO, &mut scratch,
+                    let hinted = dsq_query_hinted_unrecorded(
+                        net, tables, &mut ctx, source, target, 3, &mut scratch, any_edge,
                     );
                     prop_assert_eq!(hinted.found, oracle.found, "hinted walk {} -> {}", source, target);
                 }
@@ -1472,6 +1468,7 @@ mod tests {
                 let inc = dsq_query(
                     &net,
                     &tables,
+                    None,
                     n(0),
                     n(target),
                     max_depth,

@@ -271,11 +271,18 @@ pub(crate) fn resource_query_unrecorded<T: TableSource, S: HintLookup>(
 /// and only the answer predicate differs (a resource is its hosts: for a
 /// single-host resource this is *exactly* the node-lookup DSQ, message for
 /// message — pinned by `tests/query_engine.rs`).
+///
+/// With `hints`, the §V route-hint cache is consulted first and hint
+/// deposits are queued on resolution, keyed by the *resource*, so any
+/// replica's answer warms later queries for the same resource (see
+/// [`crate::hints`] and [`crate::query::HintContext`]). Outcomes match the
+/// plain query exactly — hints change cost, never answers.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol message fields
 pub fn resource_query<T: TableSource>(
     net: &Network,
     contact_tables: T,
     registry: &ResourceRegistry,
+    hints: Option<&mut HintContext<'_>>,
     source: NodeId,
     resource: ResourceId,
     max_depth: u16,
@@ -287,39 +294,7 @@ pub fn resource_query<T: TableSource>(
         net,
         contact_tables,
         registry,
-        None::<&mut HintContext<'_>>,
-        source,
-        resource,
-        max_depth,
-        scratch,
-        any_edge,
-    )
-    .recorded(stats, at)
-}
-
-/// [`resource_query`] with the §V route-hint cache consulted first and
-/// hint deposits queued on resolution (keyed by the *resource*, so any
-/// replica's answer warms later queries for the same resource; see
-/// [`crate::hints`] and [`crate::query::HintContext`]). Outcomes match
-/// [`resource_query`] exactly — hints change cost, never answers.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol message fields
-pub fn resource_query_hinted<T: TableSource, S: HintLookup>(
-    net: &Network,
-    contact_tables: T,
-    registry: &ResourceRegistry,
-    ctx: &mut HintContext<'_, S>,
-    source: NodeId,
-    resource: ResourceId,
-    max_depth: u16,
-    stats: &mut MsgStats,
-    at: SimTime,
-    scratch: &mut QueryScratch,
-) -> QueryOutcome {
-    resource_query_unrecorded(
-        net,
-        contact_tables,
-        registry,
-        Some(ctx),
+        hints,
         source,
         resource,
         max_depth,
@@ -417,6 +392,7 @@ mod tests {
             &net,
             &tables,
             &reg,
+            None,
             n(0),
             ResourceId(0),
             3,
@@ -440,6 +416,7 @@ mod tests {
             &net,
             &tables,
             &reg,
+            None,
             n(0),
             ResourceId(0),
             3,
@@ -466,6 +443,7 @@ mod tests {
             &net,
             &tables,
             &reg,
+            None,
             n(0),
             ResourceId(0),
             3,
@@ -487,6 +465,7 @@ mod tests {
             &net,
             &tables,
             &reg,
+            None,
             n(0),
             ResourceId(0),
             3,
@@ -553,6 +532,7 @@ mod tests {
                 &net,
                 &tables,
                 &reg,
+                None,
                 n(0),
                 resource,
                 2,

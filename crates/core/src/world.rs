@@ -821,11 +821,6 @@ impl CardWorld {
             + self.plane.buffer_bytes()
     }
 
-    /// Zero the plane statistics (phase-by-phase measurement).
-    pub fn reset_plane_stats(&mut self) {
-        self.plane.reset_stats();
-    }
-
     /// Arm deterministic fault injection: from the next validation round
     /// on, `plan`'s node events, partition window, and message verdicts
     /// apply. The faulted history is a pure function of `(world seed,
@@ -853,11 +848,6 @@ impl CardWorld {
             grid_audit_violations: 0,
             sweep_counter: 0,
         });
-    }
-
-    /// Is a fault plan armed?
-    pub fn faults_enabled(&self) -> bool {
-        self.faults.is_some()
     }
 
     /// The live down/partition state, when faults are armed.
@@ -2741,7 +2731,5 @@ mod tests {
             w.plane_stats().metered_crossings >= ps.metered_crossings,
             "validation meters crossings monotonically"
         );
-        w.reset_plane_stats();
-        assert_eq!(w.plane_stats().sent, 0);
     }
 }

@@ -132,6 +132,7 @@ pub fn run(params: &Params) -> Vec<DistRow> {
                 world.network(),
                 world.contact_tables(),
                 &registry,
+                None,
                 source,
                 resource,
                 params.depth,

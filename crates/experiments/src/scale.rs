@@ -419,6 +419,7 @@ fn run_one(scenario: &Scenario, profile: MobilityProfile, p: &Params) -> ScaleRo
                 world.network(),
                 world.contact_tables(),
                 &registry,
+                None,
                 source,
                 resource,
                 QUERY_DEPTH,

@@ -4,8 +4,8 @@
 //! ring search … However, querying in CARD is much more efficient … as the
 //! queries are not flooded with different TTLs but are directed to
 //! individual nodes". This module implements that comparison point: a
-//! TTL-staged flood with duplicate suppression per stage, used by the
-//! `ablation_expanding_ring` bench.
+//! TTL-staged flood with duplicate suppression per stage, run beside Fig
+//! 15's schemes by the `scheme_comparison` example.
 
 use net_topology::bfs::full_bfs;
 use net_topology::graph::Adjacency;

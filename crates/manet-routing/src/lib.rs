@@ -9,10 +9,8 @@
 //!   idealized converged state of a proactive protocol such as DSDV, which
 //!   is exactly what the paper assumes (§III.C: "Each node proactively
 //!   (using a protocol such as DSDV) maintains state for all the nodes in
-//!   its neighborhood");
-//! * [`dsdv`] — a real sequence-numbered distance-vector protocol, run in
-//!   synchronous rounds, demonstrating that the oracle tables are attainable
-//!   and at what message cost;
+//!   its neighborhood"). The paper measures none of that protocol's
+//!   traffic, so the simulator computes the converged tables directly;
 //! * [`network`] — [`network::Network`]: positions + connectivity +
 //!   neighborhood tables + mobility stepping, the world object every
 //!   experiment drives;
@@ -20,7 +18,8 @@
 //! * [`zrp`] — ZRP-style bordercasting with query detection QD1/QD2
 //!   (baseline #2 of Fig 15, after Pearlman & Haas);
 //! * [`expanding_ring`] — TTL-staged expanding ring search (the comparison
-//!   point of §III.C.4, used in ablation benches).
+//!   point of §III.C.4, run beside Fig 15's schemes by the
+//!   `scheme_comparison` example).
 //!
 //! ## Memory model: O(zone) per node
 //!
@@ -48,23 +47,29 @@
 //! changed nodes in the old and new graphs, and (4) rebuilds only the
 //! dirty tables, each in its own buffers, fanned out over the persistent
 //! `sim_core::par` worker pool with per-worker BFS scratch.
-//! [`network::Network::refresh`] keeps the report-free variant
-//! (wholesale rebuild + all-rows diff) for callers that mutate positions
-//! directly, and every stage falls back to it on churn past the
-//! thresholds.
+//!
+//! Two refresh entries are production, one is the oracle:
+//!
+//! * [`network::Network::refresh_movers`] — the mover-driven patch above;
+//! * [`network::Network::refresh`] — the report-free path (wholesale
+//!   adjacency rebuild + all-rows diff + dirty balls). It is
+//!   `refresh_movers`' churn fallback, taken on every tick of a
+//!   whole-network motion workload, and its all-rows diff still rebuilds
+//!   only the dirty tables (~10⁴ of 5·10⁴ per tick at N = 5·10⁴ when
+//!   every node moves);
+//! * [`network::Network::refresh_full`] — the layer's oracle: recompute
+//!   every table from a scalar rebuild.
 //!
 //! **Invariant:** after any refresh path, the tables are identical —
 //! membership, distances, edge-node sets and path lengths — to what
-//! [`network::Network::refresh_full`] (recompute everything) produces.
-//! The (R−1)-ball is sufficient because a node's R-hop BFS only relaxes
-//! edges incident to nodes at depth ≤ R−1; if no changed node is that
-//! close in either snapshot, induction over BFS depth shows every frontier
-//! is unchanged. `refresh_full` stays in the API as the reference path and
-//! bench baseline; randomized equivalence is enforced by unit tests here
-//! and `tests/topology_refresh.rs` at the workspace root.
+//! `refresh_full` produces. The (R−1)-ball is sufficient because a node's
+//! R-hop BFS only relaxes edges incident to nodes at depth ≤ R−1; if no
+//! changed node is that close in either snapshot, induction over BFS depth
+//! shows every frontier is unchanged. Randomized equivalence is enforced
+//! by unit tests here and `tests/topology_refresh.rs` at the workspace
+//! root.
 
 #![warn(missing_docs)]
-pub mod dsdv;
 pub mod expanding_ring;
 pub mod flooding;
 pub mod neighborhood;
@@ -73,7 +78,6 @@ pub mod zrp;
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::dsdv::DsdvSim;
     pub use crate::expanding_ring::{expanding_ring_search, ErsOutcome};
     pub use crate::flooding::{flood_search, FloodOutcome};
     pub use crate::neighborhood::NeighborhoodTables;
@@ -81,7 +85,6 @@ pub mod prelude {
     pub use crate::zrp::{bordercast_search, BordercastConfig, BordercastOutcome, QueryDetection};
 }
 
-pub use dsdv::DsdvSim;
 pub use expanding_ring::{expanding_ring_search, ErsOutcome};
 pub use flooding::{flood_search, FloodOutcome};
 pub use neighborhood::NeighborhoodTables;

@@ -10,7 +10,7 @@
 //!   paths returned by queries and spliced in by local recovery).
 //!
 //! The tables represent the *converged* state of the proactive intra-zone
-//! protocol; [`crate::dsdv`] shows a real protocol converging to them.
+//! protocol, computed directly rather than by simulating its messages.
 //!
 //! ## Memory model: O(zone) per node
 //!

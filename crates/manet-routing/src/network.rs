@@ -45,17 +45,26 @@
 //! double-buffer `clone_from` memcpy per tick to keep the old graph; the
 //! undo log replaced it — the spare CSR buffer survives only as the
 //! rebuild target of the report-free [`Network::refresh`] path.) Every
-//! stage keeps its wholesale fallback (churn, slack overflow, node-count
-//! change), and [`Network::pipeline_counters`] reports what each stage
-//! actually did.
+//! stage keeps its wholesale fallback (churn, slack overflow), and
+//! [`Network::pipeline_counters`] reports what each stage actually did.
 //!
 //! The equivalence of this path with the naive rebuild is pinned by unit
 //! tests below and by the randomized `tests/topology_refresh.rs` suite.
 //!
-//! [`Network::refresh`] keeps the report-free path (full adjacency
-//! rebuild plus an all-rows diff) for callers that mutate positions
-//! directly, and [`Network::refresh_full`] the naive rebuild-everything
-//! reference for equivalence testing and benchmarking.
+//! ## Refresh roles
+//!
+//! * [`Network::refresh_movers`] is production for every mover report.
+//! * [`Network::refresh`] is production too: the report-free path (full
+//!   adjacency rebuild, all-rows diff, dirty balls). `refresh_movers`
+//!   takes it whenever the active movers exceed the patch budget — on
+//!   every tick of a whole-network motion workload — and its all-rows
+//!   diff keeps the table rebuild to the dirty balls (~10⁴ of 5·10⁴
+//!   tables per tick when all 5·10⁴ nodes move) where a wholesale
+//!   recompute would rebuild all of them. Callers that write positions
+//!   without a report use it directly.
+//! * [`Network::refresh_full`] is the layer's one oracle: scalar rebuild,
+//!   every table recomputed; equivalence tests compare the other two
+//!   against it.
 
 use mobility::model::MobilityModel;
 use net_topology::bfs::BfsScratch;
@@ -277,14 +286,6 @@ impl Network {
         &self.tables
     }
 
-    /// Change the zone radius and recompute tables (used by R-sweeps).
-    pub fn set_radius(&mut self, radius: u16) {
-        if radius != self.radius {
-            self.radius = radius;
-            self.tables = NeighborhoodTables::compute(&self.adj, radius);
-        }
-    }
-
     /// Advance mobility by `dt`: move nodes, patch connectivity and
     /// incrementally refresh neighborhood tables — all driven by the
     /// mobility model's mover report, so the steady-state tick does work
@@ -325,11 +326,6 @@ impl Network {
     /// [`Network::refresh_full`].
     pub fn refresh_movers(&mut self, movers: &[NodeId]) {
         let n = self.positions.len();
-        if self.adj.node_count() != n {
-            self.refresh();
-            self.counters.movers_reported = movers.len();
-            return;
-        }
         if movers.is_empty() {
             // Nothing moved (the report is a superset of position
             // changes), so grid, adjacency and tables are all already
@@ -530,11 +526,15 @@ impl Network {
 
     /// Rebuild connectivity from current positions and refresh only the
     /// neighborhoods whose R-hop view could have changed (see the module
-    /// docs for the dirty-set derivation). This is the *report-free* path
-    /// — the adjacency is rebuilt wholesale and diffed over all N rows —
-    /// for callers that mutated positions directly
+    /// docs for the dirty-set derivation). This is the *report-free*
+    /// production path — the adjacency is rebuilt wholesale (kernel,
+    /// parallel) and diffed over all N rows — taken by
+    /// [`Network::refresh_movers`] whenever its movers exceed the patch
+    /// budget, and by callers that mutated positions without a report
     /// ([`Network::positions_mut`], [`Network::advance_positions_only`]).
-    /// Equivalent to — and checked against — [`Network::refresh_full`].
+    /// The diff is what keeps a churn tick's table rebuild to the dirty
+    /// balls instead of all N tables. Equivalent to — and checked
+    /// against — the oracle [`Network::refresh_full`].
     pub fn refresh(&mut self) {
         let n = self.positions.len();
         self.counters = PipelineCounters {
@@ -683,8 +683,9 @@ impl Network {
     }
 
     /// Rebuild connectivity and recompute *every* neighborhood from
-    /// scratch. Semantically identical to [`Network::refresh`]; kept as the
-    /// reference path for equivalence tests and the bench baseline.
+    /// scratch: the layer's oracle. Semantically identical to
+    /// [`Network::refresh`] and [`Network::refresh_movers`]; equivalence
+    /// tests and the bench baseline compare against it.
     pub fn refresh_full(&mut self) {
         let n = self.positions.len();
         let grid_update =
@@ -1188,18 +1189,6 @@ mod tests {
         assert!(net.position_plane().is_coherent(net.positions()));
     }
 
-    #[test]
-    fn set_radius_recomputes_tables() {
-        let mut net = Network::from_scenario(&small_scenario(), 1, 11);
-        let small = net.tables().mean_size();
-        net.set_radius(3);
-        assert_eq!(net.radius(), 3);
-        let large = net.tables().mean_size();
-        assert!(large > small, "bigger R must not shrink neighborhoods");
-        net.set_radius(3); // no-op path
-        assert_eq!(net.radius(), 3);
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -1237,7 +1226,9 @@ mod tests {
                     _ => net.refresh_movers(&movers),
                 }
                 if op == 3 {
-                    net.set_radius(rng.index(4) as u16);
+                    // Later steps refresh incrementally at a new radius.
+                    let r = rng.index(4) as u16;
+                    net = Network::from_positions(net.field(), net.positions().to_vec(), 60.0, r);
                 }
                 for a in NodeId::all(n) {
                     for b in NodeId::all(n) {

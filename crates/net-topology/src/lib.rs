@@ -9,7 +9,7 @@
 //!
 //! * [`geometry`] — [`geometry::Point2`], [`geometry::Field`];
 //! * [`node`] — dense [`node::NodeId`] handles;
-//! * [`placement`] — uniform / grid / clustered node placement;
+//! * [`placement`] — uniform random node placement;
 //! * [`grid`] — a spatial hash grid giving O(1)-neighborhood range queries,
 //!   used to rebuild connectivity in O(N · avg-degree) instead of O(N²);
 //! * [`plane`] — the SoA f32 position mirror ([`plane::PositionPlane`])
@@ -62,7 +62,7 @@ pub mod prelude {
     pub use crate::grid::SpatialGrid;
     pub use crate::metrics::TopologyMetrics;
     pub use crate::node::NodeId;
-    pub use crate::placement::{place_clustered, place_grid, place_uniform};
+    pub use crate::placement::place_uniform;
     pub use crate::plane::{KernelBand, KernelScratch, KernelStats, PositionPlane};
     pub use crate::scenario::{Scenario, TABLE1_SCENARIOS};
     pub use crate::smallworld::SmallWorldMetrics;

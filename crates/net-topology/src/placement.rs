@@ -1,9 +1,8 @@
-//! Node placement strategies.
+//! Node placement.
 //!
 //! The paper places nodes uniformly at random ([`place_uniform`] — the
-//! initial distribution of the random-waypoint model). Grid and clustered
-//! placements are provided for tests and for the resource-distribution
-//! studies the paper lists as future work.
+//! initial distribution of the random-waypoint model), and so does every
+//! scenario here. Tests that need a fixed layout write explicit positions.
 
 use crate::geometry::{Field, Point2};
 use sim_core::rng::RngStream;
@@ -16,62 +15,6 @@ pub fn place_uniform(n: usize, field: Field, rng: &mut RngStream) -> Vec<Point2>
                 rng.range_f64(0.0, field.width()),
                 rng.range_f64(0.0, field.height()),
             )
-        })
-        .collect()
-}
-
-/// `n` positions on a near-square jittered grid (deterministic layout,
-/// `jitter` meters of uniform noise per axis).
-pub fn place_grid(n: usize, field: Field, jitter: f64, rng: &mut RngStream) -> Vec<Point2> {
-    if n == 0 {
-        return Vec::new();
-    }
-    let cols = (n as f64).sqrt().ceil() as usize;
-    let rows = n.div_ceil(cols);
-    let dx = field.width() / cols as f64;
-    let dy = field.height() / rows as f64;
-    (0..n)
-        .map(|i| {
-            let cx = (i % cols) as f64 * dx + dx / 2.0;
-            let cy = (i / cols) as f64 * dy + dy / 2.0;
-            let p = Point2::new(
-                cx + rng.range_f64(-jitter, jitter),
-                cy + rng.range_f64(-jitter, jitter),
-            );
-            field.clamp(p)
-        })
-        .collect()
-}
-
-/// `n` positions in `clusters` Gaussian-ish blobs (uniform disk of radius
-/// `spread` around uniformly placed cluster centers). Nodes are assigned to
-/// clusters round-robin.
-pub fn place_clustered(
-    n: usize,
-    field: Field,
-    clusters: usize,
-    spread: f64,
-    rng: &mut RngStream,
-) -> Vec<Point2> {
-    assert!(clusters > 0, "need at least one cluster");
-    let centers: Vec<Point2> = (0..clusters)
-        .map(|_| {
-            Point2::new(
-                rng.range_f64(0.0, field.width()),
-                rng.range_f64(0.0, field.height()),
-            )
-        })
-        .collect();
-    (0..n)
-        .map(|i| {
-            let c = centers[i % clusters];
-            // uniform point in a disk via rejection-free polar sampling
-            let theta = rng.range_f64(0.0, std::f64::consts::TAU);
-            let radius = spread * rng.next_f64().sqrt();
-            field.clamp(Point2::new(
-                c.x + radius * theta.cos(),
-                c.y + radius * theta.sin(),
-            ))
         })
         .collect()
 }
@@ -117,56 +60,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn grid_in_bounds() {
-        let field = Field::square(100.0);
-        let pts = place_grid(37, field, 2.0, &mut rng());
-        assert_eq!(pts.len(), 37);
-        assert!(pts.iter().all(|&p| field.contains(p)));
-        assert!(place_grid(0, field, 0.0, &mut rng()).is_empty());
-    }
-
-    #[test]
-    fn grid_zero_jitter_is_regular() {
-        let field = Field::square(100.0);
-        let pts = place_grid(4, field, 0.0, &mut rng());
-        // 2x2 grid of 50m cells, centers at 25/75
-        assert_eq!(pts[0], Point2::new(25.0, 25.0));
-        assert_eq!(pts[1], Point2::new(75.0, 25.0));
-        assert_eq!(pts[2], Point2::new(25.0, 75.0));
-        assert_eq!(pts[3], Point2::new(75.0, 75.0));
-    }
-
-    #[test]
-    fn clustered_in_bounds_and_clumped() {
-        let field = Field::square(1000.0);
-        let pts = place_clustered(200, field, 4, 50.0, &mut rng());
-        assert_eq!(pts.len(), 200);
-        assert!(pts.iter().all(|&p| field.contains(p)));
-        // nodes of the same cluster (stride 4) stay within 2*spread of each other
-        for i in (0..200).step_by(4).skip(1) {
-            assert!(pts[0].dist(pts[i]) <= 100.0 + 1e-9);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one cluster")]
-    fn clustered_zero_clusters_panics() {
-        place_clustered(10, Field::square(10.0), 0, 1.0, &mut rng());
-    }
-
     proptest! {
         #[test]
         fn prop_all_placements_in_bounds(seed in any::<u64>(), n in 0usize..200) {
             let field = Field::new(710.0, 710.0);
             let mut r = RngStream::seed_from_u64(seed);
-            for pts in [
-                place_uniform(n, field, &mut r),
-                place_grid(n, field, 5.0, &mut r),
-                place_clustered(n.max(1), field, 3, 80.0, &mut r),
-            ] {
-                prop_assert!(pts.iter().all(|&p| field.contains(p)));
-            }
+            let pts = place_uniform(n, field, &mut r);
+            prop_assert!(pts.iter().all(|&p| field.contains(p)));
         }
     }
 }

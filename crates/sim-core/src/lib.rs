@@ -15,8 +15,8 @@
 //! * [`rng`] — deterministic, splittable random-number streams
 //!   (xoshiro256++, seeded via SplitMix64) so every node/purpose pair gets an
 //!   independent reproducible stream;
-//! * [`stats`] — counters, per-kind message accounting and time-bucketed
-//!   series used for every overhead figure in the paper;
+//! * [`stats`] — per-kind message accounting and time-bucketed series
+//!   used for every overhead figure in the paper;
 //! * [`util`] — a compact fixed-capacity bitset (per-query reachability
 //!   sets) and a tiny Bloom filter ([`util::BloomSet`], the fast-negative
 //!   half of the O(zone) neighborhood membership tests);
@@ -91,7 +91,7 @@ pub mod prelude {
     pub use crate::par::{parallel_map, parallel_map_with, parallel_shard_map};
     pub use crate::plane::{Envelope, Mailbox, MessagePlane, Outbox, PlaneStats};
     pub use crate::rng::{RngStream, SeedSplitter};
-    pub use crate::stats::{Counter, MsgStats, TimeSeries};
+    pub use crate::stats::{MsgStats, TimeSeries};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::util::{BitSet, BloomSet};
 }

@@ -170,7 +170,7 @@ impl<M> Mailbox<M> {
 }
 
 /// Traffic accounting for one plane. All counters are cumulative over
-/// the plane's lifetime (reset with [`MessagePlane::reset_stats`]).
+/// the plane's lifetime.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct PlaneStats {
     /// Exchange barriers run.
@@ -372,11 +372,6 @@ impl<M: Envelope> MessagePlane<M> {
     /// that a distributed build would route through the plane).
     pub fn stats_mut(&mut self) -> &mut PlaneStats {
         &mut self.stats
-    }
-
-    /// Zero the cumulative statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = PlaneStats::default();
     }
 
     /// Drop any undelivered messages — queued-but-unexchanged *and*

@@ -1,5 +1,5 @@
-//! Measurement infrastructure: counters, per-kind message accounting and
-//! time-bucketed series.
+//! Measurement infrastructure: per-kind message accounting, time-bucketed
+//! series and percentage histograms.
 //!
 //! Every overhead number in the paper is a count of control messages,
 //! sometimes split by kind (contact-selection vs backtracking vs
@@ -8,32 +8,6 @@
 
 use crate::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
-
-/// A plain monotonically increasing counter.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// New counter at zero.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-    /// Increment by one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-    /// Increment by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-    /// Current value.
-    #[inline]
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
 
 /// Classification of every control message the reproduction can emit.
 ///
@@ -67,18 +41,15 @@ pub enum MsgKind {
     Flood,
     /// Bordercast (ZRP IERP) transmission.
     Bordercast,
-    /// Expanding-ring-search transmission (ablation baseline).
+    /// Expanding-ring-search transmission (the §III.C.4 comparison point).
     ExpandingRing,
-    /// Proactive intra-neighborhood routing update (DSDV substrate; not
-    /// counted in the paper's overhead figures, tracked for completeness).
-    RoutingUpdate,
 }
 
 impl MsgKind {
     /// All variants, for iteration in reports (declaration order, which is
     /// also `Ord` order — `in_bucket_where` relies on the first and last
     /// entries being the `Ord` extremes).
-    pub const ALL: [MsgKind; 14] = [
+    pub const ALL: [MsgKind; 13] = [
         MsgKind::Csq,
         MsgKind::CsqBacktrack,
         MsgKind::CsqReply,
@@ -92,7 +63,6 @@ impl MsgKind {
         MsgKind::Flood,
         MsgKind::Bordercast,
         MsgKind::ExpandingRing,
-        MsgKind::RoutingUpdate,
     ];
 
     /// Is this message part of CARD's *contact selection* overhead
@@ -372,15 +342,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        assert_eq!(c.get(), 0);
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
-
-    #[test]
     fn msg_kind_taxonomy() {
         assert!(MsgKind::Csq.is_selection());
         assert!(MsgKind::CsqBacktrack.is_selection());
@@ -393,10 +354,6 @@ mod tests {
         assert!(MsgKind::StandingReply.is_standing());
         assert!(MsgKind::StandingProbe.is_standing());
         assert!(!MsgKind::StandingDsq.is_query());
-        assert!(!MsgKind::RoutingUpdate.is_selection());
-        assert!(!MsgKind::RoutingUpdate.is_maintenance());
-        assert!(!MsgKind::RoutingUpdate.is_query());
-        assert!(!MsgKind::RoutingUpdate.is_standing());
         // taxonomy is a partition over the kinds it covers
         for k in MsgKind::ALL {
             let cats = k.is_selection() as u8

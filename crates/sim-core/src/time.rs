@@ -61,12 +61,6 @@ impl SimTime {
         self.0
     }
 
-    /// Whole seconds since the origin (truncating).
-    #[inline]
-    pub const fn as_secs(self) -> u64 {
-        self.0 / TICKS_PER_SEC
-    }
-
     /// Seconds since the origin as `f64`.
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
@@ -347,7 +341,6 @@ mod tests {
     fn float_conversions() {
         let t = SimTime::from_millis(1500);
         assert!((t.as_secs_f64() - 1.5).abs() < 1e-12);
-        assert_eq!(t.as_secs(), 1);
         let d = SimDuration::from_millis(250);
         assert!((d.as_secs_f64() - 0.25).abs() < 1e-12);
     }

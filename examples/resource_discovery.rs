@@ -61,6 +61,7 @@ fn main() {
                     world.network(),
                     world.contact_tables(),
                     &registry,
+                    None,
                     client,
                     resource,
                     cfg.depth,

@@ -17,8 +17,8 @@
 //! * [`sim`] — deterministic discrete-event engine (replaces NS-2);
 //! * [`topology`] — placement, unit-disk connectivity, BFS, graph metrics;
 //! * [`mobility`] — random waypoint and friends;
-//! * [`routing`] — neighborhood (zone) tables, DSDV substrate, flooding,
-//!   ZRP bordercasting, expanding-ring search;
+//! * [`routing`] — neighborhood (zone) tables and the `Network` world,
+//!   flooding, ZRP bordercasting, expanding-ring search;
 //! * [`card`] — the CARD protocol itself: contact selection (PM/EM),
 //!   maintenance with local recovery, DSQ querying, reachability analysis.
 //!

@@ -18,15 +18,21 @@
 //!    cache-off world;
 //! 4. **runs are exact** — on duplicate-heavy sweeps, where the deposit
 //!    logs combine repeats into counted runs, the sharded sweep equals a
-//!    serial reference that applies every deposit one at a time.
+//!    serial reference that applies every deposit one at a time;
+//! 5. **one recorded entry per goal** — `dsq_query` and `resource_query`
+//!    take the cache as an `Option`: over an empty store `Some` equals
+//!    `None` and logs the resolved chain, and warmed resource hints keep
+//!    every answer, calm or under a fault plan.
 
 use card_manet::card::hints::{DepositLog, HintDeposit, HintKey, HintLookup, HintStats, HintStore};
-use card_manet::card::query::{
-    dsq_query, dsq_query_hinted, HintContext, QueryOutcome, QueryScratch,
+use card_manet::card::query::{dsq_query, HintContext, QueryOutcome, QueryScratch};
+use card_manet::card::resources::{
+    distribute, resource_query, ResourceDistribution, ResourceId, ResourceRegistry,
 };
 use card_manet::card::world::CardWorld;
 use card_manet::card::CardConfig;
 use card_manet::mobility::waypoint::RandomWaypoint;
+use card_manet::sim::faults::{FaultConfig, FaultPlan, PartitionWindow};
 use card_manet::sim::rng::SeedSplitter;
 use card_manet::sim::stats::MsgStats;
 use card_manet::sim::time::SimDuration;
@@ -220,10 +226,10 @@ fn serial_hinted_sweep(
                 stats: &mut *stats,
                 deposits: &mut log,
             };
-            let out = dsq_query_hinted(
+            let out = dsq_query(
                 w.network(),
                 w.contact_tables(),
-                &mut ctx,
+                Some(&mut ctx),
                 s,
                 t,
                 w.config().depth,
@@ -320,6 +326,7 @@ fn stale_contact_hint_falls_back_to_the_plain_walk() {
             let out = dsq_query(
                 w.network(),
                 w.contact_tables(),
+                None,
                 source,
                 t,
                 3,
@@ -351,10 +358,10 @@ fn stale_contact_hint_falls_back_to_the_plain_walk() {
         deposits: &mut deposits,
     };
     let mut hinted_stats = MsgStats::new(SimDuration::from_secs(2));
-    let hinted = dsq_query_hinted(
+    let hinted = dsq_query(
         w.network(),
         w.contact_tables(),
-        &mut ctx,
+        Some(&mut ctx),
         source,
         target,
         3,
@@ -373,6 +380,158 @@ fn stale_contact_hint_falls_back_to_the_plain_walk() {
         plain_stats.series_where(|_| true),
         "message series must match the plain walk"
     );
+}
+
+/// A goal of the two recorded query entries.
+#[derive(Clone, Copy, Debug)]
+enum Goal {
+    Node(NodeId),
+    Resource(ResourceId),
+}
+
+/// Ask `goal` from `source` at depth 3 through its recorded entry —
+/// `dsq_query` or `resource_query` — with the cache when one is given.
+fn ask(
+    w: &CardWorld,
+    reg: &ResourceRegistry,
+    source: NodeId,
+    goal: Goal,
+    cache: Option<(&HintStore, &mut HintStats, &mut DepositLog)>,
+) -> QueryOutcome {
+    let (net, tables, at) = (w.network(), w.contact_tables(), w.now());
+    let mut ctx = cache.map(|(store, stats, deposits)| HintContext {
+        store,
+        stats,
+        deposits,
+    });
+    let hints = ctx.as_mut();
+    let (msgs, scratch) = (&mut MsgStats::default(), &mut QueryScratch::new());
+    match goal {
+        Goal::Node(t) => dsq_query(net, tables, hints, source, t, 3, msgs, at, scratch),
+        Goal::Resource(r) => {
+            resource_query(net, tables, reg, hints, source, r, 3, msgs, at, scratch)
+        }
+    }
+}
+
+/// A resolved beyond-zone query logs one deposit per hop of its chain
+/// under the goal's key: from the source, each hop's next hop holding the
+/// next deposit, remaining depth counting down to 1, ending at a node
+/// whose zone answers. Anything else logs nothing.
+fn assert_chain_logged(
+    w: &CardWorld,
+    reg: &ResourceRegistry,
+    log: &DepositLog,
+    out: &QueryOutcome,
+    source: NodeId,
+    goal: Goal,
+) {
+    let runs = log.runs();
+    if !out.found || out.depth_used == 0 {
+        assert!(runs.is_empty(), "{goal:?}: {out:?} logged {runs:?}");
+        return;
+    }
+    let zone = w.network().tables().of(runs[runs.len() - 1].next_hop);
+    let (key, answers) = match goal {
+        Goal::Node(t) => (HintKey::node(t), zone.contains(t)),
+        Goal::Resource(r) => (HintKey::resource(r), reg.hosted_in_neighborhood(r, zone)),
+    };
+    assert!(answers, "{goal:?}: the chain must end at an answer");
+    assert_eq!(runs.len(), out.depth_used as usize, "one deposit per hop");
+    assert_eq!(runs[0].holder, source);
+    for (i, d) in runs.iter().enumerate() {
+        assert_eq!((d.key, d.count, d.depth as usize), (key, 1, runs.len() - i));
+        if let Some(next) = runs.get(i + 1) {
+            assert_eq!(d.next_hop, next.holder, "the chain is contiguous");
+        }
+    }
+}
+
+/// The one recorded entry per goal takes the cache as an argument:
+/// (a) `Some` over an empty store costs exactly what `None` costs and logs
+/// the resolved chain, keyed by target node or by resource; (b) over a
+/// replicated registry, warmed hints never change an answer and never
+/// raise the total cost — calm through `resource_query`, and under a
+/// crash/partition plan through `CardWorld::query_resource`, whose edge
+/// veto the hinted walk must honour.
+#[test]
+fn recorded_entries_take_hints_per_goal() {
+    let w = world(3, false);
+    let replicated = ResourceDistribution::UniformReplicated { replicas: 3 };
+    let mut rng = SeedSplitter::new(3).stream("resources", 0);
+    let reg = distribute(w.network(), 10, replicated, &mut rng);
+    let resources = || (0..10).map(|r| Goal::Resource(ResourceId(r)));
+    let (mut stats, mut log) = (HintStats::default(), DepositLog::new());
+
+    // (a) an empty store: the same outcome, one deposit per hop.
+    let empty = HintStore::new(NODES, 4, 32);
+    let mut goals: Vec<Goal> = resources().collect();
+    goals.extend(NodeId::all(NODES).step_by(9).map(Goal::Node));
+    let mut resolved = 0;
+    for source in NodeId::all(NODES).step_by(5) {
+        for &goal in &goals {
+            let plain = ask(&w, &reg, source, goal, None);
+            log.clear();
+            let hinted = ask(&w, &reg, source, goal, Some((&empty, &mut stats, &mut log)));
+            assert_eq!(hinted, plain, "{goal:?} from {source}");
+            assert_chain_logged(&w, &reg, &log, &hinted, source, goal);
+            resolved += usize::from(hinted.found && hinted.depth_used > 0);
+        }
+    }
+    assert!(resolved > 20, "too few beyond-zone answers to check chains");
+
+    // (b) calm: a cold round, its deposits applied, then a warm round.
+    let mut store = HintStore::new(NODES, 8, 32);
+    let mut totals = [0u64; 2];
+    for total in &mut totals {
+        let mut queued = Vec::new();
+        for source in NodeId::all(NODES).step_by(3) {
+            for goal in resources() {
+                let plain = ask(&w, &reg, source, goal, None);
+                log.clear();
+                let hinted = ask(&w, &reg, source, goal, Some((&store, &mut stats, &mut log)));
+                assert_eq!(hinted.found, plain.found, "{goal:?} from {source}");
+                *total += hinted.total_messages();
+                queued.extend_from_slice(log.runs());
+            }
+        }
+        for d in &queued {
+            store.deposit(d, &mut stats);
+        }
+    }
+    assert!(totals[1] <= totals[0], "warm {totals:?}");
+    assert!(stats.chase_hits > 0, "the warm round must use hints");
+
+    // (b) faulted: a hinted and a cache-off world warm up calm, then the
+    // plan crashes a fifth of the nodes and cuts the field in two.
+    let faults = FaultConfig {
+        churn_rate: 0.2,
+        partition: Some(PartitionWindow {
+            start_round: 2,
+            end_round: 4,
+            fraction: 0.5,
+        }),
+        rounds: 2,
+        ..FaultConfig::calm()
+    };
+    let plan = FaultPlan::generate(&faults, NODES, 3);
+    let (mut hinted, mut base) = (world(3, true), world(3, false));
+    hinted.enable_faults(plan.clone());
+    base.enable_faults(plan);
+    for round in 0..4 {
+        for source in NodeId::all(NODES).step_by(2) {
+            for r in (0..10).map(ResourceId) {
+                assert_eq!(
+                    hinted.query_resource(&reg, source, r).found,
+                    base.query_resource(&reg, source, r).found,
+                    "{r} from {source} in fault round {round}"
+                );
+            }
+        }
+        hinted.validation_round();
+        base.validation_round();
+    }
+    assert!(hinted.hint_stats().chase_hits > 0);
 }
 
 /// TTL epochs expire hints: after enough validation rounds a once-hot

@@ -66,7 +66,7 @@ proptest! {
             let (s, t) = (NodeId::from(s), NodeId::from(t));
             let mut st_inc = mk_stats();
             let inc = dsq_query(
-                w.network(), w.contact_tables(), s, t, max_depth,
+                w.network(), w.contact_tables(), None, s, t, max_depth,
                 &mut st_inc, w.now(), &mut scratch,
             );
             let mut st_ref = mk_stats();
@@ -129,13 +129,13 @@ proptest! {
         let mut scratch = QueryScratch::new();
         let mut st_res = mk_stats();
         let via_resource = resource_query(
-            w.network(), w.contact_tables(), &reg,
+            w.network(), w.contact_tables(), &reg, None,
             NodeId::from(source), ResourceId(0), max_depth,
             &mut st_res, w.now(), &mut scratch,
         );
         let mut st_node = mk_stats();
         let via_node = dsq_query(
-            w.network(), w.contact_tables(),
+            w.network(), w.contact_tables(), None,
             NodeId::from(source), NodeId::from(host), max_depth,
             &mut st_node, w.now(), &mut scratch,
         );

@@ -33,6 +33,7 @@ fn node_lookup_is_a_special_case_of_resource_lookup() {
         w.network(),
         w.contact_tables(),
         &reg,
+        None,
         source,
         ResourceId(0),
         2,
@@ -94,6 +95,7 @@ fn anycast_cost_bounded_by_unicast_cost() {
             w.network(),
             w.contact_tables(),
             &reg,
+            None,
             source,
             ResourceId(0),
             2,
@@ -106,6 +108,7 @@ fn anycast_cost_bounded_by_unicast_cost() {
             w.network(),
             w.contact_tables(),
             &empty,
+            None,
             source,
             ResourceId(0),
             2,

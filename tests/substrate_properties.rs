@@ -1,25 +1,12 @@
 //! Property-based integration tests across substrate crates.
 
 use card_manet::prelude::*;
-use card_manet::routing::DsdvSim;
 use card_manet::sim::stats::MsgStats;
 use card_manet::sim::time::SimTime;
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// DSDV converges to exactly the oracle tables CARD consumes, on
-    /// arbitrary unit-disk scenarios.
-    #[test]
-    fn dsdv_matches_oracle_on_scenarios(seed in 0u64..500, radius in 1u16..4) {
-        let scenario = Scenario::new(60, 300.0, 300.0, 60.0);
-        let (_, adj) = scenario.instantiate(seed);
-        let oracle = card_manet::routing::neighborhood::NeighborhoodTables::compute(&adj, radius);
-        let mut dsdv = DsdvSim::new(60, radius);
-        dsdv.run_until_converged(&adj, 30);
-        prop_assert!(dsdv.matches_oracle(&oracle));
-    }
 
     /// EM selection invariants hold on arbitrary scenario seeds: contacts
     /// sit strictly beyond 2R true hops, within r walk hops, with valid
