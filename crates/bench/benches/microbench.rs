@@ -368,7 +368,6 @@ fn bench_adjacency_patch(c: &mut Criterion) {
                     &trace.snapshots[cur],
                     scenario.tx_range,
                     movers,
-                    movers,
                     &mut changed,
                     &mut scratch,
                     &mut kscratch,
@@ -484,7 +483,7 @@ fn bench_topology_refresh_dwell(c: &mut Criterion) {
                     net.advance_positions_only(&mut model, SimDuration::from_millis(100));
                     net.refresh();
                 }
-                black_box(net.last_dirty_count())
+                black_box(net.pipeline_counters().dirty)
             })
         });
     };

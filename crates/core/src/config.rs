@@ -73,12 +73,11 @@ pub struct CardConfig {
     /// Root seed for every random decision (placement, walk choices, PM
     /// probability draws).
     pub seed: u64,
-    /// Whether the §V route-hint cache is enabled (see `crate::hints`).
-    /// Off by default: the cache-off query path is the bit-identical
-    /// reference the hinted sweeps are measured against.
-    pub hints_enabled: bool,
     /// LRU slots per distance bucket of each node's hint table
-    /// (`hints::HINT_BUCKETS` buckets per node).
+    /// (`hints::HINT_BUCKETS` buckets per node). The §V route-hint cache
+    /// itself is switched with `CardWorld::set_hints_enabled`; a world is
+    /// built with it off, the bit-identical reference the hinted sweeps
+    /// are measured against.
     pub hint_slots_per_bucket: usize,
     /// Hint TTL in validation rounds: a hint older than this is reported
     /// stale and recycled instead of probed.
@@ -111,7 +110,6 @@ impl Default for CardConfig {
             csq_step_factor: 1_000,
             selection_walks_per_round: 3,
             seed: 1,
-            hints_enabled: false,
             hint_slots_per_bucket: 4,
             hint_ttl: 32,
             tombstone_ttl: 4,
@@ -158,12 +156,6 @@ impl CardConfig {
         self
     }
 
-    /// Builder-style route-hint cache toggle (§V; see `crate::hints`).
-    pub fn with_hints(mut self, enabled: bool) -> Self {
-        self.hints_enabled = enabled;
-        self
-    }
-
     /// Builder-style hint-table size override (LRU slots per bucket).
     pub fn with_hint_slots_per_bucket(mut self, slots: usize) -> Self {
         self.hint_slots_per_bucket = slots;
@@ -197,22 +189,22 @@ impl CardConfig {
     /// Validate the parameter combination.
     ///
     /// # Panics
-    /// Panics when R = 0, D = 0, or the contact annulus is inverted
-    /// (for eq.2/EM that means `r < 2R`; eq.1 needs `r >= R`). The
-    /// *degenerate* case `r = 2R` is allowed — Fig 6 sweeps it — and simply
-    /// yields (almost) no contacts, since no candidate can be both within
-    /// `r` walk hops and strictly beyond `2R` true hops.
+    /// Panics when R = 0, D = 0, a TTL or the hint slot count is 0, or the
+    /// contact annulus is inverted (for eq.2/EM that means `r < 2R`; eq.1
+    /// needs `r >= R`). Hint sizing is checked whether or not the cache
+    /// is on, since it can be switched on at runtime. The *degenerate*
+    /// case `r = 2R` is allowed — Fig 6 sweeps it — and simply yields
+    /// (almost) no contacts, since no candidate can be both within `r`
+    /// walk hops and strictly beyond `2R` true hops.
     pub fn validate(&self) {
         assert!(self.radius >= 1, "R must be >= 1");
         assert!(self.depth >= 1, "D must be >= 1");
         assert!(self.tombstone_ttl >= 1, "tombstone TTL must be >= 1 round");
-        if self.hints_enabled {
-            assert!(
-                self.hint_slots_per_bucket >= 1,
-                "hint buckets need at least one slot"
-            );
-            assert!(self.hint_ttl >= 1, "hint TTL must be >= 1 round");
-        }
+        assert!(
+            self.hint_slots_per_bucket >= 1,
+            "hint buckets need at least one slot"
+        );
+        assert!(self.hint_ttl >= 1, "hint TTL must be >= 1 round");
         match self.method {
             SelectionMethod::ProbabilisticEq1 => assert!(
                 self.max_contact_distance >= self.radius,
@@ -257,7 +249,6 @@ mod tests {
         assert_eq!(c.depth, 1);
         assert_eq!(c.method, SelectionMethod::Edge);
         assert!(c.local_recovery);
-        assert!(!c.hints_enabled, "the cache-off reference is the default");
         assert_eq!(c.hint_slots_per_bucket, 4);
         assert_eq!(c.hint_ttl, 32);
         assert_eq!(c.tombstone_ttl, 4);
@@ -281,10 +272,8 @@ mod tests {
     #[test]
     fn hint_builders_chain_and_validate() {
         let c = CardConfig::default()
-            .with_hints(true)
             .with_hint_slots_per_bucket(2)
             .with_hint_ttl(8);
-        assert!(c.hints_enabled);
         assert_eq!(c.hint_slots_per_bucket, 2);
         assert_eq!(c.hint_ttl, 8);
         c.validate();
@@ -294,7 +283,6 @@ mod tests {
     #[should_panic(expected = "at least one slot")]
     fn hints_reject_zero_slots() {
         CardConfig::default()
-            .with_hints(true)
             .with_hint_slots_per_bucket(0)
             .validate();
     }

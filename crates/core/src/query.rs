@@ -1326,9 +1326,9 @@ mod tests {
                 .with_radius(radius)
                 .with_max_contact_distance(2 * radius + 3)
                 .with_target_contacts(3)
-                .with_hints(true)
                 .with_seed(seed);
             let mut world = CardWorld::build(&Scenario::new(nodes, 350.0, 350.0, 60.0), cfg);
+            world.set_hints_enabled(true);
             world.select_all_contacts();
             let field = world.network().field();
             let mut model =

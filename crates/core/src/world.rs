@@ -615,7 +615,8 @@ fn partition_state(
 
 impl CardWorld {
     /// Instantiate a scenario (uniform placement from `cfg.seed`) and build
-    /// the world.
+    /// the world, with the route-hint cache off (see
+    /// [`CardWorld::set_hints_enabled`]).
     ///
     /// # Panics
     /// Panics if the configuration is invalid (see [`CardConfig::validate`]).
@@ -646,11 +647,7 @@ impl CardWorld {
             .map(|i| splitter.stream("card-node", i as u64))
             .collect();
         let k = default_shard_count();
-        let hcfg = cfg
-            .hints_enabled
-            .then_some((cfg.hint_slots_per_bucket, cfg.hint_ttl, 0u32));
-        let shards = partition_state(n, k, contacts, rngs, vec![0; n], vec![0; n], hcfg);
-        let hints_on = cfg.hints_enabled;
+        let shards = partition_state(n, k, contacts, rngs, vec![0; n], vec![0; n], None);
         CardWorld {
             net,
             cfg,
@@ -662,7 +659,7 @@ impl CardWorld {
             per: n.div_ceil(k).max(1),
             query_scratch: (0..k).map(|_| QueryScratch::with_capacity(n)).collect(),
             plane: MessagePlane::new(k),
-            hints_on,
+            hints_on: false,
             hint_stats: HintStats::default(),
             hint_deposits: DepositLog::new(),
             sweep_deposits: (0..k).map(|_| DepositLog::new()).collect(),
@@ -1923,6 +1920,13 @@ mod tests {
             .with_seed(21)
     }
 
+    /// A `cfg()` world at search depth `depth` with the hint cache on.
+    fn hinted_world(depth: u16) -> CardWorld {
+        let mut w = CardWorld::build(&scenario(), cfg().with_depth(depth));
+        w.set_hints_enabled(true);
+        w
+    }
+
     #[test]
     fn build_and_select() {
         let mut w = CardWorld::build(&scenario(), cfg());
@@ -1992,8 +1996,6 @@ mod tests {
         // the accessor must surface the network's own counters, not a copy
         // that can drift
         assert_eq!(c, w.network().pipeline_counters());
-        assert_eq!(c.changed, w.network().last_changed_count());
-        assert_eq!(c.dirty, w.network().last_dirty_count());
     }
 
     #[test]
@@ -2288,9 +2290,14 @@ mod tests {
         w.set_hints_enabled(true); // idempotent: must not rebuild/clear
         w.set_hints_enabled(false);
         assert!(!w.hints_enabled());
-        // a world built with hints in the config starts enabled
-        let w2 = CardWorld::build(&scenario(), cfg().with_hints(true));
-        assert!(w2.hints_enabled());
+    }
+
+    #[test]
+    #[should_panic(expected = "hint TTL must be >= 1 round")]
+    fn build_rejects_zero_hint_ttl_with_hints_off() {
+        // The cache can be switched on after the build, so its sizing is
+        // validated up front even though the world starts with it off.
+        CardWorld::build(&scenario(), cfg().with_hint_ttl(0));
     }
 
     #[test]
@@ -2303,7 +2310,7 @@ mod tests {
             .collect();
         let mut base = CardWorld::build(&scenario(), cfg().with_depth(3));
         base.select_all_contacts();
-        let mut hinted = CardWorld::build(&scenario(), cfg().with_depth(3).with_hints(true));
+        let mut hinted = hinted_world(3);
         hinted.select_all_contacts();
         let expected = base.query_all(&pairs);
         for sweep in 0..3 {
@@ -2328,7 +2335,7 @@ mod tests {
             .map(|i| (NodeId::new((i * 7) % 150), NodeId::new((i * 53 + 2) % 150)))
             .collect();
         let build = |shards: Option<usize>| {
-            let mut w = CardWorld::build(&scenario(), cfg().with_depth(3).with_hints(true));
+            let mut w = hinted_world(3);
             if let Some(k) = shards {
                 w.set_shard_count(k);
             }
@@ -2362,7 +2369,7 @@ mod tests {
         // The one-at-a-time path applies deposits immediately: repeating
         // the same resolved query must hit the cache on the second call
         // and spend no more messages than the first.
-        let mut w = CardWorld::build(&scenario(), cfg().with_depth(3).with_hints(true));
+        let mut w = hinted_world(3);
         w.select_all_contacts();
         let reach = crate::reachability::reachability_set(
             w.network(),
@@ -2427,7 +2434,7 @@ mod tests {
         let pairs: Vec<(NodeId, NodeId)> = (0..50u32)
             .map(|i| (NodeId::new((i * 3) % 150), NodeId::new((i * 41 + 7) % 150)))
             .collect();
-        let mut a = CardWorld::build(&scenario(), cfg().with_depth(3).with_hints(true));
+        let mut a = hinted_world(3);
         a.select_all_contacts();
         let mut b = a.clone();
         let warm_a = a.query_all(&pairs); // deposits hints
@@ -2455,7 +2462,7 @@ mod tests {
 
     #[test]
     fn query_all_into_reuses_buffers() {
-        let mut w = CardWorld::build(&scenario(), cfg().with_depth(2).with_hints(true));
+        let mut w = hinted_world(2);
         w.select_all_contacts();
         let pairs: Vec<(NodeId, NodeId)> = (0..30u32)
             .map(|i| (NodeId::new(i % 150), NodeId::new((i * 17 + 9) % 150)))
@@ -2497,7 +2504,7 @@ mod tests {
             .map(|i| (NodeId::new(i % 150), NodeId::new((i * 37 + 5) % 150)))
             .collect();
         let run = |shards: usize, serial: bool| {
-            let mut w = CardWorld::build(&scenario(), cfg().with_depth(3).with_hints(true));
+            let mut w = hinted_world(3);
             w.set_shard_count(shards);
             w.select_all_contacts();
             w.enable_faults(FaultPlan::generate(&fault_cfg(), 150, 99));
@@ -2655,7 +2662,7 @@ mod tests {
         // A few resolvable pairs, each repeated in one block: a cold sweep
         // logs one run per chain hop whatever the block length, so the
         // deposit transport's buffers must not grow with the repeats.
-        let mut base = CardWorld::build(&scenario(), cfg().with_depth(3).with_hints(true));
+        let mut base = hinted_world(3);
         base.select_all_contacts();
         assert_eq!(base.plane_buffer_bytes(), 0, "no sweep, no buffers");
         let candidates: Vec<(NodeId, NodeId)> = (0..150u32)
@@ -2704,7 +2711,7 @@ mod tests {
 
     #[test]
     fn shard_memory_and_plane_stats_surface() {
-        let mut w = CardWorld::build(&scenario(), cfg().with_depth(3).with_hints(true));
+        let mut w = hinted_world(3);
         w.select_all_contacts();
         let mem = w.shard_memory_bytes();
         assert_eq!(mem.len(), w.shard_count());

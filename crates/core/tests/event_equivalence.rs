@@ -169,7 +169,8 @@ fn snapshot(w: &CardWorld) -> Snapshot {
 
 /// Build a prepared world: scenario placement, contact selection done.
 fn world(seed: u64, shards: usize, hints: bool) -> CardWorld {
-    let mut w = CardWorld::build(&scenario(), cfg(seed).with_hints(hints));
+    let mut w = CardWorld::build(&scenario(), cfg(seed));
+    w.set_hints_enabled(hints);
     w.set_shard_count(shards);
     w.select_all_contacts();
     w
@@ -250,9 +251,10 @@ proptest! {
         rounds in 1u32..8,
     ) {
         let run = |period_secs: u64| {
-            let mut config = cfg(seed).with_hints(true).with_hint_ttl(ttl);
+            let mut config = cfg(seed).with_hint_ttl(ttl);
             config.validation_period = SimDuration::from_secs(period_secs);
             let mut w = CardWorld::build(&scenario(), config);
+            w.set_hints_enabled(true);
             w.select_all_contacts();
             let mut model = mobility::RegionalMobility::new();
             model.push_region(NODES, Box::new(StaticModel));

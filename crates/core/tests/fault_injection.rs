@@ -142,7 +142,8 @@ fn snapshot(w: &CardWorld) -> Snapshot {
 }
 
 fn world(seed: u64, shards: usize, hints: bool) -> CardWorld {
-    let mut w = CardWorld::build(&scenario(), cfg(seed).with_hints(hints));
+    let mut w = CardWorld::build(&scenario(), cfg(seed));
+    w.set_hints_enabled(hints);
     w.set_shard_count(shards);
     w.select_all_contacts();
     w

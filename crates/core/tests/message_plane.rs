@@ -29,14 +29,16 @@ fn scenario() -> Scenario {
     Scenario::new(NODES, 500.0, 500.0, 60.0)
 }
 
-fn cfg(seed: u64, hints: bool) -> CardConfig {
-    CardConfig::default()
+fn world(seed: u64, hints: bool) -> CardWorld {
+    let cfg = CardConfig::default()
         .with_radius(2)
         .with_max_contact_distance(8)
         .with_target_contacts(4)
         .with_depth(3)
-        .with_hints(hints)
-        .with_seed(seed)
+        .with_seed(seed);
+    let mut w = CardWorld::build(&scenario(), cfg);
+    w.set_hints_enabled(hints);
+    w
 }
 
 fn pairs(seed: u64, count: usize) -> Vec<(NodeId, NodeId)> {
@@ -79,7 +81,7 @@ struct Trace {
 /// each query's deposits become visible to the *next* query in the
 /// batch — that reference is pinned hints-off in `tests/hint_cache.rs`).
 fn trace(seed: u64, hints: bool, shards: usize, serial: bool) -> Trace {
-    let mut w = CardWorld::build(&scenario(), cfg(seed, hints));
+    let mut w = world(seed, hints);
     w.set_shard_count(shards);
     let workload = pairs(seed ^ 0xbeef, 48);
     if serial {
@@ -165,7 +167,7 @@ proptest! {
         let after = [1usize, 3, 4, 6, 7, NODES + 1][after_ix];
         let workload = pairs(seed ^ 0xcafe, 48);
         let run = |reshard: Option<usize>| {
-            let mut w = CardWorld::build(&scenario(), cfg(seed, true));
+            let mut w = world(seed, true);
             w.set_shard_count(before);
             w.select_all_contacts();
             let cold = w.query_all(&workload); // deposits route via plane
@@ -269,7 +271,7 @@ fn lossy_plan(seed: u64, churn_pct: u32, drop_pct: u32, delay_pct: u32) -> Fault
 /// zone (so they deposit hints), repeated to `len` queries in blocks of
 /// `block`: block 1 interleaves them, longer blocks form runs.
 fn skewed_pairs(seed: u64, block: usize, len: usize) -> Vec<(NodeId, NodeId)> {
-    let mut w = CardWorld::build(&scenario(), cfg(seed, false));
+    let mut w = world(seed, false);
     w.select_all_contacts();
     let candidates = pairs(seed ^ 0x5eed, 96);
     let outs = w.query_all(&candidates);
@@ -314,7 +316,7 @@ fn lossy_run(
     before: usize,
     reshard: Option<usize>,
 ) -> (LossyTrace, u64) {
-    let mut w = CardWorld::build(&scenario(), cfg(seed, true));
+    let mut w = world(seed, true);
     w.set_shard_count(before);
     w.select_all_contacts();
     w.enable_faults(plan.clone());

@@ -617,9 +617,7 @@ fn rss_bytes() -> usize {
 
 /// Parameters of the raw-speed tier (`repro scale-raw`): the N=10⁶ run.
 /// First the topology substrate alone — placement, kernel build,
-/// mobility + incremental refresh loop (with the range-annulus mover
-/// pre-filter engaged; its skips land in the counter columns) — then a
-/// **full-protocol** phase on the post-mobility topology: sharded
+/// mobility + incremental refresh loop — then a **full-protocol** phase on the post-mobility topology: sharded
 /// contact selection for every node, [`PROTOCOL_ROUNDS`] validation
 /// rounds, and a hinted query sweep whose cross-shard hint deposits
 /// travel the explicit message plane. Per-shard memory, throughput and
@@ -672,14 +670,13 @@ impl RawParams {
 /// shallow annulus and one hint slot per bucket so the per-node state
 /// stays lean at N = 10⁶ (the hint table is the dominant per-node cost;
 /// one slot × [`card_core::hints::HINT_BUCKETS`] buckets ≈ 100 MB total
-/// at a million nodes).
+/// at a million nodes). The phase runs with hints enabled.
 pub fn raw_protocol_config(p: &RawParams) -> CardConfig {
     CardConfig::default()
         .with_radius(p.radius)
         .with_max_contact_distance(4 * p.radius)
         .with_target_contacts(4)
         .with_depth(QUERY_DEPTH)
-        .with_hints(true)
         .with_hint_slots_per_bucket(1)
         .with_seed(p.seed)
 }
@@ -708,9 +705,6 @@ pub struct RawRow {
     pub node_ticks_per_s: f64,
     /// Mean movers reported per tick.
     pub mean_movers: f64,
-    /// Movers the range-annulus pre-filter proved inert (summed over all
-    /// ticks) — work the patch never had to do.
-    pub movers_skipped: u64,
     /// Ticks on which any wholesale fallback ran.
     pub full_fallback_ticks: usize,
     /// Total candidate lanes classified by the f32 kernel.
@@ -783,7 +777,6 @@ fn run_one_raw(scenario: &Scenario, profile: MobilityProfile, p: &RawParams) -> 
     let mut total_tick_ms = 0.0f64;
     let mut max_tick_ms = 0.0f64;
     let mut movers_sum = 0u64;
-    let mut movers_skipped = 0u64;
     let mut full_fallback_ticks = 0usize;
     let mut kernel_lanes = 0u64;
     let mut kernel_exact = 0u64;
@@ -795,7 +788,6 @@ fn run_one_raw(scenario: &Scenario, profile: MobilityProfile, p: &RawParams) -> 
         max_tick_ms = max_tick_ms.max(ms);
         let c = net.pipeline_counters();
         movers_sum += c.movers_reported as u64;
-        movers_skipped += c.movers_skipped as u64;
         full_fallback_ticks += c.full_fallback as usize;
         kernel_lanes += c.kernel_lanes;
         kernel_exact += c.kernel_exact;
@@ -811,6 +803,7 @@ fn run_one_raw(scenario: &Scenario, profile: MobilityProfile, p: &RawParams) -> 
     // then a hinted query sweep run twice over the same pairs — the cold
     // sweep's plane-routed deposits make the warm sweep's hits.
     let mut world = CardWorld::from_network(net, raw_protocol_config(p));
+    world.set_hints_enabled(true);
     let t_sel = Instant::now();
     world.select_all_contacts();
     let select_ms = t_sel.elapsed().as_secs_f64() * 1e3;
@@ -871,7 +864,6 @@ fn run_one_raw(scenario: &Scenario, profile: MobilityProfile, p: &RawParams) -> 
         max_tick_ms,
         node_ticks_per_s: (n * p.ticks) as f64 / (total_tick_ms / 1e3).max(1e-9),
         mean_movers: movers_sum as f64 / p.ticks.max(1) as f64,
-        movers_skipped,
         full_fallback_ticks,
         kernel_lanes,
         kernel_exact,
@@ -897,7 +889,7 @@ fn run_one_raw(scenario: &Scenario, profile: MobilityProfile, p: &RawParams) -> 
 }
 
 /// Render the raw tier as two Markdown tables: the topology-substrate
-/// speed columns (with the annulus pre-filter's skip counter), then the
+/// speed columns, then the
 /// full-protocol columns — per-shard memory, protocol/query throughput
 /// and cross-shard plane traffic.
 pub fn render_raw(p: &RawParams, rows: &[RawRow]) -> String {
@@ -912,7 +904,6 @@ pub fn render_raw(p: &RawParams, rows: &[RawRow]) -> String {
         "Tick mean/max (ms)",
         "Node-ticks/s",
         "Movers/tick",
-        "Movers skipped",
         "Fallback ticks",
         "Kernel lanes",
         "Exact checks",
@@ -932,7 +923,6 @@ pub fn render_raw(p: &RawParams, rows: &[RawRow]) -> String {
                 format!("{:.2} / {:.2}", r.mean_tick_ms, r.max_tick_ms),
                 fmt_rate(r.node_ticks_per_s),
                 format!("{:.1}", r.mean_movers),
-                fmt_rate(r.movers_skipped as f64),
                 r.full_fallback_ticks.to_string(),
                 fmt_rate(r.kernel_lanes as f64),
                 fmt_rate(r.kernel_exact as f64),
@@ -1424,10 +1414,6 @@ mod tests {
             assert!(r.kernel_lanes > 0, "{:?} classified no lanes", r.mobility);
             assert!(r.kernel_exact <= r.kernel_lanes);
             assert!(r.mean_movers > 0.0);
-            assert!(
-                r.movers_skipped <= r.ticks as u64 * r.scenario.nodes as u64,
-                "skips are bounded by the reports"
-            );
             // Linux (the only supported bench platform) must report RSS
             #[cfg(target_os = "linux")]
             assert!(r.build_rss_bytes > 0 && r.end_rss_bytes > 0);
@@ -1457,7 +1443,6 @@ mod tests {
         assert!(text.contains("RSS build"));
         assert!(text.contains("f32-only %"));
         assert!(text.contains("ped-dwell"));
-        assert!(text.contains("Movers skipped"));
         assert!(text.contains("Shard mem min/mean/max"));
         assert!(text.contains("Cross-shard"));
     }

@@ -94,15 +94,14 @@ impl Params {
     }
 }
 
-/// The protocol configuration of a hostile run (hints on: the tier
-/// reports cache degradation too).
+/// The protocol configuration of a hostile run (the run enables hints:
+/// the tier reports cache degradation too).
 pub fn protocol_config(p: &Params) -> CardConfig {
     CardConfig::default()
         .with_radius(p.radius)
         .with_max_contact_distance(4 * p.radius)
         .with_target_contacts(4)
         .with_depth(QUERY_DEPTH)
-        .with_hints(true)
         .with_seed(p.seed)
 }
 
@@ -217,6 +216,7 @@ pub fn run(p: &Params) -> DegradationReport {
     for &n in &p.nodes {
         let scenario = scaled_scenario(n);
         let mut base = CardWorld::build(&scenario, protocol_config(p));
+        base.set_hints_enabled(true);
         base.select_all_contacts();
         rows.push(run_cell(base.clone(), None, p, 0.0, 0.0));
         for &churn in &p.churn_rates {

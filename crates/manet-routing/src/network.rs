@@ -15,13 +15,12 @@
 //!    (`MobilityModel::advance_reporting`);
 //! 2. the adjacency is *patched* in place
 //!    (`Adjacency::patch_with_grid`): the spatial grid re-buckets only
-//!    reported movers that crossed a cell boundary, and only the movers
-//!    the annulus pre-filter could not prove link-inert have their CSR
-//!    rows re-queried. Each such row is diffed against its old content
-//!    and the far, non-mover end of every appeared/disappeared link takes
-//!    a half-edge edit — so the patch emits the *changed* nodes directly,
-//!    with no O(N) snapshot diff, and saves each changed row's pre-patch
-//!    content to a per-row **undo log** in the patch scratch
+//!    reported movers that crossed a cell boundary, and every reported
+//!    mover has its CSR row re-queried. Each row is diffed against its
+//!    old content and the far, non-mover end of every appeared/disappeared
+//!    link takes a half-edge edit — so the patch emits the *changed* nodes
+//!    directly, with no O(N) snapshot diff, and saves each changed row's
+//!    pre-patch content to a per-row **undo log** in the patch scratch
 //!    (O(changed · degree) copies) because step 3 needs the old graph;
 //! 3. a node `u`'s R-hop BFS relaxes exactly the edges incident to nodes
 //!    at depth ≤ R−1 from `u`, so its table can only have changed if some
@@ -56,7 +55,7 @@
 //! * [`Network::refresh_movers`] is production for every mover report.
 //! * [`Network::refresh`] is production too: the report-free path (full
 //!   adjacency rebuild, all-rows diff, dirty balls). `refresh_movers`
-//!   takes it whenever the active movers exceed the patch budget — on
+//!   takes it whenever the reported movers exceed the patch budget — on
 //!   every tick of a whole-network motion workload — and its all-rows
 //!   diff keeps the table rebuild to the dirty balls (~10⁴ of 5·10⁴
 //!   tables per tick when all 5·10⁴ nodes move) where a wholesale
@@ -89,15 +88,16 @@ pub struct PipelineCounters {
     /// Nodes the mobility model reported as moved (N when the caller used
     /// a report-free refresh).
     pub movers_reported: usize,
-    /// Reported movers the range-annulus pre-filter proved link-inert and
-    /// dropped from the patch's re-query set (0 when the filter's profit
-    /// gate stayed off or a wholesale fallback ran).
+    /// Always 0: every reported mover's row is re-queried. Kept only
+    /// because the benchmark reads it; it goes together with the
+    /// benchmark's `topology.movers_skipped_share` metric in the next
+    /// benchmark revision.
     pub movers_skipped: usize,
     /// Grid entries re-bucketed: boundary-crossing movers, or N on a full
     /// relayout.
     pub grid_rebucketed: usize,
-    /// CSR adjacency rows re-queried: the movers the pre-filter kept, or
-    /// N on a full rebuild.
+    /// CSR adjacency rows re-queried: the distinct reported movers, or N
+    /// on a full rebuild.
     pub rows_patched: usize,
     /// Rows whose link set actually changed (the dirty-ball seeds).
     pub changed: usize,
@@ -165,14 +165,6 @@ pub struct Network {
     undo_index: Vec<(NodeId, u32)>,
     /// Reusable buffer for the mobility model's mover report.
     movers_buf: Vec<NodeId>,
-    /// Each node's position as of the last refresh that proved (or
-    /// rebuilt) its link state — the displacement baseline for the
-    /// range-annulus pre-filter in [`Network::refresh_movers`].
-    prev_positions: Vec<Point2>,
-    /// Per-mover displacement since `prev_positions` (reused buffer).
-    mover_delta: Vec<f64>,
-    /// Movers surviving the annulus pre-filter (reused buffer).
-    active_buf: Vec<NodeId>,
     /// What the last refresh actually did, stage by stage.
     counters: PipelineCounters,
 }
@@ -218,7 +210,6 @@ impl Network {
             field,
             tx_range,
             radius,
-            prev_positions: positions.clone(),
             positions,
             prev_adj: adj.clone(),
             adj,
@@ -233,8 +224,6 @@ impl Network {
             patch_scratch: PatchScratch::new(),
             undo_index: Vec::new(),
             movers_buf: Vec::new(),
-            mover_delta: Vec::new(),
-            active_buf: Vec::new(),
             counters: PipelineCounters::default(),
         }
     }
@@ -318,8 +307,8 @@ impl Network {
     /// Refresh connectivity and neighborhood tables given the set of nodes
     /// whose positions changed since the last refresh (`movers`, typically
     /// a `MobilityModel::advance_reporting` report — a superset is sound).
-    /// The adjacency is patched in place (rows re-queried only around
-    /// movers), the patch's changed-row output seeds the dirty
+    /// The adjacency is patched in place (exactly the movers' rows are
+    /// re-queried), the patch's changed-row output seeds the dirty
     /// neighborhood balls directly, and the old-graph ball reads the
     /// patch's per-row undo log — so no stage scans all N nodes or copies
     /// the CSR. Equivalent to — and checked against —
@@ -338,37 +327,23 @@ impl Network {
             self.dirty.clear();
             return;
         }
-        // Range-annulus pre-filter: drop reported movers whose
-        // displacement provably left every incident link's state alone,
-        // so the patch only re-queries rows around movers that could
-        // matter. Off (active = movers verbatim) unless its profit gate
-        // expects the skips to pay for the filtering scan.
-        let mut active_buf = std::mem::take(&mut self.active_buf);
-        let engaged = self.annulus_prefilter(movers, &mut active_buf);
-        let active: &[NodeId] = if engaged { &active_buf } else { movers };
-        let skipped = movers.len() - active.len();
-        if !Adjacency::patch_viable(n, active.len()) {
+        if !Adjacency::patch_viable(n, movers.len()) {
             // The churn fallback would rebuild wholesale anyway — take the
             // report-free path directly: its all-rows diff recovers the
             // changed set the patch can no longer report.
-            self.active_buf = active_buf;
             self.refresh();
             self.counters.movers_reported = movers.len();
             return;
         }
         self.counters = PipelineCounters {
             movers_reported: movers.len(),
-            movers_skipped: skipped,
             ..PipelineCounters::default()
         };
         // The tables currently reflect `adj`; patch it in place. Old rows
         // live on in the patch scratch's undo log — no snapshot copy.
-        // The grid still re-buckets the *full* report (residency must
-        // track every position change), only the row re-queries are
-        // restricted to the active movers. They run through the
-        // two-phase f32 kernel against the SoA plane (mover lanes are
-        // refreshed first); link decisions are bit-identical to the
-        // scalar f64 scan.
+        // Every mover's row is re-queried through the two-phase f32
+        // kernel against the SoA plane (mover lanes are refreshed first);
+        // link decisions are bit-identical to the scalar f64 scan.
         self.kernel_scratch.stats = KernelStats::default();
         let outcome = self.adj.patch_with_grid(
             &mut self.grid,
@@ -376,12 +351,10 @@ impl Network {
             &self.positions,
             self.tx_range,
             movers,
-            active,
             &mut self.changed,
             &mut self.patch_scratch,
             &mut self.kernel_scratch,
         );
-        self.active_buf = active_buf;
         self.counters.kernel_lanes = self.kernel_scratch.stats.lanes;
         self.counters.kernel_exact = self.kernel_scratch.stats.exact_checks;
         match outcome {
@@ -406,97 +379,6 @@ impl Network {
                 self.counters.dirty = n;
             }
         }
-        // Every reported mover now has a refreshed (or skip-proven) link
-        // state at its current position — re-baseline its displacement.
-        for &m in movers {
-            self.prev_positions[m.index()] = self.positions[m.index()];
-        }
-    }
-
-    /// The range-annulus pre-filter: copy into `out` the subset of
-    /// `movers` whose rows the patch must re-query, returning
-    /// whether the filter engaged at all (`false` leaves `out` untouched
-    /// and the caller uses the full report).
-    ///
-    /// A mover `j` may be dropped only with a *proof* that none of its
-    /// incident links changed state since `prev_positions`. Let δ_j be
-    /// `j`'s displacement since its baseline and Δ the maximum
-    /// displacement in this report (non-reported nodes have δ = 0). A
-    /// link `(j, m)` changes state only if `tx_range` lies between its
-    /// old and new length, which forces the *new* length within
-    /// `δ_j + δ_m ≤ δ_j + Δ` of `tx_range` — so it suffices to check the
-    /// annulus `|dist − tx_range| ≤ δ_j + Δ` around `j`'s new position
-    /// for occupants. Candidates are enumerated from the 3×3 cell ball at
-    /// `j`'s new position *before* the grid re-buckets this tick, so an
-    /// occupant's bucketed position lags its current one by at most Δ;
-    /// the enumeration is complete when
-    /// `tx_range + (δ_j + Δ) + Δ ≤ ball_coverage(pos_j)` (clamped border
-    /// positions report a small or negative coverage and simply stay
-    /// active). An empty annulus means no link ends near the range
-    /// boundary: `j` is inert. δ_j = 0 movers are always inert.
-    ///
-    /// The profit gate estimates the skip fraction from the annulus-hit
-    /// Poisson rate λ = density · 8π · tx_range · Δ (area of the width-4Δ
-    /// annulus at radius `tx_range`, halved odds twice for the two-sided
-    /// |·| test — an engineering estimate, not part of the soundness
-    /// argument): when the report is already patch-viable the filter must
-    /// expect to skip ≥ 25 % to bother; when it is *not* viable the
-    /// filter engages only if the expected survivors fit well inside the
-    /// patch budget, since turning a wholesale tick into a patch tick is
-    /// worth the scan. Wrong guesses only cost time: survivors above
-    /// budget still take the wholesale fallback.
-    fn annulus_prefilter(&mut self, movers: &[NodeId], out: &mut Vec<NodeId>) -> bool {
-        const EPS: f64 = 1e-6;
-        let n = self.positions.len();
-        self.mover_delta.clear();
-        let mut max_delta = 0.0f64;
-        for &m in movers {
-            let d = self.prev_positions[m.index()].dist(self.positions[m.index()]);
-            self.mover_delta.push(d);
-            max_delta = max_delta.max(d);
-        }
-        if max_delta == 0.0 {
-            // A pure-jiggle report: every baseline already matches the
-            // current position, so no link can have changed.
-            out.clear();
-            return true;
-        }
-        let density = n as f64 / self.field.area();
-        let lambda = density * 8.0 * std::f64::consts::PI * self.tx_range * max_delta;
-        let p_skip = (-lambda).exp();
-        let engage = if Adjacency::patch_viable(n, movers.len()) {
-            p_skip >= 0.25
-        } else {
-            movers.len() as f64 * (1.0 - p_skip) <= 0.75 * Adjacency::patch_budget(n) as f64
-        };
-        if !engage {
-            return false;
-        }
-        out.clear();
-        let range = self.tx_range;
-        let (grid, positions) = (&self.grid, &self.positions);
-        for (k, &m) in movers.iter().enumerate() {
-            let delta = self.mover_delta[k];
-            if delta == 0.0 {
-                continue;
-            }
-            let p = positions[m.index()];
-            let slack = delta + max_delta;
-            if range + slack + max_delta + EPS > grid.ball_coverage(p) {
-                out.push(m);
-                continue;
-            }
-            let mut pinned = false;
-            grid.for_each_in_cell_ball(grid.cell_at(p), |nb| {
-                if nb != m && !pinned {
-                    pinned = (positions[nb.index()].dist(p) - range).abs() <= slack + EPS;
-                }
-            });
-            if pinned {
-                out.push(m);
-            }
-        }
-        true
     }
 
     /// O(N) snapshot diff: collect into `self.changed` every node whose
@@ -561,7 +443,6 @@ impl Network {
         self.record_grid_update(grid_update);
         self.diff_changed_rows();
         self.recompute_dirty_neighborhoods();
-        self.prev_positions.clone_from(&self.positions);
     }
 
     /// Dirty-ball tail of the mover-driven patch path: same derivation as
@@ -711,25 +592,12 @@ impl Network {
         self.record_grid_update(grid_update);
         self.changed.clear();
         self.dirty.clear();
-        self.prev_positions.clone_from(&self.positions);
     }
 
     /// Are `a` and `b` currently within direct radio range?
     #[inline]
     pub fn is_link(&self, a: NodeId, b: NodeId) -> bool {
         self.adj.is_neighbor(a, b)
-    }
-
-    /// Number of nodes whose adjacency changed in the last refresh
-    /// (observability: churn per tick).
-    pub fn last_changed_count(&self) -> usize {
-        self.counters.changed
-    }
-
-    /// Number of neighborhoods rebuilt by the last refresh
-    /// (observability: incremental-refresh effectiveness).
-    pub fn last_dirty_count(&self) -> usize {
-        self.counters.dirty
     }
 
     /// Stage-by-stage work counters of the last refresh (mover report,
@@ -1034,8 +902,7 @@ mod tests {
         let mut net = Network::from_scenario(&small_scenario(), 2, 17);
         // A static model never even reaches the refresh.
         net.advance(&mut StaticModel, SimDuration::from_secs(1));
-        // A full-motion tick: everyone moves far enough that the annulus
-        // gate predicts too few skips to rescue the tick from churn.
+        // A full-motion tick: every node moves, far past the patch budget.
         let mut rwp =
             RandomWaypoint::new(60, net.field(), 0.5, 1.0, 0.0, RngStream::seed_from_u64(2));
         net.advance(&mut rwp, SimDuration::from_secs(1));
@@ -1045,24 +912,15 @@ mod tests {
             c.full_fallback,
             "60 far-moving movers of 60 nodes must trip the churn fallback"
         );
-        assert_eq!(c.movers_skipped, 0, "fallback ticks skip nothing");
-        // Move only one node, via the explicit mover-report path. The
-        // annulus pre-filter may prove the 1 m hop link-inert (then it is
-        // counted skipped and no row is touched) or keep it — either way
-        // the tick stays local.
+        // Move only one node, via the explicit mover-report path: exactly
+        // its own row is re-queried, however inert the 1 m hop.
         let p = net.positions()[5];
         net.positions_mut()[5] = Point2::new(p.x + 1.0, p.y);
         net.refresh_movers(&[NodeId::new(5)]);
         let c = net.pipeline_counters();
         assert_eq!(c.movers_reported, 1);
         assert!(!c.full_fallback, "one mover must stay on the patch path");
-        assert!(
-            c.rows_patched + c.movers_skipped >= 1 && c.rows_patched < 60,
-            "patched rows ({}) must be local, not whole-network",
-            c.rows_patched
-        );
-        assert_eq!(c.changed, net.last_changed_count());
-        assert_eq!(c.dirty, net.last_dirty_count());
+        assert_eq!(c.rows_patched, 1, "{c:?}");
         // No motion at all: nothing to do anywhere.
         net.refresh_movers(&[]);
         let c = net.pipeline_counters();
@@ -1071,79 +929,6 @@ mod tests {
             (0, 0, 0, 0)
         );
         assert!(!c.full_fallback);
-    }
-
-    #[test]
-    fn annulus_filter_skips_isolated_jiggle_exactly() {
-        // A at a cell center with one deep-inside-range neighbor, nothing
-        // anywhere near the range annulus: a half-meter hop is provably
-        // link-inert and the tick must touch zero rows.
-        let field = Field::square(300.0);
-        let pos = vec![
-            Point2::new(75.0, 75.0),
-            Point2::new(100.0, 75.0),
-            Point2::new(200.0, 200.0),
-        ];
-        let mut net = Network::from_positions(field, pos, 50.0, 2);
-        net.positions_mut()[0] = Point2::new(75.5, 75.0);
-        net.refresh_movers(&[NodeId::new(0)]);
-        let c = net.pipeline_counters();
-        assert_eq!(c.movers_skipped, 1, "{c:?}");
-        assert_eq!(c.rows_patched, 0, "{c:?}");
-        assert_eq!((c.changed, c.dirty), (0, 0));
-        assert!(!c.full_fallback);
-        let reference = Network::from_positions(field, net.positions().to_vec(), 50.0, 2);
-        assert_tables_equal(&net, &reference);
-        // The skip re-baselined node 0: a second hop that breaks the
-        // link to node 1 must be kept and patched.
-        net.positions_mut()[0] = Point2::new(45.0, 75.0);
-        net.refresh_movers(&[NodeId::new(0)]);
-        let reference = Network::from_positions(field, net.positions().to_vec(), 50.0, 2);
-        assert_tables_equal(&net, &reference);
-    }
-
-    #[test]
-    fn annulus_filter_equivalence_under_creep_motion() {
-        // Sub-decimeter ticks engage the profit gate even with everyone
-        // reported moving; the filtered patch must stay bit-identical to
-        // the rebuild-everything reference, and the filter must actually
-        // be doing something (skips observed).
-        use mobility::walk::RandomWalk;
-        let mk = || {
-            RandomWalk::new(
-                60,
-                Field::square(300.0),
-                0.02,
-                0.05,
-                5.0,
-                RngStream::seed_from_u64(77),
-            )
-        };
-        let (mut mi, mut mf) = (mk(), mk());
-        let mut inc = Network::from_scenario(&small_scenario(), 2, 91);
-        let mut full = Network::from_scenario(&small_scenario(), 2, 91);
-        let (mut skipped, mut patch_ticks) = (0usize, 0usize);
-        for _ in 0..12 {
-            inc.advance(&mut mi, SimDuration::from_secs(1));
-            full.advance_positions_only(&mut mf, SimDuration::from_secs(1));
-            full.refresh_full();
-            let c = inc.pipeline_counters();
-            // A tick whose survivors still exceed the patch budget may
-            // legitimately fall back — wrong gate guesses cost time, not
-            // correctness — but creep motion must mostly stay patched.
-            skipped += c.movers_skipped;
-            patch_ticks += usize::from(!c.full_fallback);
-            assert_tables_equal(&inc, &full);
-            assert_eq!(inc.adj().canonical_csr(), full.adj().canonical_csr());
-        }
-        assert!(
-            patch_ticks >= 6,
-            "creep ticks should mostly stay incremental ({patch_ticks}/12 did)"
-        );
-        assert!(
-            skipped > 0,
-            "creep motion should let the annulus filter skip movers"
-        );
     }
 
     #[test]
@@ -1183,8 +968,8 @@ mod tests {
         let c = net.pipeline_counters();
         assert!(!c.full_fallback);
         assert!(
-            c.movers_skipped == 1 || c.kernel_lanes > 0,
-            "a kept mover must route its re-queries through the kernel: {c:?}"
+            c.rows_patched == 1 && c.kernel_lanes > 0,
+            "the mover must route its re-query through the kernel: {c:?}"
         );
         assert!(net.position_plane().is_coherent(net.positions()));
     }

@@ -21,7 +21,7 @@
 //!
 //! * [`Adjacency::patch_with_grid`] — the mobility hot path and the only
 //!   patch entry, an **edge diff**: a link can only appear or disappear if
-//!   a mover is one of its endpoints, so only the (active) movers' rows
+//!   a mover is one of its endpoints, so only the reported movers' rows
 //!   are re-queried, through the f32 gather kernel
 //!   ([`SpatialGrid::for_each_within_kernel`]). Each mover's sorted old row
 //!   is merge-diffed against its new one, and every appeared or
@@ -60,11 +60,11 @@ const FILLER: NodeId = NodeId(u32::MAX);
 /// [`Adjacency::patch_with_grid`] falls back to the wholesale path. A
 /// patch costs one range query, one row diff and a few half-edge splices
 /// per mover, against one (cheaper, half-ball) range query per node for
-/// the rebuild; the divisor was priced for the costlier cell-ball patch
-/// this one replaced and is deliberately left alone (ROADMAP item 1). The
-/// floor keeps tiny graphs — where the ratio test degenerates to "any
-/// mover at all" — on the patch path, since a handful of rows is cheap
-/// either way.
+/// the rebuild. The divisor was priced for the costlier cell-ball patch
+/// this one replaced and still awaits re-pricing against the edge diff,
+/// which now re-queries every reported mover (ROADMAP item 1). The floor
+/// keeps tiny graphs — where the ratio test degenerates to "any mover at
+/// all" — on the patch path, since a handful of rows is cheap either way.
 const PATCH_CHURN_DIVISOR: usize = 8;
 /// See [`PATCH_CHURN_DIVISOR`].
 const PATCH_CHURN_FLOOR: usize = 4;
@@ -72,12 +72,11 @@ const PATCH_CHURN_FLOOR: usize = 4;
 /// Outcome of an [`Adjacency::patch_with_grid`] call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AdjacencyUpdate {
-    /// Only the active movers' rows were re-queried; their non-mover
-    /// neighbors' rows took half-edge edits, and the rest of the CSR was
-    /// not touched.
+    /// Only the movers' rows were re-queried; their non-mover neighbors'
+    /// rows took half-edge edits, and the rest of the CSR was not touched.
     Patched {
         /// Rows re-queried against the grid this tick (the distinct
-        /// active movers).
+        /// reported movers).
         rows_patched: usize,
         /// Rows whose neighbor set actually changed: movers whose re-query
         /// differed plus the far endpoints of their flipped links.
@@ -111,12 +110,12 @@ pub enum AdjacencyUpdate {
 /// keeping an O(E) snapshot copy.
 #[derive(Clone, Debug, Default)]
 pub struct PatchScratch {
-    /// `stamp[i] == epoch` ⇔ node `i` is an active mover of this patch.
+    /// `stamp[i] == epoch` ⇔ node `i` is a mover of this patch.
     stamp: Vec<u32>,
     /// `logged[i] == epoch` ⇔ non-mover row `i` already has its undo entry.
     logged: Vec<u32>,
     epoch: u32,
-    /// The distinct active movers of the current patch, in report order.
+    /// The distinct movers of the current patch, in report order.
     candidates: Vec<NodeId>,
     /// The freshly recomputed row being compared/written.
     row: Vec<NodeId>,
@@ -318,23 +317,15 @@ impl Adjacency {
         }
     }
 
-    /// Most movers a patch will take before the churn fallback becomes
-    /// the cheaper path (see `PATCH_CHURN_DIVISOR`). Exposed so callers
-    /// running pre-filters can predict whether a reduced mover set would
-    /// keep the patch path viable.
-    #[inline]
-    pub fn patch_budget(n: usize) -> usize {
-        (n / PATCH_CHURN_DIVISOR).max(PATCH_CHURN_FLOOR)
-    }
-
     /// Would [`Adjacency::patch_with_grid`] take the patch path (rather
-    /// than the churn fallback) for `movers` active movers out of `n`?
+    /// than the churn fallback) for `movers` reported movers out of `n`?
+    /// The budget is `max(N / PATCH_CHURN_DIVISOR, PATCH_CHURN_FLOOR)`.
     /// `Network::refresh_movers` asks first: when the fallback would run
     /// anyway it takes the report-free refresh, whose all-rows diff
     /// recovers the changed set a wholesale rebuild cannot report.
     #[inline]
     pub fn patch_viable(n: usize, movers: usize) -> bool {
-        movers <= Self::patch_budget(n)
+        movers <= (n / PATCH_CHURN_DIVISOR).max(PATCH_CHURN_FLOOR)
     }
 
     /// The checked edge-capacity guard: CSR offsets are `u32`, so the
@@ -593,15 +584,14 @@ impl Adjacency {
 
     /// Patch the CSR in place after a mobility tick, given the nodes whose
     /// positions changed (`moved`, from
-    /// `MobilityModel::advance_reporting`) and the subset of them whose
-    /// rows need a look (`active`). Only the active movers' rows are
+    /// `MobilityModel::advance_reporting`). Only the movers' rows are
     /// re-queried — through the gather kernel
     /// ([`SpatialGrid::for_each_within_kernel`]): an edge can only appear
     /// or disappear if at least one endpoint moved, so each mover's old row
     /// is diffed against its new one and the non-mover end of every
     /// flipped link takes a half-edge insert or remove; everyone else's
     /// row is provably unchanged. The grid's cell residency and the plane
-    /// are brought up to date from the full `moved` report.
+    /// are brought up to date from the same report.
     ///
     /// `changed` receives the rows whose neighbor set actually changed (in
     /// first-edit order) — exactly the seed set an incremental
@@ -613,22 +603,16 @@ impl Adjacency {
     ///
     /// Falls back to [`Adjacency::rebuild_with_grid_parallel`] (returning
     /// [`AdjacencyUpdate::Full`] with the grid outcome, `changed` left
-    /// empty) when the node count changed or `active` exceeds
-    /// `max(N / 8, 4)` — churn viability is judged on `active`, which is
-    /// how a sound pre-filter (the annulus filter in `manet-routing`)
-    /// keeps small-displacement ticks on the patch path.
+    /// empty) when the node count changed or `moved` is not
+    /// [`Adjacency::patch_viable`].
     ///
     /// # Contract
     /// `self` must currently equal `build(field, previous_positions,
     /// range)`, the grid and the plane must be up to date with those
     /// previous positions, and `moved` must contain every node whose
     /// position differs between `previous_positions` and `positions`
-    /// (supersets and duplicates are tolerated). Every link that changed
-    /// state must have an `active` mover as an endpoint — i.e. the caller
-    /// must *prove* each dropped mover has no changed incident link (no
-    /// node near its range annulus); debug builds assert that no half-edge
-    /// edit lands on a dropped mover. `active = moved` is the unfiltered
-    /// patch. The equivalence with a fresh scalar build
+    /// (supersets and duplicates are tolerated; duplicates count against
+    /// the churn budget). The equivalence with a fresh scalar build
     /// ([`Adjacency::build`], the layer's one oracle) is pinned by
     /// proptests here and in `tests/topology_refresh.rs`.
     ///
@@ -643,7 +627,6 @@ impl Adjacency {
         positions: &[Point2],
         range: f64,
         moved: &[NodeId],
-        active: &[NodeId],
         changed: &mut Vec<NodeId>,
         scratch: &mut PatchScratch,
         kscratch: &mut KernelScratch,
@@ -652,7 +635,7 @@ impl Adjacency {
         let n = positions.len();
         if self.node_count() != n
             || grid.tracked_nodes() != n
-            || !Self::patch_viable(n, active.len())
+            || !Self::patch_viable(n, moved.len())
         {
             let grid_update =
                 self.rebuild_with_grid_parallel(grid, plane, positions, range, kscratch);
@@ -660,9 +643,9 @@ impl Adjacency {
         }
         plane.update_reported(positions, moved);
 
-        // 1. The rows to re-query: the active movers, deduped with epoch
-        //    stamps. Every flipped link has one as an endpoint (the
-        //    `active` contract), so no other row needs a range query.
+        // 1. The rows to re-query: the movers, deduped with epoch stamps.
+        //    Every flipped link has one as an endpoint, so no other row
+        //    needs a range query.
         scratch.begin(n);
         let PatchScratch {
             stamp,
@@ -674,7 +657,7 @@ impl Adjacency {
             undo_edges,
         } = scratch;
         let ep = *epoch;
-        for &m in active {
+        for &m in moved {
             if std::mem::replace(&mut stamp[m.index()], ep) != ep {
                 candidates.push(m);
             }
@@ -746,10 +729,6 @@ impl Adjacency {
                 if stamp[y.index()] == ep {
                     continue;
                 }
-                debug_assert!(
-                    !moved.contains(&y),
-                    "link {c}-{y} flipped, but mover {y} was dropped as link-inert"
-                );
                 if std::mem::replace(&mut logged[y.index()], ep) != ep {
                     log(self, y, undo_edges);
                 }
@@ -1048,13 +1027,12 @@ mod tests {
             (adj, rig)
         }
 
-        /// The one patch entry, with `active` of `moved` re-queried.
-        fn patch_active(
+        /// The one patch entry, checking plane coherence afterwards.
+        fn patch(
             &mut self,
             adj: &mut Adjacency,
             positions: &[Point2],
             moved: &[NodeId],
-            active: &[NodeId],
         ) -> AdjacencyUpdate {
             let out = adj.patch_with_grid(
                 &mut self.grid,
@@ -1062,23 +1040,12 @@ mod tests {
                 positions,
                 self.range,
                 moved,
-                active,
                 &mut self.changed,
                 &mut self.scratch,
                 &mut self.kernel,
             );
             assert!(self.plane.is_coherent(positions), "plane lost coherence");
             out
-        }
-
-        /// The unfiltered patch: every reported mover is active.
-        fn patch(
-            &mut self,
-            adj: &mut Adjacency,
-            positions: &[Point2],
-            moved: &[NodeId],
-        ) -> AdjacencyUpdate {
-            self.patch_active(adj, positions, moved, moved)
         }
     }
 
@@ -1188,35 +1155,6 @@ mod tests {
     }
 
     #[test]
-    fn patch_with_active_subset_skips_provably_inert_movers() {
-        let (field, mut pos) = line3();
-        let (mut adj, mut rig) = PatchRig::build(field, &pos, 50.0);
-        // node 2 jiggles one meter: both its links keep their state, so a
-        // caller that proved that may drop it from the candidate seed
-        pos[2] = Point2::new(91.0, 10.0);
-        let out = rig.patch_active(&mut adj, &pos, &[NodeId(2)], &[]);
-        assert!(
-            matches!(
-                out,
-                AdjacencyUpdate::Patched {
-                    rows_patched: 0,
-                    rows_changed: 0,
-                    ..
-                }
-            ),
-            "{out:?}"
-        );
-        assert!(rig.changed.is_empty());
-        assert_eq!(adj, Adjacency::build(field, &pos, 50.0));
-        // the grid's residency and the plane still tracked the full mover
-        // report: a follow-up patch around node 2's new position stays exact
-        pos[2] = Point2::new(95.0, 10.0);
-        rig.patch(&mut adj, &pos, &[NodeId(2)]);
-        assert_eq!(adj, Adjacency::build(field, &pos, 50.0));
-        assert_csr_invariants(&adj);
-    }
-
-    #[test]
     fn patch_falls_back_on_churn_and_node_count_change() {
         let field = Field::square(300.0);
         let pos: Vec<Point2> = (0..10)
@@ -1300,7 +1238,7 @@ mod tests {
     #[test]
     fn swapping_mover_pair_hands_its_static_neighbor_over() {
         // A and B are linked and sit in adjacent cells; C hears only A. The
-        // two swap places (and cells): A-B survives with both ends active,
+        // two swap places (and cells): A-B survives with both ends moving,
         // C — never re-queried — loses A and gains B by half-edge edits,
         // and is logged once for the two.
         let field = Field::square(200.0);
@@ -1395,20 +1333,6 @@ mod tests {
         assert_eq!(rig.scratch.epoch, 1);
         assert_eq!(adj, Adjacency::build(field, &moved_pos, 50.0));
         assert_patch_report(&before, &adj, &rig.changed, &rig.scratch);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "dropped as link-inert")]
-    fn dropping_a_mover_whose_link_flipped_trips_the_debug_assert() {
-        // Node 1 walks out of node 0's range and node 0 jiggles. A caller
-        // that drops node 0 from `active` claims none of its links changed
-        // — the edit landing on its row proves the claim wrong.
-        let (field, mut pos) = line3();
-        let (mut adj, mut rig) = PatchRig::build(field, &pos, 50.0);
-        pos[0] = Point2::new(10.5, 10.0);
-        pos[1] = Point2::new(95.0, 10.0);
-        rig.patch_active(&mut adj, &pos, &[NodeId(0), NodeId(1)], &[NodeId(1)]);
     }
 
     #[test]
@@ -1616,14 +1540,13 @@ mod tests {
             }
         }
 
-        /// The edge diff under a pre-filtered report: `moved` is a noisy
-        /// superset (stationary nodes, duplicates), `active` keeps every
-        /// mover with a flipped link plus an arbitrary share of the
-        /// link-inert ones (jiggles and stationary nodes), also with
-        /// duplicates. Far jumps put both ends of a link among the active
-        /// movers; jiggles next to them put dropped movers beside edited
-        /// rows. The CSR must equal the fresh build, and the changed-row
-        /// report and undo log must be exact.
+        /// The edge diff under a noisy report: `moved` is a superset of
+        /// the nodes that moved (reported-but-still nodes, duplicates).
+        /// Far jumps put both ends of a link among the movers; 1e-3 m
+        /// jiggles put link-inert movers beside edited rows. Every
+        /// distinct reported node is re-queried, the CSR must equal the
+        /// fresh build, and the changed-row report and undo log must be
+        /// exact.
         #[test]
         fn prop_active_subset_patch_reports_exactly_the_changed_rows(
             pts in proptest::collection::vec((0.0..300.0f64, 0.0..300.0f64), 2..48),
@@ -1639,13 +1562,12 @@ mod tests {
             let n = positions.len();
             let (mut adj, mut rig) = PatchRig::build(field, &positions, range);
             for step in &steps {
-                // One node in eight draws a kind from its low two bits —
-                // 0: stay unreported, 1: stay but reported, 2: jiggle,
-                // 3: jump — so most reports fit the patch budget; bit 2:
-                // keep active even if inert
+                // One node in sixteen draws a kind — 0: stay unreported,
+                // 1: stay but reported, 2: jiggle, 3: jump — so most
+                // reports, duplicates included, fit the patch budget
                 let mut moved = Vec::new();
                 for (i, &(dx, dy, bits)) in step.iter().cycle().take(n).enumerate() {
-                    let kind = if bits < 8 { bits & 3 } else { 0 };
+                    let kind = if bits < 4 { bits } else { 0 };
                     let scale = [0.0, 0.0, 1e-3, 1.0][kind as usize];
                     let p = &mut positions[i];
                     p.x = (p.x + dx * scale).clamp(0.0, 300.0);
@@ -1656,17 +1578,11 @@ mod tests {
                 }
                 moved.extend_from_within(..moved.len() / 2);
                 let fresh = Adjacency::build(field, &positions, range);
-                let keep = |m: NodeId| step[m.index() % step.len()].2 & 4 != 0;
-                let active: Vec<NodeId> = moved
-                    .iter()
-                    .copied()
-                    .filter(|&m| keep(m) || fresh.neighbors_changed(&adj, m))
-                    .collect();
-                let mut distinct = active.clone();
+                let mut distinct = moved.clone();
                 distinct.sort();
                 distinct.dedup();
                 let before = adj.clone();
-                let out = rig.patch_active(&mut adj, &positions, &moved, &active);
+                let out = rig.patch(&mut adj, &positions, &moved);
                 prop_assert_eq!(adj.canonical_csr(), fresh.canonical_csr());
                 assert_csr_invariants(&adj);
                 if let AdjacencyUpdate::Patched { rows_patched, rows_changed, .. } = out {

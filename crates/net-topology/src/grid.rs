@@ -360,66 +360,6 @@ impl SpatialGrid {
         self.cell_of_node.len()
     }
 
-    /// The cell `node` is currently bucketed in (its recorded residency as
-    /// of the last `rebuild`/`update`).
-    ///
-    /// # Panics
-    /// Panics if `node` is outside the tracked range.
-    #[inline]
-    pub fn node_cell(&self, node: NodeId) -> u32 {
-        self.cell_of_node[node.index()]
-    }
-
-    /// The cell index position `p` buckets into (out-of-field positions
-    /// clamp to the boundary cells, mirroring `rebuild`).
-    #[inline]
-    pub fn cell_at(&self, p: Point2) -> u32 {
-        self.cell_index(p)
-    }
-
-    /// Conservative guarantee radius of the 3×3 cell ball around `p`'s
-    /// cell: every node whose *bucketed position* lies within this
-    /// distance of `p` is visited by
-    /// [`SpatialGrid::for_each_in_cell_ball`]`(cell_at(p))`. The ball
-    /// extends one full cell side beyond `p`'s cell, so the guarantee is
-    /// the cell side plus `p`'s distance to its cell's nearest edge — and
-    /// can drop below the cell side (even negative) for positions clamped
-    /// into boundary cells from outside the field, where no guarantee
-    /// holds. Callers gate range-annulus shortcuts on this value.
-    #[inline]
-    pub fn ball_coverage(&self, p: Point2) -> f64 {
-        let (cx, cy) = self.cell_of(p);
-        let fx = p.x - cx as f64 * self.cell_side;
-        let fy = p.y - cy as f64 * self.cell_side;
-        let margin = fx.min(self.cell_side - fx).min(fy).min(self.cell_side - fy);
-        self.cell_side + margin
-    }
-
-    /// Visit every live occupant of the 3×3 cell ball centered on `cell` —
-    /// the cells a range-≤`cell_side` query launched from anywhere inside
-    /// `cell` can reach. No distance filtering: this is the *candidate*
-    /// superset the CSR adjacency patcher uses to find nodes whose link
-    /// set a mover may have touched.
-    pub fn for_each_in_cell_ball(&self, cell: u32, mut visit: impl FnMut(NodeId)) {
-        let cx = cell as usize % self.cols;
-        let cy = cell as usize / self.cols;
-        let x0 = cx.saturating_sub(1);
-        let y0 = cy.saturating_sub(1);
-        let x1 = (cx + 1).min(self.cols - 1);
-        let y1 = (cy + 1).min(self.rows - 1);
-        for gy in y0..=y1 {
-            // Same fused-row trick as `for_each_within`: slack gaps hold
-            // `VACANT` sentinels, so three cells scan as one slice.
-            let lo = self.starts[gy * self.cols + x0] as usize;
-            let hi = self.starts[gy * self.cols + x1 + 1] as usize;
-            for &id in &self.entries[lo..hi] {
-                if id != VACANT {
-                    visit(id);
-                }
-            }
-        }
-    }
-
     /// Visit every node within `radius` of `center` (excluding `exclude`,
     /// typically the querying node itself). `radius` must not exceed the
     /// cell side the grid was built with.
@@ -911,60 +851,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn ball_coverage_bounds_the_cell_ball_guarantee() {
-        let field = Field::square(200.0);
-        let mut grid = SpatialGrid::new(field, 25.0);
-        let positions: Vec<Point2> = (0..60)
-            .map(|i| Point2::new((i as f64 * 53.0) % 200.0, (i as f64 * 29.0) % 200.0))
-            .collect();
-        grid.rebuild(&positions);
-        // In-field positions are guaranteed at least one cell side, at
-        // most one and a half.
-        for &p in &positions {
-            let cov = grid.ball_coverage(p);
-            assert!((25.0..=37.5 + 1e-9).contains(&cov), "coverage {cov}");
-            // The guarantee itself: everything within `cov` of `p` shows
-            // up in the ball.
-            let mut ball = Vec::new();
-            grid.for_each_in_cell_ball(grid.cell_at(p), |id| ball.push(id));
-            for (i, &q) in positions.iter().enumerate() {
-                if q.dist(p) <= cov {
-                    assert!(
-                        ball.contains(&NodeId::from(i)),
-                        "node {i} within coverage of {p:?} missing from ball"
-                    );
-                }
-            }
-        }
-        // Clamped positions forfeit the guarantee instead of lying.
-        assert!(grid.ball_coverage(Point2::new(260.0, 100.0)) < 0.0);
-    }
-
-    #[test]
-    fn cell_ball_covers_range_neighbors() {
-        // Every node within `range` of a point must appear in the 3×3 cell
-        // ball around that point's cell (the candidate superset contract).
-        let field = Field::square(200.0);
-        let mut grid = SpatialGrid::new(field, 25.0);
-        let positions: Vec<Point2> = (0..50)
-            .map(|i| Point2::new((i as f64 * 37.0) % 200.0, (i as f64 * 61.0) % 200.0))
-            .collect();
-        grid.rebuild(&positions);
-        for (i, &p) in positions.iter().enumerate() {
-            let mut ball = Vec::new();
-            grid.for_each_in_cell_ball(grid.cell_at(p), |id| ball.push(id));
-            assert_eq!(grid.node_cell(NodeId::from(i)), grid.cell_at(p));
-            for id in grid.within(&positions, p, 25.0, None) {
-                assert!(
-                    ball.contains(&id),
-                    "{id} within range of node {i} but missing from its cell ball"
-                );
-            }
-        }
-        assert_eq!(grid.tracked_nodes(), positions.len());
-    }
-
     proptest! {
         /// The grid returns exactly the brute-force neighbor set, for any
         /// point cloud and any query point.
@@ -1159,14 +1045,14 @@ mod tests {
             grid.rebuild(&positions);
             assert_grid_invariants(&grid, &positions);
             assert!(
-                (grid.cell_at(corner) as usize) < grid.cell_count(),
+                (grid.cell_index(corner) as usize) < grid.cell_count(),
                 "corner cell out of bounds for w={w} range={range}"
             );
             // the exact-edge product actually overshoots cols for these
             // pairs, proving the clamp is exercised, not decorative
             if (w * (1.0 / range)) as usize >= cols {
                 assert_eq!(
-                    grid.cell_at(corner) as usize % cols,
+                    grid.cell_index(corner) as usize % cols,
                     cols - 1,
                     "far edge must clamp into the last column"
                 );

@@ -42,19 +42,25 @@ use proptest::prelude::*;
 
 const NODES: usize = 140;
 
-fn config(seed: u64, hints: bool) -> CardConfig {
+fn config(seed: u64) -> CardConfig {
     CardConfig::default()
         .with_radius(2)
         .with_max_contact_distance(8)
         .with_target_contacts(4)
         .with_depth(3)
-        .with_hints(hints)
         .with_seed(seed)
 }
 
+/// Build `cfg`'s world with the hint cache switched to `hints`, contacts
+/// not yet selected.
+fn build(cfg: CardConfig, hints: bool) -> CardWorld {
+    let mut w = CardWorld::build(&Scenario::new(NODES, 460.0, 460.0, 55.0), cfg);
+    w.set_hints_enabled(hints);
+    w
+}
+
 fn world(seed: u64, hints: bool) -> CardWorld {
-    let scenario = Scenario::new(NODES, 460.0, 460.0, 55.0);
-    let mut w = CardWorld::build(&scenario, config(seed, hints));
+    let mut w = build(config(seed), hints);
     w.select_all_contacts();
     w
 }
@@ -265,8 +271,8 @@ proptest! {
         block in 1usize..24,
         len in 150usize..400,
     ) {
-        let cfg = config(seed, true).with_hint_slots_per_bucket(1);
-        let mut base = CardWorld::build(&Scenario::new(NODES, 460.0, 460.0, 55.0), cfg);
+        let cfg = config(seed).with_hint_slots_per_bucket(1);
+        let mut base = build(cfg, true);
         base.select_all_contacts();
         let pairs = duplicate_heavy(&base, &raw, block, len);
         prop_assume!(!pairs.is_empty());
@@ -539,15 +545,12 @@ fn recorded_entries_take_hints_per_goal() {
 #[test]
 fn ttl_expiry_is_counted_and_harmless() {
     use card_manet::mobility::statics::StaticModel;
-    let scenario = Scenario::new(NODES, 460.0, 460.0, 55.0);
-    let mut w = CardWorld::build(&scenario, config(5, true).with_hint_ttl(1));
+    let mut w = build(config(5).with_hint_ttl(1), true);
     w.select_all_contacts();
     let nb = w.network().tables().of(NodeId::new(0));
     let Some(target) = NodeId::all(NODES).filter(|&t| !nb.contains(t)).find(|&t| {
         // probe with a throwaway clone so the real world stays cold
-        let mut probe = CardWorld::build(&scenario, config(5, false));
-        probe.select_all_contacts();
-        probe.query(NodeId::new(0), t).found
+        world(5, false).query(NodeId::new(0), t).found
     }) else {
         return; // vacuous topology
     };

@@ -188,9 +188,9 @@ fn tiny_worlds_match_one_shard_at_any_shard_count() {
             .with_radius(1)
             .with_max_contact_distance(4)
             .with_target_contacts(2)
-            .with_hints(hints)
             .with_seed(5);
         let mut w = CardWorld::build(&Scenario::new(n, 120.0, 120.0, 50.0), cfg);
+        w.set_hints_enabled(hints);
         w.set_shard_count(shards);
         w
     };

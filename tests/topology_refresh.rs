@@ -295,7 +295,7 @@ proptest! {
             model.advance_reporting(&mut positions, SimDuration::from_millis(600), &mut movers);
             patched.patch_with_grid(
                 &mut grid, &mut plane, &positions, 50.0,
-                &movers, &movers, &mut changed, &mut scratch, &mut kscratch);
+                &movers, &mut changed, &mut scratch, &mut kscratch);
             rebuilt.rebuild_with_grid(&mut grid_ref, &positions, 50.0);
             let fresh = Adjacency::build(field, &positions, 50.0);
             prop_assert_eq!(
@@ -345,33 +345,36 @@ proptest! {
         }
     }
 
-    /// Creep motion — everyone reported moving, but by so little that the
-    /// range-annulus pre-filter's profit gate engages and drops most
-    /// movers from the patch seed — stays bit-identical to the
-    /// rebuild-everything reference across seeds, radii and speeds
-    /// (larger `vmax` values land on the gate's engage/decline boundary,
-    /// covering both sides of it).
+    /// Creep motion on the patch path — a dwell walk whose few walkers
+    /// (about 6% of 70 nodes, redrawn every 1 s tick) fit the patch budget
+    /// of 8, each moving well under a meter — stays bit-identical to the
+    /// rebuild-everything reference across seeds, radii and speeds, and
+    /// at least half the ticks really patch.
     #[test]
     fn network_creep_motion_equals_full(
         seed in 0u64..500,
         radius in 1u16..4,
         vmax in 0.02..0.4f64,
-        steps in 1usize..5,
+        steps in 6usize..10,
     ) {
         let scenario = Scenario::new(70, 350.0, 350.0, 60.0);
         let mut inc = Network::from_scenario(&scenario, radius, seed);
         let mut full = Network::from_scenario(&scenario, radius, seed);
-        let mk = || RandomWalk::new(
+        let mk = || RandomWalk::new_with_dwell(
             70,
             scenario.field(),
             vmax / 4.0,
             vmax,
-            3.0,
+            1.0,
+            0.94,
             SeedSplitter::new(seed).stream("creep-equiv", 0),
         );
         let (mut mi, mut mf) = (mk(), mk());
+        let mut patch_ticks = 0;
         for step in 0..steps {
             inc.advance(&mut mi, SimDuration::from_secs(1));
+            let c = inc.pipeline_counters();
+            patch_ticks += usize::from(!c.full_fallback && c.rows_patched > 0);
             full.advance_positions_only(&mut mf, SimDuration::from_secs(1));
             full.refresh_full();
             assert_equivalent(&inc, &full);
@@ -381,6 +384,10 @@ proptest! {
                 "creep-path CSR diverged from reference at step {}", step
             );
         }
+        prop_assert!(
+            2 * patch_ticks >= steps,
+            "only {} of {} creep ticks took the patch path", patch_ticks, steps
+        );
     }
 
     /// The SoA `PositionPlane` stays lane-for-lane coherent with the f64
@@ -499,7 +506,6 @@ fn patch_through_node_count_change(parallel_start: bool) {
             &mut plane,
             positions,
             50.0,
-            movers,
             movers,
             &mut changed,
             &mut scratch,
