@@ -12,7 +12,8 @@ use sim_core::time::SimDuration;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SelectionMethod {
     /// Probabilistic method with equation (1): `P = (d − R)/(r − R)`.
-    /// Kept for the paper's Fig 1 discussion and the eq.1-vs-eq.2 ablation.
+    /// Kept for the paper's Fig 1 discussion and Figs 3–4, which sweep it
+    /// beside EM.
     ProbabilisticEq1,
     /// Probabilistic method with equation (2): `P = (d − 2R)/(r − 2R)`
     /// (contacts only between 2R and r hops).
@@ -53,7 +54,8 @@ pub struct CardConfig {
     /// buckets (Figs 10–13).
     pub validation_period: SimDuration,
     /// Whether maintenance attempts local recovery on broken paths
-    /// (§III.C.3); disabling it is the `ablation_local_recovery` bench.
+    /// (§III.C.3); `tests/mobility_maintenance.rs`
+    /// (`local_recovery_ablation_loses_more`) runs with it off.
     pub local_recovery: bool,
     /// Mobility/topology refresh tick. Connectivity and neighborhood tables
     /// are recomputed at this granularity.
@@ -162,30 +164,6 @@ impl CardConfig {
         self
     }
 
-    /// Builder-style hint TTL override (validation rounds).
-    pub fn with_hint_ttl(mut self, ttl: u32) -> Self {
-        self.hint_ttl = ttl;
-        self
-    }
-
-    /// Builder-style tombstone TTL override (validation rounds).
-    pub fn with_tombstone_ttl(mut self, ttl: u32) -> Self {
-        self.tombstone_ttl = ttl;
-        self
-    }
-
-    /// Builder-style per-contact validation retry cap override.
-    pub fn with_validation_retry_cap(mut self, cap: u32) -> Self {
-        self.validation_retry_cap = cap;
-        self
-    }
-
-    /// Builder-style query retry cap override.
-    pub fn with_query_retry_cap(mut self, cap: u32) -> Self {
-        self.query_retry_cap = cap;
-        self
-    }
-
     /// Validate the parameter combination.
     ///
     /// # Panics
@@ -258,22 +236,11 @@ mod tests {
     }
 
     #[test]
-    fn fault_builders_chain() {
-        let c = CardConfig::default()
-            .with_tombstone_ttl(6)
-            .with_validation_retry_cap(2)
-            .with_query_retry_cap(5);
-        assert_eq!(c.tombstone_ttl, 6);
-        assert_eq!(c.validation_retry_cap, 2);
-        assert_eq!(c.query_retry_cap, 5);
-        c.validate();
-    }
-
-    #[test]
     fn hint_builders_chain_and_validate() {
-        let c = CardConfig::default()
-            .with_hint_slots_per_bucket(2)
-            .with_hint_ttl(8);
+        let c = CardConfig {
+            hint_ttl: 8,
+            ..CardConfig::default().with_hint_slots_per_bucket(2)
+        };
         assert_eq!(c.hint_slots_per_bucket, 2);
         assert_eq!(c.hint_ttl, 8);
         c.validate();

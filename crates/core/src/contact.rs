@@ -167,15 +167,6 @@ impl ContactTable {
         self.contacts.len() != before
     }
 
-    /// Replace the stored path of contact `node` (after local recovery
-    /// re-routed it). No-op if the contact is gone.
-    pub fn update_path(&mut self, node: NodeId, path: Vec<NodeId>) {
-        if let Some(c) = self.contacts.iter_mut().find(|c| c.id == node) {
-            debug_assert_eq!(*path.last().unwrap(), node);
-            c.path = path;
-        }
-    }
-
     /// Drop every contact, tombstone and retry record (used when
     /// re-initializing a node, e.g. after a crash).
     pub fn clear(&mut self) {
@@ -332,17 +323,6 @@ mod tests {
         let mut t = ContactTable::new();
         t.add(Contact::new(n(7), chain(&[0, 3, 7])));
         t.add(Contact::new(n(7), chain(&[0, 4, 7])));
-    }
-
-    #[test]
-    fn update_path_swaps_route() {
-        let mut t = ContactTable::new();
-        t.add(Contact::new(n(7), chain(&[0, 3, 7])));
-        t.update_path(n(7), chain(&[0, 2, 5, 7]));
-        assert_eq!(t.contacts()[0].hops(), 3);
-        // updating a missing contact is a no-op
-        t.update_path(n(9), chain(&[0, 9]));
-        assert_eq!(t.len(), 1);
     }
 
     #[test]

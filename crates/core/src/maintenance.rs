@@ -20,21 +20,29 @@ use sim_core::time::SimTime;
 use crate::config::CardConfig;
 use crate::contact::ContactTable;
 
-/// Counters from one validation round of one source.
+/// Outcome counters of validation: one source's round (what
+/// [`validate_contacts`] returns) or a whole run's, summed in shard order
+/// ([`crate::world::CardWorld::maintenance_totals`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ValidationReport {
-    /// Contacts whose paths validated (possibly after recovery).
-    pub validated: usize,
-    /// Contacts lost (unsalvageable path).
-    pub lost: usize,
-    /// Contacts dropped by the `[2R, r]` hop rule.
-    pub dropped_out_of_range: usize,
-    /// Paths that needed (successful) local recovery.
-    pub recovered: usize,
-    /// Validation messages sent (forward hops, including recovery detours).
-    pub validation_msgs: u64,
-    /// Acknowledgement messages (reverse hops of validated paths).
-    pub reply_msgs: u64,
+pub struct MaintenanceTotals {
+    /// Successful path validations (possibly after recovery).
+    pub validated: u64,
+    /// Contacts lost to unsalvageable paths.
+    pub lost: u64,
+    /// Contacts dropped by the `[2R, r]` rule.
+    pub dropped_out_of_range: u64,
+    /// Paths healed by local recovery.
+    pub recovered: u64,
+}
+
+impl MaintenanceTotals {
+    /// Add `other`'s counters to these.
+    pub(crate) fn merge(&mut self, other: &MaintenanceTotals) {
+        self.validated += other.validated;
+        self.lost += other.lost;
+        self.dropped_out_of_range += other.dropped_out_of_range;
+        self.recovered += other.recovered;
+    }
 }
 
 /// Remove loops from a spliced path: keep the first occurrence of every
@@ -140,7 +148,9 @@ pub fn path_shard_crossings(path: &[NodeId], span_width: usize) -> u64 {
 }
 
 /// Run one §III.C.3 validation round for `source`: walk every contact
-/// path, heal or drop, enforce the hop-range rule, count messages.
+/// path, heal or drop, enforce the hop-range rule, and record the
+/// validation and acknowledgement messages into `stats`. Returns the
+/// round's outcome counters.
 ///
 /// A hop `(cur, next)` is only traversable when it is a substrate link
 /// *and* `allowed(cur, next)` holds: the calm round passes `query::any_edge`,
@@ -154,8 +164,9 @@ pub fn validate_contacts(
     stats: &mut MsgStats,
     at: SimTime,
     allowed: impl Fn(NodeId, NodeId) -> bool + Copy,
-) -> ValidationReport {
-    let mut report = ValidationReport::default();
+) -> MaintenanceTotals {
+    let mut totals = MaintenanceTotals::default();
+    let (mut validation_msgs, mut reply_msgs) = (0u64, 0u64);
     let (min_hops, max_hops) = cfg.valid_path_hops();
     let (mut healed, mut route) = (Vec::new(), Vec::new());
 
@@ -165,34 +176,34 @@ pub fn validate_contacts(
             net,
             cfg,
             &contact.path,
-            &mut report.validation_msgs,
+            &mut validation_msgs,
             allowed,
             &mut healed,
             &mut route,
         );
-        report.recovered += usize::from(recovered);
+        totals.recovered += u64::from(recovered);
         if !alive {
-            report.lost += 1;
+            totals.lost += 1;
             return false;
         }
         let hops = (healed.len() - 1) as u16;
         if hops < min_hops || hops > max_hops {
             // Rule 4: contact drifted too close or too far.
-            report.dropped_out_of_range += 1;
+            totals.dropped_out_of_range += 1;
             return false;
         }
         // Ack travels back along the healed path.
-        report.reply_msgs += hops as u64;
-        report.validated += 1;
+        reply_msgs += hops as u64;
+        totals.validated += 1;
         if contact.path != healed {
             contact.path.clone_from(&healed);
         }
         true
     });
 
-    stats.record_n(at, MsgKind::Validation, report.validation_msgs);
-    stats.record_n(at, MsgKind::ValidationReply, report.reply_msgs);
-    report
+    stats.record_n(at, MsgKind::Validation, validation_msgs);
+    stats.record_n(at, MsgKind::ValidationReply, reply_msgs);
+    totals
 }
 
 #[cfg(test)]
@@ -235,7 +246,7 @@ mod tests {
         cfg: &CardConfig,
         table: &mut ContactTable,
         st: &mut MsgStats,
-    ) -> ValidationReport {
+    ) -> MaintenanceTotals {
         validate_contacts(net, cfg, n(0), table, st, SimTime::ZERO, any_edge)
     }
 
@@ -251,8 +262,6 @@ mod tests {
         assert_eq!(rep.validated, 1);
         assert_eq!(rep.lost, 0);
         assert_eq!(rep.recovered, 0);
-        assert_eq!(rep.validation_msgs, 4);
-        assert_eq!(rep.reply_msgs, 4);
         assert_eq!(table.len(), 1);
         assert_eq!(st.total(MsgKind::Validation), 4);
         assert_eq!(st.total(MsgKind::ValidationReply), 4);
@@ -310,7 +319,11 @@ mod tests {
         assert_eq!(rep.lost, 1);
         assert_eq!(rep.validated, 0);
         assert!(table.is_empty());
-        assert_eq!(rep.validation_msgs, 1, "one good hop before the break");
+        assert_eq!(
+            st.total(MsgKind::Validation),
+            1,
+            "one good hop before the break"
+        );
     }
 
     #[test]

@@ -1,0 +1,436 @@
+//! `CardWorld` — the complete protocol-over-network world.
+//!
+//! Couples a [`Network`] with per-node CARD state (contact tables, RNG
+//! streams). Everything the protocol does is a direct method call on the
+//! world — one-shot selection, a validation round with re-selection
+//! (§III.C.3, rule 5) and the standing-query recheck, queries,
+//! reachability. The world owns no clock: [`crate::events::EventDriver`]
+//! steps it through virtual time (mobility wake-ups interleaved with
+//! per-period rounds), and [`CardWorld::run_mobile`] is one drive of it.
+//!
+//! ## One file per mechanism
+//!
+//! `CardWorld` is the façade. This file builds it and holds its read
+//! accessors, the §V hint-cache switch and the hooks the event driver
+//! steps; the methods of each protocol mechanism live in a file of their
+//! own, whose module docs carry that mechanism's contract:
+//!
+//! | file | what it holds |
+//! |---|---|
+//! | `shards.rs` | shard ownership: `ProtocolShard`, the [`TablesView`] and [`HintsView`] read views, resharding, per-shard memory |
+//! | `round.rs` | contact selection (§III.C.1), the validation round with local recovery (§III.C.3), and the round's fault stage ([`FaultReport`]) |
+//! | `queries.rs` | DSQ queries (§III.C.4): the one per-pair body, live and retried queries, the sweep, and both hint-deposit stages |
+//! | `subscriptions.rs` | standing-query upkeep: register, resolve, probe, revalidate |
+//! | `reference.rs` | the serial oracles the parallel sweeps are pinned to |
+//!
+//! **Determinism.** Every random protocol decision draws from the RNG
+//! stream of the node making it (derived as `("card-node", node)` from the
+//! config seed), never from a shared stream. Message counters accumulate
+//! into per-shard [`MsgStats`] deltas merged in shard order afterwards, and
+//! plane messages are delivered in `(destination shard, source shard,
+//! send sequence)` order — a pure function of the protocol's own send
+//! order, independent of worker scheduling. The result of a sweep is
+//! therefore a pure function of `(network, config, per-node state)` —
+//! bit-identical across worker counts, shard counts, and the serial
+//! reference paths ([`CardWorld::select_all_contacts_serial`],
+//! [`CardWorld::validation_round_serial`]), which exist precisely to pin
+//! that equivalence in tests and benches.
+
+mod queries;
+mod reference;
+mod round;
+mod shards;
+mod subscriptions;
+#[cfg(test)]
+mod tests;
+
+pub use crate::maintenance::MaintenanceTotals;
+pub use round::FaultReport;
+pub use shards::{HintsView, TablesView};
+
+use manet_routing::network::{DirtyReport, Network};
+use mobility::model::MobilityModel;
+use net_topology::node::NodeId;
+use net_topology::scenario::Scenario;
+use sim_core::plane::{MessagePlane, PlaneStats};
+use sim_core::rng::SeedSplitter;
+use sim_core::stats::{MsgStats, TimeSeries};
+use sim_core::time::{SimDuration, SimTime};
+
+use crate::config::CardConfig;
+use crate::contact::ContactTable;
+use crate::events::{DriveMode, EventDriver};
+use crate::hints::{DepositLog, HintDeposit, HintStats, HintStore};
+use crate::query::QueryRetryQueue;
+use crate::reachability::ReachabilitySummary;
+use crate::standing::StandingQueries;
+
+use queries::QueryLane;
+use round::FaultRuntime;
+use shards::{default_shard_count, partition_state, ProtocolShard};
+
+/// The CARD world: network + shard-owned protocol state + measurement.
+///
+/// `Clone` snapshots the entire world — network, shards, RNG streams,
+/// statistics — so divergent what-if runs (and the sweep benches) can
+/// branch from a common prepared state.
+#[derive(Clone)]
+pub struct CardWorld {
+    net: Network,
+    cfg: CardConfig,
+    stats: MsgStats,
+    /// Absolute virtual time reached so far (advanced by the event driver).
+    now: SimTime,
+    /// (time, total live contacts) after each validation round (Fig 13).
+    contacts_series: TimeSeries,
+    maintenance: MaintenanceTotals,
+    /// The shard-owned protocol state; `shards.len()` is the shard count.
+    shards: Vec<ProtocolShard>,
+    /// Span width of the canonical partition (`ceil(N / shards)`, min 1);
+    /// node `i` is owned by shard `i / per`.
+    per: usize,
+    /// One query lane — walk workspace plus deposit log — per shard (pair
+    /// sweeps need a mutable scratch while reading *all* shards' tables
+    /// immutably, so the lanes live outside the shards, sized with them).
+    /// Lane 0's scratch also serves the one-off [`CardWorld::query`] path.
+    lanes: Vec<QueryLane>,
+    /// The cross-shard message plane (hint deposits, metered validation
+    /// crossings).
+    plane: MessagePlane<HintDeposit>,
+    /// Is the §V route-hint cache active (spans allocated in the shards)?
+    hints_on: bool,
+    /// Hit/miss/staleness counters of the hint subsystem.
+    hint_stats: HintStats,
+    /// Reusable deposit log for the live single-query path. It stays apart
+    /// from lane 0's log: clearing a log resets its whole holder index,
+    /// which a sweep lane sizes by the largest hinted sweep.
+    hint_deposits: DepositLog,
+    /// Long-lived standing subscriptions (see [`crate::standing`]).
+    standing: StandingQueries,
+    /// Reusable drain buffer for pending standing-query revalidations.
+    standing_ids: Vec<u32>,
+    /// Armed fault plan and its evolving state; `None` (the common case)
+    /// keeps every calm path untouched.
+    faults: Option<FaultRuntime>,
+    /// Failed faulted queries waiting to re-run (drained each round).
+    query_retry: QueryRetryQueue,
+    /// Reusable drain buffer for due query retries.
+    retry_due: Vec<(NodeId, NodeId, u32)>,
+}
+
+impl CardWorld {
+    /// Instantiate a scenario (uniform placement from `cfg.seed`) and build
+    /// the world, with the route-hint cache off (see
+    /// [`CardWorld::set_hints_enabled`]).
+    ///
+    /// # Panics
+    /// Panics if the configuration is invalid (see [`CardConfig::validate`]).
+    pub fn build(scenario: &Scenario, cfg: CardConfig) -> Self {
+        cfg.validate();
+        let net = Network::from_scenario(scenario, cfg.radius, cfg.seed);
+        Self::from_network(net, cfg)
+    }
+
+    /// Wrap an existing network (custom topologies, tests).
+    ///
+    /// # Panics
+    /// Panics if the configuration is invalid or the network's zone radius
+    /// differs from `cfg.radius`.
+    pub fn from_network(net: Network, cfg: CardConfig) -> Self {
+        cfg.validate();
+        assert_eq!(
+            net.radius(),
+            cfg.radius,
+            "network zone radius {} != config R {}",
+            net.radius(),
+            cfg.radius
+        );
+        let n = net.node_count();
+        let splitter = SeedSplitter::new(cfg.seed);
+        let contacts = (0..n).map(|_| ContactTable::new()).collect();
+        let rngs = (0..n)
+            .map(|i| splitter.stream("card-node", i as u64))
+            .collect();
+        let k = default_shard_count();
+        let shards = partition_state(n, k, contacts, rngs, vec![0; n], vec![0; n], None);
+        CardWorld {
+            net,
+            cfg,
+            stats: MsgStats::new(SimDuration::from_secs(2)),
+            now: SimTime::ZERO,
+            contacts_series: TimeSeries::new(),
+            maintenance: MaintenanceTotals::default(),
+            shards,
+            per: n.div_ceil(k).max(1),
+            lanes: (0..k).map(|_| QueryLane::new(n)).collect(),
+            plane: MessagePlane::new(k),
+            hints_on: false,
+            hint_stats: HintStats::default(),
+            hint_deposits: DepositLog::new(),
+            standing: StandingQueries::new(n),
+            standing_ids: Vec::new(),
+            faults: None,
+            query_retry: QueryRetryQueue::new(cfg.query_retry_cap),
+            retry_due: Vec::new(),
+        }
+    }
+
+    /// The underlying network.
+    pub fn network(&self) -> &Network {
+        &self.net
+    }
+
+    /// Stage-by-stage work counters of the network's last topology
+    /// refresh. A driven world's mobility ticks run the
+    /// mover-driven pipeline (mobility reports its movers, the grid and
+    /// CSR adjacency are patched around them), and these counters are the
+    /// observability hook: movers reported, grid entries re-bucketed,
+    /// adjacency rows patched, neighborhoods rebuilt.
+    pub fn pipeline_counters(&self) -> manet_routing::network::PipelineCounters {
+        self.net.pipeline_counters()
+    }
+
+    /// The protocol configuration.
+    pub fn config(&self) -> &CardConfig {
+        &self.cfg
+    }
+
+    /// Message statistics accumulated so far.
+    pub fn stats(&self) -> &MsgStats {
+        &self.stats
+    }
+
+    /// Cumulative message-plane statistics (exchange rounds, sent, local
+    /// vs cross-shard deliveries, metered validation crossings).
+    pub fn plane_stats(&self) -> &PlaneStats {
+        self.plane.stats()
+    }
+
+    /// Number of fault-delayed plane messages parked in the deferred lane
+    /// for the next exchange. With this the plane ledger closes at any
+    /// instant: `sent == local + cross_shard + dropped + deferred`.
+    pub fn plane_deferred_pending(&self) -> usize {
+        self.plane.deferred_pending()
+    }
+
+    /// Heap bytes held by the hint-deposit transport between sweeps: the
+    /// deposit logs' runs and holder indexes plus the plane's outbox lanes,
+    /// deferred lanes and mailboxes. Transient traffic that
+    /// [`CardWorld::shard_memory_bytes`] (protocol state) leaves out.
+    pub fn plane_buffer_bytes(&self) -> usize {
+        self.hint_deposits.memory_bytes()
+            + self
+                .lanes
+                .iter()
+                .map(|lane| lane.deposits.memory_bytes())
+                .sum::<usize>()
+            + self.plane.buffer_bytes()
+    }
+
+    /// Current virtual time.
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// The contact table of one node.
+    pub fn contact_table(&self, node: NodeId) -> &ContactTable {
+        let s = &self.shards[node.index() / self.per];
+        &s.contacts[node.index() - s.start]
+    }
+
+    /// Read view over all contact tables, indexed by node id.
+    pub fn contact_tables(&self) -> TablesView<'_> {
+        TablesView {
+            shards: &self.shards,
+            per: self.per,
+            n: self.net.node_count(),
+        }
+    }
+
+    /// Total live contacts across all nodes.
+    pub fn total_contacts(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.contacts.iter().map(ContactTable::len).sum::<usize>())
+            .sum()
+    }
+
+    /// Mean live contacts per node.
+    pub fn mean_contacts(&self) -> f64 {
+        let n = self.net.node_count();
+        if n == 0 {
+            return 0.0;
+        }
+        self.total_contacts() as f64 / n as f64
+    }
+
+    /// `(time, total contacts)` after each validation round.
+    pub fn contacts_series(&self) -> &TimeSeries {
+        &self.contacts_series
+    }
+
+    /// Aggregated maintenance outcomes.
+    pub fn maintenance_totals(&self) -> &MaintenanceTotals {
+        &self.maintenance
+    }
+
+    /// Reachability distribution at contact depth `depth` (Figs 5–9).
+    pub fn reachability_summary(&self, depth: u16) -> ReachabilitySummary {
+        ReachabilitySummary::compute(&self.net, self.contact_tables(), depth)
+    }
+
+    /// Is the §V route-hint cache active?
+    pub fn hints_enabled(&self) -> bool {
+        self.hints_on
+    }
+
+    /// Enable or disable the route-hint cache at runtime. Enabling builds
+    /// an empty span store in every shard from the config's sizing knobs;
+    /// disabling drops the stores entirely, and with them every deposit a
+    /// lossy plane still holds deferred (counted as `dropped` in
+    /// [`CardWorld::plane_stats`], so the ledger still closes). Without a
+    /// hint view a query never touches the subsystem, so a disabled world
+    /// answers bit-identically to one that never had hints, and a
+    /// re-enabled one starts from a cold cache.
+    pub fn set_hints_enabled(&mut self, enabled: bool) {
+        if enabled && !self.hints_on {
+            let (spb, ttl) = (self.cfg.hint_slots_per_bucket, self.cfg.hint_ttl);
+            for shard in &mut self.shards {
+                shard.hints = Some(HintStore::new_span(shard.start, shard.len(), spb, ttl));
+            }
+            self.hints_on = true;
+        } else if !enabled {
+            for shard in &mut self.shards {
+                shard.hints = None;
+            }
+            self.plane.clear_pending();
+            self.hints_on = false;
+        }
+    }
+
+    /// Hint-subsystem counters accumulated so far (see [`HintStats`]).
+    pub fn hint_stats(&self) -> &HintStats {
+        &self.hint_stats
+    }
+
+    /// Reset the hint counters (phase-by-phase measurement).
+    pub fn reset_hint_stats(&mut self) {
+        self.hint_stats = HintStats::default();
+    }
+
+    /// Read view over the shard-owned hint spans, when enabled
+    /// (observability, tests).
+    pub fn hint_store(&self) -> Option<HintsView<'_>> {
+        self.hints_on.then(|| HintsView {
+            shards: &self.shards,
+            per: self.per,
+        })
+    }
+
+    /// Empty every hint span (cold-cache resets) without touching the hint
+    /// counters. Deposits still in flight — deferred by a lossy plane's
+    /// last exchange — go with the stores (counted as `dropped` in
+    /// [`CardWorld::plane_stats`]), so nothing sent before the reset lands
+    /// after it. A calm plane holds nothing between sweeps.
+    pub fn clear_hints(&mut self) {
+        for shard in &mut self.shards {
+            if let Some(store) = &mut shard.hints {
+                store.clear();
+            }
+        }
+        self.plane.clear_pending();
+    }
+
+    /// Evict hints held at nodes the last topology refresh dirtied.
+    /// Correctness never depends on this — a surviving stale hint is
+    /// caught by the probe's live contact-table check — it just keeps the
+    /// `stale_contact` miss rate down under churn.
+    fn evict_dirty_hints(&mut self) {
+        if !self.hints_on {
+            return;
+        }
+        let per = self.per;
+        let CardWorld {
+            net,
+            shards,
+            hint_stats,
+            ..
+        } = self;
+        match net.dirty_report() {
+            DirtyReport::All => {
+                for shard in shards.iter_mut() {
+                    if let Some(store) = &mut shard.hints {
+                        hint_stats.evicted_mobility += store.invalidate_all() as u64;
+                    }
+                }
+            }
+            DirtyReport::Exact(dirty) => {
+                for &node in dirty {
+                    let shard = &mut shards[node.index() / per];
+                    if let Some(store) = &mut shard.hints {
+                        hint_stats.evicted_mobility += store.invalidate_node(node) as u64;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Run the mobile protocol for `duration` under [`EventDriver`]'s
+    /// production schedule: mobility wake-ups on the `cfg.mobility_tick`
+    /// lattice, validation rounds every `cfg.validation_period`, no
+    /// workload. Virtual time (`now()`), statistics and the contacts series
+    /// all advance, and a later call continues the timeline — but each
+    /// call is one *fresh* schedule whose tick lattice restarts at `now()`
+    /// and whose first round runs at once. To stack segments on one
+    /// lattice (`d` twice ≡ `2 d` once), hold an [`EventDriver`] and
+    /// `drive` it per segment.
+    pub fn run_mobile(&mut self, model: &mut dyn MobilityModel, duration: SimDuration) {
+        EventDriver::new(self, model, DriveMode::Event, Vec::new()).drive(self, model, duration);
+    }
+
+    // -----------------------------------------------------------------
+    // What `crate::events::EventDriver` steps a world through, besides
+    // `validation_round`, `query` and `standing_register`.
+    // -----------------------------------------------------------------
+
+    /// Advance the virtual clock to `t` (event delivery). Never rewinds.
+    pub(crate) fn set_now(&mut self, t: SimTime) {
+        debug_assert!(t >= self.now, "virtual time must not rewind");
+        self.now = t;
+    }
+
+    /// Mutable node positions for the driver's per-region mobility
+    /// advances; every mutation must be followed by
+    /// [`CardWorld::event_mobility_refresh`] with the mover report.
+    pub(crate) fn positions_mut(&mut self) -> &mut [net_topology::geometry::Point2] {
+        self.net.positions_mut()
+    }
+
+    /// The post-motion half of a mobility tick: refresh connectivity
+    /// around `movers`, evict route hints held at dirty nodes (they point
+    /// along links that may be gone), revalidate the standing queries
+    /// whose chains the dirty set touches, and (only when something moved
+    /// — so both drive modes advance the sampling cursor identically) run
+    /// the sampled grid-residency audit. Returns the number of audit
+    /// violations (0 in a healthy pipeline).
+    pub fn event_mobility_refresh(&mut self, movers: &[NodeId], audit_samples: usize) -> usize {
+        self.net.refresh_movers(movers);
+        self.evict_dirty_hints();
+        if !self.standing.is_empty() {
+            match self.net.dirty_report() {
+                DirtyReport::All => self.standing.mark_all(),
+                DirtyReport::Exact(dirty) => {
+                    for &node in dirty {
+                        self.standing.mark_node_dirty(node);
+                    }
+                }
+            }
+            self.standing_revalidate_marked();
+        }
+        if movers.is_empty() || audit_samples == 0 {
+            0
+        } else {
+            self.net.audit_grid_residency(audit_samples)
+        }
+    }
+}

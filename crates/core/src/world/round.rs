@@ -1,0 +1,497 @@
+//! The protocol round: contact selection (§III.C.1), the validation round
+//! with local recovery and rule-5 re-selection (§III.C.3), and the fault
+//! stage fused into that round.
+//!
+//! Validation walks contact paths that cross span boundaries; the round
+//! meters those crossings into `PlaneStats::metered_crossings` (via
+//! [`path_shard_crossings`]) without materializing per-hop messages.
+//!
+//! ## Fault injection
+//!
+//! [`CardWorld::enable_faults`] arms a seeded [`FaultPlan`]
+//! (crash/rejoin events, a partition window, per-message drop/delay —
+//! see [`sim_core::faults`]). Faults are a *parameter* of the one
+//! production path, not a fork of it: the one validation round runs its
+//! fault stages (event application, tombstones and retry windows, the
+//! retry drain) only when a plan is armed, and the one query body takes
+//! the fault view as its edge veto. Fault application is fused to the
+//! validation round itself: round `r`'s node events and partition
+//! transitions apply immediately before round `r` executes, whether the
+//! event driver (either drive mode) or a direct call runs it, so all see
+//! identical fault histories by construction. All fault
+//! decisions key on protocol content (node ids, rounds, message
+//! payloads) hashed with the plan seed — never on shard or worker
+//! coordinates — which keeps a faulted run bit-identical at any shard
+//! count and against the serial reference paths. Protocol hardening
+//! under faults: confirmed-dead contacts are tombstoned (and skipped by
+//! re-selection until the TTL expires), unacked validations extend
+//! per-contact retry windows, hinted probes fall back to the plain walk
+//! when a hint's next hop is crashed, and failed queries re-run with
+//! capped exponential backoff through a `QueryRetryQueue` drained on
+//! the validation-round lattice.
+
+use manet_routing::network::Network;
+use net_topology::node::NodeId;
+use sim_core::faults::{FaultPlan, FaultState, NodeFaultKind};
+use sim_core::par::parallel_shard_map;
+use sim_core::stats::{MsgKind, MsgStats};
+use sim_core::time::{SimDuration, SimTime};
+
+use crate::config::CardConfig;
+use crate::csq::{select_contacts, ALL_EDGE_NODES};
+use crate::maintenance::{path_shard_crossings, validate_contacts, MaintenanceTotals};
+use crate::query::{any_edge, RetryStats};
+
+use super::shards::ProtocolShard;
+use super::CardWorld;
+
+/// Live fault-injection state of a world with faults armed: the immutable
+/// plan, the evolving down/partition state and the lifecycle counters.
+#[derive(Clone)]
+pub(super) struct FaultRuntime {
+    pub(super) plan: FaultPlan,
+    pub(super) state: FaultState,
+    /// Lifecycle counters: `rounds_applied` fault rounds have run (the
+    /// next validation round executes that round's events first). The
+    /// live fields — `down_now`, `partition_active`, `retry` — stay at
+    /// their defaults here; [`CardWorld::fault_report`] reads them.
+    report: FaultReport,
+    /// Shard-invariant salt mixed into deposit-message verdict keys so
+    /// identical payloads in different sweeps draw independent verdicts.
+    pub(super) sweep_counter: u64,
+}
+
+/// Snapshot of the fault subsystem, surfaced by
+/// [`CardWorld::fault_report`] (all-zero when faults are disabled).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct FaultReport {
+    /// Fault rounds applied so far.
+    pub rounds_applied: u32,
+    /// Crash events executed.
+    pub crashes: u64,
+    /// Rejoin events executed.
+    pub rejoins: u64,
+    /// Nodes currently down.
+    pub down_now: usize,
+    /// Partition windows opened.
+    pub partitions_opened: u64,
+    /// Partition windows healed.
+    pub partitions_healed: u64,
+    /// Is a partition open right now?
+    pub partition_active: bool,
+    /// Tombstones observed past their TTL (0 in a healthy run).
+    pub liveness_violations: u64,
+    /// Stale grid buckets at crash/rejoin sites (0 in a healthy run).
+    pub grid_audit_violations: u64,
+    /// Query-retry lifecycle counters.
+    pub retry: RetryStats,
+}
+
+/// Everything a shard's sweep emits, merged into the world in shard order.
+#[derive(Debug)]
+struct ShardDelta {
+    stats: MsgStats,
+    maintenance: MaintenanceTotals,
+    /// Span-boundary crossings of the round's validation traffic (metered,
+    /// not materialized — see the module docs).
+    crossings: u64,
+    /// Tombstones found past their TTL this round (always 0 on the calm
+    /// path, which never creates tombstones).
+    liveness_violations: u64,
+}
+
+/// Cap on the exponential selection backoff level (2^5 − 1 = 31 rounds).
+const MAX_BACKOFF_LEVEL: u32 = 5;
+
+impl CardWorld {
+    /// Initial contact selection for every node, fanned out over the
+    /// protocol shards (ownership: `world/shards.rs`). Bit-identical to
+    /// [`CardWorld::select_all_contacts_serial`].
+    pub fn select_all_contacts(&mut self) {
+        let CardWorld {
+            net,
+            cfg,
+            stats,
+            now,
+            shards,
+            ..
+        } = self;
+        let width = stats.bucket_width();
+        let at = *now;
+        let deltas = parallel_shard_map(shards, |_, shard| {
+            let mut delta = MsgStats::new(width);
+            for k in 0..shard.contacts.len() {
+                select_contacts(
+                    net,
+                    cfg,
+                    NodeId::from(shard.start + k),
+                    &mut shard.contacts[k],
+                    &mut shard.rngs[k],
+                    &mut delta,
+                    at,
+                    ALL_EDGE_NODES,
+                    &mut shard.scratch,
+                );
+            }
+            delta
+        });
+        for delta in &deltas {
+            stats.merge(delta);
+        }
+    }
+
+    /// One validation round for every node: validate paths (healing with
+    /// local recovery), drop rule-4 violators, then — per §III.C.3 rule 5 —
+    /// re-select toward NoC. The sweep fans out over the protocol shards;
+    /// [`CardWorld::validation_round_serial`] is the bit-identical serial
+    /// reference. Span-boundary crossings of the validated paths are
+    /// metered into
+    /// [`PlaneStats::metered_crossings`](sim_core::plane::PlaneStats::metered_crossings). With a fault plan
+    /// armed the round first applies its scheduled fault events and
+    /// re-runs the due query retries after the sweep — fused here so a
+    /// driven and a hand-stepped world see one fault history. The round
+    /// ends by rechecking every standing query (nothing on an empty
+    /// table), which makes this *the* round entry either way.
+    ///
+    /// Re-selection is throttled twice, which is what keeps steady-state
+    /// overhead at the per-node magnitudes of Figs 10–13 (the paper's
+    /// steady state is essentially validation-only):
+    /// * at most `cfg.selection_walks_per_round` CSQs per node per round
+    ///   ("one at a time", §III.C.1);
+    /// * exponential backoff after fruitless rounds — a node whose
+    ///   selection attempt yields nothing skips `2^level − 1` rounds
+    ///   (level capped at 5), resetting on any success. Saturated nodes
+    ///   (NoC above the annulus capacity) therefore go quiet instead of
+    ///   re-sweeping the region every period.
+    pub fn validation_round(&mut self) {
+        self.run_validation_round(true);
+    }
+
+    /// The one round body. Its fault stages no-op on a calm world:
+    /// [`CardWorld::apply_fault_round`] without a plan, the span body's
+    /// fault block without a fault view, the retry drain on an empty queue.
+    pub(super) fn run_validation_round(&mut self, fan_out: bool) {
+        self.apply_fault_round();
+        let per = self.per;
+        let CardWorld {
+            net,
+            cfg,
+            stats,
+            now,
+            maintenance,
+            shards,
+            plane,
+            faults,
+            ..
+        } = self;
+        let fault_view = faults
+            .as_ref()
+            .map(|rt| (&rt.plan, &rt.state, rt.report.rounds_applied - 1));
+        let width = stats.bucket_width();
+        let at = *now;
+        let span = |shard: &mut ProtocolShard| {
+            Self::validate_span(net, cfg, shard, at, width, per, fault_view)
+        };
+        let deltas: Vec<ShardDelta> = if fan_out {
+            parallel_shard_map(shards, |_, shard| span(shard))
+        } else {
+            shards.iter_mut().map(span).collect()
+        };
+        let mut liveness = 0u64;
+        for delta in &deltas {
+            stats.merge(&delta.stats);
+            maintenance.merge(&delta.maintenance);
+            plane.stats_mut().metered_crossings += delta.crossings;
+            liveness += delta.liveness_violations;
+        }
+        if let Some(rt) = faults {
+            rt.report.liveness_violations += liveness;
+        }
+        self.advance_hint_epochs();
+        self.contacts_series
+            .push(self.now, self.total_contacts() as f64);
+        self.drain_query_retries();
+        // Maintenance may rewrite contact tables wholesale, so every
+        // standing chain is rechecked (a broken subscription uses the
+        // round as its retry heartbeat).
+        if !self.standing.is_empty() {
+            self.standing.mark_all();
+            self.standing_revalidate_marked();
+        }
+    }
+
+    /// Advance the freshness epoch of every hint span (all spans move
+    /// together; the epoch is global).
+    fn advance_hint_epochs(&mut self) {
+        if !self.hints_on {
+            return;
+        }
+        for shard in &mut self.shards {
+            if let Some(store) = &mut shard.hints {
+                store.advance_epoch();
+            }
+        }
+    }
+
+    /// The per-shard body of a validation round: validate every node of the
+    /// span, then (throttled) re-select. Touches only shard-owned state and
+    /// the immutable network; emits its message/maintenance counters and
+    /// metered path crossings as a delta for in-order merging.
+    ///
+    /// Under a fault view `(plan, state, round)`, per up node: tombstone
+    /// confirmed-dead contacts (evicted now, barred from re-selection until
+    /// the TTL expires), hold out contacts inside a retry window or whose
+    /// probe the plan loses this round (unacked probes extend the window;
+    /// past `cfg.validation_retry_cap` the contact is dropped) and validate
+    /// the rest with crashed/partitioned hops vetoed (including
+    /// local-recovery splices). Crashed nodes send nothing and maintain
+    /// nothing. The in-run liveness check counts any tombstone observed
+    /// past its TTL before the round's decay.
+    fn validate_span(
+        net: &Network,
+        cfg: &CardConfig,
+        shard: &mut ProtocolShard,
+        at: SimTime,
+        bucket_width: SimDuration,
+        per: usize,
+        fault_view: Option<(&FaultPlan, &FaultState, u32)>,
+    ) -> ShardDelta {
+        let mut delta = ShardDelta {
+            stats: MsgStats::new(bucket_width),
+            maintenance: MaintenanceTotals::default(),
+            crossings: 0,
+            liveness_violations: 0,
+        };
+        let mut ids: Vec<NodeId> = Vec::new();
+        let mut held: Vec<crate::contact::Contact> = Vec::new();
+        for k in 0..shard.contacts.len() {
+            let node = NodeId::from(shard.start + k);
+            if fault_view.is_some_and(|(_, state, _)| state.is_down(node.index())) {
+                // Radio off: no probes, no selection; the table was wiped
+                // at the crash and stays empty until rejoin.
+                continue;
+            }
+            let table = &mut shard.contacts[k];
+            // Meter the validation traffic this node is about to send down
+            // its stored paths: every span-boundary crossing is a message
+            // the plane would carry if validation were materialized.
+            for c in table.contacts() {
+                delta.crossings += path_shard_crossings(&c.path, per);
+            }
+            if let Some((plan, state, round)) = fault_view {
+                // Confirmed-dead contacts: tombstoned up front so neither
+                // validation nor this round's re-selection resurrects them.
+                ids.clear();
+                ids.extend(table.contacts().iter().map(|c| c.id));
+                for &c in &ids {
+                    if state.is_down(c.index()) {
+                        table.tombstone(c, cfg.tombstone_ttl);
+                        delta.maintenance.lost += 1;
+                    }
+                }
+                // Retry windows: a contact mid-window skips this round's
+                // probe; a probe the plan loses goes unacked — its hops are
+                // still charged, the window doubles, and past the cap the
+                // contact is dropped.
+                ids.clear();
+                ids.extend(table.contacts().iter().map(|c| c.id));
+                for &c in &ids {
+                    let in_window = table.retry_skip(c);
+                    if !in_window
+                        && !plan.validation_lost(node.index() as u32, c.index() as u32, round)
+                    {
+                        continue;
+                    }
+                    let cs = table.contacts_mut();
+                    let pos = cs
+                        .iter()
+                        .position(|x| x.id == c)
+                        .expect("held-out contact present");
+                    let entry = cs.remove(pos);
+                    if in_window {
+                        held.push(entry);
+                        continue;
+                    }
+                    delta
+                        .stats
+                        .record_n(at, MsgKind::Validation, entry.hops() as u64);
+                    let level = table.note_unacked(c);
+                    if level > cfg.validation_retry_cap {
+                        table.clear_retry(c);
+                        delta.maintenance.lost += 1;
+                    } else {
+                        held.push(entry);
+                    }
+                }
+            }
+            let stats = &mut delta.stats;
+            let totals = match fault_view {
+                None => validate_contacts(net, cfg, node, table, stats, at, any_edge),
+                Some((_, state, _)) => {
+                    validate_contacts(net, cfg, node, table, stats, at, |a, b| {
+                        state.link_allowed(a.index(), b.index())
+                    })
+                }
+            };
+            delta.maintenance.merge(&totals);
+            if fault_view.is_some() {
+                // An acked validation resets the contact's retry state.
+                ids.clear();
+                ids.extend(table.contacts().iter().map(|c| c.id));
+                for &c in &ids {
+                    table.clear_retry(c);
+                }
+                // Re-admit the held-out contacts, windows intact.
+                table.contacts_mut().append(&mut held);
+                // Liveness: no tombstone may be observed past its TTL.
+                if table.max_tombstone_ttl() > cfg.tombstone_ttl {
+                    delta.liveness_violations += 1;
+                }
+                table.decay_tombstones();
+            }
+            if table.len() >= cfg.target_contacts {
+                shard.backoff_level[k] = 0;
+                shard.backoff_remaining[k] = 0;
+                continue;
+            }
+            if shard.backoff_remaining[k] > 0 {
+                shard.backoff_remaining[k] -= 1;
+                continue;
+            }
+            let before = table.len();
+            select_contacts(
+                net,
+                cfg,
+                node,
+                table,
+                &mut shard.rngs[k],
+                &mut delta.stats,
+                at,
+                cfg.selection_walks_per_round,
+                &mut shard.scratch,
+            );
+            if table.len() > before {
+                shard.backoff_level[k] = 0;
+                shard.backoff_remaining[k] = 0;
+            } else {
+                shard.backoff_level[k] = (shard.backoff_level[k] + 1).min(MAX_BACKOFF_LEVEL);
+                shard.backoff_remaining[k] = (1u32 << shard.backoff_level[k]) - 1;
+            }
+        }
+        delta
+    }
+
+    /// Arm deterministic fault injection: from the next validation round
+    /// on, `plan`'s node events, partition window, and message verdicts
+    /// apply. The faulted history is a pure function of `(world seed,
+    /// plan)` — identical at any shard or worker count and between the
+    /// tick and event drivers (the contract: `world/round.rs`).
+    ///
+    /// # Panics
+    /// Panics if the plan schedules an event for a node outside this
+    /// network.
+    pub fn enable_faults(&mut self, plan: FaultPlan) {
+        let n = self.net.node_count();
+        assert!(
+            plan.events().iter().all(|e| (e.node as usize) < n),
+            "fault plan targets a node outside the network"
+        );
+        self.faults = Some(FaultRuntime {
+            plan,
+            state: FaultState::new(n),
+            report: FaultReport::default(),
+            sweep_counter: 0,
+        });
+    }
+
+    /// The live down/partition state, when faults are armed.
+    pub fn fault_state(&self) -> Option<&FaultState> {
+        self.faults.as_ref().map(|rt| &rt.state)
+    }
+
+    /// Lifecycle counters of the fault subsystem (all-zero when disabled).
+    pub fn fault_report(&self) -> FaultReport {
+        let retry = self.query_retry.stats().clone();
+        match &self.faults {
+            None => FaultReport {
+                retry,
+                ..FaultReport::default()
+            },
+            Some(rt) => FaultReport {
+                down_now: rt.state.down_count(),
+                partition_active: rt.state.partition_active(),
+                retry,
+                ..rt.report.clone()
+            },
+        }
+    }
+
+    /// Execute the current fault round's scheduled events: crash/rejoin
+    /// the listed nodes (a crash wipes the node's protocol state — table,
+    /// backoff, held hints — and a rejoined node rebuilds through ordinary
+    /// rule-5 re-selection), open or heal the partition window (sides
+    /// frozen from live positions at the opening instant), and audit the
+    /// grid residency of every event site (positions are untouched by
+    /// radio-off faults, so any stale bucket is a pipeline bug).
+    fn apply_fault_round(&mut self) {
+        let per = self.per;
+        let CardWorld {
+            net,
+            shards,
+            hint_stats,
+            faults,
+            ..
+        } = self;
+        let Some(rt) = faults.as_mut() else {
+            return;
+        };
+        let round = rt.report.rounds_applied;
+        rt.report.rounds_applied += 1;
+        let events = rt.plan.events_at(round).to_vec();
+        let mut touched: Vec<NodeId> = Vec::with_capacity(events.len());
+        for ev in events {
+            let i = ev.node as usize;
+            touched.push(NodeId::from(i));
+            match ev.kind {
+                NodeFaultKind::Crash => {
+                    rt.state.set_down(i, true);
+                    rt.report.crashes += 1;
+                    let shard = &mut shards[i / per];
+                    let k = i - shard.start;
+                    shard.contacts[k].clear();
+                    shard.backoff_remaining[k] = 0;
+                    shard.backoff_level[k] = 0;
+                    if let Some(store) = &mut shard.hints {
+                        hint_stats.evicted_mobility +=
+                            store.invalidate_node(NodeId::from(i)) as u64;
+                    }
+                }
+                NodeFaultKind::Rejoin => {
+                    rt.state.set_down(i, false);
+                    rt.report.rejoins += 1;
+                }
+            }
+        }
+        if let Some(w) = rt.plan.partition().copied() {
+            if round == w.start_round {
+                let positions = net.positions();
+                let (mut min_x, mut max_x) = (f64::INFINITY, f64::NEG_INFINITY);
+                for p in positions {
+                    min_x = min_x.min(p.x);
+                    max_x = max_x.max(p.x);
+                }
+                let cut = min_x + w.fraction * (max_x - min_x);
+                let sides = positions.iter().map(|p| u8::from(p.x > cut)).collect();
+                rt.state.activate_partition(sides);
+                rt.report.partitions_opened += 1;
+            }
+            if round == w.end_round && rt.state.partition_active() {
+                rt.state.heal_partition();
+                rt.report.partitions_healed += 1;
+            }
+        }
+        if !touched.is_empty() {
+            rt.report.grid_audit_violations += net.audit_grid_residency_nodes(&touched) as u64;
+        }
+    }
+}

@@ -251,7 +251,10 @@ proptest! {
         rounds in 1u32..8,
     ) {
         let run = |period_secs: u64| {
-            let mut config = cfg(seed).with_hint_ttl(ttl);
+            let mut config = CardConfig {
+                hint_ttl: ttl,
+                ..cfg(seed)
+            };
             config.validation_period = SimDuration::from_secs(period_secs);
             let mut w = CardWorld::build(&scenario(), config);
             w.set_hints_enabled(true);

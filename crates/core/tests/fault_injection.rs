@@ -267,7 +267,13 @@ type NullRun = (Snapshot, StandingQueries, Vec<QueryOutcome>);
 /// queries, a fresh standing registration and one direct round —
 /// optionally armed with a plan that schedules nothing.
 fn drive_null(seed: u64, shards: usize, mode: DriveMode, armed: bool) -> NullRun {
-    let mut w = CardWorld::build(&scenario(), cfg(seed).with_query_retry_cap(0));
+    let mut w = CardWorld::build(
+        &scenario(),
+        CardConfig {
+            query_retry_cap: 0,
+            ..cfg(seed)
+        },
+    );
     w.set_shard_count(shards);
     if armed {
         w.enable_faults(FaultPlan::calm(seed));

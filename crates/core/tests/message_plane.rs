@@ -291,7 +291,7 @@ fn skewed_pairs(seed: u64, block: usize, len: usize) -> Vec<(NodeId, NodeId)> {
 /// Everything a lossy run leaves that the plane could corrupt: outcomes,
 /// contact tables with tombstones, message series, maintenance, hint and
 /// fault counters, the shard-invariant plane projection, deferred
-/// deposits and pending retries.
+/// deposits, pending retries and the live queries' outcomes.
 type LossyTrace = (
     Vec<QueryOutcome>,
     Vec<QueryOutcome>,
@@ -303,12 +303,15 @@ type LossyTrace = (
     (u64, u64, u64, u64),
     usize,
     usize,
+    Vec<QueryOutcome>,
 );
 
-/// Selection, a faulted round, a lossy cold sweep, an optional reshard
-/// (while the deferred lane may hold delayed runs), a round, a warm
-/// sweep and a round: the trace, plus the envelopes the plane moved
-/// (which depend on the shard counts, so they stay out of the trace).
+/// Selection, a faulted round, a lossy cold sweep, six live queries (their
+/// deposits land host-locally while the sweep's delayed runs are still in
+/// flight), an optional reshard (while the deferred lane may hold delayed
+/// runs), a round, a warm sweep and a round: the trace, plus the envelopes
+/// the plane moved (which depend on the shard counts, so they stay out of
+/// the trace).
 fn lossy_run(
     seed: u64,
     plan: &FaultPlan,
@@ -322,6 +325,7 @@ fn lossy_run(
     w.enable_faults(plan.clone());
     w.validation_round();
     let cold = w.query_all(workload); // lossy: deposits drop/defer
+    let live: Vec<QueryOutcome> = workload[..6].iter().map(|&(s, t)| w.query(s, t)).collect();
     if let Some(k) = reshard {
         w.set_shard_count(k); // migrates deferred + queued messages
     }
@@ -353,6 +357,7 @@ fn lossy_run(
         (ps.sent, ps.dropped, ps.delayed, ps.local + ps.cross_shard),
         w.plane_deferred_pending(),
         w.pending_query_retries(),
+        live,
     );
     (trace, ps.envelopes)
 }

@@ -77,7 +77,7 @@ pub struct MethodCurve {
 }
 
 /// Run the sweep for PM(eq1) — the paper's original probabilistic
-/// formulation — and EM. (`ablation_pm_equations` benches eq1 vs eq2.)
+/// formulation — and EM.
 pub fn run(params: &Params) -> Vec<MethodCurve> {
     let methods = [SelectionMethod::ProbabilisticEq1, SelectionMethod::Edge];
     methods

@@ -43,21 +43,6 @@ pub fn histogram_table(bucket_edges: &[f64], series: &[(String, Vec<u64>)]) -> S
     markdown_table(&header_refs, &rows)
 }
 
-/// Compact one-line summary of a numeric series.
-pub fn series_line(label: &str, values: &[f64]) -> String {
-    let cells: Vec<String> = values.iter().map(|v| format!("{v:.1}")).collect();
-    format!("{label}: [{}]", cells.join(", "))
-}
-
-/// A crude ASCII bar, handy for eyeballing distributions in the terminal.
-pub fn ascii_bar(value: f64, max: f64, width: usize) -> String {
-    if max <= 0.0 {
-        return String::new();
-    }
-    let n = ((value / max) * width as f64).round() as usize;
-    "█".repeat(n.min(width))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,17 +73,5 @@ mod tests {
         assert!(t.contains("| 5 | 3 | 1 |"));
         assert!(t.contains("| 10 | 4 | 2 |"));
         assert!(t.starts_with("| Reachability ≤ (%) | R=1 | R=2 |"));
-    }
-
-    #[test]
-    fn series_line_format() {
-        assert_eq!(series_line("x", &[1.0, 2.25]), "x: [1.0, 2.2]");
-    }
-
-    #[test]
-    fn ascii_bar_bounds() {
-        assert_eq!(ascii_bar(5.0, 10.0, 10).chars().count(), 5);
-        assert_eq!(ascii_bar(20.0, 10.0, 10).chars().count(), 10);
-        assert_eq!(ascii_bar(1.0, 0.0, 10), "");
     }
 }

@@ -105,12 +105,6 @@ impl Field {
         self.height
     }
 
-    /// Field area in square meters.
-    #[inline]
-    pub fn area(&self) -> f64 {
-        self.width * self.height
-    }
-
     /// Is `p` inside the field (inclusive of edges)?
     #[inline]
     pub fn contains(&self, p: Point2) -> bool {
@@ -171,7 +165,6 @@ mod tests {
         let f = Field::new(710.0, 500.0);
         assert_eq!(f.width(), 710.0);
         assert_eq!(f.height(), 500.0);
-        assert_eq!(f.area(), 355_000.0);
         assert!(f.contains(Point2::new(0.0, 0.0)));
         assert!(f.contains(Point2::new(710.0, 500.0)));
         assert!(!f.contains(Point2::new(710.1, 0.0)));

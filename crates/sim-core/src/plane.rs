@@ -375,8 +375,11 @@ impl<M: Envelope> MessagePlane<M> {
     }
 
     /// Drop any undelivered messages — queued-but-unexchanged *and*
-    /// deferred-by-delay alike (keeps capacity).
+    /// deferred-by-delay alike (keeps capacity). Deferred messages were
+    /// counted as sent at their exchange, so their weight moves to
+    /// `dropped` and the ledger still closes; queued ones were never sent.
     pub fn clear_pending(&mut self) {
+        self.stats.dropped += self.deferred_pending() as u64;
         for ob in self.outboxes.iter_mut().chain(self.deferred.iter_mut()) {
             for lane in &mut ob.lanes {
                 lane.clear();
@@ -508,6 +511,13 @@ mod tests {
         assert_eq!(plane.outboxes_mut()[0].pending(), 0);
         plane.exchange();
         assert!(plane.mailbox(1).is_empty());
+        // A deferred message was already sent: discarding it is a drop.
+        plane.outboxes_mut()[0].send(1, 7);
+        plane.exchange_faulted(|_, _, _| FaultVerdict::Delay);
+        plane.clear_pending();
+        let s = plane.stats();
+        assert_eq!((s.sent, s.dropped, plane.deferred_pending()), (1, 1, 0));
+        assert_eq!(s.sent, s.local + s.cross_shard + s.dropped);
     }
 
     #[test]

@@ -320,21 +320,6 @@ impl PercentHistogram {
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
-
-    /// Mean of the recorded distribution, approximated by bucket mid-points.
-    pub fn approx_mean(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let sum: f64 = self
-            .counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| c as f64 * (self.upper_edge(i) - self.width / 2.0))
-            .sum();
-        sum / total as f64
-    }
 }
 
 #[cfg(test)]
@@ -465,15 +450,5 @@ mod tests {
         assert_eq!(h.total(), 6);
         assert_eq!(h.upper_edge(0), 5.0);
         assert_eq!(h.upper_edge(19), 100.0);
-    }
-
-    #[test]
-    fn percent_histogram_mean() {
-        let mut h = PercentHistogram::new(10.0);
-        h.record(10.0); // bucket (0,10], midpoint 5
-        h.record(20.0); // bucket (10,20], midpoint 15
-        assert!((h.approx_mean() - 10.0).abs() < 1e-9);
-        let empty = PercentHistogram::new(10.0);
-        assert_eq!(empty.approx_mean(), 0.0);
     }
 }

@@ -81,12 +81,6 @@ impl SimTime {
         SimDuration(self.0 - earlier.0)
     }
 
-    /// Saturating difference: zero if `earlier` is in the future.
-    #[inline]
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
     /// Checked addition of a duration.
     #[inline]
     pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
@@ -315,14 +309,6 @@ mod tests {
         assert!(SimTime::from_secs(2) < SimTime::MAX);
         assert!(SimDuration::ZERO.is_zero());
         assert!(!SimDuration::from_ticks(1).is_zero());
-    }
-
-    #[test]
-    fn saturating_since_future_is_zero() {
-        let early = SimTime::from_secs(1);
-        let late = SimTime::from_secs(5);
-        assert_eq!(early.saturating_since(late), SimDuration::ZERO);
-        assert_eq!(late.saturating_since(early), SimDuration::from_secs(4));
     }
 
     #[test]

@@ -182,17 +182,6 @@ impl BitSet {
         }
     }
 
-    /// In-place intersection with `other` (capacities must match).
-    ///
-    /// # Panics
-    /// Panics if capacities differ.
-    pub fn intersect_with(&mut self, other: &BitSet) {
-        assert_eq!(self.capacity, other.capacity, "BitSet capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= *b;
-        }
-    }
-
     /// Size of the intersection without materializing it.
     pub fn intersection_len(&self, other: &BitSet) -> usize {
         self.words
@@ -350,9 +339,6 @@ mod tests {
         let mut u = a.clone();
         u.union_with(&b);
         assert_eq!(u.to_vec(), vec![1, 5, 50, 99]);
-        let mut i = a.clone();
-        i.intersect_with(&b);
-        assert_eq!(i.to_vec(), vec![5, 50]);
     }
 
     #[test]

@@ -320,7 +320,7 @@ proptest! {
 fn stale_contact_hint_falls_back_to_the_plain_walk() {
     let w = world(11, false);
     let source = NodeId::all(NODES)
-        .find(|&s| !w.contact_tables()[s.index()].contacts().is_empty())
+        .find(|&s| !w.contact_table(s).contacts().is_empty())
         .expect("some node has contacts");
     // a target the plain escalation resolves beyond the zone
     let nb = w.network().tables().of(source);
@@ -347,7 +347,7 @@ fn stale_contact_hint_falls_back_to_the_plain_walk() {
     };
     // a next hop that is NOT a contact of the source
     let bogus = NodeId::all(NODES)
-        .find(|&v| v != source && w.contact_tables()[source.index()].get(v).is_none())
+        .find(|&v| v != source && w.contact_table(source).get(v).is_none())
         .expect("source cannot have contacted everyone");
     let mut store = HintStore::new(NODES, 4, 32);
     let mut stats = HintStats::default();
@@ -545,7 +545,11 @@ fn recorded_entries_take_hints_per_goal() {
 #[test]
 fn ttl_expiry_is_counted_and_harmless() {
     use card_manet::mobility::statics::StaticModel;
-    let mut w = build(config(5).with_hint_ttl(1), true);
+    let cfg = CardConfig {
+        hint_ttl: 1,
+        ..config(5)
+    };
+    let mut w = build(cfg, true);
     w.select_all_contacts();
     let nb = w.network().tables().of(NodeId::new(0));
     let Some(target) = NodeId::all(NODES).filter(|&t| !nb.contains(t)).find(|&t| {
@@ -566,4 +570,45 @@ fn ttl_expiry_is_counted_and_harmless() {
         "the expired hint must be counted: {:?}",
         w.hint_stats()
     );
+}
+
+/// A cache reset discards the deposits a lossy plane still holds: under a
+/// plan that delays every deposit, one sweep of 2 800 pairs leaves its
+/// deposits deferred; after `reset`, the next hinted exchange must deliver
+/// nothing into the emptied stores, and the plane ledger still closes.
+fn assert_reset_discards_deferred_deposits(reset: impl FnOnce(&mut CardWorld)) {
+    let mut w = world(7, true);
+    let delay_all = FaultConfig {
+        delay_rate: 1.0,
+        ..FaultConfig::calm()
+    };
+    w.enable_faults(FaultPlan::generate(&delay_all, NODES, 7));
+    let pairs: Vec<(NodeId, NodeId)> = NodeId::all(NODES)
+        .flat_map(|s| NodeId::all(NODES).step_by(7).map(move |t| (s, t)))
+        .collect();
+    w.query_all(&pairs);
+    assert!(
+        w.plane_deferred_pending() > 0,
+        "the sweep must defer deposits"
+    );
+    reset(&mut w);
+    w.query_all(&[]);
+    let landed = w.hint_store().map(|s| s.len());
+    assert_eq!(landed, Some(0), "deposits sent before the reset landed");
+    let ps = w.plane_stats();
+    let pending = w.plane_deferred_pending() as u64;
+    assert_eq!(ps.sent, ps.local + ps.cross_shard + ps.dropped + pending);
+}
+
+#[test]
+fn clear_hints_discards_deferred_deposits() {
+    assert_reset_discards_deferred_deposits(CardWorld::clear_hints);
+}
+
+#[test]
+fn hint_switch_discards_deferred_deposits() {
+    assert_reset_discards_deferred_deposits(|w| {
+        w.set_hints_enabled(false);
+        w.set_hints_enabled(true);
+    });
 }
