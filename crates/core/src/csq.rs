@@ -975,9 +975,9 @@ mod tests {
     /// The walk as it was before the slot-stamped rewrite, kept verbatim as
     /// the single oracle: per-node `Vec` tried lists searched linearly, a
     /// branchy candidate filter, the pointwise §III.C.2 decision
-    /// ([`decides_to_be_contact`]: Bloom probes and binary searches per
-    /// evaluation), `path_to` + `route.clone()`, messages recorded per walk
-    /// and one `CsqWalkStats` per walk.
+    /// ([`decides_to_be_contact`]: binary searches per evaluation),
+    /// `path_to` + `route.clone()`, messages recorded per walk and one
+    /// `CsqWalkStats` per walk.
     mod oracle {
         use super::super::*;
 

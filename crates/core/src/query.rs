@@ -61,7 +61,7 @@
 //!   target's ~24 members once per node query, under its own epoch, and
 //!   the depth-0 shortcut, the answer predicate and every hint-chase step
 //!   read `zone[c] == zone_epoch` where they used to fetch up to 84
-//!   different `Neighborhood`s and Bloom-probe each (D = 3, NoC = 4).
+//!   different `Neighborhood`s and search each (D = 3, NoC = 4).
 //!   Grown on first use, so target-less walks never pay for it. The
 //!   pointwise lookup stays the spec: asserted on every evaluation in
 //!   debug builds, and all [`dsq_query_rewalk`] uses. Resource goals keep

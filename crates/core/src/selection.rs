@@ -37,10 +37,9 @@ pub fn pm_probability(d: u16, radius: u16, r: u16, eq2: bool) -> f64 {
 /// The overlap checks common to all methods: true when neither the source
 /// nor any already-chosen contact lies in `candidate`'s neighborhood.
 ///
-/// Membership is zone-local (sorted member array + Bloom fingerprint):
-/// the fingerprint rejects the common "nowhere near my zone" case in two
-/// word reads, so these checks stay O(1)-ish without any O(N) per-node
-/// bitset behind them.
+/// Membership is zone-local: one binary search over the candidate's
+/// sorted member ids per probe, O(log zone) without any O(N) per-node
+/// bitset behind it.
 pub fn passes_overlap_checks(
     tables: &NeighborhoodTables,
     candidate: NodeId,

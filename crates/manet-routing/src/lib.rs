@@ -25,15 +25,14 @@
 //!
 //! The paper's scalability claim (§III.C) rests on neighborhood state
 //! staying *local* while the network grows; this crate enforces that for
-//! the simulation's own memory too. Every per-node structure in
-//! [`neighborhood`] is sized by the zone — sorted member ids, distances,
-//! BFS parents, edge nodes, and a small Bloom fingerprint (~1 byte per
-//! member) for fast-negative membership probes. Nothing per-node scales
-//! with N (the former per-node N-bit membership bitset, O(N²/8) bytes in
-//! total and ~1.25 GB at N = 10⁵, is gone), which is what lets
-//! `repro --scale` run 10⁵-node worlds in tens of megabytes. Membership
-//! tests are fingerprint-then-binary-search: no false negatives, and a
-//! false positive only costs the O(log zone) confirm.
+//! the simulation's own memory too. Each node's table in [`neighborhood`]
+//! is one heap buffer sized by the zone — sorted member ids, their BFS
+//! parents, and the edge nodes: `4·(2m + e)` bytes for m members and e
+//! edge nodes. Nothing per-node scales with N (the former per-node N-bit
+//! membership bitset, O(N²/8) bytes in total and ~1.25 GB at N = 10⁵, is
+//! gone), which is what lets `repro --scale` run 10⁵-node worlds in tens
+//! of megabytes. Membership is a binary search over the member ids;
+//! distances are walked up the parent chain.
 //!
 //! ## Mover-driven incremental neighborhood refresh
 //!
@@ -45,8 +44,8 @@
 //! links — the changed-row set falls out of the patch, no O(N) diff),
 //! (3) marks as dirty exactly the union of the (R−1)-hop balls around the
 //! changed nodes in the old and new graphs, and (4) rebuilds only the
-//! dirty tables, each in its own buffers, fanned out over the persistent
-//! `sim_core::par` worker pool with per-worker BFS scratch.
+//! dirty tables, each in its own buffer, fanned out over the persistent
+//! `sim_core::par` worker pool with per-thread BFS scratch.
 //!
 //! Two refresh entries are production, one is the oracle:
 //!

@@ -12,57 +12,53 @@
 //! The tables represent the *converged* state of the proactive intra-zone
 //! protocol, computed directly rather than by simulating its messages.
 //!
-//! ## Memory model: O(zone) per node
+//! ## Memory model: one buffer per table
 //!
 //! Every per-node structure here is sized by the *zone*, never by the
-//! network: sorted member ids, hop distances, BFS parents, edge nodes, and
-//! a small Bloom fingerprint ([`sim_core::util::BloomSet`], ~1 byte per
-//! member) over the member ids. Total memory is O(Σ zone sizes) — at
-//! Table-1 densities roughly a few hundred bytes per node regardless of N,
-//! which is what lets the simulator hold N = 10⁵ worlds in laptop RAM.
-//! (The previous design carried an N-bit membership bitset per node:
-//! O(N²/8) bytes total, ~1.25 GB at N = 10⁵ — the "O(N²) memory wall".)
+//! network. A table is a 32-byte header (owner, member count, one `Vec`)
+//! over a single heap buffer of node ids, for m members and e edge nodes:
 //!
-//! Membership tests stay cheap without the bitset: the Bloom fingerprint
-//! answers the common *negative* case ("that node is nowhere near my
-//! zone") in two word reads, and only possible members pay the
-//! O(log zone) binary search that confirms exactly. No false negatives;
-//! a false positive merely costs the binary search.
+//! ```text
+//! [ member ids, ascending (m) | BFS parent of each member (m) | edge nodes, ascending (e) ]
+//! ```
+//!
+//! That is `4·(2m + e)` bytes of heap in one allocation — at Table-1
+//! densities a few hundred bytes per node regardless of N, which is what
+//! lets the simulator hold N = 10⁶ worlds in laptop RAM. (The first design
+//! carried an N-bit membership bitset per node: O(N²/8) bytes total,
+//! ~1.25 GB at N = 10⁵.) Nothing else is stored. Membership is a binary
+//! search over the member ids; a hop distance is the length of the
+//! member's parent chain (at most R steps), which only tests and
+//! equivalence harnesses ask for. The CSQ walk and node queries of
+//! `card_core` answer their zone tests from per-walk stamps of whole
+//! zones instead.
 //!
 //! ## Refresh
 //!
-//! Tables are (re)computed with per-worker [`BfsScratch`] workspaces fanned
-//! out over the persistent worker pool in [`sim_core::par`], and
+//! A table is refilled in place from a hop-limited BFS, reusing its buffer
+//! with exact growth: a long-lived table holds the largest zone it ever
+//! had, never an amortized doubling of it. Tables are (re)computed on
+//! per-thread [`BfsScratch`] workspaces fanned out over the persistent
+//! worker pool in [`sim_core::par`], and
 //! [`NeighborhoodTables::recompute_nodes`] rebuilds an arbitrary subset —
 //! the primitive behind the incremental mobility refresh in
 //! [`crate::network`].
 
-use net_topology::bfs::{BfsScratch, BfsView};
+use net_topology::bfs::{with_local_scratch, BfsScratch, BfsView};
 use net_topology::graph::Adjacency;
 use net_topology::node::NodeId;
-use sim_core::par::parallel_map_with;
-use sim_core::util::BloomSet;
+use sim_core::par::parallel_map;
 
-/// Neighborhood state of one node — all fields O(zone size).
+/// Neighborhood state of one node: one O(zone) buffer (see the module
+/// docs for its layout).
 #[derive(Clone, Debug)]
 pub struct Neighborhood {
     owner: NodeId,
-    /// Member ids in ascending order (owner included).
-    ids: Vec<NodeId>,
-    /// Bloom fingerprint over `ids` (fast-negative membership probe).
-    filter: BloomSet,
-    /// Hop distance of `ids[k]` from the owner.
-    dist: Vec<u16>,
-    /// BFS-tree parent of `ids[k]` (the owner is its own parent).
-    parent: Vec<NodeId>,
-    /// Nodes at exactly R hops, sorted by id.
-    edge_nodes: Vec<NodeId>,
-}
-
-/// Empty `buf` and make room for exactly `len` entries.
-fn refill<T>(buf: &mut Vec<T>, len: usize) {
-    buf.clear();
-    buf.reserve_exact(len);
+    /// Member count m (owner included).
+    members: u32,
+    /// `[member ids, ascending | parent of each member | edge nodes,
+    /// ascending]`: m + m + e entries. The owner is its own parent.
+    buf: Vec<NodeId>,
 }
 
 impl Neighborhood {
@@ -71,55 +67,75 @@ impl Neighborhood {
     fn from_view(owner: NodeId, view: BfsView<'_>, radius: u16) -> Self {
         let mut nb = Neighborhood {
             owner,
-            ids: Vec::new(),
-            filter: BloomSet::with_capacity(view.visited_count()),
-            dist: Vec::new(),
-            parent: Vec::new(),
-            edge_nodes: Vec::new(),
+            members: 0,
+            buf: Vec::new(),
         };
         nb.fill(view, radius);
         nb
     }
 
     /// Overwrite this table from a hop-limited BFS view of its owner,
-    /// reusing its buffers. Growth is exact, so a long-lived table holds
-    /// the largest zone it ever had, not an amortized doubling of it.
+    /// reusing its buffer. Growth is exact, so a long-lived table holds the
+    /// largest zone it ever had, not an amortized doubling of it.
     fn fill(&mut self, view: BfsView<'_>, radius: u16) {
         let visited = view.visited();
-        refill(&mut self.ids, visited.len());
-        self.ids.extend_from_slice(visited);
-        self.ids.sort_unstable();
-        self.filter.reset(visited.len());
-        refill(&mut self.dist, visited.len());
-        refill(&mut self.parent, visited.len());
-        for &v in &self.ids {
-            self.filter.insert(u64::from(v.0));
-            self.dist
-                .push(view.distance(v).expect("visited node has a distance"));
-            self.parent
-                .push(view.parent(v).expect("visited node has a parent"));
+        let m = visited.len();
+        // Discovery order is non-decreasing in distance: the edge nodes
+        // are the visited tail at exactly `radius` hops.
+        let e = visited
+            .iter()
+            .rev()
+            .take_while(|&&v| view.distance(v) == Some(radius))
+            .count();
+        self.buf.clear();
+        self.buf.reserve_exact(2 * m + e);
+        self.buf.extend_from_slice(visited);
+        self.buf[..m].sort_unstable();
+        for k in 0..m {
+            let parent = view.parent(self.buf[k]);
+            self.buf.push(parent.expect("visited node has a parent"));
         }
-        let at_radius = self.dist.iter().filter(|&&d| d == radius).count();
-        refill(&mut self.edge_nodes, at_radius);
-        let members = self.ids.iter().zip(&self.dist);
-        self.edge_nodes
-            .extend(members.filter(|&(_, &d)| d == radius).map(|(&v, _)| v));
+        self.buf.extend_from_slice(&visited[m - e..]);
+        self.buf[2 * m..].sort_unstable();
+        self.members = m as u32;
     }
 
-    /// Position of `node` in the sorted member arrays.
+    /// Member ids in ascending order (owner included).
+    #[inline]
+    fn ids(&self) -> &[NodeId] {
+        &self.buf[..self.members as usize]
+    }
+
+    /// BFS-tree parent of each member, aligned with `ids`.
+    #[inline]
+    fn parents(&self) -> &[NodeId] {
+        let m = self.members as usize;
+        &self.buf[m..2 * m]
+    }
+
+    /// Position of `node` in the sorted member ids.
     #[inline]
     fn pos(&self, node: NodeId) -> Option<usize> {
-        self.ids.binary_search(&node).ok()
+        self.ids().binary_search(&node).ok()
+    }
+
+    /// Member positions along the BFS-tree chain from position `k` up to
+    /// the owner, both inclusive: at most R + 1 of them.
+    fn chain(&self, k: usize) -> impl Iterator<Item = usize> + '_ {
+        let (ids, parents) = (self.ids(), self.parents());
+        std::iter::successors(Some(k), move |&k| {
+            (ids[k] != self.owner).then(|| {
+                self.pos(parents[k])
+                    .expect("parents stay inside the neighborhood")
+            })
+        })
     }
 
     /// Is `node` within R hops of the owner (the owner itself counts)?
-    ///
-    /// Two-stage test: the Bloom fingerprint rejects most non-members in
-    /// two word reads; survivors are confirmed by binary search on the
-    /// sorted member array.
+    /// A binary search over the sorted member ids.
     #[inline]
     pub fn contains(&self, node: NodeId) -> bool {
-        self.filter.may_contain(u64::from(node.0)) && self.pos(node).is_some()
+        self.pos(node).is_some()
     }
 
     /// Is *any* of `nodes` a member? The batch form of the overlap checks
@@ -132,22 +148,23 @@ impl Neighborhood {
 
     /// Member ids in ascending order, owner included.
     pub fn members(&self) -> &[NodeId] {
-        &self.ids
+        self.ids()
     }
 
     /// Number of members including the owner.
     pub fn size(&self) -> usize {
-        self.ids.len()
+        self.members as usize
     }
 
-    /// Nodes at exactly R hops from the owner.
+    /// Nodes at exactly R hops from the owner, in ascending id order.
     pub fn edge_nodes(&self) -> &[NodeId] {
-        &self.edge_nodes
+        &self.buf[2 * self.members as usize..]
     }
 
-    /// Hop distance to a member (`None` if outside the neighborhood).
+    /// Hop distance to a member (`None` if outside the neighborhood): the
+    /// length of its parent chain, so O(R log zone).
     pub fn distance(&self, node: NodeId) -> Option<u16> {
-        self.pos(node).map(|k| self.dist[k])
+        self.pos(node).map(|k| (self.chain(k).count() - 1) as u16)
     }
 
     /// Hop-shortest intra-zone path from the owner to `node` (inclusive).
@@ -161,34 +178,24 @@ impl Neighborhood {
     /// neighborhood. The allocation-free form for per-walk hot paths.
     pub fn path_into(&self, node: NodeId, path: &mut Vec<NodeId>) -> bool {
         path.clear();
-        let Some(mut k) = self.pos(node) else {
+        let Some(k) = self.pos(node) else {
             return false;
         };
-        path.reserve(self.dist[k] as usize + 1);
-        let mut cur = node;
-        path.push(cur);
-        while cur != self.owner {
-            cur = self.parent[k];
-            path.push(cur);
-            k = self.pos(cur).expect("parents stay inside the neighborhood");
-        }
+        let ids = self.ids();
+        path.extend(self.chain(k).map(|k| ids[k]));
         path.reverse();
         true
     }
 
     /// Members in ascending id order (owner included).
     pub fn iter_members(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.ids.iter().copied()
+        self.ids().iter().copied()
     }
 
-    /// Approximate heap bytes held by this neighborhood (memory
-    /// observability for the scale scenarios).
+    /// Heap bytes held by this neighborhood (memory observability for the
+    /// scale scenarios): its one buffer's capacity.
     pub fn approx_heap_bytes(&self) -> usize {
-        self.ids.capacity() * std::mem::size_of::<NodeId>()
-            + self.dist.capacity() * std::mem::size_of::<u16>()
-            + self.parent.capacity() * std::mem::size_of::<NodeId>()
-            + self.edge_nodes.capacity() * std::mem::size_of::<NodeId>()
-            + self.filter.heap_bytes()
+        self.buf.capacity() * std::mem::size_of::<NodeId>()
     }
 }
 
@@ -216,16 +223,18 @@ fn node_chunks(n: usize) -> Vec<std::ops::Range<usize>> {
 
 impl NeighborhoodTables {
     /// Compute R-hop tables for every node: one hop-limited BFS per node,
-    /// fanned out over the worker pool with one [`BfsScratch`] each.
+    /// fanned out over the worker pool on each thread's own [`BfsScratch`].
     pub fn compute(adj: &Adjacency, radius: u16) -> Self {
         let n = adj.node_count();
-        let per_chunk = parallel_map_with(node_chunks(n), BfsScratch::new, |scratch, range| {
-            range
-                .map(|i| {
-                    let src = NodeId::from(i);
-                    Neighborhood::from_view(src, scratch.khop(adj, src, radius), radius)
-                })
-                .collect::<Vec<_>>()
+        let per_chunk = parallel_map(node_chunks(n), |range| {
+            with_local_scratch(|scratch| {
+                range
+                    .map(|i| {
+                        let src = NodeId::from(i);
+                        Neighborhood::from_view(src, scratch.khop(adj, src, radius), radius)
+                    })
+                    .collect::<Vec<_>>()
+            })
         });
         NeighborhoodTables {
             radius,
@@ -234,11 +243,12 @@ impl NeighborhoodTables {
     }
 
     /// Recompute the neighborhoods of `nodes` only, each in its own
-    /// buffers, leaving every other table untouched. The caller guarantees
+    /// buffer, leaving every other table untouched. The caller guarantees
     /// `nodes` covers every node whose R-hop view changed — see
     /// `Network::refresh` for how that set is derived. Small sets run on
-    /// the caller's `scratch`; larger ones fan out over the worker pool
-    /// with one scratch per worker.
+    /// the caller's `scratch`; larger ones fan out over the worker pool,
+    /// each thread on its own long-lived scratch (a fresh one would
+    /// zero-fill O(N) marks on every call).
     pub fn recompute_nodes(&mut self, adj: &Adjacency, nodes: &[NodeId], scratch: &mut BfsScratch) {
         let n = adj.node_count();
         assert_eq!(n, self.tables.len(), "node count changed; use compute()");
@@ -267,10 +277,12 @@ impl NeighborhoodTables {
                 item
             })
             .collect();
-        parallel_map_with(spans, BfsScratch::new, |scratch, (base, span, ids)| {
-            for &src in ids {
-                span[src.index() - base].fill(scratch.khop(adj, src, radius), radius);
-            }
+        parallel_map(spans, |(base, span, ids)| {
+            with_local_scratch(|scratch| {
+                for &src in ids {
+                    span[src.index() - base].fill(scratch.khop(adj, src, radius), radius);
+                }
+            })
         });
     }
 
@@ -434,6 +446,27 @@ mod tests {
     }
 
     #[test]
+    fn one_buffer_per_table() {
+        assert!(std::mem::size_of::<Neighborhood>() <= 32);
+        let mut adj = Adjacency::with_nodes(40);
+        for i in 0..40u32 {
+            adj.add_edge(NodeId(i), NodeId((i * 7 + 3) % 40));
+            adj.add_edge(NodeId(i), NodeId((i + 1) % 40));
+        }
+        for radius in 0..4 {
+            let tables = NeighborhoodTables::compute(&adj, radius);
+            for owner in NodeId::all(40) {
+                let nb = tables.of(owner);
+                assert_eq!(
+                    nb.approx_heap_bytes(),
+                    4 * (2 * nb.size() + nb.edge_nodes().len()),
+                    "heap of {owner} at R = {radius}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn recompute_nodes_updates_only_listed_tables() {
         let mut adj = path5();
         let mut tables = NeighborhoodTables::compute(&adj, 1);
@@ -484,12 +517,12 @@ mod tests {
         }
 
         /// Long-lived tables rebuilt in place through rounds of link edits
-        /// that grow and shrink zones equal a fresh `compute` on the same
-        /// graph, field for field — a stale tail or a Bloom bit left over
-        /// from a larger zone would show — and on `contains` for every
-        /// node. `serial` holds every call under the fan-out threshold;
-        /// `fanned` hands over all 120 nodes at once, out of order and with
-        /// a duplicate.
+        /// that grow and shrink zones answer every query exactly as a fresh
+        /// `compute` on the same graph does — a stale tail or a parent
+        /// column out of line with the members would show — and their
+        /// buffers never shrink. `serial` holds every call under the
+        /// fan-out threshold; `fanned` hands over all 120 nodes at once,
+        /// out of order and with a duplicate.
         #[test]
         fn prop_in_place_rebuild_equals_fresh_compute(
             rounds in proptest::collection::vec(
@@ -506,6 +539,10 @@ mod tests {
             all.reverse();
             // sorted, the pair straddles the first (32-node) chunk boundary
             all.push(NodeId(31));
+            let heap = |t: &NeighborhoodTables| -> Vec<usize> {
+                NodeId::all(n).map(|v| t.of(v).approx_heap_bytes()).collect()
+            };
+            let mut held = [heap(&serial), heap(&fanned)];
             for edits in &rounds {
                 for &(a, b, add) in edits {
                     match (a != b, add) {
@@ -524,19 +561,24 @@ mod tests {
                 }
                 fanned.recompute_nodes(&adj, &all, &mut scratch);
                 let fresh = NeighborhoodTables::compute(&adj, radius);
-                for tables in [&serial, &fanned] {
+                for (tables, held) in [&serial, &fanned].into_iter().zip(&mut held) {
                     for owner in NodeId::all(n) {
                         let (got, want) = (tables.of(owner), fresh.of(owner));
-                        prop_assert_eq!(got.owner, owner);
-                        prop_assert_eq!(&got.ids, &want.ids, "members of {}", owner);
-                        prop_assert_eq!(&got.dist, &want.dist, "distances of {}", owner);
-                        prop_assert_eq!(&got.parent, &want.parent, "parents of {}", owner);
-                        prop_assert_eq!(&got.edge_nodes, &want.edge_nodes, "edges of {}", owner);
-                        prop_assert_eq!(&got.filter, &want.filter, "filter of {}", owner);
+                        prop_assert_eq!(got.members(), want.members(), "members of {}", owner);
+                        prop_assert_eq!(got.edge_nodes(), want.edge_nodes(), "edges of {}", owner);
+                        for &m in want.members() {
+                            prop_assert_eq!(got.path_to(m), want.path_to(m), "path {}/{}", owner, m);
+                        }
                         for v in NodeId::all(n) {
+                            prop_assert_eq!(got.distance(v), want.distance(v));
                             prop_assert_eq!(got.contains(v), want.contains(v));
                         }
                     }
+                    let now = heap(tables);
+                    for (v, (&before, &after)) in held.iter().zip(&now).enumerate() {
+                        prop_assert!(after >= before, "buffer of {} shrank: {} -> {}", v, before, after);
+                    }
+                    *held = now;
                 }
             }
         }

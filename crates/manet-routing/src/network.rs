@@ -33,9 +33,9 @@
 //!    that serves patched rows from the undo log and every other row from
 //!    the live CSR; at R = 0 zones are `{self}` and no link change can
 //!    dirty anything;
-//! 4. only the dirty neighborhoods are rebuilt, each in its own buffers:
-//!    small sets on the dirty-ball scratch, larger ones in parallel with
-//!    per-worker [`net_topology::bfs::BfsScratch`] workspaces.
+//! 4. only the dirty neighborhoods are rebuilt, each in its own buffer:
+//!    small sets on the dirty-ball scratch, larger ones in parallel, each
+//!    thread on its own long-lived [`net_topology::bfs::BfsScratch`].
 //!
 //! Between mobility and the neighborhood refresh, no stage runs per-node
 //! detection scans, range queries, diffs, or whole-CSR copies on the
@@ -138,10 +138,12 @@ pub struct Network {
     adj: Adjacency,
     /// Spare CSR buffer for the report-free [`Network::refresh`] path: at
     /// entry it is swapped in as the rebuild target while the pre-refresh
-    /// graph (which the tables reflect) becomes the diff baseline. The
-    /// mover-driven path never copies into it — the old graph is
-    /// reconstructed from the patch's per-row undo log instead — so its
-    /// content between calls is unspecified.
+    /// graph (which the tables reflect) becomes the diff baseline. It
+    /// starts empty and grows on the first such refresh, so worlds that
+    /// never take that path (mover-driven, static, query-only) never hold
+    /// a second CSR. The mover-driven path never copies into it — the old
+    /// graph is reconstructed from the patch's per-row undo log instead —
+    /// so its content between calls is unspecified.
     prev_adj: Adjacency,
     grid: SpatialGrid,
     /// SoA f32 mirror of `positions` feeding the two-phase distance
@@ -211,7 +213,7 @@ impl Network {
             tx_range,
             radius,
             positions,
-            prev_adj: adj.clone(),
+            prev_adj: Adjacency::with_nodes(0),
             adj,
             grid,
             plane,
@@ -784,6 +786,10 @@ mod tests {
         net.refresh();
         assert_eq!(net.adj().link_count(), links);
         assert!(net.changed.is_empty(), "no node may be flagged as changed");
+        assert!(
+            matches!(net.dirty_report(), DirtyReport::Exact([])),
+            "no table may be rebuilt"
+        );
     }
 
     #[test]

@@ -357,8 +357,19 @@ impl BfsView<'_> {
 }
 
 thread_local! {
-    /// Shared scratch for the owned-result convenience wrappers below.
+    /// This thread's long-lived scratch: the owned-result convenience
+    /// wrappers below and [`with_local_scratch`] share it.
     static LOCAL_SCRATCH: RefCell<BfsScratch> = RefCell::new(BfsScratch::new());
+}
+
+/// Run `f` on this thread's long-lived [`BfsScratch`], whose buffers stay
+/// grown between calls — the scratch for fan-out work, where a fresh
+/// workspace per call would zero-fill O(N) marks each time.
+///
+/// # Panics
+/// Panics if `f` re-enters it (or a wrapper below) on the same thread.
+pub fn with_local_scratch<R>(f: impl FnOnce(&mut BfsScratch) -> R) -> R {
+    LOCAL_SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
 /// BFS from `source` visiting only nodes within `max_hops` hops.
@@ -368,18 +379,18 @@ thread_local! {
 /// is allocated. Hot paths that cannot afford that either should hold
 /// their own scratch and use [`BfsScratch::khop`].
 pub fn khop_bfs(adj: &Adjacency, source: NodeId, max_hops: u16) -> BfsResult {
-    LOCAL_SCRATCH.with(|s| s.borrow_mut().khop(adj, source, max_hops).to_result())
+    with_local_scratch(|s| s.khop(adj, source, max_hops).to_result())
 }
 
 /// Unlimited BFS from `source` over its whole connected component.
 pub fn full_bfs(adj: &Adjacency, source: NodeId) -> BfsResult {
-    LOCAL_SCRATCH.with(|s| s.borrow_mut().full(adj, source).to_result())
+    with_local_scratch(|s| s.full(adj, source).to_result())
 }
 
 /// Hop-shortest path between `a` and `b` (inclusive), or `None` if they are
 /// disconnected. Allocates only the returned path.
 pub fn shortest_path(adj: &Adjacency, a: NodeId, b: NodeId) -> Option<Vec<NodeId>> {
-    LOCAL_SCRATCH.with(|s| s.borrow_mut().full(adj, a).path_to(b))
+    with_local_scratch(|s| s.full(adj, a).path_to(b))
 }
 
 #[cfg(test)]

@@ -39,8 +39,9 @@
 //!   traversal costs O(1) setup (bump the epoch) instead of O(N) clearing.
 //!   The convenience wrappers ([`bfs::khop_bfs`], [`bfs::full_bfs`],
 //!   [`bfs::shortest_path`]) run on a thread-local scratch and allocate
-//!   only their output; layers above hold per-worker scratches for bulk
-//!   work (see `manet_routing::neighborhood`).
+//!   only their output; bulk work holds its own scratch or borrows the
+//!   thread-local one through [`bfs::with_local_scratch`] (see
+//!   `manet_routing::neighborhood`).
 
 #![warn(missing_docs)]
 pub mod bfs;

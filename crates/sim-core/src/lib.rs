@@ -18,8 +18,7 @@
 //! * [`stats`] — per-kind message accounting and time-bucketed series
 //!   used for every overhead figure in the paper;
 //! * [`util`] — a compact fixed-capacity bitset (per-query reachability
-//!   sets) and a tiny Bloom filter ([`util::BloomSet`], the fast-negative
-//!   half of the O(zone) neighborhood membership tests);
+//!   sets);
 //! * [`par`] — order-preserving fork/join parallelism: owned-item maps
 //!   with per-worker scratch buffers (the topology refresh idiom) and
 //!   mutable-shard fan-outs ([`par::parallel_shard_map`], the sharded
@@ -93,7 +92,7 @@ pub mod prelude {
     pub use crate::rng::{RngStream, SeedSplitter};
     pub use crate::stats::{MsgStats, TimeSeries};
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::util::{BitSet, BloomSet};
+    pub use crate::util::BitSet;
 }
 
 pub use engine::Engine;

@@ -7,9 +7,9 @@
 //!   independent simulation world).
 //! * [`parallel_map_with`] — the same, but every worker thread first builds
 //!   a private *scratch* value and threads it through all the items it
-//!   processes. This is the reusable scratch-buffer idiom the topology hot
-//!   path depends on: per-worker `BfsScratch` workspaces let thousands of
-//!   neighborhood rebuilds run without a single per-call allocation.
+//!   processes. This is the reusable scratch-buffer idiom of the topology
+//!   hot path: the parallel adjacency rebuild keeps one candidate buffer
+//!   per worker instead of allocating per row.
 //! * [`parallel_shard_map`] — fan out over *mutable shards* of long-lived
 //!   state. Each shard is visited exactly once, by exactly one thread, and
 //!   outputs come back in shard order. This is the primitive behind the
@@ -37,9 +37,10 @@
 //! ## The persistent worker pool
 //!
 //! Fan-outs execute on one process-wide `WorkerPool` (private) of
-//! `available_parallelism − 1` threads, spawned lazily on the first
-//! parallel call and *parked on a condvar between fan-outs*. The caller
-//! thread always participates in the work, so total concurrency is
+//! `available_parallelism − 1` threads, spawned lazily on first use (the
+//! first fan-out or [`max_workers`] query, which is also the one time the
+//! thread count is read) and *parked on a condvar between fan-outs*. The
+//! caller thread always participates in the work, so total concurrency is
 //! `available_parallelism`. Compared to the scoped-thread-per-fan-out
 //! design this replaces, a fan-out costs a mutex + condvar broadcast
 //! (~1 µs) instead of ~100 µs of thread spawn/join — which matters because
@@ -78,13 +79,12 @@ thread_local! {
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Number of worker threads available to fan-outs (`available_parallelism`,
-/// floored at 1). Exposed so callers can size work chunks consistently.
+/// Number of threads a fan-out runs on (`available_parallelism`, read
+/// once): the pool plus the caller. Exposed so callers can size work
+/// chunks consistently; it comes from the one-time setup that sizes the
+/// pool, so chunking, shard spans and pool size always agree.
 pub fn max_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(4)
-        .max(1)
+    runtime().workers
 }
 
 /// A type-erased fan-out job: each invocation pulls queue items until the
@@ -166,23 +166,33 @@ fn worker_loop(pool: &'static WorkerPool) {
     }
 }
 
-/// The lazily spawned process-wide pool; `None` on single-core hosts
-/// (everything runs inline there).
-fn pool() -> Option<&'static WorkerPool> {
-    static POOL: OnceLock<Option<&'static WorkerPool>> = OnceLock::new();
-    *POOL.get_or_init(|| {
-        let threads = max_workers().saturating_sub(1);
-        if threads == 0 {
-            return None;
-        }
-        let pool: &'static WorkerPool = Box::leak(Box::new(WorkerPool::new()));
-        for i in 0..threads {
-            std::thread::Builder::new()
-                .name(format!("simcore-par-{i}"))
-                .spawn(move || worker_loop(pool))
-                .expect("failed to spawn pool worker");
-        }
-        Some(pool)
+/// The fan-out runtime: the worker count and the pool it sizes.
+struct Runtime {
+    workers: usize,
+    /// `None` on single-core hosts (everything runs inline there).
+    pool: Option<&'static WorkerPool>,
+}
+
+/// The process-wide runtime, set up on first use: `available_parallelism`
+/// is read exactly once (the call costs tens of µs, and fan-outs size their
+/// chunks on every call) and the pool's `workers − 1` threads are spawned.
+fn runtime() -> &'static Runtime {
+    static RUNTIME: OnceLock<Runtime> = OnceLock::new();
+    RUNTIME.get_or_init(|| {
+        let workers = std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(4);
+        let pool = (workers > 1).then(|| {
+            let pool: &'static WorkerPool = Box::leak(Box::new(WorkerPool::new()));
+            for i in 0..workers - 1 {
+                std::thread::Builder::new()
+                    .name(format!("simcore-par-{i}"))
+                    .spawn(move || worker_loop(pool))
+                    .expect("failed to spawn pool worker");
+            }
+            pool
+        });
+        Runtime { workers, pool }
     })
 }
 
@@ -190,11 +200,7 @@ fn pool() -> Option<&'static WorkerPool> {
 /// The calling thread always works too, so peak fan-out concurrency is
 /// `pool_size() + 1`.
 pub fn pool_size() -> usize {
-    if max_workers() <= 1 {
-        0
-    } else {
-        max_workers() - 1
-    }
+    max_workers() - 1
 }
 
 /// Map `f` over `items` in parallel on the persistent pool (at most
@@ -230,7 +236,7 @@ where
     if n <= 1 || IN_WORKER.with(Cell::get) {
         return run_inline(items, init, f);
     }
-    let Some(pool) = pool() else {
+    let Some(pool) = runtime().pool else {
         return run_inline(items, init, f);
     };
     // One fan-out at a time; a concurrent top-level caller runs inline

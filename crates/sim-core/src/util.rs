@@ -1,101 +1,5 @@
 //! Small performance-oriented utilities shared across the workspace.
 
-/// A tiny Bloom filter over `u64` keys, sized to an expected element count.
-///
-/// The zone-local neighborhood tables keep a sorted member array per node
-/// (O(zone) memory) instead of the former whole-network bitset (O(N) bits
-/// per node). Membership tests then cost a binary search — unless a filter
-/// answers "definitely not a member" first, which is the common case for
-/// the overlap checks contact selection hammers (the queried node is
-/// usually far outside the zone). `BloomSet` is that filter: ~8 bits and
-/// two probes per expected element, so a negative answer is two word reads
-/// and a positive one falls through to the exact check.
-///
-/// False positives are possible by design (callers must confirm with an
-/// exact structure); false negatives are not.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BloomSet {
-    /// Power-of-two number of words, so probes mask instead of mod.
-    words: Box<[u64]>,
-}
-
-impl BloomSet {
-    /// Bits provisioned per expected element (two probe bits are drawn
-    /// from a 64-bit mix per key).
-    const BITS_PER_ELEMENT: usize = 8;
-
-    /// A filter sized for about `expected` elements (~8 bits each, minimum
-    /// 128 bits).
-    pub fn with_capacity(expected: usize) -> Self {
-        BloomSet {
-            words: vec![0u64; Self::words_for(expected)].into_boxed_slice(),
-        }
-    }
-
-    /// Word count of a filter sized for `expected` elements.
-    fn words_for(expected: usize) -> usize {
-        (expected * Self::BITS_PER_ELEMENT)
-            .div_ceil(64)
-            .next_power_of_two()
-            .max(2)
-    }
-
-    /// SplitMix64 finalizer: both probe positions come from one mix.
-    #[inline]
-    fn mix(key: u64) -> u64 {
-        let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    #[inline]
-    fn probes(&self, key: u64) -> (usize, u64, usize, u64) {
-        let h = Self::mix(key);
-        let bits = self.words.len() * 64;
-        let b1 = (h as usize) & (bits - 1);
-        let b2 = ((h >> 32) as usize) & (bits - 1);
-        (b1 >> 6, 1u64 << (b1 & 63), b2 >> 6, 1u64 << (b2 & 63))
-    }
-
-    /// Record `key` in the filter.
-    #[inline]
-    pub fn insert(&mut self, key: u64) {
-        let (w1, m1, w2, m2) = self.probes(key);
-        self.words[w1] |= m1;
-        self.words[w2] |= m2;
-    }
-
-    /// `false` means `key` was definitely never inserted; `true` means it
-    /// *may* have been (confirm with an exact structure).
-    #[inline]
-    pub fn may_contain(&self, key: u64) -> bool {
-        let (w1, m1, w2, m2) = self.probes(key);
-        (self.words[w1] & m1 != 0) && (self.words[w2] & m2 != 0)
-    }
-
-    /// Remove every element (keeps the allocated size).
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-    }
-
-    /// Empty the filter and size it for about `expected` elements, exactly
-    /// as [`BloomSet::with_capacity`] would: cleared in place when that
-    /// size is the current one, reallocated otherwise.
-    pub fn reset(&mut self, expected: usize) {
-        if Self::words_for(expected) == self.words.len() {
-            self.clear();
-        } else {
-            *self = Self::with_capacity(expected);
-        }
-    }
-
-    /// Heap bytes held by the filter.
-    pub fn heap_bytes(&self) -> usize {
-        self.words.len() * 8
-    }
-}
-
 /// A compact growable bitset over `usize` indices.
 ///
 /// Reachability analysis unions many R-hop neighborhood sets per node
@@ -224,82 +128,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
-
-    #[test]
-    fn bloom_no_false_negatives() {
-        let mut f = BloomSet::with_capacity(64);
-        for k in 0..64u64 {
-            f.insert(k * 7919);
-        }
-        for k in 0..64u64 {
-            assert!(f.may_contain(k * 7919), "inserted key {k} reported absent");
-        }
-    }
-
-    #[test]
-    fn bloom_mostly_rejects_absent_keys() {
-        let mut f = BloomSet::with_capacity(100);
-        for k in 0..100u64 {
-            f.insert(k);
-        }
-        // At ~8 bits/element and 2 probes the false-positive rate is a few
-        // percent; well under half of a large absent sample may pass.
-        let false_positives = (1_000u64..11_000).filter(|&k| f.may_contain(k)).count();
-        assert!(
-            false_positives < 2_000,
-            "filter saturated: {false_positives}/10000 absent keys passed"
-        );
-    }
-
-    #[test]
-    fn bloom_clear_resets() {
-        let mut f = BloomSet::with_capacity(10);
-        f.insert(42);
-        assert!(f.may_contain(42));
-        f.clear();
-        assert!(!f.may_contain(42));
-        assert!(f.heap_bytes() >= 16);
-    }
-
-    #[test]
-    fn bloom_reset_equals_a_fresh_filter_of_that_capacity() {
-        let mut f = BloomSet::with_capacity(10);
-        f.insert(42);
-        f.reset(12); // same word count: cleared in place
-        assert_eq!(f, BloomSet::with_capacity(12));
-        f.insert(42);
-        f.reset(300); // grows
-        assert_eq!(f, BloomSet::with_capacity(300));
-        f.insert(42);
-        f.reset(0); // shrinks
-        assert_eq!(f, BloomSet::with_capacity(0));
-    }
-
-    #[test]
-    fn bloom_zero_capacity_is_usable() {
-        let mut f = BloomSet::with_capacity(0);
-        assert!(!f.may_contain(5));
-        f.insert(5);
-        assert!(f.may_contain(5));
-    }
-
-    proptest! {
-        /// Every inserted key is reported as possibly present (no false
-        /// negatives), for arbitrary key sets and filter sizes.
-        #[test]
-        fn prop_bloom_no_false_negatives(
-            keys in proptest::collection::vec(any::<u64>(), 0..200),
-            capacity in 0usize..300,
-        ) {
-            let mut f = BloomSet::with_capacity(capacity);
-            for &k in &keys {
-                f.insert(k);
-            }
-            for &k in &keys {
-                prop_assert!(f.may_contain(k));
-            }
-        }
-    }
 
     #[test]
     fn insert_contains_remove() {

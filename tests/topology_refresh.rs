@@ -10,9 +10,9 @@
 //!    parallel, dirty-set based) produces neighborhood tables identical to
 //!    `Network::refresh_full` (the naive rebuild-everything reference) —
 //!    across seeds, radii and mobility intensities;
-//! 3. the zone-local membership structure (sorted member array + Bloom
-//!    fingerprint) answers exactly what the old whole-network membership
-//!    bitset answered, for every (owner, probe) pair on random topologies;
+//! 3. the zone-local membership structure (sorted member array) answers
+//!    exactly what the old whole-network membership bitset answered, for
+//!    every (owner, probe) pair on random topologies;
 //! 4. the mover-only spatial-grid re-bucketing answers range queries
 //!    identically to a freshly rebuilt grid across seeds, radii and
 //!    mobility intensities (including the churn/overflow fallbacks);
@@ -127,8 +127,8 @@ proptest! {
         assert_equivalent(&inc, &full);
     }
 
-    /// Zone-local membership (sorted member array + Bloom fingerprint)
-    /// answers exactly what the old per-node whole-network bitset answered:
+    /// Zone-local membership (sorted member array) answers exactly what
+    /// the old per-node whole-network bitset answered:
     /// for every (owner, probe) pair, `contains` ⇔ BFS distance ≤ R, and
     /// the sorted member slice is precisely the set bits of that reference
     /// bitset.
