@@ -810,7 +810,7 @@ fn bench_message_plane(c: &mut Criterion) {
         group.bench_function(format!("exchange/s{shards}_m{msgs}"), |b| {
             let mut plane: MessagePlane<Payload> = MessagePlane::new(shards);
             b.iter(|| {
-                let (outboxes, _) = plane.split_mut();
+                let outboxes = plane.outboxes_mut();
                 for (i, &(src, dst)) in routes.iter().enumerate() {
                     outboxes[src].send(dst, Payload(i as u32, i as u32 ^ 7, 2));
                 }
@@ -820,15 +820,15 @@ fn bench_message_plane(c: &mut Criterion) {
         group.bench_function(format!("round_trip/s{shards}_m{msgs}"), |b| {
             let mut plane: MessagePlane<Payload> = MessagePlane::new(shards);
             b.iter(|| {
-                let (outboxes, _) = plane.split_mut();
+                let outboxes = plane.outboxes_mut();
                 for (i, &(src, dst)) in routes.iter().enumerate() {
                     outboxes[src].send(dst, Payload(i as u32, i as u32 ^ 7, 2));
                 }
                 plane.exchange();
                 let mut sum = 0u64;
                 for mb in plane.mailboxes_mut() {
-                    for (src, Payload(a, _, _)) in mb.drain() {
-                        sum += src as u64 + a as u64;
+                    for Payload(a, _, _) in mb.drain(..) {
+                        sum += a as u64;
                     }
                 }
                 black_box(sum)

@@ -47,17 +47,19 @@
 //! ## Determinism
 //!
 //! The store is plain state — lookups and deposits draw no randomness —
-//! and the sharded sweep (`CardWorld::query_all`) runs its parallel phase
-//! against *frozen* stores, routing each deposit through the cross-shard
-//! message plane to the shard that owns its holder, where it is applied
-//! in the plane's deterministic `(dst, src, seq)` drain order. Restricted
-//! to any one holder that order equals global pair order, and holders in
-//! different stores touch disjoint slots, so — together with the
-//! per-node LRU clocks — outcomes, hint statistics *and the stores
-//! themselves* are a pure function of `(network, tables, store, pairs)`
-//! at any worker or shard count. With the cache disabled the same sweep
-//! runs without a hint view — no lookup, no deposit stage — and is
-//! bit-identical to `query_all_serial` (pinned by `tests/hint_cache.rs`).
+//! and a store is written only by the shard that owns it: every deposit,
+//! from a live query (`CardWorld::query`) or a sweep
+//! (`CardWorld::query_all`, whose parallel phase reads *frozen* stores),
+//! crosses the message plane to its holder's shard, where it is applied
+//! in the plane's deterministic drain order (deferred runs first, then
+//! `(src, seq)`). Restricted to any one holder that order equals global
+//! query order, and holders in different stores touch disjoint slots, so
+//! — together with the per-node LRU clocks — outcomes, hint statistics
+//! *and the stores themselves* are a pure function of `(network, tables,
+//! store, pairs)` at any worker or shard count, calm or lossy. With the
+//! cache disabled the same sweep runs without a hint view — no lookup, no
+//! deposit stage — and is bit-identical to `query_all_serial` (pinned by
+//! `tests/hint_cache.rs`).
 //!
 //! ## Runs: deposits combine at the sender
 //!
@@ -75,14 +77,15 @@
 //!   into the holder's latest entry — never an earlier one — leaves that
 //!   order unchanged;
 //! * the plane delivers one lane's traffic to one holder contiguously in
-//!   `(src, seq)` order, and a log is one lane of one sweep: runs never
-//!   span lanes, sweeps or deferred envelopes;
+//!   `(src, seq)` order, and a log is one lane of one exchange: runs
+//!   never span logs, exchanges or deferred envelopes;
 //! * fault verdicts are keyed on a deposit's content, which excludes
 //!   `count`, so every copy of a run would draw the run's one verdict —
 //!   dropped, delayed or delivered together.
 //!
-//! The single-query path logs into the same type and applies through the
-//! same `deposit`; its chains rarely repeat, so its runs are all of 1.
+//! The single-query path logs into the same type and crosses the same
+//! plane to the same `deposit`; its chains rarely repeat, so its runs are
+//! all of 1.
 
 use net_topology::node::NodeId;
 use sim_core::plane::Envelope;
@@ -169,9 +172,9 @@ pub enum Lookup {
     Absent,
 }
 
-/// A run of identical hints queued for deposit — the unit the sharded
-/// sweep logs during its frozen parallel phase and applies in shard order
-/// afterwards (see "Runs" in the module docs).
+/// A run of identical hints queued for deposit — the unit a query logs
+/// and the message plane carries to the holder's shard (see "Runs" in the
+/// module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HintDeposit {
     /// Node the hint is stored at.

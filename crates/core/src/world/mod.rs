@@ -19,7 +19,7 @@
 //! |---|---|
 //! | `shards.rs` | shard ownership: `ProtocolShard`, the [`TablesView`] and [`HintsView`] read views, resharding, per-shard memory |
 //! | `round.rs` | contact selection (§III.C.1), the validation round with local recovery (§III.C.3), and the round's fault stage ([`FaultReport`]) |
-//! | `queries.rs` | DSQ queries (§III.C.4): the one per-pair body, live and retried queries, the sweep, and both hint-deposit stages |
+//! | `queries.rs` | DSQ queries (§III.C.4): the one per-pair body, live and retried queries, the sweep, and the one hint-deposit exchange |
 //! | `subscriptions.rs` | standing-query upkeep: register, resolve, probe, revalidate |
 //! | `reference.rs` | the serial oracles the parallel sweeps are pinned to |
 //!
@@ -27,12 +27,12 @@
 //! stream of the node making it (derived as `("card-node", node)` from the
 //! config seed), never from a shared stream. Message counters accumulate
 //! into per-shard [`MsgStats`] deltas merged in shard order afterwards, and
-//! plane messages are delivered in `(destination shard, source shard,
-//! send sequence)` order — a pure function of the protocol's own send
-//! order, independent of worker scheduling. The result of a sweep is
-//! therefore a pure function of `(network, config, per-node state)` —
-//! bit-identical across worker counts, shard counts, and the serial
-//! reference paths ([`CardWorld::select_all_contacts_serial`],
+//! plane messages are delivered per destination shard, deferred ones
+//! first, then in `(source shard, send sequence)` order — a pure function
+//! of the protocol's own send order, independent of worker scheduling.
+//! The result of a sweep is therefore a pure function of `(network,
+//! config, per-node state)` — bit-identical across worker counts, shard
+//! counts, and the serial reference paths ([`CardWorld::select_all_contacts_serial`],
 //! [`CardWorld::validation_round_serial`]), which exist precisely to pin
 //! that equivalence in tests and benches.
 
@@ -92,18 +92,21 @@ pub struct CardWorld {
     /// One query lane — walk workspace plus deposit log — per shard (pair
     /// sweeps need a mutable scratch while reading *all* shards' tables
     /// immutably, so the lanes live outside the shards, sized with them).
-    /// Lane 0's scratch also serves the one-off [`CardWorld::query`] path.
+    /// Lane 0's scratch also serves the one-off [`CardWorld::query`] path,
+    /// and its outbox sends that path's deposits.
     lanes: Vec<QueryLane>,
-    /// The cross-shard message plane (hint deposits, metered validation
-    /// crossings).
+    /// The cross-shard message plane: the only way a hint deposit reaches
+    /// a store, for live queries, retries and sweeps alike (plus metered
+    /// validation crossings).
     plane: MessagePlane<HintDeposit>,
     /// Is the §V route-hint cache active (spans allocated in the shards)?
     hints_on: bool,
     /// Hit/miss/staleness counters of the hint subsystem.
     hint_stats: HintStats,
-    /// Reusable deposit log for the live single-query path. It stays apart
-    /// from lane 0's log: clearing a log resets its whole holder index,
-    /// which a sweep lane sizes by the largest hinted sweep.
+    /// Reusable deposit log for the live single-query path, sent from lane
+    /// 0's outbox after each query. It stays apart from lane 0's own log:
+    /// clearing a log resets its whole holder index, which a sweep lane
+    /// sizes by the largest hinted sweep.
     hint_deposits: DepositLog,
     /// Long-lived standing subscriptions (see [`crate::standing`]).
     standing: StandingQueries,
@@ -331,7 +334,7 @@ impl CardWorld {
     /// counters. Deposits still in flight — deferred by a lossy plane's
     /// last exchange — go with the stores (counted as `dropped` in
     /// [`CardWorld::plane_stats`]), so nothing sent before the reset lands
-    /// after it. A calm plane holds nothing between sweeps.
+    /// after it. A calm plane holds nothing between exchanges.
     pub fn clear_hints(&mut self) {
         for shard in &mut self.shards {
             if let Some(store) = &mut shard.hints {

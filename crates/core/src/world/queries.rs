@@ -1,6 +1,6 @@
 //! The query side (§III.C.4): the one per-pair body behind every
 //! world-level query, live and retried queries, the batched sweep, and the
-//! two stages that apply §V hint deposits.
+//! one stage that delivers §V hint deposits.
 //!
 //! ## One query body, one sweep
 //!
@@ -19,30 +19,34 @@
 //!
 //! ## Hint deposits
 //!
-//! A live query applies its deposits to their owner shards at once, in
-//! log order, so the very next call can hit; it does not go through the
-//! message plane. A sweep's deposits do: a resolved query deposits hints
-//! at relay nodes that usually live on other shards, and each lane logs
-//! its deposits into a [`DepositLog`], which combines at the sender: a
+//! Every hinted query — a live one, a retry, a resource query or a pair
+//! of a sweep — writes its deposits through the message plane: a resolved
+//! query deposits hints at relay nodes that usually live on other shards,
+//! and a store is written only by its owner shard's drain. Queries log
+//! their deposits into a [`DepositLog`], which combines at the sender: a
 //! push that repeats its holder's *latest* entry (key, next hop, depth)
 //! bumps that entry's `count`, so a skewed sweep logs one run where it
-//! used to log hundreds of copies; runs never span lanes, sweeps or
-//! deferred envelopes. Each run crosses the plane as one envelope to the
-//! holder's owner shard in one exchange round. It weighs its count in the
-//! plane's ledger and draws one content-keyed fault verdict — the one
-//! every copy would have drawn. Each shard applies its own mailbox through
-//! `HintStore::deposit`, which applies a run exactly as that many single
-//! deposits ("Runs" in [`crate::hints`]). Query *reads* (remote contact
-//! tables) stay direct reads through [`TablesView`]. The drain's ordering
-//! contract is spelled out on `exchange_sweep_deposits`.
+//! used to log hundreds of copies; runs never span logs, exchanges or
+//! deferred envelopes. A live query's log is sent from lane 0's outbox, a
+//! sweep's from each span's lane; each run crosses the plane as one
+//! envelope to the holder's owner shard in the one exchange stage,
+//! `exchange_deposits`, which runs after every hinted query or sweep. A
+//! run weighs its count in the plane's ledger and draws one content-keyed
+//! fault verdict — the one every copy would have drawn. Each shard applies
+//! its own mailbox through `HintStore::deposit`, which applies a run
+//! exactly as that many single deposits ("Runs" in [`crate::hints`]).
+//! Query *reads* (remote contact tables) stay direct reads through
+//! [`TablesView`]. The drain's ordering contract is spelled out on
+//! `exchange_deposits`.
 
 use manet_routing::network::Network;
 use net_topology::node::NodeId;
 use sim_core::faults::FaultPlan;
 use sim_core::par::{parallel_shard_map, shard_spans};
+use sim_core::plane::Outbox;
 use sim_core::stats::MsgKind;
 
-use crate::hints::{DepositLog, HintStats};
+use crate::hints::{DepositLog, HintDeposit, HintStats};
 use crate::query::{
     any_edge, dsq_query_hinted_unrecorded, dsq_query_unrecorded, HintContext, QueryFaultFilter,
     QueryOutcome, QueryScratch,
@@ -206,19 +210,25 @@ impl QueryLane {
     }
 }
 
+/// Queue a deposit log's runs in `outbox`, in log order, each to its
+/// holder's owner shard, and empty the log.
+fn send_deposits(outbox: &mut Outbox<HintDeposit>, log: &mut DepositLog, per: usize) {
+    for &d in log.runs() {
+        outbox.send(d.holder.index() / per, d);
+    }
+    log.clear();
+}
+
 impl CardWorld {
     /// Issue a resource-discovery query (§III.C.4) from `source` for
     /// `target`, escalating depth up to `cfg.depth`. Runs allocation-free
     /// on the world's first query lane; batches should prefer
     /// [`CardWorld::query_all`]. With the route-hint cache enabled, the
-    /// cache is consulted first and deposits from a resolved query are
-    /// applied to their owner shards immediately, in log order (live
-    /// queries warm the very next call). That host-local apply bypasses
-    /// the message plane: on a calm world it equals what a one-round
-    /// exchange would deliver, but under a lossy plan live deposits draw
-    /// no drop or delay verdict and never enter the plane's ledger
-    /// (ROADMAP item 9 picks one deposit path). Under an armed fault plan
-    /// a failed query enters the retry queue.
+    /// cache is consulted first and the query's deposits cross the
+    /// message plane in an exchange of their own before this returns, so
+    /// on a calm world the very next call can hit; under a lossy plan
+    /// they draw drop and delay verdicts like a sweep's. Under an armed
+    /// fault plan a failed query enters the retry queue.
     pub fn query(&mut self, source: NodeId, target: NodeId) -> QueryOutcome {
         let out = self.query_once(source, Goal::Node(target));
         if self.faults.is_some() && !out.found {
@@ -228,16 +238,16 @@ impl CardWorld {
     }
 
     /// One live query through the shared per-pair body, recorded at `now`,
-    /// without retry scheduling (the retry drain calls this directly so a
-    /// re-run never re-queues itself — [`QueryRetryQueue::report`](crate::query::QueryRetryQueue::report) owns the
-    /// requeue decision).
+    /// its deposits (with the cache on) sent from lane 0's outbox through
+    /// the one exchange stage, without retry scheduling (the retry drain
+    /// calls this directly so a re-run never re-queues itself —
+    /// [`QueryRetryQueue::report`](crate::query::QueryRetryQueue::report)
+    /// owns the requeue decision).
     fn query_once(&mut self, source: NodeId, goal: Goal<'_>) -> QueryOutcome {
         let per = self.per;
         let CardWorld {
             net,
             cfg,
-            stats,
-            now,
             shards,
             lanes,
             hints_on,
@@ -246,18 +256,21 @@ impl CardWorld {
             faults,
             ..
         } = self;
-        hint_deposits.clear();
         let out = QueryView::over(net, shards, per, *hints_on, cfg.depth, faults).query(
             source,
             goal,
             &mut QuerySink {
                 scratch: &mut lanes[0].scratch,
-                hint_stats: &mut *hint_stats,
+                hint_stats,
                 deposits: &mut *hint_deposits,
             },
         );
-        Self::apply_deposits_to_shards(shards, per, hint_stats, hint_deposits);
-        out.recorded(stats, *now)
+        if self.hints_on {
+            let outbox = &mut self.plane.outboxes_mut()[0];
+            send_deposits(outbox, &mut self.hint_deposits, per);
+            self.exchange_deposits();
+        }
+        out.recorded(&mut self.stats, self.now)
     }
 
     /// Queries waiting in the retry queue.
@@ -297,23 +310,6 @@ impl CardWorld {
         resource: ResourceId,
     ) -> QueryOutcome {
         self.query_once(source, Goal::Resource(registry, resource))
-    }
-
-    /// Apply a deposit log to the holders' owner shards in log order,
-    /// counting writes and LRU evictions.
-    fn apply_deposits_to_shards(
-        shards: &mut [ProtocolShard],
-        per: usize,
-        stats: &mut HintStats,
-        deposits: &DepositLog,
-    ) {
-        for d in deposits.runs() {
-            shards[d.holder.index() / per]
-                .hints
-                .as_mut()
-                .expect("deposit into a world without hint stores")
-                .deposit(d, stats);
-        }
     }
 
     /// Run a batch of queries — one DSQ per `(source, target)` pair,
@@ -399,7 +395,11 @@ impl CardWorld {
             hint_stats.merge(hint_delta);
         }
         if self.hints_on {
-            self.exchange_sweep_deposits();
+            let outboxes = self.plane.outboxes_mut();
+            for (outbox, lane) in outboxes.iter_mut().zip(&mut self.lanes) {
+                send_deposits(outbox, &mut lane.deposits, per);
+            }
+            self.exchange_deposits();
         }
         // Under faults, failed sweep queries enter the retry queue in pair
         // order — the same sequence a loop of [`CardWorld::query`] calls
@@ -413,57 +413,49 @@ impl CardWorld {
         }
     }
 
-    /// The deposit stage of a hinted sweep: route the per-span deposit logs
-    /// through the message plane to each holder's owner shard and apply
-    /// them in a parallel drain phase.
+    /// The deposit stage of every hinted query and sweep: exchange the
+    /// deposit runs queued in the plane's outboxes, each to its holder's
+    /// owner shard, and apply them in a parallel drain phase.
     ///
-    /// Delivery order makes the drain deterministic: a mailbox is sorted
-    /// by `(source shard, send sequence)` and sends happen in pair order
-    /// within each source shard, so the deposit sequence each holder
-    /// observes is the global pair order restricted to that holder —
-    /// bit-identical at any worker or shard count (pinned by
-    /// `tests/hint_cache.rs` and `tests/message_plane.rs`). A run stands
-    /// for its copies at the position of its first one; since it only
-    /// ever absorbed pushes made while it was its holder's latest entry,
-    /// the expanded sequence is unchanged.
-    fn exchange_sweep_deposits(&mut self) {
-        let per = self.per;
+    /// Delivery order makes the drain deterministic. A mailbox holds the
+    /// runs a lossy plane deferred from the previous exchange, then this
+    /// exchange's runs by `(source shard, send sequence)`; a sweep sends
+    /// in pair order within each source shard and a live query sends its
+    /// one log from lane 0, so the deposit sequence each holder observes
+    /// is the global query order restricted to that holder, with deferred
+    /// runs landing one exchange late — bit-identical at any worker or
+    /// shard count (pinned by `tests/hint_cache.rs` and
+    /// `tests/message_plane.rs`). A run stands for its copies at the
+    /// position of its first one; since it only ever absorbed pushes made
+    /// while it was its holder's latest entry, the expanded sequence is
+    /// unchanged.
+    fn exchange_deposits(&mut self) {
         let CardWorld {
             shards,
             hint_stats,
-            lanes,
             plane,
             faults,
             ..
         } = self;
-        {
-            let (outboxes, _) = plane.split_mut();
-            for (src, lane) in lanes.iter_mut().enumerate() {
-                for &d in lane.deposits.runs() {
-                    outboxes[src].send(d.holder.index() / per, d);
-                }
-                lane.deposits.clear();
-            }
-        }
         // A lossy fault plane judges each deposit by its *content* (plus a
-        // shard-invariant sweep salt, so identical payloads in different
-        // sweeps draw independent verdicts) — never by transport
+        // shard-invariant exchange salt, so identical payloads in different
+        // exchanges draw independent verdicts) — never by transport
         // coordinates — keeping faulted deliveries bit-identical at any
         // shard count. The key leaves out a run's `count`: every copy
         // would draw the run's one verdict. Delayed deposits park in the
-        // plane's deferred lane and land at the next exchange.
+        // plane's deferred lane and land first at the next exchange.
         match faults.as_mut().filter(|rt| rt.plan.lossy()) {
             Some(rt) => {
-                rt.sweep_counter += 1;
-                let sweep = rt.sweep_counter;
+                rt.exchanges += 1;
+                let salt = rt.exchanges;
                 let plan = &rt.plan;
-                plane.exchange_faulted(|_, _, d| {
+                plane.exchange_faulted(|d| {
                     plan.message_verdict(FaultPlan::salted_key(&[
                         d.holder.index() as u64,
                         d.next_hop.index() as u64,
                         d.depth as u64,
                         d.key.bits(),
-                        sweep,
+                        salt,
                     ]))
                 });
             }
@@ -474,15 +466,15 @@ impl CardWorld {
         // Deterministic drain: each shard applies its own mailbox to its
         // own span store (no cross-shard writes), counters merged in
         // shard order.
-        let (_, mailboxes) = plane.split_mut();
+        let mailboxes = plane.mailboxes_mut();
         let mut drains: Vec<_> = shards.iter_mut().zip(mailboxes.iter_mut()).collect();
         let applied = parallel_shard_map(&mut drains, |_, (shard, mailbox)| {
             let mut delta = HintStats::default();
             let store = shard
                 .hints
                 .as_mut()
-                .expect("hinted sweep without span stores");
-            for (_src, d) in mailbox.drain() {
+                .expect("hinted exchange without span stores");
+            for d in mailbox.drain(..) {
                 store.deposit(&d, &mut delta);
             }
             delta

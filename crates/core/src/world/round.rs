@@ -56,9 +56,10 @@ pub(super) struct FaultRuntime {
     /// live fields — `down_now`, `partition_active`, `retry` — stay at
     /// their defaults here; [`CardWorld::fault_report`] reads them.
     report: FaultReport,
-    /// Shard-invariant salt mixed into deposit-message verdict keys so
-    /// identical payloads in different sweeps draw independent verdicts.
-    pub(super) sweep_counter: u64,
+    /// Lossy deposit exchanges run so far: the shard-invariant salt mixed
+    /// into deposit-message verdict keys, so identical payloads in
+    /// different exchanges draw independent verdicts.
+    pub(super) exchanges: u64,
 }
 
 /// Snapshot of the fault subsystem, surfaced by
@@ -400,7 +401,7 @@ impl CardWorld {
             plan,
             state: FaultState::new(n),
             report: FaultReport::default(),
-            sweep_counter: 0,
+            exchanges: 0,
         });
     }
 

@@ -8,9 +8,10 @@
 //! [`sim_core::par::shard_spans`] partition; `per = ceil(N / shards)`).
 //! There is no flat whole-network array behind the shards; cross-shard
 //! reads go through read-only views ([`TablesView`], [`HintsView`]) and
-//! cross-shard *writes* — hint deposits — become [`HintDeposit`] runs
-//! routed through a [`MessagePlane`] and applied by the owning shard in a
-//! deterministic drain phase (`queries.rs`).
+//! cross-shard *writes* — hint deposits — become
+//! [`HintDeposit`](crate::hints::HintDeposit) runs routed through a
+//! [`MessagePlane`] and applied by the owning shard in a deterministic
+//! drain phase (`queries.rs`).
 //!
 //! The whole-network protocol sweeps ([`CardWorld::select_all_contacts`]
 //! and [`CardWorld::validation_round`]) fan each shard out to exactly one
@@ -24,7 +25,7 @@ use sim_core::rng::RngStream;
 
 use crate::contact::{ContactTable, TableSource};
 use crate::csq::CsqScratch;
-use crate::hints::{HintDeposit, HintKey, HintLookup, HintStore, Lookup};
+use crate::hints::{HintKey, HintLookup, HintStore, Lookup};
 
 use super::queries::QueryLane;
 use super::CardWorld;
@@ -270,32 +271,20 @@ impl CardWorld {
         self.per = n.div_ceil(shards).max(1);
         self.lanes.resize_with(shards, || QueryLane::new(n));
         self.lanes.shrink_to_fit();
-        // Rebuild the plane at the new width, migrating any undelivered
-        // messages (a lossy fault plane can park deferred deposits between
-        // sweeps). Deferred messages re-enter the deferred lane of the
-        // holder's new owner — their delivery verdict is already spent, so
-        // re-sending them through an outbox would draw a second verdict
-        // and diverge from a run that never resharded. Queued messages
-        // (never yet exchanged) re-enter outboxes and are counted as sent
-        // at their first exchange, exactly as before the move. Both walks
-        // preserve global `(src, dst, seq)` order, so the per-holder
-        // delivery sequence is unchanged.
-        let (deferred, queued) = self.plane.take_undelivered();
+        // Rebuild the plane at the new width, migrating the deposits a
+        // lossy fault plane deferred from its last exchange (every send is
+        // exchanged within the call that made it, so nothing else is in
+        // flight). They re-enter the deferred lane of the holder's new
+        // owner — their delivery verdict is already spent, so re-sending
+        // them through an outbox would draw a second verdict and diverge
+        // from a run that never resharded. The walk keeps delivery order,
+        // so the per-holder delivery sequence is unchanged.
+        let deferred = self.plane.take_deferred();
         let plane_stats = self.plane.stats().clone();
         self.plane = MessagePlane::new(shards);
         *self.plane.stats_mut() = plane_stats;
-        let new_per = self.per;
-        let route = move |d: &HintDeposit| d.holder.index() / new_per;
         for msg in deferred {
-            let dst = route(&msg);
-            self.plane.defer(dst, dst, msg);
-        }
-        if !queued.is_empty() {
-            let (outboxes, _) = self.plane.split_mut();
-            for msg in queued {
-                let dst = route(&msg);
-                outboxes[dst].send(dst, msg);
-            }
+            self.plane.defer(msg.holder.index() / self.per, msg);
         }
     }
 

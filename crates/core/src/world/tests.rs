@@ -503,6 +503,39 @@ fn live_queries_warm_the_very_next_call() {
 }
 
 #[test]
+fn live_deposits_cross_the_lossy_plane() {
+    // A live query's deposits reach the store only through the message
+    // plane: under an all-drop plan a resolved query leaves the cache
+    // empty, and the plane counts its whole deposit weight (what a calm
+    // twin writes) as sent and dropped.
+    let mut w = hinted_world(3);
+    w.select_all_contacts();
+    let source = NodeId::new(0);
+    let reach = crate::reachability::reachability_set(w.network(), w.contact_tables(), source, 3);
+    let nb = w.network().tables().of(source);
+    let target = reach
+        .iter()
+        .map(NodeId::from)
+        .find(|&t| !nb.contains(t) && t != source)
+        .expect("some target resolves beyond the source's zone");
+    let mut calm = w.clone();
+    let calm_out = calm.query(source, target);
+    let weight = calm.hint_stats().deposits;
+    assert!(calm_out.found && weight > 0, "a resolved query deposits");
+    let all_drop = sim_core::faults::FaultConfig {
+        drop_rate: 1.0,
+        ..sim_core::faults::FaultConfig::calm()
+    };
+    w.enable_faults(FaultPlan::generate(&all_drop, 150, 5));
+    assert_eq!(w.query(source, target), calm_out);
+    assert!(w.hint_store().expect("hints on").is_empty());
+    assert_eq!(w.hint_stats().deposits, 0);
+    let ps = w.plane_stats();
+    assert_eq!((ps.sent, ps.dropped), (weight, weight));
+    assert_eq!(ps.sent, ps.local + ps.cross_shard + ps.dropped);
+}
+
+#[test]
 fn em_vs_pm_reachability_order() {
     // The headline Fig 3 claim, in miniature: EM ≥ PM in mean reachability.
     let em = {

@@ -167,9 +167,9 @@ fn drive_faulted(
     let mut driver = EventDriver::new(&w, &m, mode, workload(seed, horizon_ms));
     driver.drive(&mut w, &mut m, SimDuration::from_millis(horizon_ms));
     assert_eq!(driver.report().audit_violations, 0);
-    // Single queries apply hint deposits in place; only batched sweeps
-    // route them through the (lossy) message plane. Two sweeps exercise
-    // drop/delay verdicts and the deferred-delivery lane.
+    // The workload's single queries already sent their hint deposits
+    // through the (lossy) message plane; two sweeps add batched exchanges
+    // whose drop/delay verdicts exercise the deferred-delivery lane.
     let mut outcomes = driver.report().outcomes.clone();
     let pairs: Vec<(NodeId, NodeId)> = (0..48u32)
         .map(|i| {

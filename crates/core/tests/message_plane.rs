@@ -1,6 +1,7 @@
 //! Proptest harness pinning the cross-shard message plane's delivery
 //! contract: what the protocol routes through the plane — hint deposits
-//! drained in `(dst shard, src shard, seq)` order — and what it meters
+//! drained per destination shard, deferred runs first, then in
+//! `(src shard, seq)` order — and what it meters
 //! against it (validation traffic) must be **bit-identical** across
 //! protocol shard counts (including the one-shard degenerate case and
 //! more shards than nodes) and across
@@ -16,6 +17,7 @@
 //! (counters, live-slot count, epoch — plus a probe sweep, which reads
 //! every slot that matters through the cache).
 
+use card_core::hints::{HintKey, HintLookup, Lookup};
 use card_core::prelude::*;
 use card_core::world::MaintenanceTotals;
 use net_topology::node::NodeId;
@@ -29,16 +31,29 @@ fn scenario() -> Scenario {
     Scenario::new(NODES, 500.0, 500.0, 60.0)
 }
 
-fn world(seed: u64, hints: bool) -> CardWorld {
-    let cfg = CardConfig::default()
+fn config(seed: u64) -> CardConfig {
+    CardConfig::default()
         .with_radius(2)
         .with_max_contact_distance(8)
         .with_target_contacts(4)
         .with_depth(3)
-        .with_seed(seed);
-    let mut w = CardWorld::build(&scenario(), cfg);
+        .with_seed(seed)
+}
+
+fn world(seed: u64, hints: bool) -> CardWorld {
+    let mut w = CardWorld::build(&scenario(), config(seed));
     w.set_hints_enabled(hints);
     w
+}
+
+/// Every holder × target lookup of the hint cache: the per-slot state
+/// that deposit order decides (a live-slot count cannot tell which hint
+/// won a contested slot).
+fn lookups(w: &CardWorld) -> Vec<Lookup> {
+    let store = w.hint_store().expect("hinted world");
+    NodeId::all(NODES)
+        .flat_map(|h| NodeId::all(NODES).map(move |t| store.lookup(h, HintKey::node(t))))
+        .collect()
 }
 
 fn pairs(seed: u64, count: usize) -> Vec<(NodeId, NodeId)> {
@@ -291,7 +306,8 @@ fn skewed_pairs(seed: u64, block: usize, len: usize) -> Vec<(NodeId, NodeId)> {
 /// Everything a lossy run leaves that the plane could corrupt: outcomes,
 /// contact tables with tombstones, message series, maintenance, hint and
 /// fault counters, the shard-invariant plane projection, deferred
-/// deposits, pending retries and the live queries' outcomes.
+/// deposits, pending retries, the live queries' outcomes and every hint
+/// lookup.
 type LossyTrace = (
     Vec<QueryOutcome>,
     Vec<QueryOutcome>,
@@ -304,14 +320,16 @@ type LossyTrace = (
     usize,
     usize,
     Vec<QueryOutcome>,
+    Vec<Lookup>,
 );
 
-/// Selection, a faulted round, a lossy cold sweep, six live queries (their
-/// deposits land host-locally while the sweep's delayed runs are still in
-/// flight), an optional reshard (while the deferred lane may hold delayed
-/// runs), a round, a warm sweep and a round: the trace, plus the envelopes
-/// the plane moved (which depend on the shard counts, so they stay out of
-/// the trace).
+/// Selection, a faulted round, a lossy cold sweep, six live queries (each
+/// an exchange of its own: the first delivers the sweep's delayed runs
+/// ahead of its own deposits, which draw verdicts too), an optional
+/// reshard (while the deferred lane may hold runs the last live query
+/// delayed), a round, a warm sweep and a round: the trace, plus the
+/// envelopes the plane moved (which depend on the shard counts, so they
+/// stay out of the trace).
 fn lossy_run(
     seed: u64,
     plan: &FaultPlan,
@@ -327,7 +345,7 @@ fn lossy_run(
     let cold = w.query_all(workload); // lossy: deposits drop/defer
     let live: Vec<QueryOutcome> = workload[..6].iter().map(|&(s, t)| w.query(s, t)).collect();
     if let Some(k) = reshard {
-        w.set_shard_count(k); // migrates deferred + queued messages
+        w.set_shard_count(k); // migrates the deferred deposits
     }
     w.validation_round();
     let warm = w.query_all(workload);
@@ -358,8 +376,40 @@ fn lossy_run(
         w.plane_deferred_pending(),
         w.pending_query_retries(),
         live,
+        lookups(&w),
     );
     (trace, ps.envelopes)
+}
+
+/// Deferred runs land ahead of every fresh run, whichever shard sent
+/// them. Half of a first sweep's deposits are delayed into a second sweep
+/// of different pairs; with one slot per bucket the arrival order at each
+/// holder decides which hint keeps a contested slot, so every holder ×
+/// target lookup must match the one-shard run at any shard count.
+#[test]
+fn delayed_deposits_land_first_at_any_shard_count() {
+    let run = |seed: u64, shards: usize| {
+        let mut w = CardWorld::build(&scenario(), config(seed).with_hint_slots_per_bucket(1));
+        w.set_hints_enabled(true);
+        w.set_shard_count(shards);
+        w.select_all_contacts();
+        w.enable_faults(lossy_plan(seed, 0, 0, 50));
+        let first = w.query_all(&pairs(seed ^ 0x1, 300));
+        let second = w.query_all(&pairs(seed ^ 0x2, 300));
+        let deferred = w.plane_deferred_pending();
+        (first, second, w.hint_stats().clone(), lookups(&w), deferred)
+    };
+    for seed in [11u64, 23, 37, 41, 53] {
+        let reference = run(seed, 1);
+        assert!(reference.2.deposits > 0 && reference.4 > 0, "seed {seed}");
+        for shards in [2usize, 3, 5, 8] {
+            assert_eq!(
+                run(seed, shards),
+                reference,
+                "seed {seed}: {shards} shards diverged from 1"
+            );
+        }
+    }
 }
 
 /// Non-proptest smoke pinning the degenerate cases by name: one shard,

@@ -242,7 +242,7 @@ impl FaultPlan {
 
     /// Delivery verdict for a message identified by `key`. The key must be
     /// derived from message *content* (and, if repeats are possible, a
-    /// round/sweep salt) — never from shard indices or queue positions — so
+    /// round or exchange salt) — never from shard indices or queue positions — so
     /// the verdict is invariant across shard and worker counts.
     pub fn message_verdict(&self, key: u64) -> FaultVerdict {
         if self.delay_cut == 0 {
@@ -270,8 +270,9 @@ impl FaultPlan {
         mix(self.seed ^ mix(key ^ 0x56414c)) < self.drop_cut
     }
 
-    /// Mix a message-content key with a sweep salt, for callers that send
-    /// identical payloads across rounds and want independent verdicts.
+    /// Mix a message-content key with a round or exchange salt, for callers
+    /// that send identical payloads across rounds and want independent
+    /// verdicts.
     pub fn salted_key(parts: &[u64]) -> u64 {
         let mut h = 0x100001b3u64;
         for &p in parts {

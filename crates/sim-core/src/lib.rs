@@ -32,8 +32,9 @@
 //!   threads die with the process.
 //! * [`plane`] — the cross-shard message plane: shard-owned outboxes and
 //!   mailboxes with batched, double-buffered exchange rounds and a
-//!   deterministic `(dst shard, src shard, send seq)` delivery order,
-//!   the seam along which in-process shards become process-level ones.
+//!   deterministic delivery order (per destination shard: deferred
+//!   messages first, then `(src shard, send seq)`), the seam along which
+//!   in-process shards become process-level ones.
 //! * [`faults`] — deterministic fault injection: seeded [`faults::FaultPlan`]s
 //!   scheduling node crash/rejoin events, a frozen partition window, and
 //!   content-keyed per-message drop/delay verdicts applied at the plane's
@@ -88,7 +89,7 @@ pub mod prelude {
     pub use crate::event::EventQueue;
     pub use crate::faults::{FaultConfig, FaultPlan, FaultState, FaultVerdict};
     pub use crate::par::{parallel_map, parallel_map_with, parallel_shard_map};
-    pub use crate::plane::{Envelope, Mailbox, MessagePlane, Outbox, PlaneStats};
+    pub use crate::plane::{Envelope, MessagePlane, Outbox, PlaneStats};
     pub use crate::rng::{RngStream, SeedSplitter};
     pub use crate::stats::{MsgStats, TimeSeries};
     pub use crate::time::{SimDuration, SimTime};

@@ -8,45 +8,47 @@
 //! a [`MessagePlane`]: the sending shard pushes into its own
 //! [`Outbox`] during a parallel phase (no locks, no sharing), the caller
 //! runs [`MessagePlane::exchange`] as a sequential barrier, and each
-//! receiving shard then drains its [`Mailbox`] in the next parallel
-//! phase.
+//! receiving shard then drains its mailbox (a plain `Vec`, one per
+//! destination shard) in the next parallel phase.
 //!
 //! ## Delivery-order contract
 //!
-//! `exchange` moves every queued message into the destination mailboxes
-//! in **(destination shard, source shard, send sequence)** order:
+//! `exchange` moves every message into the destination mailboxes in
+//! **(destination shard, deferred first, source shard, send sequence)**
+//! order:
 //!
-//! * mailbox `d` holds all messages addressed to shard `d`, grouped by
-//!   ascending source shard;
+//! * mailbox `d` holds all messages addressed to shard `d`: first every
+//!   message a faulted exchange deferred to `d` (see below), then this
+//!   round's fresh traffic grouped by ascending source shard;
 //! * within one `(source, destination)` pair, messages appear in the
 //!   exact order the source pushed them (per-channel FIFO).
 //!
-//! Draining mailboxes `0..shards` in index order therefore replays the
-//! global `(dst, src, seq)` order — a pure function of *what each shard
-//! sent*, never of worker count or thread interleaving. This is what
-//! lets plane-routed protocol paths stay bit-identical to their retained
-//! serial references at any shard x worker combination. The faulted
-//! exchange keeps the contract: verdicts are keyed on message content,
-//! and deferred messages re-enter delivery at the head of their original
-//! `(src, dst)` lane.
+//! Draining mailboxes `0..shards` in index order therefore replays a
+//! global order that is a pure function of *what each shard sent*, never
+//! of worker count or thread interleaving. This is what lets
+//! plane-routed protocol paths stay bit-identical to their retained
+//! serial references at any shard x worker combination.
 //!
 //! ## Double buffering
 //!
 //! Outbox lanes and mailboxes are long-lived `Vec`s: `exchange` drains
 //! lanes into mailboxes without freeing capacity, so steady-state rounds
-//! allocate nothing. A round trip (request phase, exchange, serve phase,
-//! exchange, integrate phase) reuses the same buffers each level.
+//! allocate nothing.
 //!
 //! ## Faulted exchange
 //!
 //! [`MessagePlane::exchange_faulted`] is the fault-injection boundary: a
 //! caller-supplied verdict function (see [`crate::faults::FaultPlan::message_verdict`])
 //! classifies each *fresh* message as delivered, dropped, or delayed.
-//! Delayed messages park in a per-`(src, dst)` deferred lane and are
-//! delivered **unconditionally** at the next exchange, *before* that
-//! round's fresh traffic on the same lane — so per-channel FIFO among
-//! surviving messages is preserved and nothing is delayed twice. The
-//! traffic ledger accounts for every message exactly once:
+//! Delayed messages park in their destination's deferred lane and are
+//! delivered **unconditionally** at the next exchange, ahead of all of
+//! that round's fresh traffic: they were sent in an earlier round, so
+//! they precede everything sent in this one, whatever shard sent them.
+//! Deferred-first is what keeps a faulted history shard-invariant — if a
+//! deferred message waited behind fresh traffic from lower-numbered
+//! source shards, a holder's delivery order would depend on where the
+//! shard boundaries fall. Nothing is delayed twice. The traffic ledger
+//! accounts for every message exactly once:
 //!
 //! ```text
 //! sent == local + cross_shard + dropped + deferred_pending()
@@ -121,54 +123,6 @@ impl<M> Outbox<M> {
     }
 }
 
-impl<M: Envelope> Outbox<M> {
-    /// Logical messages queued across all lanes (not yet exchanged).
-    pub fn pending(&self) -> usize {
-        self.lanes
-            .iter()
-            .flatten()
-            .map(|m| m.weight() as usize)
-            .sum()
-    }
-}
-
-/// Per-destination-shard receive buffer.
-///
-/// After an exchange, holds `(source shard, message)` pairs sorted by
-/// ascending source shard, FIFO within each source.
-#[derive(Debug, Default, Clone)]
-pub struct Mailbox<M> {
-    msgs: Vec<(u32, M)>,
-}
-
-impl<M> Mailbox<M> {
-    /// Delivered messages in `(src, seq)` order.
-    #[inline]
-    pub fn msgs(&self) -> &[(u32, M)] {
-        &self.msgs
-    }
-
-    /// Number of delivered messages.
-    pub fn len(&self) -> usize {
-        self.msgs.len()
-    }
-
-    /// True when nothing was delivered this round.
-    pub fn is_empty(&self) -> bool {
-        self.msgs.is_empty()
-    }
-
-    /// Iterate delivered messages in `(src, seq)` order.
-    pub fn iter(&self) -> impl Iterator<Item = &(u32, M)> {
-        self.msgs.iter()
-    }
-
-    /// Drain delivered messages in `(src, seq)` order, keeping capacity.
-    pub fn drain(&mut self) -> impl Iterator<Item = (u32, M)> + '_ {
-        self.msgs.drain(..)
-    }
-}
-
 /// Traffic accounting for one plane. All counters are cumulative over
 /// the plane's lifetime.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -197,22 +151,6 @@ pub struct PlaneStats {
     pub metered_crossings: u64,
 }
 
-impl PlaneStats {
-    /// Fold another stats block into this one (`max_round_msgs` takes
-    /// the max, everything else sums).
-    pub fn merge(&mut self, other: &PlaneStats) {
-        self.rounds += other.rounds;
-        self.sent += other.sent;
-        self.envelopes += other.envelopes;
-        self.cross_shard += other.cross_shard;
-        self.local += other.local;
-        self.max_round_msgs = self.max_round_msgs.max(other.max_round_msgs);
-        self.dropped += other.dropped;
-        self.delayed += other.delayed;
-        self.metered_crossings += other.metered_crossings;
-    }
-}
-
 /// Shard-to-shard message plane with deterministic batched delivery.
 ///
 /// See the [module docs](self) for the ordering contract. Typical use:
@@ -227,17 +165,21 @@ impl PlaneStats {
 /// }
 /// plane.exchange();
 /// // parallel phase: each worker drains its own mailbox
-/// assert_eq!(plane.mailbox(1).msgs(), &[(0, 0u64)]);
+/// assert_eq!(plane.mailbox(1), &[0u64]);
 /// assert_eq!(plane.stats().sent, 3);
 /// ```
 #[derive(Debug, Clone)]
 pub struct MessagePlane<M> {
     shards: usize,
     outboxes: Vec<Outbox<M>>,
-    /// Messages a faulted exchange delayed, kept in their original
-    /// `(src, dst)` lane; delivered unconditionally next exchange.
-    deferred: Vec<Outbox<M>>,
-    mailboxes: Vec<Mailbox<M>>,
+    /// Messages a faulted exchange delayed, one lane per destination in
+    /// delivery order; delivered unconditionally, first, next exchange.
+    deferred: Vec<Vec<M>>,
+    /// Logical weight of the deferred messages whose source shard differs
+    /// from their destination: the cross-shard part of their delivery.
+    deferred_cross: u64,
+    /// Delivered messages per destination shard, in delivery order.
+    mailboxes: Vec<Vec<M>>,
     stats: PlaneStats,
 }
 
@@ -248,15 +190,11 @@ impl<M: Envelope> MessagePlane<M> {
         MessagePlane {
             shards,
             outboxes: (0..shards).map(|_| Outbox::new(shards)).collect(),
-            deferred: (0..shards).map(|_| Outbox::new(shards)).collect(),
-            mailboxes: (0..shards).map(|_| Mailbox { msgs: Vec::new() }).collect(),
+            deferred: (0..shards).map(|_| Vec::new()).collect(),
+            deferred_cross: 0,
+            mailboxes: (0..shards).map(|_| Vec::new()).collect(),
             stats: PlaneStats::default(),
         }
-    }
-
-    /// Number of shards this plane connects.
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// The outboxes, one per source shard, for zipping into a parallel
@@ -266,82 +204,77 @@ impl<M: Envelope> MessagePlane<M> {
     }
 
     /// The mailboxes, one per destination shard, for a parallel drain
-    /// phase after an exchange.
-    pub fn mailboxes_mut(&mut self) -> &mut [Mailbox<M>] {
+    /// phase after an exchange (`Vec::drain` keeps their capacity).
+    pub fn mailboxes_mut(&mut self) -> &mut [Vec<M>] {
         &mut self.mailboxes
     }
 
-    /// Read access to one mailbox.
-    pub fn mailbox(&self, dst: usize) -> &Mailbox<M> {
+    /// The messages delivered to shard `dst`, in delivery order.
+    pub fn mailbox(&self, dst: usize) -> &[M] {
         &self.mailboxes[dst]
-    }
-
-    /// Split mutable access: `(outboxes, mailboxes)` at once, for phases
-    /// that read a mailbox while queuing replies (serve phases).
-    pub fn split_mut(&mut self) -> (&mut [Outbox<M>], &mut [Mailbox<M>]) {
-        (&mut self.outboxes, &mut self.mailboxes)
     }
 
     /// Deliver every queued message: sequential barrier between two
     /// parallel phases.
     ///
-    /// Clears each mailbox (keeping capacity), then for destination
-    /// shards in ascending order appends each source shard's lane in
+    /// Clears each mailbox (keeping capacity), then fills each one with
+    /// the messages deferred to it, then its source shards' lanes in
     /// ascending source order, preserving per-lane FIFO. Returns the
     /// number of logical messages moved this round.
     pub fn exchange(&mut self) -> usize {
-        self.exchange_faulted(|_, _, _| FaultVerdict::Deliver)
+        self.exchange_faulted(|_| FaultVerdict::Deliver)
     }
 
     /// [`exchange`](Self::exchange) with a fault boundary: `verdict`
-    /// classifies each fresh message (given its source shard, destination
-    /// shard and content) as delivered, dropped, or delayed by one
-    /// exchange. Messages deferred by a *previous* exchange are delivered
-    /// unconditionally first, ahead of the same lane's fresh traffic, so
-    /// surviving messages keep per-channel FIFO order and nothing is
-    /// delayed twice. Returns the number of logical messages delivered.
+    /// classifies each fresh message by its content as delivered, dropped,
+    /// or delayed by one exchange. Messages deferred by a *previous*
+    /// exchange are delivered unconditionally, ahead of all fresh traffic
+    /// to their destination, so nothing is delayed twice. Returns the
+    /// number of logical messages delivered.
     ///
-    /// For the determinism contract, `verdict` must depend only on
-    /// message content (plus any round salt) — never on shard indices or
-    /// queue positions — so that re-sharding the same protocol history
-    /// yields the same fault history. The shard arguments are provided
-    /// for accounting, not for decision-making.
+    /// `verdict` sees no shard index or queue position, so re-sharding
+    /// the same protocol history yields the same fault history; a caller
+    /// that sends identical payloads in different rounds salts its keys.
     pub fn exchange_faulted<F>(&mut self, mut verdict: F) -> usize
     where
-        F: FnMut(usize, usize, &M) -> FaultVerdict,
+        F: FnMut(&M) -> FaultVerdict,
     {
-        let mut round = 0u64;
-        let mut fresh = 0u64;
-        for dst in 0..self.shards {
-            self.mailboxes[dst].msgs.clear();
+        // Deferred traffic first: it was sent in an earlier round and its
+        // verdict is already spent.
+        let mut deferred = 0u64;
+        for (mailbox, dlane) in self.mailboxes.iter_mut().zip(&mut self.deferred) {
+            mailbox.clear();
+            deferred += dlane.iter().map(M::weight).sum::<u64>();
+            mailbox.append(dlane);
         }
+        self.stats.cross_shard += self.deferred_cross;
+        self.stats.local += deferred - self.deferred_cross;
+        self.deferred_cross = 0;
+        let mut round = deferred;
+        let mut fresh = 0u64;
+        // Then fresh traffic, appended to each mailbox in ascending source
+        // order. `sent` counts each message exactly once, at its first
+        // exchange.
         for src in 0..self.shards {
             for dst in 0..self.shards {
-                // Logical deliveries on this lane (deferred and fresh).
                 let mut delivered = 0u64;
-                // Deferred traffic first: its send sequence predates this
-                // round's lane and its verdict was already spent.
-                let dlane = &mut self.deferred[src].lanes[dst];
-                if !dlane.is_empty() {
-                    delivered += dlane.iter().map(M::weight).sum::<u64>();
-                    self.mailboxes[dst]
-                        .msgs
-                        .extend(dlane.drain(..).map(|m| (src as u32, m)));
-                }
                 let lane = &mut self.outboxes[src].lanes[dst];
                 self.stats.envelopes += lane.len() as u64;
                 for m in lane.drain(..) {
                     let w = m.weight();
                     fresh += w;
-                    match verdict(src, dst, &m) {
+                    match verdict(&m) {
                         FaultVerdict::Deliver => {
                             delivered += w;
-                            self.mailboxes[dst].msgs.push((src as u32, m));
+                            self.mailboxes[dst].push(m);
                         }
                         FaultVerdict::Drop => self.stats.dropped += w,
                         FaultVerdict::Delay => {
                             self.stats.delayed += w;
-                            self.deferred[src].lanes[dst].push(m);
+                            if src != dst {
+                                self.deferred_cross += w;
+                            }
+                            self.deferred[dst].push(m);
                         }
                     }
                 }
@@ -353,10 +286,6 @@ impl<M: Envelope> MessagePlane<M> {
                 }
             }
         }
-        // Mailbox order must be (src, seq): lanes were appended in
-        // ascending src per dst because the outer loop above fills each
-        // mailbox once per src in ascending order. `sent` counts each
-        // message exactly once, at its first exchange.
         self.stats.rounds += 1;
         self.stats.sent += fresh;
         self.stats.max_round_msgs = self.stats.max_round_msgs.max(round);
@@ -380,57 +309,57 @@ impl<M: Envelope> MessagePlane<M> {
     /// `dropped` and the ledger still closes; queued ones were never sent.
     pub fn clear_pending(&mut self) {
         self.stats.dropped += self.deferred_pending() as u64;
-        for ob in self.outboxes.iter_mut().chain(self.deferred.iter_mut()) {
-            for lane in &mut ob.lanes {
-                lane.clear();
-            }
+        self.deferred_cross = 0;
+        for lane in self.outboxes.iter_mut().flat_map(|ob| &mut ob.lanes) {
+            lane.clear();
+        }
+        for lane in &mut self.deferred {
+            lane.clear();
         }
     }
 
     /// Logical messages currently parked in the deferred lanes (delayed
     /// by a faulted exchange and not yet delivered).
     pub fn deferred_pending(&self) -> usize {
-        self.deferred.iter().map(Outbox::pending).sum()
+        self.deferred
+            .iter()
+            .flatten()
+            .map(|m| m.weight() as usize)
+            .sum()
     }
 
     /// Heap bytes reserved by the outbox lanes, deferred lanes and
     /// mailboxes — transient buffers that live between exchanges, kept
     /// for reuse (see "Double buffering").
     pub fn buffer_bytes(&self) -> usize {
-        let lanes: usize = self
-            .outboxes
+        let outboxes: usize = self.outboxes.iter().map(Outbox::buffer_bytes).sum();
+        let held: usize = self
+            .deferred
             .iter()
-            .chain(&self.deferred)
-            .map(Outbox::buffer_bytes)
+            .map(Vec::capacity)
+            .chain(self.mailboxes.iter().map(Vec::capacity))
             .sum();
-        let mailboxes: usize = self.mailboxes.iter().map(|mb| mb.msgs.capacity()).sum();
-        lanes + mailboxes * std::mem::size_of::<(u32, M)>()
+        outboxes + held * std::mem::size_of::<M>()
     }
 
-    /// Take every undelivered message out of the plane, for migration to
-    /// a plane with a different shard count: returns `(deferred, queued)`
-    /// where each vector is in global `(src, dst, seq)` order. The
-    /// deferred messages have already spent their fault verdict and
-    /// should be re-injected with [`defer`](Self::defer); the queued ones
-    /// were never exchanged and should be re-sent through an outbox.
-    pub fn take_undelivered(&mut self) -> (Vec<M>, Vec<M>) {
-        let mut deferred = Vec::new();
-        let mut queued = Vec::new();
-        for src in 0..self.shards {
-            for dst in 0..self.shards {
-                deferred.append(&mut self.deferred[src].lanes[dst]);
-                queued.append(&mut self.outboxes[src].lanes[dst]);
-            }
-        }
-        (deferred, queued)
+    /// Take every deferred message out of the plane, in delivery order,
+    /// for migration to a plane with a different shard count. They have
+    /// already spent their fault verdict: re-inject them with
+    /// [`defer`](Self::defer).
+    pub fn take_deferred(&mut self) -> Vec<M> {
+        self.deferred_cross = 0;
+        self.deferred
+            .iter_mut()
+            .flat_map(|lane| lane.drain(..))
+            .collect()
     }
 
-    /// Park `msg` in the `(src, dst)` deferred lane: it will be delivered
-    /// unconditionally at the next exchange, before fresh traffic on the
-    /// same lane. Used to migrate in-flight delayed messages across a
-    /// shard-count change.
-    pub fn defer(&mut self, src: usize, dst: usize, msg: M) {
-        self.deferred[src].lanes[dst].push(msg);
+    /// Park `msg` in `dst`'s deferred lane: it will be delivered
+    /// unconditionally at the next exchange, ahead of fresh traffic, and
+    /// counted as a local delivery. Used to migrate in-flight delayed
+    /// messages across a shard-count change.
+    pub fn defer(&mut self, dst: usize, msg: M) {
+        self.deferred[dst].push(msg);
     }
 }
 
@@ -450,12 +379,9 @@ mod tests {
         let moved = plane.exchange();
         assert_eq!(moved, 5);
         // mailbox 0: src 0 first (FIFO), then src 1, then src 2 (FIFO)
-        assert_eq!(
-            plane.mailbox(0).msgs(),
-            &[(0, 1u32), (1, 10), (2, 20), (2, 21)]
-        );
-        assert_eq!(plane.mailbox(1).msgs(), &[]);
-        assert_eq!(plane.mailbox(2).msgs(), &[(0, 2u32)]);
+        assert_eq!(plane.mailbox(0), &[1u32, 10, 20, 21]);
+        assert!(plane.mailbox(1).is_empty());
+        assert_eq!(plane.mailbox(2), &[2u32]);
     }
 
     #[test]
@@ -481,14 +407,14 @@ mod tests {
             plane.outboxes_mut()[0].send(1, i);
         }
         plane.exchange();
-        let cap = plane.mailboxes_mut()[1].msgs.capacity();
-        assert!(plane.mailbox(1).len() == 64);
+        let cap = plane.mailboxes_mut()[1].capacity();
+        assert_eq!(plane.mailbox(1).len(), 64);
         for i in 0..64 {
             plane.outboxes_mut()[0].send(1, i);
         }
         plane.exchange();
         // same round shape: no mailbox regrowth
-        assert_eq!(plane.mailboxes_mut()[1].msgs.capacity(), cap);
+        assert_eq!(plane.mailboxes_mut()[1].capacity(), cap);
         assert_eq!(plane.mailbox(1).len(), 64);
     }
 
@@ -497,7 +423,7 @@ mod tests {
         let mut plane: MessagePlane<u8> = MessagePlane::new(1);
         plane.outboxes_mut()[0].send(0, 7);
         plane.exchange();
-        assert_eq!(plane.mailbox(0).msgs(), &[(0, 7u8)]);
+        assert_eq!(plane.mailbox(0), &[7u8]);
         assert_eq!(plane.stats().local, 1);
         assert_eq!(plane.stats().cross_shard, 0);
     }
@@ -506,52 +432,16 @@ mod tests {
     fn clear_pending_drops_queued_messages() {
         let mut plane: MessagePlane<u8> = MessagePlane::new(2);
         plane.outboxes_mut()[0].send(1, 9);
-        assert_eq!(plane.outboxes_mut()[0].pending(), 1);
         plane.clear_pending();
-        assert_eq!(plane.outboxes_mut()[0].pending(), 0);
-        plane.exchange();
+        assert_eq!(plane.exchange(), 0);
         assert!(plane.mailbox(1).is_empty());
         // A deferred message was already sent: discarding it is a drop.
         plane.outboxes_mut()[0].send(1, 7);
-        plane.exchange_faulted(|_, _, _| FaultVerdict::Delay);
+        plane.exchange_faulted(|_| FaultVerdict::Delay);
         plane.clear_pending();
         let s = plane.stats();
         assert_eq!((s.sent, s.dropped, plane.deferred_pending()), (1, 1, 0));
         assert_eq!(s.sent, s.local + s.cross_shard + s.dropped);
-    }
-
-    #[test]
-    fn merge_folds_stats() {
-        let mut a = PlaneStats {
-            rounds: 1,
-            sent: 10,
-            envelopes: 7,
-            cross_shard: 4,
-            local: 6,
-            max_round_msgs: 10,
-            dropped: 1,
-            delayed: 2,
-            metered_crossings: 2,
-        };
-        let b = PlaneStats {
-            rounds: 2,
-            sent: 5,
-            envelopes: 5,
-            cross_shard: 5,
-            local: 0,
-            max_round_msgs: 12,
-            dropped: 3,
-            delayed: 1,
-            metered_crossings: 1,
-        };
-        a.merge(&b);
-        assert_eq!(a.rounds, 3);
-        assert_eq!(a.sent, 15);
-        assert_eq!(a.envelopes, 12);
-        assert_eq!(a.max_round_msgs, 12);
-        assert_eq!(a.dropped, 4);
-        assert_eq!(a.delayed, 3);
-        assert_eq!(a.metered_crossings, 3);
     }
 
     #[test]
@@ -561,13 +451,13 @@ mod tests {
         plane.outboxes_mut()[0].send(1, 2); // delayed
         plane.outboxes_mut()[0].send(1, 3); // delivered
         plane.outboxes_mut()[1].send(1, 4); // delivered (local)
-        let moved = plane.exchange_faulted(|_, _, &m| match m {
+        let moved = plane.exchange_faulted(|&m| match m {
             1 => FaultVerdict::Drop,
             2 => FaultVerdict::Delay,
             _ => FaultVerdict::Deliver,
         });
         assert_eq!(moved, 2);
-        assert_eq!(plane.mailbox(1).msgs(), &[(0, 3u32), (1, 4)]);
+        assert_eq!(plane.mailbox(1), &[3u32, 4]);
         let s = plane.stats().clone();
         assert_eq!((s.sent, s.dropped, s.delayed), (4, 1, 1));
         assert_eq!(plane.deferred_pending(), 1);
@@ -578,15 +468,33 @@ mod tests {
         // Next exchange delivers the deferred message unconditionally,
         // even with an all-drop verdict, and ahead of fresh traffic.
         plane.outboxes_mut()[0].send(1, 5);
-        let moved = plane.exchange_faulted(|_, _, &m| {
+        let moved = plane.exchange_faulted(|&m| {
             assert_ne!(m, 2, "deferred message must not be re-verdicted");
             FaultVerdict::Deliver
         });
         assert_eq!(moved, 2);
-        assert_eq!(plane.mailbox(1).msgs(), &[(0, 2u32), (0, 5)]);
+        assert_eq!(plane.mailbox(1), &[2u32, 5]);
         assert_eq!(plane.deferred_pending(), 0);
         let s = plane.stats();
         assert_eq!(s.sent, s.local + s.cross_shard + s.dropped);
+        assert_eq!((s.local, s.cross_shard), (1, 3));
+    }
+
+    #[test]
+    fn deferred_messages_precede_all_fresh_traffic() {
+        let mut plane: MessagePlane<u32> = MessagePlane::new(2);
+        plane.outboxes_mut()[1].send(0, 10); // delayed
+        plane.exchange_faulted(|_| FaultVerdict::Delay);
+        assert!(plane.mailbox(0).is_empty());
+        // Source 0's fresh traffic sorts ahead of source 1's on the same
+        // round, but source 1's deferred message was sent a round earlier:
+        // it lands first, wherever the shard boundaries fall.
+        plane.outboxes_mut()[0].send(0, 1);
+        plane.outboxes_mut()[1].send(0, 11);
+        assert_eq!(plane.exchange(), 3);
+        assert_eq!(plane.mailbox(0), &[10u32, 1, 11]);
+        let s = plane.stats();
+        assert_eq!((s.sent, s.local, s.cross_shard), (3, 1, 2));
     }
 
     /// A counted run of identical payloads, as a sender-side combiner
@@ -607,14 +515,13 @@ mod tests {
         plane.outboxes_mut()[0].send(1, Run(2, 3)); // delayed
         plane.outboxes_mut()[0].send(0, Run(3, 4)); // delivered (local)
         plane.outboxes_mut()[1].send(0, Run(4, 2)); // delivered (cross)
-        assert_eq!(plane.outboxes_mut()[0].pending(), 12);
-        let moved = plane.exchange_faulted(|_, _, m| match m.0 {
+        let moved = plane.exchange_faulted(|m| match m.0 {
             1 => FaultVerdict::Drop,
             2 => FaultVerdict::Delay,
             _ => FaultVerdict::Deliver,
         });
         assert_eq!(moved, 6);
-        assert_eq!(plane.mailbox(0).msgs(), &[(0, Run(3, 4)), (1, Run(4, 2))]);
+        assert_eq!(plane.mailbox(0), &[Run(3, 4), Run(4, 2)]);
         let s = plane.stats().clone();
         assert_eq!((s.sent, s.envelopes), (14, 4));
         assert_eq!((s.local, s.cross_shard, s.dropped, s.delayed), (4, 2, 5, 3));
@@ -627,7 +534,7 @@ mod tests {
         // The delayed run lands whole at the next exchange; it was sent
         // (and counted as an envelope) once, at its first exchange.
         assert_eq!(plane.exchange(), 3);
-        assert_eq!(plane.mailbox(1).msgs(), &[(0, Run(2, 3))]);
+        assert_eq!(plane.mailbox(1), &[Run(2, 3)]);
         let s = plane.stats();
         assert_eq!((s.sent, s.envelopes, s.cross_shard), (14, 4, 5));
         assert_eq!(s.sent, s.local + s.cross_shard + s.dropped);
@@ -635,24 +542,21 @@ mod tests {
     }
 
     #[test]
-    fn take_undelivered_splits_deferred_and_queued() {
+    fn take_deferred_migrates_in_delivery_order() {
         let mut plane: MessagePlane<u32> = MessagePlane::new(2);
+        plane.outboxes_mut()[1].send(1, 12);
         plane.outboxes_mut()[0].send(1, 10);
-        plane.exchange_faulted(|_, _, _| FaultVerdict::Delay);
-        plane.outboxes_mut()[1].send(0, 20);
-        plane.outboxes_mut()[1].send(0, 21);
-        let (deferred, queued) = plane.take_undelivered();
-        assert_eq!(deferred, vec![10]);
-        assert_eq!(queued, vec![20, 21]);
+        plane.outboxes_mut()[0].send(0, 11);
+        plane.exchange_faulted(|_| FaultVerdict::Delay);
+        assert_eq!(plane.take_deferred(), vec![11, 10, 12]);
         assert_eq!(plane.deferred_pending(), 0);
-        assert_eq!(plane.outboxes_mut()[1].pending(), 0);
         // Re-injecting via defer() delivers at the next exchange.
         let mut fresh: MessagePlane<u32> = MessagePlane::new(1);
-        fresh.defer(0, 0, 10);
+        fresh.defer(0, 10);
         fresh.exchange();
-        assert_eq!(fresh.mailbox(0).msgs(), &[(0, 10u32)]);
-        // defer() delivery adds to local/cross but not to sent: the
-        // message was already counted at its original exchange.
+        assert_eq!(fresh.mailbox(0), &[10u32]);
+        // defer() delivery adds to local but not to sent: the message was
+        // already counted at its original exchange.
         assert_eq!(fresh.stats().sent, 0);
         assert_eq!(fresh.stats().local, 1);
     }
