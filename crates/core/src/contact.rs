@@ -85,6 +85,55 @@ impl<T: TableSource + ?Sized> TableSource for &mut T {
     }
 }
 
+/// A capped exponential backoff on the validation-round lattice — the one
+/// timer behind selection backoff, the per-contact validation retry and
+/// the query retry queue. Each failure raises the level and opens a
+/// window of `2^min(level, cap) − 1` rounds; [`tick`](Self::tick) spends
+/// one round of it; a success resets it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Backoff {
+    /// Consecutive failures.
+    level: u32,
+    /// Rounds of the open window not yet spent.
+    remaining: u32,
+}
+
+impl Backoff {
+    /// The state after `level` consecutive failures, its window unspent.
+    pub(crate) fn failed(level: u32, cap: u32) -> Self {
+        let remaining = (1u32 << level.min(cap)) - 1;
+        Backoff { level, remaining }
+    }
+
+    /// One more failure; returns the new level.
+    pub(crate) fn fail(&mut self, cap: u32) -> u32 {
+        *self = Backoff::failed(self.level.saturating_add(1), cap);
+        self.level
+    }
+
+    /// Advance one round: `true` (one round of the window spent) while the
+    /// window is open, `false` once the timer is due.
+    pub(crate) fn tick(&mut self) -> bool {
+        let open = self.remaining > 0;
+        self.remaining -= u32::from(open);
+        open
+    }
+
+    /// A success: level and window cleared.
+    pub(crate) fn reset(&mut self) {
+        *self = Backoff::default();
+    }
+
+    /// Consecutive failures so far.
+    pub(crate) fn level(&self) -> u32 {
+        self.level
+    }
+}
+
+/// The per-contact retry window grows as far as a `u32` counts rounds
+/// (`2^31 − 1`); `validation_retry_cap` evicts the contact long before.
+const CONTACT_RETRY_CAP: u32 = 31;
+
 /// The contact table of one source node.
 ///
 /// Besides the live contacts, the table carries two pieces of robustness
@@ -95,18 +144,18 @@ impl<T: TableSource + ?Sized> TableSource for &mut T {
 ///   A tombstoned id is skipped by CSQ re-selection until its TTL, counted
 ///   in validation rounds, runs out; this stops a node from immediately
 ///   re-selecting a peer it just watched die.
-/// * **retry state** — per-contact unacked-validation backoff. A contact
-///   whose validation probe went unanswered is kept but *skipped* for
-///   `2^level - 1` rounds (the same exponential shape as the table-wide
-///   `backoff_remaining`/`backoff_level` selection backoff in `world.rs`);
-///   each further miss bumps the level until a cap evicts the contact.
+/// * **retry state** — per-contact unacked-validation [`Backoff`]. A
+///   contact whose validation probe went unanswered is kept but *skipped*
+///   for `2^level - 1` rounds (the same timer as the table-wide selection
+///   backoff in `world/round.rs`); each further miss bumps the level until
+///   a cap evicts the contact.
 #[derive(Clone, Debug, Default)]
 pub struct ContactTable {
     contacts: Vec<Contact>,
     /// `(dead contact, remaining TTL in validation rounds)`.
     tombstones: Vec<(NodeId, u32)>,
-    /// `(contact, retry level, rounds left to skip)`.
-    retries: Vec<(NodeId, u32, u32)>,
+    /// `(contact, its retry backoff)`.
+    retries: Vec<(NodeId, Backoff)>,
 }
 
 impl ContactTable {
@@ -230,43 +279,28 @@ impl ContactTable {
     /// and schedule `2^level - 1` skipped rounds. Returns the new level
     /// (first miss returns 1).
     pub fn note_unacked(&mut self, node: NodeId) -> u32 {
-        if let Some(r) = self.retries.iter_mut().find(|r| r.0 == node) {
-            r.1 += 1;
-            r.2 = (1u32 << r.1) - 1;
-            r.1
-        } else {
-            self.retries.push((node, 1, 1));
-            1
-        }
+        let at = self.retries.iter().position(|r| r.0 == node);
+        let at = at.unwrap_or_else(|| {
+            self.retries.push((node, Backoff::default()));
+            self.retries.len() - 1
+        });
+        self.retries[at].1.fail(CONTACT_RETRY_CAP)
     }
 
     /// If `node` is inside a retry-skip window, consume one round of it
     /// and return `true` (the caller must not probe the contact this
     /// round). Returns `false` when the contact is due for a retry.
     pub fn retry_skip(&mut self, node: NodeId) -> bool {
-        if let Some(r) = self.retries.iter_mut().find(|r| r.0 == node) {
-            if r.2 > 0 {
-                r.2 -= 1;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// The retry level of `node` (0 when no probe is outstanding).
-    pub fn retry_level(&self, node: NodeId) -> u32 {
-        self.retries.iter().find(|r| r.0 == node).map_or(0, |r| r.1)
+        self.retries
+            .iter_mut()
+            .find(|r| r.0 == node)
+            .is_some_and(|r| r.1.tick())
     }
 
     /// Clear retry state for `node` (its validation was acked, or the
     /// contact was evicted).
     pub fn clear_retry(&mut self, node: NodeId) {
         self.retries.retain(|r| r.0 != node);
-    }
-
-    /// Number of contacts with an outstanding validation retry.
-    pub fn retrying(&self) -> usize {
-        self.retries.len()
     }
 }
 
@@ -334,7 +368,7 @@ mod tests {
         t.clear();
         assert!(t.is_empty());
         assert!(t.tombstones().is_empty());
-        assert_eq!(t.retrying(), 0);
+        assert_eq!(t.note_unacked(n(1)), 1, "retry state starts over");
     }
 
     #[test]
@@ -344,7 +378,7 @@ mod tests {
         t.note_unacked(n(7));
         t.tombstone(n(7), 2);
         assert!(!t.contains(n(7)), "tombstoning evicts the contact");
-        assert_eq!(t.retrying(), 0, "tombstoning clears retry state");
+        assert!(!t.retry_skip(n(7)), "tombstoning clears retry state");
         assert!(t.is_tombstoned(n(7)));
         assert_eq!(t.max_tombstone_ttl(), 2);
         // Repeat tombstone extends, never shortens.
@@ -357,21 +391,57 @@ mod tests {
         assert_eq!(t.max_tombstone_ttl(), 0);
     }
 
+    /// The three capped-exponential timers on the round lattice, table
+    /// driven: after the k-th consecutive failure each skips
+    /// `2^min(k, cap) − 1` rounds. `step(true)` fails, `step(false)` ticks
+    /// and says whether the round was skipped.
     #[test]
     fn retry_backoff_doubles_skip_windows() {
+        fn windows(fails: usize, mut step: impl FnMut(bool) -> bool) -> Vec<u32> {
+            (0..fails)
+                .map(|_| {
+                    step(true);
+                    (0..).take_while(|_| step(false)).count() as u32
+                })
+                .collect()
+        }
+        let mut b = Backoff::default();
+        let selection = windows(7, |fail| if fail { b.fail(5) > 0 } else { b.tick() });
         let mut t = ContactTable::new();
         assert!(!t.retry_skip(n(4)), "no outstanding probe, no skip");
-        assert_eq!(t.note_unacked(n(4)), 1);
-        assert!(t.retry_skip(n(4)), "level 1 skips one round");
-        assert!(!t.retry_skip(n(4)), "then the contact is due again");
-        assert_eq!(t.note_unacked(n(4)), 2);
-        assert!(t.retry_skip(n(4)));
-        assert!(t.retry_skip(n(4)));
-        assert!(t.retry_skip(n(4)), "level 2 skips three rounds");
-        assert!(!t.retry_skip(n(4)));
-        assert_eq!(t.retry_level(n(4)), 2);
+        let contact = windows(7, |fail| {
+            if fail {
+                t.note_unacked(n(4)) > 0
+            } else {
+                t.retry_skip(n(4))
+            }
+        });
+        let mut q = crate::query::QueryRetryQueue::new(u32::MAX);
+        let mut due = Vec::new();
+        q.schedule(n(1), n(2));
+        q.tick(&mut due);
+        assert_eq!(due.len(), 1, "a scheduled query re-runs at the next round");
+        let query = windows(5, |fail| {
+            match fail {
+                true => q.report(due[0].0, due[0].1, due[0].2, false),
+                false => q.tick(&mut due),
+            }
+            due.is_empty()
+        });
+        let table: [(&str, Vec<u32>, &[u32]); 3] = [
+            ("selection, cap 5", selection, &[1, 3, 7, 15, 31, 31, 31]),
+            ("contact retry", contact, &[1, 3, 7, 15, 31, 63, 127]),
+            ("query retry, cap 3", query, &[1, 3, 7, 7, 7]),
+        ];
+        for (timer, got, want) in table {
+            assert_eq!(got, want, "{timer}");
+        }
         t.clear_retry(n(4));
-        assert_eq!(t.retry_level(n(4)), 0);
-        assert!(!t.retry_skip(n(4)));
+        assert_eq!(t.note_unacked(n(4)), 1, "a cleared contact starts over");
+        // Past 31 misses the window stays at its widest, no shift overflow.
+        let mut b = Backoff::failed(31, CONTACT_RETRY_CAP);
+        assert_eq!(b.fail(CONTACT_RETRY_CAP), 32);
+        b.reset();
+        assert_eq!((b.level(), b.tick()), (0, false));
     }
 }

@@ -47,9 +47,9 @@
 //! ## Determinism
 //!
 //! The store is plain state — lookups and deposits draw no randomness —
-//! and a store is written only by the shard that owns it: every deposit,
-//! from a live query (`CardWorld::query`) or a sweep
-//! (`CardWorld::query_all`, whose parallel phase reads *frozen* stores),
+//! and a store is written only by the shard that owns it: every deposit
+//! comes from a sweep (`CardWorld::query_all`, whose parallel phase reads
+//! *frozen* stores; a live `CardWorld::query` is a sweep of one) and
 //! crosses the message plane to its holder's shard, where it is applied
 //! in the plane's deterministic drain order (deferred runs first, then
 //! `(src, seq)`). Restricted to any one holder that order equals global
@@ -83,9 +83,8 @@
 //!   `count`, so every copy of a run would draw the run's one verdict —
 //!   dropped, delayed or delivered together.
 //!
-//! The single-query path logs into the same type and crosses the same
-//! plane to the same `deposit`; its chains rarely repeat, so its runs are
-//! all of 1.
+//! A single query is a sweep of one and logs into lane 0's log; its
+//! chains rarely repeat, so its runs are all of 1.
 
 use net_topology::node::NodeId;
 use sim_core::plane::Envelope;
@@ -224,8 +223,9 @@ pub struct DepositLog {
     /// sized to the holders logged and allocated on the first push, so a
     /// log that never sees a deposit costs nothing.
     latest: Vec<(u32, u32)>,
-    /// Occupied index slots (distinct holders logged).
-    holders: usize,
+    /// Occupied index slots, one per distinct holder logged: a clear costs
+    /// these, not the index an earlier, larger sweep grew.
+    occupied: Vec<u32>,
 }
 
 impl DepositLog {
@@ -242,7 +242,7 @@ impl DepositLog {
     /// Log `d`: merged into its holder's latest run when that run holds
     /// the same hint, appended as a new run otherwise.
     pub fn push(&mut self, d: HintDeposit) {
-        if 2 * (self.holders + 1) > self.latest.len() {
+        if 2 * (self.occupied.len() + 1) > self.latest.len() {
             self.grow();
         }
         let holder = d.holder.raw();
@@ -252,7 +252,7 @@ impl DepositLog {
             let (h, pos) = self.latest[i];
             if pos == NO_RUN {
                 self.latest[i] = (holder, self.runs.len() as u32);
-                self.holders += 1;
+                self.occupied.push(i as u32);
                 break;
             }
             if h == holder {
@@ -272,16 +272,17 @@ impl DepositLog {
     /// Empty the log, keeping its buffers.
     pub fn clear(&mut self) {
         self.runs.clear();
-        if self.holders > 0 {
-            self.latest.fill((0, NO_RUN));
-            self.holders = 0;
+        for &i in &self.occupied {
+            self.latest[i as usize] = (0, NO_RUN);
         }
+        self.occupied.clear();
     }
 
     /// Heap bytes reserved by the runs and the holder index.
     pub fn memory_bytes(&self) -> usize {
         self.runs.capacity() * std::mem::size_of::<HintDeposit>()
             + self.latest.capacity() * std::mem::size_of::<(u32, u32)>()
+            + self.occupied.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Fibonacci hash of a holder into a power-of-two index.
@@ -295,12 +296,14 @@ impl DepositLog {
         let len = (2 * self.latest.len()).max(16);
         let old = std::mem::replace(&mut self.latest, vec![(0, NO_RUN); len]);
         let mask = len - 1;
-        for (holder, pos) in old.into_iter().filter(|&(_, pos)| pos != NO_RUN) {
+        for slot in &mut self.occupied {
+            let (holder, pos) = old[*slot as usize];
             let mut i = Self::home(holder, mask);
             while self.latest[i].1 != NO_RUN {
                 i = (i + 1) & mask;
             }
             self.latest[i] = (holder, pos);
+            *slot = i as u32;
         }
     }
 }
@@ -864,6 +867,23 @@ mod tests {
             assert_eq!(log.runs().len(), 1000, "round {round}: one run per holder");
         }
         assert!(log.runs().iter().all(|r| r.count == 3));
+        // Reuse past the big index: a clear vacates every occupied slot,
+        // so holders colliding in one home slot log what a fresh log does.
+        log.clear();
+        let mask = log.latest.len() - 1;
+        let home = |h| DepositLog::home(h, mask);
+        let hs: Vec<u32> = (0..).filter(|&h| home(h) == home(0)).take(3).collect();
+        let mut fresh = DepositLog::new();
+        for h in [hs[0], hs[1], hs[2], hs[0], hs[1], hs[2], hs[1]] {
+            let d = HintDeposit::new(n(h), HintKey::node(n(1)), n(2), 1);
+            log.push(d);
+            fresh.push(d);
+        }
+        assert_eq!(log.runs(), fresh.runs());
+        assert_eq!(
+            log.runs().iter().map(|r| r.count).collect::<Vec<_>>(),
+            [2, 3, 2]
+        );
     }
 
     proptest! {

@@ -73,7 +73,7 @@ use net_topology::node::NodeId;
 use sim_core::stats::{MsgKind, MsgStats};
 use sim_core::time::SimTime;
 
-use crate::contact::TableSource;
+use crate::contact::{Backoff, TableSource};
 use crate::hints::{DepositLog, HintDeposit, HintKey, HintLookup, HintStats, HintStore, Lookup};
 
 /// Result of one resource-discovery query.
@@ -478,7 +478,7 @@ const MAX_FAILED_CHASES: u32 = 4;
 /// a *read-only* store (frozen for the whole parallel phase of a sharded
 /// sweep), the caller's counters, and a deposit log. Deposits are queued,
 /// not applied — `CardWorld` exchanges them through its message plane
-/// after the sweep (or after a single live query), which keeps hinted
+/// after each sweep (a single query is a sweep of one), which keeps hinted
 /// queries bit-identical at any worker or shard count. The log combines repeated
 /// deposits into counted runs as they are queued (see [`DepositLog`]).
 pub struct HintContext<'a, S: HintLookup = &'a HintStore> {
@@ -822,9 +822,12 @@ pub struct RetryStats {
 struct RetryEntry {
     source: NodeId,
     target: NodeId,
-    attempt: u32,
-    wait: u32,
+    /// Level = failed retries so far; attempt = level + 1.
+    backoff: Backoff,
 }
+
+/// Cap on the query retry backoff: waits of 1, 2, 4, then 8 rounds.
+const RETRY_BACKOFF_CAP: u32 = 3;
 
 /// Retry queue for queries that failed under faults (frontier partitioned
 /// away, relays crashed): each failed query re-runs after an exponentially
@@ -883,8 +886,7 @@ impl QueryRetryQueue {
         self.entries.push(RetryEntry {
             source,
             target,
-            attempt: 1,
-            wait: 1,
+            backoff: Backoff::default(),
         });
     }
 
@@ -894,16 +896,13 @@ impl QueryRetryQueue {
     /// outcome back through [`report`](Self::report).
     pub fn tick(&mut self, due: &mut Vec<(NodeId, NodeId, u32)>) {
         due.clear();
-        let mut i = 0;
-        while i < self.entries.len() {
-            self.entries[i].wait -= 1;
-            if self.entries[i].wait == 0 {
-                let e = self.entries.remove(i);
-                due.push((e.source, e.target, e.attempt));
-            } else {
-                i += 1;
+        self.entries.retain_mut(|e| {
+            let waiting = e.backoff.tick();
+            if !waiting {
+                due.push((e.source, e.target, e.backoff.level() + 1));
             }
-        }
+            waiting
+        });
     }
 
     /// Record the outcome of a due retry: a hit counts as recovered; a
@@ -918,8 +917,7 @@ impl QueryRetryQueue {
             self.entries.push(RetryEntry {
                 source,
                 target,
-                attempt: attempt + 1,
-                wait: 1 << attempt.min(3),
+                backoff: Backoff::failed(attempt, RETRY_BACKOFF_CAP),
             });
         }
     }

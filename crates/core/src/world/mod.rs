@@ -19,7 +19,7 @@
 //! |---|---|
 //! | `shards.rs` | shard ownership: `ProtocolShard`, the [`TablesView`] and [`HintsView`] read views, resharding, per-shard memory |
 //! | `round.rs` | contact selection (§III.C.1), the validation round with local recovery (§III.C.3), and the round's fault stage ([`FaultReport`]) |
-//! | `queries.rs` | DSQ queries (§III.C.4): the one per-pair body, live and retried queries, the sweep, and the one hint-deposit exchange |
+//! | `queries.rs` | DSQ queries (§III.C.4): the one per-pair body, the one sweep (a live or retried query is a sweep of one), and the one hint-deposit exchange |
 //! | `subscriptions.rs` | standing-query upkeep: register, resolve, probe, revalidate |
 //! | `reference.rs` | the serial oracles the parallel sweeps are pinned to |
 //!
@@ -58,9 +58,9 @@ use sim_core::stats::{MsgStats, TimeSeries};
 use sim_core::time::{SimDuration, SimTime};
 
 use crate::config::CardConfig;
-use crate::contact::ContactTable;
+use crate::contact::{Backoff, ContactTable};
 use crate::events::{DriveMode, EventDriver};
-use crate::hints::{DepositLog, HintDeposit, HintStats, HintStore};
+use crate::hints::{HintDeposit, HintStats, HintStore};
 use crate::query::QueryRetryQueue;
 use crate::reachability::ReachabilitySummary;
 use crate::standing::StandingQueries;
@@ -89,25 +89,19 @@ pub struct CardWorld {
     /// Span width of the canonical partition (`ceil(N / shards)`, min 1);
     /// node `i` is owned by shard `i / per`.
     per: usize,
-    /// One query lane — walk workspace plus deposit log — per shard (pair
-    /// sweeps need a mutable scratch while reading *all* shards' tables
+    /// One query lane — walk workspace plus deposit log — per shard (sweeps
+    /// need a mutable scratch while reading *all* shards' tables
     /// immutably, so the lanes live outside the shards, sized with them).
-    /// Lane 0's scratch also serves the one-off [`CardWorld::query`] path,
-    /// and its outbox sends that path's deposits.
+    /// A single query is a sweep of one and runs on lane 0, as does
+    /// standing resolution.
     lanes: Vec<QueryLane>,
     /// The cross-shard message plane: the only way a hint deposit reaches
-    /// a store, for live queries, retries and sweeps alike (plus metered
-    /// validation crossings).
+    /// a store (plus metered validation crossings).
     plane: MessagePlane<HintDeposit>,
     /// Is the §V route-hint cache active (spans allocated in the shards)?
     hints_on: bool,
     /// Hit/miss/staleness counters of the hint subsystem.
     hint_stats: HintStats,
-    /// Reusable deposit log for the live single-query path, sent from lane
-    /// 0's outbox after each query. It stays apart from lane 0's own log:
-    /// clearing a log resets its whole holder index, which a sweep lane
-    /// sizes by the largest hinted sweep.
-    hint_deposits: DepositLog,
     /// Long-lived standing subscriptions (see [`crate::standing`]).
     standing: StandingQueries,
     /// Reusable drain buffer for pending standing-query revalidations.
@@ -155,7 +149,7 @@ impl CardWorld {
             .map(|i| splitter.stream("card-node", i as u64))
             .collect();
         let k = default_shard_count();
-        let shards = partition_state(n, k, contacts, rngs, vec![0; n], vec![0; n], None);
+        let shards = partition_state(n, k, contacts, rngs, vec![Backoff::default(); n], None);
         CardWorld {
             net,
             cfg,
@@ -169,7 +163,6 @@ impl CardWorld {
             plane: MessagePlane::new(k),
             hints_on: false,
             hint_stats: HintStats::default(),
-            hint_deposits: DepositLog::new(),
             standing: StandingQueries::new(n),
             standing_ids: Vec::new(),
             faults: None,
@@ -221,12 +214,10 @@ impl CardWorld {
     /// deferred lanes and mailboxes. Transient traffic that
     /// [`CardWorld::shard_memory_bytes`] (protocol state) leaves out.
     pub fn plane_buffer_bytes(&self) -> usize {
-        self.hint_deposits.memory_bytes()
-            + self
-                .lanes
-                .iter()
-                .map(|lane| lane.deposits.memory_bytes())
-                .sum::<usize>()
+        self.lanes
+            .iter()
+            .map(|lane| lane.deposits.memory_bytes())
+            .sum::<usize>()
             + self.plane.buffer_bytes()
     }
 

@@ -1,48 +1,42 @@
 //! The query side (§III.C.4): the one per-pair body behind every
-//! world-level query, live and retried queries, the batched sweep, and the
-//! one stage that delivers §V hint deposits.
+//! world-level query, the one sweep that drives it, and the one stage that
+//! delivers §V hint deposits.
 //!
 //! ## One query body, one sweep
 //!
-//! Every world-level query — [`CardWorld::query`], the retry drain,
-//! [`CardWorld::query_resource`], standing resolution and each pair of
-//! [`CardWorld::query_all`] — runs the same per-pair body
+//! Every world-level query runs the same per-pair body
 //! (`QueryView::query`): the table, hint and fault views are picked once
-//! per call or sweep, a crashed endpoint fails fast, and the
-//! [`crate::query`] walk runs under the view's edge veto (pass-all on a
-//! calm world, [`QueryFaultFilter::edge_ok`] under an armed plan).
+//! per sweep, a crashed endpoint fails fast, and the [`crate::query`] walk
+//! runs under the view's edge veto (pass-all on a calm world,
+//! [`QueryFaultFilter::edge_ok`] under an armed plan). One sweep drives
+//! it: [`CardWorld::query_all`], and as a sweep of one
+//! [`CardWorld::query`], [`CardWorld::query_resource`] and each retry.
+//! Only standing resolution calls the body directly: it records its own
+//! message kinds and reads the walk's answer chain.
 //!
-//! Queries read protocol state and draw no randomness, so
-//! [`CardWorld::query_all`] shards the *pair list*, not the node spans:
-//! each span runs on a shard-owned `QueryLane` (a [`QueryScratch`] and a
-//! deposit log), and the spans' DSQ/reply counters merge in shard order.
+//! Queries read protocol state and draw no randomness, so a sweep shards
+//! its *slots*, not the node spans: each span runs on a shard-owned
+//! `QueryLane` (a [`QueryScratch`] and a deposit log; a sweep of one runs
+//! on lane 0), and the spans' DSQ/reply counters merge in shard order.
 //!
 //! ## Hint deposits
 //!
-//! Every hinted query — a live one, a retry, a resource query or a pair
-//! of a sweep — writes its deposits through the message plane: a resolved
-//! query deposits hints at relay nodes that usually live on other shards,
-//! and a store is written only by its owner shard's drain. Queries log
-//! their deposits into a [`DepositLog`], which combines at the sender: a
-//! push that repeats its holder's *latest* entry (key, next hop, depth)
-//! bumps that entry's `count`, so a skewed sweep logs one run where it
-//! used to log hundreds of copies; runs never span logs, exchanges or
-//! deferred envelopes. A live query's log is sent from lane 0's outbox, a
-//! sweep's from each span's lane; each run crosses the plane as one
-//! envelope to the holder's owner shard in the one exchange stage,
-//! `exchange_deposits`, which runs after every hinted query or sweep. A
-//! run weighs its count in the plane's ledger and draws one content-keyed
-//! fault verdict — the one every copy would have drawn. Each shard applies
-//! its own mailbox through `HintStore::deposit`, which applies a run
-//! exactly as that many single deposits ("Runs" in [`crate::hints`]).
-//! Query *reads* (remote contact tables) stay direct reads through
-//! [`TablesView`]. The drain's ordering contract is spelled out on
-//! `exchange_deposits`.
+//! A resolved query deposits hints at relay nodes that usually live on
+//! other shards, and a store is written only by its owner shard's drain,
+//! so every hinted sweep ends in the one exchange stage,
+//! `exchange_deposits`: each lane's [`DepositLog`] (which combines a
+//! holder's repeated deposits into counted runs at the sender — "Runs" in
+//! [`crate::hints`]) is sent from the lane's outbox, and each run crosses
+//! the plane as one envelope to its holder's owner shard. A run weighs
+//! its count in the plane's ledger and draws one content-keyed fault
+//! verdict — the one every copy would have drawn. Query *reads* (remote
+//! contact tables) stay direct reads through [`TablesView`]. The drain's
+//! ordering contract is spelled out on `exchange_deposits`.
 
 use manet_routing::network::Network;
 use net_topology::node::NodeId;
 use sim_core::faults::FaultPlan;
-use sim_core::par::{parallel_shard_map, shard_spans};
+use sim_core::par::parallel_shard_map;
 use sim_core::plane::Outbox;
 use sim_core::stats::MsgKind;
 
@@ -66,9 +60,16 @@ pub(super) enum Goal<'a> {
     Resource(&'a ResourceRegistry, ResourceId),
 }
 
-/// Everything a query reads, frozen for one call or one sweep: the
-/// network, the table and hint views over the shards, and the fault view
-/// picked from the armed plan.
+/// A sweep slot that names a node asks for that node.
+impl From<NodeId> for Goal<'_> {
+    fn from(target: NodeId) -> Self {
+        Goal::Node(target)
+    }
+}
+
+/// Everything a query reads, frozen for one sweep or standing resolution:
+/// the network, the table and hint views over the shards, and the fault
+/// view picked from the armed plan.
 #[derive(Clone, Copy)]
 pub(super) struct QueryView<'a> {
     net: &'a Network,
@@ -113,9 +114,9 @@ impl<'a> QueryView<'a> {
         }
     }
 
-    /// The one per-pair body behind every world-level query — single
-    /// queries, the retry drain, standing resolution and each pair of the
-    /// batched sweep. This is the only place the calm/faulted choice is
+    /// The one per-pair body behind every world-level query — each slot
+    /// of a sweep (a single query is a sweep of one) and standing
+    /// resolution. This is the only place the calm/faulted choice is
     /// made: a calm world walks under the pass-all veto; under a fault view
     /// a crashed endpoint fails fast (no messages — nobody to ask, nobody
     /// to answer; a resource has no single target, so only its source is
@@ -193,8 +194,9 @@ impl<'a> QueryView<'a> {
     }
 }
 
-/// One sweep lane: the walk workspace and the deposit log a span of the
-/// pair list runs on. A world keeps one per shard, reused across sweeps.
+/// One sweep lane: the walk workspace and the deposit log a span of a
+/// sweep's slots runs on. A world keeps one per shard, reused across
+/// sweeps; a sweep of one runs on lane 0.
 #[derive(Clone)]
 pub(super) struct QueryLane {
     pub(super) scratch: QueryScratch,
@@ -221,56 +223,19 @@ fn send_deposits(outbox: &mut Outbox<HintDeposit>, log: &mut DepositLog, per: us
 
 impl CardWorld {
     /// Issue a resource-discovery query (§III.C.4) from `source` for
-    /// `target`, escalating depth up to `cfg.depth`. Runs allocation-free
-    /// on the world's first query lane; batches should prefer
-    /// [`CardWorld::query_all`]. With the route-hint cache enabled, the
-    /// cache is consulted first and the query's deposits cross the
-    /// message plane in an exchange of their own before this returns, so
-    /// on a calm world the very next call can hit; under a lossy plan
-    /// they draw drop and delay verdicts like a sweep's. Under an armed
-    /// fault plan a failed query enters the retry queue.
+    /// `target`, escalating depth up to `cfg.depth`: [`CardWorld::query_all`]
+    /// over one pair, run on the world's first query lane with a one-slot
+    /// outcome buffer. With the route-hint cache enabled, the cache is
+    /// consulted first and the query's deposits cross the message plane in
+    /// an exchange of their own before this returns, so on a calm world
+    /// the very next call can hit. Under an armed fault plan a failed query
+    /// enters the retry queue.
     pub fn query(&mut self, source: NodeId, target: NodeId) -> QueryOutcome {
-        let out = self.query_once(source, Goal::Node(target));
+        let out = self.sweep_one(source, target);
         if self.faults.is_some() && !out.found {
             self.query_retry.schedule(source, target);
         }
         out
-    }
-
-    /// One live query through the shared per-pair body, recorded at `now`,
-    /// its deposits (with the cache on) sent from lane 0's outbox through
-    /// the one exchange stage, without retry scheduling (the retry drain
-    /// calls this directly so a re-run never re-queues itself —
-    /// [`QueryRetryQueue::report`](crate::query::QueryRetryQueue::report)
-    /// owns the requeue decision).
-    fn query_once(&mut self, source: NodeId, goal: Goal<'_>) -> QueryOutcome {
-        let per = self.per;
-        let CardWorld {
-            net,
-            cfg,
-            shards,
-            lanes,
-            hints_on,
-            hint_stats,
-            hint_deposits,
-            faults,
-            ..
-        } = self;
-        let out = QueryView::over(net, shards, per, *hints_on, cfg.depth, faults).query(
-            source,
-            goal,
-            &mut QuerySink {
-                scratch: &mut lanes[0].scratch,
-                hint_stats,
-                deposits: &mut *hint_deposits,
-            },
-        );
-        if self.hints_on {
-            let outbox = &mut self.plane.outboxes_mut()[0];
-            send_deposits(outbox, &mut self.hint_deposits, per);
-            self.exchange_deposits();
-        }
-        out.recorded(&mut self.stats, self.now)
     }
 
     /// Queries waiting in the retry queue.
@@ -278,9 +243,11 @@ impl CardWorld {
         self.query_retry.len()
     }
 
-    /// Advance the retry queue one round and re-run the due queries,
-    /// feeding outcomes back (recovered / requeued with doubled backoff /
-    /// abandoned past the cap).
+    /// Advance the retry queue one round and re-run each due query as a
+    /// sweep of one, feeding outcomes back (recovered / requeued with
+    /// doubled backoff / abandoned past the cap). A re-run schedules
+    /// nothing: [`QueryRetryQueue::report`](crate::query::QueryRetryQueue::report)
+    /// owns the requeue decision.
     pub(super) fn drain_query_retries(&mut self) {
         if self.query_retry.is_empty() {
             return;
@@ -288,7 +255,7 @@ impl CardWorld {
         let mut due = std::mem::take(&mut self.retry_due);
         self.query_retry.tick(&mut due);
         for &(source, target, attempt) in &due {
-            let out = self.query_once(source, Goal::Node(target));
+            let out = self.sweep_one(source, target);
             self.query_retry.report(source, target, attempt, out.found);
         }
         due.clear();
@@ -296,20 +263,20 @@ impl CardWorld {
     }
 
     /// Issue an anycast resource query (§III.C.4 with a resource target)
-    /// from `source`, escalating up to `cfg.depth` and consulting the
-    /// route-hint cache when enabled (hints are keyed by the resource, so
-    /// any replica's answer warms later queries for it). Under an armed
-    /// fault plan a crashed source asks nothing, crashed or partitioned
-    /// relays forward nothing, and a zone answers only through a host that
-    /// is up and on the answerer's side. Resource queries are never
-    /// retried: the retry queue is keyed by target *node*.
+    /// from `source` as a sweep of one, escalating up to `cfg.depth` and
+    /// consulting the route-hint cache when enabled (hints are keyed by the
+    /// resource, so any replica's answer warms later queries for it). Under
+    /// an armed fault plan a crashed source asks nothing, crashed or
+    /// partitioned relays forward nothing, and a zone answers only through
+    /// a host that is up and on the answerer's side. Resource queries are
+    /// never retried: the retry queue is keyed by target *node*.
     pub fn query_resource(
         &mut self,
         registry: &ResourceRegistry,
         source: NodeId,
         resource: ResourceId,
     ) -> QueryOutcome {
-        self.query_once(source, Goal::Resource(registry, resource))
+        self.sweep_one(source, Goal::Resource(registry, resource))
     }
 
     /// Run a batch of queries — one DSQ per `(source, target)` pair,
@@ -330,17 +297,48 @@ impl CardWorld {
     /// [`CardWorld::query_all`] into a caller-owned buffer: `out` is
     /// cleared and refilled, so repeated sweeps (scale tiers, benches)
     /// reuse one allocation instead of building a fresh `Vec` per sweep.
-    ///
-    /// This is the one sweep. Each span of the pair list runs the shared
-    /// per-pair body against views frozen for the whole parallel phase —
-    /// with the hint cache on, every query sees the same cache and logs its
-    /// deposits into a per-span buffer (reused across sweeps); they become
-    /// visible to the *next* sweep, exactly as in a batch of concurrently
-    /// in-flight queries. Message counters land in per-span deltas merged
-    /// in shard order; the deposit stage follows when hints are on.
     pub fn query_all_into(&mut self, pairs: &[(NodeId, NodeId)], out: &mut Vec<QueryOutcome>) {
         out.clear();
         out.resize(pairs.len(), QueryOutcome::MISS);
+        self.sweep(pairs, out);
+        // Under faults, failed queries enter the retry queue in pair order
+        // — what a loop of [`CardWorld::query`] calls would schedule
+        // (`schedule` dedups outstanding pairs).
+        if self.faults.is_some() {
+            for (&(s, t), o) in pairs.iter().zip(out.iter()) {
+                if !o.found {
+                    self.query_retry.schedule(s, t);
+                }
+            }
+        }
+    }
+
+    /// The sweep over one slot.
+    fn sweep_one<'g>(
+        &mut self,
+        source: NodeId,
+        goal: impl Into<Goal<'g>> + Copy + Sync,
+    ) -> QueryOutcome {
+        let mut one = [QueryOutcome::MISS];
+        self.sweep(&[(source, goal)], &mut one);
+        let [out] = one;
+        out
+    }
+
+    /// The one sweep. Slot `i` asks `asks[i]` — a source and a target node
+    /// or a [`Goal`] — and its outcome lands in `out[i]`; nothing enters
+    /// the retry queue. Each span of the slots runs the shared per-pair
+    /// body on its own query lane against views frozen for the whole
+    /// parallel phase: with the hint cache on, every query sees the same
+    /// cache, and its deposits become visible to the *next* sweep, exactly
+    /// as in a batch of concurrently in-flight queries. Message counters
+    /// land in per-span deltas merged in shard order; the deposit stage
+    /// follows when hints are on.
+    fn sweep<'g, G>(&mut self, asks: &[(NodeId, G)], out: &mut [QueryOutcome])
+    where
+        G: Copy + Sync + Into<Goal<'g>>,
+    {
+        debug_assert_eq!(asks.len(), out.len());
         let per = self.per;
         let CardWorld {
             net,
@@ -355,20 +353,15 @@ impl CardWorld {
             ..
         } = self;
         let view = QueryView::over(net, shards, per, *hints_on, cfg.depth, faults);
-        // Each span owns its slice of the pair list, the matching slice of
-        // the output buffer (written in place — no per-span collection)
-        // and one query lane.
-        let spans = shard_spans(pairs.len(), lanes.len());
-        let mut work = Vec::with_capacity(spans.len());
-        let mut out_rest: &mut [QueryOutcome] = out;
-        let mut lanes = lanes.iter_mut();
-        for span in spans {
-            let (slots, rest) = out_rest.split_at_mut(span.end - span.start);
-            out_rest = rest;
-            let lane = lanes.next().expect("span count exceeds shard count");
-            work.push((&pairs[span], slots, lane));
-        }
-        let deltas = parallel_shard_map(&mut work, |_, (pairs, slots, lane)| {
+        // Each span of the canonical `shard_spans` partition owns its chunk
+        // of the asks, the matching chunk of the output buffer (written in
+        // place — no per-span collection) and one query lane.
+        let span = asks.len().div_ceil(lanes.len()).max(1);
+        let mut work: Vec<_> = (asks.chunks(span).zip(out.chunks_mut(span)))
+            .zip(lanes.iter_mut())
+            .map(|((asks, slots), lane)| (asks, slots, lane))
+            .collect();
+        let deltas = parallel_shard_map(&mut work, |_, (asks, slots, lane)| {
             let QueryLane { scratch, deposits } = &mut **lane;
             deposits.clear();
             // The span's message delta: every query lands at the same
@@ -381,8 +374,8 @@ impl CardWorld {
                 hint_stats: &mut hint_delta,
                 deposits,
             };
-            for (slot, &(s, t)) in slots.iter_mut().zip(pairs.iter()) {
-                let o = view.query(s, Goal::Node(t), &mut sink);
+            for (slot, &(s, goal)) in slots.iter_mut().zip(asks.iter()) {
+                let o = view.query(s, goal.into(), &mut sink);
                 dsq += o.query_msgs;
                 reply += o.reply_msgs;
                 *slot = o;
@@ -401,28 +394,19 @@ impl CardWorld {
             }
             self.exchange_deposits();
         }
-        // Under faults, failed sweep queries enter the retry queue in pair
-        // order — the same sequence a loop of [`CardWorld::query`] calls
-        // would schedule (`schedule` dedups outstanding pairs).
-        if self.faults.is_some() {
-            for (&(s, t), o) in pairs.iter().zip(out.iter()) {
-                if !o.found {
-                    self.query_retry.schedule(s, t);
-                }
-            }
-        }
     }
 
-    /// The deposit stage of every hinted query and sweep: exchange the
-    /// deposit runs queued in the plane's outboxes, each to its holder's
-    /// owner shard, and apply them in a parallel drain phase.
+    /// The deposit stage that ends every hinted sweep (a single query is a
+    /// sweep of one): exchange the deposit runs queued in the plane's
+    /// outboxes, each to its holder's owner shard, and apply them in a
+    /// parallel drain phase.
     ///
     /// Delivery order makes the drain deterministic. A mailbox holds the
     /// runs a lossy plane deferred from the previous exchange, then this
-    /// exchange's runs by `(source shard, send sequence)`; a sweep sends
-    /// in pair order within each source shard and a live query sends its
-    /// one log from lane 0, so the deposit sequence each holder observes
-    /// is the global query order restricted to that holder, with deferred
+    /// exchange's runs by `(source shard, send sequence)`; lane `i` sends
+    /// span `i`'s log in slot order and the spans are contiguous in lane
+    /// order, so the deposit sequence each holder observes is the global
+    /// query order restricted to that holder, with deferred
     /// runs landing one exchange late — bit-identical at any worker or
     /// shard count (pinned by `tests/hint_cache.rs` and
     /// `tests/message_plane.rs`). A run stands for its copies at the

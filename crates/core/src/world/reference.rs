@@ -42,8 +42,7 @@ impl CardWorld {
     }
 
     /// Serial reference for [`CardWorld::query_all`]: the same queries one
-    /// at a time on the caller's thread, recording straight into the
-    /// world's statistics. Kept (like the `*_serial` protocol sweeps) as
+    /// at a time on the caller's thread, each a sweep of one on lane 0. Kept (like the `*_serial` protocol sweeps) as
     /// the equivalence anchor for `tests/query_engine.rs` and the
     /// `query_sweep/*` benches.
     pub fn query_all_serial(&mut self, pairs: &[(NodeId, NodeId)]) -> Vec<QueryOutcome> {

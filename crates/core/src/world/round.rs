@@ -101,8 +101,8 @@ struct ShardDelta {
     liveness_violations: u64,
 }
 
-/// Cap on the exponential selection backoff level (2^5 − 1 = 31 rounds).
-const MAX_BACKOFF_LEVEL: u32 = 5;
+/// Cap on the selection backoff's window shift (2^5 − 1 = 31 rounds).
+const SELECTION_BACKOFF_CAP: u32 = 5;
 
 impl CardWorld {
     /// Initial contact selection for every node, fanned out over the
@@ -351,12 +351,10 @@ impl CardWorld {
                 table.decay_tombstones();
             }
             if table.len() >= cfg.target_contacts {
-                shard.backoff_level[k] = 0;
-                shard.backoff_remaining[k] = 0;
+                shard.backoff[k].reset();
                 continue;
             }
-            if shard.backoff_remaining[k] > 0 {
-                shard.backoff_remaining[k] -= 1;
+            if shard.backoff[k].tick() {
                 continue;
             }
             let before = table.len();
@@ -372,11 +370,9 @@ impl CardWorld {
                 &mut shard.scratch,
             );
             if table.len() > before {
-                shard.backoff_level[k] = 0;
-                shard.backoff_remaining[k] = 0;
+                shard.backoff[k].reset();
             } else {
-                shard.backoff_level[k] = (shard.backoff_level[k] + 1).min(MAX_BACKOFF_LEVEL);
-                shard.backoff_remaining[k] = (1u32 << shard.backoff_level[k]) - 1;
+                shard.backoff[k].fail(SELECTION_BACKOFF_CAP);
             }
         }
         delta
@@ -460,8 +456,7 @@ impl CardWorld {
                     let shard = &mut shards[i / per];
                     let k = i - shard.start;
                     shard.contacts[k].clear();
-                    shard.backoff_remaining[k] = 0;
-                    shard.backoff_level[k] = 0;
+                    shard.backoff[k].reset();
                     if let Some(store) = &mut shard.hints {
                         hint_stats.evicted_mobility +=
                             store.invalidate_node(NodeId::from(i)) as u64;

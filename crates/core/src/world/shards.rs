@@ -23,7 +23,7 @@ use sim_core::par::{max_workers, shard_spans};
 use sim_core::plane::MessagePlane;
 use sim_core::rng::RngStream;
 
-use crate::contact::{ContactTable, TableSource};
+use crate::contact::{Backoff, ContactTable, TableSource};
 use crate::csq::CsqScratch;
 use crate::hints::{HintKey, HintLookup, HintStore, Lookup};
 
@@ -42,8 +42,8 @@ pub(super) struct ProtocolShard {
     pub(super) start: usize,
     pub(super) contacts: Vec<ContactTable>,
     pub(super) rngs: Vec<RngStream>,
-    pub(super) backoff_remaining: Vec<u32>,
-    pub(super) backoff_level: Vec<u32>,
+    /// Selection backoff (`world/round.rs`), one per owned node.
+    pub(super) backoff: Vec<Backoff>,
     /// Persistent CSQ walk workspace (grows to O(N) once, then reused
     /// allocation-free across every sweep).
     pub(super) scratch: CsqScratch,
@@ -173,8 +173,7 @@ pub(super) fn partition_state(
     shards: usize,
     mut contacts: Vec<ContactTable>,
     mut rngs: Vec<RngStream>,
-    mut backoff_remaining: Vec<u32>,
-    mut backoff_level: Vec<u32>,
+    mut backoff: Vec<Backoff>,
     hints: Option<(usize, u32, u32)>,
 ) -> Vec<ProtocolShard> {
     let spans = shard_spans(n, shards);
@@ -185,10 +184,8 @@ pub(super) fn partition_state(
         let my_contacts = std::mem::replace(&mut contacts, rest);
         let rest = rngs.split_off(len);
         let my_rngs = std::mem::replace(&mut rngs, rest);
-        let rest = backoff_remaining.split_off(len);
-        let my_br = std::mem::replace(&mut backoff_remaining, rest);
-        let rest = backoff_level.split_off(len);
-        let my_bl = std::mem::replace(&mut backoff_level, rest);
+        let rest = backoff.split_off(len);
+        let my_backoff = std::mem::replace(&mut backoff, rest);
         let store = hints.map(|(spb, ttl, epoch)| {
             let mut s = HintStore::new_span(span.start, len, spb, ttl);
             s.set_epoch(epoch);
@@ -198,8 +195,7 @@ pub(super) fn partition_state(
             start: span.start,
             contacts: my_contacts,
             rngs: my_rngs,
-            backoff_remaining: my_br,
-            backoff_level: my_bl,
+            backoff: my_backoff,
             scratch: CsqScratch::new(),
             hints: store,
         });
@@ -241,18 +237,16 @@ impl CardWorld {
             .unwrap_or(0);
         let mut contacts = Vec::with_capacity(n);
         let mut rngs = Vec::with_capacity(n);
-        let mut br = Vec::with_capacity(n);
-        let mut bl = Vec::with_capacity(n);
+        let mut backoff = Vec::with_capacity(n);
         for s in &mut old {
             contacts.append(&mut s.contacts);
             rngs.append(&mut s.rngs);
-            br.append(&mut s.backoff_remaining);
-            bl.append(&mut s.backoff_level);
+            backoff.append(&mut s.backoff);
         }
         let hcfg =
             self.hints_on
                 .then_some((self.cfg.hint_slots_per_bucket, self.cfg.hint_ttl, epoch));
-        let mut new_shards = partition_state(n, shards, contacts, rngs, br, bl, hcfg);
+        let mut new_shards = partition_state(n, shards, contacts, rngs, backoff, hcfg);
         if self.hints_on {
             // Migrate the cached hints: each node's slot region and LRU
             // clock move verbatim from its old span store to its new one.
@@ -298,8 +292,7 @@ impl CardWorld {
             .map(|s| {
                 let mut b = s.contacts.len() * std::mem::size_of::<ContactTable>()
                     + s.rngs.len() * std::mem::size_of::<RngStream>()
-                    + s.backoff_remaining.len() * std::mem::size_of::<u32>()
-                    + s.backoff_level.len() * std::mem::size_of::<u32>();
+                    + s.backoff.len() * std::mem::size_of::<Backoff>();
                 for t in &s.contacts {
                     b += std::mem::size_of_val(t.contacts());
                     for c in t.contacts() {

@@ -9,7 +9,7 @@ use sim_core::stats::MsgKind;
 
 use crate::standing::StandingQueries;
 
-use super::queries::{Goal, QuerySink, QueryView};
+use super::queries::{Goal, QueryLane, QuerySink, QueryView};
 use super::CardWorld;
 
 impl CardWorld {
@@ -44,7 +44,6 @@ impl CardWorld {
             shards,
             lanes,
             hint_stats,
-            hint_deposits,
             standing,
             faults,
             ..
@@ -53,15 +52,16 @@ impl CardWorld {
             let q = standing.get(id);
             (q.source, q.target)
         };
-        let scratch = &mut lanes[0].scratch;
+        let QueryLane { scratch, deposits } = &mut lanes[0];
         let out = QueryView::over(net, shards, per, false, cfg.depth, faults).query(
             source,
             Goal::Node(target),
-            // A view without hint spans leaves the hint half untouched.
+            // A view without hint spans leaves the hint half (lane 0's
+            // counters and log) untouched.
             &mut QuerySink {
                 scratch: &mut *scratch,
                 hint_stats,
-                deposits: hint_deposits,
+                deposits,
             },
         );
         stats.record_n(*now, MsgKind::StandingDsq, out.query_msgs);

@@ -1,6 +1,7 @@
 use super::*;
 use crate::config::SelectionMethod;
 use crate::query::QueryOutcome;
+use crate::resources::{ResourceId, ResourceRegistry};
 use mobility::statics::StaticModel;
 use mobility::waypoint::RandomWaypoint;
 use sim_core::faults::FaultPlan;
@@ -518,21 +519,31 @@ fn live_deposits_cross_the_lossy_plane() {
         .map(NodeId::from)
         .find(|&t| !nb.contains(t) && t != source)
         .expect("some target resolves beyond the source's zone");
-    let mut calm = w.clone();
-    let calm_out = calm.query(source, target);
-    let weight = calm.hint_stats().deposits;
-    assert!(calm_out.found && weight > 0, "a resolved query deposits");
     let all_drop = sim_core::faults::FaultConfig {
         drop_rate: 1.0,
         ..sim_core::faults::FaultConfig::calm()
     };
-    w.enable_faults(FaultPlan::generate(&all_drop, 150, 5));
-    assert_eq!(w.query(source, target), calm_out);
-    assert!(w.hint_store().expect("hints on").is_empty());
-    assert_eq!(w.hint_stats().deposits, 0);
-    let ps = w.plane_stats();
-    assert_eq!((ps.sent, ps.dropped), (weight, weight));
-    assert_eq!(ps.sent, ps.local + ps.cross_shard + ps.dropped);
+    // The same holds for an anycast query for a resource hosted at target.
+    let mut registry = ResourceRegistry::new(150, 1);
+    registry.add_host(ResourceId(0), target);
+    let ask = |w: &mut CardWorld, resource: bool| match resource {
+        false => w.query(source, target),
+        true => w.query_resource(&registry, source, ResourceId(0)),
+    };
+    for resource in [false, true] {
+        let mut calm = w.clone();
+        let calm_out = ask(&mut calm, resource);
+        let weight = calm.hint_stats().deposits;
+        assert!(calm_out.found && weight > 0, "a resolved query deposits");
+        let mut lossy = w.clone();
+        lossy.enable_faults(FaultPlan::generate(&all_drop, 150, 5));
+        assert_eq!(ask(&mut lossy, resource), calm_out);
+        assert!(lossy.hint_store().expect("hints on").is_empty());
+        assert_eq!(lossy.hint_stats().deposits, 0);
+        let ps = lossy.plane_stats();
+        assert_eq!((ps.sent, ps.dropped), (weight, weight));
+        assert_eq!(ps.sent, ps.local + ps.cross_shard + ps.dropped);
+    }
 }
 
 #[test]
@@ -779,6 +790,12 @@ fn faulted_queries_fail_fast_on_down_endpoints_and_retry() {
     assert!(!out.found, "query to a crashed node must fail");
     assert_eq!(out.query_msgs, 0, "nobody to ask charges nothing");
     assert_eq!(w.pending_query_retries(), 1, "failure enters the queue");
+    // The drain's re-run misses (the victim is still down) and is requeued
+    // by the queue alone: no second schedule, one entry for the pair.
+    w.validation_round();
+    let retry = w.fault_report().retry;
+    assert_eq!((retry.scheduled, retry.retried), (1, 1));
+    assert_eq!(w.pending_query_retries(), 1, "the pair is queued once");
     // Rounds drain the retry queue until the cap abandons the pair.
     for _ in 0..20 {
         w.validation_round();
