@@ -52,9 +52,20 @@ impl Contact {
 /// contiguous slice of all tables exists). Implementations must be pure
 /// reads: a walk consults tables for many different nodes and the
 /// sharded sweeps run those reads concurrently against frozen state.
+///
+/// A contact walk reads only [`links`](Self::links); the tables themselves
+/// are for the re-walk oracle and for callers that need paths.
 pub trait TableSource {
     /// The contact table of node index `i`.
     fn table(&self, i: usize) -> &ContactTable;
+
+    /// Node `i`'s contact links, `(contact, path hops)` in table order.
+    /// Read from the table by default; `CardWorld`'s view reads its
+    /// `ContactGraph` instead, which holds the same links.
+    #[inline]
+    fn links(&self, i: usize) -> impl Iterator<Item = (NodeId, u16)> + '_ {
+        self.table(i).links()
+    }
 }
 
 impl TableSource for [ContactTable] {
@@ -76,12 +87,76 @@ impl<T: TableSource + ?Sized> TableSource for &T {
     fn table(&self, i: usize) -> &ContactTable {
         (**self).table(i)
     }
+
+    #[inline]
+    fn links(&self, i: usize) -> impl Iterator<Item = (NodeId, u16)> + '_ {
+        (**self).links(i)
+    }
 }
 
 impl<T: TableSource + ?Sized> TableSource for &mut T {
     #[inline]
     fn table(&self, i: usize) -> &ContactTable {
         (**self).table(i)
+    }
+
+    #[inline]
+    fn links(&self, i: usize) -> impl Iterator<Item = (NodeId, u16)> + '_ {
+        (**self).links(i)
+    }
+}
+
+/// Every node's contact links in one node-indexed CSR: node `i`'s links are
+/// `links[offsets[i]..offsets[i + 1]]`, each `(contact, path hops)`, in its
+/// table's [`ContactTable::contacts`] order. A walk step is then one offset
+/// pair and one contiguous run of 8-byte links, instead of a shard lookup,
+/// a table header and the table's heap array of path-carrying contacts.
+///
+/// The graph is a read mirror: the tables stay the owners of contacts,
+/// paths, tombstones and retry state, and `CardWorld` rebuilds the graph
+/// from them at the end of every call that can change a table.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct ContactGraph {
+    /// `N + 1` prefix offsets into `links`.
+    offsets: Vec<u32>,
+    links: Vec<(NodeId, u16)>,
+}
+
+impl ContactGraph {
+    /// The graph of `n` nodes without contacts.
+    pub(crate) fn empty(n: usize) -> Self {
+        ContactGraph {
+            offsets: vec![0; n + 1],
+            links: Vec::new(),
+        }
+    }
+
+    /// Refill from `tables` (node-id order), reusing both buffers: one pass
+    /// sizes the offsets, so the link buffer grows to the exact link count
+    /// rather than by doubling, and a second copies the links.
+    ///
+    /// # Panics
+    /// Panics if the graph holds more than `u32::MAX` links.
+    pub(crate) fn rebuild<'a>(&mut self, tables: impl Iterator<Item = &'a ContactTable> + Clone) {
+        self.offsets.clear();
+        self.offsets.push(0);
+        let mut end = 0usize;
+        for table in tables.clone() {
+            end += table.len();
+            let end = u32::try_from(end).expect("contact graph exceeds u32 links");
+            self.offsets.push(end);
+        }
+        self.links.clear();
+        self.links.reserve_exact(end);
+        for table in tables {
+            self.links.extend(table.links());
+        }
+    }
+
+    /// Node `i`'s links.
+    #[inline]
+    pub(crate) fn links(&self, i: usize) -> &[(NodeId, u16)] {
+        &self.links[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 }
 
@@ -184,14 +259,21 @@ impl ContactTable {
         self.contacts.iter().map(|c| c.id)
     }
 
+    /// `(contact, path hops)` per contact, in selection order — what a
+    /// contact walk reads.
+    #[inline]
+    pub(crate) fn links(&self) -> impl Iterator<Item = (NodeId, u16)> + '_ {
+        self.contacts.iter().map(|c| (c.id, c.hops()))
+    }
+
     /// Is `node` already a contact?
     pub fn contains(&self, node: NodeId) -> bool {
         self.contacts.iter().any(|c| c.id == node)
     }
 
     /// The live contact entry for `node`, if it is (still) a contact —
-    /// how hint probes resolve a cached next hop against current state
-    /// (a departed contact makes the hint a `stale_contact` miss).
+    /// how a standing query's chain probe checks each cached hop against
+    /// current state.
     pub fn get(&self, node: NodeId) -> Option<&Contact> {
         self.contacts.iter().find(|c| c.id == node)
     }

@@ -48,9 +48,17 @@
 //! ## State layout
 //!
 //! A contact answers from its own table for zero messages, so the host
-//! cost per visited contact is memory traffic. [`QueryScratch`] makes it
-//! two array reads:
+//! cost per visited contact is memory traffic: one 8-byte link read from
+//! the contact graph, then two array reads in [`QueryScratch`].
 //!
+//! * **Contact links** ([`TableSource::links`]): `(contact, path hops)` in
+//!   table order. A `CardWorld` view reads them from the world's flat CSR
+//!   contact graph — one offset pair per frontier node, then a contiguous
+//!   run of links — never from the shard-owned tables, whose 72-byte
+//!   headers and path-carrying contacts (32 B each) a walk used to chase
+//!   through a shard division per frontier node. Plain table slices
+//!   derive the links from the tables; [`dsq_query_rewalk`] reads the
+//!   tables, so the oracle also pins the graph to them.
 //! * **Marks and parents** (`WalkScratch`): `mark[v] == epoch` is "seen
 //!   this walk" and validates `parent[v]`, the frontier node that found
 //!   `v`. A fresh epoch per walk; zeroed once per `u32` wrap.
@@ -248,14 +256,13 @@ impl WalkScratch {
         let mut level_msgs = 0u64;
         for fi in 0..self.frontier.len() {
             let (node, dist) = self.frontier[fi];
-            for contact in contact_tables.table(node.index()).contacts() {
-                let c = contact.id;
+            for (c, hops) in contact_tables.links(node.index()) {
                 if self.mark[c.index()] == epoch || !edge_ok(node, c) {
                     continue;
                 }
                 self.mark[c.index()] = epoch;
                 self.parent[c.index()] = node;
-                let hops = contact.hops() as u64;
+                let hops = hops as u64;
                 let at_contact = dist + hops;
                 *msgs += hops;
                 level_msgs += hops;
@@ -503,7 +510,7 @@ struct Chase {
 /// Follow hints for `key` from `start` (at `start_dist` reply hops from
 /// the source) for at most `budget` contact-graph steps, verifying each
 /// reached node against `answers`. Every hop resolves the hint's next
-/// contact against the holder's *live* contact table and the edge veto — a
+/// contact against the holder's *live* contact links and the edge veto — a
 /// departed contact, a crashed relay or a next hop beyond the partition
 /// cut is a `stale_contact` miss, never a forward (the caller's walk takes
 /// over) — so a probe can only reach nodes the plain escalation could
@@ -540,16 +547,16 @@ fn chase<T: TableSource + ?Sized, S: HintLookup + ?Sized>(
                 break;
             }
         };
-        let Some(contact) = contact_tables
-            .table(node.index())
-            .get(hint.next_hop)
+        let Some((_, hops)) = contact_tables
+            .links(node.index())
+            .find(|&(c, _)| c == hint.next_hop)
             .filter(|_| edge_ok(node, hint.next_hop))
         else {
             stats.stale_contact += 1;
             break;
         };
         stats.hits += 1;
-        let hops = contact.hops() as u64;
+        let hops = hops as u64;
         probe_msgs += hops;
         dist += hops;
         node = hint.next_hop;

@@ -17,11 +17,19 @@
 //!
 //! | file | what it holds |
 //! |---|---|
-//! | `shards.rs` | shard ownership: `ProtocolShard`, the [`TablesView`] and [`HintsView`] read views, resharding, per-shard memory |
-//! | `round.rs` | contact selection (§III.C.1), the validation round with local recovery (§III.C.3), and the round's fault stage ([`FaultReport`]) |
+//! | `shards.rs` | shard ownership: `ProtocolShard`, the [`TablesView`] and [`HintsView`] read views, the contact-graph rebuild, resharding, per-shard memory |
+//! | `round.rs` | contact selection (§III.C.1), the validation round with local recovery (§III.C.3), and the round's fault stage ([`FaultReport`]); each rebuilds the contact graph |
 //! | `queries.rs` | DSQ queries (§III.C.4): the one per-pair body, the one sweep (a live or retried query is a sweep of one), and the one hint-deposit exchange |
 //! | `subscriptions.rs` | standing-query upkeep: register, resolve, probe, revalidate |
 //! | `reference.rs` | the serial oracles the parallel sweeps are pinned to |
+//!
+//! **One contact graph.** The shard tables own every contact with its
+//! path, tombstones and retry state; selection and validation edit them
+//! and never read the graph. Every contact walk — queries, retries,
+//! standing resolution, reachability — and every hint-chase next-hop
+//! lookup reads only the world's flat CSR `ContactGraph` (4 B per node
+//! plus 8 B per link), which the calls that edit tables rebuild from them
+//! in place before they return.
 //!
 //! **Determinism.** Every random protocol decision draws from the RNG
 //! stream of the node making it (derived as `("card-node", node)` from the
@@ -58,7 +66,7 @@ use sim_core::stats::{MsgStats, TimeSeries};
 use sim_core::time::{SimDuration, SimTime};
 
 use crate::config::CardConfig;
-use crate::contact::{Backoff, ContactTable};
+use crate::contact::{Backoff, ContactGraph, ContactTable};
 use crate::events::{DriveMode, EventDriver};
 use crate::hints::{HintDeposit, HintStats, HintStore};
 use crate::query::QueryRetryQueue;
@@ -86,6 +94,12 @@ pub struct CardWorld {
     maintenance: MaintenanceTotals,
     /// The shard-owned protocol state; `shards.len()` is the shard count.
     shards: Vec<ProtocolShard>,
+    /// Every node's contact links in one flat CSR, mirrored from the shard
+    /// tables: what every contact walk and hint chase reads. Rebuilt at the
+    /// end of each call that can change a table — selection (and its serial
+    /// oracle) and the validation round, before the round's retry drain and
+    /// standing recheck — and untouched by resharding.
+    graph: ContactGraph,
     /// Span width of the canonical partition (`ceil(N / shards)`, min 1);
     /// node `i` is owned by shard `i / per`.
     per: usize,
@@ -158,6 +172,7 @@ impl CardWorld {
             contacts_series: TimeSeries::new(),
             maintenance: MaintenanceTotals::default(),
             shards,
+            graph: ContactGraph::empty(n),
             per: n.div_ceil(k).max(1),
             lanes: (0..k).map(|_| QueryLane::new(n)).collect(),
             plane: MessagePlane::new(k),
@@ -237,6 +252,7 @@ impl CardWorld {
         TablesView {
             shards: &self.shards,
             per: self.per,
+            graph: &self.graph,
             n: self.net.node_count(),
         }
     }

@@ -30,8 +30,9 @@
 //! the plane as one envelope to its holder's owner shard. A run weighs
 //! its count in the plane's ledger and draws one content-keyed fault
 //! verdict — the one every copy would have drawn. Query *reads* (remote
-//! contact tables) stay direct reads through [`TablesView`]. The drain's
-//! ordering contract is spelled out on `exchange_deposits`.
+//! contact links) stay direct reads of the world's contact graph through
+//! [`TablesView`]. The drain's ordering contract is spelled out on
+//! `exchange_deposits`.
 
 use manet_routing::network::Network;
 use net_topology::node::NodeId;
@@ -40,6 +41,7 @@ use sim_core::par::parallel_shard_map;
 use sim_core::plane::Outbox;
 use sim_core::stats::MsgKind;
 
+use crate::contact::ContactGraph;
 use crate::hints::{DepositLog, HintDeposit, HintStats};
 use crate::query::{
     any_edge, dsq_query_hinted_unrecorded, dsq_query_unrecorded, HintContext, QueryFaultFilter,
@@ -94,6 +96,7 @@ impl<'a> QueryView<'a> {
         net: &'a Network,
         shards: &'a [ProtocolShard],
         per: usize,
+        graph: &'a ContactGraph,
         hints: bool,
         depth: u16,
         faults: &'a Option<FaultRuntime>,
@@ -103,6 +106,7 @@ impl<'a> QueryView<'a> {
             tables: TablesView {
                 shards,
                 per,
+                graph,
                 n: net.node_count(),
             },
             hints: hints.then_some(HintsView { shards, per }),
@@ -346,13 +350,14 @@ impl CardWorld {
             stats,
             now,
             shards,
+            graph,
             lanes,
             hints_on,
             hint_stats,
             faults,
             ..
         } = self;
-        let view = QueryView::over(net, shards, per, *hints_on, cfg.depth, faults);
+        let view = QueryView::over(net, shards, per, graph, *hints_on, cfg.depth, faults);
         // Each span of the canonical `shard_spans` partition owns its chunk
         // of the asks, the matching chunk of the output buffer (written in
         // place — no per-span collection) and one query lane.

@@ -33,6 +33,7 @@ impl CardWorld {
                 );
             }
         }
+        self.rebuild_contact_graph();
     }
 
     /// Serial reference for [`CardWorld::validation_round`]: the same

@@ -139,6 +139,7 @@ impl CardWorld {
         for delta in &deltas {
             stats.merge(delta);
         }
+        self.rebuild_contact_graph();
     }
 
     /// One validation round for every node: validate paths (healing with
@@ -208,6 +209,9 @@ impl CardWorld {
         if let Some(rt) = faults {
             rt.report.liveness_violations += liveness;
         }
+        // The sweep and the fault stage's crash wipes edited tables; the
+        // retry drain and the standing recheck below walk the graph.
+        self.rebuild_contact_graph();
         self.advance_hint_epochs();
         self.contacts_series
             .push(self.now, self.total_contacts() as f64);

@@ -6,12 +6,13 @@
 //! by its `ProtocolShard`: shard `k` holds the state of the contiguous
 //! node span `[k·per, (k+1)·per)` (the canonical
 //! [`sim_core::par::shard_spans`] partition; `per = ceil(N / shards)`).
-//! There is no flat whole-network array behind the shards; cross-shard
-//! reads go through read-only views ([`TablesView`], [`HintsView`]) and
-//! cross-shard *writes* — hint deposits — become
-//! [`HintDeposit`](crate::hints::HintDeposit) runs routed through a
-//! [`MessagePlane`] and applied by the owning shard in a deterministic
-//! drain phase (`queries.rs`).
+//! There is no flat whole-network table array behind the shards (the
+//! world's contact graph is a read mirror of their links, rebuilt here by
+//! `rebuild_contact_graph`); cross-shard reads go through read-only views
+//! ([`TablesView`], [`HintsView`]) and cross-shard *writes* — hint
+//! deposits — become [`HintDeposit`](crate::hints::HintDeposit) runs
+//! routed through a [`MessagePlane`] and applied by the owning shard in a
+//! deterministic drain phase (`queries.rs`).
 //!
 //! The whole-network protocol sweeps ([`CardWorld::select_all_contacts`]
 //! and [`CardWorld::validation_round`]) fan each shard out to exactly one
@@ -23,7 +24,7 @@ use sim_core::par::{max_workers, shard_spans};
 use sim_core::plane::MessagePlane;
 use sim_core::rng::RngStream;
 
-use crate::contact::{Backoff, ContactTable, TableSource};
+use crate::contact::{Backoff, ContactGraph, ContactTable, TableSource};
 use crate::csq::CsqScratch;
 use crate::hints::{HintKey, HintLookup, HintStore, Lookup};
 
@@ -59,12 +60,14 @@ impl ProtocolShard {
 }
 
 /// Read-only view over every node's contact table across the shard-owned
-/// spans — the [`TableSource`] the query/reachability/resource layers use
-/// now that no flat whole-network table array exists.
+/// spans, plus the world's flat contact graph — the [`TableSource`] the
+/// query/reachability/resource layers use. Walks read their links from the
+/// graph; [`table`](TableSource::table) reaches the owning shard's table.
 #[derive(Clone, Copy)]
 pub struct TablesView<'a> {
     pub(super) shards: &'a [ProtocolShard],
     pub(super) per: usize,
+    pub(super) graph: &'a ContactGraph,
     pub(super) n: usize,
 }
 
@@ -80,7 +83,7 @@ impl<'a> TablesView<'a> {
     }
 
     /// Iterate every node's table in node-id order.
-    pub fn iter(&self) -> impl Iterator<Item = &'a ContactTable> + 'a {
+    pub fn iter(&self) -> impl Iterator<Item = &'a ContactTable> + Clone + 'a {
         self.shards.iter().flat_map(|s| s.contacts.iter())
     }
 }
@@ -90,6 +93,11 @@ impl TableSource for TablesView<'_> {
     fn table(&self, i: usize) -> &ContactTable {
         let s = &self.shards[i / self.per];
         &s.contacts[i - s.start]
+    }
+
+    #[inline]
+    fn links(&self, i: usize) -> impl Iterator<Item = (NodeId, u16)> + '_ {
+        self.graph.links(i).iter().copied()
     }
 }
 
@@ -204,6 +212,12 @@ pub(super) fn partition_state(
 }
 
 impl CardWorld {
+    /// Refill the flat contact graph from the shard tables, in node order.
+    pub(super) fn rebuild_contact_graph(&mut self) {
+        self.graph
+            .rebuild(self.shards.iter().flat_map(|s| s.contacts.iter()));
+    }
+
     /// Number of protocol shards the whole-network sweeps fan out over.
     pub fn shard_count(&self) -> usize {
         self.shards.len()

@@ -888,3 +888,200 @@ fn shard_memory_and_plane_stats_surface() {
         "validation meters crossings monotonically"
     );
 }
+
+/// The world's contact graph equals one rebuilt from its tables.
+fn assert_graph_coherent(w: &CardWorld, after: &str) {
+    let mut fresh = ContactGraph::default();
+    fresh.rebuild(w.contact_tables().iter());
+    assert_eq!(w.graph, fresh, "stale contact graph after {after}");
+}
+
+#[test]
+fn contact_graph_mirrors_the_tables_after_every_table_edit() {
+    let mut w = CardWorld::build(&scenario(), cfg());
+    assert_graph_coherent(&w, "build");
+    w.select_all_contacts();
+    assert_graph_coherent(&w, "select_all_contacts");
+    let mut serial = CardWorld::build(&scenario(), cfg());
+    serial.select_all_contacts_serial();
+    assert_graph_coherent(&serial, "select_all_contacts_serial");
+    assert_eq!(serial.graph, w.graph);
+
+    // Calm rounds after motion: validation drops and heals paths, and
+    // re-selection refills the tables.
+    let mut model = RandomWaypoint::new(
+        150,
+        w.network().field(),
+        2.0,
+        12.0,
+        0.0,
+        SeedSplitter::new(5).stream("mobility", 0),
+    );
+    for _ in 0..3 {
+        let before = w.graph.clone();
+        w.run_mobile(&mut model, SimDuration::from_secs(4));
+        w.validation_round();
+        assert_graph_coherent(&w, "a calm validation_round");
+        assert_ne!(w.graph, before, "mobile rounds must edit some table");
+        w.run_mobile(&mut model, SimDuration::from_secs(4));
+        w.validation_round_serial();
+        assert_graph_coherent(&w, "a calm validation_round_serial");
+    }
+
+    // Resharding moves the tables, not their contents.
+    let before = w.graph.clone();
+    for shards in [1, 3, 7] {
+        w.set_shard_count(shards);
+        assert_eq!(w.graph, before, "set_shard_count touched the graph");
+        assert_graph_coherent(&w, "set_shard_count");
+    }
+
+    // Faulted rounds: crash wipes, tombstones, held-out contacts.
+    let mut f = hinted_world(3);
+    f.select_all_contacts();
+    f.enable_faults(FaultPlan::generate(&fault_cfg(), 150, 99));
+    let mut tombstoned = false;
+    for round in 0..6 {
+        if round % 2 == 0 {
+            f.validation_round();
+        } else {
+            f.validation_round_serial();
+        }
+        assert_graph_coherent(&f, "a faulted round");
+        tombstoned |= f
+            .contact_tables()
+            .iter()
+            .any(|t| !t.tombstones().is_empty());
+    }
+    assert!(f.fault_report().crashes > 0, "plan must crash someone");
+    assert!(tombstoned, "crashes must leave tombstones");
+}
+
+#[test]
+fn a_query_right_after_a_round_walks_the_contacts_it_added() {
+    // No selection: the first round's rule-5 re-selection adds every
+    // contact, so a graph not rebuilt by the round would have no links.
+    let mut w = CardWorld::build(&scenario(), cfg().with_depth(3));
+    w.validation_round();
+    let source = NodeId::all(150)
+        .find(|&s| !w.contact_table(s).is_empty())
+        .expect("the round selects some contact");
+    let first = w.contact_table(source).contacts()[0].clone();
+    let out = w.query(source, first.id);
+    let hops = first.hops() as u64;
+    assert_eq!(
+        out,
+        QueryOutcome {
+            found: true,
+            depth_used: 1,
+            query_msgs: hops,
+            reply_msgs: hops,
+        },
+        "the query must resolve through the round's new contact {:?}",
+        first.id
+    );
+}
+
+/// `n` nodes on a horizontal line, `spacing` metres apart, at zone radius
+/// 2 with the given radio range.
+fn line_world(n: usize, spacing: f64, range: f64, cfg: CardConfig) -> CardWorld {
+    use net_topology::geometry::{Field, Point2};
+    let positions = (0..n)
+        .map(|i| Point2::new(10.0 + spacing * i as f64, 10.0))
+        .collect();
+    let side = 20.0 + spacing * n as f64;
+    CardWorld::from_network(
+        Network::from_positions(Field::square(side), positions, range, 2),
+        cfg,
+    )
+}
+
+#[test]
+fn a_partition_cutting_every_contact_of_a_source_misses_free_and_retries() {
+    // A 16-node line, one hop per 40 m: node 0's zone is {0, 1, 2}, and
+    // every contact it may hold (4‥8 hops) lies right of the cut between
+    // nodes 3 and 4 (x = 130 | 170; the cut sits at 10 + 0.25 · 600 = 160).
+    let mut w = line_world(16, 40.0, 50.0, cfg().with_depth(3).with_target_contacts(2));
+    w.select_all_contacts();
+    w.enable_faults(FaultPlan::generate(
+        &sim_core::faults::FaultConfig {
+            churn_rate: 0.0,
+            rejoin_after: 0,
+            partition: Some(sim_core::faults::PartitionWindow {
+                start_round: 1,
+                end_round: 3,
+                fraction: 0.25,
+            }),
+            drop_rate: 0.0,
+            delay_rate: 0.0,
+            rounds: 4,
+        },
+        16,
+        3,
+    ));
+    w.validation_round(); // round 0: calm
+    w.validation_round(); // round 1: the partition opens
+    assert!(w.fault_report().partition_active);
+    let (source, target) = (NodeId::new(0), NodeId::new(3));
+    let sides = w.fault_state().and_then(|s| s.sides()).expect("open");
+    let contacts: Vec<NodeId> = w.contact_table(source).ids().collect();
+    assert!(!contacts.is_empty(), "the source holds contacts");
+    assert!(
+        contacts.iter().all(|c| sides[c.index()] != sides[0]),
+        "every contact of the source lies across the cut: {contacts:?}"
+    );
+    assert_eq!(sides[target.index()], sides[0], "the target is on our side");
+    assert!(!w.network().tables().of(source).contains(target));
+
+    let out = w.query(source, target);
+    assert_eq!(
+        out,
+        QueryOutcome {
+            found: false,
+            depth_used: 3,
+            query_msgs: 0,
+            reply_msgs: 0,
+        },
+        "vetoed edges are neither walked nor charged"
+    );
+    assert_eq!(w.pending_query_retries(), 1, "the miss enters the queue");
+
+    // Round 2 retries under the partition (a miss, requeued with a wait
+    // of one round); round 3 heals and waits; round 4 retries and resolves.
+    for _ in 0..3 {
+        w.validation_round();
+    }
+    assert!(!w.fault_report().partition_active);
+    let retry = w.fault_report().retry;
+    assert_eq!(
+        (retry.scheduled, retry.retried, retry.recovered),
+        (1, 2, 1),
+        "the retry after the heal resolves"
+    );
+    assert_eq!(w.pending_query_retries(), 0);
+}
+
+#[test]
+fn a_radio_range_below_the_node_spacing_isolates_every_node() {
+    // 40 m spacing, 10 m range: no links, so every zone is its owner.
+    let n = 20;
+    let mut w = line_world(n, 40.0, 10.0, cfg().with_depth(3));
+    w.select_all_contacts();
+    assert_eq!(w.stats().grand_total(), 0, "selection launches no walk");
+    assert_eq!(w.total_contacts(), 0);
+    assert_eq!(w.graph, ContactGraph::empty(n), "the graph has no links");
+    w.validation_round();
+    assert_eq!(w.stats().grand_total(), 0, "a round sends nothing");
+    assert_eq!(w.plane_stats().metered_crossings, 0);
+    for s in NodeId::all(n) {
+        for t in NodeId::all(n).filter(|&t| t != s) {
+            let out = w.query(s, t);
+            assert!(!out.found, "{s:?} -> {t:?} cannot resolve");
+            assert_eq!(out.total_messages(), 0, "{s:?} -> {t:?} is free");
+        }
+    }
+    let summary = w.reachability_summary(3);
+    for pct in &summary.per_node_pct {
+        assert_eq!(*pct, 100.0 / n as f64);
+    }
+}

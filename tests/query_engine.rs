@@ -53,14 +53,21 @@ proptest! {
 
     /// Incremental escalation is bit-identical to the from-scratch
     /// per-depth re-walk — outcome and message series — with one scratch
-    /// reused across a whole batch of queries of mixed depths.
+    /// reused across a whole batch of queries of mixed depths. The walk
+    /// reads the world's contact graph and the re-walk its tables, so the
+    /// validation rounds before the batch also pin that every round leaves
+    /// the graph equal to the tables.
     #[test]
     fn prop_incremental_matches_rewalk(
         seed in 0u64..300,
         queries in proptest::collection::vec(
             (0usize..NODES, 0usize..NODES, 1u16..5), 1..40),
+        rounds in 0usize..3,
     ) {
-        let w = world(seed, 3);
+        let mut w = world(seed, 3);
+        for _ in 0..rounds {
+            w.validation_round();
+        }
         let mut scratch = QueryScratch::new();
         for &(s, t, max_depth) in &queries {
             let (s, t) = (NodeId::from(s), NodeId::from(t));
