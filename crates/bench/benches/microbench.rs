@@ -545,7 +545,8 @@ fn bench_csq_walk(c: &mut Criterion) {
 }
 
 /// Whole-network protocol sweeps at N = 1000 (scenario-5 density):
-/// the sharded parallel path vs the serial reference, for both
+/// the default shard count (`sharded`) vs a one-shard world, whose
+/// fan-out runs inline on the caller's thread (`serial`), for both
 /// `select_all_contacts` (from-scratch CSQ selection for every node) and
 /// `validation_round` (validate + throttled re-select for every node).
 /// Protocol parameters mirror `experiments::scale::protocol_config` so
@@ -554,9 +555,9 @@ fn bench_csq_walk(c: &mut Criterion) {
 /// Each iteration rebuilds the world: the sweeps mutate per-node state
 /// (contact tables, RNG streams, backoff), so timing a repeated sweep on a
 /// saturated world would measure the (cheap) "already at NoC" path instead
-/// of real selection. Build cost is identical across the serial/parallel
-/// variants, so the comparison stays honest even though absolute numbers
-/// include it.
+/// of real selection. Build cost is the same for both variants (`serial`
+/// adds one reshard of empty tables), so the comparison stays honest even
+/// though absolute numbers include it.
 fn bench_protocol_sweeps(c: &mut Criterion) {
     let n = 1000usize;
     let scenario = scaled_scenario(n);
@@ -567,44 +568,45 @@ fn bench_protocol_sweeps(c: &mut Criterion) {
         .with_seed(29);
     let net = Network::from_scenario(&scenario, 2, 29);
 
+    // A fresh world at the default shard count, or at one shard.
+    let fresh = |one_shard: bool| {
+        let mut w = card_core::CardWorld::from_network(net.clone(), cfg);
+        if one_shard {
+            w.set_shard_count(1);
+        }
+        w
+    };
+
     let mut group = c.benchmark_group(format!("select_all_contacts/n{n}"));
-    let mut run_select = |label: &str, parallel: bool| {
+    let mut run_select = |label: &str, one_shard: bool| {
         group.bench_function(label, |b| {
             b.iter(|| {
-                let mut w = card_core::CardWorld::from_network(net.clone(), cfg);
-                if parallel {
-                    w.select_all_contacts();
-                } else {
-                    w.select_all_contacts_serial();
-                }
+                let mut w = fresh(one_shard);
+                w.select_all_contacts();
                 black_box(w.total_contacts())
             })
         });
     };
-    run_select("sharded", true);
-    run_select("serial", false);
+    run_select("sharded", false);
+    run_select("serial", true);
     group.finish();
 
     let mut group = c.benchmark_group(format!("validation_round/n{n}"));
-    let mut run_validate = |label: &str, parallel: bool| {
+    let mut run_validate = |label: &str, one_shard: bool| {
         group.bench_function(label, |b| {
             // One selected world per variant; each iteration clones it so
             // every measured round validates the same full tables.
-            let mut seeded = card_core::CardWorld::from_network(net.clone(), cfg);
+            let mut seeded = fresh(one_shard);
             seeded.select_all_contacts();
             b.iter(|| {
                 let mut w = seeded.clone();
-                if parallel {
-                    w.validation_round();
-                } else {
-                    w.validation_round_serial();
-                }
+                w.validation_round();
                 black_box(w.maintenance_totals().validated)
             })
         });
     };
-    run_validate("sharded", true);
-    run_validate("serial", false);
+    run_validate("sharded", false);
+    run_validate("serial", true);
     group.finish();
 }
 
@@ -630,8 +632,8 @@ fn bench_protocol_sweeps(c: &mut Criterion) {
 ///   walk at this N, and these ids exist to keep that overhead bounded.
 /// * `query_sweep/n1000/{sharded,serial}` — the whole pair list through
 ///   the batched `CardWorld::query_all` fan-out (shard-owned scratches,
-///   per-shard `MsgStats` deltas) vs the serial reference
-///   (`query_all_serial`: one query at a time into the world's stats).
+///   per-shard `MsgStats` deltas) at the default shard count vs on a
+///   one-shard world (one lane, inline on the caller's thread).
 /// * `query_sweep/n1000/hinted` — the same pair list through `query_all`
 ///   on a hints-enabled, pre-warmed world (frozen-store parallel phase +
 ///   shard-order deposit application each sweep).
@@ -753,24 +755,23 @@ fn bench_query_engine(c: &mut Criterion) {
     group.finish();
 
     let mut group = c.benchmark_group("query_sweep/n1000");
-    let mut run_sweep = |label: &str, parallel: bool| {
+    let mut run_sweep = |label: &str, one_shard: bool| {
         group.bench_function(label, |b| {
             // Queries leave the protocol state untouched; only stats
             // accumulate (into already-grown buckets), so the same world
             // serves every iteration allocation-free.
             let mut w = world.clone();
+            if one_shard {
+                w.set_shard_count(1);
+            }
             b.iter(|| {
-                let outcomes = if parallel {
-                    w.query_all(black_box(&pairs))
-                } else {
-                    w.query_all_serial(black_box(&pairs))
-                };
+                let outcomes = w.query_all(black_box(&pairs));
                 black_box(outcomes.iter().filter(|o| o.found).count())
             })
         });
     };
-    run_sweep("sharded", true);
-    run_sweep("serial", false);
+    run_sweep("sharded", false);
+    run_sweep("serial", true);
     group.bench_function("hinted", |b| {
         let mut w = world.clone();
         w.set_hints_enabled(true);

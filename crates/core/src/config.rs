@@ -60,14 +60,12 @@ pub struct CardConfig {
     /// Mobility/topology refresh tick. Connectivity and neighborhood tables
     /// are recomputed at this granularity.
     pub mobility_tick: SimDuration,
-    /// Hard cap on DFS steps per CSQ (forward + backtrack). The effective
-    /// per-walk budget is `min(max_csq_steps, csq_step_factor · r)` — a
-    /// TTL-like lifetime, without which a failed CSQ in a saturated region
-    /// would exhaust every edge within r hops (thousands of messages),
-    /// far beyond the per-node overheads the paper reports.
+    /// Hard cap on DFS steps per CSQ (forward + backtrack), floored at 2r
+    /// so one out-and-back traversal stays possible — a TTL-like lifetime,
+    /// without which a failed CSQ in a saturated region would exhaust every
+    /// edge within r hops (thousands of messages), far beyond the per-node
+    /// overheads the paper reports.
     pub max_csq_steps: u32,
-    /// Multiplier for the r-proportional walk budget (see `max_csq_steps`).
-    pub csq_step_factor: u32,
     /// How many CSQ walks a below-NoC node launches per validation round
     /// (§III.C.1 step 1 sends CSQs "one at a time"; Fig 13's slowly-growing
     /// contact count shows selection trickling over many periods).
@@ -84,13 +82,6 @@ pub struct CardConfig {
     /// Hint TTL in validation rounds: a hint older than this is reported
     /// stale and recycled instead of probed.
     pub hint_ttl: u32,
-    /// Tombstone TTL in validation rounds: how long a confirmed-dead
-    /// contact is barred from CSQ re-selection (fault injection only;
-    /// irrelevant in a calm world).
-    pub tombstone_ttl: u32,
-    /// How many unacked validation probes a contact survives before it is
-    /// evicted (per-contact exponential retry; fault injection only).
-    pub validation_retry_cap: u32,
     /// How many times a failed query is retried with capped exponential
     /// backoff before being abandoned (fault injection only).
     pub query_retry_cap: u32,
@@ -109,13 +100,10 @@ impl Default for CardConfig {
             local_recovery: true,
             mobility_tick: SimDuration::from_millis(100),
             max_csq_steps: 320,
-            csq_step_factor: 1_000,
             selection_walks_per_round: 3,
             seed: 1,
             hint_slots_per_bucket: 4,
             hint_ttl: 32,
-            tombstone_ttl: 4,
-            validation_retry_cap: 3,
             query_retry_cap: 3,
         }
     }
@@ -167,7 +155,7 @@ impl CardConfig {
     /// Validate the parameter combination.
     ///
     /// # Panics
-    /// Panics when R = 0, D = 0, a TTL or the hint slot count is 0, or the
+    /// Panics when R = 0, D = 0, the hint TTL or slot count is 0, or the
     /// contact annulus is inverted (for eq.2/EM that means `r < 2R`; eq.1
     /// needs `r >= R`). Hint sizing is checked whether or not the cache
     /// is on, since it can be switched on at runtime. The *degenerate*
@@ -177,7 +165,6 @@ impl CardConfig {
     pub fn validate(&self) {
         assert!(self.radius >= 1, "R must be >= 1");
         assert!(self.depth >= 1, "D must be >= 1");
-        assert!(self.tombstone_ttl >= 1, "tombstone TTL must be >= 1 round");
         assert!(
             self.hint_slots_per_bucket >= 1,
             "hint buckets need at least one slot"
@@ -208,9 +195,7 @@ impl CardConfig {
 
     /// Effective per-walk CSQ step budget (see `max_csq_steps`).
     pub fn csq_budget(&self) -> u32 {
-        self.max_csq_steps
-            .min(self.csq_step_factor * self.max_contact_distance as u32)
-            .max(2 * self.max_contact_distance as u32)
+        self.max_csq_steps.max(2 * self.max_contact_distance as u32)
     }
 }
 
@@ -229,8 +214,6 @@ mod tests {
         assert!(c.local_recovery);
         assert_eq!(c.hint_slots_per_bucket, 4);
         assert_eq!(c.hint_ttl, 32);
-        assert_eq!(c.tombstone_ttl, 4);
-        assert_eq!(c.validation_retry_cap, 3);
         assert_eq!(c.query_retry_cap, 3);
         c.validate();
     }
@@ -282,17 +265,12 @@ mod tests {
 
     #[test]
     fn csq_budget_combines_cap_factor_and_floor() {
-        // default: the flat 320-step cap governs (factor 1000 inoperative)
+        // default: the flat 320-step cap governs
         let c = CardConfig::default()
             .with_radius(3)
             .with_max_contact_distance(10);
         assert_eq!(c.csq_budget(), 320);
-        // a small factor makes the budget r-proportional
-        let mut scaled = c;
-        scaled.csq_step_factor = 16;
-        assert_eq!(scaled.csq_budget(), 160);
-        assert_eq!(scaled.with_max_contact_distance(20).csq_budget(), 320);
-        // the hard cap still applies
+        // a tighter cap applies
         let mut tight = c;
         tight.max_csq_steps = 50;
         assert_eq!(tight.csq_budget(), 50);

@@ -206,8 +206,18 @@ impl Backoff {
 }
 
 /// The per-contact retry window grows as far as a `u32` counts rounds
-/// (`2^31 − 1`); `validation_retry_cap` evicts the contact long before.
+/// (`2^31 − 1`); [`VALIDATION_RETRY_CAP`] evicts the contact long before.
 const CONTACT_RETRY_CAP: u32 = 31;
+
+/// Tombstone TTL in validation rounds: how long a confirmed-dead contact
+/// is barred from CSQ re-selection (fault injection only; irrelevant in a
+/// calm world).
+pub(crate) const TOMBSTONE_TTL: u32 = 4;
+const _: () = assert!(TOMBSTONE_TTL >= 1, "tombstone TTL must be >= 1 round");
+
+/// How many unacked validation probes a contact survives before it is
+/// evicted (per-contact exponential retry; fault injection only).
+pub(crate) const VALIDATION_RETRY_CAP: u32 = 3;
 
 /// The contact table of one source node.
 ///
@@ -219,7 +229,7 @@ const CONTACT_RETRY_CAP: u32 = 31;
 ///   A tombstoned id is skipped by CSQ re-selection until its TTL, counted
 ///   in validation rounds, runs out; this stops a node from immediately
 ///   re-selecting a peer it just watched die.
-/// * **retry state** — per-contact unacked-validation [`Backoff`]. A
+/// * **retry state** — per-contact unacked-validation `Backoff`. A
 ///   contact whose validation probe went unanswered is kept but *skipped*
 ///   for `2^level - 1` rounds (the same timer as the table-wide selection
 ///   backoff in `world/round.rs`); each further miss bumps the level until
@@ -350,7 +360,7 @@ impl ContactTable {
     }
 
     /// The largest remaining tombstone TTL (0 when none). The liveness
-    /// contract asserts this never exceeds the configured TTL.
+    /// contract asserts this never exceeds `TOMBSTONE_TTL`.
     pub fn max_tombstone_ttl(&self) -> u32 {
         self.tombstones.iter().map(|t| t.1).max().unwrap_or(0)
     }

@@ -58,8 +58,8 @@
 //! *and the stores themselves* are a pure function of `(network, tables,
 //! store, pairs)` at any worker or shard count, calm or lossy. With the
 //! cache disabled the same sweep runs without a hint view — no lookup, no
-//! deposit stage — and is bit-identical to `query_all_serial` (pinned by
-//! `tests/hint_cache.rs`).
+//! deposit stage — and is bit-identical to one `CardWorld::query` per pair
+//! on a one-shard world (pinned by `tests/hint_cache.rs`).
 //!
 //! ## Runs: deposits combine at the sender
 //!

@@ -40,8 +40,9 @@
 //!   Per-node protocol state is *sharded*: the whole-network selection and
 //!   validation sweeps fan out over the persistent `sim_core::par` worker
 //!   pool with shard-owned RNG streams and walk scratches, bit-identical
-//!   to their serial reference paths at any worker or shard count (the
-//!   module docs spell out the determinism contract). A seeded
+//!   at any worker or shard count; a one-shard world runs the same calls
+//!   inline and is the serial reference (the module docs spell out the
+//!   determinism contract). A seeded
 //!   `sim_core::faults` plan can be armed on any world
 //!   ([`world::CardWorld::enable_faults`]) for deterministic crash/
 //!   partition/message-loss injection with tombstone, retry-timer, and

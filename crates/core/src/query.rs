@@ -42,8 +42,8 @@
 //! * Batched sweeps (`CardWorld::query_all`) fan pair lists out over
 //!   protocol shards with shard-owned scratches; queries draw no
 //!   randomness, so outcomes are a pure function of `(network, tables,
-//!   fault view, pair)` and the sweep is bit-identical to its serial
-//!   reference at any worker or shard count.
+//!   fault view, pair)` and the sweep is bit-identical at any worker or
+//!   shard count, one shard (a single inline lane) included.
 //!
 //! ## State layout
 //!
@@ -983,9 +983,9 @@ fn attempt_rewalk<T: TableSource + ?Sized>(
 /// depth restarts its level-synchronous walk from the source, allocating
 /// fresh visited/frontier buffers per attempt — the literal §III.C.4
 /// semantics the incremental engine must reproduce bit for bit (outcome
-/// *and* message accounting). Kept, like `Network::refresh_full` and the
-/// `CardWorld::*_serial` sweeps, as the equivalence anchor for tests
-/// (`tests/query_engine.rs`) and the `dsq_query/*` benches.
+/// *and* message accounting). The query layer's one oracle (as
+/// `Network::refresh_full` is the topology's): the equivalence anchor for
+/// tests (`tests/query_engine.rs`) and the `dsq_query/*` benches.
 pub fn dsq_query_rewalk<T: TableSource>(
     net: &Network,
     contact_tables: T,

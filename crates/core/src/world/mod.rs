@@ -21,7 +21,6 @@
 //! | `round.rs` | contact selection (§III.C.1), the validation round with local recovery (§III.C.3), and the round's fault stage ([`FaultReport`]); each rebuilds the contact graph |
 //! | `queries.rs` | DSQ queries (§III.C.4): the one per-pair body, the one sweep (a live or retried query is a sweep of one), and the one hint-deposit exchange |
 //! | `subscriptions.rs` | standing-query upkeep: register, resolve, probe, revalidate |
-//! | `reference.rs` | the serial oracles the parallel sweeps are pinned to |
 //!
 //! **One contact graph.** The shard tables own every contact with its
 //! path, tombstones and retry state; selection and validation edit them
@@ -39,13 +38,13 @@
 //! first, then in `(source shard, send sequence)` order — a pure function
 //! of the protocol's own send order, independent of worker scheduling.
 //! The result of a sweep is therefore a pure function of `(network,
-//! config, per-node state)` — bit-identical across worker counts, shard
-//! counts, and the serial reference paths ([`CardWorld::select_all_contacts_serial`],
-//! [`CardWorld::validation_round_serial`]), which exist precisely to pin
-//! that equivalence in tests and benches.
+//! config, per-node state)` — bit-identical across worker counts and shard
+//! counts. There is no separate serial path: a world set to one shard
+//! ([`CardWorld::set_shard_count`]) runs every sweep inline on the
+//! caller's thread, and that one-shard world is the reference the tests
+//! and benches pin the k-shard fan-outs to.
 
 mod queries;
-mod reference;
 mod round;
 mod shards;
 mod subscriptions;
@@ -96,9 +95,9 @@ pub struct CardWorld {
     shards: Vec<ProtocolShard>,
     /// Every node's contact links in one flat CSR, mirrored from the shard
     /// tables: what every contact walk and hint chase reads. Rebuilt at the
-    /// end of each call that can change a table — selection (and its serial
-    /// oracle) and the validation round, before the round's retry drain and
-    /// standing recheck — and untouched by resharding.
+    /// end of each call that can change a table — selection and the
+    /// validation round, before the round's retry drain and standing
+    /// recheck — and untouched by resharding.
     graph: ContactGraph,
     /// Span width of the canonical partition (`ceil(N / shards)`, min 1);
     /// node `i` is owned by shard `i / per`.

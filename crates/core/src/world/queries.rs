@@ -291,7 +291,7 @@ impl CardWorld {
     /// shards' deposit logs through the message plane to their owner shards
     /// afterwards, so either way results and statistics are bit-identical
     /// at any worker or shard count (with the cache off the sweep
-    /// additionally equals [`CardWorld::query_all_serial`]).
+    /// additionally equals one [`CardWorld::query`] per pair, in order).
     pub fn query_all(&mut self, pairs: &[(NodeId, NodeId)]) -> Vec<QueryOutcome> {
         let mut out = Vec::new();
         self.query_all_into(pairs, &mut out);

@@ -22,7 +22,7 @@
 //! decisions key on protocol content (node ids, rounds, message
 //! payloads) hashed with the plan seed — never on shard or worker
 //! coordinates — which keeps a faulted run bit-identical at any shard
-//! count and against the serial reference paths. Protocol hardening
+//! count, one shard (the inline serial run) included. Protocol hardening
 //! under faults: confirmed-dead contacts are tombstoned (and skipped by
 //! re-selection until the TTL expires), unacked validations extend
 //! per-contact retry windows, hinted probes fall back to the plain walk
@@ -38,6 +38,7 @@ use sim_core::stats::{MsgKind, MsgStats};
 use sim_core::time::{SimDuration, SimTime};
 
 use crate::config::CardConfig;
+use crate::contact::{TOMBSTONE_TTL, VALIDATION_RETRY_CAP};
 use crate::csq::{select_contacts, ALL_EDGE_NODES};
 use crate::maintenance::{path_shard_crossings, validate_contacts, MaintenanceTotals};
 use crate::query::{any_edge, RetryStats};
@@ -106,8 +107,9 @@ const SELECTION_BACKOFF_CAP: u32 = 5;
 
 impl CardWorld {
     /// Initial contact selection for every node, fanned out over the
-    /// protocol shards (ownership: `world/shards.rs`). Bit-identical to
-    /// [`CardWorld::select_all_contacts_serial`].
+    /// protocol shards (ownership: `world/shards.rs`). Bit-identical at any
+    /// shard count; at one shard the fan-out runs inline on the caller's
+    /// thread, which makes a one-shard world the serial reference.
     pub fn select_all_contacts(&mut self) {
         let CardWorld {
             net,
@@ -144,10 +146,10 @@ impl CardWorld {
 
     /// One validation round for every node: validate paths (healing with
     /// local recovery), drop rule-4 violators, then — per §III.C.3 rule 5 —
-    /// re-select toward NoC. The sweep fans out over the protocol shards;
-    /// [`CardWorld::validation_round_serial`] is the bit-identical serial
-    /// reference. Span-boundary crossings of the validated paths are
-    /// metered into
+    /// re-select toward NoC. The sweep fans out over the protocol shards
+    /// and is bit-identical at any shard count (one shard runs inline: the
+    /// serial reference). Span-boundary crossings of the validated paths
+    /// are metered into
     /// [`PlaneStats::metered_crossings`](sim_core::plane::PlaneStats::metered_crossings). With a fault plan
     /// armed the round first applies its scheduled fault events and
     /// re-runs the due query retries after the sweep — fused here so a
@@ -165,14 +167,11 @@ impl CardWorld {
     ///   (level capped at 5), resetting on any success. Saturated nodes
     ///   (NoC above the annulus capacity) therefore go quiet instead of
     ///   re-sweeping the region every period.
+    ///
+    /// The round's fault stages no-op on a calm world: `apply_fault_round`
+    /// without a plan, the span body's fault block without a fault view,
+    /// the retry drain on an empty queue.
     pub fn validation_round(&mut self) {
-        self.run_validation_round(true);
-    }
-
-    /// The one round body. Its fault stages no-op on a calm world:
-    /// [`CardWorld::apply_fault_round`] without a plan, the span body's
-    /// fault block without a fault view, the retry drain on an empty queue.
-    pub(super) fn run_validation_round(&mut self, fan_out: bool) {
         self.apply_fault_round();
         let per = self.per;
         let CardWorld {
@@ -191,14 +190,9 @@ impl CardWorld {
             .map(|rt| (&rt.plan, &rt.state, rt.report.rounds_applied - 1));
         let width = stats.bucket_width();
         let at = *now;
-        let span = |shard: &mut ProtocolShard| {
+        let deltas = parallel_shard_map(shards, |_, shard| {
             Self::validate_span(net, cfg, shard, at, width, per, fault_view)
-        };
-        let deltas: Vec<ShardDelta> = if fan_out {
-            parallel_shard_map(shards, |_, shard| span(shard))
-        } else {
-            shards.iter_mut().map(span).collect()
-        };
+        });
         let mut liveness = 0u64;
         for delta in &deltas {
             stats.merge(&delta.stats);
@@ -247,7 +241,7 @@ impl CardWorld {
     /// confirmed-dead contacts (evicted now, barred from re-selection until
     /// the TTL expires), hold out contacts inside a retry window or whose
     /// probe the plan loses this round (unacked probes extend the window;
-    /// past `cfg.validation_retry_cap` the contact is dropped) and validate
+    /// past `VALIDATION_RETRY_CAP` the contact is dropped) and validate
     /// the rest with crashed/partitioned hops vetoed (including
     /// local-recovery splices). Crashed nodes send nothing and maintain
     /// nothing. The in-run liveness check counts any tombstone observed
@@ -290,7 +284,7 @@ impl CardWorld {
                 ids.extend(table.contacts().iter().map(|c| c.id));
                 for &c in &ids {
                     if state.is_down(c.index()) {
-                        table.tombstone(c, cfg.tombstone_ttl);
+                        table.tombstone(c, TOMBSTONE_TTL);
                         delta.maintenance.lost += 1;
                     }
                 }
@@ -321,7 +315,7 @@ impl CardWorld {
                         .stats
                         .record_n(at, MsgKind::Validation, entry.hops() as u64);
                     let level = table.note_unacked(c);
-                    if level > cfg.validation_retry_cap {
+                    if level > VALIDATION_RETRY_CAP {
                         table.clear_retry(c);
                         delta.maintenance.lost += 1;
                     } else {
@@ -349,7 +343,7 @@ impl CardWorld {
                 // Re-admit the held-out contacts, windows intact.
                 table.contacts_mut().append(&mut held);
                 // Liveness: no tombstone may be observed past its TTL.
-                if table.max_tombstone_ttl() > cfg.tombstone_ttl {
+                if table.max_tombstone_ttl() > TOMBSTONE_TTL {
                     delta.liveness_violations += 1;
                 }
                 table.decay_tombstones();

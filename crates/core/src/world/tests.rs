@@ -241,7 +241,8 @@ fn query_all_matches_serial_and_per_query_paths() {
         w
     };
     let mut serial = build(Some(1));
-    let expected_outcomes = serial.query_all_serial(&pairs);
+    let expected_outcomes: Vec<QueryOutcome> =
+        pairs.iter().map(|&(s, t)| serial.query(s, t)).collect();
     let expected_series = serial.stats().series_where(|_| true);
     for shards in [None, Some(1), Some(3), Some(60), Some(500)] {
         let mut par = build(shards);
@@ -342,9 +343,9 @@ fn parallel_sweeps_match_serial_reference() {
         w
     };
     let mut serial = build(Some(1));
-    serial.select_all_contacts_serial();
-    serial.validation_round_serial();
-    serial.validation_round_serial();
+    serial.select_all_contacts();
+    serial.validation_round();
+    serial.validation_round();
     let expected = snapshot(&serial);
     for shards in [None, Some(1), Some(3), Some(150), Some(1000)] {
         let mut par = build(shards);
@@ -646,18 +647,14 @@ fn faulted_rounds_are_deterministic_across_shards_and_drivers() {
     let pairs: Vec<(NodeId, NodeId)> = (0..30u32)
         .map(|i| (NodeId::new(i % 150), NodeId::new((i * 37 + 5) % 150)))
         .collect();
-    let run = |shards: usize, serial: bool| {
+    let run = |shards: usize| {
         let mut w = hinted_world(3);
         w.set_shard_count(shards);
         w.select_all_contacts();
         w.enable_faults(FaultPlan::generate(&fault_cfg(), 150, 99));
         let mut outcomes = Vec::new();
         for _ in 0..6 {
-            if serial {
-                w.validation_round_serial();
-            } else {
-                w.validation_round();
-            }
+            w.validation_round();
             outcomes.push(w.query_all(&pairs));
         }
         // Of the plane counters only the totals are shard-invariant:
@@ -679,18 +676,18 @@ fn faulted_rounds_are_deterministic_across_shards_and_drivers() {
             plane_totals,
         )
     };
-    let reference = run(1, true);
+    let reference = run(1);
     assert!(reference.2.crashes > 0, "plan must crash someone");
     assert!(reference.2.rejoins > 0, "crashed nodes must rejoin");
     assert_eq!(reference.2.partitions_opened, 1);
     assert_eq!(reference.2.partitions_healed, 1);
     assert_eq!(reference.2.liveness_violations, 0);
     assert_eq!(reference.2.grid_audit_violations, 0);
-    for (shards, serial) in [(1, false), (2, true), (2, false), (4, false), (4, true)] {
+    for shards in [1, 2, 4] {
         assert_eq!(
-            run(shards, serial),
+            run(shards),
             reference,
-            "faulted run diverged at {shards} shards, serial={serial}"
+            "faulted run diverged at {shards} shards"
         );
     }
 }
@@ -903,8 +900,9 @@ fn contact_graph_mirrors_the_tables_after_every_table_edit() {
     w.select_all_contacts();
     assert_graph_coherent(&w, "select_all_contacts");
     let mut serial = CardWorld::build(&scenario(), cfg());
-    serial.select_all_contacts_serial();
-    assert_graph_coherent(&serial, "select_all_contacts_serial");
+    serial.set_shard_count(1);
+    serial.select_all_contacts();
+    assert_graph_coherent(&serial, "a one-shard select_all_contacts");
     assert_eq!(serial.graph, w.graph);
 
     // Calm rounds after motion: validation drops and heals paths, and
@@ -917,6 +915,7 @@ fn contact_graph_mirrors_the_tables_after_every_table_edit() {
         0.0,
         SeedSplitter::new(5).stream("mobility", 0),
     );
+    let shards = w.shard_count();
     for _ in 0..3 {
         let before = w.graph.clone();
         w.run_mobile(&mut model, SimDuration::from_secs(4));
@@ -924,8 +923,10 @@ fn contact_graph_mirrors_the_tables_after_every_table_edit() {
         assert_graph_coherent(&w, "a calm validation_round");
         assert_ne!(w.graph, before, "mobile rounds must edit some table");
         w.run_mobile(&mut model, SimDuration::from_secs(4));
-        w.validation_round_serial();
-        assert_graph_coherent(&w, "a calm validation_round_serial");
+        w.set_shard_count(1);
+        w.validation_round();
+        assert_graph_coherent(&w, "a calm one-shard validation_round");
+        w.set_shard_count(shards);
     }
 
     // Resharding moves the tables, not their contents.
@@ -942,11 +943,9 @@ fn contact_graph_mirrors_the_tables_after_every_table_edit() {
     f.enable_faults(FaultPlan::generate(&fault_cfg(), 150, 99));
     let mut tombstoned = false;
     for round in 0..6 {
-        if round % 2 == 0 {
-            f.validation_round();
-        } else {
-            f.validation_round_serial();
-        }
+        // Alternate a one-shard and a fanned-out round.
+        f.set_shard_count(if round % 2 == 0 { 4 } else { 1 });
+        f.validation_round();
         assert_graph_coherent(&f, "a faulted round");
         tombstoned |= f
             .contact_tables()

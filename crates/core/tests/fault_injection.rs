@@ -3,12 +3,12 @@
 //! The determinism contract extends to hostile regimes: a faulted run —
 //! node crashes and rejoins, a region-scoped partition window, per-message
 //! drop/delay on the deposit plane — is **bit-identical** across protocol
-//! shard counts, across the serial and parallel validation paths (the
-//! worker axis: the parallel path fans out over the `sim_core::par` pool,
-//! the serial path runs the same spans inline), and between the tick and
-//! event drive modes. Faults are applied on the ValidationRound lattice
-//! and every verdict is keyed on message *content* hashed with the plan
-//! seed, so the whole fault history is a pure function of `(seed, plan)`.
+//! shard counts (which is also the worker axis: k shards fan out over the
+//! `sim_core::par` pool, one shard runs the same span body inline on the
+//! caller's thread), and between the tick and event drive modes. Faults
+//! are applied on the ValidationRound lattice and every verdict is keyed
+//! on message *content* hashed with the plan seed, so the whole fault
+//! history is a pure function of `(seed, plan)`.
 //!
 //! The chaos proptests draw random fault regimes and assert the same
 //! invariants hold for all of them: bit-identical replay, a closed plane
@@ -219,12 +219,12 @@ fn hostile_run_is_bit_identical_across_shards_and_drivers() {
     }
 }
 
-/// The serial validation path (the one-worker axis) replays the same
-/// fault history as the parallel path on a static world.
+/// The one-shard world (the inline, one-worker axis) replays the same
+/// fault history as the fanned-out rounds on a static world.
 #[test]
 fn serial_and_parallel_validation_agree_under_faults() {
     let seed = 77;
-    let run = |shards: usize, serial: bool| {
+    let run = |shards: usize| {
         let mut w = world(seed, shards, true);
         w.enable_faults(FaultPlan::generate(&hostile(), NODES, seed));
         let pairs: Vec<(NodeId, NodeId)> = (0..24u32)
@@ -237,22 +237,14 @@ fn serial_and_parallel_validation_agree_under_faults() {
             .collect();
         let mut outcomes = Vec::new();
         for _ in 0..6 {
-            if serial {
-                w.validation_round_serial();
-            } else {
-                w.validation_round();
-            }
+            w.validation_round();
             outcomes.push(w.query_all(&pairs));
         }
         (snapshot(&w), outcomes)
     };
-    let reference = run(1, true);
-    for (shards, serial) in [(1, false), (2, true), (2, false), (4, true), (4, false)] {
-        assert_eq!(
-            run(shards, serial),
-            reference,
-            "diverged at {shards} shards, serial={serial}"
-        );
+    let reference = run(1);
+    for shards in [1, 2, 4] {
+        assert_eq!(run(shards), reference, "diverged at {shards} shards");
     }
 }
 

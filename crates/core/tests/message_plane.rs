@@ -4,11 +4,11 @@
 //! `(src shard, seq)` order — and what it meters
 //! against it (validation traffic) must be **bit-identical** across
 //! protocol shard counts (including the one-shard degenerate case and
-//! more shards than nodes) and across
-//! worker participation (the `*_serial` sweeps run the same rounds
-//! inline on one thread; the parallel sweeps fan out over the worker
-//! pool — the pool size itself is fixed per host, so serial-vs-pool is
-//! the worker axis a single process can vary).
+//! more shards than nodes). The shard axis is also the worker axis: a
+//! one-shard world runs every round and sweep inline on one thread, while
+//! k shards fan out over the worker pool (the pool size itself is fixed
+//! per host, so one shard vs k shards is the worker axis a single process
+//! can vary).
 //!
 //! The observables compared are the ones the plane could corrupt if its
 //! ordering ever leaked scheduling: contact tables (ids *and* paths),
@@ -88,26 +88,19 @@ struct Trace {
 }
 
 /// Run the full protocol — selection, two validation rounds, a cold and
-/// a warm query sweep — on `shards` shards. `serial` switches selection
-/// and validation to their `*_serial` references (same rounds, one
-/// thread, no fan-out); the query sweeps always run through `query_all`
-/// so both modes keep the sweep's frozen-batch hint semantics (the
-/// one-at-a-time `query_all_serial` deliberately differs with hints on:
-/// each query's deposits become visible to the *next* query in the
-/// batch — that reference is pinned hints-off in `tests/hint_cache.rs`).
-fn trace(seed: u64, hints: bool, shards: usize, serial: bool) -> Trace {
+/// a warm query sweep — on `shards` shards (one shard: inline on the
+/// caller's thread). The query sweeps run through `query_all`, so every
+/// shard count keeps the sweep's frozen-batch hint semantics (one
+/// `CardWorld::query` per pair deliberately differs with hints on: each
+/// query's deposits become visible to the *next* query in the batch —
+/// that equivalence is pinned hints-off in `tests/hint_cache.rs`).
+fn trace(seed: u64, hints: bool, shards: usize) -> Trace {
     let mut w = world(seed, hints);
     w.set_shard_count(shards);
     let workload = pairs(seed ^ 0xbeef, 48);
-    if serial {
-        w.select_all_contacts_serial();
-        w.validation_round_serial();
-        w.validation_round_serial();
-    } else {
-        w.select_all_contacts();
-        w.validation_round();
-        w.validation_round();
-    }
+    w.select_all_contacts();
+    w.validation_round();
+    w.validation_round();
     let cold = w.query_all(&workload);
     let warm = w.query_all(&workload);
     // Plane accounting must always balance — faulted deliveries (drops
@@ -149,22 +142,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The headline invariance: for random seeds, any shard count
-    /// (1, a few, many, more-than-N) and either worker mode produces the
-    /// exact trace of the one-shard serial reference.
+    /// (1, a few, many, more-than-N; one runs inline, the rest on the
+    /// pool) produces the exact trace of the one-shard world.
     #[test]
     fn prop_plane_delivery_is_shard_and_worker_invariant(
         seed in 1u64..1_000_000,
         shards_ix in 0usize..7,
-        serial in any::<bool>(),
         hints in any::<bool>(),
     ) {
         let shards = [1usize, 2, 3, 5, 6, 32, NODES + 9][shards_ix];
-        let reference = trace(seed, hints, 1, true);
-        let candidate = trace(seed, hints, shards, serial);
+        let reference = trace(seed, hints, 1);
+        let candidate = trace(seed, hints, shards);
         prop_assert_eq!(
             candidate, reference,
-            "shards={} serial={} hints={} diverged from the 1-shard serial reference",
-            shards, serial, hints
+            "shards={} hints={} diverged from the 1-shard reference",
+            shards, hints
         );
     }
 
@@ -416,14 +408,8 @@ fn delayed_deposits_land_first_at_any_shard_count() {
 /// more shards than nodes, and a shard count equal to N.
 #[test]
 fn degenerate_shard_counts_agree_with_reference() {
-    let reference = trace(4242, true, 1, true);
+    let reference = trace(4242, true, 1);
     for shards in [1usize, NODES, NODES + 17, 3] {
-        for serial in [false, true] {
-            assert_eq!(
-                trace(4242, true, shards, serial),
-                reference,
-                "shards={shards} serial={serial}"
-            );
-        }
+        assert_eq!(trace(4242, true, shards), reference, "shards={shards}");
     }
 }

@@ -20,7 +20,10 @@
 //!   call runs inline. The batched query sweeps (`CardWorld::query_all`)
 //!   use the same primitive with the *work list* sharded instead of the
 //!   state: read-only queries carry only a shard-owned walk scratch, and
-//!   their message deltas merge in shard order.
+//!   their message deltas merge in shard order. A single shard runs inline
+//!   on the caller's thread, so a one-shard `CardWorld` *is* the serial
+//!   reference of every protocol sweep — there is no second, serial body
+//!   to keep in step with the fan-out.
 //!
 //! ## Determinism contract
 //!
@@ -479,6 +482,27 @@ mod tests {
         for (x, total) in out.iter().enumerate() {
             assert_eq!(*total, 6 + 4 * x as u32);
         }
+    }
+
+    #[test]
+    fn a_single_shard_runs_on_the_callers_thread() {
+        // Spawn the pool and engage it once, so the single-item calls below
+        // would have workers to escape to.
+        let _ = parallel_map((0..64u32).collect(), |x| x + 1);
+        let caller = std::thread::current().id();
+        let mut one = [0u32];
+        let ran_on = parallel_shard_map(&mut one, |_, x| {
+            *x += 1;
+            std::thread::current().id()
+        });
+        assert_eq!(ran_on, vec![caller]);
+        assert_eq!(one, [1]);
+        let ran_on = parallel_map_with(
+            vec![()],
+            || std::thread::current().id(),
+            |init_on, ()| (*init_on, std::thread::current().id()),
+        );
+        assert_eq!(ran_on, vec![(caller, caller)]);
     }
 
     #[test]

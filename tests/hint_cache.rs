@@ -4,8 +4,9 @@
 //! section of `card_core::world`):
 //!
 //! 1. **cache-off bit-identity** — with hints disabled, `query_all` is
-//!    bit-identical to `query_all_serial`: same outcomes, same `MsgStats`
-//!    bucket series, at any shard count — and never consults the cache;
+//!    bit-identical to one `CardWorld::query` per pair on a one-shard
+//!    world: same outcomes, same `MsgStats` bucket series, at any shard
+//!    count — and never consults the cache;
 //! 2. **hints change cost, never answers** — across arbitrarily warmed
 //!    repeat-heavy sweeps, every hinted outcome's `found` flag equals the
 //!    cache-off verdict, and the whole hinted sweep (outcomes, message
@@ -82,8 +83,8 @@ fn repeat_pairs(raw: &[(usize, usize)], reps: usize) -> Vec<(NodeId, NodeId)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Contract 1: the cache-off sweep is bit-identical to the serial
-    /// reference at any shard count.
+    /// Contract 1: the cache-off sweep is bit-identical to one query at a
+    /// time on a one-shard world, at any shard count.
     #[test]
     fn prop_cache_off_sweep_is_bit_identical(
         seed in 0u64..200,
@@ -93,7 +94,7 @@ proptest! {
         let pairs = repeat_pairs(&raw, 1);
         let mut reference = world(seed, false);
         reference.set_shard_count(1);
-        let expected = reference.query_all_serial(&pairs);
+        let expected: Vec<_> = pairs.iter().map(|&(s, t)| reference.query(s, t)).collect();
         let expected_series = reference.stats().series_where(|_| true);
 
         let mut off = world(seed, false);

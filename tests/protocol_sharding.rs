@@ -2,18 +2,19 @@
 //!
 //! `CardWorld::select_all_contacts` and `CardWorld::validation_round` fan
 //! out over shards of per-node protocol state on the persistent worker
-//! pool. The determinism contract these tests pin:
+//! pool. A one-shard world runs the same calls inline on the caller's
+//! thread: that is the serial reference, and there is no other. The
+//! determinism contract these tests pin:
 //!
-//! 1. the parallel sweeps are **bit-identical** to the serial reference
-//!    paths (`select_all_contacts_serial` / `validation_round_serial`) —
+//! 1. the k-shard sweeps are **bit-identical** to the one-shard world —
 //!    same contact ids, same stored paths, same message totals *and* the
-//!    same per-bucket message time series — across seeds and shard counts
-//!    (shard count 1 exercises the inline/single-worker layout, so the
-//!    sweep is also pinned as worker-count-independent: every node's
-//!    decisions draw from its own RNG stream, never from scheduling);
+//!    same per-bucket message time series — across seeds and shard counts,
+//!    so the sweep is pinned as worker-count-independent too: every
+//!    node's decisions draw from its own RNG stream, never from
+//!    scheduling;
 //! 2. equivalence survives *interleaved* mobility: validate → move →
-//!    validate must agree between the parallel and serial worlds at every
-//!    step, not just at the end;
+//!    validate must agree between the k-shard and one-shard worlds at
+//!    every step, not just at the end;
 //! 3. protocol invariants hold on the parallel path's output (tables
 //!    bounded by NoC, stored paths valid hop-by-hop routes at selection
 //!    time).
@@ -72,7 +73,7 @@ fn world(seed: u64, method: SelectionMethod, shards: Option<usize>) -> CardWorld
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Parallel select + validate is bit-identical to the serial reference
+    /// Sharded select + validate is bit-identical to the one-shard world
     /// across seeds, selection methods and shard counts.
     #[test]
     fn prop_sharded_sweeps_match_serial(
@@ -86,8 +87,8 @@ proptest! {
             SelectionMethod::Edge
         };
         let mut serial = world(seed, method, Some(1));
-        serial.select_all_contacts_serial();
-        serial.validation_round_serial();
+        serial.select_all_contacts();
+        serial.validation_round();
         let expected = snapshot(&serial);
 
         let mut par = world(seed, method, Some(shards));
@@ -112,7 +113,7 @@ proptest! {
         };
         let mut serial = world(seed, SelectionMethod::Edge, Some(1));
         let mut par = world(seed, SelectionMethod::Edge, Some(shards));
-        serial.select_all_contacts_serial();
+        serial.select_all_contacts();
         par.select_all_contacts();
         let mut serial_model = mk_model(&serial);
         let mut par_model = mk_model(&par);
@@ -149,19 +150,15 @@ proptest! {
     }
 }
 
-/// One deterministic end-to-end anchor outside proptest: repeated parallel
-/// runs of the same seed agree with each other and with serial, including
-/// after a mobile run (catches nondeterminism that proptest shrinkage
-/// might mask).
+/// One deterministic end-to-end anchor outside proptest: repeated runs
+/// of the same seed at the default shard count agree with each other and
+/// with the one-shard world, including after a mobile run (catches
+/// nondeterminism that proptest shrinkage might mask).
 #[test]
 fn repeat_parallel_runs_are_identical() {
-    let run = |parallel: bool| {
-        let mut w = world(77, SelectionMethod::Edge, None);
-        if parallel {
-            w.select_all_contacts();
-        } else {
-            w.select_all_contacts_serial();
-        }
+    let run = |shards: Option<usize>| {
+        let mut w = world(77, SelectionMethod::Edge, shards);
+        w.select_all_contacts();
         let mut model = RandomWaypoint::new(
             w.network().node_count(),
             w.network().field(),
@@ -173,9 +170,13 @@ fn repeat_parallel_runs_are_identical() {
         w.run_mobile(&mut model, SimDuration::from_secs(4));
         snapshot(&w)
     };
-    let first = run(true);
-    assert_eq!(first, run(true), "parallel runs must repeat exactly");
-    assert_eq!(first, run(false), "parallel must equal serial end-to-end");
+    let first = run(None);
+    assert_eq!(first, run(None), "sharded runs must repeat exactly");
+    assert_eq!(
+        first,
+        run(Some(1)),
+        "sharded must equal one shard end-to-end"
+    );
 }
 
 /// Degenerate sizes (ROADMAP 5(d)): worlds smaller than their shard count,

@@ -9,12 +9,12 @@
 //!    to `dsq_query_rewalk` (every depth restarts its walk from scratch):
 //!    same outcome *and* the same `MsgStats` bucket series, across seeds,
 //!    topologies, depths, and scratch-reuse orders;
-//! 2. **sharded query sweeps ≡ serial reference** — `CardWorld::query_all`
-//!    equals `query_all_serial` (outcomes in pair order, stats series) at
-//!    any shard count, including repeated sweeps on the same world (shard
-//!    count 1 exercises the inline/single-worker layout, so the sweep is
-//!    also pinned as worker-count-independent: queries draw no
-//!    randomness);
+//! 2. **sharded query sweeps ≡ one query at a time** — `CardWorld::query_all`
+//!    equals one `CardWorld::query` per pair on a one-shard world (outcomes
+//!    in pair order, stats series) at any shard count, including repeated
+//!    sweeps on the same world (shard count 1 runs the sweep inline on one
+//!    lane, so the sweep is also pinned as worker-count-independent:
+//!    queries draw no randomness);
 //! 3. **resource anycast generalizes node lookup** — a resource hosted by
 //!    exactly one node is discovered with exactly the node-lookup DSQ's
 //!    outcome and message count (both run the one shared walker).
@@ -90,9 +90,10 @@ proptest! {
         }
     }
 
-    /// The sharded batched sweep equals the serial reference — outcomes in
-    /// pair order and the merged stats series — at any shard count, and
-    /// across repeated sweeps on the same world (scratch reuse).
+    /// The sharded batched sweep equals one query at a time on a one-shard
+    /// world — outcomes in pair order and the merged stats series — at any
+    /// shard count, and across repeated sweeps on the same world (scratch
+    /// reuse).
     #[test]
     fn prop_query_all_sharded_matches_serial(
         seed in 0u64..300,
@@ -109,7 +110,7 @@ proptest! {
         let mut par = world(seed, 3);
         par.set_shard_count(shards);
         for sweep in 0..sweeps {
-            let expected = serial.query_all_serial(&pairs);
+            let expected: Vec<_> = pairs.iter().map(|&(s, t)| serial.query(s, t)).collect();
             let got = par.query_all(&pairs);
             prop_assert_eq!(got, expected, "sweep {} at {} shards", sweep, shards);
             prop_assert_eq!(
@@ -155,7 +156,7 @@ proptest! {
 }
 
 /// One deterministic anchor outside proptest: repeated sharded sweeps of
-/// the same seed agree with each other, with the serial reference, and
+/// the same seed agree with each other, with the one-shard sweep, and
 /// with one-at-a-time `CardWorld::query` calls — including the recorded
 /// message statistics (catches nondeterminism that shrinkage might mask).
 #[test]
@@ -172,13 +173,16 @@ fn repeat_query_sweeps_are_identical() {
         let mut w = world(77, 3);
         let outcomes = match mode {
             0 => w.query_all(&pairs),
-            1 => w.query_all_serial(&pairs),
+            1 => {
+                w.set_shard_count(1);
+                w.query_all(&pairs)
+            }
             _ => pairs.iter().map(|&(s, t)| w.query(s, t)).collect(),
         };
         (outcomes, w.stats().series_where(|_| true))
     };
     let first = run(0);
     assert_eq!(first, run(0), "sharded sweeps must repeat exactly");
-    assert_eq!(first, run(1), "sharded must equal the serial reference");
+    assert_eq!(first, run(1), "sharded must equal one shard");
     assert_eq!(first, run(2), "sharded must equal one-at-a-time queries");
 }
