@@ -626,10 +626,12 @@ fn bench_protocol_sweeps(c: &mut Criterion) {
 ///   query (the live `CardWorld::query` semantics): it prices the overhead
 ///   hints add when nothing is cached. *warm* replays the batch against a
 ///   pre-warmed frozen store (the sharded-sweep read phase): it prices the
-///   directed-probe path. Note what these guard: hints cut protocol
-///   *messages* (the `repro scale` hint table), not simulator CPU —
-///   lookup + probe-chase bookkeeping keeps warm wall time near the plain
-///   walk at this N, and these ids exist to keep that overhead bounded.
+///   directed-probe path. Hints cut protocol *messages* (the `repro
+///   scale` hint table); these ids price their host time against
+///   `incremental`, the same batch without hints. A cold query reads one
+///   per-node occupancy count at each empty holder it peeks at, instead
+///   of a probe call and a slot scan, so its overhead over the plain walk
+///   is mostly the deposits it queues and applies.
 /// * `query_sweep/n1000/{sharded,serial}` — the whole pair list through
 ///   the batched `CardWorld::query_all` fan-out (shard-owned scratches,
 ///   per-shard `MsgStats` deltas) at the default shard count vs on a

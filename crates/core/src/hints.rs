@@ -23,7 +23,15 @@
 //! a bucket. The LRU clock is **per node** (each node counts its own
 //! deposits), so slot stamps are a pure function of that node's deposit
 //! history — independent of how nodes are grouped into stores, which is
-//! what keeps hint state bit-identical across shard counts.
+//! what keeps hint state bit-identical across shard counts. Beside the
+//! slots each node keeps a `u16` *occupancy count* (2 B a node), updated
+//! by every slot write — deposit fill, bucket migration, eviction,
+//! invalidation, clear and re-shard copy — and checked against a recount
+//! in debug builds. [`HintLookup::holds_hints`] reads it, so a query that
+//! peeks at an empty table (every holder of a cold sweep) pays one load,
+//! not a probe call and a 16-slot scan, and is charged the same `Absent`
+//! lookup the scan would have reported. The count caches the slots; it is
+//! no second source of truth, so every outcome and counter is unchanged.
 //!
 //! ## Staleness
 //!
@@ -370,12 +378,22 @@ impl HintStats {
 pub trait HintLookup {
     /// Consult `holder`'s hint table for `key`.
     fn lookup(&self, holder: NodeId, key: HintKey) -> Lookup;
+
+    /// Whether `holder`'s table holds any hint at all. `false` means every
+    /// `lookup` at `holder` is [`Lookup::Absent`], so a caller may skip it
+    /// (charging the lookup it would have made).
+    fn holds_hints(&self, holder: NodeId) -> bool;
 }
 
 impl HintLookup for HintStore {
     #[inline]
     fn lookup(&self, holder: NodeId, key: HintKey) -> Lookup {
         HintStore::lookup(self, holder, key)
+    }
+
+    #[inline]
+    fn holds_hints(&self, holder: NodeId) -> bool {
+        HintStore::holds_hints(self, holder)
     }
 }
 
@@ -384,12 +402,22 @@ impl<T: HintLookup + ?Sized> HintLookup for &T {
     fn lookup(&self, holder: NodeId, key: HintKey) -> Lookup {
         (**self).lookup(holder, key)
     }
+
+    #[inline]
+    fn holds_hints(&self, holder: NodeId) -> bool {
+        (**self).holds_hints(holder)
+    }
 }
 
 impl<T: HintLookup + ?Sized> HintLookup for &mut T {
     #[inline]
     fn lookup(&self, holder: NodeId, key: HintKey) -> Lookup {
         (**self).lookup(holder, key)
+    }
+
+    #[inline]
+    fn holds_hints(&self, holder: NodeId) -> bool {
+        (**self).holds_hints(holder)
     }
 }
 
@@ -416,6 +444,10 @@ pub struct HintStore {
     /// a global clock would — while staying a pure function of the
     /// node's own history, independent of store layout.
     clocks: Vec<u32>,
+    /// Per-node occupancy (`occupied[k]` = non-vacant slots of node
+    /// `start + k`): a cache of the slot array, kept by every slot write,
+    /// so an empty table answers `Absent` without a scan.
+    occupied: Vec<u16>,
 }
 
 impl HintStore {
@@ -430,6 +462,10 @@ impl HintStore {
     pub fn new_span(start: usize, len: usize, slots_per_bucket: usize, ttl: u32) -> Self {
         assert!(slots_per_bucket >= 1, "hint buckets need at least one slot");
         let per_node = HINT_BUCKETS * slots_per_bucket;
+        assert!(
+            per_node <= u16::MAX as usize,
+            "a node's hint slots must fit the u16 occupancy count"
+        );
         HintStore {
             slots: vec![VACANT; len * per_node],
             start,
@@ -438,6 +474,7 @@ impl HintStore {
             ttl,
             epoch: 0,
             clocks: vec![0; len],
+            occupied: vec![0; len],
         }
     }
 
@@ -456,23 +493,27 @@ impl HintStore {
         self.epoch = self.epoch.wrapping_add(1);
     }
 
-    /// Heap bytes held by the slot array and clocks (per-shard memory
-    /// accounting in the scale experiments).
+    /// Heap bytes held by the slot array, clocks and occupancy counts
+    /// (per-shard memory accounting in the scale experiments).
     pub fn memory_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<HintSlot>()
             + self.clocks.capacity() * std::mem::size_of::<u32>()
+            + self.occupied.capacity() * std::mem::size_of::<u16>()
     }
 
-    /// Copy node `node`'s slots and LRU clock out of `other` (which must
-    /// cover it, with identical bucket geometry). Used to migrate hint
-    /// state when the world is re-sharded.
+    /// Copy node `node`'s slots, LRU clock and occupancy out of `other`
+    /// (which must cover it, with identical bucket geometry). Used to
+    /// migrate hint state when the world is re-sharded.
     pub(crate) fn copy_node_from(&mut self, other: &HintStore, node: NodeId) {
         debug_assert_eq!(self.per_node, other.per_node);
         debug_assert_eq!(self.slots_per_bucket, other.slots_per_bucket);
         let dst = self.region(node);
         let src = other.region(node);
         self.slots[dst].copy_from_slice(&other.slots[src]);
-        self.clocks[node.index() - self.start] = other.clocks[node.index() - other.start];
+        let (k, o) = (node.index() - self.start, node.index() - other.start);
+        self.clocks[k] = other.clocks[o];
+        self.occupied[k] = other.occupied[o];
+        self.debug_check_count(node);
     }
 
     /// Force the TTL epoch (re-shard migration: span stores must inherit
@@ -483,12 +524,33 @@ impl HintStore {
 
     /// Live (non-vacant) hints across all nodes — observability only.
     pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.key != EMPTY).count()
+        self.occupied.iter().map(|&c| c as usize).sum()
     }
 
     /// No hints stored anywhere.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.occupied.iter().all(|&c| c == 0)
+    }
+
+    /// Whether `holder`'s table holds any hint (its occupancy count is
+    /// non-zero): one read, no scan.
+    #[inline]
+    pub fn holds_hints(&self, holder: NodeId) -> bool {
+        self.occupied[holder.index() - self.start] != 0
+    }
+
+    /// Debug builds: `node`'s occupancy count equals a recount of its slots.
+    #[inline]
+    fn debug_check_count(&self, node: NodeId) {
+        debug_assert_eq!(
+            self.occupied[node.index() - self.start] as usize,
+            self.slots[self.region(node)]
+                .iter()
+                .filter(|s| s.key != EMPTY)
+                .count(),
+            "occupancy count of node {} disagrees with its slots",
+            node.index()
+        );
     }
 
     #[inline]
@@ -515,6 +577,10 @@ impl HintStore {
 
     /// Consult `holder`'s table for `key`: the best (minimal remaining
     /// depth) fresh hint, or whether only expired ones / none matched.
+    ///
+    /// The scan does not re-check the occupancy count: the walk asks
+    /// [`holds_hints`](Self::holds_hints) before it probes a holder, and a
+    /// second check on every chain step made warm probes slower.
     pub fn lookup(&self, holder: NodeId, key: HintKey) -> Lookup {
         let mut best: Option<Hint> = None;
         let mut expired = false;
@@ -558,7 +624,8 @@ impl HintStore {
             depth,
             count,
         } = *d;
-        let node_clock = &mut self.clocks[holder.index() - self.start];
+        let k = holder.index() - self.start;
+        let node_clock = &mut self.clocks[k];
         *node_clock = node_clock.wrapping_add(count);
         let clock = *node_clock;
         let epoch = self.epoch;
@@ -584,6 +651,7 @@ impl HintStore {
                 return;
             }
             self.slots[region.start + off] = VACANT;
+            self.occupied[k] -= 1;
         }
 
         // Victim selection inside the target bucket.
@@ -606,6 +674,7 @@ impl HintStore {
             }
         }
         stats.evicted_lru += u64::from(victim_rank.0 == 2);
+        self.occupied[k] += u16::from(victim_rank.0 == 0);
         self.slots[bucket_start + victim] = HintSlot {
             key: key.0,
             next_hop,
@@ -613,18 +682,17 @@ impl HintStore {
             stamp: epoch,
             used: clock,
         };
+        self.debug_check_count(holder);
     }
 
     /// Drop every hint held at `node` (mobility invalidation: its
     /// neighborhood view changed). Returns how many hints were evicted.
     pub fn invalidate_node(&mut self, node: NodeId) -> usize {
-        let mut evicted = 0usize;
-        let region = self.region(node);
-        for slot in &mut self.slots[region] {
-            if slot.key != EMPTY {
-                *slot = VACANT;
-                evicted += 1;
-            }
+        let k = node.index() - self.start;
+        let evicted = std::mem::take(&mut self.occupied[k]) as usize;
+        if evicted > 0 {
+            let region = self.region(node);
+            self.slots[region].fill(VACANT);
         }
         evicted
     }
@@ -632,19 +700,15 @@ impl HintStore {
     /// Drop every hint in the store (wholesale topology refresh). Returns
     /// how many hints were evicted.
     pub fn invalidate_all(&mut self) -> usize {
-        let mut evicted = 0usize;
-        for slot in &mut self.slots {
-            if slot.key != EMPTY {
-                *slot = VACANT;
-                evicted += 1;
-            }
-        }
+        let evicted = self.len();
+        self.clear();
         evicted
     }
 
     /// Empty the store without counting (cold-start resets in experiments).
     pub fn clear(&mut self) {
         self.slots.fill(VACANT);
+        self.occupied.fill(0);
     }
 }
 
@@ -929,6 +993,124 @@ mod tests {
                 }
                 prop_assert_eq!(&combined, &raw);
                 prop_assert_eq!(&combined_stats, &raw_stats);
+            }
+        }
+    }
+
+    /// Occupied slots of `node`, recounted from the slot array.
+    fn recount(store: &HintStore, node: NodeId) -> usize {
+        store.slots[store.region(node)]
+            .iter()
+            .filter(|s| s.key != EMPTY)
+            .count()
+    }
+
+    /// Nodes covered by the occupancy proptest's span stores.
+    const OCC_NODES: usize = 5;
+
+    /// Nodes `0..OCC_NODES` split into span stores at `cuts` (in any
+    /// order; non-interior cuts are ignored), each with `spb` slots per
+    /// bucket.
+    fn span_stores(cuts: &[usize], spb: usize, ttl: u32) -> Vec<HintStore> {
+        let mut bounds = vec![0, OCC_NODES];
+        bounds.extend(cuts.iter().copied().filter(|&c| 0 < c && c < OCC_NODES));
+        bounds.sort_unstable();
+        bounds.dedup();
+        bounds
+            .windows(2)
+            .map(|w| HintStore::new_span(w[0], w[1] - w[0], spb, ttl))
+            .collect()
+    }
+
+    /// The nodes a span store covers.
+    fn span(store: &HintStore) -> impl Iterator<Item = NodeId> {
+        (store.start..store.start + store.node_count()).map(|k| n(k as u32))
+    }
+
+    /// Index of the span store holding `node`.
+    fn covering(stores: &[HintStore], node: NodeId) -> usize {
+        stores
+            .iter()
+            .position(|s| span(s).any(|k| k == node))
+            .expect("the spans cover every node")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Every slot write keeps each node's occupancy count equal to a
+        /// recount of its slots — so a holder the walk skips as empty
+        /// (`holds_hints` false) answers `Absent` for every key — over
+        /// deposit runs (fills, bucket migrations, LRU and expired-slot
+        /// evictions), per-node and wholesale invalidation, `clear`, TTL
+        /// ageing and re-sharding into differently spanned stores.
+        #[test]
+        fn prop_occupancy_counts_match_the_slots(
+            spb in 1usize..3,
+            ttl in 1u32..3,
+            steps in collection::vec(
+                (0u32..12, (0u32..5, 0u32..5, 0u32..3), (1u16..6, 1u32..4)),
+                1..80,
+            ),
+        ) {
+            let keys: Vec<HintKey> = (0..4)
+                .map(|k| HintKey::node(n(10 + k)))
+                .chain([HintKey::resource(ResourceId(0))])
+                .collect();
+            let mut stores = span_stores(&[], spb, ttl);
+            let mut stats = HintStats::default();
+            for &(op, (node, key, hop), (depth, count)) in &steps {
+                let holder = n(node);
+                let at = covering(&stores, holder);
+                match op {
+                    0..=5 => {
+                        let d = HintDeposit::new(holder, keys[key as usize], n(20 + hop), depth);
+                        stores[at].deposit(&HintDeposit { count, ..d }, &mut stats);
+                    }
+                    6 => {
+                        let held = recount(&stores[at], holder);
+                        prop_assert_eq!(stores[at].invalidate_node(holder), held);
+                    }
+                    7 => {
+                        let held: usize = stores
+                            .iter()
+                            .flat_map(|s| span(s).map(move |k| recount(s, k)))
+                            .sum();
+                        let evicted: usize = stores.iter_mut().map(HintStore::invalidate_all).sum();
+                        prop_assert_eq!(evicted, held);
+                    }
+                    8 => stores.iter_mut().for_each(HintStore::clear),
+                    9 => stores.iter_mut().for_each(HintStore::advance_epoch),
+                    _ => {
+                        // Re-shard: new spans cut at `key` and `hop + 2`,
+                        // each node's slots, clock and count copied over.
+                        let mut next = span_stores(&[key as usize, hop as usize + 2], spb, ttl);
+                        for store in &mut next {
+                            store.set_epoch(stores[0].epoch());
+                            for k in span(store) {
+                                store.copy_node_from(&stores[covering(&stores, k)], k);
+                            }
+                        }
+                        stores = next;
+                    }
+                }
+                for store in &stores {
+                    let mut total = 0;
+                    for holder in span(store) {
+                        let held = recount(store, holder);
+                        total += held;
+                        let count = store.occupied[holder.index() - store.start];
+                        prop_assert_eq!(count as usize, held);
+                        prop_assert_eq!(store.holds_hints(holder), held > 0);
+                        if held == 0 {
+                            for &key in &keys {
+                                prop_assert_eq!(store.lookup(holder, key), Lookup::Absent);
+                            }
+                        }
+                    }
+                    prop_assert_eq!(store.len(), total);
+                    prop_assert_eq!(store.is_empty(), total == 0);
+                }
             }
         }
     }

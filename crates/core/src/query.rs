@@ -498,6 +498,7 @@ pub struct HintContext<'a, S: HintLookup = &'a HintStore> {
 }
 
 /// Outcome of one directed probe down a hint chain.
+#[derive(Default)]
 struct Chase {
     /// Reply hop count when the probe reached an answering node.
     reply: Option<u64>,
@@ -515,8 +516,46 @@ struct Chase {
 /// cut is a `stale_contact` miss, never a forward (the caller's walk takes
 /// over) — so a probe can only reach nodes the plain escalation could
 /// also reach, only cheaper. The chain walked is left in `chain[..=steps]`.
+///
+/// A `start` whose table is empty ([`HintLookup::holds_hints`]) is charged
+/// the one `Absent` lookup the probe would have made, inline, without the
+/// probe call or the slot scan — the common case of a cold sweep.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol message fields
+#[inline(always)]
 fn chase<T: TableSource + ?Sized, S: HintLookup + ?Sized>(
+    contact_tables: &T,
+    store: &S,
+    stats: &mut HintStats,
+    key: HintKey,
+    start: NodeId,
+    start_dist: u64,
+    budget: usize,
+    chain: &mut [NodeId; MAX_CHAIN],
+    edge_ok: impl Fn(NodeId, NodeId) -> bool,
+    answers: &mut impl FnMut(NodeId) -> bool,
+) -> Chase {
+    if budget > 0 && !store.holds_hints(start) {
+        stats.lookups += 1;
+        stats.miss_absent += 1;
+        return Chase::default();
+    }
+    follow_hints(
+        contact_tables,
+        store,
+        stats,
+        key,
+        start,
+        start_dist,
+        budget,
+        chain,
+        edge_ok,
+        answers,
+    )
+}
+
+/// The probe body of [`chase`], from a holder that may hold hints.
+#[allow(clippy::too_many_arguments)] // mirrors the protocol message fields
+fn follow_hints<T: TableSource + ?Sized, S: HintLookup + ?Sized>(
     contact_tables: &T,
     store: &S,
     stats: &mut HintStats,

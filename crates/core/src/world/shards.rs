@@ -162,6 +162,11 @@ impl HintLookup for HintsView<'_> {
     fn lookup(&self, holder: NodeId, key: HintKey) -> Lookup {
         self.store_of(holder).lookup(holder, key)
     }
+
+    #[inline]
+    fn holds_hints(&self, holder: NodeId) -> bool {
+        self.store_of(holder).holds_hints(holder)
+    }
 }
 
 /// Default protocol shard count: twice the fan-out width, so the pull-queue
