@@ -558,6 +558,11 @@ fn bench_csq_walk(c: &mut Criterion) {
 /// of real selection. Build cost is the same for both variants (`serial`
 /// adds one reshard of empty tables), so the comparison stays honest even
 /// though absolute numbers include it.
+///
+/// The worlds are static: CSQ acceptance confirms every path at the
+/// network's link version and no refresh ever stamps a row, so the
+/// `validation_round` ids walk clean paths only — every hop is charged,
+/// none is re-tested with `is_link` (see `card_core::maintenance`).
 fn bench_protocol_sweeps(c: &mut Criterion) {
     let n = 1000usize;
     let scenario = scaled_scenario(n);
@@ -846,7 +851,10 @@ fn bench_message_plane(c: &mut Criterion) {
     // iteration clones a selected world (mutating sweep — same pattern as
     // `validation_round/n1000`), so the absolute number includes the
     // clone; the id exists to track the full-protocol 10⁴ round the
-    // `repro scale-raw` tier scales up from.
+    // `repro scale-raw` tier scales up from. The world is static, so every
+    // stored path is clean (no row changed since CSQ confirmed it) and
+    // the walk re-tests no hop; under the fault plan below only the veto
+    // still runs per hop.
     let n = 10_000usize;
     let cfg = CardConfig::default()
         .with_radius(2)

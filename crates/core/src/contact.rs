@@ -8,17 +8,42 @@
 use net_topology::node::NodeId;
 
 /// One selected contact.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// Equality compares the contact and its path only: the confirmation
+/// stamp is bookkeeping of the network that confirmed the path, and two
+/// worlds (or a selected and a hand-built contact) agree on a contact
+/// whatever their link versions.
+#[derive(Clone, Debug)]
 pub struct Contact {
     /// The contact node itself.
     pub id: NodeId,
     /// Source path, inclusive: `path[0]` is the source, `path.last()` is
-    /// the contact. Hop length is `path.len() - 1`.
+    /// the contact. Hop length is `path.len() - 1`. A different path makes
+    /// a different contact: build it with [`Contact::new`], which leaves
+    /// it unconfirmed.
     pub path: Vec<NodeId>,
+    /// The network's link version at which every hop of `path` was last
+    /// confirmed a link — by CSQ acceptance or a surviving validation —
+    /// or [`UNCONFIRMED`]. Validation re-tests a hop only when its near
+    /// end's row changed since (see [`crate::maintenance`]).
+    pub(crate) confirmed: u32,
 }
 
+/// The confirmation stamp of a contact no network has confirmed: every
+/// row has changed since link version 0, so such a path is walked in full.
+pub(crate) const UNCONFIRMED: u32 = 0;
+
+impl PartialEq for Contact {
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id && self.path == other.path
+    }
+}
+
+impl Eq for Contact {}
+
 impl Contact {
-    /// Create a contact with its source path.
+    /// Create a contact with its source path, unconfirmed: its first
+    /// validation walks every hop.
     ///
     /// # Panics
     /// Panics unless the path starts somewhere, ends at `id`, and has at
@@ -26,7 +51,11 @@ impl Contact {
     pub fn new(id: NodeId, path: Vec<NodeId>) -> Self {
         assert!(path.len() >= 2, "contact path needs at least one hop");
         assert_eq!(*path.last().unwrap(), id, "path must end at the contact");
-        Contact { id, path }
+        Contact {
+            id,
+            path,
+            confirmed: UNCONFIRMED,
+        }
     }
 
     /// Hop count of the stored path.

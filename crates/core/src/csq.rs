@@ -323,7 +323,10 @@ fn csq_walk(
             path.extend_from_slice(route);
             path.extend_from_slice(&walk[1..]);
             ws.reply_msgs += path.len() as u64 - 1;
-            return Some(Contact::new(x, path));
+            // Every hop was just walked on the current links.
+            let mut contact = Contact::new(x, path);
+            contact.confirmed = net.link_version();
+            return Some(contact);
         }
     }
     None

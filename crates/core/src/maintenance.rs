@@ -11,6 +11,31 @@
 //! 4. a validated path whose hop count leaves `[2R, r]` ⇒ contact lost;
 //! 5. after validating, if fewer than NoC contacts remain, new selection is
 //!    initiated (done by the caller — see [`crate::world::CardWorld`]).
+//!
+//! ## Row stamps: which hops are re-tested
+//!
+//! The messages are the protocol's: every validation message and every
+//! acknowledgement is charged hop for hop, every round. The *host* test of
+//! each hop is not repeated needlessly. Each
+//! [`Contact`](crate::contact::Contact) carries the link
+//! version at which its whole stored path was last confirmed (CSQ
+//! acceptance or a surviving validation; a hand-built contact starts
+//! unconfirmed), and the network stamps every adjacency row a refresh
+//! changes (see `manet_routing::network`, "Row stamps"). The walk tests
+//! hop `(cur, next)` with `is_link` only when `cur`'s row changed since
+//! that confirmation. That is sound because the walk keeps
+//! `cur == path[at - 1]`: before any recovery trivially, and after a
+//! splice too, since a splice ends on the stored node `path[k]` and
+//! resumes at `at = k + 1`. So every tested hop is a stored hop, which
+//! was a link at confirmation; if `cur`'s row is unchanged since, it
+//! still holds `next`. The fault veto `allowed` is still asked on every
+//! hop. The full walk is the same body when every row has changed (an
+//! unconfirmed contact, or a wholesale rebuild's stamp-all watermark).
+//!
+//! Stored paths are simple — they never repeat a node, and every hop was
+//! a link when stamped (debug builds assert both in the walk) — so an
+//! unrecovered path is its own loop-free result: only a path that took a
+//! recovery splice is copied and loop-compressed.
 
 use manet_routing::network::Network;
 use net_topology::node::NodeId;
@@ -21,7 +46,8 @@ use crate::config::CardConfig;
 use crate::contact::ContactTable;
 
 /// Outcome counters of validation: one source's round (what
-/// [`validate_contacts`] returns) or a whole run's, summed in shard order
+/// [`validate_contacts`] returns beside its metered crossings) or a whole
+/// run's, summed in shard order
 /// ([`crate::world::CardWorld::maintenance_totals`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MaintenanceTotals {
@@ -59,10 +85,19 @@ fn compress_loops(path: &mut Vec<NodeId>) {
     }
 }
 
-/// Validate one stored path against the current topology, healing it into
-/// `healed` with local recovery where allowed (`route` is the splice
-/// workspace). Returns (path survived, recovery used); the validation
-/// messages are added to `msgs`.
+/// Does `path` repeat no node?
+fn is_simple(path: &[NodeId]) -> bool {
+    path.iter()
+        .enumerate()
+        .all(|(i, v)| !path[i + 1..].contains(v))
+}
+
+/// Validate one stored path, last confirmed at link version `confirmed`,
+/// against the current topology, healing it with local recovery where
+/// allowed (`route` is the splice workspace). Returns (path survived,
+/// recovery used); a path that used recovery leaves its healed,
+/// loop-compressed form in `healed`, any other survivor is `path` itself.
+/// The validation messages are added to `msgs`.
 ///
 /// `allowed` is an extra per-hop admission predicate layered on top of the
 /// substrate's `is_link`: the calm path passes `query::any_edge` (and compiles
@@ -70,27 +105,41 @@ fn compress_loops(path: &mut Vec<NodeId>) {
 /// into crashed nodes or across a partition cut — including the hops of a
 /// locally recovered splice, which would otherwise smuggle a route through
 /// a region the fault plane has taken down.
+#[allow(clippy::too_many_arguments)] // the walk's inputs and two workspaces
 fn validate_path(
     net: &Network,
     cfg: &CardConfig,
     path: &[NodeId],
+    confirmed: u32,
     msgs: &mut u64,
     allowed: impl Fn(NodeId, NodeId) -> bool + Copy,
     healed: &mut Vec<NodeId>,
     route: &mut Vec<NodeId>,
 ) -> (bool, bool) {
-    healed.clear();
-    healed.push(path[0]);
-    // `path[at..]` is the part of the stored path still to be walked.
+    debug_assert!(is_simple(path), "stored path repeats a node: {path:?}");
+    // `path[at..]` is the part of the stored path still to be walked, and
+    // the message sits at `path[at - 1]` (module docs). Until the first
+    // recovery the walked prefix is `path[..at]` itself; from then on it
+    // is built in `healed`.
     let mut at = 1;
     let mut used_recovery = false;
 
     'outer: while at < path.len() {
-        let cur = *healed.last().unwrap();
-        let next = path[at];
-        if net.is_link(cur, next) && allowed(cur, next) {
+        let (cur, next) = (path[at - 1], path[at]);
+        let linked = if net.row_changed_since(cur, confirmed) {
+            net.is_link(cur, next)
+        } else {
+            debug_assert!(
+                net.is_link(cur, next),
+                "unchanged row {cur} lost its confirmed hop to {next}"
+            );
+            true
+        };
+        if linked && allowed(cur, next) {
             *msgs += 1; // the validation message traverses this hop
-            healed.push(next);
+            if used_recovery {
+                healed.push(next);
+            }
             at += 1;
             continue;
         }
@@ -99,20 +148,18 @@ fn validate_path(
         // neighborhood table and splice the intra-zone route in.
         if cfg.local_recovery {
             for (k, &candidate) in path.iter().enumerate().skip(at) {
-                if candidate == cur {
-                    // the path folds back onto the current node: skip ahead
-                    at = k + 1;
-                    used_recovery = true;
-                    continue 'outer;
-                }
                 if net.tables().of(cur).path_into(candidate, route)
                     && route.windows(2).all(|w| allowed(w[0], w[1]))
                 {
                     // route = [cur, ..., candidate]; message walks it
                     *msgs += route.len() as u64 - 1;
+                    if !used_recovery {
+                        healed.clear();
+                        healed.extend_from_slice(&path[..at]);
+                        used_recovery = true;
+                    }
                     healed.extend_from_slice(&route[1..]);
                     at = k + 1;
-                    used_recovery = true;
                     continue 'outer;
                 }
             }
@@ -120,7 +167,9 @@ fn validate_path(
         return (false, used_recovery);
     }
 
-    compress_loops(healed);
+    if used_recovery {
+        compress_loops(healed);
+    }
     (true, used_recovery)
 }
 
@@ -150,12 +199,16 @@ pub fn path_shard_crossings(path: &[NodeId], span_width: usize) -> u64 {
 /// Run one §III.C.3 validation round for `source`: walk every contact
 /// path, heal or drop, enforce the hop-range rule, and record the
 /// validation and acknowledgement messages into `stats`. Returns the
-/// round's outcome counters.
+/// round's outcome counters and the span-boundary crossings of the stored
+/// paths it walked at span width `span_width` ([`path_shard_crossings`],
+/// metered in the same per-contact pass).
 ///
 /// A hop `(cur, next)` is only traversable when it is a substrate link
 /// *and* `allowed(cur, next)` holds: the calm round passes `query::any_edge`,
 /// fault injection a predicate that vetoes crashed endpoints and
-/// partition-crossing hops.
+/// partition-crossing hops. Every survivor is confirmed at the network's
+/// current link version.
+#[allow(clippy::too_many_arguments)] // the round's inputs plus the meter width
 pub fn validate_contacts(
     net: &Network,
     cfg: &CardConfig,
@@ -164,18 +217,22 @@ pub fn validate_contacts(
     stats: &mut MsgStats,
     at: SimTime,
     allowed: impl Fn(NodeId, NodeId) -> bool + Copy,
-) -> MaintenanceTotals {
+    span_width: usize,
+) -> (MaintenanceTotals, u64) {
     let mut totals = MaintenanceTotals::default();
-    let (mut validation_msgs, mut reply_msgs) = (0u64, 0u64);
+    let (mut validation_msgs, mut reply_msgs, mut crossings) = (0u64, 0u64, 0u64);
     let (min_hops, max_hops) = cfg.valid_path_hops();
     let (mut healed, mut route) = (Vec::new(), Vec::new());
+    let version = net.link_version();
 
     table.contacts_mut().retain_mut(|contact| {
         debug_assert_eq!(contact.source(), source, "foreign contact in table");
+        crossings += path_shard_crossings(&contact.path, span_width);
         let (alive, recovered) = validate_path(
             net,
             cfg,
             &contact.path,
+            contact.confirmed,
             &mut validation_msgs,
             allowed,
             &mut healed,
@@ -186,7 +243,10 @@ pub fn validate_contacts(
             totals.lost += 1;
             return false;
         }
-        let hops = (healed.len() - 1) as u16;
+        if recovered {
+            contact.path.clone_from(&healed);
+        }
+        let hops = contact.hops();
         if hops < min_hops || hops > max_hops {
             // Rule 4: contact drifted too close or too far.
             totals.dropped_out_of_range += 1;
@@ -195,15 +255,13 @@ pub fn validate_contacts(
         // Ack travels back along the healed path.
         reply_msgs += hops as u64;
         totals.validated += 1;
-        if contact.path != healed {
-            contact.path.clone_from(&healed);
-        }
+        contact.confirmed = version;
         true
     });
 
     stats.record_n(at, MsgKind::Validation, validation_msgs);
     stats.record_n(at, MsgKind::ValidationReply, reply_msgs);
-    totals
+    (totals, crossings)
 }
 
 #[cfg(test)]
@@ -247,7 +305,7 @@ mod tests {
         table: &mut ContactTable,
         st: &mut MsgStats,
     ) -> MaintenanceTotals {
-        validate_contacts(net, cfg, n(0), table, st, SimTime::ZERO, any_edge)
+        validate_contacts(net, cfg, n(0), table, st, SimTime::ZERO, any_edge, 1).0
     }
 
     #[test]
@@ -387,7 +445,9 @@ mod tests {
             &mut st,
             SimTime::ZERO,
             |a, b| a != down && b != down,
-        );
+            1,
+        )
+        .0;
         assert_eq!(rep.lost, 1, "recovery must not route through a down node");
         assert!(table.is_empty());
         // With the pass-all predicate the same path recovers.
@@ -474,7 +534,7 @@ mod tests {
                 let (min_hops, max_hops) = config.valid_path_hops();
                 for (node, table) in &mut tables {
                     validate_contacts(
-                        &net, &config, *node, table, &mut stats, SimTime::ZERO, any_edge);
+                        &net, &config, *node, table, &mut stats, SimTime::ZERO, any_edge, 1);
                     for c in table.contacts() {
                         prop_assert_eq!(c.source(), *node);
                         prop_assert!(c.hops() >= min_hops && c.hops() <= max_hops);

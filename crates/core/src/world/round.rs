@@ -271,22 +271,24 @@ impl CardWorld {
                 continue;
             }
             let table = &mut shard.contacts[k];
-            // Meter the validation traffic this node is about to send down
-            // its stored paths: every span-boundary crossing is a message
-            // the plane would carry if validation were materialized.
-            for c in table.contacts() {
-                delta.crossings += path_shard_crossings(&c.path, per);
-            }
+            // The validation traffic this node sends down its stored paths
+            // is metered where each contact leaves the round's pass — at
+            // its tombstone, hold-out or walk: every span-boundary crossing
+            // is a message the plane would carry if validation were
+            // materialized.
             if let Some((plan, state, round)) = fault_view {
                 // Confirmed-dead contacts: tombstoned up front so neither
                 // validation nor this round's re-selection resurrects them.
                 ids.clear();
-                ids.extend(table.contacts().iter().map(|c| c.id));
-                for &c in &ids {
-                    if state.is_down(c.index()) {
-                        table.tombstone(c, TOMBSTONE_TTL);
-                        delta.maintenance.lost += 1;
+                for c in table.contacts() {
+                    if state.is_down(c.id.index()) {
+                        delta.crossings += path_shard_crossings(&c.path, per);
+                        ids.push(c.id);
                     }
+                }
+                for &c in &ids {
+                    table.tombstone(c, TOMBSTONE_TTL);
+                    delta.maintenance.lost += 1;
                 }
                 // Retry windows: a contact mid-window skips this round's
                 // probe; a probe the plan loses goes unacked — its hops are
@@ -307,6 +309,7 @@ impl CardWorld {
                         .position(|x| x.id == c)
                         .expect("held-out contact present");
                     let entry = cs.remove(pos);
+                    delta.crossings += path_shard_crossings(&entry.path, per);
                     if in_window {
                         held.push(entry);
                         continue;
@@ -324,15 +327,21 @@ impl CardWorld {
                 }
             }
             let stats = &mut delta.stats;
-            let totals = match fault_view {
-                None => validate_contacts(net, cfg, node, table, stats, at, any_edge),
-                Some((_, state, _)) => {
-                    validate_contacts(net, cfg, node, table, stats, at, |a, b| {
-                        state.link_allowed(a.index(), b.index())
-                    })
-                }
+            let (totals, crossings) = match fault_view {
+                None => validate_contacts(net, cfg, node, table, stats, at, any_edge, per),
+                Some((_, state, _)) => validate_contacts(
+                    net,
+                    cfg,
+                    node,
+                    table,
+                    stats,
+                    at,
+                    |a, b| state.link_allowed(a.index(), b.index()),
+                    per,
+                ),
             };
             delta.maintenance.merge(&totals);
+            delta.crossings += crossings;
             if fault_view.is_some() {
                 // An acked validation resets the contact's retry state.
                 ids.clear();

@@ -1084,3 +1084,234 @@ fn a_radio_range_below_the_node_spacing_isolates_every_node() {
         assert_eq!(*pct, 100.0 / n as f64);
     }
 }
+
+/// Move each of `movers` by up to 55 m along each axis (clamped to the
+/// field): at the 60 m radio range of `scenario()`, far enough to flip
+/// links. The caller refreshes the network.
+fn displace(w: &mut CardWorld, movers: &[NodeId], rng: &mut sim_core::rng::RngStream) {
+    use net_topology::geometry::Point2;
+    let field = w.net.field();
+    for &m in movers {
+        let p = w.net.positions()[m.index()];
+        let (dx, dy) = (rng.range_f64(-55.0, 55.0), rng.range_f64(-55.0, 55.0));
+        w.net.positions_mut()[m.index()] = field.clamp(Point2::new(p.x + dx, p.y + dy));
+    }
+}
+
+/// A random share `p` of the nodes, in id order.
+fn some_nodes(n: usize, p: f64, rng: &mut sim_core::rng::RngStream) -> Vec<NodeId> {
+    NodeId::all(n).filter(|_| rng.chance(p)).collect()
+}
+
+/// Per node, its contacts' tombstones.
+type TombstoneSnapshot = Vec<Vec<(NodeId, u32)>>;
+
+/// What a validation round leaves behind: the tables (contacts, paths,
+/// tombstones), the message series, the maintenance totals, the metered
+/// crossings and the fault report.
+fn round_state(
+    w: &CardWorld,
+) -> (
+    (TableSnapshot, Vec<u64>, MaintenanceTotals),
+    TombstoneSnapshot,
+    u64,
+    FaultReport,
+) {
+    let tombstones = w
+        .contact_tables()
+        .iter()
+        .map(|t| t.tombstones().to_vec())
+        .collect();
+    (
+        snapshot(w),
+        tombstones,
+        w.plane_stats().metered_crossings,
+        w.fault_report(),
+    )
+}
+
+/// A round's row-stamp skips are invisible. A world refreshed through
+/// each production path — the mover patch, the report-free `refresh`,
+/// and `refresh_movers`' churn fallback to it — validates exactly like a
+/// clone that re-tests every hop. The clone reaches the full walk through
+/// ordinary calls: `refresh_full`'s stamp-all watermark dirties every
+/// row, and on alternate rounds its contacts are also rebuilt with
+/// `Contact::new`, which leaves them unconfirmed. Calm and faulted, at
+/// one shard and at four. CI runs this on the release build too, where
+/// the walk's `debug_assert`s are off and this comparison is the check.
+#[test]
+fn stamped_rounds_match_a_full_walk_through_every_refresh_path() {
+    use crate::contact::Contact;
+    let n = scenario().nodes;
+    for faulted in [false, true] {
+        for shards in [1, 4] {
+            let mut w = CardWorld::build(&scenario(), cfg());
+            w.set_shard_count(shards);
+            w.select_all_contacts();
+            if faulted {
+                w.enable_faults(FaultPlan::generate(&fault_cfg(), n, 99));
+            }
+            let mut full = w.clone();
+            let mut rng = SeedSplitter::new(17).stream("stamp-oracle", shards as u64);
+            for round in 0..9 {
+                // 0: the mover patch; 1: the report-free refresh; 2: too
+                // many movers for the patch, so `refresh_movers` falls
+                // back to the report-free refresh.
+                let kind = round % 3;
+                let movers = some_nodes(n, if kind == 2 { 0.5 } else { 0.06 }, &mut rng);
+                displace(&mut w, &movers, &mut rng);
+                match kind {
+                    1 => w.net.refresh(),
+                    _ => w.net.refresh_movers(&movers),
+                }
+                assert_eq!(
+                    w.net.pipeline_counters().rows_patched < n,
+                    kind == 0,
+                    "round {round} took the wrong refresh path"
+                );
+                full.net.positions_mut().copy_from_slice(w.net.positions());
+                full.net.refresh_full();
+                if round % 2 == 1 {
+                    for shard in &mut full.shards {
+                        for table in &mut shard.contacts {
+                            for c in table.contacts_mut() {
+                                *c = Contact::new(c.id, std::mem::take(&mut c.path));
+                            }
+                        }
+                    }
+                }
+                w.validation_round();
+                full.validation_round();
+                assert_eq!(
+                    round_state(&w),
+                    round_state(&full),
+                    "round {round} (faulted {faulted}, {shards} shards)"
+                );
+            }
+            let totals = w.maintenance_totals();
+            assert!(
+                totals.recovered > 0 && totals.lost + totals.dropped_out_of_range > 0,
+                "motion must heal and break paths: {totals:?}"
+            );
+        }
+    }
+}
+
+/// A round meters exactly the span crossings of every stored path of
+/// every node that is up for it, read at round start: the contacts it
+/// tombstones, holds out in a retry window or finds unacked count as
+/// well as the ones it walks. Calm and faulted.
+#[test]
+fn metered_crossings_count_every_stored_path_of_every_up_node() {
+    use crate::maintenance::path_shard_crossings;
+    let n = scenario().nodes;
+    for faulted in [false, true] {
+        let mut w = CardWorld::build(&scenario(), cfg());
+        w.set_shard_count(4);
+        w.select_all_contacts();
+        if faulted {
+            w.enable_faults(FaultPlan::generate(&fault_cfg(), n, 99));
+        }
+        let mut rng = SeedSplitter::new(23).stream("meter", 0);
+        let (mut tombstoned, mut unacked) = (false, 0);
+        for round in 0..6u32 {
+            let movers = some_nodes(n, 0.06, &mut rng);
+            displace(&mut w, &movers, &mut rng);
+            w.net.refresh_movers(&movers);
+            let paths: Vec<Vec<Vec<NodeId>>> = w
+                .contact_tables()
+                .iter()
+                .map(|t| t.contacts().iter().map(|c| c.path.clone()).collect())
+                .collect();
+            let metered = w.plane_stats().metered_crossings;
+            w.validation_round();
+            let up = |i: usize| w.fault_state().is_none_or(|s| !s.is_down(i));
+            let expected: u64 = paths
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| up(i))
+                .flat_map(|(_, ps)| ps.iter())
+                .map(|p| path_shard_crossings(p, w.per))
+                .sum();
+            assert!(expected > 0, "round {round}: no path crosses a span");
+            assert_eq!(
+                w.plane_stats().metered_crossings - metered,
+                expected,
+                "round {round} (faulted {faulted})"
+            );
+            tombstoned |= w
+                .contact_tables()
+                .iter()
+                .any(|t| !t.tombstones().is_empty());
+            if let Some(rt) = &w.faults {
+                unacked += paths
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| up(i))
+                    .flat_map(|(i, ps)| ps.iter().map(move |p| (i, p)))
+                    .filter(|(i, p)| {
+                        rt.plan
+                            .validation_lost(*i as u32, p.last().unwrap().index() as u32, round)
+                    })
+                    .count();
+            }
+        }
+        assert_eq!(tombstoned, faulted, "only a faulted run tombstones");
+        assert_eq!(unacked > 0, faulted, "only a faulted run loses probes");
+    }
+}
+
+mod stored_paths {
+    use super::*;
+    use crate::contact::UNCONFIRMED;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// After selection and after each of 0–3 rounds, calm or faulted,
+        /// no stored path repeats a node, every contact is confirmed, and
+        /// a path confirmed at the current link version is a chain of live
+        /// links. The walk relies on both: it skips `is_link` on unchanged
+        /// rows and `compress_loops` on paths that took no recovery.
+        #[test]
+        fn prop_stored_paths_are_simple_and_confirmed_links(
+            seed in 0u64..1000,
+            rounds in 0usize..4,
+            faulted in 0u8..2,
+        ) {
+            let n = 90;
+            let scenario = Scenario::new(n, 400.0, 400.0, 60.0);
+            let mut w = CardWorld::build(&scenario, cfg().with_seed(seed));
+            w.select_all_contacts();
+            if faulted == 1 {
+                w.enable_faults(FaultPlan::generate(&fault_cfg(), n, seed));
+            }
+            let mut rng = SeedSplitter::new(seed).stream("prop-paths", 0);
+            for round in 0..=rounds {
+                if round > 0 {
+                    let movers = some_nodes(n, 0.08, &mut rng);
+                    displace(&mut w, &movers, &mut rng);
+                    w.net.refresh_movers(&movers);
+                    w.validation_round();
+                }
+                let version = w.net.link_version();
+                for c in w.contact_tables().iter().flat_map(|t| t.contacts()) {
+                    let path = &c.path;
+                    for (i, v) in path.iter().enumerate() {
+                        prop_assert!(!path[i + 1..].contains(v), "{v} repeats in {path:?}");
+                    }
+                    prop_assert!(c.confirmed != UNCONFIRMED && c.confirmed <= version);
+                    if c.confirmed == version {
+                        for hop in path.windows(2) {
+                            prop_assert!(
+                                w.net.is_link(hop[0], hop[1]),
+                                "confirmed path {path:?} has a dead hop {hop:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

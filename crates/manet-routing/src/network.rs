@@ -64,6 +64,23 @@
 //! * [`Network::refresh_full`] is the layer's one oracle: scalar rebuild,
 //!   every table recomputed; equivalence tests compare the other two
 //!   against it.
+//!
+//! ## Row stamps
+//!
+//! State layered over the adjacency (card-core's stored contact paths)
+//! asks "did `v`'s links change since I last checked them?". The network
+//! answers from a `u32` **link version** and one stamp per adjacency row:
+//! every refresh that changes any row bumps the version and stamps each
+//! changed row with it — the patch stamps both endpoints of every
+//! appeared or disappeared link (its changed-row report lists the far,
+//! non-mover end too), the report-free [`Network::refresh`] stamps its
+//! all-rows diff — while the wholesale rebuilds ([`Network::refresh_full`]
+//! and the patch's `Full` fallback) raise a stamp-all watermark instead
+//! of writing N stamps. A network starts at version 1 with that watermark
+//! at 1, so [`Network::row_changed_since`] holds for every row at version
+//! 0: 0 is the "never confirmed" version. A refresh that changes nothing
+//! keeps the version. Versions are meaningful only against the network
+//! (or clone of it) that issued them.
 
 use mobility::model::MobilityModel;
 use net_topology::bfs::BfsScratch;
@@ -169,6 +186,13 @@ pub struct Network {
     movers_buf: Vec<NodeId>,
     /// What the last refresh actually did, stage by stage.
     counters: PipelineCounters,
+    /// The link version (see "Row stamps" in the module docs).
+    link_version: u32,
+    /// Per node, the link version at which its adjacency row last changed
+    /// through an incremental refresh.
+    row_stamps: Vec<u32>,
+    /// Every row counts as changed at this version (wholesale rebuilds).
+    all_rows_stamp: u32,
 }
 
 impl Network {
@@ -227,6 +251,9 @@ impl Network {
             undo_index: Vec::new(),
             movers_buf: Vec::new(),
             counters: PipelineCounters::default(),
+            link_version: 1,
+            row_stamps: vec![0; n],
+            all_rows_stamp: 1,
         }
     }
 
@@ -365,6 +392,7 @@ impl Network {
             } => {
                 self.counters.rows_patched = rows_patched;
                 self.record_grid_update(grid);
+                self.stamp_changed_rows();
                 self.recompute_dirty_neighborhoods_from_undo();
             }
             AdjacencyUpdate::Full { grid } => {
@@ -375,6 +403,7 @@ impl Network {
                 self.counters.rows_patched = n;
                 self.record_grid_update(grid);
                 self.tables = NeighborhoodTables::compute(&self.adj, self.radius);
+                self.stamp_all_rows();
                 self.changed.clear();
                 self.dirty.clear();
                 self.counters.changed = n;
@@ -444,7 +473,39 @@ impl Network {
         self.counters.kernel_exact = self.kernel_scratch.stats.exact_checks;
         self.record_grid_update(grid_update);
         self.diff_changed_rows();
+        self.stamp_changed_rows();
         self.recompute_dirty_neighborhoods();
+    }
+
+    /// The next link version.
+    ///
+    /// # Panics
+    /// Panics once `u32::MAX` versions are used up (a refresh a
+    /// millisecond would take seven weeks of virtual time to get there).
+    fn bump_link_version(&mut self) -> u32 {
+        self.link_version = self
+            .link_version
+            .checked_add(1)
+            .expect("link version overflow");
+        self.link_version
+    }
+
+    /// Stamp every row in `self.changed` (both ends of each flipped link)
+    /// with a new link version; a refresh that changed nothing keeps it.
+    fn stamp_changed_rows(&mut self) {
+        if self.changed.is_empty() {
+            return;
+        }
+        let version = self.bump_link_version();
+        for &v in &self.changed {
+            self.row_stamps[v.index()] = version;
+        }
+    }
+
+    /// Count every row as changed at a new link version (wholesale
+    /// rebuilds, which keep no changed-row list).
+    fn stamp_all_rows(&mut self) {
+        self.all_rows_stamp = self.bump_link_version();
     }
 
     /// Dirty-ball tail of the mover-driven patch path: same derivation as
@@ -583,6 +644,7 @@ impl Network {
         // graph in as its own diff baseline before rebuilding, so the
         // spare buffer's content between calls is free to be stale.
         self.tables = NeighborhoodTables::compute(&self.adj, self.radius);
+        self.stamp_all_rows();
         self.counters = PipelineCounters {
             movers_reported: n,
             rows_patched: n,
@@ -600,6 +662,21 @@ impl Network {
     #[inline]
     pub fn is_link(&self, a: NodeId, b: NodeId) -> bool {
         self.adj.is_neighbor(a, b)
+    }
+
+    /// The current link version: every row change so far carries a
+    /// version at most this (see "Row stamps" in the module docs).
+    #[inline]
+    pub fn link_version(&self) -> u32 {
+        self.link_version
+    }
+
+    /// Has `v`'s adjacency row changed since link version `version`? A
+    /// `false` means `v` has exactly the links it had when the network
+    /// stood at `version`; `true` for every row at version 0.
+    #[inline]
+    pub fn row_changed_since(&self, v: NodeId, version: u32) -> bool {
+        self.row_stamps[v.index()].max(self.all_rows_stamp) > version
     }
 
     /// Stage-by-stage work counters of the last refresh (mover report,
@@ -978,6 +1055,58 @@ mod tests {
             "the mover must route its re-query through the kernel: {c:?}"
         );
         assert!(net.position_plane().is_coherent(net.positions()));
+    }
+
+    /// The row stamps are exact on both incremental paths — a row reads
+    /// as changed since the previous version iff its link set differs,
+    /// the far, non-mover end of a flipped link included — and a
+    /// wholesale rebuild marks every row. Each refresh leaves every row
+    /// clean at the new version, and version 0 is never clean.
+    #[test]
+    fn row_stamps_mark_exactly_the_changed_rows() {
+        let n = 60;
+        let mut net = Network::from_scenario(&small_scenario(), 2, 29);
+        let mut rng = RngStream::seed_from_u64(77);
+        let clean_at =
+            |net: &Network, version| NodeId::all(n).all(|v| !net.row_changed_since(v, version));
+        assert!(NodeId::all(n).all(|v| net.row_changed_since(v, 0)));
+        assert!(clean_at(&net, net.link_version()));
+        let (mut far_ends, mut patched) = (0, 0);
+        for step in 0..60 {
+            // Few movers keep the patch path; everyone moving trips the
+            // churn fallback, which is the report-free diff.
+            let share = [0.05, 0.1, 1.0][step % 3];
+            let movers: Vec<NodeId> = NodeId::all(n).filter(|_| rng.chance(share)).collect();
+            for &m in &movers {
+                let p = net.positions()[m.index()];
+                let (dx, dy) = (rng.range_f64(-45.0, 45.0), rng.range_f64(-45.0, 45.0));
+                net.positions_mut()[m.index()] = net.field().clamp(Point2::new(p.x + dx, p.y + dy));
+            }
+            let (old, version) = (net.adj().clone(), net.link_version());
+            let op = rng.index(4);
+            match op {
+                0 => net.refresh(),
+                1 => net.refresh_full(),
+                _ => net.refresh_movers(&movers),
+            }
+            let wholesale = op == 1;
+            let patch = net.pipeline_counters().rows_patched < n;
+            patched += usize::from(patch);
+            for v in NodeId::all(n) {
+                let changed = net.adj().neighbors_changed(&old, v);
+                assert_eq!(
+                    net.row_changed_since(v, version),
+                    changed || wholesale,
+                    "row {v} at step {step} (op {op}, {} movers)",
+                    movers.len()
+                );
+                far_ends += usize::from(patch && changed && !movers.contains(&v));
+            }
+            assert!(clean_at(&net, net.link_version()), "step {step}");
+            assert!(net.link_version() >= version);
+        }
+        assert!(patched > 0, "no refresh took the patch path");
+        assert!(far_ends > 0, "no patch changed a non-mover row");
     }
 
     proptest! {
