@@ -376,6 +376,11 @@ impl HintStats {
 /// `CardWorld`. Implementations must be pure reads (sharded sweeps
 /// consult frozen stores concurrently).
 pub trait HintLookup {
+    /// Whether hint tables stand behind this lookup at all. The walk checks
+    /// it before every hint touch (probes, counters, deposits), so over
+    /// `NoHints`, which clears it, it compiles to the plain escalation.
+    const ENABLED: bool = true;
+
     /// Consult `holder`'s hint table for `key`.
     fn lookup(&self, holder: NodeId, key: HintKey) -> Lookup;
 
@@ -398,6 +403,8 @@ impl HintLookup for HintStore {
 }
 
 impl<T: HintLookup + ?Sized> HintLookup for &T {
+    const ENABLED: bool = T::ENABLED;
+
     #[inline]
     fn lookup(&self, holder: NodeId, key: HintKey) -> Lookup {
         (**self).lookup(holder, key)
@@ -409,15 +416,20 @@ impl<T: HintLookup + ?Sized> HintLookup for &T {
     }
 }
 
-impl<T: HintLookup + ?Sized> HintLookup for &mut T {
-    #[inline]
-    fn lookup(&self, holder: NodeId, key: HintKey) -> Lookup {
-        (**self).lookup(holder, key)
+/// The hint side of a walk on a world without the §V cache: a zero-sized
+/// lookup with [`HintLookup::ENABLED`] cleared, so the walk touches no
+/// table, counter or deposit log.
+pub(crate) struct NoHints;
+
+impl HintLookup for NoHints {
+    const ENABLED: bool = false;
+
+    fn lookup(&self, _holder: NodeId, _key: HintKey) -> Lookup {
+        Lookup::Absent
     }
 
-    #[inline]
-    fn holds_hints(&self, holder: NodeId) -> bool {
-        (**self).holds_hints(holder)
+    fn holds_hints(&self, _holder: NodeId) -> bool {
+        false
     }
 }
 

@@ -39,8 +39,6 @@
 
 use manet_routing::network::Network;
 use net_topology::node::NodeId;
-use sim_core::stats::{MsgKind, MsgStats};
-use sim_core::time::SimTime;
 
 use crate::config::CardConfig;
 use crate::contact::ContactTable;
@@ -197,28 +195,26 @@ pub fn path_shard_crossings(path: &[NodeId], span_width: usize) -> u64 {
 }
 
 /// Run one §III.C.3 validation round for `source`: walk every contact
-/// path, heal or drop, enforce the hop-range rule, and record the
-/// validation and acknowledgement messages into `stats`. Returns the
-/// round's outcome counters and the span-boundary crossings of the stored
-/// paths it walked at span width `span_width` ([`path_shard_crossings`],
-/// metered in the same per-contact pass).
+/// path, heal or drop and enforce the hop-range rule. Returns
+/// `(totals, crossings, validation_msgs, reply_msgs)`: the round's outcome
+/// counters, the span-boundary crossings of the stored paths it walked at
+/// span width `span_width` ([`path_shard_crossings`], metered in the same
+/// per-contact pass), and its validation and acknowledgement message
+/// counts, which the caller records (a shard records its span's sums once).
 ///
 /// A hop `(cur, next)` is only traversable when it is a substrate link
 /// *and* `allowed(cur, next)` holds: the calm round passes `query::any_edge`,
 /// fault injection a predicate that vetoes crashed endpoints and
 /// partition-crossing hops. Every survivor is confirmed at the network's
 /// current link version.
-#[allow(clippy::too_many_arguments)] // the round's inputs plus the meter width
 pub fn validate_contacts(
     net: &Network,
     cfg: &CardConfig,
     source: NodeId,
     table: &mut ContactTable,
-    stats: &mut MsgStats,
-    at: SimTime,
     allowed: impl Fn(NodeId, NodeId) -> bool + Copy,
     span_width: usize,
-) -> (MaintenanceTotals, u64) {
+) -> (MaintenanceTotals, u64, u64, u64) {
     let mut totals = MaintenanceTotals::default();
     let (mut validation_msgs, mut reply_msgs, mut crossings) = (0u64, 0u64, 0u64);
     let (min_hops, max_hops) = cfg.valid_path_hops();
@@ -259,9 +255,7 @@ pub fn validate_contacts(
         true
     });
 
-    stats.record_n(at, MsgKind::Validation, validation_msgs);
-    stats.record_n(at, MsgKind::ValidationReply, reply_msgs);
-    (totals, crossings)
+    (totals, crossings, validation_msgs, reply_msgs)
 }
 
 #[cfg(test)]
@@ -270,6 +264,8 @@ mod tests {
     use crate::contact::Contact;
     use crate::query::any_edge;
     use net_topology::geometry::{Field, Point2};
+    use sim_core::stats::{MsgKind, MsgStats};
+    use sim_core::time::SimTime;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -298,14 +294,17 @@ mod tests {
         MsgStats::new(sim_core::time::SimDuration::from_secs(2))
     }
 
-    /// A calm validation round of node 0 at time zero.
+    /// A calm validation round of node 0, its messages recorded at time zero.
     fn validate(
         net: &Network,
         cfg: &CardConfig,
         table: &mut ContactTable,
         st: &mut MsgStats,
     ) -> MaintenanceTotals {
-        validate_contacts(net, cfg, n(0), table, st, SimTime::ZERO, any_edge, 1).0
+        let (totals, _, validation, reply) = validate_contacts(net, cfg, n(0), table, any_edge, 1);
+        st.record_n(SimTime::ZERO, MsgKind::Validation, validation);
+        st.record_n(SimTime::ZERO, MsgKind::ValidationReply, reply);
+        totals
     }
 
     #[test]
@@ -442,8 +441,6 @@ mod tests {
             &cfg,
             n(0),
             &mut table,
-            &mut st,
-            SimTime::ZERO,
             |a, b| a != down && b != down,
             1,
         )
@@ -533,8 +530,7 @@ mod tests {
 
                 let (min_hops, max_hops) = config.valid_path_hops();
                 for (node, table) in &mut tables {
-                    validate_contacts(
-                        &net, &config, *node, table, &mut stats, SimTime::ZERO, any_edge, 1);
+                    validate_contacts(&net, &config, *node, table, any_edge, 1);
                     for c in table.contacts() {
                         prop_assert_eq!(c.source(), *node);
                         prop_assert!(c.hops() >= min_hops && c.hops() <= max_hops);

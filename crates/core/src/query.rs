@@ -23,14 +23,16 @@
 //!   generic level-synchronous contact walker
 //!   (`WalkScratch::advance_level`), differing only in their per-contact
 //!   visit closure.
-//! * There is **one walk, calm or faulted**. Every function on the path
-//!   takes an *edge veto* `edge_ok(holder, contact)` as a generic,
-//!   statically dispatched parameter: a vetoed contact edge is neither
-//!   traversed, marked nor charged. The calm instantiation is the named
-//!   pass-all `any_edge` (which compiles to the unconditional walk); a
-//!   world with an armed fault plan passes [`QueryFaultFilter::edge_ok`],
-//!   so crashed relays and edges across an open partition drop out of the
-//!   walk, the hint chase and the answer predicate alike.
+//! * There is **one walk, calm or faulted, hinted or not**. Every
+//!   function on the path takes an *edge veto* `edge_ok(holder, contact)`
+//!   as a generic, statically dispatched parameter: a vetoed contact edge
+//!   is neither traversed, marked nor charged. The calm instantiation is
+//!   the named pass-all `any_edge`; a world with an armed fault plan passes
+//!   [`QueryFaultFilter::edge_ok`], so crashed relays and edges across an
+//!   open partition drop out of the walk, the hint chase and the answer
+//!   predicate alike. The hint side is a type parameter too: without the
+//!   §V cache the one escalation body runs over `NoHints`, whose constant
+//!   [`HintLookup::ENABLED`] folds every probe, counter and deposit away.
 //! * Escalation is **incremental**: on the wire, a depth-d attempt re-sends
 //!   DSQs along levels 1‥d−1 before probing level d, but the simulator need
 //!   not re-traverse them — the scratch caches the deepest frontier and the
@@ -82,7 +84,9 @@ use sim_core::stats::{MsgKind, MsgStats};
 use sim_core::time::SimTime;
 
 use crate::contact::{Backoff, TableSource};
-use crate::hints::{DepositLog, HintDeposit, HintKey, HintLookup, HintStats, HintStore, Lookup};
+use crate::hints::{
+    DepositLog, HintDeposit, HintKey, HintLookup, HintStats, HintStore, Lookup, NoHints,
+};
 
 /// Result of one resource-discovery query.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -310,52 +314,6 @@ impl WalkScratch {
     }
 }
 
-/// The plain escalation driver, *without* statistics recording: walk
-/// depths 1‥`max_depth` under the edge veto, each depth charging the full
-/// re-walk cost of the levels below it ([`WalkScratch::walked_msgs`]) and
-/// then traversing only its final level, where `answers(contact)` is the
-/// neighborhood-table lookup (callers fold any target-side fault check
-/// into it). Message totals and outcomes are bit-identical to the
-/// per-depth re-walk ([`dsq_query_rewalk`]). Batched sweeps record
-/// per-shard message *totals* once — identical buckets, since every query
-/// of a sweep lands at the same instant and zero counts never record.
-pub(crate) fn escalate_unrecorded<T: TableSource>(
-    n: usize,
-    contact_tables: T,
-    source: NodeId,
-    max_depth: u16,
-    scratch: &mut WalkScratch,
-    edge_ok: impl Fn(NodeId, NodeId) -> bool + Copy,
-    mut answers: impl FnMut(NodeId) -> bool,
-) -> QueryOutcome {
-    scratch.begin(n, source);
-    let mut query_msgs = 0u64;
-    for depth in 1..=max_depth {
-        // The wire cost of re-sending the query along levels 1..depth-1.
-        query_msgs += scratch.walked_msgs();
-        let reply = scratch.advance_level(
-            &contact_tables,
-            &mut query_msgs,
-            edge_ok,
-            |c, at_contact| answers(c).then_some(at_contact),
-        );
-        if let Some(reply) = reply {
-            return QueryOutcome {
-                found: true,
-                depth_used: depth,
-                query_msgs,
-                reply_msgs: reply,
-            };
-        }
-    }
-    QueryOutcome {
-        found: false,
-        depth_used: max_depth,
-        query_msgs,
-        reply_msgs: 0,
-    }
-}
-
 /// Open a node query: stamp `target`'s zone under a fresh zone epoch and
 /// hand back the walk half with the predicate "`c`'s zone lists `target`
 /// and `c` can reach it" — by symmetry one stamp read ("State layout" in
@@ -387,41 +345,6 @@ fn target_zone<'a>(
     })
 }
 
-/// [`dsq_query`] without statistics recording and under an edge veto — the
-/// per-pair body of `CardWorld`'s single queries and batched sweep (which
-/// accounts its shard's message totals in bulk) on a world without the §V
-/// cache: answer from the source's own zone for free, else escalate
-/// ([`escalate_unrecorded`]). A zone answers only if it can actually reach
-/// the target: the depth-0 shortcut and the answer predicate are the one
-/// [`target_zone`] closure.
-///
-/// The hinted twin below is a separate function, not an `Option` argument
-/// of this one: folding both escalations into one body cost the plain
-/// sweep 4–7% of its throughput (`card_bench`, `query_escalate`).
-pub(crate) fn dsq_query_unrecorded<T: TableSource>(
-    net: &Network,
-    contact_tables: T,
-    source: NodeId,
-    target: NodeId,
-    max_depth: u16,
-    scratch: &mut QueryScratch,
-    edge_ok: impl Fn(NodeId, NodeId) -> bool + Copy,
-) -> QueryOutcome {
-    let (walk, answers) = target_zone(net, scratch, target, edge_ok);
-    if answers(source) {
-        return QueryOutcome::LOCAL_HIT;
-    }
-    escalate_unrecorded(
-        net.node_count(),
-        contact_tables,
-        source,
-        max_depth,
-        walk,
-        edge_ok,
-        answers,
-    )
-}
-
 /// Run a full CARD query from `source` for `target`, escalating the depth
 /// of search from 1 to `max_depth` (§III.C.4). Messages are recorded into
 /// `stats` at time `at`; the walk runs allocation-free on `scratch`
@@ -430,8 +353,9 @@ pub(crate) fn dsq_query_unrecorded<T: TableSource>(
 /// With `hints`, the §V route-hint cache is consulted first and hint
 /// deposits are queued on resolution (see [`HintContext`] and
 /// [`crate::hints`]): `found` and `depth_used` match the plain query; only
-/// the message cost differs. The two cases run separate node bodies
-/// (`dsq_query_unrecorded` and `dsq_query_hinted_unrecorded`).
+/// the message cost differs. Both cases run the one escalation body;
+/// without `hints` it is instantiated over `NoHints`, which touches no
+/// cache, counter or log.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol message fields
 pub fn dsq_query<T: TableSource>(
     net: &Network,
@@ -445,7 +369,7 @@ pub fn dsq_query<T: TableSource>(
     scratch: &mut QueryScratch,
 ) -> QueryOutcome {
     let out = match hints {
-        Some(ctx) => dsq_query_hinted_unrecorded(
+        Some(ctx) => dsq_walk(
             net,
             contact_tables,
             ctx,
@@ -455,9 +379,10 @@ pub fn dsq_query<T: TableSource>(
             scratch,
             any_edge,
         ),
-        None => dsq_query_unrecorded(
+        None => dsq_walk(
             net,
             contact_tables,
+            &mut HintContext::off(&mut HintStats::default(), &mut DepositLog::new()),
             source,
             target,
             max_depth,
@@ -469,7 +394,8 @@ pub fn dsq_query<T: TableSource>(
 }
 
 // ---------------------------------------------------------------------------
-// Hinted queries — the §V route-hint short-cut (see `crate::hints`).
+// The escalation, with or without the §V route-hint short-cut (see
+// `crate::hints`).
 // ---------------------------------------------------------------------------
 
 /// Hard cap on a directed probe's chain length. Chain buffers live on the
@@ -495,6 +421,17 @@ pub struct HintContext<'a, S: HintLookup = &'a HintStore> {
     pub stats: &'a mut HintStats,
     /// Hints the resolved query wants deposited along its answer chain.
     pub deposits: &'a mut DepositLog,
+}
+
+impl<'a> HintContext<'a, NoHints> {
+    /// A context over `NoHints`: a walk leaves `stats` and `deposits` untouched.
+    pub(crate) fn off(stats: &'a mut HintStats, deposits: &'a mut DepositLog) -> Self {
+        HintContext {
+            store: NoHints,
+            stats,
+            deposits,
+        }
+    }
 }
 
 /// Outcome of one directed probe down a hint chain.
@@ -626,7 +563,7 @@ fn push_chain_deposits(deposits: &mut DepositLog, key: HintKey, chain: &[NodeId]
     }
 }
 
-/// A walk-level hit of the hinted escalation.
+/// A walk-level hit of [`escalate`].
 enum HintedHit {
     /// The plain level walk answered at `answer`.
     Walk { answer: NodeId, reply: u64 },
@@ -638,23 +575,29 @@ enum HintedHit {
     },
 }
 
-/// The hinted escalation driver: try a directed probe from the source's
-/// own hints first; on miss, fall back to the standard incremental
-/// escalation ([`escalate_unrecorded`]), peeking at each visited relay's
-/// hints along the way (a fresh relay hint forks a bounded probe for the
-/// remaining depth). The source probe, every relay probe and the fallback
-/// walk share one edge veto, so a cached hint pointing at a dead relay
-/// degrades into a `stale_contact` miss and the (vetoed) walk takes over.
-/// Either way the answer predicate is always verified against live state,
-/// so *outcomes* match the plain escalation exactly — hints change message
-/// cost, never answers: any node a probe can reach lies ≤ `max_depth`
-/// allowed contact-edges from the source (probes follow contact-table
-/// edges, the same relation the walk expands, and the walk visits every
-/// such node at its minimal level), and a probe miss falls back to the
-/// full walk. Resolved queries queue §V hint deposits along the entire
-/// source → answer chain.
+/// The one escalation driver, without statistics recording: walk depths
+/// 1‥`max_depth` under the edge veto, each depth charging the re-walk cost
+/// of the levels below it ([`WalkScratch::walked_msgs`]) and traversing
+/// only its final level, where `answers(contact)` is the neighborhood-table
+/// lookup (callers fold any target-side fault check into it). Without
+/// hints, outcome and message totals equal the per-depth re-walk's
+/// ([`dsq_query_rewalk`]). Sweeps record per-shard totals once.
+///
+/// With hint tables behind `ctx` ([`HintLookup::ENABLED`]) a directed probe
+/// from the source's own hints goes first, and each visited relay's fresh
+/// hint forks a bounded probe for the remaining depth. Probes and walk
+/// share the edge veto, so a hint at a dead relay is a `stale_contact`
+/// miss and the walk takes over; the answer predicate is always verified
+/// against live state. Outcomes therefore equal the plain walk's (only
+/// message costs differ): a probe follows contact edges, the relation the
+/// walk expands, and reaches only nodes the walk visits within
+/// `max_depth`. Resolved queries queue §V deposits along the
+/// source → answer chain. Over `NoHints` every hint touch is a branch on a
+/// constant `false`, so that instantiation is the plain walk: in the release
+/// `card_bench` build its calm node body is 967 B of x86-64 code, against
+/// 961 B for the separate plain body it replaced.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol message fields
-pub(crate) fn escalate_hinted_unrecorded<T: TableSource, S: HintLookup>(
+pub(crate) fn escalate<T: TableSource, S: HintLookup>(
     n: usize,
     contact_tables: T,
     ctx: &mut HintContext<'_, S>,
@@ -665,44 +608,48 @@ pub(crate) fn escalate_hinted_unrecorded<T: TableSource, S: HintLookup>(
     edge_ok: impl Fn(NodeId, NodeId) -> bool + Copy,
     mut answers: impl FnMut(NodeId) -> bool,
 ) -> QueryOutcome {
-    // Source-side probe: a fresh chain answers for probe messages alone.
-    let mut src_chain = [source; MAX_CHAIN];
-    let src = chase(
-        &contact_tables,
-        &ctx.store,
-        ctx.stats,
-        key,
-        source,
-        0,
-        max_depth as usize,
-        &mut src_chain,
-        edge_ok,
-        &mut answers,
-    );
-    if src.steps > 0 {
-        ctx.stats.chases += 1;
+    let mut query_msgs = 0u64;
+    let mut failed_chases: u32 = 0;
+    if S::ENABLED {
+        // Source-side probe: a fresh chain answers for probe messages alone.
+        let mut src_chain = [source; MAX_CHAIN];
+        let src = chase(
+            &contact_tables,
+            &ctx.store,
+            ctx.stats,
+            key,
+            source,
+            0,
+            max_depth as usize,
+            &mut src_chain,
+            edge_ok,
+            &mut answers,
+        );
+        if src.steps > 0 {
+            ctx.stats.chases += 1;
+        }
+        ctx.stats.probe_msgs += src.probe_msgs;
+        if let Some(reply) = src.reply {
+            ctx.stats.chase_hits += 1;
+            push_chain_deposits(ctx.deposits, key, &src_chain[..=src.steps]);
+            return QueryOutcome {
+                found: true,
+                depth_used: src.steps as u16,
+                query_msgs: src.probe_msgs,
+                reply_msgs: reply,
+            };
+        }
+        failed_chases = (src.steps > 0) as u32;
+        query_msgs = src.probe_msgs;
     }
-    ctx.stats.probe_msgs += src.probe_msgs;
-    if let Some(reply) = src.reply {
-        ctx.stats.chase_hits += 1;
-        push_chain_deposits(ctx.deposits, key, &src_chain[..=src.steps]);
-        return QueryOutcome {
-            found: true,
-            depth_used: src.steps as u16,
-            query_msgs: src.probe_msgs,
-            reply_msgs: reply,
-        };
-    }
-    let mut failed_chases: u32 = (src.steps > 0) as u32;
 
-    // Fallback: the incremental escalation, consulting relay hints on the
-    // way. Failed probes cost their messages and the walk continues
-    // unchanged; the escalation itself is the one `escalate_unrecorded`
-    // runs (same order, same marks), so discovery is identical.
+    // The incremental escalation, consulting relay hints on the way.
+    // Failed probes cost their messages and the walk continues unchanged
+    // (same order, same marks), so discovery is that of the plain walk.
     scratch.begin(n, source);
-    let mut query_msgs = src.probe_msgs;
     let mut chase_chain = [source; MAX_CHAIN];
     for depth in 1..=max_depth {
+        // The wire cost of re-sending the query along levels 1..depth-1.
         query_msgs += scratch.walked_msgs();
         let mut probe_spent = 0u64;
         let hit = {
@@ -720,7 +667,7 @@ pub(crate) fn escalate_hinted_unrecorded<T: TableSource, S: HintLookup>(
                         reply: at_contact,
                     });
                 }
-                if depth < max_depth && *failed < MAX_FAILED_CHASES {
+                if S::ENABLED && depth < max_depth && *failed < MAX_FAILED_CHASES {
                     let budget = (max_depth - depth) as usize;
                     let res = chase(
                         tables, store, stats, key, c, at_contact, budget, chain, edge_ok, ans,
@@ -749,7 +696,9 @@ pub(crate) fn escalate_hinted_unrecorded<T: TableSource, S: HintLookup>(
         if let Some(hit) = hit {
             return match hit {
                 HintedHit::Walk { answer, reply } => {
-                    push_chain_deposits(ctx.deposits, key, scratch.walk_path(answer));
+                    if S::ENABLED {
+                        push_chain_deposits(ctx.deposits, key, scratch.walk_path(answer));
+                    }
                     QueryOutcome {
                         found: true,
                         depth_used: depth,
@@ -783,11 +732,15 @@ pub(crate) fn escalate_hinted_unrecorded<T: TableSource, S: HintLookup>(
     }
 }
 
-/// [`dsq_query_unrecorded`] through the §V route-hint cache
-/// ([`escalate_hinted_unrecorded`]): same zone shortcut, same answer
-/// predicate, same edge veto.
+/// The per-pair node query, without statistics recording and under an
+/// edge veto — the body of [`dsq_query`] and of `CardWorld`'s single
+/// queries and batched sweep (which accounts its shard's message totals
+/// in bulk): answer from the source's own zone for free, else
+/// [`escalate`]. A zone answers only if it can actually reach the target:
+/// the depth-0 shortcut and the answer predicate are the one
+/// [`target_zone`] closure.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol message fields
-pub(crate) fn dsq_query_hinted_unrecorded<T: TableSource, S: HintLookup>(
+pub(crate) fn dsq_walk<T: TableSource, S: HintLookup>(
     net: &Network,
     contact_tables: T,
     ctx: &mut HintContext<'_, S>,
@@ -801,7 +754,7 @@ pub(crate) fn dsq_query_hinted_unrecorded<T: TableSource, S: HintLookup>(
     if answers(source) {
         return QueryOutcome::LOCAL_HIT;
     }
-    escalate_hinted_unrecorded(
+    escalate(
         net.node_count(),
         contact_tables,
         ctx,
@@ -1404,7 +1357,7 @@ mod tests {
                         dsq_query(net, tables, None, source, target, 3, &mut st, SimTime::ZERO, &mut scratch);
                     prop_assert_eq!(&plain, &oracle, "plain walk {} -> {}", source, target);
                     let mut ctx = HintContext { store, stats: &mut hint_stats, deposits: &mut deposits };
-                    let hinted = dsq_query_hinted_unrecorded(
+                    let hinted = dsq_walk(
                         net, tables, &mut ctx, source, target, 3, &mut scratch, any_edge,
                     );
                     prop_assert_eq!(hinted.found, oracle.found, "hinted walk {} -> {}", source, target);
@@ -1420,9 +1373,10 @@ mod tests {
         target: NodeId,
         filter: QueryFaultFilter<'_>,
     ) -> QueryOutcome {
-        dsq_query_unrecorded(
+        dsq_walk(
             net,
             tables,
+            &mut HintContext::off(&mut HintStats::default(), &mut DepositLog::new()),
             n(0),
             target,
             3,

@@ -28,11 +28,8 @@ use sim_core::time::SimTime;
 use sim_core::util::BitSet;
 
 use crate::contact::TableSource;
-use crate::hints::{HintKey, HintLookup};
-use crate::query::{
-    any_edge, escalate_hinted_unrecorded, escalate_unrecorded, HintContext, QueryOutcome,
-    QueryScratch,
-};
+use crate::hints::{DepositLog, HintKey, HintLookup, HintStats};
+use crate::query::{any_edge, escalate, HintContext, QueryOutcome, QueryScratch};
 
 /// An application-level resource identifier.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -211,54 +208,43 @@ pub fn distribute(
     reg
 }
 
-/// Both resource queries without statistics recording and under an edge
-/// veto — the per-call body of `CardWorld::query_resource`. A resource is
-/// its hosts: a zone answers iff it lists a host the answerer can actually
-/// reach (`edge_ok(answerer, host)`; with the pass-all veto this is the
-/// plain [`ResourceRegistry::hosted_in_neighborhood`] lookup).
+/// The resource query without statistics recording and under an edge
+/// veto — the per-call body of [`resource_query`] and
+/// `CardWorld::query_resource`, over the hint cache or `NoHints` alike
+/// (one [`escalate`] body). A resource is its hosts: a zone answers iff it
+/// lists a host the answerer can actually reach (`edge_ok(answerer, host)`;
+/// with the pass-all veto this is the plain
+/// [`ResourceRegistry::hosted_in_neighborhood`] lookup).
 #[allow(clippy::too_many_arguments)] // mirrors the protocol message fields
 pub(crate) fn resource_query_unrecorded<T: TableSource, S: HintLookup>(
     net: &Network,
     contact_tables: T,
     registry: &ResourceRegistry,
-    hints: Option<&mut HintContext<'_, S>>,
+    ctx: &mut HintContext<'_, S>,
     source: NodeId,
     resource: ResourceId,
     max_depth: u16,
     scratch: &mut QueryScratch,
     edge_ok: impl Fn(NodeId, NodeId) -> bool + Copy,
 ) -> QueryOutcome {
-    let n = net.node_count();
     let zones = net.tables();
-    let key = HintKey::resource(resource);
     let hosted =
         |c: NodeId| registry.hosted_in_neighborhood_where(resource, zones.of(c), |h| edge_ok(c, h));
     // Zone-local instance: answered from the proactive tables, free.
     if hosted(source) {
         return QueryOutcome::LOCAL_HIT;
     }
-    match hints {
-        Some(ctx) => escalate_hinted_unrecorded(
-            n,
-            contact_tables,
-            ctx,
-            key,
-            source,
-            max_depth,
-            &mut scratch.walk,
-            edge_ok,
-            hosted,
-        ),
-        None => escalate_unrecorded(
-            n,
-            contact_tables,
-            source,
-            max_depth,
-            &mut scratch.walk,
-            edge_ok,
-            hosted,
-        ),
-    }
+    escalate(
+        net.node_count(),
+        contact_tables,
+        ctx,
+        HintKey::resource(resource),
+        source,
+        max_depth,
+        &mut scratch.walk,
+        edge_ok,
+        hosted,
+    )
 }
 
 /// Anycast resource query (§III.C.4 with a resource target): check the own
@@ -290,18 +276,31 @@ pub fn resource_query<T: TableSource>(
     at: SimTime,
     scratch: &mut QueryScratch,
 ) -> QueryOutcome {
-    resource_query_unrecorded(
-        net,
-        contact_tables,
-        registry,
-        hints,
-        source,
-        resource,
-        max_depth,
-        scratch,
-        any_edge,
-    )
-    .recorded(stats, at)
+    let out = match hints {
+        Some(ctx) => resource_query_unrecorded(
+            net,
+            contact_tables,
+            registry,
+            ctx,
+            source,
+            resource,
+            max_depth,
+            scratch,
+            any_edge,
+        ),
+        None => resource_query_unrecorded(
+            net,
+            contact_tables,
+            registry,
+            &mut HintContext::off(&mut HintStats::default(), &mut DepositLog::new()),
+            source,
+            resource,
+            max_depth,
+            scratch,
+            any_edge,
+        ),
+    };
+    out.recorded(stats, at)
 }
 
 /// The set of resources discoverable by `source` at contact depth `depth`:

@@ -42,11 +42,8 @@ use sim_core::plane::Outbox;
 use sim_core::stats::MsgKind;
 
 use crate::contact::ContactGraph;
-use crate::hints::{DepositLog, HintDeposit, HintStats};
-use crate::query::{
-    any_edge, dsq_query_hinted_unrecorded, dsq_query_unrecorded, HintContext, QueryFaultFilter,
-    QueryOutcome, QueryScratch,
-};
+use crate::hints::{DepositLog, HintDeposit, HintLookup, HintStats, NoHints};
+use crate::query::{any_edge, dsq_walk, HintContext, QueryFaultFilter, QueryOutcome, QueryScratch};
 use crate::resources::{resource_query_unrecorded, ResourceId, ResourceRegistry};
 
 use super::round::FaultRuntime;
@@ -148,7 +145,9 @@ impl<'a> QueryView<'a> {
         }
     }
 
-    /// The unrecorded [`crate::query`] walk for `goal` under one edge veto.
+    /// The unrecorded [`crate::query`] walk for `goal` under one edge veto,
+    /// instantiated over the view's hint spans or, without the cache, over
+    /// `NoHints` (which leaves the sink's counters and log untouched).
     fn walk(
         &self,
         source: NodeId,
@@ -156,38 +155,42 @@ impl<'a> QueryView<'a> {
         sink: &mut QuerySink<'_>,
         edge_ok: impl Fn(NodeId, NodeId) -> bool + Copy,
     ) -> QueryOutcome {
-        let mut ctx = self.hints.map(|store| HintContext {
+        match self.hints {
+            Some(store) => self.walk_over(store, source, goal, sink, edge_ok),
+            None => self.walk_over(NoHints, source, goal, sink, edge_ok),
+        }
+    }
+
+    /// [`QueryView::walk`] over one hint lookup.
+    fn walk_over(
+        &self,
+        store: impl HintLookup,
+        source: NodeId,
+        goal: Goal<'_>,
+        sink: &mut QuerySink<'_>,
+        edge_ok: impl Fn(NodeId, NodeId) -> bool + Copy,
+    ) -> QueryOutcome {
+        let ctx = &mut HintContext {
             store,
             stats: &mut *sink.hint_stats,
             deposits: &mut *sink.deposits,
-        });
+        };
         match goal {
-            Goal::Node(target) => match ctx.as_mut() {
-                None => dsq_query_unrecorded(
-                    self.net,
-                    self.tables,
-                    source,
-                    target,
-                    self.depth,
-                    sink.scratch,
-                    edge_ok,
-                ),
-                Some(ctx) => dsq_query_hinted_unrecorded(
-                    self.net,
-                    self.tables,
-                    ctx,
-                    source,
-                    target,
-                    self.depth,
-                    sink.scratch,
-                    edge_ok,
-                ),
-            },
+            Goal::Node(target) => dsq_walk(
+                self.net,
+                self.tables,
+                ctx,
+                source,
+                target,
+                self.depth,
+                sink.scratch,
+                edge_ok,
+            ),
             Goal::Resource(registry, resource) => resource_query_unrecorded(
                 self.net,
                 self.tables,
                 registry,
-                ctx.as_mut(),
+                ctx,
                 source,
                 resource,
                 self.depth,

@@ -263,6 +263,9 @@ impl CardWorld {
         };
         let mut ids: Vec<NodeId> = Vec::new();
         let mut held: Vec<crate::contact::Contact> = Vec::new();
+        // Every source sends at `at`, so recording the span's sums once per
+        // kind fills the buckets per-source records would (zeros never do).
+        let (mut validation_msgs, mut reply_msgs) = (0u64, 0u64);
         for k in 0..shard.contacts.len() {
             let node = NodeId::from(shard.start + k);
             if fault_view.is_some_and(|(_, state, _)| state.is_down(node.index())) {
@@ -314,9 +317,7 @@ impl CardWorld {
                         held.push(entry);
                         continue;
                     }
-                    delta
-                        .stats
-                        .record_n(at, MsgKind::Validation, entry.hops() as u64);
+                    validation_msgs += entry.hops() as u64;
                     let level = table.note_unacked(c);
                     if level > VALIDATION_RETRY_CAP {
                         table.clear_retry(c);
@@ -326,22 +327,21 @@ impl CardWorld {
                     }
                 }
             }
-            let stats = &mut delta.stats;
-            let (totals, crossings) = match fault_view {
-                None => validate_contacts(net, cfg, node, table, stats, at, any_edge, per),
+            let (totals, crossings, validation, reply) = match fault_view {
+                None => validate_contacts(net, cfg, node, table, any_edge, per),
                 Some((_, state, _)) => validate_contacts(
                     net,
                     cfg,
                     node,
                     table,
-                    stats,
-                    at,
                     |a, b| state.link_allowed(a.index(), b.index()),
                     per,
                 ),
             };
             delta.maintenance.merge(&totals);
             delta.crossings += crossings;
+            validation_msgs += validation;
+            reply_msgs += reply;
             if fault_view.is_some() {
                 // An acked validation resets the contact's retry state.
                 ids.clear();
@@ -382,6 +382,9 @@ impl CardWorld {
                 shard.backoff[k].fail(SELECTION_BACKOFF_CAP);
             }
         }
+        let stats = &mut delta.stats;
+        stats.record_n(at, MsgKind::Validation, validation_msgs);
+        stats.record_n(at, MsgKind::ValidationReply, reply_msgs);
         delta
     }
 

@@ -1261,6 +1261,44 @@ fn metered_crossings_count_every_stored_path_of_every_up_node() {
     }
 }
 
+#[test]
+fn a_world_without_hints_leaves_every_hint_counter_and_deposit_at_zero() {
+    // Hints off is the hinted walk over `NoHints`. The cache-on/off
+    // harnesses compare hint stats only between configurations, so equal
+    // but wrong counters pass them: pin zero through sweeps, single
+    // queries and their retries, resource queries and standing resolution.
+    let pairs: Vec<(NodeId, NodeId)> = (0..60u32)
+        .map(|i| (NodeId::new(i % 150), NodeId::new((i * 37 + 5) % 150)))
+        .collect();
+    let mut registry = ResourceRegistry::new(150, 1);
+    registry.add_host(ResourceId(0), NodeId::new(90));
+    for faulted in [false, true] {
+        for shards in [1, 4] {
+            let mut w = CardWorld::build(&scenario(), cfg().with_depth(3));
+            w.set_shard_count(shards);
+            w.select_all_contacts();
+            if faulted {
+                w.enable_faults(FaultPlan::generate(&fault_cfg(), 150, 99));
+            }
+            w.standing_register(NodeId::new(3), NodeId::new(120));
+            let mut escalated = 0;
+            for round in 0..4u32 {
+                w.validation_round();
+                let mut outs = w.query_all(&pairs);
+                outs.push(w.query(NodeId::new(round), NodeId::new(140 - round)));
+                outs.push(w.query_resource(&registry, NodeId::new(round * 7), ResourceId(0)));
+                escalated += outs.iter().filter(|o| o.query_msgs > 0).count();
+            }
+            let at = format!("faulted {faulted}, {shards} shards");
+            assert!(escalated > 0, "no query escalated ({at})");
+            assert_eq!(*w.hint_stats(), crate::hints::HintStats::default(), "{at}");
+            let ps = w.plane_stats();
+            assert_eq!((ps.sent, ps.rounds, ps.envelopes), (0, 0, 0), "{at}");
+            assert!(w.lanes.iter().all(|l| l.deposits.runs().is_empty()), "{at}");
+        }
+    }
+}
+
 mod stored_paths {
     use super::*;
     use crate::contact::UNCONFIRMED;

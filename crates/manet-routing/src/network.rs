@@ -74,11 +74,11 @@
 //! changed row with it — the patch stamps both endpoints of every
 //! appeared or disappeared link (its changed-row report lists the far,
 //! non-mover end too), the report-free [`Network::refresh`] stamps its
-//! all-rows diff — while the wholesale rebuilds ([`Network::refresh_full`]
-//! and the patch's `Full` fallback) raise a stamp-all watermark instead
-//! of writing N stamps. A network starts at version 1 with that watermark
-//! at 1, so [`Network::row_changed_since`] holds for every row at version
-//! 0: 0 is the "never confirmed" version. A refresh that changes nothing
+//! all-rows diff — while the wholesale rebuild ([`Network::refresh_full`])
+//! raises a stamp-all watermark instead of writing N stamps. A network
+//! starts at version 1 with that watermark at 1, so
+//! [`Network::row_changed_since`] holds for every row at version 0: 0 is
+//! the "never confirmed" version. A refresh that changes nothing
 //! keeps the version. Versions are meaningful only against the network
 //! (or clone of it) that issued them.
 
@@ -395,20 +395,11 @@ impl Network {
                 self.stamp_changed_rows();
                 self.recompute_dirty_neighborhoods_from_undo();
             }
-            AdjacencyUpdate::Full { grid } => {
-                // Wholesale rebuild ran inside the patch (grid out of
-                // sync): the pre-patch graph is gone and nothing was
-                // logged, so rebuild every table.
-                self.counters.full_fallback = true;
-                self.counters.rows_patched = n;
-                self.record_grid_update(grid);
-                self.tables = NeighborhoodTables::compute(&self.adj, self.radius);
-                self.stamp_all_rows();
-                self.changed.clear();
-                self.dirty.clear();
-                self.counters.changed = n;
-                self.counters.dirty = n;
-            }
+            AdjacencyUpdate::Full { .. } => unreachable!(
+                "the patch rebuilds wholesale only past the churn budget, checked above, \
+                 or when its adjacency or grid size differs from the positions', \
+                 which a Network's fixed node count rules out"
+            ),
         }
     }
 
@@ -1129,7 +1120,7 @@ mod tests {
             let mut rng = RngStream::seed_from_u64(seed ^ 0x5a5a);
             for step in 0..steps {
                 // Few movers keep the patch path, most of the network
-                // trips the churn (`Full`) fallback.
+                // trips the churn fallback (the report-free refresh).
                 let share = [0.05, 0.1, 1.0][rng.index(3)];
                 let movers: Vec<NodeId> =
                     NodeId::all(n).filter(|_| rng.chance(share)).collect();
