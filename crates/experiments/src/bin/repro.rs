@@ -5,7 +5,9 @@
 //!       [--quick] [--seed N] [--scale] [--nodes N[,N…]]
 //! ```
 //!
-//! `fig3`/`fig4` and `fig11`/`fig12` share runs and print together.
+//! The figure names, and what `all` runs, come from
+//! `experiments::figures::FIGURES`; `fig3`/`fig4` and `fig11`/`fig12` share
+//! runs and print together.
 //! `scale` (equivalently the `--scale` flag) runs the N = 10⁴–10⁵
 //! substrate scale family; `scale-raw` the N = 10⁶ raw-speed tier
 //! (kernel build + mobility/refresh loop, then the full protocol on
@@ -19,6 +21,7 @@
 //! Output is Markdown (tables matching the paper's figures); see
 //! `docs/REPRO.md` for the experiment catalogue and conventions.
 
+use experiments::figures::{find, Figure, FIGURES};
 use experiments::*;
 
 struct Options {
@@ -84,41 +87,15 @@ fn main() {
 
     for name in which {
         match name.as_str() {
-            "table1" => table1_cmd(&opts),
-            "fig3" | "fig4" | "fig3_4" => fig3_4_cmd(&opts),
-            "fig5" => fig5_cmd(&opts),
-            "fig6" => fig6_cmd(&opts),
-            "fig7" => fig7_cmd(&opts),
-            "fig8" => fig8_cmd(&opts),
-            "fig9" => fig9_cmd(&opts),
-            "fig10" => fig10_cmd(&opts),
-            "fig11" | "fig12" | "fig11_12" => fig11_12_cmd(&opts),
-            "fig13" => fig13_cmd(&opts),
-            "fig14" => fig14_cmd(&opts),
-            "fig15" => fig15_cmd(&opts),
-            "smallworld" => smallworld_cmd(&opts),
-            "resources" => resources_cmd(&opts),
             "scale" => gate(name.as_str(), || scale_cmd(&opts)),
             "scale-raw" => gate(name.as_str(), || scale_raw_cmd(&opts)),
             "scale-events" => gate(name.as_str(), || scale_events_cmd(&opts)),
             "scale-hostile" => gate(name.as_str(), || scale_hostile_cmd(&opts)),
-            "all" => {
-                table1_cmd(&opts);
-                fig3_4_cmd(&opts);
-                fig5_cmd(&opts);
-                fig6_cmd(&opts);
-                fig7_cmd(&opts);
-                fig8_cmd(&opts);
-                fig9_cmd(&opts);
-                fig10_cmd(&opts);
-                fig11_12_cmd(&opts);
-                fig13_cmd(&opts);
-                fig14_cmd(&opts);
-                fig15_cmd(&opts);
-                smallworld_cmd(&opts);
-                resources_cmd(&opts);
-            }
-            other => usage(&format!("unknown experiment {other}")),
+            "all" => FIGURES.iter().for_each(|fig| print(fig, &opts)),
+            other => match find(other) {
+                Some(fig) => print(fig, &opts),
+                None => usage(&format!("unknown experiment {other}")),
+            },
         }
     }
 }
@@ -127,8 +104,12 @@ fn usage(err: &str) -> ! {
     if !err.is_empty() {
         eprintln!("error: {err}\n");
     }
+    let figures: Vec<&str> = FIGURES
+        .iter()
+        .flat_map(|f| f.names.iter().copied())
+        .collect();
     eprintln!(
-        "usage: repro <table1|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|fig15|smallworld|resources|scale|scale-raw|scale-events|scale-hostile|all> [--quick] [--seed N] [--scale] [--nodes N[,N...]]\n\n\
+        "usage: repro <{}|scale|scale-raw|scale-events|scale-hostile|all> [--quick] [--seed N] [--scale] [--nodes N[,N...]]\n\n\
          scale runs are excluded from `all` (minutes at N=10^5); invoke them\n\
          explicitly via `repro scale`, `repro --scale`, or `repro --nodes N`.\n\
          `repro scale-raw` runs the N=10^6 raw-speed tier (substrate loop\n\
@@ -138,7 +119,8 @@ fn usage(err: &str) -> ! {
          `repro scale-hostile` measures degradation under churn, partition\n\
          windows and message loss at N=10^5 (liveness asserted in-run).\n\
          Scale tiers exit non-zero when an in-run fidelity, parity or\n\
-         liveness assertion fails."
+         liveness assertion fails.",
+        figures.join("|")
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
@@ -156,166 +138,10 @@ fn stamp(name: &str) {
     eprintln!("[repro] running {name} …");
 }
 
-fn table1_cmd(opts: &Options) {
-    stamp("table1");
-    let rows = table1::run(opts.seed);
-    println!("{}", table1::render(&rows));
-}
-
-fn fig3_4_cmd(opts: &Options) {
-    stamp("fig3/fig4");
-    let mut p = if opts.quick {
-        fig03_04::Params::quick()
-    } else {
-        fig03_04::Params::default()
-    };
-    p.seed = opts.seed;
-    let curves = fig03_04::run(&p);
-    println!("{}", fig03_04::render(&p, &curves));
-}
-
-fn fig5_cmd(opts: &Options) {
-    stamp("fig5");
-    let mut p = if opts.quick {
-        fig05::Params::quick()
-    } else {
-        fig05::Params::default()
-    };
-    p.seed = opts.seed;
-    let sweep = fig05::run(&p);
-    println!("{}", fig05::render(&p, &sweep));
-}
-
-fn fig6_cmd(opts: &Options) {
-    stamp("fig6");
-    let mut p = if opts.quick {
-        fig06::Params::quick()
-    } else {
-        fig06::Params::default()
-    };
-    p.seed = opts.seed;
-    let sweep = fig06::run(&p);
-    println!("{}", fig06::render(&p, &sweep));
-}
-
-fn fig7_cmd(opts: &Options) {
-    stamp("fig7");
-    let mut p = if opts.quick {
-        fig07::Params::quick()
-    } else {
-        fig07::Params::default()
-    };
-    p.seed = opts.seed;
-    let sweep = fig07::run(&p);
-    println!("{}", fig07::render(&p, &sweep));
-}
-
-fn fig8_cmd(opts: &Options) {
-    stamp("fig8");
-    let mut p = if opts.quick {
-        fig08::Params::quick()
-    } else {
-        fig08::Params::default()
-    };
-    p.seed = opts.seed;
-    let sweep = fig08::run(&p);
-    println!("{}", fig08::render(&p, &sweep));
-}
-
-fn fig9_cmd(opts: &Options) {
-    stamp("fig9");
-    let mut p = if opts.quick {
-        fig09::Params::quick()
-    } else {
-        fig09::Params::default()
-    };
-    p.seed = opts.seed;
-    let sweep = fig09::run(&p);
-    println!("{}", fig09::render(&sweep));
-}
-
-fn fig10_cmd(opts: &Options) {
-    stamp("fig10");
-    let mut p = if opts.quick {
-        fig10::Params::quick()
-    } else {
-        fig10::Params::default()
-    };
-    p.seed = opts.seed;
-    let sweep = fig10::run(&p);
-    println!("{}", fig10::render(&p, &sweep));
-}
-
-fn fig11_12_cmd(opts: &Options) {
-    stamp("fig11/fig12");
-    let mut p = if opts.quick {
-        fig11_12::Params::quick()
-    } else {
-        fig11_12::Params::default()
-    };
-    p.seed = opts.seed;
-    let sweep = fig11_12::run(&p);
-    println!("{}", fig11_12::render(&p, &sweep));
-}
-
-fn fig13_cmd(opts: &Options) {
-    stamp("fig13");
-    let mut p = if opts.quick {
-        fig13::Params::quick()
-    } else {
-        fig13::Params::default()
-    };
-    p.seed = opts.seed;
-    let result = fig13::run(&p);
-    println!("{}", fig13::render(&p, &result));
-}
-
-fn fig14_cmd(opts: &Options) {
-    stamp("fig14");
-    let mut p = if opts.quick {
-        fig14::Params::quick()
-    } else {
-        fig14::Params::default()
-    };
-    p.seed = opts.seed;
-    let sweep = fig14::run(&p);
-    println!("{}", fig14::render(&p, &sweep));
-}
-
-fn fig15_cmd(opts: &Options) {
-    stamp("fig15");
-    let mut p = if opts.quick {
-        fig15::Params::quick()
-    } else {
-        fig15::Params::default()
-    };
-    p.seed = opts.seed;
-    let results = fig15::run(&p);
-    println!("{}", fig15::render(&p, &results));
-}
-
-fn smallworld_cmd(opts: &Options) {
-    stamp("smallworld");
-    let mut p = if opts.quick {
-        ext_smallworld::Params::quick()
-    } else {
-        ext_smallworld::Params::default()
-    };
-    p.seed = opts.seed;
-    let rows = ext_smallworld::run(&p);
-    println!("{}", ext_smallworld::render(&p, &rows));
-}
-
-fn resources_cmd(opts: &Options) {
-    stamp("resources");
-    let mut p = if opts.quick {
-        ext_resources::Params::quick()
-    } else {
-        ext_resources::Params::default()
-    };
-    p.seed = opts.seed;
-    let rows = ext_resources::run(&p);
-    println!("{}", ext_resources::render(&p, &rows));
+/// Run one registry figure and print its Markdown.
+fn print(fig: &Figure, opts: &Options) {
+    stamp(fig.stem());
+    println!("{}", fig.render(opts.quick, opts.seed));
 }
 
 fn scale_cmd(opts: &Options) {

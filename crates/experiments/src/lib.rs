@@ -1,14 +1,11 @@
 //! # experiments — the paper's full evaluation, regenerated
 //!
-//! One module per table/figure of §IV (`docs/REPRO.md` at the repo root
-//! catalogues them, with the CLI flags and output conventions).
-//! Every module exposes:
-//!
-//! * a parameter struct whose `Default` is the paper's configuration (the
-//!   figure captions), with a `quick()` constructor for fast CI/bench runs;
-//! * a `run(...)` function returning structured results;
-//! * a `render(...)` function producing the Markdown table the
-//!   `repro` binary prints.
+//! Table 1, every figure of §IV and the two extensions are entries of one
+//! registry, [`figures::FIGURES`] (`docs/REPRO.md` at the repo root
+//! catalogues them, with the CLI flags and output conventions). Each entry
+//! is a value: its `repro` names and golden stem, a paper-sized and a
+//! quick [`figures::Sweep`] (scenario, base `CardConfig`, swept knob and
+//! values), and a [`figures::Measure`] that also picks its renderer.
 //!
 //! The `repro` binary drives everything:
 //!
@@ -21,8 +18,8 @@
 //! repro scale --nodes N   # scale runs at a chosen N (no recompile)
 //! repro scale-events      # extension: event-driven vs tick-driven drive at N = 10⁵
 //! repro scale-hostile     # extension: degradation under churn/partition/loss at N = 10⁵
-//! repro all               # everything, paper-sized
-//! repro all --quick       # everything, small sizes (seconds)
+//! repro all               # every registry entry, paper-sized
+//! repro all --quick       # every registry entry, small sizes
 //! ```
 //!
 //! The scale binaries assert their fidelity/parity contracts *in-run*
@@ -31,26 +28,16 @@
 //! any of them fails, so CI can gate on the run itself.
 
 #![warn(missing_docs)]
-pub mod ext_resources;
-pub mod ext_smallworld;
-pub mod fig03_04;
-pub mod fig05;
-pub mod fig06;
-pub mod fig07;
-pub mod fig08;
-pub mod fig09;
-pub mod fig10;
-pub mod fig11_12;
-pub mod fig13;
-pub mod fig14;
-pub mod fig15;
-pub mod mobile;
+pub mod figures;
 pub mod output;
-pub mod runner;
 pub mod scale;
 pub mod scale_events;
 pub mod scale_hostile;
-pub mod table1;
 
 /// Default root seed for all experiments (every run is deterministic).
 pub const DEFAULT_SEED: u64 = 2003;
+
+// The paper-claim tests, grouped by figure in crate-root modules
+// (`fig05::tests::…`, the names the test suite reports).
+#[cfg(test)]
+include!("claims.rs");

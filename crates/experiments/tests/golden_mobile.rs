@@ -1,13 +1,11 @@
 //! Golden tables of the mobile figures (Figs 10, 11/12, 13, 14, 15); see
 //! `golden/mod.rs` for the method.
 
-use experiments::{fig10, fig11_12, fig13, fig14, fig15};
-
 #[macro_use]
 mod golden;
 
-golden!(fig10_matches_golden, "fig10", fig10);
-golden!(fig11_12_matches_golden, "fig11", fig11_12);
-golden!(fig13_matches_golden, "fig13", fig13);
-golden!(fig14_matches_golden, "fig14", fig14);
-golden!(fig15_matches_golden, "fig15", fig15);
+golden!(fig10_matches_golden, "fig10");
+golden!(fig11_12_matches_golden, "fig11");
+golden!(fig13_matches_golden, "fig13");
+golden!(fig14_matches_golden, "fig14");
+golden!(fig15_matches_golden, "fig15");

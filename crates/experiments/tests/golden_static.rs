@@ -3,26 +3,32 @@
 //! `golden/mod.rs` for the method. `resources` (with `fig15` on the mobile
 //! side) is the table whose DSQs run through the query walk.
 
-use experiments::{
-    ext_resources, ext_smallworld, fig03_04, fig05, fig06, fig07, fig08, fig09, table1,
-};
+use experiments::figures::FIGURES;
 
 #[macro_use]
 mod golden;
 
-/// Table 1 has no quick variant and no parameters beyond the seed.
-#[test]
-fn table1_matches_golden() {
-    golden::assert_golden("table1", table1::render(&table1::run(golden::SEED)));
-}
+golden!(table1_matches_golden, "table1");
+golden!(fig3_4_matches_golden, "fig3");
+golden!(fig5_matches_golden, "fig5");
+golden!(fig6_matches_golden, "fig6");
+golden!(fig7_matches_golden, "fig7");
+golden!(fig8_matches_golden, "fig8");
+golden!(fig9_matches_golden, "fig9");
+golden!(smallworld_matches_golden, "smallworld");
+golden!(resources_matches_golden, "resources");
 
-golden!(fig3_4_matches_golden, "fig3", fig03_04);
-golden!(fig5_matches_golden, "fig5", fig05);
-golden!(fig6_matches_golden, "fig6", fig06);
-golden!(fig7_matches_golden, "fig7", fig07);
-golden!(fig8_matches_golden, "fig8", fig08);
-golden!(fig9_matches_golden, "fig9", fig09, |_p, sweep| {
-    fig09::render(sweep)
-});
-golden!(smallworld_matches_golden, "smallworld", ext_smallworld);
-golden!(resources_matches_golden, "resources", ext_resources);
+/// Every golden file belongs to a registry figure, and every figure has a
+/// golden file.
+#[test]
+fn golden_files_match_the_registry() {
+    let mut files: Vec<String> = std::fs::read_dir(golden::dir())
+        .expect("docs/golden")
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter_map(|name| name.strip_suffix(".txt").map(str::to_string))
+        .collect();
+    let mut stems: Vec<String> = FIGURES.iter().map(|f| f.stem().to_string()).collect();
+    files.sort();
+    stems.sort();
+    assert_eq!(files, stems);
+}
