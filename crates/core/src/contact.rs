@@ -194,7 +194,7 @@ impl ContactGraph {
 /// the query retry queue. Each failure raises the level and opens a
 /// window of `2^min(level, cap) − 1` rounds; [`tick`](Self::tick) spends
 /// one round of it; a success resets it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub(crate) struct Backoff {
     /// Consecutive failures.
     level: u32,
@@ -422,6 +422,11 @@ impl ContactTable {
     /// contact was evicted).
     pub fn clear_retry(&mut self, node: NodeId) {
         self.retries.retain(|r| r.0 != node);
+    }
+
+    /// Every contact's retry backoff, in the order the misses opened them.
+    pub(crate) fn retries(&self) -> &[(NodeId, Backoff)] {
+        &self.retries
     }
 }
 

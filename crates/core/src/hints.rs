@@ -94,6 +94,8 @@
 //! A single query is a sweep of one and logs into lane 0's log; its
 //! chains rarely repeat, so its runs are all of 1.
 
+use std::hash::{Hash, Hasher};
+
 use net_topology::node::NodeId;
 use sim_core::plane::Envelope;
 
@@ -136,7 +138,7 @@ impl HintKey {
 const EMPTY: u64 = u64::MAX;
 
 /// One stored hint (flat-array slot).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 struct HintSlot {
     /// Packed [`HintKey`], or [`EMPTY`].
     key: u64,
@@ -318,7 +320,7 @@ impl DepositLog {
 
 /// Counters of the hint subsystem, merged across shards in shard order
 /// (all fields are sums, so the merge is order-insensitive).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct HintStats {
     /// Cache consultations (source + every relay peek + chase steps).
     pub lookups: u64,
@@ -532,6 +534,14 @@ impl HintStore {
     /// the old store's epoch so TTL stamps keep their age).
     pub(crate) fn set_epoch(&mut self, epoch: u32) {
         self.epoch = epoch;
+    }
+
+    /// Feed `node`'s slots, LRU clock and occupancy count into `h` (the
+    /// world fingerprint's hint layer).
+    pub(crate) fn hash_node(&self, node: NodeId, h: &mut impl Hasher) {
+        self.slots[self.region(node)].hash(h);
+        let k = node.index() - self.start;
+        (self.clocks[k], self.occupied[k]).hash(h);
     }
 
     /// Live (non-vacant) hints across all nodes — observability only.

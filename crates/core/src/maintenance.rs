@@ -47,7 +47,7 @@ use crate::contact::ContactTable;
 /// [`validate_contacts`] returns beside its metered crossings) or a whole
 /// run's, summed in shard order
 /// ([`crate::world::CardWorld::maintenance_totals`]).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct MaintenanceTotals {
     /// Successful path validations (possibly after recovery).
     pub validated: u64,

@@ -805,7 +805,7 @@ impl QueryFaultFilter<'_> {
 // ---------------------------------------------------------------------------
 
 /// Counters of one [`QueryRetryQueue`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct RetryStats {
     /// Failed queries accepted for retry.
     pub scheduled: u64,
@@ -817,7 +817,7 @@ pub struct RetryStats {
     pub abandoned: u64,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 struct RetryEntry {
     source: NodeId,
     target: NodeId,
@@ -835,7 +835,7 @@ const RETRY_BACKOFF_CAP: u32 = 3;
 /// validation-round lattice, so retry timing — like everything else in the
 /// fault plane — is identical between tick and event drivers and across
 /// shard counts.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct QueryRetryQueue {
     entries: Vec<RetryEntry>,
     cap: u32,

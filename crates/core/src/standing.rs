@@ -31,7 +31,7 @@ use net_topology::node::NodeId;
 use sim_core::time::SimTime;
 
 /// Lifecycle state of a standing query.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum StandingState {
     /// The cached chain was valid when last checked.
     Resolved,
@@ -40,7 +40,7 @@ pub enum StandingState {
 }
 
 /// One standing subscription and its cached answer chain.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct StandingQuery {
     /// The subscribing node.
     pub source: NodeId,
@@ -64,7 +64,7 @@ impl StandingQuery {
 }
 
 /// Lifecycle counters of the standing-query subsystem.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct StandingStats {
     /// Subscriptions registered.
     pub registered: u64,
@@ -84,7 +84,7 @@ pub struct StandingStats {
 
 /// The standing-query table: queries, the node → query path index, and the
 /// pending-revalidation marks.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct StandingQueries {
     queries: Vec<StandingQuery>,
     /// `path_index[node]` lists the ids of resolved queries whose chain

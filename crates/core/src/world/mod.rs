@@ -21,6 +21,7 @@
 //! | `round.rs` | contact selection (§III.C.1), the validation round with local recovery (§III.C.3), and the round's fault stage ([`FaultReport`]); each rebuilds the contact graph |
 //! | `queries.rs` | DSQ queries (§III.C.4): the one per-pair body, the one sweep (a live or retried query is a sweep of one), and the one hint-deposit exchange |
 //! | `subscriptions.rs` | standing-query upkeep: register, resolve, probe, revalidate |
+//! | `fingerprint.rs` | [`CardWorld::fingerprint`]: what counts as world state, hashed in layers, for the tests that compare worlds |
 //!
 //! **One contact graph.** The shard tables own every contact with its
 //! path, tombstones and retry state; selection and validation edit them
@@ -44,6 +45,7 @@
 //! caller's thread, and that one-shard world is the reference the tests
 //! and benches pin the k-shard fan-outs to.
 
+mod fingerprint;
 mod queries;
 mod round;
 mod shards;
@@ -52,6 +54,7 @@ mod subscriptions;
 mod tests;
 
 pub use crate::maintenance::MaintenanceTotals;
+pub use fingerprint::{Fingerprint, Layer};
 pub use round::FaultReport;
 pub use shards::{HintsView, TablesView};
 

@@ -65,7 +65,7 @@ pub(super) struct FaultRuntime {
 
 /// Snapshot of the fault subsystem, surfaced by
 /// [`CardWorld::fault_report`] (all-zero when faults are disabled).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct FaultReport {
     /// Fault rounds applied so far.
     pub rounds_applied: u32,

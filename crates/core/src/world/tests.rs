@@ -1,5 +1,6 @@
 use super::*;
 use crate::config::SelectionMethod;
+use crate::hints::HintKey;
 use crate::query::QueryOutcome;
 use crate::resources::{ResourceId, ResourceRegistry};
 use mobility::statics::StaticModel;
@@ -66,13 +67,9 @@ fn deterministic_end_to_end() {
             SeedSplitter::new(w.config().seed).stream("mobility", 0),
         );
         w.run_mobile(&mut model, SimDuration::from_secs(3));
-        (
-            w.total_contacts(),
-            w.stats().grand_total(),
-            w.maintenance_totals().clone(),
-        )
+        w.fingerprint()
     };
-    assert_eq!(run(), run());
+    assert_eq!(run().diff(&run()), None);
 }
 
 #[test]
@@ -243,16 +240,12 @@ fn query_all_matches_serial_and_per_query_paths() {
     let mut serial = build(Some(1));
     let expected_outcomes: Vec<QueryOutcome> =
         pairs.iter().map(|&(s, t)| serial.query(s, t)).collect();
-    let expected_series = serial.stats().series_where(|_| true);
     for shards in [None, Some(1), Some(3), Some(60), Some(500)] {
         let mut par = build(shards);
         let outcomes = par.query_all(&pairs);
         assert_eq!(outcomes, expected_outcomes, "shards {shards:?}");
-        assert_eq!(
-            par.stats().series_where(|_| true),
-            expected_series,
-            "stats diverged at shard count {shards:?}"
-        );
+        let diff = par.fingerprint().diff(&serial.fingerprint());
+        assert_eq!(diff, None, "world diverged at shard count {shards:?}");
     }
     // and the one-at-a-time path agrees too
     let mut loose = build(None);
@@ -313,51 +306,75 @@ fn backoff_resets_when_a_contact_is_found() {
     assert!(w.maintenance_totals().validated > before);
 }
 
-/// Per-node contact (id, path) lists — the full observable table state.
-type TableSnapshot = Vec<Vec<(NodeId, Vec<NodeId>)>>;
-
-/// Full comparable state snapshot: contact tables (ids + paths),
-/// backoff state, stats totals and bucket series, maintenance totals.
-fn snapshot(w: &CardWorld) -> (TableSnapshot, Vec<u64>, MaintenanceTotals) {
-    let tables: TableSnapshot = w
-        .contact_tables()
-        .iter()
-        .map(|t| {
-            t.contacts()
-                .iter()
-                .map(|c| (c.id, c.path.clone()))
-                .collect()
-        })
-        .collect();
-    let series = w.stats().series_where(|_| true);
-    (tables, series, w.maintenance_totals().clone())
-}
-
 #[test]
 fn parallel_sweeps_match_serial_reference() {
-    let build = |shards: Option<usize>| {
-        let mut w = CardWorld::build(&scenario(), cfg());
+    // Selection, two rounds and a hinted sweep leave the fingerprint of the
+    // one-shard world at every shard count, N + 5 and more than N included.
+    let pairs: Vec<(NodeId, NodeId)> = (0..60u32)
+        .map(|i| (NodeId::new(i % 150), NodeId::new((i * 37 + 5) % 150)))
+        .collect();
+    let run = |shards: Option<usize>| {
+        let mut w = hinted_world(3);
         if let Some(k) = shards {
             w.set_shard_count(k);
         }
-        w
+        w.select_all_contacts();
+        w.validation_round();
+        w.validation_round();
+        w.query_all(&pairs);
+        w.fingerprint()
     };
-    let mut serial = build(Some(1));
-    serial.select_all_contacts();
-    serial.validation_round();
-    serial.validation_round();
-    let expected = snapshot(&serial);
-    for shards in [None, Some(1), Some(3), Some(150), Some(1000)] {
-        let mut par = build(shards);
-        par.select_all_contacts();
-        par.validation_round();
-        par.validation_round();
-        assert_eq!(
-            snapshot(&par),
-            expected,
-            "sharded sweep diverged at shard count {shards:?}"
-        );
+    let expected = run(Some(1));
+    for shards in [None, Some(1), Some(3), Some(150), Some(155), Some(1000)] {
+        assert_eq!(run(shards).diff(&expected), None, "{shards:?} shards");
     }
+}
+
+#[test]
+fn fingerprint_diff_names_the_layer_and_node_of_one_extra_call() {
+    // One edit per layer on a clone of a selected, hinted four-shard world.
+    let mut w = hinted_world(3);
+    w.set_shard_count(4);
+    w.select_all_contacts();
+    let base = w.fingerprint();
+    let linked = NodeId::all(150).position(|v| !w.contact_table(v).is_empty());
+    type Edit = fn(&mut CardWorld);
+    let edits: [(Edit, Layer, Option<usize>); 6] = [
+        (
+            |c| c.net.positions_mut()[149].x += 1e-9,
+            Layer::Topology,
+            Some(149),
+        ),
+        (
+            |c| _ = c.shards[1].backoff[3].fail(5),
+            Layer::Tables,
+            Some(w.per + 3),
+        ),
+        (|c| c.graph = ContactGraph::empty(150), Layer::Graph, linked),
+        (|c| deposit_at(c, NodeId::new(90)), Layer::Hints, Some(90)),
+        (|c| c.set_now(SimTime::from_secs(1)), Layer::Timeline, None),
+        (|c| c.maintenance.validated += 1, Layer::Counters, None),
+    ];
+    for (edit, layer, node) in edits {
+        let mut c = w.clone();
+        edit(&mut c);
+        let want = Some((layer, node.map(NodeId::from)));
+        assert_eq!(c.fingerprint().diff(&base), want);
+        assert_eq!(base.diff(&c.fingerprint()), want);
+    }
+    assert_eq!(w.clone().fingerprint().diff(&base), None);
+    let debug = format!("{base:?}");
+    let named = Layer::ALL.iter().all(|l| debug.contains(&format!("{l:?}")));
+    assert!(named, "{debug}");
+}
+
+/// Write one hint straight into `holder`'s store.
+fn deposit_at(w: &mut CardWorld, holder: NodeId) {
+    let d = HintDeposit::new(holder, HintKey::node(NodeId::new(7)), NodeId::new(8), 2);
+    let store = w.shards[holder.index() / w.per].hints.as_mut();
+    store
+        .expect("hints on")
+        .deposit(&d, &mut HintStats::default());
 }
 
 #[test]
@@ -450,22 +467,12 @@ fn hinted_sweep_is_shard_count_invariant() {
     let mut reference = build(Some(1));
     let warm = reference.query_all(&pairs);
     let warm2 = reference.query_all(&pairs);
-    let expected_stats = reference.hint_stats().clone();
-    let expected_series = reference.stats().series_where(|_| true);
     for shards in [None, Some(3), Some(60), Some(500)] {
         let mut par = build(shards);
         assert_eq!(par.query_all(&pairs), warm, "cold sweep at {shards:?}");
         assert_eq!(par.query_all(&pairs), warm2, "warm sweep at {shards:?}");
-        assert_eq!(
-            par.hint_stats(),
-            &expected_stats,
-            "hint counters diverged at shard count {shards:?}"
-        );
-        assert_eq!(
-            par.stats().series_where(|_| true),
-            expected_series,
-            "message series diverged at shard count {shards:?}"
-        );
+        let diff = par.fingerprint().diff(&reference.fingerprint());
+        assert_eq!(diff, None, "world diverged at shard count {shards:?}");
     }
 }
 
@@ -591,17 +598,8 @@ fn reshard_migrates_state_mid_run() {
     let again_a = a.query_all(&pairs);
     let again_b = b.query_all(&pairs);
     assert_eq!(again_a, again_b, "resharding changed query outcomes");
-    assert_eq!(
-        a.hint_stats(),
-        b.hint_stats(),
-        "resharding changed hint state"
-    );
-    assert_eq!(snapshot(&a), snapshot(&b), "resharding changed world state");
-    // hint contents survived the migration (not just counters)
-    assert_eq!(
-        a.hint_store().map(|s| (s.len(), s.epoch())),
-        b.hint_store().map(|s| (s.len(), s.epoch())),
-    );
+    // Hint slots, not just counters, survived the migration.
+    assert_eq!(a.fingerprint().diff(&b.fingerprint()), None);
 }
 
 #[test]
@@ -657,24 +655,8 @@ fn faulted_rounds_are_deterministic_across_shards_and_drivers() {
             w.validation_round();
             outcomes.push(w.query_all(&pairs));
         }
-        // Of the plane counters only the totals are shard-invariant:
-        // the local/cross_shard split (and metered crossings) depend on
-        // where the shard boundaries fall.
-        let ps = w.plane_stats();
-        let plane_totals = (
-            ps.sent,
-            ps.dropped,
-            ps.delayed,
-            ps.local + ps.cross_shard,
-            ps.rounds,
-        );
-        (
-            snapshot(&w),
-            outcomes,
-            w.fault_report(),
-            w.hint_stats().clone(),
-            plane_totals,
-        )
+        let rounds = w.plane_stats().rounds;
+        (w.fingerprint(), outcomes, w.fault_report(), rounds)
     };
     let reference = run(1);
     assert!(reference.2.crashes > 0, "plan must crash someone");
@@ -1103,33 +1085,6 @@ fn some_nodes(n: usize, p: f64, rng: &mut sim_core::rng::RngStream) -> Vec<NodeI
     NodeId::all(n).filter(|_| rng.chance(p)).collect()
 }
 
-/// Per node, its contacts' tombstones.
-type TombstoneSnapshot = Vec<Vec<(NodeId, u32)>>;
-
-/// What a validation round leaves behind: the tables (contacts, paths,
-/// tombstones), the message series, the maintenance totals, the metered
-/// crossings and the fault report.
-fn round_state(
-    w: &CardWorld,
-) -> (
-    (TableSnapshot, Vec<u64>, MaintenanceTotals),
-    TombstoneSnapshot,
-    u64,
-    FaultReport,
-) {
-    let tombstones = w
-        .contact_tables()
-        .iter()
-        .map(|t| t.tombstones().to_vec())
-        .collect();
-    (
-        snapshot(w),
-        tombstones,
-        w.plane_stats().metered_crossings,
-        w.fault_report(),
-    )
-}
-
 /// A round's row-stamp skips are invisible. A world refreshed through
 /// each production path — the mover patch, the report-free `refresh`,
 /// and `refresh_movers`' churn fallback to it — validates exactly like a
@@ -1182,11 +1137,10 @@ fn stamped_rounds_match_a_full_walk_through_every_refresh_path() {
                 }
                 w.validation_round();
                 full.validation_round();
-                assert_eq!(
-                    round_state(&w),
-                    round_state(&full),
-                    "round {round} (faulted {faulted}, {shards} shards)"
-                );
+                let at = format!("round {round} (faulted {faulted}, {shards} shards)");
+                assert_eq!(w.fingerprint().diff(&full.fingerprint()), None, "{at}");
+                let crossings = |w: &CardWorld| w.plane_stats().metered_crossings;
+                assert_eq!(crossings(&w), crossings(&full), "{at}");
             }
             let totals = w.maintenance_totals();
             assert!(

@@ -5,26 +5,23 @@
 //! [`DriveMode::Tick`] schedule (every region wakes every tick: the
 //! oracle, run nowhere else), one under [`DriveMode::Event`] (quiescent
 //! regions sleep through their still windows: what `run_mobile`, the
-//! benchmark and the scale tiers run). At every synchronization instant (each `drive` segment
-//! boundary) the full observable state must be **bit-identical**:
-//! canonical CSR adjacency, per-node neighborhood tables (members and hop
-//! distances), contact tables (ids and paths), exact node positions, the
-//! bucketed message-statistics series, the contacts time series,
-//! maintenance totals, standing-query state, and hint counters. The two
-//! worlds also run with *different protocol shard counts*, folding the
+//! benchmark and the scale tiers run). At every synchronization instant
+//! (each `drive` segment boundary) the two worlds must be
+//! **bit-identical**: equal `CardWorld::fingerprint`s, every layer of
+//! world state from positions and zone tables to the message series. The
+//! two worlds also run with *different protocol shard counts*, folding the
 //! sharding-invariance contract into the same differential.
 
 use card_core::prelude::*;
 use mobility::statics::StaticModel;
 use mobility::walk::RandomWalk;
 use mobility::waypoint::RandomWaypoint;
-use net_topology::geometry::{Field, Point2};
+use net_topology::geometry::Field;
 use net_topology::node::NodeId;
 use net_topology::scenario::Scenario;
 use proptest::prelude::*;
 use sim_core::rng::SeedSplitter;
-use sim_core::stats::MsgKind;
-use sim_core::time::{SimDuration, SimTime};
+use sim_core::time::SimDuration;
 
 const NODES: usize = 120;
 
@@ -114,59 +111,6 @@ fn workload(seed: u64, horizon_ms: u64) -> Vec<Arrival> {
         .collect()
 }
 
-/// The full observable state the two drive modes must agree on, bit for
-/// bit, at every synchronization instant.
-#[derive(Debug, PartialEq)]
-struct Snapshot {
-    now: SimTime,
-    positions: Vec<Point2>,
-    csr: (Vec<u32>, Vec<NodeId>),
-    neighborhoods: Vec<(Vec<NodeId>, Vec<u16>)>,
-    contacts: Vec<Vec<(NodeId, Vec<NodeId>)>>,
-    msg_series: Vec<u64>,
-    contacts_series: Vec<(SimTime, f64)>,
-    maintenance: card_core::world::MaintenanceTotals,
-    standing: StandingQueries,
-    hint_stats: HintStats,
-}
-
-fn snapshot(w: &CardWorld) -> Snapshot {
-    let net = w.network();
-    let neighborhoods = (0..net.node_count())
-        .map(|i| {
-            let nb = net.tables().of(NodeId::from(i));
-            let members = nb.members().to_vec();
-            let dists = members
-                .iter()
-                .map(|&m| nb.distance(m).expect("member has a distance"))
-                .collect();
-            (members, dists)
-        })
-        .collect();
-    let contacts = w
-        .contact_tables()
-        .iter()
-        .map(|t| {
-            t.contacts()
-                .iter()
-                .map(|c| (c.id, c.path.clone()))
-                .collect()
-        })
-        .collect();
-    Snapshot {
-        now: w.now(),
-        positions: net.positions().to_vec(),
-        csr: net.adj().canonical_csr(),
-        neighborhoods,
-        contacts,
-        msg_series: w.stats().series_where(|_| true),
-        contacts_series: w.contacts_series().points().to_vec(),
-        maintenance: w.maintenance_totals().clone(),
-        standing: w.standing_queries().clone(),
-        hint_stats: w.hint_stats().clone(),
-    }
-}
-
 /// Build a prepared world: scenario placement, contact selection done.
 fn world(seed: u64, shards: usize, hints: bool) -> CardWorld {
     let mut w = CardWorld::build(&scenario(), cfg(seed));
@@ -213,8 +157,8 @@ proptest! {
             tick_driver.drive(&mut tick_world, &mut tick_model, d);
             ev_driver.drive(&mut ev_world, &mut ev_model, d);
             prop_assert_eq!(
-                snapshot(&ev_world),
-                snapshot(&tick_world),
+                ev_world.fingerprint(),
+                tick_world.fingerprint(),
                 "worlds diverged after segment {} ({:?}, regions {}, pause {})",
                 i, kind, regions, pause
             );
@@ -282,8 +226,8 @@ proptest! {
 }
 
 /// Standing queries break and re-resolve under churn, and both drive modes
-/// agree on every lifecycle count (non-proptest smoke so failures name the
-/// exact counter).
+/// agree on every lifecycle count (non-proptest smoke: a failure names
+/// the first differing layer and node).
 #[test]
 fn standing_queries_survive_churn_identically() {
     let build = |mode: DriveMode, shards: usize| {
@@ -291,15 +235,13 @@ fn standing_queries_survive_churn_identically() {
         let mut model = partition(ModelKind::Dwell, 2, 0.90, 77, w.network().field());
         let mut driver = EventDriver::new(&w, &model, mode, workload(77, 5_000));
         driver.drive(&mut w, &mut model, SimDuration::from_secs(5));
-        let probes = w.stats().total(MsgKind::StandingProbe);
-        (snapshot(&w), driver.report().clone(), probes)
+        let stats = w.standing_queries().stats().clone();
+        (w.fingerprint(), driver.report().clone(), stats)
     };
-    let (tick_snap, tick_report, tick_probes) = build(DriveMode::Tick, 1);
-    let (ev_snap, ev_report, ev_probes) = build(DriveMode::Event, 5);
-    assert_eq!(ev_snap, tick_snap);
+    let (tick_fp, tick_report, stats) = build(DriveMode::Tick, 1);
+    let (ev_fp, ev_report, _) = build(DriveMode::Event, 5);
+    assert_eq!(ev_fp.diff(&tick_fp), None);
     assert_eq!(ev_report.outcomes, tick_report.outcomes);
-    assert_eq!(ev_probes, tick_probes);
-    let stats = tick_snap.standing.stats().clone();
     assert!(
         stats.registered >= 4,
         "workload registers subscriptions: {stats:?}"

@@ -11,21 +11,22 @@
 //! history is a pure function of `(seed, plan)`.
 //!
 //! The chaos proptests draw random fault regimes and assert the same
-//! invariants hold for all of them: bit-identical replay, a closed plane
-//! ledger (`sent == local + cross_shard + dropped + deferred`), zero
+//! invariants hold for all of them: bit-identical replay (equal
+//! `CardWorld::fingerprint`s and query outcomes), a closed plane ledger
+//! (`sent == local + cross_shard + dropped + deferred`), zero
 //! tombstone-liveness violations, and zero grid-residency violations for
 //! tombstoned/rejoined nodes.
 
 use card_core::prelude::*;
 use card_core::resources::distribute;
+use card_core::world::Layer;
 use mobility::walk::RandomWalk;
-use net_topology::geometry::Point2;
 use net_topology::node::NodeId;
 use net_topology::scenario::Scenario;
 use proptest::prelude::*;
 use sim_core::faults::{FaultConfig, FaultPlan, PartitionWindow};
 use sim_core::rng::SeedSplitter;
-use sim_core::time::{SimDuration, SimTime};
+use sim_core::time::SimDuration;
 
 const NODES: usize = 120;
 
@@ -94,53 +95,6 @@ fn workload(seed: u64, horizon_ms: u64) -> Vec<Arrival> {
         .collect()
 }
 
-/// Shard-invariant observable state (plane totals are projected: the
-/// local/cross split and metered crossings depend on shard boundaries).
-#[derive(Debug, PartialEq)]
-struct Snapshot {
-    now: SimTime,
-    positions: Vec<Point2>,
-    contacts: Vec<Vec<(NodeId, Vec<NodeId>)>>,
-    tombstones: Vec<Vec<(NodeId, u32)>>,
-    msg_series: Vec<u64>,
-    maintenance: card_core::world::MaintenanceTotals,
-    hint_stats: HintStats,
-    fault_report: FaultReport,
-    plane_totals: (u64, u64, u64, u64),
-    deferred: usize,
-    pending_retries: usize,
-}
-
-fn snapshot(w: &CardWorld) -> Snapshot {
-    let ps = w.plane_stats();
-    Snapshot {
-        now: w.now(),
-        positions: w.network().positions().to_vec(),
-        contacts: w
-            .contact_tables()
-            .iter()
-            .map(|t| {
-                t.contacts()
-                    .iter()
-                    .map(|c| (c.id, c.path.clone()))
-                    .collect()
-            })
-            .collect(),
-        tombstones: w
-            .contact_tables()
-            .iter()
-            .map(|t| t.tombstones().to_vec())
-            .collect(),
-        msg_series: w.stats().series_where(|_| true),
-        maintenance: w.maintenance_totals().clone(),
-        hint_stats: w.hint_stats().clone(),
-        fault_report: w.fault_report(),
-        plane_totals: (ps.sent, ps.dropped, ps.delayed, ps.local + ps.cross_shard),
-        deferred: w.plane_deferred_pending(),
-        pending_retries: w.pending_query_retries(),
-    }
-}
-
 fn world(seed: u64, shards: usize, hints: bool) -> CardWorld {
     let mut w = CardWorld::build(&scenario(), cfg(seed));
     w.set_hints_enabled(hints);
@@ -149,15 +103,17 @@ fn world(seed: u64, shards: usize, hints: bool) -> CardWorld {
     w
 }
 
-/// Drive a faulted world through the full mobile pipeline and return its
-/// observable state plus workload outcomes.
+/// Drive a faulted world through the full mobile pipeline and return it
+/// with its workload outcomes. Every faulted run keeps the tombstone
+/// liveness and grid-residency invariants and closes the plane ledger
+/// with its drops and deferrals accounted.
 fn drive_faulted(
     seed: u64,
     shards: usize,
     mode: DriveMode,
     fault_cfg: &FaultConfig,
     hints: bool,
-) -> (Snapshot, Vec<QueryOutcome>) {
+) -> (CardWorld, Vec<QueryOutcome>) {
     let mut w = world(seed, shards, hints);
     w.enable_faults(FaultPlan::generate(fault_cfg, NODES, seed ^ 0xfa17));
     let mut m = model(seed, w.network().field());
@@ -183,7 +139,12 @@ fn drive_faulted(
         outcomes.extend(w.query_all(&pairs));
         w.validation_round();
     }
-    (snapshot(&w), outcomes)
+    let r = w.fault_report();
+    assert_eq!((r.liveness_violations, r.grid_audit_violations), (0, 0));
+    let ps = w.plane_stats();
+    let delivered = ps.local + ps.cross_shard + ps.dropped;
+    assert_eq!(ps.sent, delivered + w.plane_deferred_pending() as u64);
+    (w, outcomes)
 }
 
 /// The acceptance pin: crash + partition + 1% loss, bit-identical across
@@ -191,28 +152,26 @@ fn drive_faulted(
 #[test]
 fn hostile_run_is_bit_identical_across_shards_and_drivers() {
     let seed = 4242;
-    let reference = drive_faulted(seed, 1, DriveMode::Tick, &hostile(), true);
+    let (w, outcomes) = drive_faulted(seed, 1, DriveMode::Tick, &hostile(), true);
+    let report = w.fault_report();
+    assert!(report.crashes > 0, "plan must crash someone");
+    assert!(report.rejoins > 0, "rejoins must fire");
+    assert_eq!(report.partitions_opened, 1);
+    assert_eq!(report.partitions_healed, 1);
     assert!(
-        reference.0.fault_report.crashes > 0,
-        "plan must crash someone"
-    );
-    assert!(reference.0.fault_report.rejoins > 0, "rejoins must fire");
-    assert_eq!(reference.0.fault_report.partitions_opened, 1);
-    assert_eq!(reference.0.fault_report.partitions_healed, 1);
-    assert_eq!(reference.0.fault_report.liveness_violations, 0);
-    assert_eq!(reference.0.fault_report.grid_audit_violations, 0);
-    assert!(
-        reference.0.plane_totals.1 + reference.0.plane_totals.2 > 0,
+        w.plane_stats().dropped + w.plane_stats().delayed > 0,
         "a lossy plan should drop or delay at least one deposit"
     );
+    let reference = (w.fingerprint(), outcomes);
     for shards in [1usize, 2, 4] {
         for mode in [DriveMode::Tick, DriveMode::Event] {
             if shards == 1 && mode == DriveMode::Tick {
                 continue;
             }
-            let run = drive_faulted(seed, shards, mode, &hostile(), true);
+            let (w, outcomes) = drive_faulted(seed, shards, mode, &hostile(), true);
             assert_eq!(
-                run, reference,
+                (w.fingerprint(), outcomes),
+                reference,
                 "faulted run diverged at {shards} shards, {mode:?}"
             );
         }
@@ -240,7 +199,7 @@ fn serial_and_parallel_validation_agree_under_faults() {
             w.validation_round();
             outcomes.push(w.query_all(&pairs));
         }
-        (snapshot(&w), outcomes)
+        (w.fingerprint(), outcomes)
     };
     let reference = run(1);
     for shards in [1, 2, 4] {
@@ -248,17 +207,18 @@ fn serial_and_parallel_validation_agree_under_faults() {
     }
 }
 
-/// Everything a null plan must leave untouched: the world snapshot (its
-/// fault report blanked — an armed plan counts applied rounds), the
-/// standing table and every outcome handed back along the way.
-type NullRun = (Snapshot, StandingQueries, Vec<QueryOutcome>);
-
 /// One world through every query and maintenance entry point — selection,
 /// four driven rounds with query and standing arrivals, a single query, a
 /// sweep with hints off, a cold and a warm sweep with hints on, resource
 /// queries, a fresh standing registration and one direct round —
-/// optionally armed with a plan that schedules nothing.
-fn drive_null(seed: u64, shards: usize, mode: DriveMode, armed: bool) -> NullRun {
+/// optionally armed with a plan that schedules nothing: the world and
+/// every outcome handed back along the way.
+fn drive_null(
+    seed: u64,
+    shards: usize,
+    mode: DriveMode,
+    armed: bool,
+) -> (CardWorld, Vec<QueryOutcome>) {
     let mut w = CardWorld::build(
         &scenario(),
         CardConfig {
@@ -310,9 +270,7 @@ fn drive_null(seed: u64, shards: usize, mode: DriveMode, armed: bool) -> NullRun
     }
     w.standing_register(pairs[9].0, pairs[9].1);
     w.validation_round();
-    let mut snap = snapshot(&w);
-    snap.fault_report = FaultReport::default();
-    (snap, w.standing_queries().clone(), outcomes)
+    (w, outcomes)
 }
 
 /// `CardWorld::query_resource` under an armed plan: a resource whose only
@@ -400,15 +358,21 @@ proptest! {
     /// and under either driver.
     #[test]
     fn prop_null_plan_is_bit_identical_to_no_plan(seed in 1u64..1_000_000) {
+        // An armed plan counts its rounds in the fault report, so the last
+        // layer differs; its other counters must not.
+        let counters = |w: &CardWorld| {
+            let series = w.stats().series_where(|_| true);
+            (series, w.maintenance_totals().clone(), w.hint_stats().clone())
+        };
         for shards in [1usize, 4] {
             for mode in [DriveMode::Tick, DriveMode::Event] {
-                prop_assert_eq!(
-                    drive_null(seed, shards, mode, true),
-                    drive_null(seed, shards, mode, false),
-                    "null plan diverged at {} shards, {:?}",
-                    shards,
-                    mode
-                );
+                let (armed, armed_out) = drive_null(seed, shards, mode, true);
+                let (plain, plain_out) = drive_null(seed, shards, mode, false);
+                let at = format!("null plan diverged at {shards} shards, {mode:?}");
+                let diff = armed.fingerprint().diff(&plain.fingerprint());
+                prop_assert_eq!(diff, Some((Layer::Counters, None)), "{}", &at);
+                prop_assert_eq!(counters(&armed), counters(&plain), "{}", &at);
+                prop_assert_eq!(armed_out, plain_out, "{}", &at);
             }
         }
     }
@@ -439,19 +403,13 @@ proptest! {
             delay_rate: delay_pct as f64 / 100.0,
             rounds: 5,
         };
-        let reference = drive_faulted(seed, 1, DriveMode::Tick, &fault_cfg, hints);
-        let other = drive_faulted(seed, shards, DriveMode::Event, &fault_cfg, hints);
-        prop_assert_eq!(&other, &reference, "chaos run diverged");
-        // No tombstoned contact outlives its TTL; tombstoned/rejoined
-        // nodes stay resident in their grid cells.
-        prop_assert_eq!(reference.0.fault_report.liveness_violations, 0);
-        prop_assert_eq!(reference.0.fault_report.grid_audit_violations, 0);
-        // The plane ledger closes with faulted deliveries accounted.
-        let (sent, dropped, _delayed, delivered) = reference.0.plane_totals;
+        // `drive_faulted` checks the liveness, grid and ledger invariants.
+        let (reference, ref_out) = drive_faulted(seed, 1, DriveMode::Tick, &fault_cfg, hints);
+        let (other, out) = drive_faulted(seed, shards, DriveMode::Event, &fault_cfg, hints);
         prop_assert_eq!(
-            sent,
-            delivered + dropped + reference.0.deferred as u64,
-            "plane ledger must account drops and deferrals"
+            (other.fingerprint(), out),
+            (reference.fingerprint(), ref_out),
+            "chaos run diverged"
         );
     }
 }

@@ -10,20 +10,19 @@
 //! per host, so one shard vs k shards is the worker axis a single process
 //! can vary).
 //!
-//! The observables compared are the ones the plane could corrupt if its
-//! ordering ever leaked scheduling: contact tables (ids *and* paths),
-//! the bucketed message-statistics series, maintenance totals, query
-//! outcomes entry for entry, and the hint store's observable state
-//! (counters, live-slot count, epoch — plus a probe sweep, which reads
-//! every slot that matters through the cache).
+//! What is compared: the world's `CardWorld::fingerprint` — contact
+//! tables, every hint slot (deposit order decides which hint keeps a
+//! contested slot), the plane ledger and its deferred lane, the message
+//! series and the rest of world state — plus query outcomes entry for
+//! entry, which are not world state.
 
-use card_core::hints::{HintKey, HintLookup, Lookup};
 use card_core::prelude::*;
-use card_core::world::MaintenanceTotals;
+use card_core::world::Fingerprint;
 use net_topology::node::NodeId;
 use net_topology::scenario::Scenario;
 use proptest::prelude::*;
 use sim_core::faults::{FaultConfig, FaultPlan, PartitionWindow};
+use sim_core::plane::PlaneStats;
 
 const NODES: usize = 140;
 
@@ -46,16 +45,6 @@ fn world(seed: u64, hints: bool) -> CardWorld {
     w
 }
 
-/// Every holder × target lookup of the hint cache: the per-slot state
-/// that deposit order decides (a live-slot count cannot tell which hint
-/// won a contested slot).
-fn lookups(w: &CardWorld) -> Vec<Lookup> {
-    let store = w.hint_store().expect("hinted world");
-    NodeId::all(NODES)
-        .flat_map(|h| NodeId::all(NODES).map(move |t| store.lookup(h, HintKey::node(t))))
-        .collect()
-}
-
 fn pairs(seed: u64, count: usize) -> Vec<(NodeId, NodeId)> {
     let mut s = seed | 1;
     let mut next = move || {
@@ -74,18 +63,9 @@ fn pairs(seed: u64, count: usize) -> Vec<(NodeId, NodeId)> {
         .collect()
 }
 
-/// Everything the plane could corrupt, captured after a protocol run.
-#[derive(Debug, PartialEq)]
-struct Trace {
-    contacts: Vec<Vec<(NodeId, Vec<NodeId>)>>,
-    msg_series: Vec<u64>,
-    maintenance: MaintenanceTotals,
-    cold: Vec<QueryOutcome>,
-    warm: Vec<QueryOutcome>,
-    hint_stats: HintStats,
-    hint_len: Option<usize>,
-    hint_epoch: Option<u32>,
-}
+/// Everything the plane could corrupt, captured after a protocol run:
+/// the world's fingerprint and the cold and warm sweeps' outcomes.
+type Trace = (Fingerprint, Vec<QueryOutcome>, Vec<QueryOutcome>);
 
 /// Run the full protocol — selection, two validation rounds, a cold and
 /// a warm query sweep — on `shards` shards (one shard: inline on the
@@ -117,25 +97,7 @@ fn trace(seed: u64, hints: bool, shards: usize) -> Trace {
     if w.shard_count() == 1 {
         assert_eq!(ps.cross_shard, 0, "one shard has no boundary to cross");
     }
-    Trace {
-        contacts: w
-            .contact_tables()
-            .iter()
-            .map(|t| {
-                t.contacts()
-                    .iter()
-                    .map(|c| (c.id, c.path.clone()))
-                    .collect()
-            })
-            .collect(),
-        msg_series: w.stats().series_where(|_| true),
-        maintenance: w.maintenance_totals().clone(),
-        cold,
-        warm,
-        hint_stats: w.hint_stats().clone(),
-        hint_len: w.hint_store().map(|s| s.len()),
-        hint_epoch: w.hint_store().map(|s| s.epoch()),
-    }
+    (w.fingerprint(), cold, warm)
 }
 
 proptest! {
@@ -183,15 +145,13 @@ proptest! {
             }
             w.reset_hint_stats();
             let warm = w.query_all(&workload);
-            (cold, warm, w.hint_stats().clone(),
-             w.hint_store().map(|s| (s.len(), s.epoch())))
+            (cold, warm, w.fingerprint())
         };
         let stayed = run(None);
         let moved = run(Some(after));
         prop_assert_eq!(&stayed.0, &moved.0, "cold sweeps ran identically");
         prop_assert_eq!(&stayed.1, &moved.1, "warm outcomes survive reshard");
-        prop_assert_eq!(&stayed.2, &moved.2, "hint counters survive reshard");
-        prop_assert_eq!(stayed.3, moved.3, "live slots + epoch survive reshard");
+        prop_assert_eq!(&stayed.2, &moved.2, "hint slots and counters survive reshard");
     }
 
     /// Reshard *under churn*: `set_shard_count` fired between a lossy
@@ -217,9 +177,6 @@ proptest! {
         let (stayed, _) = lossy_run(seed, &plan, &workload, before, None);
         let (moved, _) = lossy_run(seed, &plan, &workload, before, Some(after));
         prop_assert_eq!(&stayed, &moved, "reshard under churn changed the run");
-        // The ledger closes on both sides of the migration.
-        let (sent, dropped, _delayed, delivered) = stayed.7;
-        prop_assert_eq!(sent, delivered + dropped + stayed.8 as u64, "plane ledger");
     }
 
     /// The same lossy, resharded run on a skewed workload — a handful of
@@ -242,16 +199,14 @@ proptest! {
         let after = [1usize, 2, 4, 6, NODES + 1][after_ix];
         let plan = lossy_plan(seed, churn_pct, drop_pct, delay_pct);
         let workload = skewed_pairs(seed, block, 240);
-        let (stayed, envelopes) = lossy_run(seed, &plan, &workload, before, None);
+        let (stayed, ps) = lossy_run(seed, &plan, &workload, before, None);
         let (moved, _) = lossy_run(seed, &plan, &workload, before, Some(after));
         let (other, _) = lossy_run(seed, &plan, &workload, 1, Some(before));
         prop_assert_eq!(&stayed, &moved, "reshard changed the skewed run");
         prop_assert_eq!(&stayed, &other, "shard counts changed the skewed run");
-        let (sent, dropped, _delayed, delivered) = stayed.7;
-        prop_assert_eq!(sent, delivered + dropped + stayed.8 as u64, "plane ledger");
         prop_assert!(
-            envelopes < sent,
-            "runs must combine: {} envelopes for {} deposits", envelopes, sent
+            ps.envelopes < ps.sent,
+            "runs must combine: {} envelopes for {} deposits", ps.envelopes, ps.sent
         );
     }
 }
@@ -295,40 +250,25 @@ fn skewed_pairs(seed: u64, block: usize, len: usize) -> Vec<(NodeId, NodeId)> {
         .collect()
 }
 
-/// Everything a lossy run leaves that the plane could corrupt: outcomes,
-/// contact tables with tombstones, message series, maintenance, hint and
-/// fault counters, the shard-invariant plane projection, deferred
-/// deposits, pending retries, the live queries' outcomes and every hint
-/// lookup.
-type LossyTrace = (
-    Vec<QueryOutcome>,
-    Vec<QueryOutcome>,
-    Vec<(Vec<(NodeId, Vec<NodeId>)>, Vec<(NodeId, u32)>)>,
-    Vec<u64>,
-    MaintenanceTotals,
-    HintStats,
-    FaultReport,
-    (u64, u64, u64, u64),
-    usize,
-    usize,
-    Vec<QueryOutcome>,
-    Vec<Lookup>,
-);
+/// What a lossy run leaves: the world's fingerprint (tables with
+/// tombstones, hint slots, the plane ledger and deferred deposits,
+/// pending retries, all counters) and the cold, warm and live outcomes.
+type LossyTrace = (Fingerprint, [Vec<QueryOutcome>; 3]);
 
 /// Selection, a faulted round, a lossy cold sweep, six live queries (each
 /// an exchange of its own: the first delivers the sweep's delayed runs
 /// ahead of its own deposits, which draw verdicts too), an optional
 /// reshard (while the deferred lane may hold runs the last live query
-/// delayed), a round, a warm sweep and a round: the trace, plus the
-/// envelopes the plane moved (which depend on the shard counts, so they
-/// stay out of the trace).
+/// delayed), a round, a warm sweep and a round: the trace, plus the plane
+/// counters (whose envelopes depend on the shard counts, so they stay out
+/// of the trace). The plane ledger must close.
 fn lossy_run(
     seed: u64,
     plan: &FaultPlan,
     workload: &[(NodeId, NodeId)],
     before: usize,
     reshard: Option<usize>,
-) -> (LossyTrace, u64) {
+) -> (LossyTrace, PlaneStats) {
     let mut w = world(seed, true);
     w.set_shard_count(before);
     w.select_all_contacts();
@@ -342,42 +282,17 @@ fn lossy_run(
     w.validation_round();
     let warm = w.query_all(workload);
     w.validation_round();
-    let ps = w.plane_stats();
-    let trace = (
-        cold,
-        warm,
-        w.contact_tables()
-            .iter()
-            .map(|t| {
-                (
-                    t.contacts()
-                        .iter()
-                        .map(|c| (c.id, c.path.clone()))
-                        .collect::<Vec<_>>(),
-                    t.tombstones().to_vec(),
-                )
-            })
-            .collect::<Vec<_>>(),
-        w.stats().series_where(|_| true),
-        w.maintenance_totals().clone(),
-        w.hint_stats().clone(),
-        w.fault_report(),
-        // Shard-invariant plane projection: the local/cross split
-        // moves with the boundaries, the totals may not.
-        (ps.sent, ps.dropped, ps.delayed, ps.local + ps.cross_shard),
-        w.plane_deferred_pending(),
-        w.pending_query_retries(),
-        live,
-        lookups(&w),
-    );
-    (trace, ps.envelopes)
+    let ps = w.plane_stats().clone();
+    let delivered = ps.local + ps.cross_shard + ps.dropped;
+    assert_eq!(ps.sent, delivered + w.plane_deferred_pending() as u64);
+    ((w.fingerprint(), [cold, warm, live]), ps)
 }
 
 /// Deferred runs land ahead of every fresh run, whichever shard sent
 /// them. Half of a first sweep's deposits are delayed into a second sweep
 /// of different pairs; with one slot per bucket the arrival order at each
-/// holder decides which hint keeps a contested slot, so every holder ×
-/// target lookup must match the one-shard run at any shard count.
+/// holder decides which hint keeps a contested slot, so every slot must
+/// match the one-shard run's at any shard count.
 #[test]
 fn delayed_deposits_land_first_at_any_shard_count() {
     let run = |seed: u64, shards: usize| {
@@ -388,12 +303,12 @@ fn delayed_deposits_land_first_at_any_shard_count() {
         w.enable_faults(lossy_plan(seed, 0, 0, 50));
         let first = w.query_all(&pairs(seed ^ 0x1, 300));
         let second = w.query_all(&pairs(seed ^ 0x2, 300));
-        let deferred = w.plane_deferred_pending();
-        (first, second, w.hint_stats().clone(), lookups(&w), deferred)
+        let held = w.hint_stats().deposits > 0 && w.plane_deferred_pending() > 0;
+        (w.fingerprint(), first, second, held)
     };
     for seed in [11u64, 23, 37, 41, 53] {
         let reference = run(seed, 1);
-        assert!(reference.2.deposits > 0 && reference.4 > 0, "seed {seed}");
+        assert!(reference.3, "seed {seed}: nothing deposited or deferred");
         for shards in [2usize, 3, 5, 8] {
             assert_eq!(
                 run(seed, shards),

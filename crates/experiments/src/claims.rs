@@ -1,30 +1,69 @@
 // Included by `lib.rs` under `cfg(test)`: each figure's paper-claim tests,
 // asserted over the registry's quick sweeps.
 
+/// One memo cell per stem: what the helpers below compute from a quick
+/// sweep runs once per test binary, however many tests read it.
+type Memo<T> = std::sync::OnceLock<std::sync::Mutex<MemoCells<T>>>;
+type MemoCells<T> =
+    std::collections::BTreeMap<&'static str, std::sync::Arc<std::sync::OnceLock<T>>>;
+
+/// `run()`'s value for `stem`, computed on the first call. Different stems
+/// compute in parallel; a second caller of the same stem waits for it.
+fn memo<T: Clone>(table: &Memo<T>, stem: &'static str, run: impl FnOnce() -> T) -> T {
+    let cells = table.get_or_init(Default::default);
+    let cell = cells.lock().unwrap().entry(stem).or_default().clone();
+    cell.get_or_init(run).clone()
+}
+
 /// The quick sweep of the registry entry `stem`, at the default seed.
 fn quick(stem: &str) -> figures::Sweep {
     figures::find(stem).unwrap().sweep(true, DEFAULT_SEED)
 }
 
 /// The quick rendering of the registry entry `stem`.
-fn quick_text(stem: &str) -> String {
-    figures::find(stem).unwrap().render(true, DEFAULT_SEED)
+fn quick_text(stem: &'static str) -> String {
+    static MEMO: Memo<String> = Memo::new();
+    memo(&MEMO, stem, || {
+        figures::find(stem).unwrap().render(true, DEFAULT_SEED)
+    })
 }
 
 /// The numeric rows of a quick row-table entry.
-fn quick_rows(stem: &str) -> Vec<Vec<f64>> {
+fn quick_rows(stem: &'static str) -> Vec<Vec<f64>> {
     let figures::Measure::Rows { columns, row } = figures::find(stem).unwrap().measure else {
         panic!("{stem} is not a row table");
     };
-    figures::rows(&quick(stem), columns, row)
+    static MEMO: Memo<Vec<Vec<f64>>> = Memo::new();
+    memo(&MEMO, stem, || figures::rows(&quick(stem), columns, row))
 }
 
 /// The `[value][predicate][bucket]` series of a quick overhead entry.
-fn quick_overhead(stem: &str) -> Vec<Vec<Vec<f64>>> {
+fn quick_overhead(stem: &'static str) -> Vec<Vec<Vec<f64>>> {
     let figures::Measure::Overhead(preds) = figures::find(stem).unwrap().measure else {
         panic!("{stem} is not an overhead series");
     };
-    figures::overhead(&quick(stem), preds)
+    static MEMO: Memo<Vec<Vec<Vec<f64>>>> = Memo::new();
+    memo(&MEMO, stem, || figures::overhead(&quick(stem), preds))
+}
+
+/// The reachability histograms of a quick histogram entry.
+fn quick_histograms(stem: &'static str) -> figures::Histograms {
+    static MEMO: Memo<figures::Histograms> = Memo::new();
+    memo(&MEMO, stem, || figures::histograms(&quick(stem)))
+}
+
+/// Fig 13's quick series.
+fn quick_fig13() -> [Vec<f64>; 3] {
+    static MEMO: Memo<[Vec<f64>; 3]> = Memo::new();
+    memo(&MEMO, "fig13", || figures::fig13_series(&quick("fig13")))
+}
+
+/// The resources extension's quick rows.
+fn quick_resources() -> Vec<figures::DistRow> {
+    static MEMO: Memo<Vec<figures::DistRow>> = Memo::new();
+    memo(&MEMO, "resources", || {
+        figures::resource_rows(&quick("resources"))
+    })
 }
 
 /// Column `i` of `rows`.
@@ -33,9 +72,9 @@ fn column(rows: &[Vec<f64>], i: usize) -> Vec<f64> {
 }
 
 /// Every histogram of `stem`'s quick sweep covers all of its nodes.
-fn assert_histograms_cover_all_nodes(stem: &str) {
+fn assert_histograms_cover_all_nodes(stem: &'static str) {
     let params = quick(stem);
-    let counts = figures::histograms(&params).counts;
+    let counts = quick_histograms(stem).counts;
     for (&v, h) in params.values.iter().zip(&counts) {
         assert_eq!(h.iter().sum::<u64>(), params.cell(v).0.nodes as u64);
     }
@@ -51,9 +90,15 @@ mod table1 {
             table1(&find("table1").unwrap().sweep(false, seed))
         }
 
+        /// The paper-sized table at seed 1, shared by the tests below.
+        fn seed_one() -> Vec<(Scenario, TopologyMetrics)> {
+            static MEMO: crate::Memo<Vec<(Scenario, TopologyMetrics)>> = crate::Memo::new();
+            crate::memo(&MEMO, "table1", || run(1))
+        }
+
         #[test]
         fn produces_all_eight_rows() {
-            let rows = run(1);
+            let rows = seed_one();
             assert_eq!(rows.len(), 8);
             for (i, (_, m)) in rows.iter().enumerate() {
                 assert_eq!(m.nodes, TABLE1_SCENARIOS[i].nodes);
@@ -62,7 +107,7 @@ mod table1 {
 
         #[test]
         fn magnitudes_track_paper() {
-            for (i, (_, m)) in run(1).iter().enumerate() {
+            for (i, (_, m)) in seed_one().iter().enumerate() {
                 let (paper_links, paper_degree, ..) = PAPER_ROWS[i];
                 let links = m.links as f64 / paper_links;
                 assert!((0.5..2.0).contains(&links), "scenario {}: {m:?}", i + 1);
@@ -143,11 +188,9 @@ mod fig03_04 {
 
 mod fig05 {
     mod tests {
-        use crate::figures::histograms;
-
         #[test]
         fn distribution_shifts_right_with_r() {
-            let sweep = histograms(&crate::quick("fig5"));
+            let sweep = crate::quick_histograms("fig5");
             assert_eq!(sweep.counts.len(), 3);
             crate::assert_histograms_cover_all_nodes("fig5");
             // R=2 and R=3 both dominate R=1 in mean reachability (Fig 5 shape)
@@ -159,7 +202,7 @@ mod fig05 {
         fn annulus_collapse_reduces_contacts() {
             // When 2R approaches r the contact count collapses (the R=7 effect):
             // quick params: r=8, so R=3 (2R=6) has a thinner annulus than R=2.
-            let c = histograms(&crate::quick("fig5")).mean_contacts;
+            let c = crate::quick_histograms("fig5").mean_contacts;
             assert!(c[2] < c[1], "thin annulus must yield fewer contacts: {c:?}");
         }
 
@@ -175,11 +218,11 @@ mod fig05 {
 
 mod fig06 {
     mod tests {
-        use crate::figures::{find, histograms};
+        use crate::figures::find;
 
         #[test]
         fn reachability_grows_with_r() {
-            let sweep = histograms(&crate::quick("fig6"));
+            let sweep = crate::quick_histograms("fig6");
             let (c, m) = (&sweep.mean_contacts, &sweep.mean_pct);
             // r = 2R: (almost) no contacts, reachability ≈ neighborhood only
             assert!(c[0] < 0.25, "r=2R: ~no contacts: {c:?}");
@@ -205,12 +248,10 @@ mod fig06 {
 
 mod fig07 {
     mod tests {
-        use crate::figures::histograms;
-
         #[test]
         fn reachability_rises_then_saturates() {
             let params = crate::quick("fig7");
-            let sweep = histograms(&params);
+            let sweep = crate::quick_histograms("fig7");
             let (c, m) = (&sweep.mean_contacts, &sweep.mean_pct);
             // NoC=0: bare neighborhood
             assert_eq!(c[0], 0.0);
@@ -228,7 +269,7 @@ mod fig07 {
         #[test]
         fn noc_zero_distribution_is_neighborhood_only() {
             let params = crate::quick("fig7");
-            let sweep = histograms(&params);
+            let sweep = crate::quick_histograms("fig7");
             // with R=2 on a 150-node network, neighborhoods stay under ~30%
             let low_buckets: u64 = sweep.counts[0][..6].iter().sum();
             assert_eq!(low_buckets, params.scenario.nodes as u64);
@@ -238,11 +279,9 @@ mod fig07 {
 
 mod fig08 {
     mod tests {
-        use crate::figures::histograms;
-
         #[test]
         fn reachability_climbs_sharply_with_depth() {
-            let m = histograms(&crate::quick("fig8")).mean_pct;
+            let m = crate::quick_histograms("fig8").mean_pct;
             assert_eq!(m.len(), 3);
             assert!(m[1] > m[0] * 1.3, "D=2 should be well above D=1: {m:?}");
             assert!(m[2] >= m[1], "D=3 must not lose reachability");
@@ -263,12 +302,10 @@ mod fig08 {
 
 mod fig09 {
     mod tests {
-        use crate::figures::histograms;
-
         #[test]
         fn all_sizes_achieve_substantial_reachability() {
             let params = crate::quick("fig9");
-            let m = histograms(&params).mean_pct;
+            let m = crate::quick_histograms("fig9").mean_pct;
             assert_eq!(m.len(), params.values.len());
             for (&v, &m) in params.values.iter().zip(&m) {
                 let label = params.label(v);
@@ -341,12 +378,10 @@ mod fig11_12 {
 
 mod fig13 {
     mod tests {
-        use crate::figures::fig13_series;
-
         #[test]
         fn per_contact_overhead_decreases_over_time() {
             let params = crate::quick("fig13");
-            let [_, overhead, per_contact] = fig13_series(&params);
+            let [_, overhead, per_contact] = crate::quick_fig13();
             let k = overhead.len();
             assert_eq!(k, params.buckets());
             // The normalized maintenance cost falls as stable contacts
@@ -357,7 +392,7 @@ mod fig13 {
 
         #[test]
         fn contacts_stay_populated() {
-            let [contacts, ..] = fig13_series(&crate::quick("fig13"));
+            let [contacts, ..] = crate::quick_fig13();
             // after the first bucket, the network should hold contacts
             for (k, &c) in contacts.iter().enumerate().skip(1) {
                 assert!(c > 0.0, "bucket {k} has no contacts");
@@ -368,7 +403,7 @@ mod fig13 {
         fn render_has_all_series() {
             let text = crate::quick_text("fig13");
             assert!(text.contains("Total contacts selected"));
-            assert!(text.contains("Maintenance overhead / node"));
+            assert!(text.contains("Selection + maintenance overhead / node"));
             assert!(text.contains("Overhead / contact"));
         }
     }
@@ -452,7 +487,7 @@ mod ext_resources {
 
         #[test]
         fn replication_improves_discovery() {
-            let rows = resource_rows(&crate::quick("resources"));
+            let rows = crate::quick_resources();
             assert_eq!(rows.len(), 4);
             let uni: Vec<&DistRow> = rows
                 .iter()
@@ -465,7 +500,7 @@ mod ext_resources {
         #[test]
         fn uniform_beats_clustered_at_equal_replicas() {
             let params = crate::quick("resources");
-            let rows = resource_rows(&params);
+            let rows = crate::quick_resources();
             let hi = params.values.last().copied().unwrap();
             let at = |d: &str| {
                 rows.iter()
@@ -478,12 +513,12 @@ mod ext_resources {
 
         #[test]
         fn deterministic() {
-            let params = crate::quick("resources");
-            let run = || -> Vec<(f64, f64)> {
-                let rows = resource_rows(&params);
+            // A fresh run against the shared one: two runs of one sweep.
+            let cells = |rows: Vec<DistRow>| -> Vec<(f64, f64)> {
                 rows.iter().map(|r| (r.success, r.msgs_per_query)).collect()
             };
-            assert_eq!(run(), run());
+            let fresh = resource_rows(&crate::quick("resources"));
+            assert_eq!(cells(fresh), cells(crate::quick_resources()));
         }
     }
 }

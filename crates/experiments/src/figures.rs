@@ -466,7 +466,7 @@ pub static FIGURES: [Figure; 14] = [
             true => Sweep { secs: 8, ..sweep(Scenario::new(100, 400.0, 400.0, 50.0), card(2, 8, 3), Knob::Noc, vec![3]) },
         },
         measure: Measure::Table {
-            headers: &["t (s)", "Total contacts selected", "Maintenance overhead / node", "Overhead / contact"],
+            headers: &["t (s)", "Total contacts selected", "Selection + maintenance overhead / node", "Overhead / contact"],
             rows: |s| series_rows(&fig13_series(s), &[0, 1, 1]),
         },
     },

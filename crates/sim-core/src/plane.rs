@@ -321,11 +321,12 @@ impl<M: Envelope> MessagePlane<M> {
     /// Logical messages currently parked in the deferred lanes (delayed
     /// by a faulted exchange and not yet delivered).
     pub fn deferred_pending(&self) -> usize {
-        self.deferred
-            .iter()
-            .flatten()
-            .map(|m| m.weight() as usize)
-            .sum()
+        self.deferred().map(|m| m.weight() as usize).sum()
+    }
+
+    /// The deferred messages, lane by lane, each lane in delivery order.
+    pub fn deferred(&self) -> impl Iterator<Item = &M> {
+        self.deferred.iter().flatten()
     }
 
     /// Heap bytes reserved by the outbox lanes, deferred lanes and

@@ -7,11 +7,11 @@
 //! determinism contract these tests pin:
 //!
 //! 1. the k-shard sweeps are **bit-identical** to the one-shard world —
-//!    same contact ids, same stored paths, same message totals *and* the
-//!    same per-bucket message time series — across seeds and shard counts,
-//!    so the sweep is pinned as worker-count-independent too: every
-//!    node's decisions draw from its own RNG stream, never from
-//!    scheduling;
+//!    equal `CardWorld::fingerprint`s: contact ids and stored paths, RNG
+//!    positions, backoffs, the per-bucket message series and every other
+//!    layer — across seeds and shard counts, so the sweep is pinned as
+//!    worker-count-independent too: every node's decisions draw from its
+//!    own RNG stream, never from scheduling;
 //! 2. equivalence survives *interleaved* mobility: validate → move →
 //!    validate must agree between the k-shard and one-shard worlds at
 //!    every step, not just at the end;
@@ -19,7 +19,7 @@
 //!    bounded by NoC, stored paths valid hop-by-hop routes at selection
 //!    time).
 
-use card_manet::card::world::{CardWorld, MaintenanceTotals};
+use card_manet::card::world::CardWorld;
 use card_manet::card::{CardConfig, SelectionMethod};
 use card_manet::mobility::waypoint::RandomWaypoint;
 use card_manet::sim::rng::SeedSplitter;
@@ -27,33 +27,6 @@ use card_manet::sim::time::SimDuration;
 use card_manet::topology::node::NodeId;
 use card_manet::topology::scenario::Scenario;
 use proptest::prelude::*;
-
-/// Everything observable about protocol state after a run.
-type Snapshot = (
-    Vec<Vec<(NodeId, Vec<NodeId>)>>, // per-node contact (id, path) lists
-    Vec<u64>,                        // all-kind message series per bucket
-    u64,                             // grand message total
-    MaintenanceTotals,
-);
-
-fn snapshot(w: &CardWorld) -> Snapshot {
-    let tables = w
-        .contact_tables()
-        .iter()
-        .map(|t| {
-            t.contacts()
-                .iter()
-                .map(|c| (c.id, c.path.clone()))
-                .collect()
-        })
-        .collect();
-    (
-        tables,
-        w.stats().series_where(|_| true),
-        w.stats().grand_total(),
-        w.maintenance_totals().clone(),
-    )
-}
 
 fn world(seed: u64, method: SelectionMethod, shards: Option<usize>) -> CardWorld {
     let scenario = Scenario::new(140, 460.0, 460.0, 55.0);
@@ -89,12 +62,12 @@ proptest! {
         let mut serial = world(seed, method, Some(1));
         serial.select_all_contacts();
         serial.validation_round();
-        let expected = snapshot(&serial);
+        let expected = serial.fingerprint();
 
         let mut par = world(seed, method, Some(shards));
         par.select_all_contacts();
         par.validation_round();
-        prop_assert_eq!(snapshot(&par), expected, "shards={}", shards);
+        prop_assert_eq!(par.fingerprint(), expected, "shards={}", shards);
     }
 
     /// Equivalence survives interleaved mobility: after every mobility
@@ -120,7 +93,7 @@ proptest! {
         for _ in 0..3 {
             serial.run_mobile(&mut serial_model, SimDuration::from_secs(1));
             par.run_mobile(&mut par_model, SimDuration::from_secs(1));
-            prop_assert_eq!(snapshot(&par), snapshot(&serial));
+            prop_assert_eq!(par.fingerprint(), serial.fingerprint());
         }
     }
 
@@ -168,18 +141,14 @@ fn repeat_parallel_runs_are_identical() {
             SeedSplitter::new(77).stream("anchor-mob", 0),
         );
         w.run_mobile(&mut model, SimDuration::from_secs(4));
-        snapshot(&w)
+        w.fingerprint()
     };
     let first = run(None);
-    assert_eq!(first, run(None), "sharded runs must repeat exactly");
-    assert_eq!(
-        first,
-        run(Some(1)),
-        "sharded must equal one shard end-to-end"
-    );
+    assert_eq!(run(None).diff(&first), None, "sharded runs must repeat");
+    assert_eq!(run(Some(1)).diff(&first), None, "one shard differs");
 }
 
-/// Degenerate sizes (ROADMAP 5(d)): worlds smaller than their shard count,
+/// Degenerate sizes: worlds smaller than their shard count,
 /// empty and duplicated pair lists. Every sweep and query must return its
 /// documented outcome — never panic — and equal the 1-shard world's.
 #[test]
@@ -206,7 +175,7 @@ fn tiny_worlds_match_one_shard_at_any_shard_count() {
         let swept = w.query_all(&pairs);
         assert!(w.query_all(&[]).is_empty());
         let single = w.query(NodeId::new(0), NodeId::from(n - 1));
-        (snapshot(&w), swept, single, w.hint_stats().clone())
+        (w.fingerprint(), swept, single)
     };
     for n in [1usize, 2, 3, 5, 7] {
         for hints in [false, true] {

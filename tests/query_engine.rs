@@ -91,7 +91,7 @@ proptest! {
     }
 
     /// The sharded batched sweep equals one query at a time on a one-shard
-    /// world — outcomes in pair order and the merged stats series — at any
+    /// world — outcomes in pair order and the world fingerprint — at any
     /// shard count, and across repeated sweeps on the same world (scratch
     /// reuse).
     #[test]
@@ -114,9 +114,9 @@ proptest! {
             let got = par.query_all(&pairs);
             prop_assert_eq!(got, expected, "sweep {} at {} shards", sweep, shards);
             prop_assert_eq!(
-                par.stats().series_where(|_| true),
-                serial.stats().series_where(|_| true),
-                "stats diverged on sweep {} at {} shards", sweep, shards
+                par.fingerprint(),
+                serial.fingerprint(),
+                "worlds diverged on sweep {} at {} shards", sweep, shards
             );
         }
     }
@@ -157,8 +157,8 @@ proptest! {
 
 /// One deterministic anchor outside proptest: repeated sharded sweeps of
 /// the same seed agree with each other, with the one-shard sweep, and
-/// with one-at-a-time `CardWorld::query` calls — including the recorded
-/// message statistics (catches nondeterminism that shrinkage might mask).
+/// with one-at-a-time `CardWorld::query` calls — outcomes and world
+/// fingerprint, message statistics included (catches nondeterminism that shrinkage might mask).
 #[test]
 fn repeat_query_sweeps_are_identical() {
     let pairs: Vec<(NodeId, NodeId)> = (0..80u32)
@@ -179,7 +179,7 @@ fn repeat_query_sweeps_are_identical() {
             }
             _ => pairs.iter().map(|&(s, t)| w.query(s, t)).collect(),
         };
-        (outcomes, w.stats().series_where(|_| true))
+        (outcomes, w.fingerprint())
     };
     let first = run(0);
     assert_eq!(first, run(0), "sharded sweeps must repeat exactly");
