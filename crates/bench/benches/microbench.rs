@@ -549,7 +549,8 @@ fn bench_csq_walk(c: &mut Criterion) {
 /// fan-out runs inline on the caller's thread (`serial`), for both
 /// `select_all_contacts` (from-scratch CSQ selection for every node) and
 /// `validation_round` (validate + throttled re-select for every node).
-/// Protocol parameters mirror `experiments::scale::protocol_config` so
+/// Protocol parameters mirror `experiments::scale::protocol_config` at
+/// `scale::RADIUS` (the one configuration every scale tier builds on), so
 /// these ids track the same workload `repro scale` reports at N = 10⁴–10⁵.
 ///
 /// Each iteration rebuilds the world: the sweeps mutate per-node state
@@ -616,8 +617,9 @@ fn bench_protocol_sweeps(c: &mut Criterion) {
 }
 
 /// The re-platformed query engine at N = 1000 (scenario-5 density, D = 3,
-/// protocol parameters of `experiments::scale::protocol_config`), on a
-/// world with selected contact tables and a fixed random pair list.
+/// protocol parameters of `experiments::scale::protocol_config` at
+/// `scale::RADIUS`), on a world with selected contact tables and a fixed
+/// random pair list.
 ///
 /// * `dsq_query/n1000/{incremental,rewalk}` — a 256-query batch through
 ///   the incremental escalation engine (one reused `QueryScratch`; depth d

@@ -7,27 +7,28 @@
 //!
 //! The figure names, and what `all` runs, come from
 //! `experiments::figures::FIGURES`; `fig3`/`fig4` and `fig11`/`fig12` share
-//! runs and print together.
-//! `scale` (equivalently the `--scale` flag) runs the N = 10⁴–10⁵
-//! substrate scale family; `scale-raw` the N = 10⁶ raw-speed tier
-//! (kernel build + mobility/refresh loop, then the full protocol on
-//! shard-resident state: selection, validation rounds and hinted query
-//! sweeps through the cross-shard message plane, with per-shard memory
-//! and plane-traffic columns); `scale-hostile` the fault-injection
-//! degradation grid (churn × partition × message loss, liveness asserted
-//! in-run). `--nodes` overrides any scale family's node counts from the
-//! command line so new sizes need no recompile. Scale tiers exit
-//! non-zero when an in-run fidelity/parity/liveness assertion fails.
+//! runs and print together. The scale tiers come from
+//! `experiments::scale::TIERS`: `scale` (equivalently the `--scale` flag)
+//! runs the N = 10⁴–10⁵ substrate scale family; `scale-raw` the N = 10⁶
+//! raw-speed tier (kernel build + mobility/refresh loop, then the full
+//! protocol on shard-resident state with per-shard memory and
+//! plane-traffic columns); `scale-events` the event-vs-tick drive race;
+//! `scale-hostile` the fault-injection degradation grid (churn ×
+//! partition × message loss). `--nodes` overrides any tier's node counts
+//! from the command line so new sizes need no recompile. A tier panics,
+//! and so exits non-zero, when an in-run fidelity, parity or liveness
+//! assertion fails.
 //! Output is Markdown (tables matching the paper's figures); see
 //! `docs/REPRO.md` for the experiment catalogue and conventions.
 
 use experiments::figures::{find, Figure, FIGURES};
-use experiments::*;
+use experiments::scale::{find_tier, TIERS};
+use experiments::DEFAULT_SEED;
 
 struct Options {
     quick: bool,
     seed: u64,
-    /// `--nodes` override for the scale family (`None` = module defaults).
+    /// `--nodes` override for the scale tiers (`None` = their own sizes).
     nodes: Option<Vec<usize>>,
 }
 
@@ -74,28 +75,30 @@ fn main() {
     if which.is_empty() && opts.nodes.is_some() {
         which.push("scale".to_string());
     }
-    if opts.nodes.is_some()
-        && !which.iter().any(|w| {
-            w == "scale" || w == "scale-raw" || w == "scale-events" || w == "scale-hostile"
-        })
-    {
-        usage("--nodes only applies to the scale / scale-raw / scale-events / scale-hostile experiments");
+    if opts.nodes.is_some() && !which.iter().any(|w| find_tier(w).is_some()) {
+        let tiers: Vec<&str> = TIERS.iter().map(|t| t.name).collect();
+        usage(&format!(
+            "--nodes only applies to the {} experiments",
+            tiers.join(" / ")
+        ));
     }
     if which.is_empty() {
         usage("choose an experiment or `all`");
     }
 
     for name in which {
-        match name.as_str() {
-            "scale" => gate(name.as_str(), || scale_cmd(&opts)),
-            "scale-raw" => gate(name.as_str(), || scale_raw_cmd(&opts)),
-            "scale-events" => gate(name.as_str(), || scale_events_cmd(&opts)),
-            "scale-hostile" => gate(name.as_str(), || scale_hostile_cmd(&opts)),
-            "all" => FIGURES.iter().for_each(|fig| print(fig, &opts)),
-            other => match find(other) {
-                Some(fig) => print(fig, &opts),
-                None => usage(&format!("unknown experiment {other}")),
-            },
+        if name == "all" {
+            FIGURES.iter().for_each(|fig| print(fig, &opts));
+        } else if let Some(tier) = find_tier(&name) {
+            stamp(tier.name);
+            println!(
+                "{}",
+                (tier.run)(opts.quick, opts.seed, opts.nodes.as_deref())
+            );
+        } else if let Some(fig) = find(&name) {
+            print(fig, &opts);
+        } else {
+            usage(&format!("unknown experiment {name}"));
         }
     }
 }
@@ -104,12 +107,13 @@ fn usage(err: &str) -> ! {
     if !err.is_empty() {
         eprintln!("error: {err}\n");
     }
-    let figures: Vec<&str> = FIGURES
+    let names: Vec<&str> = FIGURES
         .iter()
         .flat_map(|f| f.names.iter().copied())
+        .chain(TIERS.iter().map(|t| t.name))
         .collect();
     eprintln!(
-        "usage: repro <{}|scale|scale-raw|scale-events|scale-hostile|all> [--quick] [--seed N] [--scale] [--nodes N[,N...]]\n\n\
+        "usage: repro <{}|all> [--quick] [--seed N] [--scale] [--nodes N[,N...]]\n\n\
          scale runs are excluded from `all` (minutes at N=10^5); invoke them\n\
          explicitly via `repro scale`, `repro --scale`, or `repro --nodes N`.\n\
          `repro scale-raw` runs the N=10^6 raw-speed tier (substrate loop\n\
@@ -120,18 +124,9 @@ fn usage(err: &str) -> ! {
          windows and message loss at N=10^5 (liveness asserted in-run).\n\
          Scale tiers exit non-zero when an in-run fidelity, parity or\n\
          liveness assertion fails.",
-        figures.join("|")
+        names.join("|")
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
-}
-
-/// Run a scale-tier command and turn any in-run fidelity/parity/liveness
-/// assertion failure into a clean non-zero exit, so CI gates on the run.
-fn gate(name: &str, cmd: impl FnOnce() + std::panic::UnwindSafe) {
-    if std::panic::catch_unwind(cmd).is_err() {
-        eprintln!("[repro] {name}: an in-run assertion failed");
-        std::process::exit(1);
-    }
 }
 
 fn stamp(name: &str) {
@@ -142,68 +137,4 @@ fn stamp(name: &str) {
 fn print(fig: &Figure, opts: &Options) {
     stamp(fig.stem());
     println!("{}", fig.render(opts.quick, opts.seed));
-}
-
-fn scale_cmd(opts: &Options) {
-    stamp("scale");
-    let mut p = if opts.quick {
-        scale::Params::quick()
-    } else {
-        scale::Params::default()
-    };
-    p.seed = opts.seed;
-    if let Some(nodes) = &opts.nodes {
-        p.nodes = nodes.clone();
-    }
-    let rows = scale::run(&p);
-    println!("{}", scale::render(&p, &rows));
-}
-
-fn scale_raw_cmd(opts: &Options) {
-    stamp("scale-raw");
-    let mut p = if opts.quick {
-        scale::RawParams::quick()
-    } else {
-        scale::RawParams::default()
-    };
-    p.seed = opts.seed;
-    if let Some(nodes) = &opts.nodes {
-        p.nodes = nodes.clone();
-    }
-    let rows = scale::run_raw(&p);
-    println!("{}", scale::render_raw(&p, &rows));
-}
-
-fn scale_events_cmd(opts: &Options) {
-    stamp("scale-events");
-    let mut p = if opts.quick {
-        scale_events::Params::quick()
-    } else {
-        scale_events::Params::default()
-    };
-    p.seed = opts.seed;
-    if let Some(nodes) = &opts.nodes {
-        p.nodes = nodes.clone();
-    }
-    let rows = scale_events::run(&p);
-    println!("{}", scale_events::render(&p, &rows));
-}
-
-fn scale_hostile_cmd(opts: &Options) {
-    stamp("scale-hostile");
-    let mut p = if opts.quick {
-        scale_hostile::Params::quick()
-    } else {
-        scale_hostile::Params::default()
-    };
-    p.seed = opts.seed;
-    if let Some(nodes) = &opts.nodes {
-        p.nodes = nodes.clone();
-    }
-    let report = scale_hostile::run(&p);
-    println!("{}", scale_hostile::render(&p, &report));
-    assert!(
-        scale_hostile::passed(&report),
-        "hostile tier failed its liveness invariants"
-    );
 }

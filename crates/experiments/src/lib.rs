@@ -16,16 +16,19 @@
 //! repro resources         # extension: §V resource-distribution study
 //! repro scale             # extension: N = 10⁴–10⁵ substrate + protocol runs
 //! repro scale --nodes N   # scale runs at a chosen N (no recompile)
+//! repro scale-raw         # extension: substrate + full protocol at N = 10⁶
 //! repro scale-events      # extension: event-driven vs tick-driven drive at N = 10⁵
 //! repro scale-hostile     # extension: degradation under churn/partition/loss at N = 10⁵
 //! repro all               # every registry entry, paper-sized
 //! repro all --quick       # every registry entry, small sizes
 //! ```
 //!
-//! The scale binaries assert their fidelity/parity contracts *in-run*
-//! (bit-identity between drive modes, the hint cost-only contract, the
-//! hostile tier's liveness invariants) and `repro` exits non-zero when
-//! any of them fails, so CI can gate on the run itself.
+//! The four scale tiers are the entries of [`scale::TIERS`], on one
+//! harness (config, substrate run, column specs; see [`scale`]). They
+//! assert their fidelity/parity contracts *in-run* (equal world
+//! fingerprints between drive modes, the hint cost-only contract, the
+//! hostile tier's liveness invariants): a failure panics, so `repro`
+//! exits non-zero and CI can gate on the run itself.
 
 #![warn(missing_docs)]
 pub mod figures;

@@ -24,6 +24,19 @@ pub fn markdown_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
+/// One table column: its header and how a row renders into its cell.
+pub type Column<R> = (&'static str, fn(&R) -> String);
+
+/// Render `rows` as a Markdown table with one column per spec entry.
+pub fn table<R>(columns: &[Column<R>], rows: &[R]) -> String {
+    let headers: Vec<&str> = columns.iter().map(|&(h, _)| h).collect();
+    let body: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| columns.iter().map(|(_, cell)| cell(r)).collect())
+        .collect();
+    markdown_table(&headers, &body)
+}
+
 /// Render a reachability histogram family as a Markdown table with one
 /// column per series: rows are 5% buckets, cells are node counts.
 pub fn histogram_table(bucket_edges: &[f64], series: &[(String, Vec<u64>)]) -> String {

@@ -1,61 +1,61 @@
-//! Scale scenarios — Table-1 densities pushed to N = 10⁴–10⁵.
+//! The scale harness, and the `scale` and `scale-raw` tiers on it.
 //!
 //! The paper's pitch is resource discovery in *large-scale* MANets, but its
-//! own evaluation stops at N = 1000 (Table 1). This family keeps Table 1's
-//! scenario-5 density (500 nodes in a 710 m square, 50 m radio range) and
-//! scales the field so N grows to 10⁴, 5·10⁴ and 10⁵ nodes, then runs a
-//! 100-tick mobility loop over the incremental topology refresh and reports
-//! what the substrate refactors bought:
+//! own evaluation stops at N = 1000 (Table 1). Every scale tier keeps
+//! Table 1's scenario-5 density (500 nodes in a 710 m square, 50 m radio
+//! range, [`scaled_scenario`]) and grows the field to N = 10⁴–10⁶. A tier
+//! is three things, shared here:
 //!
-//! * **memory** — total neighborhood-table bytes, which are O(zone · N)
-//!   after the zone-local membership refactor (a per-node N-bit bitset
-//!   would be ~1.25 GB at N = 10⁵; the actual tables are a few hundred
-//!   bytes per node);
+//! * **its config** — one protocol configuration, [`protocol_config`]
+//!   (EM, r = 4R, NoC = 4, D = [`QUERY_DEPTH`]); a tier adjusts it at its
+//!   call site (the raw tier's hint slots, scale-events' validation period);
+//! * **its substrate run** — `substrate` builds the network, drives the
+//!   mover-driven tick loop (summing the per-stage pipeline counters),
+//!   moves the network into a [`CardWorld`] and times one from-scratch
+//!   `select_all_contacts` pass plus [`PROTOCOL_ROUNDS`] validation rounds.
+//!   scale-events and scale-hostile start from
+//!   [`figures::selected`](crate::figures::selected) instead;
+//! * **its columns** — every table is a [`Column`] spec rendered by
+//!   [`table`]; derived cells (rates, shares, deltas) are computed there.
+//!
+//! `repro` dispatches the four tiers from [`TIERS`].
+//!
+//! `repro scale` runs three mobility profiles per N (10⁴, 5·10⁴, 10⁵):
+//!
+//! * **memory** — zone-table bytes, O(zone · N) (a per-node N-bit bitset
+//!   would be ~1.25 GB at N = 10⁵);
 //! * **time** — wall-clock per mobility tick for the mover-driven refresh
-//!   (mobility reports its movers; the grid and the CSR adjacency are
-//!   patched around them; dirty-ball neighborhood rebuilds fan out over
-//!   the persistent worker pool), plus the per-stage pipeline counters
-//!   behind it: movers reported, grid entries re-bucketed, adjacency rows
-//!   patched, changed rows, dirty neighborhoods, and how many ticks fell
-//!   back to a wholesale pass;
-//! * **full protocol** — after the tick loop, the network is wrapped in a
-//!   [`CardWorld`] and the sharded protocol sweeps run at full N: one
-//!   from-scratch `select_all_contacts` pass plus `PROTOCOL_ROUNDS`
-//!   validation rounds, reporting wall time, per-second node throughput,
-//!   contacts found, and the selection/maintenance message volume. This is
-//!   the end-to-end demonstration that the *protocol* layers — not just
-//!   the topology substrate — operate at N = 10⁵ (the tables produced are
-//!   seed-deterministic regardless of worker or shard count; see
-//!   `card_core::world`);
-//! * **query workload** — queries are CARD's actual steady-state traffic
-//!   (§III.C.4, Figs 13–15), so each row then drives the re-platformed
-//!   query engine on the selected tables: a batch of random node-lookup
-//!   DSQs swept through the sharded `CardWorld::query_all` (hit rate,
-//!   mean escalation depth of the hits, messages per query, wall time and
-//!   queries-per-second throughput), followed by anycast *resource*
-//!   queries over a uniform and a clustered replica mix
-//!   ([`QUERY_RESOURCES`] resources × [`QUERY_REPLICAS`] replicas,
-//!   `card_core::resources::resource_query` on one reused scratch) whose
-//!   hit rates land in the last two columns;
-//! * **route-hint cache** — the §V hint phase drives repeat-heavy and
-//!   Zipf-skewed query mixes over a pool of resolvable targets with the
-//!   `card_core::hints` cache off (baseline), cold and warm, reporting
-//!   messages per query for each, the warm hit rate, and the staleness
-//!   counters after a burst of mobility churn — the headline
-//!   messages-per-query cut the cache buys at N = 10⁵.
+//!   plus the pipeline counters behind it: movers reported, grid entries
+//!   re-bucketed, adjacency rows patched, changed rows, dirty
+//!   neighborhoods, wholesale-fallback ticks and the f32 kernel's lanes;
+//! * **full protocol** — selection and validation wall time, node
+//!   throughput, contacts and the selection/maintenance message volume
+//!   (seed-deterministic at any worker or shard count);
+//! * **query workload** — random node-lookup DSQs swept through
+//!   `CardWorld::query_all`, then anycast *resource* queries over a
+//!   uniform and a clustered replica mix ([`QUERY_RESOURCES`] ×
+//!   [`QUERY_REPLICAS`]);
+//! * **route-hint cache** — repeat-heavy and Zipf-skewed mixes over a pool
+//!   of resolvable targets with the §V cache off, cold and warm, then
+//!   through a churn burst: messages per query, hit rates, staleness and
+//!   the per-shard memory the cache costs.
 //!
 //! Three mobility profiles bracket the churn range: *pedestrian* (random
-//! walk, 0.5–2 m/s — the paper's assumed regime; every node drifts every
-//! tick, so the pipeline's wholesale fallback carries the load),
-//! *ped-dwell* (same speeds, but ~99% of nodes stand exactly still at any
-//! instant — the few-movers regime where the mover-driven patch shines),
-//! and *vehicular* (random waypoint, 10–30 m/s — an order of magnitude
-//! more link churn per tick).
+//! walk, 0.5–2 m/s; every node drifts every tick, so the wholesale
+//! fallback carries the load), *ped-dwell* (same speeds, ~99% of nodes
+//! standing still — the few-movers regime of the mover-driven patch) and
+//! *vehicular* (random waypoint, 10–30 m/s).
 //!
-//! Run from the CLI with `repro scale` (or `repro --scale`), overriding the
-//! node counts with `--nodes N` — no recompile needed.
+//! `repro scale-raw` is the N = 10⁶ tier: the same substrate run at R = 1
+//! for the pedestrian and ped-dwell profiles, with RSS and node-tick
+//! throughput columns, then hinted cold/warm query sweeps whose
+//! cross-shard deposits travel the message plane, with per-shard memory
+//! and plane-traffic columns.
+//!
+//! Override any tier's node counts with `--nodes N` — no recompile needed.
 
-use crate::output::markdown_table;
+use crate::output::{table, Column};
+use crate::{scale_events, scale_hostile};
 use card_core::resources::{distribute, resource_query, ResourceDistribution, ResourceId};
 use card_core::{CardConfig, CardWorld, QueryScratch};
 use manet_routing::network::Network;
@@ -66,11 +66,17 @@ use net_topology::node::NodeId;
 use net_topology::scenario::Scenario;
 use sim_core::rng::SeedSplitter;
 use sim_core::stats::MsgKind;
-use sim_core::time::SimDuration;
 use std::time::Instant;
 
 /// Validation rounds run in the full-protocol phase of each scale row.
 pub const PROTOCOL_ROUNDS: usize = 2;
+
+/// Zone radius R of every tier but the raw one.
+pub const RADIUS: u16 = 2;
+
+/// Zone radius of the raw tier: 1, since it stresses scale, not table
+/// depth (the paper's own r/NoC sweeps live in Figs 5–9).
+pub const RAW_RADIUS: u16 = 1;
 
 /// Distinct resources of each query-phase resource mix.
 pub const QUERY_RESOURCES: usize = 64;
@@ -97,6 +103,53 @@ pub const HINT_CHURN_TICKS: u64 = 10;
 /// regime where the mover-driven pipeline (reported movers → grid
 /// re-bucket → CSR patch) does per-tick work proportional to the walkers.
 pub const DWELL_PAUSE_PROB: f64 = 0.99;
+
+/// One `repro` scale command.
+pub struct Tier {
+    /// Its `repro` name.
+    pub name: &'static str,
+    /// Run it — `quick` sizes or the full ones, a root seed, an optional
+    /// node-count override — and render its tables.
+    pub run: fn(bool, u64, Option<&[usize]>) -> String,
+}
+
+/// The scale tiers `repro` dispatches, in usage-line order. None is in
+/// `repro all` (minutes each at full size).
+pub static TIERS: [Tier; 4] = [
+    Tier {
+        name: "scale",
+        run: |quick, seed, nodes| {
+            let p = Params::new(quick, seed, nodes);
+            render(&p, &run(&p))
+        },
+    },
+    Tier {
+        name: "scale-raw",
+        run: |quick, seed, nodes| {
+            let p = RawParams::new(quick, seed, nodes);
+            render_raw(&run_raw(&p))
+        },
+    },
+    Tier {
+        name: "scale-events",
+        run: |quick, seed, nodes| {
+            let p = scale_events::Params::new(quick, seed, nodes);
+            scale_events::render(&p, &scale_events::run(&p))
+        },
+    },
+    Tier {
+        name: "scale-hostile",
+        run: |quick, seed, nodes| {
+            let p = scale_hostile::Params::new(quick, seed, nodes);
+            scale_hostile::render(&p, &scale_hostile::run(&p))
+        },
+    },
+];
+
+/// The scale tier `repro` runs for `name`.
+pub fn find_tier(name: &str) -> Option<&'static Tier> {
+    TIERS.iter().find(|t| t.name == name)
+}
 
 /// Mobility profile of one scale run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -155,17 +208,217 @@ impl MobilityProfile {
     }
 }
 
-/// Parameters of the scale family.
+/// Scenario-5 density (500 nodes / 710 m square, 50 m tx) scaled to `n`.
+pub fn scaled_scenario(n: usize) -> Scenario {
+    let side = 710.0 * (n as f64 / 500.0).sqrt();
+    Scenario::new(n, side, side, 50.0)
+}
+
+/// The protocol configuration of every scale tier: zone radius `radius`
+/// with a modest contact annulus (r = 4R) and NoC = 4, so the cost profile
+/// stays comparable across N (the paper's own r/NoC sweeps live in
+/// Figs 5–9 at paper sizes).
+pub fn protocol_config(radius: u16, seed: u64) -> CardConfig {
+    CardConfig::default()
+        .with_radius(radius)
+        .with_max_contact_distance(4 * radius)
+        .with_target_contacts(4)
+        .with_depth(QUERY_DEPTH)
+        .with_seed(seed)
+}
+
+/// What `substrate` measures, the same way for every tier that runs it.
+/// Wall times in ms, resident-set sizes in bytes (0 off-Linux).
+#[derive(Clone, Debug, Default)]
+pub struct Substrate {
+    /// Wall time of the network build (placement + adjacency + tables).
+    pub build_ms: f64,
+    /// Resident-set size right after the build.
+    pub build_rss_bytes: usize,
+    /// Mobility ticks executed.
+    pub ticks: usize,
+    /// Total wall time of all ticks.
+    pub total_tick_ms: f64,
+    /// Slowest single tick.
+    pub max_tick_ms: f64,
+    /// Movers reported by the mobility model, summed over the ticks.
+    pub movers: u64,
+    /// Grid entries re-bucketed (cell-boundary crossers), summed.
+    pub rebucketed: u64,
+    /// CSR adjacency rows re-queried by the patch, summed.
+    pub patched: u64,
+    /// Adjacency-changed nodes (link churn), summed.
+    pub changed: u64,
+    /// Dirty neighborhoods rebuilt, summed.
+    pub dirty: u64,
+    /// Ticks on which any wholesale fallback ran (grid relayout or full
+    /// adjacency rebuild).
+    pub fallback_ticks: usize,
+    /// Candidate lanes classified by the two-phase f32 distance kernel
+    /// (0 when every tick ran a scalar path).
+    pub kernel_lanes: u64,
+    /// Kernel lanes that needed the exact f64 borderline resolution.
+    pub kernel_exact: u64,
+    /// Resident-set size after the tick loop.
+    pub end_rss_bytes: usize,
+    /// Mean zone size (members incl. owner) after the tick loop.
+    pub mean_zone: f64,
+    /// Total neighborhood-table heap bytes after the tick loop.
+    pub table_bytes: usize,
+    /// Wall time of the from-scratch sharded `select_all_contacts` pass.
+    pub select_ms: f64,
+    /// Total wall time of the [`PROTOCOL_ROUNDS`] validation rounds.
+    pub validate_ms: f64,
+}
+
+impl Substrate {
+    /// `sum` averaged over the ticks.
+    pub fn per_tick(&self, sum: u64) -> f64 {
+        sum as f64 / self.ticks.max(1) as f64
+    }
+
+    /// Mean wall time per tick.
+    pub fn mean_tick_ms(&self) -> f64 {
+        self.total_tick_ms / self.ticks.max(1) as f64
+    }
+}
+
+/// The substrate run of one (scenario, profile) row: build the network,
+/// drive `ticks` mobility ticks of `cfg.mobility_tick`, move the network
+/// into a [`CardWorld`] on `cfg` (route hints on when `hints`), select
+/// every node's contacts and run [`PROTOCOL_ROUNDS`] validation rounds.
+/// Returns the world and the mobility model for the tier's own phases.
+fn substrate(
+    scenario: &Scenario,
+    profile: MobilityProfile,
+    ticks: usize,
+    cfg: CardConfig,
+    hints: bool,
+) -> (CardWorld, Box<dyn MobilityModel>, Substrate) {
+    let t0 = Instant::now();
+    let mut net = Network::from_scenario(scenario, cfg.radius, cfg.seed);
+    let mut s = Substrate {
+        build_ms: ms_since(t0),
+        build_rss_bytes: rss_bytes(),
+        ticks,
+        ..Substrate::default()
+    };
+    let mut model = profile.model(scenario, cfg.seed);
+    for _ in 0..ticks {
+        let t = Instant::now();
+        net.advance(model.as_mut(), cfg.mobility_tick);
+        let ms = ms_since(t);
+        s.total_tick_ms += ms;
+        s.max_tick_ms = s.max_tick_ms.max(ms);
+        let c = net.pipeline_counters();
+        s.movers += c.movers_reported as u64;
+        s.rebucketed += c.grid_rebucketed as u64;
+        s.patched += c.rows_patched as u64;
+        s.changed += c.changed as u64;
+        s.dirty += c.dirty as u64;
+        s.fallback_ticks += c.full_fallback as usize;
+        s.kernel_lanes += c.kernel_lanes;
+        s.kernel_exact += c.kernel_exact;
+    }
+    s.end_rss_bytes = rss_bytes();
+    s.mean_zone = net.tables().mean_size();
+    s.table_bytes = net.tables().approx_heap_bytes();
+
+    let mut world = CardWorld::from_network(net, cfg);
+    if hints {
+        world.set_hints_enabled(true);
+    }
+    let t = Instant::now();
+    world.select_all_contacts();
+    s.select_ms = ms_since(t);
+    let t = Instant::now();
+    for _ in 0..PROTOCOL_ROUNDS {
+        world.validation_round();
+    }
+    s.validate_ms = ms_since(t);
+    (world, model, s)
+}
+
+fn ms_since(t: Instant) -> f64 {
+    t.elapsed().as_secs_f64() * 1e3
+}
+
+/// `count` per second of `ms` wall time.
+fn per_s(count: usize, ms: f64) -> f64 {
+    count as f64 / (ms / 1e3).max(1e-9)
+}
+
+/// Fraction of kernel lanes decided purely in f32 (no exact f64
+/// resolution needed); 1.0 when no lanes ran (vacuously all-fast).
+fn kernel_fast_rate(lanes: u64, exact: u64) -> f64 {
+    if lanes == 0 {
+        1.0
+    } else {
+        1.0 - exact as f64 / lanes as f64
+    }
+}
+
+/// The f32-only share of a substrate run, as a table cell.
+fn f32_only(s: &Substrate) -> String {
+    format!(
+        "{:.2}%",
+        100.0 * kernel_fast_rate(s.kernel_lanes, s.kernel_exact)
+    )
+}
+
+/// A share in `[0, 1]` as a one-decimal percentage cell.
+pub(crate) fn pct(share: f64) -> String {
+    format!("{:.1}%", 100.0 * share)
+}
+
+/// Current resident-set size in bytes, read from `/proc/self/statm`
+/// (second field × page size). Returns 0 where procfs is unavailable
+/// (non-Linux), so callers render "0 B" rather than failing.
+fn rss_bytes() -> usize {
+    std::fs::read_to_string("/proc/self/statm")
+        .ok()
+        .and_then(|s| {
+            s.split_whitespace()
+                .nth(1)
+                .and_then(|f| f.parse::<usize>().ok())
+        })
+        .map_or(0, |pages| pages * 4096)
+}
+
+fn fmt_bytes(b: usize) -> String {
+    if b >= 1 << 30 {
+        format!("{:.2} GiB", b as f64 / (1u64 << 30) as f64)
+    } else if b >= 1 << 20 {
+        format!("{:.1} MiB", b as f64 / (1 << 20) as f64)
+    } else {
+        format!("{:.1} KiB", b as f64 / (1 << 10) as f64)
+    }
+}
+
+/// A one-decimal cell.
+fn fmt1(v: f64) -> String {
+    format!("{v:.1}")
+}
+
+fn fmt_rate(v: f64) -> String {
+    if v >= 1e6 {
+        format!("{:.2}M", v / 1e6)
+    } else if v >= 1e3 {
+        format!("{:.0}k", v / 1e3)
+    } else {
+        format!("{v:.0}")
+    }
+}
+
+// ---------------------------------------------------------------- scale
+
+/// Sizes of `repro scale`.
 #[derive(Clone, Debug)]
 pub struct Params {
     /// Node counts to run (each at scenario-5 density).
     pub nodes: Vec<usize>,
     /// Mobility ticks per run.
     pub ticks: usize,
-    /// Simulated time per tick (the protocol's default refresh period).
-    pub tick: SimDuration,
-    /// Zone radius R.
-    pub radius: u16,
     /// Node-lookup DSQs issued per row in the query phase (random
     /// source/target pairs, swept through `CardWorld::query_all`).
     pub queries: usize,
@@ -173,91 +426,38 @@ pub struct Params {
     pub seed: u64,
 }
 
-impl Default for Params {
-    fn default() -> Self {
-        Params {
-            nodes: vec![10_000, 50_000, 100_000],
-            ticks: 100,
-            tick: SimDuration::from_millis(100),
-            radius: 2,
-            queries: 10_000,
-            seed: crate::DEFAULT_SEED,
-        }
-    }
-}
-
 impl Params {
-    /// Small sizes for CI smoke runs.
-    pub fn quick() -> Self {
+    /// The full sizes, or the CI smoke sizes when `quick`; `nodes`
+    /// replaces the node counts.
+    pub fn new(quick: bool, seed: u64, nodes: Option<&[usize]>) -> Self {
+        let (sizes, ticks, queries) = if quick {
+            (vec![2_000], 20, 2_000)
+        } else {
+            (vec![10_000, 50_000, 100_000], 100, 10_000)
+        };
         Params {
-            nodes: vec![2_000],
-            ticks: 20,
-            queries: 2_000,
-            ..Params::default()
+            nodes: nodes.map_or(sizes, <[usize]>::to_vec),
+            ticks,
+            queries,
+            seed,
         }
     }
 }
 
-/// Scenario-5 density (500 nodes / 710 m square, 50 m tx) scaled to `n`.
-pub fn scaled_scenario(n: usize) -> Scenario {
-    let side = 710.0 * (n as f64 / 500.0).sqrt();
-    Scenario::new(n, side, side, 50.0)
-}
-
-/// Measured outcome of one (N, mobility) run.
+/// Measured outcome of one `repro scale` (N, mobility) run.
 #[derive(Clone, Debug)]
 pub struct ScaleRow {
     /// The scenario run.
     pub scenario: Scenario,
     /// Mobility profile.
     pub mobility: MobilityProfile,
-    /// Mean zone size (members incl. owner).
-    pub mean_zone: f64,
-    /// Total neighborhood-table heap bytes (O(zone · N)).
-    pub table_bytes: usize,
-    /// What the same membership state would cost as per-node N-bit bitsets.
-    pub bitset_equiv_bytes: usize,
-    /// Wall time to build the initial world (placement + adjacency + tables).
-    pub build_ms: f64,
-    /// Mobility ticks executed.
-    pub ticks: usize,
-    /// Total wall time of all ticks.
-    pub total_tick_ms: f64,
-    /// Mean / max wall time per tick.
-    pub mean_tick_ms: f64,
-    /// Slowest single tick.
-    pub max_tick_ms: f64,
-    /// Mean movers reported per tick by the mobility model.
-    pub mean_movers: f64,
-    /// Mean grid entries re-bucketed per tick (cell-boundary crossers).
-    pub mean_rebucketed: f64,
-    /// Mean CSR adjacency rows re-queried per tick by the patch.
-    pub mean_patched: f64,
-    /// Ticks on which any wholesale fallback ran (grid relayout or full
-    /// adjacency rebuild).
-    pub full_fallback_ticks: usize,
-    /// Mean adjacency-changed nodes per tick (link churn).
-    pub mean_changed: f64,
-    /// Mean dirty neighborhoods rebuilt per tick.
-    pub mean_dirty: f64,
-    /// Total candidate lanes classified by the two-phase f32 distance
-    /// kernel across all ticks (0 when every tick ran a scalar path).
-    pub kernel_lanes: u64,
-    /// Kernel lanes that needed the exact f64 borderline resolution.
-    pub kernel_exact: u64,
-    /// Wall time of the from-scratch sharded `select_all_contacts` pass.
-    pub select_ms: f64,
-    /// Contact-selection throughput: nodes swept per second.
-    pub select_nodes_per_s: f64,
-    /// Total contacts standing after selection + validation rounds.
+    /// The substrate run and the first protocol phase.
+    pub sub: Substrate,
+    /// Contacts standing at the end of the row (after the hint phase).
     pub total_contacts: usize,
-    /// Selection messages (CSQ + backtrack + reply) over the whole phase.
+    /// Selection messages (CSQ + backtrack + reply) at the end of the row.
     pub selection_msgs: u64,
-    /// Total wall time of the [`PROTOCOL_ROUNDS`] validation rounds.
-    pub validate_ms: f64,
-    /// Validation throughput: nodes swept per second (all rounds pooled).
-    pub validate_nodes_per_s: f64,
-    /// Maintenance messages (validation + ack) over all rounds.
+    /// Maintenance messages (validation + ack) at the end of the row.
     pub maintenance_msgs: u64,
     /// Node-lookup DSQs issued in the query phase.
     pub query_count: usize,
@@ -270,8 +470,6 @@ pub struct ScaleRow {
     pub query_msgs_per: f64,
     /// Wall time of the sharded `query_all` sweep.
     pub query_ms: f64,
-    /// Query throughput: DSQs per second through the batched sweep.
-    pub queries_per_s: f64,
     /// Anycast hit rate over the uniform resource mix.
     pub res_uniform_hit_rate: f64,
     /// Anycast hit rate over the clustered resource mix.
@@ -319,67 +517,10 @@ pub fn run(p: &Params) -> Vec<ScaleRow> {
     rows
 }
 
-/// The protocol configuration of the full-protocol phase: the scale
-/// family's zone radius with a modest contact annulus and NoC, so the cost
-/// profile stays comparable across N (the paper's own r/NoC sweeps live in
-/// Figs 5–9 at paper sizes).
-pub fn protocol_config(p: &Params) -> CardConfig {
-    CardConfig::default()
-        .with_radius(p.radius)
-        .with_max_contact_distance(4 * p.radius)
-        .with_target_contacts(4)
-        .with_depth(QUERY_DEPTH)
-        .with_seed(p.seed)
-}
-
 fn run_one(scenario: &Scenario, profile: MobilityProfile, p: &Params) -> ScaleRow {
-    let t0 = Instant::now();
-    let mut net = Network::from_scenario(scenario, p.radius, p.seed);
-    let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let mut model = profile.model(scenario, p.seed);
-
-    let mut total_tick_ms = 0.0f64;
-    let mut max_tick_ms = 0.0f64;
-    let mut movers_sum = 0u64;
-    let mut rebucketed_sum = 0u64;
-    let mut patched_sum = 0u64;
-    let mut full_fallback_ticks = 0usize;
-    let mut changed_sum = 0u64;
-    let mut dirty_sum = 0u64;
-    let mut kernel_lanes = 0u64;
-    let mut kernel_exact = 0u64;
-    for _ in 0..p.ticks {
-        let t = Instant::now();
-        net.advance(model.as_mut(), p.tick);
-        let ms = t.elapsed().as_secs_f64() * 1e3;
-        total_tick_ms += ms;
-        max_tick_ms = max_tick_ms.max(ms);
-        let c = net.pipeline_counters();
-        movers_sum += c.movers_reported as u64;
-        rebucketed_sum += c.grid_rebucketed as u64;
-        patched_sum += c.rows_patched as u64;
-        full_fallback_ticks += c.full_fallback as usize;
-        changed_sum += c.changed as u64;
-        dirty_sum += c.dirty as u64;
-        kernel_lanes += c.kernel_lanes;
-        kernel_exact += c.kernel_exact;
-    }
-
+    let cfg = protocol_config(RADIUS, p.seed);
+    let (mut world, mut model, sub) = substrate(scenario, profile, p.ticks, cfg, false);
     let n = scenario.nodes;
-    let (mean_zone, table_bytes) = (net.tables().mean_size(), net.tables().approx_heap_bytes());
-
-    // Full-protocol phase on the post-mobility topology: sharded contact
-    // selection for every node, then PROTOCOL_ROUNDS validation rounds.
-    let mut world = CardWorld::from_network(net, protocol_config(p));
-    let t_sel = Instant::now();
-    world.select_all_contacts();
-    let select_ms = t_sel.elapsed().as_secs_f64() * 1e3;
-    let t_val = Instant::now();
-    for _ in 0..PROTOCOL_ROUNDS {
-        world.validation_round();
-    }
-    let validate_ms = t_val.elapsed().as_secs_f64() * 1e3;
-    let swept = (PROTOCOL_ROUNDS * n) as f64;
 
     // Query workload phase: a batch of random node-lookup DSQs through the
     // sharded sweep, then anycast resource queries over the two §V mixes.
@@ -395,7 +536,7 @@ fn run_one(scenario: &Scenario, profile: MobilityProfile, p: &Params) -> ScaleRo
         .collect();
     let t_query = Instant::now();
     let outcomes = world.query_all(&pairs);
-    let query_ms = t_query.elapsed().as_secs_f64() * 1e3;
+    let query_ms = ms_since(t_query);
     let hits = outcomes.iter().filter(|o| o.found).count();
     let depth_sum: u64 = outcomes
         .iter()
@@ -538,43 +679,19 @@ fn run_one(scenario: &Scenario, profile: MobilityProfile, p: &Params) -> ScaleRo
     world.query_all(&zipf_workload); // cold pass warms the skewed heads
     world.reset_hint_stats();
     let zipf_warm = world.query_all(&zipf_workload);
-    let zipf_warm_msgs_per = msgs_per(&zipf_warm);
-    let zipf_hit_rate = world.hint_stats().hit_rate();
-    let zipf_shard_mem_max = world.shard_memory_bytes().into_iter().max().unwrap_or(0);
-    let zipf_plane_buffer_bytes = world.plane_buffer_bytes();
 
     ScaleRow {
         scenario: *scenario,
         mobility: profile,
-        mean_zone,
-        table_bytes,
-        bitset_equiv_bytes: n * n.div_ceil(8),
-        build_ms,
-        ticks: p.ticks,
-        total_tick_ms,
-        mean_tick_ms: total_tick_ms / p.ticks.max(1) as f64,
-        max_tick_ms,
-        mean_movers: movers_sum as f64 / p.ticks.max(1) as f64,
-        mean_rebucketed: rebucketed_sum as f64 / p.ticks.max(1) as f64,
-        mean_patched: patched_sum as f64 / p.ticks.max(1) as f64,
-        full_fallback_ticks,
-        mean_changed: changed_sum as f64 / p.ticks.max(1) as f64,
-        mean_dirty: dirty_sum as f64 / p.ticks.max(1) as f64,
-        kernel_lanes,
-        kernel_exact,
-        select_ms,
-        select_nodes_per_s: n as f64 / (select_ms / 1e3).max(1e-9),
+        sub,
         total_contacts: world.total_contacts(),
         selection_msgs: world.stats().total_where(MsgKind::is_selection),
-        validate_ms,
-        validate_nodes_per_s: swept / (validate_ms / 1e3).max(1e-9),
         maintenance_msgs: world.stats().total_where(MsgKind::is_maintenance),
         query_count: p.queries,
         query_hit_rate: hits as f64 / p.queries.max(1) as f64,
         query_mean_depth: depth_sum as f64 / hits.max(1) as f64,
         query_msgs_per: query_msg_sum as f64 / p.queries.max(1) as f64,
         query_ms,
-        queries_per_s: p.queries as f64 / (query_ms / 1e3).max(1e-9),
         res_uniform_hit_rate,
         res_clustered_hit_rate,
         hint_pool: pool.len(),
@@ -584,101 +701,151 @@ fn run_one(scenario: &Scenario, profile: MobilityProfile, p: &Params) -> ScaleRo
         hint_hit_rate,
         hint_churn_msgs_per,
         hint_stale_total,
-        zipf_warm_msgs_per,
-        zipf_hit_rate,
-        zipf_shard_mem_max,
-        zipf_plane_buffer_bytes,
+        zipf_warm_msgs_per: msgs_per(&zipf_warm),
+        zipf_hit_rate: world.hint_stats().hit_rate(),
+        zipf_shard_mem_max: world.shard_memory_bytes().into_iter().max().unwrap_or(0),
+        zipf_plane_buffer_bytes: world.plane_buffer_bytes(),
     }
 }
 
-/// Fraction of kernel lanes decided purely in f32 (no exact f64
-/// resolution needed); 1.0 when no lanes ran (vacuously all-fast).
-fn kernel_fast_rate(lanes: u64, exact: u64) -> f64 {
-    if lanes == 0 {
-        1.0
-    } else {
-        1.0 - exact as f64 / lanes as f64
-    }
+const SCALE_SUBSTRATE: &[Column<ScaleRow>] = &[
+    ("N", |r| r.scenario.nodes.to_string()),
+    ("Mobility", |r| r.mobility.label().to_string()),
+    ("Mean zone", |r| fmt1(r.sub.mean_zone)),
+    ("Table mem (O(zone·N))", |r| fmt_bytes(r.sub.table_bytes)),
+    ("Bitset equiv (O(N²))", |r| {
+        fmt_bytes(r.scenario.nodes * r.scenario.nodes.div_ceil(8))
+    }),
+    ("Build (ms)", |r| format!("{:.0}", r.sub.build_ms)),
+    ("Ticks", |r| r.sub.ticks.to_string()),
+    ("Tick mean/max (ms)", |r| {
+        format!("{:.2} / {:.2}", r.sub.mean_tick_ms(), r.sub.max_tick_ms)
+    }),
+    ("Movers/tick", |r| fmt1(r.sub.per_tick(r.sub.movers))),
+    ("Rebucket/tick", |r| fmt1(r.sub.per_tick(r.sub.rebucketed))),
+    ("Patched/tick", |r| fmt1(r.sub.per_tick(r.sub.patched))),
+    ("Changed/tick", |r| fmt1(r.sub.per_tick(r.sub.changed))),
+    ("Dirty/tick", |r| fmt1(r.sub.per_tick(r.sub.dirty))),
+    ("Fallback ticks", |r| r.sub.fallback_ticks.to_string()),
+    ("Kernel lanes/tick", |r| {
+        fmt_rate(r.sub.per_tick(r.sub.kernel_lanes))
+    }),
+    ("f32-only %", |r| f32_only(&r.sub)),
+];
+
+const SCALE_PROTOCOL: &[Column<ScaleRow>] = &[
+    ("N", |r| r.scenario.nodes.to_string()),
+    ("Mobility", |r| r.mobility.label().to_string()),
+    ("Select (ms)", |r| format!("{:.0}", r.sub.select_ms)),
+    ("Select (nodes/s)", |r| {
+        fmt_rate(per_s(r.scenario.nodes, r.sub.select_ms))
+    }),
+    ("Contacts", |r| r.total_contacts.to_string()),
+    ("Selection msgs", |r| r.selection_msgs.to_string()),
+    ("Validate (ms)", |r| format!("{:.0}", r.sub.validate_ms)),
+    ("Validate (nodes/s)", |r| {
+        fmt_rate(per_s(PROTOCOL_ROUNDS * r.scenario.nodes, r.sub.validate_ms))
+    }),
+    ("Maintenance msgs", |r| r.maintenance_msgs.to_string()),
+];
+
+const SCALE_QUERIES: &[Column<ScaleRow>] = &[
+    ("N", |r| r.scenario.nodes.to_string()),
+    ("Mobility", |r| r.mobility.label().to_string()),
+    ("Queries", |r| r.query_count.to_string()),
+    ("Hit %", |r| pct(r.query_hit_rate)),
+    ("Mean depth", |r| format!("{:.2}", r.query_mean_depth)),
+    ("Msgs/query", |r| fmt1(r.query_msgs_per)),
+    ("Query (ms)", |r| format!("{:.0}", r.query_ms)),
+    ("Queries/s", |r| fmt_rate(per_s(r.query_count, r.query_ms))),
+    ("Res uni hit %", |r| pct(r.res_uniform_hit_rate)),
+    ("Res clu hit %", |r| pct(r.res_clustered_hit_rate)),
+];
+
+const SCALE_HINTS: &[Column<ScaleRow>] = &[
+    ("N", |r| r.scenario.nodes.to_string()),
+    ("Mobility", |r| r.mobility.label().to_string()),
+    ("Pool", |r| r.hint_pool.to_string()),
+    ("Base msgs/q", |r| fmt1(r.hint_base_msgs_per)),
+    ("Cold msgs/q", |r| fmt1(r.hint_cold_msgs_per)),
+    ("Warm msgs/q", |r| fmt1(r.hint_warm_msgs_per)),
+    ("Warm Δ%", |r| {
+        let (base, warm) = (r.hint_base_msgs_per, r.hint_warm_msgs_per);
+        let cut = if base > 0.0 {
+            100.0 * (base - warm) / base
+        } else {
+            0.0
+        };
+        format!("{cut:.1}%")
+    }),
+    ("Hit %", |r| pct(r.hint_hit_rate)),
+    ("Churn msgs/q", |r| fmt1(r.hint_churn_msgs_per)),
+    ("Stale", |r| r.hint_stale_total.to_string()),
+    ("Zipf msgs/q", |r| fmt1(r.zipf_warm_msgs_per)),
+    ("Zipf hit %", |r| pct(r.zipf_hit_rate)),
+    ("Shard mem max", |r| fmt_bytes(r.zipf_shard_mem_max)),
+    ("Deposit buffers", |r| fmt_bytes(r.zipf_plane_buffer_bytes)),
+];
+
+/// Render the scale runs as four Markdown tables: the topology substrate,
+/// the full-protocol phase, the query workload and the route-hint cache.
+pub fn render(p: &Params, rows: &[ScaleRow]) -> String {
+    let cfg = protocol_config(RADIUS, p.seed);
+    format!(
+        "### Scale — {}-tick mobility runs at scenario-5 density (R={}, tick={:.0} ms)\n\n{}\n\n\
+         ### Scale — full-protocol phase (sharded sweeps; EM, r={}, NoC={}, {} validation rounds)\n\n{}\n\n\
+         ### Scale — query workload phase (sharded `query_all` DSQs at D={}; resource mixes {}×{} replicas)\n\n{}\n\n\
+         ### Scale — route-hint cache phase (repeat-heavy + Zipf s={} mixes over the resolvable pool; churn burst of {} ticks; memory after the Zipf sweeps)\n\n{}",
+        p.ticks,
+        RADIUS,
+        cfg.mobility_tick.as_secs_f64() * 1e3,
+        table(SCALE_SUBSTRATE, rows),
+        cfg.max_contact_distance,
+        cfg.target_contacts,
+        PROTOCOL_ROUNDS,
+        table(SCALE_PROTOCOL, rows),
+        QUERY_DEPTH,
+        QUERY_RESOURCES,
+        QUERY_REPLICAS,
+        table(SCALE_QUERIES, rows),
+        HINT_ZIPF_EXPONENT,
+        HINT_CHURN_TICKS,
+        table(SCALE_HINTS, rows)
+    )
 }
 
-/// Current resident-set size in bytes, read from `/proc/self/statm`
-/// (second field × page size). Returns 0 where procfs is unavailable
-/// (non-Linux), so callers render "0 B" rather than failing.
-fn rss_bytes() -> usize {
-    std::fs::read_to_string("/proc/self/statm")
-        .ok()
-        .and_then(|s| {
-            s.split_whitespace()
-                .nth(1)
-                .and_then(|f| f.parse::<usize>().ok())
-        })
-        .map_or(0, |pages| pages * 4096)
-}
+// ------------------------------------------------------------ scale-raw
 
-/// Parameters of the raw-speed tier (`repro scale-raw`): the N=10⁶ run.
-/// First the topology substrate alone — placement, kernel build,
-/// mobility + incremental refresh loop — then a **full-protocol** phase on the post-mobility topology: sharded
-/// contact selection for every node, [`PROTOCOL_ROUNDS`] validation
-/// rounds, and a hinted query sweep whose cross-shard hint deposits
-/// travel the explicit message plane. Per-shard memory, throughput and
-/// plane-traffic columns show what shard-resident protocol state costs
-/// and carries at 10⁶ nodes.
+/// Sizes of `repro scale-raw`, the N = 10⁶ tier.
 #[derive(Clone, Debug)]
 pub struct RawParams {
     /// Node counts to run (each at scenario-5 density).
     pub nodes: Vec<usize>,
     /// Mobility ticks per run.
     pub ticks: usize,
-    /// Simulated time per tick.
-    pub tick: SimDuration,
-    /// Zone radius R (kept at 1: the tier stresses scale, not table
-    /// depth — the paper's own r/NoC sweeps live in Figs 5–9).
-    pub radius: u16,
-    /// Queries per sweep of the full-protocol phase (two sweeps run:
-    /// cold — deposits route through the plane — then warm).
+    /// Queries per sweep of the query phase (two sweeps run: cold —
+    /// deposits route through the plane — then warm).
     pub queries: usize,
     /// Root seed.
     pub seed: u64,
 }
 
-impl Default for RawParams {
-    fn default() -> Self {
-        RawParams {
-            nodes: vec![1_000_000],
-            ticks: 20,
-            tick: SimDuration::from_millis(100),
-            radius: 1,
-            queries: 4096,
-            seed: crate::DEFAULT_SEED,
-        }
-    }
-}
-
 impl RawParams {
-    /// Small sizes for CI smoke runs.
-    pub fn quick() -> Self {
+    /// The full sizes, or the CI smoke sizes when `quick`; `nodes`
+    /// replaces the node counts.
+    pub fn new(quick: bool, seed: u64, nodes: Option<&[usize]>) -> Self {
+        let (sizes, ticks, queries) = if quick {
+            (vec![20_000], 5, 1024)
+        } else {
+            (vec![1_000_000], 20, 4096)
+        };
         RawParams {
-            nodes: vec![20_000],
-            ticks: 5,
-            queries: 1024,
-            ..RawParams::default()
+            nodes: nodes.map_or(sizes, <[usize]>::to_vec),
+            ticks,
+            queries,
+            seed,
         }
     }
-}
-
-/// The protocol configuration of the raw tier's full-protocol phase:
-/// shallow annulus and one hint slot per bucket so the per-node state
-/// stays lean at N = 10⁶ (the hint table is the dominant per-node cost;
-/// one slot × [`card_core::hints::HINT_BUCKETS`] buckets ≈ 100 MB total
-/// at a million nodes). The phase runs with hints enabled.
-pub fn raw_protocol_config(p: &RawParams) -> CardConfig {
-    CardConfig::default()
-        .with_radius(p.radius)
-        .with_max_contact_distance(4 * p.radius)
-        .with_target_contacts(4)
-        .with_depth(QUERY_DEPTH)
-        .with_hint_slots_per_bucket(1)
-        .with_seed(p.seed)
 }
 
 /// Measured outcome of one raw-tier (N, mobility) run.
@@ -688,47 +855,16 @@ pub struct RawRow {
     pub scenario: Scenario,
     /// Mobility profile.
     pub mobility: MobilityProfile,
-    /// Wall time of the initial world build (placement + parallel kernel
-    /// adjacency + tables).
-    pub build_ms: f64,
-    /// Resident-set size right after the build (bytes; 0 off-Linux).
-    pub build_rss_bytes: usize,
-    /// Resident-set size after the tick loop (bytes; 0 off-Linux).
-    pub end_rss_bytes: usize,
-    /// Mobility ticks executed.
-    pub ticks: usize,
-    /// Mean / max wall time per tick (ms).
-    pub mean_tick_ms: f64,
-    /// Slowest single tick (ms).
-    pub max_tick_ms: f64,
-    /// Mobility+refresh throughput: node-ticks per second over the loop.
-    pub node_ticks_per_s: f64,
-    /// Mean movers reported per tick.
-    pub mean_movers: f64,
-    /// Ticks on which any wholesale fallback ran.
-    pub full_fallback_ticks: usize,
-    /// Total candidate lanes classified by the f32 kernel.
-    pub kernel_lanes: u64,
-    /// Kernel lanes resolved by the exact f64 borderline test.
-    pub kernel_exact: u64,
-    /// Total neighborhood-table heap bytes.
-    pub table_bytes: usize,
-    // --- full-protocol phase ---
-    /// Wall time of the sharded from-scratch contact selection (ms).
-    pub select_ms: f64,
-    /// Wall time of the [`PROTOCOL_ROUNDS`] validation rounds (ms).
-    pub validate_ms: f64,
-    /// Node sweeps per second across selection + validation
-    /// ((1 + PROTOCOL_ROUNDS) · N over their combined wall time).
-    pub protocol_nodes_per_s: f64,
+    /// The substrate run and the first protocol phase.
+    pub sub: Substrate,
     /// Contacts held after selection + validation.
     pub total_contacts: usize,
     /// Queries per sweep of the query phase.
     pub queries: usize,
     /// Hit rate of the warm (second) sweep.
     pub query_hit_rate: f64,
-    /// Queries per second over both sweeps (cold + warm).
-    pub queries_per_s: f64,
+    /// Wall time of both sweeps (cold + warm), ms.
+    pub query_ms: f64,
     /// Protocol shards the world ran with.
     pub shard_count: usize,
     /// Smallest per-shard resident protocol state (contact tables + RNG
@@ -747,7 +883,7 @@ pub struct RawRow {
     /// Validation-traffic span-boundary crossings metered (not
     /// materialized) into the plane's stats.
     pub plane_span_crossings: u64,
-    /// Resident-set size after the full-protocol phase (bytes).
+    /// Resident-set size after the query phase (bytes).
     pub protocol_rss_bytes: usize,
 }
 
@@ -768,50 +904,12 @@ pub fn run_raw(p: &RawParams) -> Vec<RawRow> {
 }
 
 fn run_one_raw(scenario: &Scenario, profile: MobilityProfile, p: &RawParams) -> RawRow {
-    let t0 = Instant::now();
-    let mut net = Network::from_scenario(scenario, p.radius, p.seed);
-    let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let build_rss_bytes = rss_bytes();
-    let mut model = profile.model(scenario, p.seed);
-
-    let mut total_tick_ms = 0.0f64;
-    let mut max_tick_ms = 0.0f64;
-    let mut movers_sum = 0u64;
-    let mut full_fallback_ticks = 0usize;
-    let mut kernel_lanes = 0u64;
-    let mut kernel_exact = 0u64;
-    for _ in 0..p.ticks {
-        let t = Instant::now();
-        net.advance(model.as_mut(), p.tick);
-        let ms = t.elapsed().as_secs_f64() * 1e3;
-        total_tick_ms += ms;
-        max_tick_ms = max_tick_ms.max(ms);
-        let c = net.pipeline_counters();
-        movers_sum += c.movers_reported as u64;
-        full_fallback_ticks += c.full_fallback as usize;
-        kernel_lanes += c.kernel_lanes;
-        kernel_exact += c.kernel_exact;
-    }
+    // Hints on, one slot per bucket so the per-node state stays lean at
+    // N = 10⁶ (the hint table is the dominant per-node cost; one slot ×
+    // `card_core::hints::HINT_BUCKETS` buckets ≈ 100 MB at a million nodes).
+    let cfg = protocol_config(RAW_RADIUS, p.seed).with_hint_slots_per_bucket(1);
+    let (mut world, _, sub) = substrate(scenario, profile, p.ticks, cfg, true);
     let n = scenario.nodes;
-    let end_rss_bytes = rss_bytes();
-    let table_bytes = net.tables().approx_heap_bytes();
-
-    // Full-protocol phase: the network moves into a sharded CardWorld
-    // (per-node protocol state becomes shard-resident; cross-shard hint
-    // deposits route through the explicit message plane). One
-    // from-scratch selection pass, PROTOCOL_ROUNDS validation rounds,
-    // then a hinted query sweep run twice over the same pairs — the cold
-    // sweep's plane-routed deposits make the warm sweep's hits.
-    let mut world = CardWorld::from_network(net, raw_protocol_config(p));
-    world.set_hints_enabled(true);
-    let t_sel = Instant::now();
-    world.select_all_contacts();
-    let select_ms = t_sel.elapsed().as_secs_f64() * 1e3;
-    let t_val = Instant::now();
-    for _ in 0..PROTOCOL_ROUNDS {
-        world.validation_round();
-    }
-    let validate_ms = t_val.elapsed().as_secs_f64() * 1e3;
 
     // Targets are aimed through the contact graph: two random contact
     // hops from the source, then a random member of the landing node's
@@ -819,8 +917,7 @@ fn run_one_raw(scenario: &Scenario, profile: MobilityProfile, p: &RawParams) -> 
     // at N = 10⁶ essentially never resolve at this density, which would
     // leave the hint deposits (and so the plane columns) vacuously near
     // zero.
-    let splitter = SeedSplitter::new(p.seed);
-    let mut pair_rng = splitter.stream("scale-raw-query-pairs", 0);
+    let mut pair_rng = SeedSplitter::new(p.seed).stream("scale-raw-query-pairs", 0);
     let pairs: Vec<(NodeId, NodeId)> = {
         let nbhd = world.network().tables();
         (0..p.queries)
@@ -848,7 +945,7 @@ fn run_one_raw(scenario: &Scenario, profile: MobilityProfile, p: &RawParams) -> 
     let t_query = Instant::now();
     world.query_all_into(&pairs, &mut outcomes); // cold: deposits route
     world.query_all_into(&pairs, &mut outcomes); // warm: hints pay out
-    let query_ms = t_query.elapsed().as_secs_f64() * 1e3;
+    let query_ms = ms_since(t_query);
     let hits = outcomes.iter().filter(|o| o.found).count();
 
     let shard_mem = world.shard_memory_bytes();
@@ -856,26 +953,11 @@ fn run_one_raw(scenario: &Scenario, profile: MobilityProfile, p: &RawParams) -> 
     RawRow {
         scenario: *scenario,
         mobility: profile,
-        build_ms,
-        build_rss_bytes,
-        end_rss_bytes,
-        ticks: p.ticks,
-        mean_tick_ms: total_tick_ms / p.ticks.max(1) as f64,
-        max_tick_ms,
-        node_ticks_per_s: (n * p.ticks) as f64 / (total_tick_ms / 1e3).max(1e-9),
-        mean_movers: movers_sum as f64 / p.ticks.max(1) as f64,
-        full_fallback_ticks,
-        kernel_lanes,
-        kernel_exact,
-        table_bytes,
-        select_ms,
-        validate_ms,
-        protocol_nodes_per_s: ((1 + PROTOCOL_ROUNDS) * n) as f64
-            / ((select_ms + validate_ms) / 1e3).max(1e-9),
+        sub,
         total_contacts: world.total_contacts(),
         queries: p.queries,
         query_hit_rate: hits as f64 / p.queries.max(1) as f64,
-        queries_per_s: (2 * p.queries) as f64 / (query_ms / 1e3).max(1e-9),
+        query_ms,
         shard_count: world.shard_count(),
         shard_mem_min: shard_mem.iter().copied().min().unwrap_or(0),
         shard_mem_mean: shard_mem.iter().sum::<usize>() / shard_mem.len().max(1),
@@ -888,308 +970,91 @@ fn run_one_raw(scenario: &Scenario, profile: MobilityProfile, p: &RawParams) -> 
     }
 }
 
+const RAW_SUBSTRATE: &[Column<RawRow>] = &[
+    ("N", |r| r.scenario.nodes.to_string()),
+    ("Mobility", |r| r.mobility.label().to_string()),
+    ("Build (ms)", |r| format!("{:.0}", r.sub.build_ms)),
+    ("RSS build", |r| fmt_bytes(r.sub.build_rss_bytes)),
+    ("RSS end", |r| fmt_bytes(r.sub.end_rss_bytes)),
+    ("Table mem", |r| fmt_bytes(r.sub.table_bytes)),
+    ("Ticks", |r| r.sub.ticks.to_string()),
+    ("Tick mean/max (ms)", |r| {
+        format!("{:.2} / {:.2}", r.sub.mean_tick_ms(), r.sub.max_tick_ms)
+    }),
+    ("Node-ticks/s", |r| {
+        fmt_rate(per_s(r.scenario.nodes * r.sub.ticks, r.sub.total_tick_ms))
+    }),
+    ("Movers/tick", |r| fmt1(r.sub.per_tick(r.sub.movers))),
+    ("Fallback ticks", |r| r.sub.fallback_ticks.to_string()),
+    ("Kernel lanes", |r| fmt_rate(r.sub.kernel_lanes as f64)),
+    ("Exact checks", |r| fmt_rate(r.sub.kernel_exact as f64)),
+    ("f32-only %", |r| f32_only(&r.sub)),
+];
+
+const RAW_PROTOCOL: &[Column<RawRow>] = &[
+    ("N", |r| r.scenario.nodes.to_string()),
+    ("Mobility", |r| r.mobility.label().to_string()),
+    ("Select (ms)", |r| format!("{:.0}", r.sub.select_ms)),
+    ("Validate (ms)", |r| format!("{:.0}", r.sub.validate_ms)),
+    ("Node-sweeps/s", |r| {
+        let nodes = (1 + PROTOCOL_ROUNDS) * r.scenario.nodes;
+        fmt_rate(per_s(nodes, r.sub.select_ms + r.sub.validate_ms))
+    }),
+    ("Contacts", |r| fmt_rate(r.total_contacts as f64)),
+    ("Queries ×2", |r| r.queries.to_string()),
+    ("Warm hit %", |r| pct(r.query_hit_rate)),
+    ("Queries/s", |r| fmt_rate(per_s(2 * r.queries, r.query_ms))),
+    ("Shards", |r| r.shard_count.to_string()),
+    ("Shard mem min/mean/max", |r| {
+        format!(
+            "{} / {} / {}",
+            fmt_bytes(r.shard_mem_min),
+            fmt_bytes(r.shard_mem_mean),
+            fmt_bytes(r.shard_mem_max)
+        )
+    }),
+    ("Plane sent", |r| fmt_rate(r.plane_sent as f64)),
+    ("Cross-shard", |r| fmt_rate(r.plane_cross as f64)),
+    ("Local", |r| fmt_rate(r.plane_local as f64)),
+    ("Span crossings", |r| {
+        fmt_rate(r.plane_span_crossings as f64)
+    }),
+    ("RSS protocol", |r| fmt_bytes(r.protocol_rss_bytes)),
+];
+
 /// Render the raw tier as two Markdown tables: the topology-substrate
-/// speed columns, then the
-/// full-protocol columns — per-shard memory, protocol/query throughput
-/// and cross-shard plane traffic.
-pub fn render_raw(p: &RawParams, rows: &[RawRow]) -> String {
-    let headers = [
-        "N",
-        "Mobility",
-        "Build (ms)",
-        "RSS build",
-        "RSS end",
-        "Table mem",
-        "Ticks",
-        "Tick mean/max (ms)",
-        "Node-ticks/s",
-        "Movers/tick",
-        "Fallback ticks",
-        "Kernel lanes",
-        "Exact checks",
-        "f32-only %",
-    ];
-    let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.scenario.nodes.to_string(),
-                r.mobility.label().to_string(),
-                format!("{:.0}", r.build_ms),
-                fmt_bytes(r.build_rss_bytes),
-                fmt_bytes(r.end_rss_bytes),
-                fmt_bytes(r.table_bytes),
-                r.ticks.to_string(),
-                format!("{:.2} / {:.2}", r.mean_tick_ms, r.max_tick_ms),
-                fmt_rate(r.node_ticks_per_s),
-                format!("{:.1}", r.mean_movers),
-                r.full_fallback_ticks.to_string(),
-                fmt_rate(r.kernel_lanes as f64),
-                fmt_rate(r.kernel_exact as f64),
-                format!(
-                    "{:.2}%",
-                    100.0 * kernel_fast_rate(r.kernel_lanes, r.kernel_exact)
-                ),
-            ]
-        })
-        .collect();
-    let proto_headers = [
-        "N",
-        "Mobility",
-        "Select (ms)",
-        "Validate (ms)",
-        "Node-sweeps/s",
-        "Contacts",
-        "Queries ×2",
-        "Warm hit %",
-        "Queries/s",
-        "Shards",
-        "Shard mem min/mean/max",
-        "Plane sent",
-        "Cross-shard",
-        "Local",
-        "Span crossings",
-        "RSS protocol",
-    ];
-    let proto_body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.scenario.nodes.to_string(),
-                r.mobility.label().to_string(),
-                format!("{:.0}", r.select_ms),
-                format!("{:.0}", r.validate_ms),
-                fmt_rate(r.protocol_nodes_per_s),
-                fmt_rate(r.total_contacts as f64),
-                r.queries.to_string(),
-                format!("{:.1}%", 100.0 * r.query_hit_rate),
-                fmt_rate(r.queries_per_s),
-                r.shard_count.to_string(),
-                format!(
-                    "{} / {} / {}",
-                    fmt_bytes(r.shard_mem_min),
-                    fmt_bytes(r.shard_mem_mean),
-                    fmt_bytes(r.shard_mem_max)
-                ),
-                fmt_rate(r.plane_sent as f64),
-                fmt_rate(r.plane_cross as f64),
-                fmt_rate(r.plane_local as f64),
-                fmt_rate(r.plane_span_crossings as f64),
-                fmt_bytes(r.protocol_rss_bytes),
-            ]
-        })
-        .collect();
+/// speed columns, then the full-protocol columns — per-shard memory,
+/// protocol/query throughput and cross-shard plane traffic.
+pub fn render_raw(rows: &[RawRow]) -> String {
     format!(
         "### Scale raw — topology-substrate speed runs at scenario-5 density (R={}, tick={:.0} ms)\n\n{}\n\n\
          ### Scale raw — full protocol on shard-resident state (selection + {} validation rounds + hinted cold/warm query sweeps through the message plane)\n\n{}",
-        p.radius,
-        p.tick.as_secs_f64() * 1e3,
-        markdown_table(&headers, &body),
+        RAW_RADIUS,
+        CardConfig::default().mobility_tick.as_secs_f64() * 1e3,
+        table(RAW_SUBSTRATE, rows),
         PROTOCOL_ROUNDS,
-        markdown_table(&proto_headers, &proto_body)
-    )
-}
-
-fn fmt_bytes(b: usize) -> String {
-    if b >= 1 << 30 {
-        format!("{:.2} GiB", b as f64 / (1u64 << 30) as f64)
-    } else if b >= 1 << 20 {
-        format!("{:.1} MiB", b as f64 / (1 << 20) as f64)
-    } else {
-        format!("{:.1} KiB", b as f64 / (1 << 10) as f64)
-    }
-}
-
-fn fmt_rate(v: f64) -> String {
-    if v >= 1e6 {
-        format!("{:.2}M", v / 1e6)
-    } else if v >= 1e3 {
-        format!("{:.0}k", v / 1e3)
-    } else {
-        format!("{v:.0}")
-    }
-}
-
-/// Render the scale runs as two Markdown tables: the topology substrate
-/// columns, then the full-protocol throughput columns.
-pub fn render(p: &Params, rows: &[ScaleRow]) -> String {
-    let headers = [
-        "N",
-        "Mobility",
-        "Mean zone",
-        "Table mem (O(zone·N))",
-        "Bitset equiv (O(N²))",
-        "Build (ms)",
-        "Ticks",
-        "Tick mean/max (ms)",
-        "Movers/tick",
-        "Rebucket/tick",
-        "Patched/tick",
-        "Changed/tick",
-        "Dirty/tick",
-        "Fallback ticks",
-        "Kernel lanes/tick",
-        "f32-only %",
-    ];
-    let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.scenario.nodes.to_string(),
-                r.mobility.label().to_string(),
-                format!("{:.1}", r.mean_zone),
-                fmt_bytes(r.table_bytes),
-                fmt_bytes(r.bitset_equiv_bytes),
-                format!("{:.0}", r.build_ms),
-                r.ticks.to_string(),
-                format!("{:.2} / {:.2}", r.mean_tick_ms, r.max_tick_ms),
-                format!("{:.1}", r.mean_movers),
-                format!("{:.1}", r.mean_rebucketed),
-                format!("{:.1}", r.mean_patched),
-                format!("{:.1}", r.mean_changed),
-                format!("{:.1}", r.mean_dirty),
-                r.full_fallback_ticks.to_string(),
-                fmt_rate(r.kernel_lanes as f64 / r.ticks.max(1) as f64),
-                format!(
-                    "{:.2}%",
-                    100.0 * kernel_fast_rate(r.kernel_lanes, r.kernel_exact)
-                ),
-            ]
-        })
-        .collect();
-    let cfg = protocol_config(p);
-    let proto_headers = [
-        "N",
-        "Mobility",
-        "Select (ms)",
-        "Select (nodes/s)",
-        "Contacts",
-        "Selection msgs",
-        "Validate (ms)",
-        "Validate (nodes/s)",
-        "Maintenance msgs",
-    ];
-    let proto_body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.scenario.nodes.to_string(),
-                r.mobility.label().to_string(),
-                format!("{:.0}", r.select_ms),
-                fmt_rate(r.select_nodes_per_s),
-                r.total_contacts.to_string(),
-                r.selection_msgs.to_string(),
-                format!("{:.0}", r.validate_ms),
-                fmt_rate(r.validate_nodes_per_s),
-                r.maintenance_msgs.to_string(),
-            ]
-        })
-        .collect();
-    let query_headers = [
-        "N",
-        "Mobility",
-        "Queries",
-        "Hit %",
-        "Mean depth",
-        "Msgs/query",
-        "Query (ms)",
-        "Queries/s",
-        "Res uni hit %",
-        "Res clu hit %",
-    ];
-    let query_body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.scenario.nodes.to_string(),
-                r.mobility.label().to_string(),
-                r.query_count.to_string(),
-                format!("{:.1}%", 100.0 * r.query_hit_rate),
-                format!("{:.2}", r.query_mean_depth),
-                format!("{:.1}", r.query_msgs_per),
-                format!("{:.0}", r.query_ms),
-                fmt_rate(r.queries_per_s),
-                format!("{:.1}%", 100.0 * r.res_uniform_hit_rate),
-                format!("{:.1}%", 100.0 * r.res_clustered_hit_rate),
-            ]
-        })
-        .collect();
-    let hint_headers = [
-        "N",
-        "Mobility",
-        "Pool",
-        "Base msgs/q",
-        "Cold msgs/q",
-        "Warm msgs/q",
-        "Warm Δ%",
-        "Hit %",
-        "Churn msgs/q",
-        "Stale",
-        "Zipf msgs/q",
-        "Zipf hit %",
-        "Shard mem max",
-        "Deposit buffers",
-    ];
-    let hint_body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            let cut = if r.hint_base_msgs_per > 0.0 {
-                100.0 * (r.hint_base_msgs_per - r.hint_warm_msgs_per) / r.hint_base_msgs_per
-            } else {
-                0.0
-            };
-            vec![
-                r.scenario.nodes.to_string(),
-                r.mobility.label().to_string(),
-                r.hint_pool.to_string(),
-                format!("{:.1}", r.hint_base_msgs_per),
-                format!("{:.1}", r.hint_cold_msgs_per),
-                format!("{:.1}", r.hint_warm_msgs_per),
-                format!("{cut:.1}%"),
-                format!("{:.1}%", 100.0 * r.hint_hit_rate),
-                format!("{:.1}", r.hint_churn_msgs_per),
-                r.hint_stale_total.to_string(),
-                format!("{:.1}", r.zipf_warm_msgs_per),
-                format!("{:.1}%", 100.0 * r.zipf_hit_rate),
-                fmt_bytes(r.zipf_shard_mem_max),
-                fmt_bytes(r.zipf_plane_buffer_bytes),
-            ]
-        })
-        .collect();
-    format!(
-        "### Scale — {}-tick mobility runs at scenario-5 density (R={}, tick={:.0} ms)\n\n{}\n\n\
-         ### Scale — full-protocol phase (sharded sweeps; EM, r={}, NoC={}, {} validation rounds)\n\n{}\n\n\
-         ### Scale — query workload phase (sharded `query_all` DSQs at D={}; resource mixes {}×{} replicas)\n\n{}\n\n\
-         ### Scale — route-hint cache phase (repeat-heavy + Zipf s={} mixes over the resolvable pool; churn burst of {} ticks; memory after the Zipf sweeps)\n\n{}",
-        p.ticks,
-        p.radius,
-        p.tick.as_secs_f64() * 1e3,
-        markdown_table(&headers, &body),
-        cfg.max_contact_distance,
-        cfg.target_contacts,
-        PROTOCOL_ROUNDS,
-        markdown_table(&proto_headers, &proto_body),
-        QUERY_DEPTH,
-        QUERY_RESOURCES,
-        QUERY_REPLICAS,
-        markdown_table(&query_headers, &query_body),
-        HINT_ZIPF_EXPONENT,
-        HINT_CHURN_TICKS,
-        markdown_table(&hint_headers, &hint_body)
+        table(RAW_PROTOCOL, rows)
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
 
     fn tiny() -> Params {
         Params {
             nodes: vec![500],
             ticks: 5,
             queries: 300,
-            ..Params::default()
+            seed: crate::DEFAULT_SEED,
         }
+    }
+
+    /// `run(&tiny())`, computed once for every test that reads it.
+    fn tiny_rows() -> &'static [ScaleRow] {
+        static ROWS: OnceLock<Vec<ScaleRow>> = OnceLock::new();
+        ROWS.get_or_init(|| run(&tiny()))
     }
 
     #[test]
@@ -1207,26 +1072,27 @@ mod tests {
 
     #[test]
     fn runs_every_mobility_profile_per_n() {
-        let rows = run(&tiny());
+        let rows = tiny_rows();
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].mobility, MobilityProfile::Pedestrian);
         assert_eq!(rows[1].mobility, MobilityProfile::PedestrianDwell);
         assert_eq!(rows[2].mobility, MobilityProfile::Vehicular);
-        for r in &rows {
-            assert_eq!(r.ticks, 5);
-            assert!(r.mean_zone >= 1.0, "zones include at least the owner");
-            assert!(r.total_tick_ms >= 0.0);
+        for r in rows {
+            assert_eq!(r.sub.ticks, 5);
+            assert!(r.sub.mean_zone >= 1.0, "zones include at least the owner");
+            assert!(r.sub.total_tick_ms >= 0.0);
         }
     }
 
     #[test]
     fn vehicular_churns_more_than_pedestrian() {
-        let rows = run(&tiny());
+        let rows = tiny_rows();
+        let (ped, veh) = (&rows[0].sub, &rows[2].sub);
         assert!(
-            rows[2].mean_changed >= rows[0].mean_changed,
+            veh.changed >= ped.changed,
             "30 m/s should flip at least as many links per tick as 2 m/s (ped {}, veh {})",
-            rows[0].mean_changed,
-            rows[2].mean_changed
+            ped.per_tick(ped.changed),
+            veh.per_tick(veh.changed)
         );
     }
 
@@ -1234,37 +1100,29 @@ mod tests {
     fn table_memory_is_zone_local_not_quadratic() {
         // Large enough that an N-bit-per-node bitset would dominate the
         // zone tables (the crossover is a few thousand nodes at this
-        // density); 0 ticks — this test is about the build, not mobility.
-        let p = Params {
-            nodes: vec![10_000],
-            ticks: 0,
-            ..Params::default()
-        };
-        let rows = run(&p);
-        for r in &rows {
-            // the zone-local tables must come in far under the dense-bitset
-            // footprint they replaced
-            assert!(
-                r.table_bytes < r.bitset_equiv_bytes / 2,
-                "tables {} B not well below bitset regime {} B",
-                r.table_bytes,
-                r.bitset_equiv_bytes
-            );
-            // and per-node cost must look like O(zone): a generous constant
-            // times zone size, not anything resembling N bits
-            let per_node = r.table_bytes as f64 / r.scenario.nodes as f64;
-            assert!(
-                per_node < 64.0 * r.mean_zone + 256.0,
-                "per-node table memory {per_node:.0} B is not O(zone)"
-            );
-        }
+        // density); only the build, since this test is about the tables.
+        let n = 10_000;
+        let net = Network::from_scenario(&scaled_scenario(n), RADIUS, crate::DEFAULT_SEED);
+        let (table_bytes, mean_zone) = (net.tables().approx_heap_bytes(), net.tables().mean_size());
+        let bitset_equiv_bytes = n * n.div_ceil(8);
+        // the zone-local tables must come in far under the dense-bitset
+        // footprint they replaced
+        assert!(
+            table_bytes < bitset_equiv_bytes / 2,
+            "tables {table_bytes} B not well below bitset regime {bitset_equiv_bytes} B"
+        );
+        // and per-node cost must look like O(zone): a generous constant
+        // times zone size, not anything resembling N bits
+        let per_node = table_bytes as f64 / n as f64;
+        assert!(
+            per_node < 64.0 * mean_zone + 256.0,
+            "per-node table memory {per_node:.0} B is not O(zone)"
+        );
     }
 
     #[test]
     fn render_mentions_every_row() {
-        let p = tiny();
-        let rows = run(&p);
-        let text = render(&p, &rows);
+        let text = render(&tiny(), tiny_rows());
         assert!(text.contains("pedestrian"));
         assert!(text.contains("vehicular"));
         assert!(text.contains("500"));
@@ -1286,8 +1144,7 @@ mod tests {
 
     #[test]
     fn hint_phase_cuts_warm_traffic_on_repeat_mixes() {
-        let rows = run(&tiny());
-        for r in &rows {
+        for r in tiny_rows() {
             assert!(r.hint_pool > 0, "{:?} built no pool", r.mobility);
             assert!(
                 (0.0..=1.0).contains(&r.hint_hit_rate) && (0.0..=1.0).contains(&r.zipf_hit_rate)
@@ -1315,10 +1172,13 @@ mod tests {
 
     #[test]
     fn query_phase_produces_sane_throughput_columns() {
-        let rows = run(&tiny());
-        for r in &rows {
+        for r in tiny_rows() {
             assert_eq!(r.query_count, 300);
-            assert!(r.queries_per_s > 0.0, "{:?} query throughput", r.mobility);
+            assert!(
+                per_s(r.query_count, r.query_ms) > 0.0,
+                "{:?} query throughput",
+                r.mobility
+            );
             assert!((0.0..=1.0).contains(&r.query_hit_rate));
             assert!((0.0..=1.0).contains(&r.res_uniform_hit_rate));
             assert!((0.0..=1.0).contains(&r.res_clustered_hit_rate));
@@ -1341,59 +1201,59 @@ mod tests {
 
     #[test]
     fn pipeline_counters_are_collected_per_tick() {
-        let rows = run(&tiny());
-        for r in &rows {
-            assert!(r.mean_movers > 0.0, "{:?} reported no movers", r.mobility);
-            assert!(r.mean_patched > 0.0 || r.full_fallback_ticks == r.ticks);
-            assert!(r.full_fallback_ticks <= r.ticks);
-            assert!(r.mean_rebucketed <= r.scenario.nodes as f64);
+        let rows = tiny_rows();
+        for r in rows {
+            let s = &r.sub;
+            assert!(s.movers > 0, "{:?} reported no movers", r.mobility);
+            assert!(s.patched > 0 || s.fallback_ticks == s.ticks);
+            assert!(s.fallback_ticks <= s.ticks);
+            assert!(s.per_tick(s.rebucketed) <= r.scenario.nodes as f64);
         }
         let n = rows[0].scenario.nodes as f64;
         // continuous profiles move everyone: every tick falls back
         for r in [&rows[0], &rows[2]] {
             assert_eq!(
-                r.full_fallback_ticks, r.ticks,
+                r.sub.fallback_ticks, r.sub.ticks,
                 "{:?} moves all nodes — every tick must take the wholesale path",
                 r.mobility
             );
-            assert!(r.mean_movers >= n - 0.5);
+            assert!(r.sub.per_tick(r.sub.movers) >= n - 0.5);
         }
         // the dwell profile is the few-movers regime: the pipeline must
         // stay on the patch path and touch far fewer rows than N
-        let dwell = &rows[1];
+        let dwell = &rows[1].sub;
         assert_eq!(
-            dwell.full_fallback_ticks, 0,
+            dwell.fallback_ticks, 0,
             "~1% walkers must never trip the churn fallback"
         );
+        let movers = dwell.per_tick(dwell.movers);
         assert!(
-            dwell.mean_movers < n / 8.0,
-            "dwell movers/tick ({:.1}) should be a small fraction of N",
-            dwell.mean_movers
+            movers < n / 8.0,
+            "dwell movers/tick ({movers:.1}) should be a small fraction of N"
+        );
+        let patched = dwell.per_tick(dwell.patched);
+        assert!(
+            patched < 0.6 * n,
+            "dwell patched rows/tick ({patched:.1}) should sit well under N={n}"
         );
         assert!(
-            dwell.mean_patched < 0.6 * n,
-            "dwell patched rows/tick ({:.1}) should sit well under N={n}",
-            dwell.mean_patched
-        );
-        assert!(
-            dwell.mean_rebucketed <= dwell.mean_movers,
+            dwell.rebucketed <= dwell.movers,
             "only reported movers can be re-bucketed on patch ticks"
         );
     }
 
     #[test]
     fn kernel_counters_reflect_refresh_paths() {
-        let rows = run(&tiny());
         // pedestrian/vehicular ticks fall back to the report-free kernel
         // rebuild; the dwell profile patches through the kernel — either
         // way lanes must flow, and exact checks can never exceed them
-        for r in &rows {
+        for r in tiny_rows() {
             assert!(
-                r.kernel_lanes > 0,
+                r.sub.kernel_lanes > 0,
                 "{:?}: kernel lanes must be counted",
                 r.mobility
             );
-            assert!(r.kernel_exact <= r.kernel_lanes);
+            assert!(r.sub.kernel_exact <= r.sub.kernel_lanes);
         }
     }
 
@@ -1402,27 +1262,29 @@ mod tests {
         let p = RawParams {
             nodes: vec![500],
             ticks: 3,
-            ..RawParams::default()
+            queries: 4096,
+            seed: crate::DEFAULT_SEED,
         };
         let rows = run_raw(&p);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].mobility, MobilityProfile::Pedestrian);
         assert_eq!(rows[1].mobility, MobilityProfile::PedestrianDwell);
         for r in &rows {
-            assert_eq!(r.ticks, 3);
-            assert!(r.node_ticks_per_s > 0.0);
-            assert!(r.kernel_lanes > 0, "{:?} classified no lanes", r.mobility);
-            assert!(r.kernel_exact <= r.kernel_lanes);
-            assert!(r.mean_movers > 0.0);
+            let s = &r.sub;
+            assert_eq!(s.ticks, 3);
+            assert!(per_s(r.scenario.nodes * s.ticks, s.total_tick_ms) > 0.0);
+            assert!(s.kernel_lanes > 0, "{:?} classified no lanes", r.mobility);
+            assert!(s.kernel_exact <= s.kernel_lanes);
+            assert!(s.movers > 0);
             // Linux (the only supported bench platform) must report RSS
             #[cfg(target_os = "linux")]
-            assert!(r.build_rss_bytes > 0 && r.end_rss_bytes > 0);
+            assert!(s.build_rss_bytes > 0 && s.end_rss_bytes > 0);
 
             // Full-protocol phase: shard-resident state + plane traffic
             // must be populated on a 500-node world.
             assert!(r.total_contacts > 0, "{:?} found no contacts", r.mobility);
-            assert!(r.protocol_nodes_per_s > 0.0);
-            assert!(r.queries_per_s > 0.0);
+            assert!(per_s(r.scenario.nodes, s.select_ms + s.validate_ms) > 0.0);
+            assert!(per_s(2 * r.queries, r.query_ms) > 0.0);
             assert!((0.0..=1.0).contains(&r.query_hit_rate));
             assert!(r.shard_count >= 1);
             assert!(r.shard_mem_min > 0, "every shard owns resident state");
@@ -1438,7 +1300,7 @@ mod tests {
                 "validation traffic must meter span crossings"
             );
         }
-        let text = render_raw(&p, &rows);
+        let text = render_raw(&rows);
         assert!(text.contains("Node-ticks/s"));
         assert!(text.contains("RSS build"));
         assert!(text.contains("f32-only %"));
@@ -1456,7 +1318,7 @@ mod tests {
             nodes: vec![400],
             ticks: 2,
             queries: 128,
-            ..RawParams::default()
+            seed: crate::DEFAULT_SEED,
         };
         let a = run_raw(&p);
         let b = run_raw(&p);
@@ -1480,8 +1342,7 @@ mod tests {
 
     #[test]
     fn protocol_phase_selects_contacts_and_counts_messages() {
-        let rows = run(&tiny());
-        for r in &rows {
+        for r in tiny_rows() {
             assert!(
                 r.total_contacts > 0,
                 "a 500-node world must yield contacts ({:?})",
@@ -1489,8 +1350,8 @@ mod tests {
             );
             assert!(r.selection_msgs > 0);
             assert!(r.maintenance_msgs > 0, "validation rounds must poll paths");
-            assert!(r.select_nodes_per_s > 0.0);
-            assert!(r.validate_nodes_per_s > 0.0);
+            assert!(per_s(r.scenario.nodes, r.sub.select_ms) > 0.0);
+            assert!(per_s(r.scenario.nodes, r.sub.validate_ms) > 0.0);
         }
     }
 
@@ -1498,9 +1359,7 @@ mod tests {
     fn protocol_phase_is_seed_deterministic() {
         // The sharded sweeps must land identical protocol outcomes on
         // repeat runs (worker scheduling may differ; results must not).
-        let a = run(&tiny());
-        let b = run(&tiny());
-        for (ra, rb) in a.iter().zip(&b) {
+        for (ra, rb) in tiny_rows().iter().zip(&run(&tiny())) {
             assert_eq!(ra.total_contacts, rb.total_contacts);
             assert_eq!(ra.selection_msgs, rb.selection_msgs);
             assert_eq!(ra.maintenance_msgs, rb.maintenance_msgs);

@@ -30,17 +30,18 @@
 //! [`STANDING_SUBSCRIPTIONS`] standing subscriptions that resolve, break
 //! under churn and re-resolve — and both drivers execute it at identical
 //! virtual instants. Fidelity is *asserted in-run*: after both drives the
-//! canonical CSR adjacency, the bucketed message series, the maintenance
-//! totals and the full standing-query state must be equal, or the tier
-//! panics. The table's `events/s` column is delivered events per wall
-//! second; `virt×` is virtual seconds advanced per wall second.
+//! two worlds' [`fingerprint`](card_core::CardWorld::fingerprint)s (every
+//! layer) and the query outcomes must be equal, or the tier panics. The
+//! table's `events/s` column is delivered events per wall second; `virt×`
+//! is virtual seconds advanced per wall second.
 //!
 //! Run from the CLI with `repro scale-events`, overriding node counts
 //! with `--nodes N` — no recompile needed.
 
-use crate::output::markdown_table;
-use crate::scale::scaled_scenario;
-use card_core::{Arrival, ArrivalKind, CardConfig, CardWorld, DriveMode, EventDriver};
+use crate::figures::selected;
+use crate::output::{table, Column};
+use crate::scale::{pct, protocol_config, scaled_scenario, RADIUS};
+use card_core::{Arrival, ArrivalKind, CardConfig, DriveMode, EventDriver};
 use mobility::walk::RandomWalk;
 use mobility::RegionalMobility;
 use net_topology::node::NodeId;
@@ -59,6 +60,10 @@ pub const STANDING_SUBSCRIPTIONS: usize = 32;
 
 /// One-shot query arrivals in each run's workload.
 pub const QUERY_ARRIVALS: usize = 96;
+
+/// Contact-validation period of the dense regime (the sparse one stretches
+/// it to its whole horizon, see [`MotionProfile::validation_period`]).
+pub const VALIDATION_PERIOD: SimDuration = SimDuration::from_secs(10);
 
 /// Motion regime of one run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -117,13 +122,13 @@ impl MotionProfile {
     /// constant.
     pub fn validation_period(self, p: &Params) -> SimDuration {
         match self {
-            MotionProfile::Dense => p.validation_period,
+            MotionProfile::Dense => VALIDATION_PERIOD,
             MotionProfile::Sparse => SimDuration::from_secs(self.virtual_secs(p)),
         }
     }
 }
 
-/// Parameters of the scale-events tier.
+/// Sizes of `repro scale-events`.
 #[derive(Clone, Debug)]
 pub struct Params {
     /// Node counts to run (each at scenario-5 density).
@@ -132,52 +137,25 @@ pub struct Params {
     /// sparse regime runs 3× this (see
     /// [`MotionProfile::virtual_secs`]).
     pub virtual_secs: u64,
-    /// Contact-validation period of the dense regime; the sparse regime
-    /// stretches it to its whole horizon (see
-    /// [`MotionProfile::validation_period`]).
-    pub validation_period: SimDuration,
-    /// Zone radius R.
-    pub radius: u16,
-    /// Nodes per mobility region.
-    pub region_nodes: usize,
     /// Root seed.
     pub seed: u64,
 }
 
-impl Default for Params {
-    fn default() -> Self {
-        Params {
-            nodes: vec![100_000],
-            virtual_secs: 30,
-            validation_period: SimDuration::from_secs(10),
-            radius: 2,
-            region_nodes: REGION_NODES,
-            seed: crate::DEFAULT_SEED,
-        }
-    }
-}
-
 impl Params {
-    /// Small sizes for CI smoke runs.
-    pub fn quick() -> Self {
+    /// The full sizes, or the CI smoke sizes when `quick`; `nodes`
+    /// replaces the node counts.
+    pub fn new(quick: bool, seed: u64, nodes: Option<&[usize]>) -> Self {
+        let (sizes, virtual_secs) = if quick {
+            (vec![2_000], 8)
+        } else {
+            (vec![100_000], 30)
+        };
         Params {
-            nodes: vec![2_000],
-            virtual_secs: 8,
-            ..Params::default()
+            nodes: nodes.map_or(sizes, <[usize]>::to_vec),
+            virtual_secs,
+            seed,
         }
     }
-}
-
-/// The protocol configuration of a scale-events run in `motion`'s regime.
-pub fn protocol_config(p: &Params, motion: MotionProfile) -> CardConfig {
-    let mut cfg = CardConfig::default()
-        .with_radius(p.radius)
-        .with_max_contact_distance(4 * p.radius)
-        .with_target_contacts(4)
-        .with_depth(3)
-        .with_seed(p.seed);
-    cfg.validation_period = motion.validation_period(p);
-    cfg
 }
 
 /// Wall-clock measurements of one drive mode.
@@ -187,10 +165,6 @@ pub struct ModeStats {
     pub wall_s: f64,
     /// Events delivered by the engine.
     pub events: u64,
-    /// Delivered events per wall second.
-    pub events_per_s: f64,
-    /// Virtual seconds advanced per wall second.
-    pub virt_per_wall: f64,
     /// Region-ticks covered without a wake (0 in tick mode).
     pub ticks_skipped: u64,
     /// Topology refreshes performed.
@@ -210,9 +184,6 @@ pub struct EventsRow {
     pub tick: ModeStats,
     /// The event-driven drive.
     pub event: ModeStats,
-    /// Virtual-time speed-up of the event drive over the tick drive
-    /// (`tick.wall_s / event.wall_s`).
-    pub speedup: f64,
     /// Query arrivals executed (identical in both modes).
     pub queries: usize,
     /// How many of them found their target.
@@ -225,9 +196,6 @@ pub struct EventsRow {
     pub standing_reresolved: u64,
     /// Total virtual milliseconds subscriptions spent broken.
     pub standing_broken_ms: f64,
-    /// The in-run bit-identity assertion passed (always true when the
-    /// tier returns at all; the column documents that it was checked).
-    pub fidelity_checked: bool,
 }
 
 /// Build the per-region dwell-walk partition of one run. Called once per
@@ -306,10 +274,11 @@ pub fn run(p: &Params) -> Vec<EventsRow> {
 fn run_one(scenario: &Scenario, motion: MotionProfile, p: &Params) -> EventsRow {
     let virtual_secs = motion.virtual_secs(p);
     let duration = SimDuration::from_secs(virtual_secs);
+    let mut cfg = protocol_config(RADIUS, p.seed);
+    cfg.validation_period = motion.validation_period(p);
     let drive = |mode: DriveMode| {
-        let mut world = CardWorld::build(scenario, protocol_config(p, motion));
-        world.select_all_contacts();
-        let mut model = partition(scenario, motion, p.region_nodes, p.seed);
+        let mut world = selected(scenario, cfg);
+        let mut model = partition(scenario, motion, REGION_NODES, p.seed);
         let mut driver = EventDriver::new(
             &world,
             &model,
@@ -324,8 +293,6 @@ fn run_one(scenario: &Scenario, motion: MotionProfile, p: &Params) -> EventsRow 
         let stats = ModeStats {
             wall_s,
             events: report.events_processed,
-            events_per_s: report.events_processed as f64 / wall_s,
-            virt_per_wall: virtual_secs as f64 / wall_s,
             ticks_skipped: report.region_ticks_skipped,
             refreshes: report.refreshes,
         };
@@ -336,26 +303,12 @@ fn run_one(scenario: &Scenario, motion: MotionProfile, p: &Params) -> EventsRow 
     let (ev_world, ev_report, ev_stats) = drive(DriveMode::Event);
 
     // The fidelity contract, asserted at full N: both modes land the same
-    // world, message history and workload answers, bit for bit.
-    assert_eq!(
-        ev_world.network().adj().canonical_csr(),
-        tick_world.network().adj().canonical_csr(),
-        "{motion:?}: adjacency diverged between drive modes"
-    );
-    assert_eq!(
-        ev_world.stats().series_where(|_| true),
-        tick_world.stats().series_where(|_| true),
-        "{motion:?}: message series diverged between drive modes"
-    );
-    assert_eq!(
-        ev_world.maintenance_totals(),
-        tick_world.maintenance_totals(),
-        "{motion:?}: maintenance totals diverged between drive modes"
-    );
-    assert_eq!(
-        ev_world.standing_queries(),
-        tick_world.standing_queries(),
-        "{motion:?}: standing-query state diverged between drive modes"
+    // world (every fingerprint layer) and workload answers, bit for bit.
+    let (ev, tick) = (ev_world.fingerprint(), tick_world.fingerprint());
+    assert!(
+        ev == tick,
+        "{motion:?}: the drive modes' worlds diverged; first difference (layer, node): {:?}",
+        ev.diff(&tick)
     );
     assert_eq!(
         ev_report.outcomes, tick_report.outcomes,
@@ -369,124 +322,107 @@ fn run_one(scenario: &Scenario, motion: MotionProfile, p: &Params) -> EventsRow 
         virtual_secs,
         tick: tick_stats,
         event: ev_stats,
-        speedup: tick_stats.wall_s / ev_stats.wall_s.max(1e-9),
         queries: ev_report.outcomes.len(),
         query_hits: ev_report.outcomes.iter().filter(|o| o.found).count(),
         standing: ev_world.standing_queries().len(),
         standing_breaks: standing_stats.breaks,
         standing_reresolved: standing_stats.reresolved,
         standing_broken_ms: standing_stats.broken_ticks as f64 / 1e3,
-        fidelity_checked: true,
     }
 }
+
+const DRIVE_COLUMNS: &[Column<EventsRow>] = &[
+    ("N", |r| r.scenario.nodes.to_string()),
+    ("Motion", |r| r.motion.label().to_string()),
+    ("Virt (s)", |r| r.virtual_secs.to_string()),
+    ("Tick wall (s)", |r| format!("{:.2}", r.tick.wall_s)),
+    ("Event wall (s)", |r| format!("{:.2}", r.event.wall_s)),
+    ("Tick events/s", |r| {
+        format!("{:.0}", r.tick.events as f64 / r.tick.wall_s)
+    }),
+    ("Event events/s", |r| {
+        format!("{:.0}", r.event.events as f64 / r.event.wall_s)
+    }),
+    ("Tick virt×", |r| {
+        format!("{:.2}", r.virtual_secs as f64 / r.tick.wall_s)
+    }),
+    ("Event virt×", |r| {
+        format!("{:.2}", r.virtual_secs as f64 / r.event.wall_s)
+    }),
+    ("Ticks skipped", |r| r.event.ticks_skipped.to_string()),
+    ("Refreshes t/e", |r| {
+        format!("{}/{}", r.tick.refreshes, r.event.refreshes)
+    }),
+    ("Speedup", |r| {
+        format!("{:.2}x", r.tick.wall_s / r.event.wall_s.max(1e-9))
+    }),
+    // `run` returns only when the fingerprints matched.
+    ("Fidelity", |_| "bit-identical".to_string()),
+];
+
+const WORKLOAD_COLUMNS: &[Column<EventsRow>] = &[
+    ("N", |r| r.scenario.nodes.to_string()),
+    ("Motion", |r| r.motion.label().to_string()),
+    ("Queries", |r| r.queries.to_string()),
+    ("Hit %", |r| {
+        pct(r.query_hits as f64 / r.queries.max(1) as f64)
+    }),
+    ("Standing", |r| r.standing.to_string()),
+    ("Breaks", |r| r.standing_breaks.to_string()),
+    ("Re-resolved", |r| r.standing_reresolved.to_string()),
+    ("Broken (virt ms)", |r| {
+        format!("{:.0}", r.standing_broken_ms)
+    }),
+];
 
 /// Render the tier as two Markdown tables: drive-mode wall-clock columns,
 /// then the workload (queries + standing subscriptions) columns.
 pub fn render(p: &Params, rows: &[EventsRow]) -> String {
-    let headers = [
-        "N",
-        "Motion",
-        "Virt (s)",
-        "Tick wall (s)",
-        "Event wall (s)",
-        "Tick events/s",
-        "Event events/s",
-        "Tick virt×",
-        "Event virt×",
-        "Ticks skipped",
-        "Refreshes t/e",
-        "Speedup",
-        "Fidelity",
-    ];
-    let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.scenario.nodes.to_string(),
-                r.motion.label().to_string(),
-                r.virtual_secs.to_string(),
-                format!("{:.2}", r.tick.wall_s),
-                format!("{:.2}", r.event.wall_s),
-                format!("{:.0}", r.tick.events_per_s),
-                format!("{:.0}", r.event.events_per_s),
-                format!("{:.2}", r.tick.virt_per_wall),
-                format!("{:.2}", r.event.virt_per_wall),
-                r.event.ticks_skipped.to_string(),
-                format!("{}/{}", r.tick.refreshes, r.event.refreshes),
-                format!("{:.2}x", r.speedup),
-                if r.fidelity_checked {
-                    "bit-identical"
-                } else {
-                    "-"
-                }
-                .to_string(),
-            ]
-        })
-        .collect();
-    let work_headers = [
-        "N",
-        "Motion",
-        "Queries",
-        "Hit %",
-        "Standing",
-        "Breaks",
-        "Re-resolved",
-        "Broken (virt ms)",
-    ];
-    let work_body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.scenario.nodes.to_string(),
-                r.motion.label().to_string(),
-                r.queries.to_string(),
-                format!(
-                    "{:.1}%",
-                    100.0 * r.query_hits as f64 / r.queries.max(1) as f64
-                ),
-                r.standing.to_string(),
-                r.standing_breaks.to_string(),
-                r.standing_reresolved.to_string(),
-                format!("{:.0}", r.standing_broken_ms),
-            ]
-        })
-        .collect();
     format!(
         "### Scale events — event-driven vs tick-driven drive at scenario-5 density (tick {:.0} ms, {}-node regions; dense: {} virt s at validation {:.0} s, sparse: {} virt s at a horizon-length maintenance cadence; fidelity asserted in-run)\n\n{}\n\n\
          ### Scale events — workload executed identically by both modes ({} standing + {} query arrivals)\n\n{}",
         CardConfig::default().mobility_tick.as_secs_f64() * 1e3,
-        p.region_nodes,
+        REGION_NODES,
         MotionProfile::Dense.virtual_secs(p),
-        MotionProfile::Dense.validation_period(p).as_secs_f64(),
+        VALIDATION_PERIOD.as_secs_f64(),
         MotionProfile::Sparse.virtual_secs(p),
-        markdown_table(&headers, &body),
+        table(DRIVE_COLUMNS, rows),
         STANDING_SUBSCRIPTIONS,
         QUERY_ARRIVALS,
-        markdown_table(&work_headers, &work_body),
+        table(WORKLOAD_COLUMNS, rows),
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
 
+    /// 11 virtual seconds: the dense drive's second validation round (at
+    /// 10 s, after motion) falls inside the horizon, so fidelity covers a
+    /// round on a moved topology.
     fn tiny() -> Params {
         Params {
             nodes: vec![400],
-            virtual_secs: 4,
-            validation_period: SimDuration::from_secs(2),
-            ..Params::default()
+            virtual_secs: 11,
+            seed: crate::DEFAULT_SEED,
         }
+    }
+
+    /// `run(&tiny())`, computed once for every test that reads it.
+    fn tiny_rows() -> &'static [EventsRow] {
+        static ROWS: OnceLock<Vec<EventsRow>> = OnceLock::new();
+        ROWS.get_or_init(|| run(&tiny()))
     }
 
     #[test]
     fn both_motions_run_and_fidelity_holds() {
-        let rows = run(&tiny());
+        // `run` panics unless both drive modes land equal fingerprints.
+        let rows = tiny_rows();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].motion, MotionProfile::Dense);
         assert_eq!(rows[1].motion, MotionProfile::Sparse);
-        for r in &rows {
-            assert!(r.fidelity_checked);
+        for r in rows {
             assert_eq!(r.queries, QUERY_ARRIVALS);
             assert_eq!(r.standing, STANDING_SUBSCRIPTIONS);
             assert!(r.tick.events > 0 && r.event.events > 0);
@@ -501,7 +437,7 @@ mod tests {
 
     #[test]
     fn sparse_motion_skips_ticks_dense_does_not() {
-        let rows = run(&tiny());
+        let rows = tiny_rows();
         let (dense, sparse) = (&rows[0], &rows[1]);
         assert_eq!(
             dense.event.ticks_skipped, 0,
@@ -519,9 +455,7 @@ mod tests {
 
     #[test]
     fn render_mentions_every_column() {
-        let p = tiny();
-        let rows = run(&p);
-        let text = render(&p, &rows);
+        let text = render(&tiny(), tiny_rows());
         assert!(text.contains("dense"));
         assert!(text.contains("sparse"));
         assert!(text.contains("Event events/s"));

@@ -14,30 +14,36 @@
 //! world (`CardWorld` is `Clone`), arms a fresh [`FaultPlan`] and drives
 //! the same round/sweep cadence as the calm baseline row, so the deltas
 //! are attributable to the fault regime alone. Two liveness invariants
-//! are asserted **in-run** and surfaced per row:
+//! are asserted **in-run**, after every round:
 //!
 //! * no tombstoned contact survives past its TTL (the world counts a
 //!   violation before each round's tombstone decay);
 //! * tombstoned and rejoined nodes stay resident in their spatial-grid
 //!   cells (the targeted release audit runs on every fault event).
 //!
-//! [`passed`] folds those invariants over the report; the `repro` binary
-//! exits non-zero when it returns `false`, so CI's chaos smoke run gates
-//! on them.
+//! A failed invariant panics, so `repro` exits non-zero and CI's chaos
+//! smoke run gates on them.
 //!
 //! Run from the CLI with `repro scale-hostile [--quick] [--nodes N]`.
 
-use crate::output::markdown_table;
-use crate::scale::scaled_scenario;
-use card_core::{CardConfig, CardWorld, RetryStats};
+use crate::figures::selected;
+use crate::output::{table, Column};
+use crate::scale::{pct, protocol_config, scaled_scenario, RADIUS};
+use card_core::{CardWorld, RetryStats};
 use net_topology::node::NodeId;
 use sim_core::faults::{FaultConfig, FaultPlan, PartitionWindow};
 use sim_core::rng::SeedSplitter;
 
-/// Query escalation depth of the hostile sweeps.
-pub const QUERY_DEPTH: u16 = 3;
+/// Per-message drop probability on the deposit plane.
+pub const DROP_RATE: f64 = 0.01;
 
-/// Parameters of the scale-hostile tier.
+/// Per-message one-exchange delay probability on the deposit plane.
+pub const DELAY_RATE: f64 = 0.01;
+
+/// Rounds a crashed node stays down before rejoining.
+pub const REJOIN_AFTER: u32 = 2;
+
+/// Sizes of `repro scale-hostile`.
 #[derive(Clone, Debug)]
 pub struct Params {
     /// Node counts to run (each at scenario-5 density).
@@ -51,58 +57,28 @@ pub struct Params {
     pub churn_rates: Vec<f64>,
     /// Partition-fraction axis (`0` = no partition window).
     pub partition_fractions: Vec<f64>,
-    /// Per-message drop probability on the deposit plane.
-    pub drop_rate: f64,
-    /// Per-message one-exchange delay probability.
-    pub delay_rate: f64,
-    /// Rounds a crashed node stays down before rejoining.
-    pub rejoin_after: u32,
-    /// Zone radius R.
-    pub radius: u16,
     /// Root seed.
     pub seed: u64,
 }
 
-impl Default for Params {
-    fn default() -> Self {
-        Params {
-            nodes: vec![100_000],
-            rounds: 6,
-            queries_per_round: 384,
-            churn_rates: vec![0.05, 0.2],
-            partition_fractions: vec![0.0, 0.5],
-            drop_rate: 0.01,
-            delay_rate: 0.01,
-            rejoin_after: 2,
-            radius: 2,
-            seed: crate::DEFAULT_SEED,
-        }
-    }
-}
-
 impl Params {
-    /// Small sizes for CI smoke runs.
-    pub fn quick() -> Self {
+    /// The full sizes, or the CI smoke sizes when `quick`; `nodes`
+    /// replaces the node counts.
+    pub fn new(quick: bool, seed: u64, nodes: Option<&[usize]>) -> Self {
+        let (sizes, rounds, queries_per_round, churn_rates) = if quick {
+            (vec![2_000], 4, 128, vec![0.1])
+        } else {
+            (vec![100_000], 6, 384, vec![0.05, 0.2])
+        };
         Params {
-            nodes: vec![2_000],
-            rounds: 4,
-            queries_per_round: 128,
-            churn_rates: vec![0.1],
+            nodes: nodes.map_or(sizes, <[usize]>::to_vec),
+            rounds,
+            queries_per_round,
+            churn_rates,
             partition_fractions: vec![0.0, 0.5],
-            ..Params::default()
+            seed,
         }
     }
-}
-
-/// The protocol configuration of a hostile run (the run enables hints:
-/// the tier reports cache degradation too).
-pub fn protocol_config(p: &Params) -> CardConfig {
-    CardConfig::default()
-        .with_radius(p.radius)
-        .with_max_contact_distance(4 * p.radius)
-        .with_target_contacts(4)
-        .with_depth(QUERY_DEPTH)
-        .with_seed(p.seed)
 }
 
 /// One cell of the degradation grid (`churn == 0 && fraction == 0` with
@@ -135,18 +111,6 @@ pub struct DegradationRow {
     pub dropped: u64,
     /// Deposits delayed by one exchange.
     pub delayed: u64,
-    /// Tombstones seen past their TTL (must be 0).
-    pub liveness_violations: u64,
-    /// Grid-residency violations on tombstoned/rejoined nodes (must be 0).
-    pub grid_audit_violations: u64,
-}
-
-/// The degradation grid of one `repro scale-hostile` invocation: the calm
-/// baseline first, then one row per (N, churn, fraction) cell.
-#[derive(Clone, Debug)]
-pub struct DegradationReport {
-    /// All measured rows, calm baselines first per N.
-    pub rows: Vec<DegradationRow>,
 }
 
 fn workload(n: usize, count: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
@@ -179,13 +143,18 @@ fn run_cell(
             found += o.found as usize;
             msgs += o.query_msgs + o.reply_msgs;
         }
-        // The in-run liveness invariant: the world counts any tombstone
-        // older than its TTL *before* decaying it, so a violation here is
-        // a hardening bug, not a fault of the regime.
+        // The in-run liveness invariants: the world counts any tombstone
+        // older than its TTL *before* decaying it, and audits the grid
+        // residency of every node a fault event touches, so a violation
+        // here is a hardening bug, not a fault of the regime.
+        let report = world.fault_report();
         assert_eq!(
-            world.fault_report().liveness_violations,
-            0,
+            report.liveness_violations, 0,
             "a tombstoned contact survived past its TTL"
+        );
+        assert_eq!(
+            report.grid_audit_violations, 0,
+            "a tombstoned or rejoined node left its spatial-grid cell"
         );
     }
     let report = world.fault_report();
@@ -204,33 +173,30 @@ fn run_cell(
         retry: report.retry.clone(),
         dropped: ps.dropped,
         delayed: ps.delayed,
-        liveness_violations: report.liveness_violations,
-        grid_audit_violations: report.grid_audit_violations,
     }
 }
 
 /// Run the full grid: per N one calm baseline, then every
-/// (churn, fraction) cell branched from the same prepared world.
-pub fn run(p: &Params) -> DegradationReport {
+/// (churn, fraction) cell branched from the same prepared world (hints on:
+/// the tier reports cache degradation too). Calm baselines come first per N.
+pub fn run(p: &Params) -> Vec<DegradationRow> {
     let mut rows = Vec::new();
     for &n in &p.nodes {
-        let scenario = scaled_scenario(n);
-        let mut base = CardWorld::build(&scenario, protocol_config(p));
+        let mut base = selected(&scaled_scenario(n), protocol_config(RADIUS, p.seed));
         base.set_hints_enabled(true);
-        base.select_all_contacts();
         rows.push(run_cell(base.clone(), None, p, 0.0, 0.0));
         for &churn in &p.churn_rates {
             for &fraction in &p.partition_fractions {
                 let cfg = FaultConfig {
                     churn_rate: churn,
-                    rejoin_after: p.rejoin_after,
+                    rejoin_after: REJOIN_AFTER,
                     partition: (fraction > 0.0).then_some(PartitionWindow {
                         start_round: 1,
                         end_round: 1 + (p.rounds / 2).max(1),
                         fraction,
                     }),
-                    drop_rate: p.drop_rate,
-                    delay_rate: p.delay_rate,
+                    drop_rate: DROP_RATE,
+                    delay_rate: DELAY_RATE,
                     rounds: p.rounds,
                 };
                 let plan = FaultPlan::generate(&cfg, n, p.seed ^ 0xfa17);
@@ -238,83 +204,63 @@ pub fn run(p: &Params) -> DegradationReport {
             }
         }
     }
-    DegradationReport { rows }
+    rows
 }
 
-/// The tier's pass/fail verdict: every row kept both in-run liveness
-/// invariants. The `repro` binary exits non-zero when this is `false`.
-pub fn passed(report: &DegradationReport) -> bool {
-    report
-        .rows
-        .iter()
-        .all(|r| r.liveness_violations == 0 && r.grid_audit_violations == 0)
-}
+const COLUMNS: &[Column<DegradationRow>] = &[
+    ("N", |r| r.n.to_string()),
+    ("Churn", |r| {
+        if r.churn == 0.0 && r.fraction == 0.0 {
+            "calm".to_string()
+        } else {
+            format!("{:.0}%", 100.0 * r.churn)
+        }
+    }),
+    ("Partition", |r| {
+        if r.fraction == 0.0 {
+            "-".to_string()
+        } else {
+            format!("{:.0}%", 100.0 * r.fraction)
+        }
+    }),
+    ("Success %", |r| pct(r.success)),
+    ("Msgs/query", |r| format!("{:.1}", r.msgs_per_query)),
+    ("Hint hit %", |r| pct(r.hint_hit_rate)),
+    ("Crash/rejoin", |r| format!("{}/{}", r.crashes, r.rejoins)),
+    ("Down end", |r| r.down_end.to_string()),
+    ("Retry s/r/rec/ab", |r| {
+        let t = &r.retry;
+        format!(
+            "{}/{}/{}/{}",
+            t.scheduled, t.retried, t.recovered, t.abandoned
+        )
+    }),
+    ("Plane drop/delay", |r| {
+        format!("{}/{}", r.dropped, r.delayed)
+    }),
+    // `run` returns only when both invariants held after every round.
+    ("Liveness", |_| "ok".to_string()),
+];
 
 /// Render the degradation grid as a Markdown table.
-pub fn render(p: &Params, report: &DegradationReport) -> String {
-    let headers = [
-        "N",
-        "Churn",
-        "Partition",
-        "Success %",
-        "Msgs/query",
-        "Hint hit %",
-        "Crash/rejoin",
-        "Down end",
-        "Retry s/r/rec/ab",
-        "Plane drop/delay",
-        "Liveness",
-    ];
-    let body: Vec<Vec<String>> = report
-        .rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.n.to_string(),
-                if r.churn == 0.0 && r.fraction == 0.0 {
-                    "calm".to_string()
-                } else {
-                    format!("{:.0}%", 100.0 * r.churn)
-                },
-                if r.fraction == 0.0 {
-                    "-".to_string()
-                } else {
-                    format!("{:.0}%", 100.0 * r.fraction)
-                },
-                format!("{:.1}%", 100.0 * r.success),
-                format!("{:.1}", r.msgs_per_query),
-                format!("{:.1}%", 100.0 * r.hint_hit_rate),
-                format!("{}/{}", r.crashes, r.rejoins),
-                r.down_end.to_string(),
-                format!(
-                    "{}/{}/{}/{}",
-                    r.retry.scheduled, r.retry.retried, r.retry.recovered, r.retry.abandoned
-                ),
-                format!("{}/{}", r.dropped, r.delayed),
-                if r.liveness_violations == 0 && r.grid_audit_violations == 0 {
-                    "ok".to_string()
-                } else {
-                    format!("{}+{}", r.liveness_violations, r.grid_audit_violations)
-                },
-            ]
-        })
-        .collect();
+pub fn render(p: &Params, rows: &[DegradationRow]) -> String {
     format!(
         "### Scale hostile — degradation under churn × partition at scenario-5 density \
          ({} rounds × {} queries/round, plane drop {:.0}% + delay {:.0}%, rejoin after {} rounds; \
          tombstone-TTL and grid-residency liveness asserted in-run)\n\n{}",
         p.rounds,
         p.queries_per_round,
-        100.0 * p.drop_rate,
-        100.0 * p.delay_rate,
-        p.rejoin_after,
-        markdown_table(&headers, &body),
+        100.0 * DROP_RATE,
+        100.0 * DELAY_RATE,
+        REJOIN_AFTER,
+        table(COLUMNS, rows),
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
 
     fn tiny() -> Params {
         Params {
@@ -323,33 +269,38 @@ mod tests {
             queries_per_round: 48,
             churn_rates: vec![0.15],
             partition_fractions: vec![0.0, 0.5],
-            ..Params::default()
+            seed: crate::DEFAULT_SEED,
         }
+    }
+
+    /// `run(&tiny())`, computed once for every test that reads it.
+    fn tiny_rows() -> &'static [DegradationRow] {
+        static ROWS: OnceLock<Vec<DegradationRow>> = OnceLock::new();
+        ROWS.get_or_init(|| run(&tiny()))
     }
 
     #[test]
     fn grid_runs_calm_first_and_passes_liveness() {
-        let p = tiny();
-        let report = run(&p);
+        // `run` panics on a liveness violation in any round.
+        let rows = tiny_rows();
         // 1 calm + 1 churn × 2 fractions
-        assert_eq!(report.rows.len(), 3);
-        let calm = &report.rows[0];
+        assert_eq!(rows.len(), 3);
+        let calm = &rows[0];
         assert_eq!((calm.churn, calm.fraction), (0.0, 0.0));
         assert_eq!(calm.crashes, 0);
         assert_eq!((calm.dropped, calm.delayed), (0, 0));
         assert!(calm.success > 0.0, "calm world resolves something");
-        for r in &report.rows[1..] {
+        for r in &rows[1..] {
             assert!(r.crashes > 0, "a 15% churn plan must crash someone");
             assert_eq!(r.queries, calm.queries);
         }
-        assert!(passed(&report));
     }
 
     #[test]
     fn hostile_cells_degrade_but_keep_invariants() {
-        let report = run(&tiny());
-        let calm = &report.rows[0];
-        let partitioned = &report.rows[2];
+        // `run` panics on a liveness violation in any round.
+        let rows = tiny_rows();
+        let (calm, partitioned) = (&rows[0], &rows[2]);
         assert!(
             partitioned.success <= calm.success + 1e-9,
             "a half-field partition cannot improve resolution \
@@ -357,17 +308,11 @@ mod tests {
             partitioned.success,
             calm.success
         );
-        for r in &report.rows {
-            assert_eq!(r.liveness_violations, 0);
-            assert_eq!(r.grid_audit_violations, 0);
-        }
     }
 
     #[test]
     fn render_mentions_every_column() {
-        let p = tiny();
-        let report = run(&p);
-        let text = render(&p, &report);
+        let text = render(&tiny(), tiny_rows());
         assert!(text.contains("calm"));
         assert!(text.contains("Success %"));
         assert!(text.contains("Msgs/query"));

@@ -3,7 +3,8 @@
 //! `golden/mod.rs` for the method. `resources` (with `fig15` on the mobile
 //! side) is the table whose DSQs run through the query walk.
 
-use experiments::figures::FIGURES;
+use experiments::figures::{find, FIGURES};
+use experiments::scale::{find_tier, TIERS};
 
 #[macro_use]
 mod golden;
@@ -31,4 +32,24 @@ fn golden_files_match_the_registry() {
     files.sort();
     stems.sort();
     assert_eq!(files, stems);
+}
+
+/// `repro` takes figure and scale-tier names from one namespace: no tier
+/// shares a name with a figure (one would shadow the other), neither is
+/// `all`, and every tier name dispatches to its own tier.
+#[test]
+fn scale_tiers_and_figures_share_one_namespace() {
+    for fig in &FIGURES {
+        assert!(!fig.names.contains(&"all"), "a figure is named `all`");
+    }
+    for tier in &TIERS {
+        assert!(
+            find(tier.name).is_none(),
+            "{} is a figure name too",
+            tier.name
+        );
+        assert_ne!(tier.name, "all");
+        let dispatched = find_tier(tier.name).is_some_and(|t| std::ptr::eq(t, tier));
+        assert!(dispatched, "{} is not dispatched", tier.name);
+    }
 }
