@@ -15,7 +15,7 @@
 use card_core::csq::{select_contacts, CsqScratch, ALL_EDGE_NODES};
 use card_core::hints::{DepositLog, HintStats, HintStore};
 use card_core::query::{dsq_query, dsq_query_rewalk, HintContext, QueryScratch};
-use card_core::{CardConfig, ContactTable};
+use card_core::{CardConfig, ContactStore};
 use criterion::{criterion_group, criterion_main, Criterion};
 // scenario-5 density scaled to N nodes — shared with the scale experiments
 // so benches and `repro scale` can never drift apart
@@ -526,20 +526,22 @@ fn bench_csq_walk(c: &mut Criterion) {
         b.iter(|| {
             let mut rng = splitter.stream("bench", i);
             i += 1;
-            let mut table = ContactTable::new();
+            let mut store = ContactStore::new(1);
             let mut stats = MsgStats::default();
-            select_contacts(
-                &net,
-                &cfg,
-                NodeId::new(0),
-                &mut table,
-                &mut rng,
-                &mut stats,
-                SimTime::ZERO,
-                ALL_EDGE_NODES,
-                &mut scratch,
-            );
-            black_box(table.len())
+            store.rewrite(|_, row| {
+                select_contacts(
+                    &net,
+                    &cfg,
+                    NodeId::new(0),
+                    row,
+                    &mut rng,
+                    &mut stats,
+                    SimTime::ZERO,
+                    ALL_EDGE_NODES,
+                    &mut scratch,
+                );
+            });
+            black_box(store.contact_count())
         })
     });
 }

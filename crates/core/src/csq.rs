@@ -47,9 +47,9 @@
 //!   evaluation.
 //! * **Node flags — one byte per node** (`ON_PATH | EVALUATED`), cleared
 //!   lazily from the list of nodes the walk touched.
-//! * **Candidates, intra-zone route, DFS stack, shuffled edge list** —
-//!   plain reused buffers; only an accepted contact's stored path
-//!   allocates.
+//! * **Candidates, intra-zone route, DFS stack, shuffled edge list,
+//!   accepted path** — plain reused buffers; an accepted contact's path is
+//!   copied from the last into its row of the contact store.
 
 use manet_routing::neighborhood::Neighborhood;
 use manet_routing::network::Network;
@@ -59,7 +59,7 @@ use sim_core::stats::{MsgKind, MsgStats};
 use sim_core::time::SimTime;
 
 use crate::config::{CardConfig, SelectionMethod};
-use crate::contact::{Contact, ContactTable};
+use crate::contact::RowEdit;
 use crate::selection::{decides_to_be_contact, passes_acceptance_draw};
 
 /// Walk budget meaning "CSQ through every edge node" (no cap) — the
@@ -125,6 +125,8 @@ pub struct CsqScratch {
     candidates: Vec<u32>,
     /// Shuffled edge-node list of the current selection pass.
     edges: Vec<NodeId>,
+    /// Source path of the contact the last walk found.
+    path: Vec<NodeId>,
 }
 
 /// Move a stamp array on to a fresh epoch, growing it to `len`. Stamps are
@@ -153,7 +155,7 @@ impl CsqScratch {
         net: &Network,
         cfg: &CardConfig,
         source: NodeId,
-        table: &ContactTable,
+        contacts: &[NodeId],
     ) {
         next_epoch(&mut self.refuse, &mut self.refuse_epoch, net.node_count());
         let tables = net.tables();
@@ -164,7 +166,7 @@ impl CsqScratch {
                 self.refuse_zone(tables.of(edge));
             }
         }
-        for contact in table.ids() {
+        for &contact in contacts {
             self.refuse_zone(tables.of(contact));
         }
     }
@@ -179,9 +181,10 @@ impl CsqScratch {
 
 /// Launch one CSQ from `source` through `edge`: random DFS with
 /// backtracking out to `cfg.max_contact_distance` hops. Returns the contact
-/// if one accepted, adding the walk's messages to `ws`. The caller has
-/// prepared `source`'s refusal set in `scratch` — which is why this is not
-/// `pub`; `table` is read only by the debug cross-check of that set.
+/// if one accepted, its source path left in `scratch.path`, adding the
+/// walk's messages to `ws`. The caller has prepared `source`'s refusal set
+/// in `scratch` — which is why this is not `pub`; `contacts` (the source's
+/// current ones) is read only by the debug cross-check of that set.
 ///
 /// DFS state is *per node, per query*, exactly as §III.C.1 describes it:
 /// every node remembers which neighbors it has already tried for this query
@@ -201,11 +204,11 @@ fn csq_walk(
     cfg: &CardConfig,
     source: NodeId,
     edge: NodeId,
-    table: &ContactTable,
+    contacts: &[NodeId],
     rng: &mut RngStream,
     scratch: &mut CsqScratch,
     ws: &mut CsqWalkStats,
-) -> Option<Contact> {
+) -> Option<NodeId> {
     let (adj, tables) = (net.adj(), net.tables());
     let zone = tables.of(source);
     let CsqScratch {
@@ -218,6 +221,7 @@ fn csq_walk(
         walk,
         route,
         candidates,
+        path,
         ..
     } = scratch;
 
@@ -310,7 +314,7 @@ fn csq_walk(
                 tables,
                 x,
                 source,
-                &table.ids().collect::<Vec<_>>(),
+                contacts,
                 zone.edge_nodes(),
                 d_x,
                 &mut spec_rng,
@@ -319,24 +323,23 @@ fn csq_walk(
         );
         if accepts {
             // Path = intra-zone route + walk (skip duplicated edge node).
-            let mut path = Vec::with_capacity(route.len() + walk.len() - 1);
+            path.clear();
             path.extend_from_slice(route);
             path.extend_from_slice(&walk[1..]);
             ws.reply_msgs += path.len() as u64 - 1;
-            // Every hop was just walked on the current links.
-            let mut contact = Contact::new(x, path);
-            contact.confirmed = net.link_version();
-            return Some(contact);
+            return Some(x);
         }
     }
     None
 }
 
 /// §III.C.1 step 1: run CSQs through the source's edge nodes (shuffled),
-/// one at a time, until the table holds `cfg.target_contacts` contacts,
+/// one at a time, until `row` holds `cfg.target_contacts` contacts,
 /// `max_walks` CSQs have been launched, or every edge node has been tried.
 /// Pass [`ALL_EDGE_NODES`] for an unrestricted from-scratch pass, or the
 /// per-round walk budget for steady-state re-selection (§III.C.3 rule 5).
+/// Each contact found is written to `row` after those it already holds,
+/// confirmed at the current link version (every hop was just walked).
 /// Records the pass's messages into `stats` at time `at` and returns its
 /// summed walk counters.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol message fields
@@ -344,7 +347,7 @@ pub fn select_contacts(
     net: &Network,
     cfg: &CardConfig,
     source: NodeId,
-    table: &mut ContactTable,
+    row: &mut RowEdit<'_>,
     rng: &mut RngStream,
     stats: &mut MsgStats,
     at: SimTime,
@@ -355,21 +358,21 @@ pub fn select_contacts(
     edges.clear();
     edges.extend_from_slice(net.tables().of(source).edge_nodes());
     rng.shuffle(&mut edges);
-    scratch.begin_source(net, cfg, source, table);
+    scratch.begin_source(net, cfg, source, row.ids());
     let mut ws = CsqWalkStats::default();
 
     for &edge in edges.iter().take(max_walks) {
-        if table.len() >= cfg.target_contacts {
+        if row.len() >= cfg.target_contacts {
             break;
         }
         ws.walks += 1;
-        if let Some(c) = csq_walk(net, cfg, source, edge, table, rng, scratch, &mut ws) {
+        if let Some(x) = csq_walk(net, cfg, source, edge, row.ids(), rng, scratch, &mut ws) {
             // A tombstoned candidate was just watched dying: don't
             // re-select it until its tombstone decays (calm worlds never
             // tombstone, so this is the pre-fault behavior there).
-            if !table.contains(c.id) && !table.is_tombstoned(c.id) {
-                scratch.refuse_zone(net.tables().of(c.id));
-                table.add(c);
+            if !row.contains(x) && !row.is_tombstoned(x) {
+                scratch.refuse_zone(net.tables().of(x));
+                row.push(&scratch.path, net.link_version());
             }
         }
     }
@@ -384,11 +387,40 @@ pub fn select_contacts(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::contact::{ContactStore, ContactTable};
     use net_topology::scenario::Scenario;
     use sim_core::time::SimDuration;
 
     fn stats() -> MsgStats {
         MsgStats::new(SimDuration::from_secs(2))
+    }
+
+    /// One selection pass for `source` into an empty one-row store.
+    fn select_into(
+        net: &Network,
+        cfg: &CardConfig,
+        source: NodeId,
+        rng: &mut RngStream,
+        st: &mut MsgStats,
+        max_walks: usize,
+        scratch: &mut CsqScratch,
+    ) -> (ContactStore, CsqWalkStats) {
+        let mut store = ContactStore::new(1);
+        let mut ws = CsqWalkStats::default();
+        store.rewrite(|_, row| {
+            ws = select_contacts(
+                net,
+                cfg,
+                source,
+                row,
+                rng,
+                st,
+                SimTime::ZERO,
+                max_walks,
+                scratch,
+            );
+        });
+        (store, ws)
     }
 
     /// A dense-enough random network where contacts exist.
@@ -413,18 +445,16 @@ mod tests {
         let mut st = stats();
         let mut scratch = CsqScratch::new();
         let source = NodeId::new(0);
-        let mut table = ContactTable::new();
-        let walks = select_contacts(
+        let (store, walks) = select_into(
             &net,
             &cfg,
             source,
-            &mut table,
             &mut rng,
             &mut st,
-            SimTime::ZERO,
             ALL_EDGE_NODES,
             &mut scratch,
         );
+        let table = store.table(0);
         assert!(walks.walks > 0);
         if table.is_empty() {
             // extremely unlucky seed — fail loudly so we pick another seed
@@ -454,18 +484,16 @@ mod tests {
         let mut rng = RngStream::seed_from_u64(5);
         let mut st = stats();
         let mut scratch = CsqScratch::new();
-        let mut table = ContactTable::new();
-        select_contacts(
+        let (store, _) = select_into(
             &net,
             &cfg,
             NodeId::new(1),
-            &mut table,
             &mut rng,
             &mut st,
-            SimTime::ZERO,
             ALL_EDGE_NODES,
             &mut scratch,
         );
+        let table = store.table(0);
         // pairwise: no contact inside another contact's neighborhood
         let ids: Vec<NodeId> = table.ids().collect();
         for (i, &a) in ids.iter().enumerate() {
@@ -485,15 +513,12 @@ mod tests {
         let mut rng = RngStream::seed_from_u64(7);
         let mut st = stats();
         let mut scratch = CsqScratch::new();
-        let mut table = ContactTable::new();
-        let walks = select_contacts(
+        let (_, walks) = select_into(
             &net,
             &cfg,
             NodeId::new(2),
-            &mut table,
             &mut rng,
             &mut st,
-            SimTime::ZERO,
             ALL_EDGE_NODES,
             &mut scratch,
         );
@@ -511,18 +536,16 @@ mod tests {
         let mut rng = RngStream::seed_from_u64(9);
         let mut st = stats();
         let mut scratch = CsqScratch::new();
-        let mut table = ContactTable::new();
-        select_contacts(
+        let (store, _) = select_into(
             &net,
             &cfg,
             NodeId::new(3),
-            &mut table,
             &mut rng,
             &mut st,
-            SimTime::ZERO,
             ALL_EDGE_NODES,
             &mut scratch,
         );
+        let table = store.table(0);
         assert!(table.len() <= 1);
     }
 
@@ -533,18 +556,16 @@ mod tests {
         let mut rng = RngStream::seed_from_u64(13);
         let mut st = stats();
         let mut scratch = CsqScratch::new();
-        let mut table = ContactTable::new();
-        select_contacts(
+        let (store, _) = select_into(
             &net,
             &cfg,
             NodeId::new(4),
-            &mut table,
             &mut rng,
             &mut st,
-            SimTime::ZERO,
             ALL_EDGE_NODES,
             &mut scratch,
         );
+        let table = store.table(0);
         for c in table.contacts() {
             assert!(
                 c.hops() > 2 * cfg.radius,
@@ -568,18 +589,16 @@ mod tests {
         let mut rng = RngStream::seed_from_u64(1);
         let mut st = stats();
         let mut scratch = CsqScratch::new();
-        let mut table = ContactTable::new();
-        let walks = select_contacts(
+        let (store, walks) = select_into(
             &net,
             &cfg,
             NodeId::new(0),
-            &mut table,
             &mut rng,
             &mut st,
-            SimTime::ZERO,
             ALL_EDGE_NODES,
             &mut scratch,
         );
+        let table = store.table(0);
         assert_eq!(walks, CsqWalkStats::default());
         assert!(table.is_empty());
         assert_eq!(st.grand_total(), 0);
@@ -593,18 +612,16 @@ mod tests {
             let mut rng = RngStream::seed_from_u64(seed);
             let mut st = stats();
             let mut scratch = CsqScratch::new();
-            let mut table = ContactTable::new();
-            select_contacts(
+            let (store, _) = select_into(
                 &net,
                 &cfg,
                 NodeId::new(5),
-                &mut table,
                 &mut rng,
                 &mut st,
-                SimTime::ZERO,
                 ALL_EDGE_NODES,
                 &mut scratch,
             );
+            let table = store.table(0);
             (table.ids().collect::<Vec<_>>(), st.grand_total())
         };
         assert_eq!(run(42), run(42));
@@ -622,21 +639,19 @@ mod tests {
             let mut all: Vec<Vec<NodeId>> = Vec::new();
             for i in 0..20u32 {
                 let mut rng = RngStream::seed_from_u64(1000 + i as u64);
-                let mut table = ContactTable::new();
                 let mut fresh = CsqScratch::new();
                 let scratch = if reuse { &mut shared } else { &mut fresh };
-                select_contacts(
+                let source = NodeId::new(i);
+                let (store, _) = select_into(
                     &net,
                     &cfg,
-                    NodeId::new(i),
-                    &mut table,
+                    source,
                     &mut rng,
                     &mut st,
-                    SimTime::ZERO,
                     ALL_EDGE_NODES,
                     scratch,
                 );
-                all.push(table.ids().collect());
+                all.push(store.table(0).ids().collect());
             }
             all
         };
@@ -653,15 +668,12 @@ mod tests {
         let mut rng = RngStream::seed_from_u64(17);
         let mut st = stats();
         let mut scratch = CsqScratch::new();
-        let mut table = ContactTable::new();
-        let ws = select_contacts(
+        let (_, ws) = select_into(
             &net,
             &cfg,
             NodeId::new(0),
-            &mut table,
             &mut rng,
             &mut st,
-            SimTime::ZERO,
             1,
             &mut scratch,
         );
@@ -677,18 +689,16 @@ mod tests {
         let mut rng = RngStream::seed_from_u64(23);
         let mut st = stats();
         let mut scratch = CsqScratch::new();
-        let mut table = ContactTable::new();
-        let walks = select_contacts(
+        let (store, walks) = select_into(
             &net,
             &cfg,
             NodeId::new(6),
-            &mut table,
             &mut rng,
             &mut st,
-            SimTime::ZERO,
             2,
             &mut scratch,
         );
+        let table = store.table(0);
         assert!(walks.walks <= 2);
         assert!(table.len() <= 2);
     }
@@ -704,87 +714,64 @@ mod tests {
         SelectionMethod::ProbabilisticEq2,
     ];
 
-    /// Run one selection pass for `source` through the production walk
-    /// (on the caller's long-lived `scratch`) and through the oracle (fresh
-    /// state) from identical inputs, and require every observable to agree:
+    /// Run one selection pass for each of the first `sources` nodes of
+    /// `net` — all on the caller's long-lived `scratch` — through the
+    /// production walk and through the oracle (fresh state per pass), from
+    /// identical inputs, and require every observable to agree per source:
     /// contacts with their paths, tombstones, summed walk counters, the
-    /// recorded `MsgStats` and the RNG stream position. `table` carries the
-    /// pass's result forward.
-    fn assert_pass_matches_oracle(
-        net: &Network,
-        cfg: &CardConfig,
-        source: NodeId,
-        table: &mut ContactTable,
-        seed: u64,
-        max_walks: usize,
-        scratch: &mut CsqScratch,
-    ) {
-        let mut want_table = table.clone();
-        let mut rng = RngStream::seed_from_u64(seed);
-        let mut want_rng = rng.clone();
-        let (mut st, mut want_st) = (stats(), stats());
-        let at = SimTime::ZERO;
-        let got = select_contacts(
-            net, cfg, source, table, &mut rng, &mut st, at, max_walks, scratch,
-        );
-        let per_walk = oracle::select_contacts(
-            net,
-            cfg,
-            source,
-            &mut want_table,
-            &mut want_rng,
-            &mut want_st,
-            at,
-            max_walks,
-            &mut oracle::CsqScratch::new(),
-        );
-        let mut want = CsqWalkStats::default();
-        for w in &per_walk {
-            want.walks += w.walks;
-            want.forward_msgs += w.forward_msgs;
-            want.backtrack_msgs += w.backtrack_msgs;
-            want.reply_msgs += w.reply_msgs;
-            want.nodes_evaluated += w.nodes_evaluated;
-        }
-        assert_eq!(got, want, "walk counters of {source}");
-        assert_eq!(
-            table.contacts(),
-            want_table.contacts(),
-            "contacts of {source}"
-        );
-        assert_eq!(table.tombstones(), want_table.tombstones());
-        assert_eq!(
-            format!("{st:?}"),
-            format!("{want_st:?}"),
-            "MsgStats of {source}"
-        );
-        assert_eq!(
-            rng.next_raw(),
-            want_rng.next_raw(),
-            "RNG of {source} diverged"
-        );
-    }
-
-    /// One pass per node of `net`, all on the same `scratch`.
+    /// recorded `MsgStats` and the RNG stream position. `store` carries
+    /// the sweep's result forward.
     fn assert_sweep_matches_oracle(
         net: &Network,
         cfg: &CardConfig,
-        tables: &mut [ContactTable],
+        store: &mut ContactStore,
+        sources: usize,
         seed: u64,
         max_walks: usize,
         scratch: &mut CsqScratch,
     ) {
-        for (i, table) in tables.iter_mut().enumerate() {
-            let source = NodeId::from(i);
-            assert_pass_matches_oracle(
-                net,
-                cfg,
-                source,
-                table,
-                seed + i as u64,
-                max_walks,
-                scratch,
-            );
+        let at = SimTime::ZERO;
+        let mut want_store = store.clone();
+        let rng = |k: usize| RngStream::seed_from_u64(seed + k as u64);
+        // Per source: summed walk counters, the `MsgStats` and the next draw.
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        store.rewrite(|k, row| {
+            row.keep_all();
+            if k < sources {
+                let (mut st, mut rng) = (stats(), rng(k));
+                let source = NodeId::from(k);
+                let ws = select_contacts(
+                    net, cfg, source, row, &mut rng, &mut st, at, max_walks, scratch,
+                );
+                got.push((ws, format!("{st:?}"), rng.next_raw()));
+            }
+        });
+        want_store.rewrite(|k, row| {
+            row.keep_all();
+            if k < sources {
+                let (mut st, mut rng) = (stats(), rng(k));
+                let fresh = &mut oracle::CsqScratch::new();
+                let source = NodeId::from(k);
+                let per_walk = oracle::select_contacts(
+                    net, cfg, source, row, &mut rng, &mut st, at, max_walks, fresh,
+                );
+                let mut ws = CsqWalkStats::default();
+                for w in &per_walk {
+                    ws.walks += w.walks;
+                    ws.forward_msgs += w.forward_msgs;
+                    ws.backtrack_msgs += w.backtrack_msgs;
+                    ws.reply_msgs += w.reply_msgs;
+                    ws.nodes_evaluated += w.nodes_evaluated;
+                }
+                want.push((ws, format!("{st:?}"), rng.next_raw()));
+            }
+        });
+        let paths = |t: ContactTable<'_>| t.contacts().map(|c| c.path.to_vec()).collect::<Vec<_>>();
+        for (k, (got, want)) in got.iter().zip(&want).enumerate() {
+            let (table, want_table) = (store.table(k), want_store.table(k));
+            assert_eq!(got, want, "walk counters, MsgStats and RNG of node {k}");
+            assert_eq!(paths(table), paths(want_table), "contacts of node {k}");
+            assert_eq!(table.tombstones(), want_table.tombstones());
         }
     }
 
@@ -805,17 +792,18 @@ mod tests {
 
     /// Make room for re-selection: every table loses its oldest contact,
     /// every other one to a tombstone (so walks re-find a barred node).
-    fn evict_oldest(tables: &mut [ContactTable]) {
-        for (i, table) in tables.iter_mut().enumerate() {
-            let oldest = table.ids().next();
-            if let Some(id) = oldest {
-                if i % 2 == 0 {
-                    table.remove(id);
-                } else {
-                    table.tombstone(id, 2);
+    fn evict_oldest(store: &mut ContactStore) {
+        store.rewrite(|i, row| {
+            let mut old = row.old();
+            if let Some(oldest) = old.next() {
+                if i % 2 == 1 {
+                    row.tombstone(oldest.id, 2);
                 }
             }
-        }
+            for c in old {
+                row.push(&c.path, c.confirmed);
+            }
+        });
     }
 
     fn row_starts(net: &Network) -> Vec<usize> {
@@ -831,10 +819,19 @@ mod tests {
         // layout must walk the new one exactly like the oracle.
         let mut net = test_net();
         let mut scratch = CsqScratch::new();
-        let mut tables = vec![ContactTable::new(); net.node_count()];
+        let n = net.node_count();
+        let mut store = ContactStore::new(n);
         for (k, &method) in METHODS.iter().enumerate() {
             let cfg = cfg_em().with_method(method);
-            assert_sweep_matches_oracle(&net, &cfg, &mut tables, 100, ALL_EDGE_NODES, &mut scratch);
+            assert_sweep_matches_oracle(
+                &net,
+                &cfg,
+                &mut store,
+                n,
+                100,
+                ALL_EDGE_NODES,
+                &mut scratch,
+            );
             // Pile twelve nodes onto node 0: its row (and its neighbors')
             // outgrows the slack, so the whole CSR is laid out afresh.
             let before = row_starts(&net);
@@ -844,9 +841,9 @@ mod tests {
                 .collect();
             relocate(&mut net, &moves);
             assert_ne!(before, row_starts(&net), "the relayout must move rows");
-            evict_oldest(&mut tables);
-            assert_sweep_matches_oracle(&net, &cfg, &mut tables, 200, 2, &mut scratch);
-            evict_oldest(&mut tables);
+            evict_oldest(&mut store);
+            assert_sweep_matches_oracle(&net, &cfg, &mut store, n, 200, 2, &mut scratch);
+            evict_oldest(&mut store);
         }
     }
 
@@ -863,9 +860,10 @@ mod tests {
         let mut scratch = CsqScratch::new();
         for &method in &METHODS {
             let cfg = cfg_em().with_method(method);
-            let mut tables = vec![ContactTable::new(); net.node_count()];
-            assert_sweep_matches_oracle(&net, &cfg, &mut tables, 7, ALL_EDGE_NODES, &mut scratch);
-            assert!(tables.iter().any(|t| !t.is_empty()));
+            let n = net.node_count();
+            let mut store = ContactStore::new(n);
+            assert_sweep_matches_oracle(&net, &cfg, &mut store, n, 7, ALL_EDGE_NODES, &mut scratch);
+            assert!(store.contact_count() > 0);
         }
     }
 
@@ -873,22 +871,22 @@ mod tests {
     fn epoch_wraparound_zeroes_both_stamp_arrays() {
         let net = test_net();
         let mut scratch = CsqScratch::new();
-        let mut tables = vec![ContactTable::new(); net.node_count()];
+        let n = net.node_count();
         for &method in &METHODS {
+            let mut store = ContactStore::new(n);
             let cfg = cfg_em().with_method(method);
             // Size the arrays, then plant the worst case: every stamp
             // equals the first epoch after the wrap, and both counters sit
             // on the brink. Without the zeroing, every neighbor would read
             // as tried and every node as refusing.
-            assert_sweep_matches_oracle(&net, &cfg, &mut tables[..4], 1, 1, &mut scratch);
+            assert_sweep_matches_oracle(&net, &cfg, &mut store, 4, 1, 1, &mut scratch);
             scratch.tried.fill(1);
             scratch.refuse.fill(1);
             scratch.epoch = u32::MAX;
             scratch.refuse_epoch = u32::MAX;
-            assert_sweep_matches_oracle(&net, &cfg, &mut tables, 2, ALL_EDGE_NODES, &mut scratch);
+            assert_sweep_matches_oracle(&net, &cfg, &mut store, n, 2, ALL_EDGE_NODES, &mut scratch);
             assert!(scratch.epoch < 10_000 && scratch.refuse_epoch < 10_000);
-            assert!(tables.iter().any(|t| !t.is_empty()));
-            tables.iter_mut().for_each(ContactTable::clear);
+            assert!(store.contact_count() > 0);
         }
     }
 
@@ -905,15 +903,14 @@ mod tests {
         let mut rng = RngStream::seed_from_u64(29);
         let mut untouched = rng.clone();
         let mut scratch = CsqScratch::new();
-        let table = ContactTable::new();
-        scratch.begin_source(&net, &cfg, source, &table);
+        scratch.begin_source(&net, &cfg, source, &[]);
         let mut ws = CsqWalkStats::default();
         let found = csq_walk(
             &net,
             &cfg,
             source,
             outsider,
-            &table,
+            &[],
             &mut rng,
             &mut scratch,
             &mut ws,
@@ -955,14 +952,15 @@ mod tests {
             let points: Vec<Point2> = points.iter().map(|&(x, y)| Point2::new(x, y)).collect();
             let mut net = Network::from_positions(Field::square(320.0), points, 60.0, radius);
             let mut scratch = CsqScratch::new();
-            let mut tables = vec![ContactTable::new(); net.node_count()];
+            let n = net.node_count();
+            let mut store = ContactStore::new(n);
 
-            assert_sweep_matches_oracle(&net, &cfg, &mut tables, seed, max_walks, &mut scratch);
+            assert_sweep_matches_oracle(&net, &cfg, &mut store, n, seed, max_walks, &mut scratch);
             let scattered: Vec<(usize, Point2)> =
                 moves.iter().map(|&(i, x, y)| (i, Point2::new(x, y))).collect();
             relocate(&mut net, &scattered);
-            evict_oldest(&mut tables);
-            assert_sweep_matches_oracle(&net, &cfg, &mut tables, seed + 1000, max_walks, &mut scratch);
+            evict_oldest(&mut store);
+            assert_sweep_matches_oracle(&net, &cfg, &mut store, n, seed + 1000, max_walks, &mut scratch);
             let hub = net.positions()[0];
             let piled: Vec<(usize, Point2)> = moves
                 .iter()
@@ -970,8 +968,8 @@ mod tests {
                 .map(|(k, &(i, ..))| (i, Point2::new(hub.x, (hub.y + k as f64).min(320.0))))
                 .collect();
             relocate(&mut net, &piled);
-            evict_oldest(&mut tables);
-            assert_sweep_matches_oracle(&net, &cfg, &mut tables, seed + 2000, max_walks, &mut scratch);
+            evict_oldest(&mut store);
+            assert_sweep_matches_oracle(&net, &cfg, &mut store, n, seed + 2000, max_walks, &mut scratch);
         }
     }
 
@@ -1004,8 +1002,6 @@ mod tests {
             candidates: Vec<NodeId>,
             /// Shuffled edge-node list of the current selection pass.
             edges: Vec<NodeId>,
-            /// Current contact ids of the source (overlap rule input).
-            contact_list: Vec<NodeId>,
         }
 
         impl CsqScratch {
@@ -1069,7 +1065,7 @@ mod tests {
             stats: &mut MsgStats,
             at: SimTime,
             scratch: &mut CsqScratch,
-        ) -> (Option<Contact>, CsqWalkStats) {
+        ) -> (Option<Vec<NodeId>>, CsqWalkStats) {
             let tables = net.tables();
             let mut ws = CsqWalkStats {
                 walks: 1,
@@ -1156,7 +1152,7 @@ mod tests {
                             stats.record_n(at, MsgKind::Csq, ws.forward_msgs);
                             stats.record_n(at, MsgKind::CsqBacktrack, ws.backtrack_msgs);
                             stats.record_n(at, MsgKind::CsqReply, ws.reply_msgs);
-                            return (Some(Contact::new(x, path)), ws);
+                            return (Some(path), ws);
                         }
                     }
                     None => {
@@ -1187,7 +1183,7 @@ mod tests {
             net: &Network,
             cfg: &CardConfig,
             source: NodeId,
-            table: &mut ContactTable,
+            table: &mut RowEdit<'_>,
             rng: &mut RngStream,
             stats: &mut MsgStats,
             at: SimTime,
@@ -1198,39 +1194,27 @@ mod tests {
             edges.clear();
             edges.extend_from_slice(net.tables().of(source).edge_nodes());
             rng.shuffle(&mut edges);
-            let mut contact_list = std::mem::take(&mut scratch.contact_list);
             let mut walk_stats = Vec::new();
 
             for &edge in edges.iter().take(max_walks) {
                 if table.len() >= cfg.target_contacts {
                     break;
                 }
-                contact_list.clear();
-                contact_list.extend(table.ids());
-                let (found, ws) = csq_walk(
-                    net,
-                    cfg,
-                    source,
-                    edge,
-                    &contact_list,
-                    rng,
-                    stats,
-                    at,
-                    scratch,
-                );
+                let (found, ws) =
+                    csq_walk(net, cfg, source, edge, table.ids(), rng, stats, at, scratch);
                 walk_stats.push(ws);
-                if let Some(c) = found {
+                if let Some(path) = found {
                     // A tombstoned candidate was just watched dying: don't
                     // re-select it until its tombstone decays (calm worlds never
                     // tombstone, so this is the pre-fault behavior there).
-                    if !table.contains(c.id) && !table.is_tombstoned(c.id) {
-                        table.add(c);
+                    let x = path[path.len() - 1];
+                    if !table.contains(x) && !table.is_tombstoned(x) {
+                        table.push(&path, crate::contact::UNCONFIRMED);
                     }
                 }
             }
 
             scratch.edges = edges;
-            scratch.contact_list = contact_list;
             walk_stats
         }
     }

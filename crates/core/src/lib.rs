@@ -10,7 +10,8 @@
 //!
 //! * [`config`] — every protocol parameter (R, r, NoC, D, selection method,
 //!   validation period) in one [`config::CardConfig`];
-//! * [`contact`] — contact entries and per-node contact tables;
+//! * [`contact`] — contacts and the contact store: per-node tables as
+//!   node-ordered rows over one path arena;
 //! * [`selection`] — the contact-selection *decision*: probabilistic method
 //!   PM (equations 1 and 2) and edge method EM (§III.C.2);
 //! * [`csq`] — the Contact Selection Query: a random depth-first walk with
@@ -66,7 +67,7 @@ pub mod world;
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::config::{CardConfig, SelectionMethod};
-    pub use crate::contact::{Contact, ContactTable};
+    pub use crate::contact::{Contact, ContactStore, ContactTable};
     pub use crate::events::{Arrival, ArrivalKind, DriveMode, DriveReport, EventDriver};
     pub use crate::hints::{HintStats, HintStore};
     pub use crate::query::{QueryOutcome, QueryRetryQueue, QueryScratch, RetryStats};
@@ -77,7 +78,7 @@ pub mod prelude {
 }
 
 pub use config::{CardConfig, SelectionMethod};
-pub use contact::{Contact, ContactTable};
+pub use contact::{Contact, ContactStore, ContactTable};
 pub use events::{Arrival, ArrivalKind, DriveMode, DriveReport, EventDriver};
 pub use query::{QueryOutcome, QueryRetryQueue, QueryScratch, RetryStats};
 pub use reachability::ReachabilitySummary;

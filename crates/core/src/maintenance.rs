@@ -16,9 +16,8 @@
 //!
 //! The messages are the protocol's: every validation message and every
 //! acknowledgement is charged hop for hop, every round. The *host* test of
-//! each hop is not repeated needlessly. Each
-//! [`Contact`](crate::contact::Contact) carries the link
-//! version at which its whole stored path was last confirmed (CSQ
+//! each hop is not repeated needlessly. Each stored contact carries the
+//! link version at which its whole stored path was last confirmed (CSQ
 //! acceptance or a surviving validation; a hand-built contact starts
 //! unconfirmed), and the network stamps every adjacency row a refresh
 //! changes (see `manet_routing::network`, "Row stamps"). The walk tests
@@ -41,10 +40,10 @@ use manet_routing::network::Network;
 use net_topology::node::NodeId;
 
 use crate::config::CardConfig;
-use crate::contact::ContactTable;
+use crate::contact::{Contact, RowEdit};
 
 /// Outcome counters of validation: one source's round (what
-/// [`validate_contacts`] returns beside its metered crossings) or a whole
+/// `validate_contacts` returns beside its metered crossings) or a whole
 /// run's, summed in shard order
 /// ([`crate::world::CardWorld::maintenance_totals`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
@@ -194,36 +193,69 @@ pub fn path_shard_crossings(path: &[NodeId], span_width: usize) -> u64 {
     crossings
 }
 
-/// Run one §III.C.3 validation round for `source`: walk every contact
-/// path, heal or drop and enforce the hop-range rule. Returns
-/// `(totals, crossings, validation_msgs, reply_msgs)`: the round's outcome
-/// counters, the span-boundary crossings of the stored paths it walked at
-/// span width `span_width` ([`path_shard_crossings`], metered in the same
-/// per-contact pass), and its validation and acknowledgement message
-/// counts, which the caller records (a shard records its span's sums once).
+/// What a round does with a stored contact before walking its path. A
+/// calm round walks every one; a faulted round tombstones the dead and
+/// holds out the ones in a retry window or whose probe went unacked
+/// (`world/round.rs`, "Fault injection").
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Probe {
+    /// Walk the path.
+    Walk,
+    /// Keep the contact unwalked, after the row's survivors; `sent`
+    /// charges the probe's hops (sent, never acked).
+    Hold { sent: bool },
+    /// Drop the contact, counted lost; `sent` charges the probe's hops.
+    Drop { sent: bool },
+}
+
+/// Run one §III.C.3 validation round for `source`, whose row `row` is
+/// being rewritten: walk every old contact's path, heal or drop and
+/// enforce the hop-range rule, writing the survivors in order, confirmed
+/// at the network's current link version, then the contacts `probe` held
+/// out, unchanged. Returns `(totals, crossings, validation_msgs,
+/// reply_msgs)`: the round's outcome counters, the span-boundary crossings
+/// of every old path at span width `span_width` ([`path_shard_crossings`],
+/// metered in the same pass), and its validation and acknowledgement
+/// message counts, which the caller records (a shard records its span's
+/// sums once).
 ///
-/// A hop `(cur, next)` is only traversable when it is a substrate link
-/// *and* `allowed(cur, next)` holds: the calm round passes `query::any_edge`,
-/// fault injection a predicate that vetoes crashed endpoints and
-/// partition-crossing hops. Every survivor is confirmed at the network's
-/// current link version.
-pub fn validate_contacts(
+/// `probe` decides each contact's fate before its walk and keeps the
+/// row's tombstones and retry timers; a survivor's retry timer is
+/// cleared. A hop `(cur, next)` is only traversable when it is a
+/// substrate link *and* `allowed(cur, next)` holds: the calm round passes
+/// `query::any_edge`, fault injection a predicate that vetoes crashed
+/// endpoints and partition-crossing hops.
+pub(crate) fn validate_contacts(
     net: &Network,
     cfg: &CardConfig,
     source: NodeId,
-    table: &mut ContactTable,
+    row: &mut RowEdit<'_>,
     allowed: impl Fn(NodeId, NodeId) -> bool + Copy,
     span_width: usize,
+    mut probe: impl FnMut(&mut RowEdit<'_>, Contact<'_>) -> Probe,
 ) -> (MaintenanceTotals, u64, u64, u64) {
     let mut totals = MaintenanceTotals::default();
     let (mut validation_msgs, mut reply_msgs, mut crossings) = (0u64, 0u64, 0u64);
     let (min_hops, max_hops) = cfg.valid_path_hops();
-    let (mut healed, mut route) = (Vec::new(), Vec::new());
+    let (mut healed, mut route, mut held) = (Vec::new(), Vec::new(), Vec::new());
     let version = net.link_version();
 
-    table.contacts_mut().retain_mut(|contact| {
-        debug_assert_eq!(contact.source(), source, "foreign contact in table");
+    for contact in row.old() {
+        debug_assert_eq!(contact.source(), source, "foreign contact in row");
         crossings += path_shard_crossings(&contact.path, span_width);
+        match probe(row, contact) {
+            Probe::Walk => {}
+            Probe::Hold { sent } => {
+                validation_msgs += u64::from(sent) * contact.hops() as u64;
+                held.push(contact);
+                continue;
+            }
+            Probe::Drop { sent } => {
+                validation_msgs += u64::from(sent) * contact.hops() as u64;
+                totals.lost += 1;
+                continue;
+            }
+        }
         let (alive, recovered) = validate_path(
             net,
             cfg,
@@ -237,23 +269,28 @@ pub fn validate_contacts(
         totals.recovered += u64::from(recovered);
         if !alive {
             totals.lost += 1;
-            return false;
+            continue;
         }
-        if recovered {
-            contact.path.clone_from(&healed);
-        }
-        let hops = contact.hops();
+        let path = if recovered {
+            &healed[..]
+        } else {
+            &contact.path
+        };
+        let hops = (path.len() - 1) as u16;
         if hops < min_hops || hops > max_hops {
             // Rule 4: contact drifted too close or too far.
             totals.dropped_out_of_range += 1;
-            return false;
+            continue;
         }
         // Ack travels back along the healed path.
         reply_msgs += hops as u64;
         totals.validated += 1;
-        contact.confirmed = version;
-        true
-    });
+        row.clear_retry(contact.id);
+        row.push(path, version);
+    }
+    for contact in held {
+        row.push(&contact.path, contact.confirmed);
+    }
 
     (totals, crossings, validation_msgs, reply_msgs)
 }
@@ -261,7 +298,7 @@ pub fn validate_contacts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contact::Contact;
+    use crate::contact::ContactStore;
     use crate::query::any_edge;
     use net_topology::geometry::{Field, Point2};
     use sim_core::stats::{MsgKind, MsgStats};
@@ -294,17 +331,31 @@ mod tests {
         MsgStats::new(sim_core::time::SimDuration::from_secs(2))
     }
 
-    /// A calm validation round of node 0, its messages recorded at time zero.
+    /// A validation round of node 0 over a one-row store of `paths`
+    /// under `allowed`, its messages recorded at time zero.
     fn validate(
         net: &Network,
         cfg: &CardConfig,
-        table: &mut ContactTable,
+        paths: &[Vec<NodeId>],
         st: &mut MsgStats,
-    ) -> MaintenanceTotals {
-        let (totals, _, validation, reply) = validate_contacts(net, cfg, n(0), table, any_edge, 1);
+        allowed: impl Fn(NodeId, NodeId) -> bool + Copy,
+    ) -> (MaintenanceTotals, ContactStore) {
+        let mut store = ContactStore::from_paths(1, paths);
+        let mut out = (MaintenanceTotals::default(), 0, 0, 0);
+        store.rewrite(|_, row| {
+            out = validate_contacts(net, cfg, n(0), row, allowed, 1, |_, _| Probe::Walk);
+        });
+        let (totals, _, validation, reply) = out;
         st.record_n(SimTime::ZERO, MsgKind::Validation, validation);
         st.record_n(SimTime::ZERO, MsgKind::ValidationReply, reply);
-        totals
+        (totals, store)
+    }
+
+    /// Node 0's one contact.
+    fn only(store: &ContactStore) -> Contact<'_> {
+        let mut contacts = store.table(0).contacts();
+        assert_eq!(contacts.len(), 1);
+        contacts.next().expect("one contact")
     }
 
     #[test]
@@ -312,14 +363,12 @@ mod tests {
         let net = line_net(10, 1);
         let cfg = cfg(1, 9);
         let path: Vec<NodeId> = (0..5).map(n).collect(); // 4 hops, in [2,9]
-        let mut table = ContactTable::new();
-        table.add(Contact::new(n(4), path));
         let mut st = mk_stats();
-        let rep = validate(&net, &cfg, &mut table, &mut st);
+        let (rep, store) = validate(&net, &cfg, &[path], &mut st, any_edge);
         assert_eq!(rep.validated, 1);
         assert_eq!(rep.lost, 0);
         assert_eq!(rep.recovered, 0);
-        assert_eq!(table.len(), 1);
+        assert_eq!(store.contact_count(), 1);
         assert_eq!(st.total(MsgKind::Validation), 4);
         assert_eq!(st.total(MsgKind::ValidationReply), 4);
     }
@@ -332,17 +381,12 @@ mod tests {
         let net = line_net(6, 2);
         let cfg = cfg(2, 5);
         let broken = vec![n(0), n(1), n(3), n(4), n(5)];
-        let mut table = ContactTable::new();
-        table.add(Contact::new(n(5), broken));
         let mut st = mk_stats();
-        let rep = validate(&net, &cfg, &mut table, &mut st);
+        let (rep, store) = validate(&net, &cfg, &[broken], &mut st, any_edge);
         assert_eq!(rep.validated, 1);
         assert_eq!(rep.recovered, 1);
-        assert_eq!(
-            table.contacts()[0].path,
-            vec![n(0), n(1), n(2), n(3), n(4), n(5)]
-        );
-        assert_eq!(table.contacts()[0].hops(), 5);
+        assert_eq!(*only(&store).path, [n(0), n(1), n(2), n(3), n(4), n(5)]);
+        assert_eq!(only(&store).hops(), 5);
     }
 
     #[test]
@@ -354,13 +398,11 @@ mod tests {
         let net = line_net(10, 3);
         let cfg = cfg(3, 9);
         let broken = vec![n(0), n(1), n(9), n(4), n(5), n(6), n(7)];
-        let mut table = ContactTable::new();
-        table.add(Contact::new(n(7), broken));
         let mut st = mk_stats();
-        let rep = validate(&net, &cfg, &mut table, &mut st);
+        let (rep, store) = validate(&net, &cfg, &[broken], &mut st, any_edge);
         assert_eq!(rep.validated, 1, "should skip 9 and resume at 4");
         assert_eq!(rep.recovered, 1);
-        assert_eq!(table.contacts()[0].path, (0..8).map(n).collect::<Vec<_>>());
+        assert_eq!(*only(&store).path, (0..8).map(n).collect::<Vec<_>>());
     }
 
     #[test]
@@ -369,13 +411,11 @@ mod tests {
         let cfg = cfg(1, 11);
         // 0-1-7-...: 1 cannot see 7 (6 hops) nor anything later within R=1
         let broken = vec![n(0), n(1), n(7), n(8)];
-        let mut table = ContactTable::new();
-        table.add(Contact::new(n(8), broken));
         let mut st = mk_stats();
-        let rep = validate(&net, &cfg, &mut table, &mut st);
+        let (rep, store) = validate(&net, &cfg, &[broken], &mut st, any_edge);
         assert_eq!(rep.lost, 1);
         assert_eq!(rep.validated, 0);
-        assert!(table.is_empty());
+        assert!(store.table(0).is_empty());
         assert_eq!(
             st.total(MsgKind::Validation),
             1,
@@ -389,13 +429,11 @@ mod tests {
         let mut c = cfg(2, 5);
         c.local_recovery = false;
         let broken = vec![n(0), n(1), n(3), n(4), n(5)];
-        let mut table = ContactTable::new();
-        table.add(Contact::new(n(5), broken));
         let mut st = mk_stats();
-        let rep = validate(&net, &c, &mut table, &mut st);
+        let (rep, store) = validate(&net, &c, &[broken], &mut st, any_edge);
         assert_eq!(rep.lost, 1);
         assert_eq!(rep.recovered, 0);
-        assert!(table.is_empty());
+        assert!(store.table(0).is_empty());
     }
 
     #[test]
@@ -403,13 +441,11 @@ mod tests {
         let net = line_net(8, 2); // 2R = 4
         let cfg = cfg(2, 7);
         let path: Vec<NodeId> = (0..4).map(n).collect(); // 3 hops < 4
-        let mut table = ContactTable::new();
-        table.add(Contact::new(n(3), path));
         let mut st = mk_stats();
-        let rep = validate(&net, &cfg, &mut table, &mut st);
+        let (rep, store) = validate(&net, &cfg, &[path], &mut st, any_edge);
         assert_eq!(rep.dropped_out_of_range, 1);
         assert_eq!(rep.validated, 0);
-        assert!(table.is_empty());
+        assert!(store.table(0).is_empty());
     }
 
     #[test]
@@ -417,12 +453,10 @@ mod tests {
         let net = line_net(12, 2);
         let cfg = cfg(2, 6); // r = 6
         let path: Vec<NodeId> = (0..9).map(n).collect(); // 8 hops > 6
-        let mut table = ContactTable::new();
-        table.add(Contact::new(n(8), path));
         let mut st = mk_stats();
-        let rep = validate(&net, &cfg, &mut table, &mut st);
+        let (rep, store) = validate(&net, &cfg, &[path], &mut st, any_edge);
         assert_eq!(rep.dropped_out_of_range, 1);
-        assert!(table.is_empty());
+        assert!(store.table(0).is_empty());
     }
 
     #[test]
@@ -432,25 +466,14 @@ mod tests {
         let net = line_net(6, 2);
         let cfg = cfg(2, 5);
         let broken = vec![n(0), n(1), n(3), n(4), n(5)];
-        let mut table = ContactTable::new();
-        table.add(Contact::new(n(5), broken.clone()));
         let mut st = mk_stats();
         let down = n(2);
-        let rep = validate_contacts(
-            &net,
-            &cfg,
-            n(0),
-            &mut table,
-            |a, b| a != down && b != down,
-            1,
-        )
-        .0;
+        let paths = [broken];
+        let (rep, store) = validate(&net, &cfg, &paths, &mut st, |a, b| a != down && b != down);
         assert_eq!(rep.lost, 1, "recovery must not route through a down node");
-        assert!(table.is_empty());
+        assert!(store.table(0).is_empty());
         // With the pass-all predicate the same path recovers.
-        let mut table = ContactTable::new();
-        table.add(Contact::new(n(5), broken));
-        let rep = validate(&net, &cfg, &mut table, &mut st);
+        let (rep, _) = validate(&net, &cfg, &paths, &mut st, any_edge);
         assert_eq!(rep.validated, 1);
         assert_eq!(rep.recovered, 1);
     }
@@ -494,7 +517,6 @@ mod tests {
             /// [2R, r] rule.
             #[test]
             fn prop_survivors_have_valid_paths(seed in 0u64..300) {
-                use crate::contact::ContactTable;
                 use crate::csq::{select_contacts, CsqScratch, ALL_EDGE_NODES};
                 use mobility::waypoint::RandomWaypoint;
 
@@ -510,18 +532,14 @@ mod tests {
 
                 // tables for a handful of sources
                 let mut scratch = CsqScratch::new();
-                let mut tables: Vec<(NodeId, ContactTable)> = (0..10u32)
-                    .map(|i| {
-                        let node = NodeId::new(i);
-                        let mut t = ContactTable::new();
-                        let mut rng = splitter.stream("prop-sel", i as u64);
-                        select_contacts(
-                            &net, &config, node, &mut t, &mut rng, &mut stats, SimTime::ZERO,
-                            ALL_EDGE_NODES, &mut scratch,
-                        );
-                        (node, t)
-                    })
-                    .collect();
+                let mut store = ContactStore::new(10);
+                store.rewrite(|k, row| {
+                    let mut rng = splitter.stream("prop-sel", k as u64);
+                    select_contacts(
+                        &net, &config, NodeId::from(k), row, &mut rng, &mut stats, SimTime::ZERO,
+                        ALL_EDGE_NODES, &mut scratch,
+                    );
+                });
 
                 // perturb the topology, then validate
                 let mut model = RandomWaypoint::new(
@@ -529,10 +547,12 @@ mod tests {
                 net.advance(&mut model, sim_core::time::SimDuration::from_secs(1));
 
                 let (min_hops, max_hops) = config.valid_path_hops();
-                for (node, table) in &mut tables {
-                    validate_contacts(&net, &config, *node, table, any_edge, 1);
+                store.rewrite(|k, row| {
+                    validate_contacts(&net, &config, NodeId::from(k), row, any_edge, 1, |_, _| Probe::Walk);
+                });
+                for (k, table) in store.view().iter().enumerate() {
                     for c in table.contacts() {
-                        prop_assert_eq!(c.source(), *node);
+                        prop_assert_eq!(c.source(), NodeId::from(k));
                         prop_assert!(c.hops() >= min_hops && c.hops() <= max_hops);
                         for hop in c.path.windows(2) {
                             prop_assert!(
@@ -542,7 +562,7 @@ mod tests {
                         }
                         // healed paths are loop-free
                         let mut seen = std::collections::HashSet::new();
-                        for &p in &c.path {
+                        for &p in c.path.iter() {
                             prop_assert!(seen.insert(p), "loop at {p} in healed path");
                         }
                     }
@@ -590,14 +610,15 @@ mod tests {
     fn multiple_contacts_mixed_outcomes() {
         let net = line_net(12, 2);
         let cfg = cfg(2, 9);
-        let mut table = ContactTable::new();
-        table.add(Contact::new(n(5), (0..6).map(n).collect())); // 5 hops, fine
-        table.add(Contact::new(n(4), (0..5).map(n).collect())); // 4 hops, = 2R fine
-        table.add(Contact::new(n(3), (0..4).map(n).collect())); // 3 hops < 2R drop
+        let paths = [
+            (0..6).map(n).collect(), // 5 hops, fine
+            (0..5).map(n).collect(), // 4 hops, = 2R fine
+            (0..4).map(n).collect(), // 3 hops < 2R drop
+        ];
         let mut st = mk_stats();
-        let rep = validate(&net, &cfg, &mut table, &mut st);
+        let (rep, store) = validate(&net, &cfg, &paths, &mut st, any_edge);
         assert_eq!(rep.validated, 2);
         assert_eq!(rep.dropped_out_of_range, 1);
-        assert_eq!(table.len(), 2);
+        assert_eq!(store.contact_count(), 2);
     }
 }

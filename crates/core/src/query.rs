@@ -50,17 +50,16 @@
 //! ## State layout
 //!
 //! A contact answers from its own table for zero messages, so the host
-//! cost per visited contact is memory traffic: one 8-byte link read from
-//! the contact graph, then two array reads in [`QueryScratch`].
+//! cost per visited contact is memory traffic: one 6-byte link read from
+//! the contact store, then two array reads in [`QueryScratch`].
 //!
-//! * **Contact links** ([`TableSource::links`]): `(contact, path hops)` in
-//!   table order. A `CardWorld` view reads them from the world's flat CSR
-//!   contact graph — one offset pair per frontier node, then a contiguous
-//!   run of links — never from the shard-owned tables, whose 72-byte
-//!   headers and path-carrying contacts (32 B each) a walk used to chase
-//!   through a shard division per frontier node. Plain table slices
-//!   derive the links from the tables; [`dsq_query_rewalk`] reads the
-//!   tables, so the oracle also pins the graph to them.
+//! * **Contact links** (`TablesView::links`): `(contact, path hops)` in
+//!   row order — one division to the owning store, one offset pair per
+//!   frontier node, then the row's contiguous runs of the `ids` and `hops`
+//!   columns; never a stored path. [`dsq_query_rewalk`] reads the same
+//!   rows as contacts with their paths (a contact's hops are its path's
+//!   length there), so the oracle also pins the `hops` column to the
+//!   path arena.
 //! * **Marks and parents** (`WalkScratch`): `mark[v] == epoch` is "seen
 //!   this walk" and validates `parent[v]`, the frontier node that found
 //!   `v`. A fresh epoch per walk; zeroed once per `u32` wrap.
@@ -83,7 +82,7 @@ use net_topology::node::NodeId;
 use sim_core::stats::{MsgKind, MsgStats};
 use sim_core::time::SimTime;
 
-use crate::contact::{Backoff, TableSource};
+use crate::contact::{Backoff, TablesView};
 use crate::hints::{
     DepositLog, HintDeposit, HintKey, HintLookup, HintStats, HintStore, Lookup, NoHints,
 };
@@ -248,9 +247,9 @@ impl WalkScratch {
     /// re-`begin`ed). Otherwise the discovered contacts become the new
     /// frontier and the level's cost is added to
     /// [`WalkScratch::walked_msgs`].
-    pub(crate) fn advance_level<R, T: TableSource + ?Sized>(
+    pub(crate) fn advance_level<R>(
         &mut self,
-        contact_tables: &T,
+        contact_tables: TablesView<'_>,
         msgs: &mut u64,
         edge_ok: impl Fn(NodeId, NodeId) -> bool,
         mut visit: impl FnMut(NodeId, u64) -> Option<R>,
@@ -357,9 +356,9 @@ fn target_zone<'a>(
 /// without `hints` it is instantiated over `NoHints`, which touches no
 /// cache, counter or log.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol message fields
-pub fn dsq_query<T: TableSource>(
+pub fn dsq_query(
     net: &Network,
-    contact_tables: T,
+    contact_tables: TablesView<'_>,
     hints: Option<&mut HintContext<'_>>,
     source: NodeId,
     target: NodeId,
@@ -459,8 +458,8 @@ struct Chase {
 /// probe call or the slot scan — the common case of a cold sweep.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol message fields
 #[inline(always)]
-fn chase<T: TableSource + ?Sized, S: HintLookup + ?Sized>(
-    contact_tables: &T,
+fn chase<S: HintLookup + ?Sized>(
+    contact_tables: TablesView<'_>,
     store: &S,
     stats: &mut HintStats,
     key: HintKey,
@@ -492,8 +491,8 @@ fn chase<T: TableSource + ?Sized, S: HintLookup + ?Sized>(
 
 /// The probe body of [`chase`], from a holder that may hold hints.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol message fields
-fn follow_hints<T: TableSource + ?Sized, S: HintLookup + ?Sized>(
-    contact_tables: &T,
+fn follow_hints<S: HintLookup + ?Sized>(
+    contact_tables: TablesView<'_>,
     store: &S,
     stats: &mut HintStats,
     key: HintKey,
@@ -593,13 +592,13 @@ enum HintedHit {
 /// walk expands, and reaches only nodes the walk visits within
 /// `max_depth`. Resolved queries queue §V deposits along the
 /// source → answer chain. Over `NoHints` every hint touch is a branch on a
-/// constant `false`, so that instantiation is the plain walk: in the release
-/// `card_bench` build its calm node body is 967 B of x86-64 code, against
-/// 961 B for the separate plain body it replaced.
+/// constant `false`, so that instantiation is the plain walk: when the two
+/// bodies were merged, the release `card_bench` build's calm node body was
+/// 967 B of x86-64 code, against 961 B for the separate plain body.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol message fields
-pub(crate) fn escalate<T: TableSource, S: HintLookup>(
+pub(crate) fn escalate<S: HintLookup>(
     n: usize,
-    contact_tables: T,
+    contact_tables: TablesView<'_>,
     ctx: &mut HintContext<'_, S>,
     key: HintKey,
     source: NodeId,
@@ -614,7 +613,7 @@ pub(crate) fn escalate<T: TableSource, S: HintLookup>(
         // Source-side probe: a fresh chain answers for probe messages alone.
         let mut src_chain = [source; MAX_CHAIN];
         let src = chase(
-            &contact_tables,
+            contact_tables,
             &ctx.store,
             ctx.stats,
             key,
@@ -653,7 +652,7 @@ pub(crate) fn escalate<T: TableSource, S: HintLookup>(
         query_msgs += scratch.walked_msgs();
         let mut probe_spent = 0u64;
         let hit = {
-            let tables = &contact_tables;
+            let tables = contact_tables;
             let stats = &mut *ctx.stats;
             let store = &ctx.store;
             let failed = &mut failed_chases;
@@ -740,9 +739,9 @@ pub(crate) fn escalate<T: TableSource, S: HintLookup>(
 /// the depth-0 shortcut and the answer predicate are the one
 /// [`target_zone`] closure.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol message fields
-pub(crate) fn dsq_walk<T: TableSource, S: HintLookup>(
+pub(crate) fn dsq_walk<S: HintLookup>(
     net: &Network,
-    contact_tables: T,
+    contact_tables: TablesView<'_>,
     ctx: &mut HintContext<'_, S>,
     source: NodeId,
     target: NodeId,
@@ -929,9 +928,9 @@ impl QueryRetryQueue {
 /// exactly — level-k contacts relay when k < depth and answer from their
 /// neighborhood tables when k = depth (§III.C.4). Returns the reply hop
 /// count when found.
-fn attempt_rewalk<T: TableSource + ?Sized>(
+fn attempt_rewalk(
     net: &Network,
-    contact_tables: &T,
+    contact_tables: TablesView<'_>,
     source: NodeId,
     target: NodeId,
     depth: u16,
@@ -978,9 +977,9 @@ fn attempt_rewalk<T: TableSource + ?Sized>(
 /// *and* message accounting). The query layer's one oracle (as
 /// `Network::refresh_full` is the topology's): the equivalence anchor for
 /// tests (`tests/query_engine.rs`) and the `dsq_query/*` benches.
-pub fn dsq_query_rewalk<T: TableSource>(
+pub fn dsq_query_rewalk(
     net: &Network,
-    contact_tables: T,
+    contact_tables: TablesView<'_>,
     source: NodeId,
     target: NodeId,
     max_depth: u16,
@@ -994,7 +993,7 @@ pub fn dsq_query_rewalk<T: TableSource>(
     let mut query_msgs = 0u64;
     for depth in 1..=max_depth {
         if let Some(reply) =
-            attempt_rewalk(net, &contact_tables, source, target, depth, &mut query_msgs)
+            attempt_rewalk(net, contact_tables, source, target, depth, &mut query_msgs)
         {
             stats.record_n(at, MsgKind::Dsq, query_msgs);
             stats.record_n(at, MsgKind::DsqReply, reply);
@@ -1020,7 +1019,7 @@ pub fn dsq_query_rewalk<T: TableSource>(
 mod tests {
     use super::*;
     use crate::config::CardConfig;
-    use crate::contact::{Contact, ContactTable};
+    use crate::contact::ContactStore;
     use crate::world::CardWorld;
     use mobility::waypoint::RandomWaypoint;
     use net_topology::geometry::{Field, Point2};
@@ -1042,12 +1041,13 @@ mod tests {
     /// case; the broad pin lives in `tests/query_engine.rs`).
     fn query(
         net: &Network,
-        tables: &[ContactTable],
+        tables: &ContactStore,
         source: NodeId,
         target: NodeId,
         max_depth: u16,
         st: &mut MsgStats,
     ) -> QueryOutcome {
+        let tables = tables.view();
         let mut scratch = QueryScratch::new();
         let out = dsq_query(
             net,
@@ -1082,14 +1082,16 @@ mod tests {
         Network::from_positions(Field::square(700.0), positions, 50.0, 2)
     }
 
-    /// Hand-built contact structure on the line:
-    /// node 0 has contact 6 (6 hops), node 6 has contact 12 (6 hops).
-    fn tables_for_line(net: &Network) -> Vec<ContactTable> {
-        let mut tables: Vec<ContactTable> =
-            (0..net.node_count()).map(|_| ContactTable::new()).collect();
-        tables[0].add(Contact::new(n(6), (0..7).map(n).collect()));
-        tables[6].add(Contact::new(n(12), (6..13).map(n).collect()));
-        tables
+    /// Hand-built contact structure on the line: node 0 has contact 6
+    /// (6 hops), node 6 has contact 12 (6 hops), then the `extra` paths.
+    fn line_tables(net: &Network, extra: &[Vec<NodeId>]) -> ContactStore {
+        let mut paths: Vec<Vec<NodeId>> = vec![(0..7).map(n).collect(), (6..13).map(n).collect()];
+        paths.extend_from_slice(extra);
+        ContactStore::from_paths(net.node_count(), &paths)
+    }
+
+    fn tables_for_line(net: &Network) -> ContactStore {
+        line_tables(net, &[])
     }
 
     #[test]
@@ -1150,8 +1152,7 @@ mod tests {
     #[test]
     fn deeper_search_finds_what_shallow_missed() {
         let net = line_net();
-        let mut tables = tables_for_line(&net);
-        tables[12].add(Contact::new(n(15), vec![n(12), n(13), n(14), n(15)]));
+        let tables = line_tables(&net, &[vec![n(12), n(13), n(14), n(15)]]);
         let mut st = mk_stats();
         let shallow = query(&net, &tables, n(0), n(15), 2, &mut st);
         // n15 IS within R=2 of contact n12's... dist(12,15)=3 > 2, so D=2 misses;
@@ -1171,7 +1172,7 @@ mod tests {
         let out = query(&net, &tables, n(0), n(13), 2, &mut st);
         // hypothetical: starting directly at D=2 would be cheaper
         let mut direct = 0u64;
-        attempt_rewalk(&net, &tables, n(0), n(13), 2, &mut direct).unwrap();
+        attempt_rewalk(&net, tables.view(), n(0), n(13), 2, &mut direct).unwrap();
         assert!(
             out.query_msgs > direct,
             "escalation must cost more than direct D=2"
@@ -1181,8 +1182,7 @@ mod tests {
     #[test]
     fn no_contacts_means_immediate_miss() {
         let net = line_net();
-        let tables: Vec<ContactTable> =
-            (0..net.node_count()).map(|_| ContactTable::new()).collect();
+        let tables = ContactStore::new(net.node_count());
         let mut st = mk_stats();
         let out = query(&net, &tables, n(0), n(9), 3, &mut st);
         assert!(!out.found);
@@ -1192,11 +1192,11 @@ mod tests {
     #[test]
     fn contact_cycles_do_not_loop() {
         let net = line_net();
-        let mut tables: Vec<ContactTable> =
-            (0..net.node_count()).map(|_| ContactTable::new()).collect();
         // 0 -> 6 -> 0 cycle
-        tables[0].add(Contact::new(n(6), (0..7).map(n).collect()));
-        tables[6].add(Contact::new(n(0), (0..7).rev().map(n).collect()));
+        let tables = ContactStore::from_paths(
+            net.node_count(),
+            &[(0..7).map(n).collect(), (0..7).rev().map(n).collect()],
+        );
         let mut st = mk_stats();
         let out = query(&net, &tables, n(0), n(15), 3, &mut st);
         assert!(!out.found, "must terminate despite the contact cycle");
@@ -1214,7 +1214,7 @@ mod tests {
                 let mut st_a = mk_stats();
                 let out = dsq_query(
                     &net,
-                    &tables,
+                    tables.view(),
                     None,
                     n(0),
                     n(target),
@@ -1226,7 +1226,7 @@ mod tests {
                 let mut st_b = mk_stats();
                 let fresh = dsq_query(
                     &net,
-                    &tables,
+                    tables.view(),
                     None,
                     n(0),
                     n(target),
@@ -1249,7 +1249,7 @@ mod tests {
         let mut st = mk_stats();
         let first = dsq_query(
             &net,
-            &tables,
+            tables.view(),
             None,
             n(0),
             n(13),
@@ -1262,7 +1262,7 @@ mod tests {
         scratch.walk.epoch = u32::MAX;
         let again = dsq_query(
             &net,
-            &tables,
+            tables.view(),
             None,
             n(0),
             n(13),
@@ -1283,7 +1283,7 @@ mod tests {
         let mut ask = |scratch: &mut QueryScratch, target| {
             dsq_query(
                 &net,
-                &tables,
+                tables.view(),
                 None,
                 n(0),
                 n(target),
@@ -1369,13 +1369,13 @@ mod tests {
     /// The plain unrecorded walk from node 0 under `filter`'s edge veto.
     fn walk_under(
         net: &Network,
-        tables: &[ContactTable],
+        tables: &ContactStore,
         target: NodeId,
         filter: QueryFaultFilter<'_>,
     ) -> QueryOutcome {
         dsq_walk(
             net,
-            tables,
+            tables.view(),
             &mut HintContext::off(&mut HintStats::default(), &mut DepositLog::new()),
             n(0),
             target,
@@ -1456,16 +1456,14 @@ mod tests {
         // A longer contact chain with branching: per-depth outcomes and
         // message totals must agree with the re-walk at every max_depth.
         let net = line_net();
-        let mut tables = tables_for_line(&net);
-        tables[12].add(Contact::new(n(15), (12..16).map(n).collect()));
-        tables[0].add(Contact::new(n(9), (0..10).map(n).collect()));
+        let tables = line_tables(&net, &[(12..16).map(n).collect(), (0..10).map(n).collect()]);
         let mut scratch = QueryScratch::new();
         for target in 0..16u32 {
             for max_depth in 1..=4u16 {
                 let mut st_inc = mk_stats();
                 let inc = dsq_query(
                     &net,
-                    &tables,
+                    tables.view(),
                     None,
                     n(0),
                     n(target),
@@ -1477,7 +1475,7 @@ mod tests {
                 let mut st_ref = mk_stats();
                 let reference = dsq_query_rewalk(
                     &net,
-                    &tables,
+                    tables.view(),
                     n(0),
                     n(target),
                     max_depth,

@@ -13,7 +13,7 @@ use sim_core::stats::PercentHistogram;
 use sim_core::util::BitSet;
 use std::cell::RefCell;
 
-use crate::contact::TableSource;
+use crate::contact::TablesView;
 use crate::query::{any_edge, QueryScratch};
 
 /// Histogram bucket width used by every reachability figure (percent).
@@ -32,9 +32,9 @@ pub const REACH_BUCKET_PCT: f64 = 5.0;
 ///
 /// # Panics
 /// Panics if `out` was built for fewer than `net.node_count()` nodes.
-pub fn reachability_set_into<T: TableSource>(
+pub fn reachability_set_into(
     net: &Network,
-    contact_tables: T,
+    contact_tables: TablesView<'_>,
     source: NodeId,
     depth: u16,
     scratch: &mut QueryScratch,
@@ -56,7 +56,7 @@ pub fn reachability_set_into<T: TableSource>(
         if walk.exhausted() {
             break;
         }
-        walk.advance_level(&contact_tables, &mut no_msgs, any_edge, |c, _| {
+        walk.advance_level(contact_tables, &mut no_msgs, any_edge, |c, _| {
             for m in tables.of(c).iter_members() {
                 out.insert(m.index());
             }
@@ -79,9 +79,9 @@ thread_local! {
 /// The walk itself runs allocation-free on a thread-local
 /// [`QueryScratch`]; sweeps that cannot afford the output allocation
 /// either should hold their own scratch and use [`reachability_set_into`].
-pub fn reachability_set<T: TableSource>(
+pub fn reachability_set(
     net: &Network,
-    contact_tables: T,
+    contact_tables: TablesView<'_>,
     source: NodeId,
     depth: u16,
 ) -> BitSet {
@@ -100,9 +100,9 @@ pub fn reachability_set<T: TableSource>(
 }
 
 /// Reachability of `source` as a percentage of the network size.
-pub fn reachability_pct<T: TableSource>(
+pub fn reachability_pct(
     net: &Network,
-    contact_tables: T,
+    contact_tables: TablesView<'_>,
     source: NodeId,
     depth: u16,
 ) -> f64 {
@@ -132,7 +132,7 @@ impl ReachabilitySummary {
     /// no per-source allocation (the old implementation allocated two
     /// O(N) vectors and a bitset per source: 2·N throwaway vectors per
     /// summary).
-    pub fn compute<T: TableSource>(net: &Network, contact_tables: T, depth: u16) -> Self {
+    pub fn compute(net: &Network, contact_tables: TablesView<'_>, depth: u16) -> Self {
         let n = net.node_count();
         let mut histogram = PercentHistogram::new(REACH_BUCKET_PCT);
         let mut per_node_pct = Vec::with_capacity(n);
@@ -140,7 +140,7 @@ impl ReachabilitySummary {
         let mut scratch = QueryScratch::with_capacity(n);
         let mut set = BitSet::new(n);
         for source in NodeId::all(n) {
-            reachability_set_into(net, &contact_tables, source, depth, &mut scratch, &mut set);
+            reachability_set_into(net, contact_tables, source, depth, &mut scratch, &mut set);
             let pct = 100.0 * set.len() as f64 / n as f64;
             histogram.record(pct);
             sum += pct;
@@ -170,7 +170,7 @@ impl ReachabilitySummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contact::{Contact, ContactTable};
+    use crate::contact::ContactStore;
     use net_topology::geometry::{Field, Point2};
 
     fn n(i: u32) -> NodeId {
@@ -185,26 +185,21 @@ mod tests {
         Network::from_positions(Field::square(900.0), positions, 50.0, 2)
     }
 
-    fn empty_tables(n: usize) -> Vec<ContactTable> {
-        (0..n).map(|_| ContactTable::new()).collect()
-    }
-
     #[test]
     fn no_contacts_reachability_is_neighborhood() {
         let net = line_net();
-        let tables = empty_tables(20);
-        let set = reachability_set(&net, &tables, n(0), 1);
+        let tables = ContactStore::new(20);
+        let set = reachability_set(&net, tables.view(), n(0), 1);
         // nbhd of node 0 at R=2: {0,1,2} → 3/20 = 15%
         assert_eq!(set.len(), 3);
-        assert!((reachability_pct(&net, &tables, n(0), 1) - 15.0).abs() < 1e-9);
+        assert!((reachability_pct(&net, tables.view(), n(0), 1) - 15.0).abs() < 1e-9);
     }
 
     #[test]
     fn contact_extends_reachability() {
         let net = line_net();
-        let mut tables = empty_tables(20);
-        tables[0].add(Contact::new(n(8), (0..9).map(n).collect()));
-        let set = reachability_set(&net, &tables, n(0), 1);
+        let tables = ContactStore::from_paths(20, &[(0..9).map(n).collect()]);
+        let set = reachability_set(&net, tables.view(), n(0), 1);
         // {0,1,2} ∪ nbhd(8) = {6,7,8,9,10} → 8 nodes
         assert_eq!(set.len(), 8);
         // the set always contains the full neighborhood
@@ -216,25 +211,23 @@ mod tests {
     #[test]
     fn depth_two_includes_contacts_of_contacts() {
         let net = line_net();
-        let mut tables = empty_tables(20);
-        tables[0].add(Contact::new(n(8), (0..9).map(n).collect()));
-        tables[8].add(Contact::new(n(16), (8..17).map(n).collect()));
-        let d1 = reachability_set(&net, &tables, n(0), 1).len();
-        let d2 = reachability_set(&net, &tables, n(0), 2).len();
+        let tables =
+            ContactStore::from_paths(20, &[(0..9).map(n).collect(), (8..17).map(n).collect()]);
+        let d1 = reachability_set(&net, tables.view(), n(0), 1).len();
+        let d2 = reachability_set(&net, tables.view(), n(0), 2).len();
         assert_eq!(d1, 8);
         assert_eq!(d2, 8 + 5, "level-2 contact adds nbhd(16) = {{14..18}}");
         // depth 3 with no level-3 contacts adds nothing
-        let d3 = reachability_set(&net, &tables, n(0), 3).len();
+        let d3 = reachability_set(&net, tables.view(), n(0), 3).len();
         assert_eq!(d3, d2);
     }
 
     #[test]
     fn overlapping_contact_neighborhoods_do_not_double_count() {
         let net = line_net();
-        let mut tables = empty_tables(20);
-        tables[0].add(Contact::new(n(8), (0..9).map(n).collect()));
-        tables[0].add(Contact::new(n(9), (0..10).map(n).collect()));
-        let set = reachability_set(&net, &tables, n(0), 1);
+        let tables =
+            ContactStore::from_paths(20, &[(0..9).map(n).collect(), (0..10).map(n).collect()]);
+        let set = reachability_set(&net, tables.view(), n(0), 1);
         // nbhd(8)={6..10}, nbhd(9)={7..11}: union {6..11} (6 nodes) + {0,1,2}
         assert_eq!(set.len(), 9);
     }
@@ -242,19 +235,19 @@ mod tests {
     #[test]
     fn contact_cycles_terminate() {
         let net = line_net();
-        let mut tables = empty_tables(20);
-        tables[0].add(Contact::new(n(8), (0..9).map(n).collect()));
-        tables[8].add(Contact::new(n(0), (0..9).rev().map(n).collect()));
-        let set = reachability_set(&net, &tables, n(0), 5);
+        let tables = ContactStore::from_paths(
+            20,
+            &[(0..9).map(n).collect(), (0..9).rev().map(n).collect()],
+        );
+        let set = reachability_set(&net, tables.view(), n(0), 5);
         assert!(set.len() <= 20);
     }
 
     #[test]
     fn summary_statistics() {
         let net = line_net();
-        let mut tables = empty_tables(20);
-        tables[0].add(Contact::new(n(8), (0..9).map(n).collect()));
-        let summary = ReachabilitySummary::compute(&net, &tables, 1);
+        let tables = ContactStore::from_paths(20, &[(0..9).map(n).collect()]);
+        let summary = ReachabilitySummary::compute(&net, tables.view(), 1);
         assert_eq!(summary.per_node_pct.len(), 20);
         assert_eq!(summary.histogram.total(), 20);
         // node 0: 40%; interior nodes without contacts: 25%; ends: 15%
@@ -269,15 +262,14 @@ mod tests {
     #[test]
     fn reused_scratch_and_bitset_match_fresh_runs() {
         let net = line_net();
-        let mut tables = empty_tables(20);
-        tables[0].add(Contact::new(n(8), (0..9).map(n).collect()));
-        tables[8].add(Contact::new(n(16), (8..17).map(n).collect()));
+        let tables =
+            ContactStore::from_paths(20, &[(0..9).map(n).collect(), (8..17).map(n).collect()]);
         let mut scratch = crate::query::QueryScratch::new();
         let mut set = BitSet::new(20);
         for depth in [0u16, 1, 2, 3] {
             for src in [0u32, 5, 8, 19] {
-                reachability_set_into(&net, &tables, n(src), depth, &mut scratch, &mut set);
-                let fresh = reachability_set(&net, &tables, n(src), depth);
+                reachability_set_into(&net, tables.view(), n(src), depth, &mut scratch, &mut set);
+                let fresh = reachability_set(&net, tables.view(), n(src), depth);
                 assert_eq!(
                     set.to_vec(),
                     fresh.to_vec(),
@@ -290,12 +282,16 @@ mod tests {
     #[test]
     fn reachability_bounded_by_network() {
         let net = line_net();
-        let mut tables = empty_tables(20);
         // chain of contacts covering everything
-        tables[0].add(Contact::new(n(8), (0..9).map(n).collect()));
-        tables[8].add(Contact::new(n(16), (8..17).map(n).collect()));
-        tables[16].add(Contact::new(n(19), (16..20).map(n).collect()));
-        let pct = reachability_pct(&net, &tables, n(0), 10);
+        let tables = ContactStore::from_paths(
+            20,
+            &[
+                (0..9).map(n).collect(),
+                (8..17).map(n).collect(),
+                (16..20).map(n).collect(),
+            ],
+        );
+        let pct = reachability_pct(&net, tables.view(), n(0), 10);
         assert!(pct <= 100.0);
     }
 }

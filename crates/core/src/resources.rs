@@ -27,7 +27,7 @@ use sim_core::stats::MsgStats;
 use sim_core::time::SimTime;
 use sim_core::util::BitSet;
 
-use crate::contact::TableSource;
+use crate::contact::TablesView;
 use crate::hints::{DepositLog, HintKey, HintLookup, HintStats};
 use crate::query::{any_edge, escalate, HintContext, QueryOutcome, QueryScratch};
 
@@ -216,9 +216,9 @@ pub fn distribute(
 /// with the pass-all veto this is the plain
 /// [`ResourceRegistry::hosted_in_neighborhood`] lookup).
 #[allow(clippy::too_many_arguments)] // mirrors the protocol message fields
-pub(crate) fn resource_query_unrecorded<T: TableSource, S: HintLookup>(
+pub(crate) fn resource_query_unrecorded<S: HintLookup>(
     net: &Network,
-    contact_tables: T,
+    contact_tables: TablesView<'_>,
     registry: &ResourceRegistry,
     ctx: &mut HintContext<'_, S>,
     source: NodeId,
@@ -264,9 +264,9 @@ pub(crate) fn resource_query_unrecorded<T: TableSource, S: HintLookup>(
 /// [`crate::hints`] and [`crate::query::HintContext`]). Outcomes match the
 /// plain query exactly — hints change cost, never answers.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol message fields
-pub fn resource_query<T: TableSource>(
+pub fn resource_query(
     net: &Network,
-    contact_tables: T,
+    contact_tables: TablesView<'_>,
     registry: &ResourceRegistry,
     hints: Option<&mut HintContext<'_>>,
     source: NodeId,
@@ -305,9 +305,9 @@ pub fn resource_query<T: TableSource>(
 
 /// The set of resources discoverable by `source` at contact depth `depth`:
 /// resources with a host inside the source's reachability set.
-pub fn discoverable_resources<T: TableSource>(
+pub fn discoverable_resources(
     net: &Network,
-    contact_tables: T,
+    contact_tables: TablesView<'_>,
     registry: &ResourceRegistry,
     source: NodeId,
     depth: u16,
@@ -322,7 +322,7 @@ pub fn discoverable_resources<T: TableSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contact::{Contact, ContactTable};
+    use crate::contact::ContactStore;
     use net_topology::geometry::{Field, Point2};
     use sim_core::stats::MsgKind;
     use sim_core::time::SimDuration;
@@ -343,12 +343,11 @@ mod tests {
         Network::from_positions(Field::square(700.0), positions, 50.0, 2)
     }
 
-    fn tables_for_line(net: &Network) -> Vec<ContactTable> {
-        let mut tables: Vec<ContactTable> =
-            (0..net.node_count()).map(|_| ContactTable::new()).collect();
-        tables[0].add(Contact::new(n(6), (0..7).map(n).collect()));
-        tables[6].add(Contact::new(n(12), (6..13).map(n).collect()));
-        tables
+    fn tables_for_line(net: &Network) -> ContactStore {
+        ContactStore::from_paths(
+            net.node_count(),
+            &[(0..7).map(n).collect(), (6..13).map(n).collect()],
+        )
     }
 
     #[test]
@@ -389,7 +388,7 @@ mod tests {
         let mut st = mk_stats();
         let out = resource_query(
             &net,
-            &tables,
+            tables.view(),
             &reg,
             None,
             n(0),
@@ -413,7 +412,7 @@ mod tests {
         let mut st = mk_stats();
         let out = resource_query(
             &net,
-            &tables,
+            tables.view(),
             &reg,
             None,
             n(0),
@@ -440,7 +439,7 @@ mod tests {
         let mut st = mk_stats();
         let out = resource_query(
             &net,
-            &tables,
+            tables.view(),
             &reg,
             None,
             n(0),
@@ -462,7 +461,7 @@ mod tests {
         let mut st = mk_stats();
         let out = resource_query(
             &net,
-            &tables,
+            tables.view(),
             &reg,
             None,
             n(0),
@@ -523,13 +522,13 @@ mod tests {
             ResourceDistribution::UniformReplicated { replicas: 2 },
             &mut rng,
         );
-        let disc = discoverable_resources(&net, &tables, &reg, n(0), 2);
+        let disc = discoverable_resources(&net, tables.view(), &reg, n(0), 2);
         for r in 0..6u32 {
             let resource = ResourceId(r);
             let mut st = mk_stats();
             let out = resource_query(
                 &net,
-                &tables,
+                tables.view(),
                 &reg,
                 None,
                 n(0),

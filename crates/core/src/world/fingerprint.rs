@@ -12,10 +12,13 @@
 //! |---|---|---|
 //! | [`Layer::Topology`] | position (`to_bits`), adjacency row, zone members with their distances | — |
 //! | [`Layer::Tables`] | contacts `(id, path)`, tombstones, validation-retry and selection backoffs, RNG position (the next draw of a clone of its stream) | — |
-//! | [`Layer::Graph`] | contact-graph links | — |
 //! | [`Layer::Hints`] | hint slots, LRU clock and occupancy count; the deferred deposits it holds, in lane order, each run as its copies | cache on/off, epoch, plane ledger `(sent, dropped, delayed, local + cross)` |
 //! | [`Layer::Timeline`] | — | query-retry queue, standing queries, `now`, contacts series |
 //! | [`Layer::Counters`] | — | per-kind `MsgStats` series, `MaintenanceTotals`, `HintStats`, `FaultReport`, lossy-exchange count |
+//!
+//! The contact walk reads each contact's id and hop count from the same
+//! store rows whose `(id, path)` [`Layer::Tables`] hashes, so the walk
+//! needs no layer of its own.
 //!
 //! **What stays out** is what only caches or meters: `Contact::confirmed`,
 //! the network's row stamps and link version, the CSQ scratch, buffer
@@ -42,8 +45,6 @@ pub enum Layer {
     Topology,
     /// Contact tables, backoffs and RNG positions (per node).
     Tables,
-    /// The contact graph (per node).
-    Graph,
     /// Hint stores and the deposits the plane holds (per node), the
     /// plane ledger.
     Hints,
@@ -55,10 +56,9 @@ pub enum Layer {
 
 impl Layer {
     /// Every layer, in [`Fingerprint::diff`] order.
-    pub const ALL: [Layer; 6] = [
+    pub const ALL: [Layer; 5] = [
         Layer::Topology,
         Layer::Tables,
-        Layer::Graph,
         Layer::Hints,
         Layer::Timeline,
         Layer::Counters,
@@ -76,7 +76,7 @@ impl Layer {
 #[derive(PartialEq, Eq)]
 pub struct Fingerprint {
     nodes: usize,
-    layers: [Vec<u64>; 6],
+    layers: [Vec<u64>; 5],
 }
 
 impl Fingerprint {
@@ -164,15 +164,15 @@ impl CardWorld {
         });
         let tables = per_node(n, |i, h| {
             let (s, k) = (&self.shards[i / self.per], i % self.per);
-            let table = &s.contacts[k];
+            let store = &self.contacts[i / self.per];
+            let table = store.table(k);
             table.len().hash(h);
             for c in table.contacts() {
-                (c.id, &c.path).hash(h);
+                (c.id, c.path).hash(h);
             }
-            (table.tombstones(), table.retries(), s.backoff[k]).hash(h);
+            (table.tombstones(), store.retries(k), s.backoff[k]).hash(h);
             s.rngs[k].clone().next_raw().hash(h);
         });
-        let graph = per_node(n, |i, h| self.graph.links(i).hash(h));
         let mut held: Vec<Fnv> = (0..n).map(|_| Fnv::default()).collect();
         // Runs expand to their copies: where a log splits a run depends on
         // how the sweep was cut into lanes.
@@ -206,7 +206,7 @@ impl CardWorld {
         (counters, exchanges).hash(&mut h);
         Fingerprint {
             nodes: n,
-            layers: [topology, tables, graph, hints, timeline, vec![h.finish()]],
+            layers: [topology, tables, hints, timeline, vec![h.finish()]],
         }
     }
 }

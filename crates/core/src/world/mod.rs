@@ -17,19 +17,21 @@
 //!
 //! | file | what it holds |
 //! |---|---|
-//! | `shards.rs` | shard ownership: `ProtocolShard`, the [`TablesView`] and [`HintsView`] read views, the contact-graph rebuild, resharding, per-shard memory |
-//! | `round.rs` | contact selection (§III.C.1), the validation round with local recovery (§III.C.3), and the round's fault stage ([`FaultReport`]); each rebuilds the contact graph |
+//! | `shards.rs` | shard ownership: `ProtocolShard` and its contact store, the [`TablesView`] and [`HintsView`] read views, resharding, per-shard memory |
+//! | `round.rs` | contact selection (§III.C.1), the validation round with local recovery (§III.C.3), and the round's fault stage ([`FaultReport`]); each rewrites the contact stores row by row |
 //! | `queries.rs` | DSQ queries (§III.C.4): the one per-pair body, the one sweep (a live or retried query is a sweep of one), and the one hint-deposit exchange |
 //! | `subscriptions.rs` | standing-query upkeep: register, resolve, probe, revalidate |
 //! | `fingerprint.rs` | [`CardWorld::fingerprint`]: what counts as world state, hashed in layers, for the tests that compare worlds |
 //!
-//! **One contact graph.** The shard tables own every contact with its
-//! path, tombstones and retry state; selection and validation edit them
-//! and never read the graph. Every contact walk — queries, retries,
-//! standing resolution, reachability — and every hint-chase next-hop
-//! lookup reads only the world's flat CSR `ContactGraph` (4 B per node
-//! plus 8 B per link), which the calls that edit tables rebuild from them
-//! in place before they return.
+//! **One contact store per shard.** Each shard's [`ContactStore`] holds its
+//! span's contacts once, as node-ordered rows over one path arena, with
+//! each node's tombstones and retry state. Selection and the validation
+//! round rewrite every row of it in node order; every contact walk —
+//! queries, retries, standing resolution, reachability — and every
+//! hint-chase next-hop lookup reads a row's `ids` and `hops` columns
+//! through [`TablesView`] (the owning store is `i / per`), and
+//! maintenance and the re-walk oracle read the same rows' paths. There is
+//! no second copy to keep in step.
 //!
 //! **Determinism.** Every random protocol decision draws from the RNG
 //! stream of the node making it (derived as `("card-node", node)` from the
@@ -53,22 +55,24 @@ mod subscriptions;
 #[cfg(test)]
 mod tests;
 
+pub use crate::contact::TablesView;
 pub use crate::maintenance::MaintenanceTotals;
 pub use fingerprint::{Fingerprint, Layer};
 pub use round::FaultReport;
-pub use shards::{HintsView, TablesView};
+pub use shards::HintsView;
 
 use manet_routing::network::{DirtyReport, Network};
 use mobility::model::MobilityModel;
 use net_topology::node::NodeId;
 use net_topology::scenario::Scenario;
+use sim_core::par::shard_spans;
 use sim_core::plane::{MessagePlane, PlaneStats};
 use sim_core::rng::SeedSplitter;
 use sim_core::stats::{MsgStats, TimeSeries};
 use sim_core::time::{SimDuration, SimTime};
 
 use crate::config::CardConfig;
-use crate::contact::{Backoff, ContactGraph, ContactTable};
+use crate::contact::{Backoff, ContactStore, ContactTable};
 use crate::events::{DriveMode, EventDriver};
 use crate::hints::{HintDeposit, HintStats, HintStore};
 use crate::query::QueryRetryQueue;
@@ -96,12 +100,8 @@ pub struct CardWorld {
     maintenance: MaintenanceTotals,
     /// The shard-owned protocol state; `shards.len()` is the shard count.
     shards: Vec<ProtocolShard>,
-    /// Every node's contact links in one flat CSR, mirrored from the shard
-    /// tables: what every contact walk and hint chase reads. Rebuilt at the
-    /// end of each call that can change a table — selection and the
-    /// validation round, before the round's retry drain and standing
-    /// recheck — and untouched by resharding.
-    graph: ContactGraph,
+    /// Shard `k`'s contact tables, rows in node order (`world/shards.rs`).
+    contacts: Vec<ContactStore>,
     /// Span width of the canonical partition (`ceil(N / shards)`, min 1);
     /// node `i` is owned by shard `i / per`.
     per: usize,
@@ -160,12 +160,12 @@ impl CardWorld {
         );
         let n = net.node_count();
         let splitter = SeedSplitter::new(cfg.seed);
-        let contacts = (0..n).map(|_| ContactTable::new()).collect();
         let rngs = (0..n)
             .map(|i| splitter.stream("card-node", i as u64))
             .collect();
         let k = default_shard_count();
-        let shards = partition_state(n, k, contacts, rngs, vec![Backoff::default(); n], None);
+        let spans = shard_spans(n, k);
+        let shards = partition_state(&spans, rngs, vec![Backoff::default(); n], None);
         CardWorld {
             net,
             cfg,
@@ -174,7 +174,7 @@ impl CardWorld {
             contacts_series: TimeSeries::new(),
             maintenance: MaintenanceTotals::default(),
             shards,
-            graph: ContactGraph::empty(n),
+            contacts: spans.iter().map(|s| ContactStore::new(s.len())).collect(),
             per: n.div_ceil(k).max(1),
             lanes: (0..k).map(|_| QueryLane::new(n)).collect(),
             plane: MessagePlane::new(k),
@@ -244,27 +244,13 @@ impl CardWorld {
     }
 
     /// The contact table of one node.
-    pub fn contact_table(&self, node: NodeId) -> &ContactTable {
-        let s = &self.shards[node.index() / self.per];
-        &s.contacts[node.index() - s.start]
-    }
-
-    /// Read view over all contact tables, indexed by node id.
-    pub fn contact_tables(&self) -> TablesView<'_> {
-        TablesView {
-            shards: &self.shards,
-            per: self.per,
-            graph: &self.graph,
-            n: self.net.node_count(),
-        }
+    pub fn contact_table(&self, node: NodeId) -> ContactTable<'_> {
+        self.contact_tables().table(node.index())
     }
 
     /// Total live contacts across all nodes.
     pub fn total_contacts(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.contacts.iter().map(ContactTable::len).sum::<usize>())
-            .sum()
+        self.contacts.iter().map(ContactStore::contact_count).sum()
     }
 
     /// Mean live contacts per node.

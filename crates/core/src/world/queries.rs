@@ -30,7 +30,7 @@
 //! the plane as one envelope to its holder's owner shard. A run weighs
 //! its count in the plane's ledger and draws one content-keyed fault
 //! verdict — the one every copy would have drawn. Query *reads* (remote
-//! contact links) stay direct reads of the world's contact graph through
+//! contact links) stay direct reads of the shards' contact stores through
 //! [`TablesView`]. The drain's ordering contract is spelled out on
 //! `exchange_deposits`.
 
@@ -41,13 +41,13 @@ use sim_core::par::parallel_shard_map;
 use sim_core::plane::Outbox;
 use sim_core::stats::MsgKind;
 
-use crate::contact::ContactGraph;
+use crate::contact::{ContactStore, TablesView};
 use crate::hints::{DepositLog, HintDeposit, HintLookup, HintStats, NoHints};
 use crate::query::{any_edge, dsq_walk, HintContext, QueryFaultFilter, QueryOutcome, QueryScratch};
 use crate::resources::{resource_query_unrecorded, ResourceId, ResourceRegistry};
 
 use super::round::FaultRuntime;
-use super::shards::{HintsView, ProtocolShard, TablesView};
+use super::shards::{HintsView, ProtocolShard};
 use super::CardWorld;
 
 /// What one query is looking for.
@@ -92,20 +92,15 @@ impl<'a> QueryView<'a> {
     pub(super) fn over(
         net: &'a Network,
         shards: &'a [ProtocolShard],
+        contacts: &'a [ContactStore],
         per: usize,
-        graph: &'a ContactGraph,
         hints: bool,
         depth: u16,
         faults: &'a Option<FaultRuntime>,
     ) -> Self {
         QueryView {
             net,
-            tables: TablesView {
-                shards,
-                per,
-                graph,
-                n: net.node_count(),
-            },
+            tables: TablesView::new(contacts, per),
             hints: hints.then_some(HintsView { shards, per }),
             depth,
             faults: faults.as_ref().map(|rt| QueryFaultFilter {
@@ -353,14 +348,14 @@ impl CardWorld {
             stats,
             now,
             shards,
-            graph,
+            contacts,
             lanes,
             hints_on,
             hint_stats,
             faults,
             ..
         } = self;
-        let view = QueryView::over(net, shards, per, graph, *hints_on, cfg.depth, faults);
+        let view = QueryView::over(net, shards, contacts, per, *hints_on, cfg.depth, faults);
         // Each span of the canonical `shard_spans` partition owns its chunk
         // of the asks, the matching chunk of the output buffer (written in
         // place — no per-span collection) and one query lane.

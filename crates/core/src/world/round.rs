@@ -38,9 +38,9 @@ use sim_core::stats::{MsgKind, MsgStats};
 use sim_core::time::{SimDuration, SimTime};
 
 use crate::config::CardConfig;
-use crate::contact::{TOMBSTONE_TTL, VALIDATION_RETRY_CAP};
+use crate::contact::{Contact, ContactStore, RowEdit, TOMBSTONE_TTL, VALIDATION_RETRY_CAP};
 use crate::csq::{select_contacts, ALL_EDGE_NODES};
-use crate::maintenance::{path_shard_crossings, validate_contacts, MaintenanceTotals};
+use crate::maintenance::{validate_contacts, MaintenanceTotals, Probe};
 use crate::query::{any_edge, RetryStats};
 
 use super::shards::ProtocolShard;
@@ -117,31 +117,41 @@ impl CardWorld {
             stats,
             now,
             shards,
+            contacts,
             ..
         } = self;
         let width = stats.bucket_width();
         let at = *now;
-        let deltas = parallel_shard_map(shards, |_, shard| {
+        let mut work: Vec<_> = shards.iter_mut().zip(contacts.iter_mut()).collect();
+        let deltas = parallel_shard_map(&mut work, |_, (shard, store)| {
             let mut delta = MsgStats::new(width);
-            for k in 0..shard.contacts.len() {
+            let ProtocolShard {
+                start,
+                rngs,
+                scratch,
+                ..
+            } = &mut **shard;
+            store.rewrite(|k, row| {
+                row.keep_all();
+                let node = NodeId::from(*start + k);
+                let rng = &mut rngs[k];
                 select_contacts(
                     net,
                     cfg,
-                    NodeId::from(shard.start + k),
-                    &mut shard.contacts[k],
-                    &mut shard.rngs[k],
+                    node,
+                    row,
+                    rng,
                     &mut delta,
                     at,
                     ALL_EDGE_NODES,
-                    &mut shard.scratch,
+                    scratch,
                 );
-            }
+            });
             delta
         });
         for delta in &deltas {
             stats.merge(delta);
         }
-        self.rebuild_contact_graph();
     }
 
     /// One validation round for every node: validate paths (healing with
@@ -181,6 +191,7 @@ impl CardWorld {
             now,
             maintenance,
             shards,
+            contacts,
             plane,
             faults,
             ..
@@ -190,8 +201,9 @@ impl CardWorld {
             .map(|rt| (&rt.plan, &rt.state, rt.report.rounds_applied - 1));
         let width = stats.bucket_width();
         let at = *now;
-        let deltas = parallel_shard_map(shards, |_, shard| {
-            Self::validate_span(net, cfg, shard, at, width, per, fault_view)
+        let mut work: Vec<_> = shards.iter_mut().zip(contacts.iter_mut()).collect();
+        let deltas = parallel_shard_map(&mut work, |_, (shard, store)| {
+            Self::validate_span(net, cfg, shard, store, at, width, per, fault_view)
         });
         let mut liveness = 0u64;
         for delta in &deltas {
@@ -203,9 +215,6 @@ impl CardWorld {
         if let Some(rt) = faults {
             rt.report.liveness_violations += liveness;
         }
-        // The sweep and the fault stage's crash wipes edited tables; the
-        // retry drain and the standing recheck below walk the graph.
-        self.rebuild_contact_graph();
         self.advance_hint_epochs();
         self.contacts_series
             .push(self.now, self.total_contacts() as f64);
@@ -232,10 +241,11 @@ impl CardWorld {
         }
     }
 
-    /// The per-shard body of a validation round: validate every node of the
-    /// span, then (throttled) re-select. Touches only shard-owned state and
-    /// the immutable network; emits its message/maintenance counters and
-    /// metered path crossings as a delta for in-order merging.
+    /// The per-shard body of a validation round: one rewrite of the span's
+    /// store, validating each node's row and then (throttled) re-selecting
+    /// into it. Touches only shard-owned state and the immutable network;
+    /// emits its message/maintenance counters and metered path crossings as
+    /// a delta for in-order merging.
     ///
     /// Under a fault view `(plan, state, round)`, per up node: tombstone
     /// confirmed-dead contacts (evicted now, barred from re-selection until
@@ -243,13 +253,17 @@ impl CardWorld {
     /// probe the plan loses this round (unacked probes extend the window;
     /// past `VALIDATION_RETRY_CAP` the contact is dropped) and validate
     /// the rest with crashed/partitioned hops vetoed (including
-    /// local-recovery splices). Crashed nodes send nothing and maintain
-    /// nothing. The in-run liveness check counts any tombstone observed
-    /// past its TTL before the round's decay.
+    /// local-recovery splices). A row is written as its validated
+    /// survivors, then its held-out contacts, then the re-selected ones.
+    /// Crashed nodes send nothing and maintain nothing: their rows are
+    /// written empty. The in-run liveness check counts any tombstone
+    /// observed past its TTL before the round's decay.
+    #[allow(clippy::too_many_arguments)] // the span, its store and the round's inputs
     fn validate_span(
         net: &Network,
         cfg: &CardConfig,
         shard: &mut ProtocolShard,
+        store: &mut ContactStore,
         at: SimTime,
         bucket_width: SimDuration,
         per: usize,
@@ -261,127 +275,93 @@ impl CardWorld {
             crossings: 0,
             liveness_violations: 0,
         };
-        let mut ids: Vec<NodeId> = Vec::new();
-        let mut held: Vec<crate::contact::Contact> = Vec::new();
         // Every source sends at `at`, so recording the span's sums once per
         // kind fills the buckets per-source records would (zeros never do).
         let (mut validation_msgs, mut reply_msgs) = (0u64, 0u64);
-        for k in 0..shard.contacts.len() {
-            let node = NodeId::from(shard.start + k);
-            if fault_view.is_some_and(|(_, state, _)| state.is_down(node.index())) {
-                // Radio off: no probes, no selection; the table was wiped
-                // at the crash and stays empty until rejoin.
-                continue;
-            }
-            let table = &mut shard.contacts[k];
+        let ProtocolShard {
+            start,
+            rngs,
+            backoff,
+            scratch,
+            ..
+        } = shard;
+        store.rewrite(|k, row| {
+            let node = NodeId::from(*start + k);
             // The validation traffic this node sends down its stored paths
-            // is metered where each contact leaves the round's pass — at
-            // its tombstone, hold-out or walk: every span-boundary crossing
-            // is a message the plane would carry if validation were
-            // materialized.
-            if let Some((plan, state, round)) = fault_view {
-                // Confirmed-dead contacts: tombstoned up front so neither
-                // validation nor this round's re-selection resurrects them.
-                ids.clear();
-                for c in table.contacts() {
-                    if state.is_down(c.id.index()) {
-                        delta.crossings += path_shard_crossings(&c.path, per);
-                        ids.push(c.id);
-                    }
-                }
-                for &c in &ids {
-                    table.tombstone(c, TOMBSTONE_TTL);
-                    delta.maintenance.lost += 1;
-                }
-                // Retry windows: a contact mid-window skips this round's
-                // probe; a probe the plan loses goes unacked — its hops are
-                // still charged, the window doubles, and past the cap the
-                // contact is dropped.
-                ids.clear();
-                ids.extend(table.contacts().iter().map(|c| c.id));
-                for &c in &ids {
-                    let in_window = table.retry_skip(c);
-                    if !in_window
-                        && !plan.validation_lost(node.index() as u32, c.index() as u32, round)
-                    {
-                        continue;
-                    }
-                    let cs = table.contacts_mut();
-                    let pos = cs
-                        .iter()
-                        .position(|x| x.id == c)
-                        .expect("held-out contact present");
-                    let entry = cs.remove(pos);
-                    delta.crossings += path_shard_crossings(&entry.path, per);
-                    if in_window {
-                        held.push(entry);
-                        continue;
-                    }
-                    validation_msgs += entry.hops() as u64;
-                    let level = table.note_unacked(c);
-                    if level > VALIDATION_RETRY_CAP {
-                        table.clear_retry(c);
-                        delta.maintenance.lost += 1;
-                    } else {
-                        held.push(entry);
-                    }
-                }
-            }
+            // is metered for every contact it held at round start — at its
+            // tombstone, hold-out or walk: every span-boundary crossing is a
+            // message the plane would carry if validation were materialized.
             let (totals, crossings, validation, reply) = match fault_view {
-                None => validate_contacts(net, cfg, node, table, any_edge, per),
-                Some((_, state, _)) => validate_contacts(
-                    net,
-                    cfg,
-                    node,
-                    table,
-                    |a, b| state.link_allowed(a.index(), b.index()),
-                    per,
-                ),
+                None => validate_contacts(net, cfg, node, row, any_edge, per, |_, _| Probe::Walk),
+                Some((_, state, _)) if state.is_down(node.index()) => {
+                    // Radio off: no probes, no selection, and nothing kept
+                    // from before the crash until it rejoins.
+                    row.clear();
+                    return;
+                }
+                Some((plan, state, round)) => {
+                    let allowed = |a: NodeId, b: NodeId| state.link_allowed(a.index(), b.index());
+                    let probe = |row: &mut RowEdit<'_>, c: Contact<'_>| {
+                        // Confirmed dead: tombstoned, so neither validation
+                        // nor this round's re-selection resurrects it.
+                        if state.is_down(c.id.index()) {
+                            row.tombstone(c.id, TOMBSTONE_TTL);
+                            return Probe::Drop { sent: false };
+                        }
+                        // Retry windows: a contact mid-window skips this
+                        // round's probe; a probe the plan loses goes
+                        // unacked — its hops are still charged, the window
+                        // doubles, and past the cap the contact is dropped.
+                        if row.retry_skip(c.id) {
+                            return Probe::Hold { sent: false };
+                        }
+                        if !plan.validation_lost(node.index() as u32, c.id.index() as u32, round) {
+                            return Probe::Walk;
+                        }
+                        if row.note_unacked(c.id) > VALIDATION_RETRY_CAP {
+                            row.clear_retry(c.id);
+                            return Probe::Drop { sent: true };
+                        }
+                        Probe::Hold { sent: true }
+                    };
+                    let out = validate_contacts(net, cfg, node, row, allowed, per, probe);
+                    // Liveness: no tombstone may be observed past its TTL.
+                    if row.max_tombstone_ttl() > TOMBSTONE_TTL {
+                        delta.liveness_violations += 1;
+                    }
+                    row.decay_tombstones();
+                    out
+                }
             };
             delta.maintenance.merge(&totals);
             delta.crossings += crossings;
             validation_msgs += validation;
             reply_msgs += reply;
-            if fault_view.is_some() {
-                // An acked validation resets the contact's retry state.
-                ids.clear();
-                ids.extend(table.contacts().iter().map(|c| c.id));
-                for &c in &ids {
-                    table.clear_retry(c);
-                }
-                // Re-admit the held-out contacts, windows intact.
-                table.contacts_mut().append(&mut held);
-                // Liveness: no tombstone may be observed past its TTL.
-                if table.max_tombstone_ttl() > TOMBSTONE_TTL {
-                    delta.liveness_violations += 1;
-                }
-                table.decay_tombstones();
+            if row.len() >= cfg.target_contacts {
+                backoff[k].reset();
+                return;
             }
-            if table.len() >= cfg.target_contacts {
-                shard.backoff[k].reset();
-                continue;
+            if backoff[k].tick() {
+                return;
             }
-            if shard.backoff[k].tick() {
-                continue;
-            }
-            let before = table.len();
+            let before = row.len();
             select_contacts(
                 net,
                 cfg,
                 node,
-                table,
-                &mut shard.rngs[k],
+                row,
+                &mut rngs[k],
                 &mut delta.stats,
                 at,
                 cfg.selection_walks_per_round,
-                &mut shard.scratch,
+                scratch,
             );
-            if table.len() > before {
-                shard.backoff[k].reset();
+            if row.len() > before {
+                backoff[k].reset();
             } else {
-                shard.backoff[k].fail(SELECTION_BACKOFF_CAP);
+                backoff[k].fail(SELECTION_BACKOFF_CAP);
             }
-        }
+        });
         let stats = &mut delta.stats;
         stats.record_n(at, MsgKind::Validation, validation_msgs);
         stats.record_n(at, MsgKind::ValidationReply, reply_msgs);
@@ -461,12 +441,14 @@ impl CardWorld {
             touched.push(NodeId::from(i));
             match ev.kind {
                 NodeFaultKind::Crash => {
+                    // The round's sweep, which runs next, writes a down
+                    // node's row empty and drops its tombstones and retry
+                    // timers: that is the wipe of its contact table. (A
+                    // plan never rejoins a node in the round it crashes.)
                     rt.state.set_down(i, true);
                     rt.report.crashes += 1;
                     let shard = &mut shards[i / per];
-                    let k = i - shard.start;
-                    shard.contacts[k].clear();
-                    shard.backoff[k].reset();
+                    shard.backoff[i - shard.start].reset();
                     if let Some(store) = &mut shard.hints {
                         hint_stats.evicted_mobility +=
                             store.invalidate_node(NodeId::from(i)) as u64;

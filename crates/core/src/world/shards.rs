@@ -3,28 +3,28 @@
 //!
 //! Per-node protocol state — contact tables, per-node RNG streams, backoff
 //! counters, the §V hint-store span, and the CSQ walk workspace — is *owned*
-//! by its `ProtocolShard`: shard `k` holds the state of the contiguous
-//! node span `[k·per, (k+1)·per)` (the canonical
-//! [`sim_core::par::shard_spans`] partition; `per = ceil(N / shards)`).
-//! There is no flat whole-network table array behind the shards (the
-//! world's contact graph is a read mirror of their links, rebuilt here by
-//! `rebuild_contact_graph`); cross-shard reads go through read-only views
-//! ([`TablesView`], [`HintsView`]) and cross-shard *writes* — hint
-//! deposits — become [`HintDeposit`](crate::hints::HintDeposit) runs
+//! by its shard: shard `k` holds the state of the contiguous node span
+//! `[k·per, (k+1)·per)` (the canonical [`sim_core::par::shard_spans`]
+//! partition; `per = ceil(N / shards)`) in `ProtocolShard` `k` and
+//! [`ContactStore`] `k`, whose rows are the span's contact tables. The
+//! stores sit in a slice of their own, so [`TablesView`] over them is the
+//! same type as a hand-built store's view. Cross-shard reads go through
+//! read-only views ([`TablesView`], [`HintsView`]) and cross-shard *writes*
+//! — hint deposits — become [`HintDeposit`](crate::hints::HintDeposit) runs
 //! routed through a [`MessagePlane`] and applied by the owning shard in a
 //! deterministic drain phase (`queries.rs`).
 //!
 //! The whole-network protocol sweeps ([`CardWorld::select_all_contacts`]
 //! and [`CardWorld::validation_round`]) fan each shard out to exactly one
 //! worker via [`sim_core::par::parallel_shard_map`]; a shard's sweep
-//! touches only its own state plus the immutable network.
+//! touches only its own state and store plus the immutable network.
 
 use net_topology::node::NodeId;
 use sim_core::par::{max_workers, shard_spans};
 use sim_core::plane::MessagePlane;
 use sim_core::rng::RngStream;
 
-use crate::contact::{Backoff, ContactGraph, ContactTable, TableSource};
+use crate::contact::{Backoff, ContactStore, TablesView};
 use crate::csq::CsqScratch;
 use crate::hints::{HintKey, HintLookup, HintStore, Lookup};
 
@@ -32,16 +32,15 @@ use super::queries::QueryLane;
 use super::CardWorld;
 
 /// One shard of the world's protocol state: the *owner* of a contiguous
-/// node span's contact tables, RNG streams, backoff counters, hint-store
-/// span, and walk workspace. Sweeps hand each shard to exactly one worker;
+/// node span's RNG streams, backoff counters, hint-store span, and walk
+/// workspace (its contact tables are the world's store of the same
+/// index). Sweeps hand each shard, with its store, to exactly one worker;
 /// nothing outside the shard writes this state except through the message
 /// plane's drain phase.
 #[derive(Clone)]
 pub(super) struct ProtocolShard {
-    /// First node index of the owned span (`contacts[k]` is node
-    /// `start + k`).
+    /// First node index of the owned span (`rngs[k]` is node `start + k`).
     pub(super) start: usize,
-    pub(super) contacts: Vec<ContactTable>,
     pub(super) rngs: Vec<RngStream>,
     /// Selection backoff (`world/round.rs`), one per owned node.
     pub(super) backoff: Vec<Backoff>,
@@ -55,49 +54,7 @@ pub(super) struct ProtocolShard {
 
 impl ProtocolShard {
     pub(super) fn len(&self) -> usize {
-        self.contacts.len()
-    }
-}
-
-/// Read-only view over every node's contact table across the shard-owned
-/// spans, plus the world's flat contact graph — the [`TableSource`] the
-/// query/reachability/resource layers use. Walks read their links from the
-/// graph; [`table`](TableSource::table) reaches the owning shard's table.
-#[derive(Clone, Copy)]
-pub struct TablesView<'a> {
-    pub(super) shards: &'a [ProtocolShard],
-    pub(super) per: usize,
-    pub(super) graph: &'a ContactGraph,
-    pub(super) n: usize,
-}
-
-impl<'a> TablesView<'a> {
-    /// Number of nodes covered (= network size).
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True for an empty network.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Iterate every node's table in node-id order.
-    pub fn iter(&self) -> impl Iterator<Item = &'a ContactTable> + Clone + 'a {
-        self.shards.iter().flat_map(|s| s.contacts.iter())
-    }
-}
-
-impl TableSource for TablesView<'_> {
-    #[inline]
-    fn table(&self, i: usize) -> &ContactTable {
-        let s = &self.shards[i / self.per];
-        &s.contacts[i - s.start]
-    }
-
-    #[inline]
-    fn links(&self, i: usize) -> impl Iterator<Item = (NodeId, u16)> + '_ {
-        self.graph.links(i).iter().copied()
+        self.rngs.len()
     }
 }
 
@@ -182,19 +139,14 @@ pub(super) fn default_shard_count() -> usize {
 /// epoch)` when the route-hint cache is enabled; the created span stores
 /// are empty (callers migrating an existing cache copy slots afterwards).
 pub(super) fn partition_state(
-    n: usize,
-    shards: usize,
-    mut contacts: Vec<ContactTable>,
+    spans: &[std::ops::Range<usize>],
     mut rngs: Vec<RngStream>,
     mut backoff: Vec<Backoff>,
     hints: Option<(usize, u32, u32)>,
 ) -> Vec<ProtocolShard> {
-    let spans = shard_spans(n, shards);
     let mut out = Vec::with_capacity(spans.len());
     for span in spans {
         let len = span.end - span.start;
-        let rest = contacts.split_off(len);
-        let my_contacts = std::mem::replace(&mut contacts, rest);
         let rest = rngs.split_off(len);
         let my_rngs = std::mem::replace(&mut rngs, rest);
         let rest = backoff.split_off(len);
@@ -206,7 +158,6 @@ pub(super) fn partition_state(
         });
         out.push(ProtocolShard {
             start: span.start,
-            contacts: my_contacts,
             rngs: my_rngs,
             backoff: my_backoff,
             scratch: CsqScratch::new(),
@@ -217,10 +168,9 @@ pub(super) fn partition_state(
 }
 
 impl CardWorld {
-    /// Refill the flat contact graph from the shard tables, in node order.
-    pub(super) fn rebuild_contact_graph(&mut self) {
-        self.graph
-            .rebuild(self.shards.iter().flat_map(|s| s.contacts.iter()));
+    /// Read view over all contact tables, indexed by node id.
+    pub fn contact_tables(&self) -> TablesView<'_> {
+        TablesView::new(&self.contacts, self.per)
     }
 
     /// Number of protocol shards the whole-network sweeps fan out over.
@@ -229,7 +179,7 @@ impl CardWorld {
     }
 
     /// Re-partition the shard-owned protocol state over `shards` shards,
-    /// migrating contact tables, RNG streams, backoff counters, and hint
+    /// migrating contact stores, RNG streams, backoff counters, and hint
     /// spans (slot contents and freshness epoch survive the move). Results
     /// are shard-count-independent — per-node RNG streams make each node's
     /// decisions a function of its own state, and plane delivery order is
@@ -254,24 +204,26 @@ impl CardWorld {
             .iter()
             .find_map(|s| s.hints.as_ref().map(HintStore::epoch))
             .unwrap_or(0);
-        let mut contacts = Vec::with_capacity(n);
         let mut rngs = Vec::with_capacity(n);
         let mut backoff = Vec::with_capacity(n);
         for s in &mut old {
-            contacts.append(&mut s.contacts);
             rngs.append(&mut s.rngs);
             backoff.append(&mut s.backoff);
         }
         let hcfg =
             self.hints_on
                 .then_some((self.cfg.hint_slots_per_bucket, self.cfg.hint_ttl, epoch));
-        let mut new_shards = partition_state(n, shards, contacts, rngs, backoff, hcfg);
+        let spans = shard_spans(n, shards);
+        let mut new_shards = partition_state(&spans, rngs, backoff, hcfg);
+        let stores = std::mem::take(&mut self.contacts);
+        self.contacts = ContactStore::repartition(stores, old_per, &spans);
         if self.hints_on {
             // Migrate the cached hints: each node's slot region and LRU
             // clock move verbatim from its old span store to its new one.
             for s in &mut new_shards {
+                let span = s.start..s.start + s.len();
                 let store = s.hints.as_mut().expect("hinted world rebuilt hintless");
-                for i in s.start..s.start + s.contacts.len() {
+                for i in span {
                     let old_store = old[i / old_per]
                         .hints
                         .as_ref()
@@ -301,27 +253,20 @@ impl CardWorld {
         }
     }
 
-    /// Estimated live heap bytes of each shard's owned protocol state
-    /// (contact tables with their stored paths, RNG streams, backoff
-    /// counters, hint span) — the per-shard memory columns of the
-    /// full-protocol scale tier.
+    /// Estimated live heap bytes of each shard's owned protocol state —
+    /// the capacities of its contact store's buffers (both column sets,
+    /// the path arenas, every node's tombstones and retry timers), its RNG
+    /// streams, backoff counters and hint span: the per-shard memory
+    /// columns of the full-protocol scale tier.
     pub fn shard_memory_bytes(&self) -> Vec<usize> {
         self.shards
             .iter()
-            .map(|s| {
-                let mut b = s.contacts.len() * std::mem::size_of::<ContactTable>()
+            .zip(&self.contacts)
+            .map(|(s, store)| {
+                store.memory_bytes()
                     + s.rngs.len() * std::mem::size_of::<RngStream>()
-                    + s.backoff.len() * std::mem::size_of::<Backoff>();
-                for t in &s.contacts {
-                    b += std::mem::size_of_val(t.contacts());
-                    for c in t.contacts() {
-                        b += c.path.len() * std::mem::size_of::<NodeId>();
-                    }
-                }
-                if let Some(h) = &s.hints {
-                    b += h.memory_bytes();
-                }
-                b
+                    + s.backoff.len() * std::mem::size_of::<Backoff>()
+                    + s.hints.as_ref().map_or(0, HintStore::memory_bytes)
             })
             .collect()
     }

@@ -42,7 +42,7 @@ impl CardWorld {
             stats,
             now,
             shards,
-            graph,
+            contacts,
             lanes,
             hint_stats,
             standing,
@@ -54,7 +54,7 @@ impl CardWorld {
             (q.source, q.target)
         };
         let QueryLane { scratch, deposits } = &mut lanes[0];
-        let out = QueryView::over(net, shards, per, graph, false, cfg.depth, faults).query(
+        let out = QueryView::over(net, shards, contacts, per, false, cfg.depth, faults).query(
             source,
             Goal::Node(target),
             // A view without hint spans leaves the hint half (lane 0's

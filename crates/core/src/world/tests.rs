@@ -337,9 +337,8 @@ fn fingerprint_diff_names_the_layer_and_node_of_one_extra_call() {
     w.set_shard_count(4);
     w.select_all_contacts();
     let base = w.fingerprint();
-    let linked = NodeId::all(150).position(|v| !w.contact_table(v).is_empty());
     type Edit = fn(&mut CardWorld);
-    let edits: [(Edit, Layer, Option<usize>); 6] = [
+    let edits: [(Edit, Layer, Option<usize>); 5] = [
         (
             |c| c.net.positions_mut()[149].x += 1e-9,
             Layer::Topology,
@@ -350,7 +349,6 @@ fn fingerprint_diff_names_the_layer_and_node_of_one_extra_call() {
             Layer::Tables,
             Some(w.per + 3),
         ),
-        (|c| c.graph = ContactGraph::empty(150), Layer::Graph, linked),
         (|c| deposit_at(c, NodeId::new(90)), Layer::Hints, Some(90)),
         (|c| c.set_now(SimTime::from_secs(1)), Layer::Timeline, None),
         (|c| c.maintenance.validated += 1, Layer::Counters, None),
@@ -868,27 +866,34 @@ fn shard_memory_and_plane_stats_surface() {
     );
 }
 
-/// The world's contact graph equals one rebuilt from its tables.
-fn assert_graph_coherent(w: &CardWorld, after: &str) {
-    let mut fresh = ContactGraph::default();
-    fresh.rebuild(w.contact_tables().iter());
-    assert_eq!(w.graph, fresh, "stale contact graph after {after}");
+/// Every shard store of `w` holds its own invariants
+/// (`ContactStore::assert_invariants`).
+fn assert_stores_hold(w: &CardWorld, after: &str) {
+    assert_eq!(w.contacts.len(), w.shard_count(), "after {after}");
+    for (s, store) in w.shards.iter().zip(&w.contacts) {
+        assert_eq!(store.len(), s.len(), "after {after}");
+        store.assert_invariants(s.start);
+    }
 }
 
+/// The stores keep their invariants after every call that writes them —
+/// selection, calm and faulted rounds at several shard counts — and after
+/// every reshard, which moves rows without changing them. A round that
+/// holds contacts out writes the arena back to back all the same.
 #[test]
-fn contact_graph_mirrors_the_tables_after_every_table_edit() {
+fn contact_stores_hold_their_invariants_after_every_table_edit() {
     let mut w = CardWorld::build(&scenario(), cfg());
-    assert_graph_coherent(&w, "build");
+    assert_stores_hold(&w, "build");
     w.select_all_contacts();
-    assert_graph_coherent(&w, "select_all_contacts");
+    assert_stores_hold(&w, "select_all_contacts");
     let mut serial = CardWorld::build(&scenario(), cfg());
     serial.set_shard_count(1);
     serial.select_all_contacts();
-    assert_graph_coherent(&serial, "a one-shard select_all_contacts");
-    assert_eq!(serial.graph, w.graph);
+    assert_stores_hold(&serial, "a one-shard select_all_contacts");
+    assert_eq!(serial.fingerprint().diff(&w.fingerprint()), None);
 
     // Calm rounds after motion: validation drops and heals paths, and
-    // re-selection refills the tables.
+    // re-selection refills the rows.
     let mut model = RandomWaypoint::new(
         150,
         w.network().field(),
@@ -899,24 +904,24 @@ fn contact_graph_mirrors_the_tables_after_every_table_edit() {
     );
     let shards = w.shard_count();
     for _ in 0..3 {
-        let before = w.graph.clone();
         w.run_mobile(&mut model, SimDuration::from_secs(4));
         w.validation_round();
-        assert_graph_coherent(&w, "a calm validation_round");
-        assert_ne!(w.graph, before, "mobile rounds must edit some table");
+        assert_stores_hold(&w, "a calm validation_round");
         w.run_mobile(&mut model, SimDuration::from_secs(4));
         w.set_shard_count(1);
         w.validation_round();
-        assert_graph_coherent(&w, "a calm one-shard validation_round");
+        assert_stores_hold(&w, "a calm one-shard validation_round");
         w.set_shard_count(shards);
     }
+    let totals = w.maintenance_totals();
+    assert!(totals.recovered > 0 && totals.lost > 0, "{totals:?}");
 
-    // Resharding moves the tables, not their contents.
-    let before = w.graph.clone();
+    // Resharding moves the rows, not their contents.
+    let before = w.fingerprint();
     for shards in [1, 3, 7] {
         w.set_shard_count(shards);
-        assert_eq!(w.graph, before, "set_shard_count touched the graph");
-        assert_graph_coherent(&w, "set_shard_count");
+        assert_stores_hold(&w, "set_shard_count");
+        assert_eq!(w.fingerprint().diff(&before), None, "{shards} shards");
     }
 
     // Faulted rounds: crash wipes, tombstones, held-out contacts.
@@ -925,10 +930,10 @@ fn contact_graph_mirrors_the_tables_after_every_table_edit() {
     f.enable_faults(FaultPlan::generate(&fault_cfg(), 150, 99));
     let mut tombstoned = false;
     for round in 0..6 {
-        // Alternate a one-shard and a fanned-out round.
+        // Alternate a fanned-out and a one-shard round.
         f.set_shard_count(if round % 2 == 0 { 4 } else { 1 });
         f.validation_round();
-        assert_graph_coherent(&f, "a faulted round");
+        assert_stores_hold(&f, "a faulted round");
         tombstoned |= f
             .contact_tables()
             .iter()
@@ -940,16 +945,20 @@ fn contact_graph_mirrors_the_tables_after_every_table_edit() {
 
 #[test]
 fn a_query_right_after_a_round_walks_the_contacts_it_added() {
-    // No selection: the first round's rule-5 re-selection adds every
-    // contact, so a graph not rebuilt by the round would have no links.
+    // No selection: the first round's rule-5 re-selection writes every
+    // contact, and the very next walk must read the rows it wrote.
     let mut w = CardWorld::build(&scenario(), cfg().with_depth(3));
     w.validation_round();
     let source = NodeId::all(150)
         .find(|&s| !w.contact_table(s).is_empty())
         .expect("the round selects some contact");
-    let first = w.contact_table(source).contacts()[0].clone();
-    let out = w.query(source, first.id);
-    let hops = first.hops() as u64;
+    let first = w
+        .contact_table(source)
+        .contacts()
+        .next()
+        .expect("a contact");
+    let (id, hops) = (first.id, first.hops() as u64);
+    let out = w.query(source, id);
     assert_eq!(
         out,
         QueryOutcome {
@@ -958,8 +967,7 @@ fn a_query_right_after_a_round_walks_the_contacts_it_added() {
             query_msgs: hops,
             reply_msgs: hops,
         },
-        "the query must resolve through the round's new contact {:?}",
-        first.id
+        "the query must resolve through the round's new contact {id:?}"
     );
 }
 
@@ -1050,7 +1058,6 @@ fn a_radio_range_below_the_node_spacing_isolates_every_node() {
     w.select_all_contacts();
     assert_eq!(w.stats().grand_total(), 0, "selection launches no walk");
     assert_eq!(w.total_contacts(), 0);
-    assert_eq!(w.graph, ContactGraph::empty(n), "the graph has no links");
     w.validation_round();
     assert_eq!(w.stats().grand_total(), 0, "a round sends nothing");
     assert_eq!(w.plane_stats().metered_crossings, 0);
@@ -1090,13 +1097,13 @@ fn some_nodes(n: usize, p: f64, rng: &mut sim_core::rng::RngStream) -> Vec<NodeI
 /// and `refresh_movers`' churn fallback to it — validates exactly like a
 /// clone that re-tests every hop. The clone reaches the full walk through
 /// ordinary calls: `refresh_full`'s stamp-all watermark dirties every
-/// row, and on alternate rounds its contacts are also rebuilt with
-/// `Contact::new`, which leaves them unconfirmed. Calm and faulted, at
+/// row, and on alternate rounds its contacts are also rewritten
+/// unconfirmed, as hand-built ones are. Calm and faulted, at
 /// one shard and at four. CI runs this on the release build too, where
 /// the walk's `debug_assert`s are off and this comparison is the check.
 #[test]
 fn stamped_rounds_match_a_full_walk_through_every_refresh_path() {
-    use crate::contact::Contact;
+    use crate::contact::UNCONFIRMED;
     let n = scenario().nodes;
     for faulted in [false, true] {
         for shards in [1, 4] {
@@ -1127,12 +1134,12 @@ fn stamped_rounds_match_a_full_walk_through_every_refresh_path() {
                 full.net.positions_mut().copy_from_slice(w.net.positions());
                 full.net.refresh_full();
                 if round % 2 == 1 {
-                    for shard in &mut full.shards {
-                        for table in &mut shard.contacts {
-                            for c in table.contacts_mut() {
-                                *c = Contact::new(c.id, std::mem::take(&mut c.path));
+                    for store in &mut full.contacts {
+                        store.rewrite(|_, row| {
+                            for c in row.old() {
+                                row.push(&c.path, UNCONFIRMED);
                             }
-                        }
+                        });
                     }
                 }
                 w.validation_round();
@@ -1175,7 +1182,7 @@ fn metered_crossings_count_every_stored_path_of_every_up_node() {
             let paths: Vec<Vec<Vec<NodeId>>> = w
                 .contact_tables()
                 .iter()
-                .map(|t| t.contacts().iter().map(|c| c.path.clone()).collect())
+                .map(|t| t.contacts().map(|c| c.path.to_vec()).collect())
                 .collect();
             let metered = w.plane_stats().metered_crossings;
             w.validation_round();
@@ -1289,7 +1296,7 @@ mod stored_paths {
                 }
                 let version = w.net.link_version();
                 for c in w.contact_tables().iter().flat_map(|t| t.contacts()) {
-                    let path = &c.path;
+                    let path = c.path;
                     for (i, v) in path.iter().enumerate() {
                         prop_assert!(!path[i + 1..].contains(v), "{v} repeats in {path:?}");
                     }

@@ -269,6 +269,13 @@ pub struct Substrate {
     pub select_ms: f64,
     /// Total wall time of the [`PROTOCOL_ROUNDS`] validation rounds.
     pub validate_ms: f64,
+    /// Contacts standing after the validation rounds.
+    pub total_contacts: usize,
+    /// Selection messages (CSQ + backtrack + reply) of selection and the
+    /// validation rounds' re-selection.
+    pub selection_msgs: u64,
+    /// Maintenance messages (validation + ack) of the validation rounds.
+    pub maintenance_msgs: u64,
 }
 
 impl Substrate {
@@ -336,6 +343,9 @@ fn substrate(
         world.validation_round();
     }
     s.validate_ms = ms_since(t);
+    s.total_contacts = world.total_contacts();
+    s.selection_msgs = world.stats().total_where(MsgKind::is_selection);
+    s.maintenance_msgs = world.stats().total_where(MsgKind::is_maintenance);
     (world, model, s)
 }
 
@@ -453,12 +463,6 @@ pub struct ScaleRow {
     pub mobility: MobilityProfile,
     /// The substrate run and the first protocol phase.
     pub sub: Substrate,
-    /// Contacts standing at the end of the row (after the hint phase).
-    pub total_contacts: usize,
-    /// Selection messages (CSQ + backtrack + reply) at the end of the row.
-    pub selection_msgs: u64,
-    /// Maintenance messages (validation + ack) at the end of the row.
-    pub maintenance_msgs: u64,
     /// Node-lookup DSQs issued in the query phase.
     pub query_count: usize,
     /// Fraction of those DSQs that found their target.
@@ -684,9 +688,6 @@ fn run_one(scenario: &Scenario, profile: MobilityProfile, p: &Params) -> ScaleRo
         scenario: *scenario,
         mobility: profile,
         sub,
-        total_contacts: world.total_contacts(),
-        selection_msgs: world.stats().total_where(MsgKind::is_selection),
-        maintenance_msgs: world.stats().total_where(MsgKind::is_maintenance),
         query_count: p.queries,
         query_hit_rate: hits as f64 / p.queries.max(1) as f64,
         query_mean_depth: depth_sum as f64 / hits.max(1) as f64,
@@ -740,13 +741,13 @@ const SCALE_PROTOCOL: &[Column<ScaleRow>] = &[
     ("Select (nodes/s)", |r| {
         fmt_rate(per_s(r.scenario.nodes, r.sub.select_ms))
     }),
-    ("Contacts", |r| r.total_contacts.to_string()),
-    ("Selection msgs", |r| r.selection_msgs.to_string()),
+    ("Contacts", |r| r.sub.total_contacts.to_string()),
+    ("Selection msgs", |r| r.sub.selection_msgs.to_string()),
     ("Validate (ms)", |r| format!("{:.0}", r.sub.validate_ms)),
     ("Validate (nodes/s)", |r| {
         fmt_rate(per_s(PROTOCOL_ROUNDS * r.scenario.nodes, r.sub.validate_ms))
     }),
-    ("Maintenance msgs", |r| r.maintenance_msgs.to_string()),
+    ("Maintenance msgs", |r| r.sub.maintenance_msgs.to_string()),
 ];
 
 const SCALE_QUERIES: &[Column<ScaleRow>] = &[
@@ -857,8 +858,6 @@ pub struct RawRow {
     pub mobility: MobilityProfile,
     /// The substrate run and the first protocol phase.
     pub sub: Substrate,
-    /// Contacts held after selection + validation.
-    pub total_contacts: usize,
     /// Queries per sweep of the query phase.
     pub queries: usize,
     /// Hit rate of the warm (second) sweep.
@@ -929,7 +928,8 @@ fn run_one_raw(scenario: &Scenario, profile: MobilityProfile, p: &RawParams) -> 
                     if t.is_empty() {
                         break;
                     }
-                    at = t.contacts()[pair_rng.index(t.len())].id;
+                    let pick = pair_rng.index(t.len());
+                    at = t.ids().nth(pick).expect("pick < len");
                 }
                 let members = nbhd.of(at).members();
                 let target = if members.is_empty() {
@@ -954,7 +954,6 @@ fn run_one_raw(scenario: &Scenario, profile: MobilityProfile, p: &RawParams) -> 
         scenario: *scenario,
         mobility: profile,
         sub,
-        total_contacts: world.total_contacts(),
         queries: p.queries,
         query_hit_rate: hits as f64 / p.queries.max(1) as f64,
         query_ms,
@@ -1000,7 +999,7 @@ const RAW_PROTOCOL: &[Column<RawRow>] = &[
         let nodes = (1 + PROTOCOL_ROUNDS) * r.scenario.nodes;
         fmt_rate(per_s(nodes, r.sub.select_ms + r.sub.validate_ms))
     }),
-    ("Contacts", |r| fmt_rate(r.total_contacts as f64)),
+    ("Contacts", |r| fmt_rate(r.sub.total_contacts as f64)),
     ("Queries ×2", |r| r.queries.to_string()),
     ("Warm hit %", |r| pct(r.query_hit_rate)),
     ("Queries/s", |r| fmt_rate(per_s(2 * r.queries, r.query_ms))),
@@ -1282,7 +1281,11 @@ mod tests {
 
             // Full-protocol phase: shard-resident state + plane traffic
             // must be populated on a 500-node world.
-            assert!(r.total_contacts > 0, "{:?} found no contacts", r.mobility);
+            assert!(
+                r.sub.total_contacts > 0,
+                "{:?} found no contacts",
+                r.mobility
+            );
             assert!(per_s(r.scenario.nodes, s.select_ms + s.validate_ms) > 0.0);
             assert!(per_s(2 * r.queries, r.query_ms) > 0.0);
             assert!((0.0..=1.0).contains(&r.query_hit_rate));
@@ -1323,7 +1326,7 @@ mod tests {
         let a = run_raw(&p);
         let b = run_raw(&p);
         for (ra, rb) in a.iter().zip(&b) {
-            assert_eq!(ra.total_contacts, rb.total_contacts);
+            assert_eq!(ra.sub.total_contacts, rb.sub.total_contacts);
             assert_eq!(ra.query_hit_rate, rb.query_hit_rate);
             assert_eq!(ra.plane_sent, rb.plane_sent);
             assert_eq!(ra.plane_cross, rb.plane_cross);
@@ -1344,12 +1347,15 @@ mod tests {
     fn protocol_phase_selects_contacts_and_counts_messages() {
         for r in tiny_rows() {
             assert!(
-                r.total_contacts > 0,
+                r.sub.total_contacts > 0,
                 "a 500-node world must yield contacts ({:?})",
                 r.mobility
             );
-            assert!(r.selection_msgs > 0);
-            assert!(r.maintenance_msgs > 0, "validation rounds must poll paths");
+            assert!(r.sub.selection_msgs > 0);
+            assert!(
+                r.sub.maintenance_msgs > 0,
+                "validation rounds must poll paths"
+            );
             assert!(per_s(r.scenario.nodes, r.sub.select_ms) > 0.0);
             assert!(per_s(r.scenario.nodes, r.sub.validate_ms) > 0.0);
         }
@@ -1360,9 +1366,9 @@ mod tests {
         // The sharded sweeps must land identical protocol outcomes on
         // repeat runs (worker scheduling may differ; results must not).
         for (ra, rb) in tiny_rows().iter().zip(&run(&tiny())) {
-            assert_eq!(ra.total_contacts, rb.total_contacts);
-            assert_eq!(ra.selection_msgs, rb.selection_msgs);
-            assert_eq!(ra.maintenance_msgs, rb.maintenance_msgs);
+            assert_eq!(ra.sub.total_contacts, rb.sub.total_contacts);
+            assert_eq!(ra.sub.selection_msgs, rb.sub.selection_msgs);
+            assert_eq!(ra.sub.maintenance_msgs, rb.sub.maintenance_msgs);
         }
     }
 }

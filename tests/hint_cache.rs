@@ -317,7 +317,7 @@ proptest! {
 fn stale_contact_hint_falls_back_to_the_plain_walk() {
     let w = world(11, false);
     let source = NodeId::all(NODES)
-        .find(|&s| !w.contact_table(s).contacts().is_empty())
+        .find(|&s| !w.contact_table(s).is_empty())
         .expect("some node has contacts");
     // a target the plain escalation resolves beyond the zone
     let nb = w.network().tables().of(source);

@@ -54,9 +54,9 @@ proptest! {
     /// Incremental escalation is bit-identical to the from-scratch
     /// per-depth re-walk — outcome and message series — with one scratch
     /// reused across a whole batch of queries of mixed depths. The walk
-    /// reads the world's contact graph and the re-walk its tables, so the
-    /// validation rounds before the batch also pin that every round leaves
-    /// the graph equal to the tables.
+    /// reads the store's `ids`/`hops` columns and the re-walk its stored
+    /// paths, so the validation rounds before the batch also pin that
+    /// every round's rewrite keeps the two in step.
     #[test]
     fn prop_incremental_matches_rewalk(
         seed in 0u64..300,
