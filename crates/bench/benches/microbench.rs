@@ -628,7 +628,8 @@ fn bench_protocol_sweeps(c: &mut Criterion) {
 ///   only walks its final level) vs the from-scratch per-depth re-walk
 ///   reference, which also re-allocates its visited/frontier buffers per
 ///   attempt. Outcomes and message totals are bit-identical
-///   (`tests/query_engine.rs`); only the cost may differ.
+///   (`tests/query_engine.rs`); only the cost may differ. A free
+///   `dsq_query` never resumes a walk memo, so every query walks cold.
 /// * `dsq_query/n1000/{hinted_cold,hinted_warm}` — the same 256-query
 ///   batch through the route-hint path (`card_core::hints`). *cold* starts
 ///   every iteration from an empty store and applies deposits after each
@@ -644,10 +645,12 @@ fn bench_protocol_sweeps(c: &mut Criterion) {
 /// * `query_sweep/n1000/{sharded,serial}` — the whole pair list through
 ///   the batched `CardWorld::query_all` fan-out (shard-owned scratches,
 ///   per-shard `MsgStats` deltas) at the default shard count vs on a
-///   one-shard world (one lane, inline on the caller's thread).
+///   one-shard world (one lane, inline on the caller's thread). A
+///   hint-less span visits its slots grouped by source, so a source's
+///   repeats (about two per source here) share one walk memo.
 /// * `query_sweep/n1000/hinted` — the same pair list through `query_all`
 ///   on a hints-enabled, pre-warmed world (frozen-store parallel phase +
-///   shard-order deposit application each sweep).
+///   shard-order deposit application each sweep), in slot order.
 fn bench_query_engine(c: &mut Criterion) {
     let n = 1000usize;
     let scenario = scaled_scenario(n);

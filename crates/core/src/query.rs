@@ -15,13 +15,14 @@
 //! Queries are CARD's steady-state workload, so the walk machinery is built
 //! for zero per-query allocation and shared by every consumer:
 //!
-//! * [`QueryScratch`] is an epoch-stamped workspace (mirroring
-//!   `net_topology::bfs::BfsScratch`; "State layout" below), so starting a
-//!   new walk is O(1) and allocation-free once its buffers have grown to
-//!   the network size. [`dsq_query`], [`crate::resources::resource_query`]
-//!   and [`crate::reachability::reachability_set`] all run on the same
-//!   generic level-synchronous contact walker
-//!   (`WalkScratch::advance_level`), differing only in their per-contact
+//! * [`QueryScratch`] holds one source's contact tree as a **resumable
+//!   level memo** ("State layout" below): entries in discovery order,
+//!   level boundaries with each level's cumulative cost, and a cursor that
+//!   expands the next parent row on demand. Opening a fresh memo is O(1)
+//!   and allocation-free once its buffers have grown. [`dsq_query`],
+//!   [`crate::resources::resource_query`] and
+//!   [`crate::reachability::reachability_set`] all scan it level by level
+//!   (`WalkScratch::scan_level`), differing only in their per-contact
 //!   visit closure.
 //! * There is **one walk, calm or faulted, hinted or not**. Every
 //!   function on the path takes an *edge veto* `edge_ok(holder, contact)`
@@ -35,12 +36,22 @@
 //!   [`HintLookup::ENABLED`] folds every probe, counter and deposit away.
 //! * Escalation is **incremental**: on the wire, a depth-d attempt re-sends
 //!   DSQs along levels 1‥d−1 before probing level d, but the simulator need
-//!   not re-traverse them — the scratch caches the deepest frontier and the
-//!   cumulative per-level message cost (`WalkScratch::walked_msgs`), so
-//!   depth d only walks its final level while the *accounting* stays
-//!   bit-identical to the from-scratch re-walk. [`dsq_query_rewalk`] keeps
+//!   not re-traverse them — the memo keeps the cumulative per-level message
+//!   cost (`WalkScratch::walked_msgs`), so depth d only scans its final
+//!   level while the *accounting* stays bit-identical to the from-scratch
+//!   re-walk: a scan pays each entry's hops as it reaches it, so the level
+//!   that answers is charged up to its answer. [`dsq_query_rewalk`] keeps
 //!   the literal per-depth re-walk as the equivalence reference (pinned by
 //!   `tests/query_engine.rs` and the `dsq_query/*` benches).
+//! * A memo is **reused only inside a sweep**. A source's tree depends on
+//!   the tables and the edge veto alone, both frozen for a sweep, so the
+//!   next walk from the same source resumes the memo instead of
+//!   re-reading links and marks. Each sweep lane forgets its memo when a
+//!   sweep starts and when it ends, and every free call ([`dsq_query`],
+//!   [`crate::resources::resource_query`], `reachability_set`) forgets
+//!   before it walks. A hint-less sweep visits its slots grouped by source,
+//!   so each source's tree is walked once per sweep; a hinted sweep keeps
+//!   slot order and reuses a memo between adjacent slots of one source.
 //! * Batched sweeps (`CardWorld::query_all`) fan pair lists out over
 //!   protocol shards with shard-owned scratches; queries draw no
 //!   randomness, so outcomes are a pure function of `(network, tables,
@@ -50,19 +61,24 @@
 //! ## State layout
 //!
 //! A contact answers from its own table for zero messages, so the host
-//! cost per visited contact is memory traffic: one 6-byte link read from
-//! the contact store, then two array reads in [`QueryScratch`].
+//! cost per visited contact is memory traffic: on a memo hit, one 16-byte
+//! entry read and one zone stamp read; on a miss, the link read, a mark
+//! and an entry write first.
 //!
 //! * **Contact links** (`TablesView::links`): `(contact, path hops)` in
 //!   row order — one division to the owning store, one offset pair per
-//!   frontier node, then the row's contiguous runs of the `ids` and `hops`
+//!   parent row, then the row's contiguous runs of the `ids` and `hops`
 //!   columns; never a stored path. [`dsq_query_rewalk`] reads the same
 //!   rows as contacts with their paths (a contact's hops are its path's
 //!   length there), so the oracle also pins the `hops` column to the
 //!   path arena.
-//! * **Marks and parents** (`WalkScratch`): `mark[v] == epoch` is "seen
-//!   this walk" and validates `parent[v]`, the frontier node that found
-//!   `v`. A fresh epoch per walk; zeroed once per `u32` wrap.
+//! * **The memo** (`WalkScratch`): entries `(contact, parent entry, hops,
+//!   distance from the source)` in discovery order, entry 0 the source;
+//!   one `(end, cumulative cost)` per completed level; the cursor of the
+//!   next parent row to expand. `mark[v] == epoch` is "the memo holds
+//!   `v`" — a fresh epoch per fresh memo, zeroed once per `u32` wrap. An
+//!   answer chain follows parent entries back to entry 0, so no per-node
+//!   parent array exists.
 //! * **Zone stamps**, one `u32` per node. Zone membership is symmetric
 //!   (hop distance on an undirected graph, all tables built from one
 //!   adjacency snapshot; proptested in `manet_routing::network`), so
@@ -75,7 +91,7 @@
 //!   pointwise lookup stays the spec: asserted on every evaluation in
 //!   debug builds, and all [`dsq_query_rewalk`] uses. Resource goals keep
 //!   it (a replica set's zones can outnumber the walk).
-//! * **Frontiers and the answer chain**: plain reused buffers.
+//! * **The answer chain**: a plain reused buffer.
 
 use manet_routing::network::Network;
 use net_topology::node::NodeId;
@@ -141,7 +157,7 @@ pub(crate) fn any_edge(_holder: NodeId, _contact: NodeId) -> bool {
     true
 }
 
-/// Reusable query workspace: the contact-graph walk state plus the
+/// Reusable query workspace: the contact-graph walk memo plus the
 /// target-zone stamps ("State layout" in the module docs). One scratch
 /// serves any number of sequential queries over graphs of any size.
 #[derive(Clone, Debug, Default)]
@@ -159,56 +175,91 @@ impl QueryScratch {
         Self::default()
     }
 
-    /// A workspace whose walk arrays are pre-sized for networks of `n`
+    /// A workspace whose seen marks are pre-sized for networks of `n`
     /// nodes (the zone stamps stay lazy: target-less walks never use them).
     pub fn with_capacity(n: usize) -> Self {
         let mut s = Self::default();
         s.walk.mark.resize(n, 0);
-        s.walk.parent.resize(n, NodeId::new(u32::MAX));
         s
     }
 }
 
-/// The walk half of a [`QueryScratch`]: epoch-stamped *seen* marks, frontier
-/// buffers and the incremental-escalation cache (cumulative walk cost).
+/// One contact the walk discovered: a row of the [`WalkScratch`] memo.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    node: NodeId,
+    /// The entry whose contact link discovered this one (the source's own
+    /// entry, 0, is its own parent).
+    parent: u32,
+    /// Path hops of that link: the DSQ messages one visit costs.
+    hops: u32,
+    /// Hops from the source along the contact chain: a reply's cost. A
+    /// level adds at most `u16::MAX` hops and there are at most `u16::MAX`
+    /// levels, so the sum fits.
+    dist: u32,
+}
+
+/// A completed level of the memo.
+#[derive(Clone, Copy, Debug)]
+struct Level {
+    /// One past the level's last entry.
+    end: u32,
+    /// DSQ messages of levels 1..=this one: what a from-scratch walk of
+    /// them charges (see [`WalkScratch::walked_msgs`]).
+    walked: u64,
+}
+
+/// The walk half of a [`QueryScratch`]: one source's contact tree as a
+/// resumable level memo. Entries sit in discovery order — level by level,
+/// each level in the order its parents' contact rows list them — so a
+/// scan of the entries is the level-synchronous walk itself. The memo is
+/// expanded one parent row at a time, only when a scan runs past its end,
+/// and it is reused by the next walk from the same source until
+/// [`WalkScratch::forget`]: only a sweep, whose tables and fault view are
+/// frozen, lets a memo outlive one query.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct WalkScratch {
-    /// Epoch stamp per node; `mark[v] == epoch` means seen this query.
+    /// Epoch stamp per node; `mark[v] == epoch` means the memo holds `v`.
     mark: Vec<u32>,
-    /// Current epoch (bumped per query; marks are only valid against it).
+    /// The memo's epoch (bumped per fresh memo; marks are only valid
+    /// against it).
     epoch: u32,
-    /// Contacts of the deepest completed level, with accumulated hop
-    /// distance from the source along contact paths. (Level 0 holds the
-    /// source itself at distance 0.)
-    frontier: Vec<(NodeId, u64)>,
-    /// Next-level staging buffer (swapped with `frontier` per level).
-    next: Vec<(NodeId, u64)>,
-    /// Cumulative DSQ messages of all *completed* levels — what a
-    /// from-scratch re-walk of those levels would charge (see
-    /// [`WalkScratch::walked_msgs`]).
-    walked: u64,
-    /// BFS parent per node (valid only where `mark[v] == epoch`): the
-    /// frontier node whose contact link discovered `v`. Lets a resolved
-    /// query reconstruct the source → answer contact chain so route hints
-    /// can be deposited along it (§V; see [`crate::hints`]).
-    parent: Vec<NodeId>,
-    /// The contact whose visit ended the current walk (see
-    /// [`WalkScratch::answerer`]).
-    hit: Option<NodeId>,
-    /// The answer chain of the last [`WalkScratch::walk_path`].
+    /// The discovered contacts; entry 0 is the source at distance 0.
+    entries: Vec<Entry>,
+    /// Every completed level, level 0 (the source) first.
+    levels: Vec<Level>,
+    /// The next entry whose contact row an expansion reads.
+    cursor: u32,
+    /// DSQ messages of the entries of the level being discovered.
+    open_msgs: u64,
+    /// The source the memo belongs to, `None` once forgotten.
+    memo: Option<NodeId>,
+    /// The entry whose visit ended the current walk (see
+    /// [`WalkScratch::answer_path`]).
+    hit: Option<u32>,
+    /// The answer chain of the last [`WalkScratch::answer_path`].
     path: Vec<NodeId>,
 }
 
 impl WalkScratch {
-    /// Open a new walk from `source` over a network of `n` nodes: bump the
-    /// epoch (recycling the mark array without clearing it) and reset the
-    /// frontier to the source. O(1) amortized.
-    pub(crate) fn begin(&mut self, n: usize, source: NodeId) {
+    /// Drop the memo: the next [`open`](Self::open) starts a fresh one.
+    /// A memo holds one frozen view's tables and edge veto, so every walk
+    /// outside a sweep, and each sweep at its start and end, forgets.
+    pub(crate) fn forget(&mut self) {
+        self.memo = None;
+    }
+
+    /// Open a walk from `source` over a network of `n` nodes: resume the
+    /// memo if it is `source`'s, else start a fresh one — bump the epoch
+    /// (recycling the mark array without clearing it) and hold just the
+    /// source. O(1) amortized.
+    pub(crate) fn open(&mut self, n: usize, source: NodeId) {
+        self.hit = None;
+        if self.memo == Some(source) {
+            return;
+        }
         if self.mark.len() < n {
             self.mark.resize(n, 0);
-        }
-        if self.parent.len() < n {
-            self.parent.resize(n, NodeId::new(u32::MAX));
         }
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
@@ -216,97 +267,142 @@ impl WalkScratch {
             self.mark.fill(0);
             self.epoch = 1;
         }
-        self.frontier.clear();
-        self.next.clear();
         self.mark[source.index()] = self.epoch;
-        self.parent[source.index()] = source; // chain terminator
-        self.frontier.push((source, 0));
-        self.walked = 0;
-        self.hit = None;
+        self.entries.clear();
+        self.entries.push(Entry {
+            node: source,
+            parent: 0,
+            hops: 0,
+            dist: 0,
+        });
+        self.levels.clear();
+        self.levels.push(Level { end: 1, walked: 0 });
+        self.cursor = 0;
+        self.open_msgs = 0;
+        self.memo = Some(source);
     }
 
-    /// DSQ messages a from-scratch walk of every completed level would
-    /// cost — the incremental escalation charges this instead of
+    /// DSQ messages a from-scratch walk of levels 1..`level` (exclusive)
+    /// costs — the incremental escalation charges this instead of
     /// re-traversing (escalation re-sends queries on the wire; the message
     /// count is real even though the simulator walks each level once).
-    pub(crate) fn walked_msgs(&self) -> u64 {
-        self.walked
+    /// Every level below `level` must be complete, which a scan of each of
+    /// them that answered nothing guarantees.
+    pub(crate) fn walked_msgs(&self, level: u16) -> u64 {
+        self.levels[level as usize - 1].walked
     }
 
-    /// Advance the walk by one level: consume every not-yet-seen contact of
-    /// the current frontier (each contact at its *minimal* level — loop
-    /// prevention via the epoch marks, matching §III.C.4's query IDs),
-    /// charging its path hops to `msgs` and calling
-    /// `visit(contact, hops from source)`. A contact edge
-    /// `(holder, contact)` vetoed by `edge_ok` is neither traversed, marked
-    /// nor charged — the holder learned from its failed validation that the
-    /// relay is gone, so no probe is emitted — and the contact stays
-    /// discoverable through a different (allowed) edge at this or a deeper
-    /// level. A `Some` from `visit` aborts the walk immediately (the query
-    /// was answered; the scratch is left mid-level and must be
-    /// re-`begin`ed). Otherwise the discovered contacts become the new
-    /// frontier and the level's cost is added to
-    /// [`WalkScratch::walked_msgs`].
-    pub(crate) fn advance_level<R>(
+    /// Scan level `level` (≥ 1; the levels below it complete): visit its
+    /// contacts in discovery order, charging each one's path hops to `msgs`
+    /// and calling `visit(contact, hops from source)`. Each contact sits at
+    /// its *minimal* level (loop prevention via the epoch marks, matching
+    /// §III.C.4's query IDs). A `Some` from `visit` ends the scan on the
+    /// spot: the query was answered, and the rest of the level is neither
+    /// visited nor charged.
+    ///
+    /// The scan reads the part of the level the memo holds, then expands
+    /// the remaining parent rows of the level below, visiting each contact
+    /// as it is discovered. A row is expanded whole even when a contact in
+    /// it answers, so a later walk can resume the memo; the last row closes
+    /// the level.
+    pub(crate) fn scan_level<R>(
         &mut self,
+        level: u16,
         contact_tables: TablesView<'_>,
         msgs: &mut u64,
         edge_ok: impl Fn(NodeId, NodeId) -> bool,
         mut visit: impl FnMut(NodeId, u64) -> Option<R>,
     ) -> Option<R> {
-        self.next.clear();
-        let epoch = self.epoch;
-        let mut level_msgs = 0u64;
-        for fi in 0..self.frontier.len() {
-            let (node, dist) = self.frontier[fi];
-            for (c, hops) in contact_tables.links(node.index()) {
-                if self.mark[c.index()] == epoch || !edge_ok(node, c) {
-                    continue;
-                }
-                self.mark[c.index()] = epoch;
-                self.parent[c.index()] = node;
-                let hops = hops as u64;
-                let at_contact = dist + hops;
-                *msgs += hops;
-                level_msgs += hops;
-                if let Some(r) = visit(c, at_contact) {
-                    self.hit = Some(c);
-                    return Some(r);
-                }
-                self.next.push((c, at_contact));
+        let level = level as usize;
+        let below = self.levels[level - 1];
+        let held = self
+            .levels
+            .get(level)
+            .map_or(self.entries.len(), |l| l.end as usize);
+        for (i, e) in self.entries[below.end as usize..held].iter().enumerate() {
+            *msgs += e.hops as u64;
+            if let Some(r) = visit(e.node, e.dist as u64) {
+                self.hit = Some(below.end + i as u32);
+                return Some(r);
             }
         }
-        std::mem::swap(&mut self.frontier, &mut self.next);
-        self.walked += level_msgs;
+        if self.levels.len() > level {
+            return None;
+        }
+        while self.cursor < below.end {
+            let parent = self.cursor;
+            self.cursor += 1;
+            let from = self.entries[parent as usize];
+            let mut links = contact_tables.links(from.node.index());
+            for (c, hops) in links.by_ref() {
+                let Some(e) = self.discover(parent, from, c, hops, &edge_ok) else {
+                    continue;
+                };
+                *msgs += e.hops as u64;
+                if let Some(r) = visit(e.node, e.dist as u64) {
+                    self.hit = Some(self.entries.len() as u32 - 1);
+                    for (c, hops) in links {
+                        self.discover(parent, from, c, hops, &edge_ok);
+                    }
+                    return Some(r);
+                }
+            }
+        }
+        self.levels.push(Level {
+            end: self.entries.len() as u32,
+            walked: below.walked + self.open_msgs,
+        });
+        self.open_msgs = 0;
         None
     }
 
-    /// No contact remains to expand (deeper levels cannot discover — or
-    /// charge — anything).
-    pub(crate) fn exhausted(&self) -> bool {
-        self.frontier.is_empty()
+    /// Append contact `c`, linked from entry `parent` (`from`) by a path of
+    /// `hops`, to the level being discovered — unless the memo already
+    /// holds it or `edge_ok` vetoes the edge. A vetoed contact edge is
+    /// neither traversed, marked nor charged (the holder learned from its
+    /// failed validation that the relay is gone, so no probe is emitted);
+    /// the contact stays discoverable through a different (allowed) edge at
+    /// this or a deeper level.
+    #[inline(always)]
+    fn discover(
+        &mut self,
+        parent: u32,
+        from: Entry,
+        c: NodeId,
+        hops: u16,
+        edge_ok: &impl Fn(NodeId, NodeId) -> bool,
+    ) -> Option<Entry> {
+        if self.mark[c.index()] == self.epoch || !edge_ok(from.node, c) {
+            return None;
+        }
+        self.mark[c.index()] = self.epoch;
+        self.open_msgs += hops as u64;
+        let e = Entry {
+            node: c,
+            parent,
+            hops: hops as u32,
+            dist: from.dist + hops as u32,
+        };
+        self.entries.push(e);
+        Some(e)
     }
 
-    /// The contact whose visit ended the current walk — for a plain
-    /// escalation, the node that answered. `None` until a walk resolves.
-    pub(crate) fn answerer(&self) -> Option<NodeId> {
-        self.hit
-    }
-
-    /// The contact chain source → `node` recorded by the current walk's
-    /// parent pointers, source-first, in the scratch-owned chain buffer.
-    /// `node` must have been visited in the current epoch (parents of
-    /// unvisited nodes are stale).
-    pub(crate) fn walk_path(&mut self, node: NodeId) -> &mut Vec<NodeId> {
+    /// The contact chain source → the contact whose visit ended the
+    /// current walk (for a plain escalation, the node that answered),
+    /// source-first, in the scratch-owned chain buffer.
+    ///
+    /// # Panics
+    /// Panics if the current walk has not been answered.
+    pub(crate) fn answer_path(&mut self) -> &mut Vec<NodeId> {
         self.path.clear();
-        let mut cur = node;
+        let mut at = self.hit.expect("an answered walk has a hit") as usize;
         loop {
-            self.path.push(cur);
-            let p = self.parent[cur.index()];
-            if p == cur {
+            let e = self.entries[at];
+            self.path.push(e.node);
+            if at == 0 {
                 break;
             }
-            cur = p;
+            at = e.parent as usize;
         }
         self.path.reverse();
         &mut self.path
@@ -367,6 +463,8 @@ pub fn dsq_query(
     at: SimTime,
     scratch: &mut QueryScratch,
 ) -> QueryOutcome {
+    // A free call: no memo outlives it.
+    scratch.walk.forget();
     let out = match hints {
         Some(ctx) => dsq_walk(
             net,
@@ -562,16 +660,13 @@ fn push_chain_deposits(deposits: &mut DepositLog, key: HintKey, chain: &[NodeId]
     }
 }
 
-/// A walk-level hit of [`escalate`].
+/// A walk-level hit of [`escalate`]; the visited contact is the walk's
+/// hit entry ([`WalkScratch::answer_path`]).
 enum HintedHit {
-    /// The plain level walk answered at `answer`.
-    Walk { answer: NodeId, reply: u64 },
-    /// A relay's hint chain answered: `steps` probe hops past `relay`.
-    Chase {
-        relay: NodeId,
-        steps: usize,
-        reply: u64,
-    },
+    /// The plain level walk answered at the visited contact.
+    Walk { reply: u64 },
+    /// The visited relay's hint chain answered, `steps` probe hops past it.
+    Chase { steps: usize, reply: u64 },
 }
 
 /// The one escalation driver, without statistics recording: walk depths
@@ -645,11 +740,11 @@ pub(crate) fn escalate<S: HintLookup>(
     // The incremental escalation, consulting relay hints on the way.
     // Failed probes cost their messages and the walk continues unchanged
     // (same order, same marks), so discovery is that of the plain walk.
-    scratch.begin(n, source);
+    scratch.open(n, source);
     let mut chase_chain = [source; MAX_CHAIN];
     for depth in 1..=max_depth {
         // The wire cost of re-sending the query along levels 1..depth-1.
-        query_msgs += scratch.walked_msgs();
+        query_msgs += scratch.walked_msgs(depth);
         let mut probe_spent = 0u64;
         let hit = {
             let tables = contact_tables;
@@ -659,12 +754,9 @@ pub(crate) fn escalate<S: HintLookup>(
             let probe = &mut probe_spent;
             let chain = &mut chase_chain;
             let ans = &mut answers;
-            scratch.advance_level(tables, &mut query_msgs, edge_ok, |c, at_contact| {
+            scratch.scan_level(depth, tables, &mut query_msgs, edge_ok, |c, at_contact| {
                 if ans(c) {
-                    return Some(HintedHit::Walk {
-                        answer: c,
-                        reply: at_contact,
-                    });
+                    return Some(HintedHit::Walk { reply: at_contact });
                 }
                 if S::ENABLED && depth < max_depth && *failed < MAX_FAILED_CHASES {
                     let budget = (max_depth - depth) as usize;
@@ -679,7 +771,6 @@ pub(crate) fn escalate<S: HintLookup>(
                     if let Some(reply) = res.reply {
                         stats.chase_hits += 1;
                         return Some(HintedHit::Chase {
-                            relay: c,
                             steps: res.steps,
                             reply,
                         });
@@ -694,9 +785,9 @@ pub(crate) fn escalate<S: HintLookup>(
         query_msgs += probe_spent;
         if let Some(hit) = hit {
             return match hit {
-                HintedHit::Walk { answer, reply } => {
+                HintedHit::Walk { reply } => {
                     if S::ENABLED {
-                        push_chain_deposits(ctx.deposits, key, scratch.walk_path(answer));
+                        push_chain_deposits(ctx.deposits, key, scratch.answer_path());
                     }
                     QueryOutcome {
                         found: true,
@@ -705,12 +796,8 @@ pub(crate) fn escalate<S: HintLookup>(
                         reply_msgs: reply,
                     }
                 }
-                HintedHit::Chase {
-                    relay,
-                    steps,
-                    reply,
-                } => {
-                    let path = scratch.walk_path(relay);
+                HintedHit::Chase { steps, reply } => {
+                    let path = scratch.answer_path();
                     path.extend_from_slice(&chase_chain[1..=steps]);
                     push_chain_deposits(ctx.deposits, key, path);
                     QueryOutcome {
@@ -1242,6 +1329,36 @@ mod tests {
     }
 
     #[test]
+    fn a_walk_memo_never_outlives_its_view_across_stores() {
+        // The same source on one scratch over two stores: under the first,
+        // contact 12 holds no contacts, so a memo kept into the second
+        // would close level 3 empty and miss target 15.
+        let net = line_net();
+        let short = tables_for_line(&net);
+        let long = line_tables(&net, &[(12..16).map(n).collect()]);
+        let mut shared = QueryScratch::new();
+        for (tables, found) in [(&short, false), (&long, true), (&short, false)] {
+            let ask = |scratch: &mut QueryScratch| {
+                let (tables, at) = (tables.view(), SimTime::ZERO);
+                dsq_query(
+                    &net,
+                    tables,
+                    None,
+                    n(0),
+                    n(15),
+                    3,
+                    &mut mk_stats(),
+                    at,
+                    scratch,
+                )
+            };
+            let out = ask(&mut shared);
+            assert_eq!(out, ask(&mut QueryScratch::new()));
+            assert_eq!(out.found, found);
+        }
+    }
+
+    #[test]
     fn epoch_wraparound_resets_marks() {
         let net = line_net();
         let tables = tables_for_line(&net);
@@ -1356,11 +1473,22 @@ mod tests {
                     let plain =
                         dsq_query(net, tables, None, source, target, 3, &mut st, SimTime::ZERO, &mut scratch);
                     prop_assert_eq!(&plain, &oracle, "plain walk {} -> {}", source, target);
+                    // The hinted walk resumes the plain walk's memo (same
+                    // source, same view), and equals one on a fresh scratch.
                     let mut ctx = HintContext { store, stats: &mut hint_stats, deposits: &mut deposits };
+                    ctx.deposits.clear();
                     let hinted = dsq_walk(
                         net, tables, &mut ctx, source, target, 3, &mut scratch, any_edge,
                     );
                     prop_assert_eq!(hinted.found, oracle.found, "hinted walk {} -> {}", source, target);
+                    let resumed = deposits.runs().to_vec();
+                    let mut ctx = HintContext { store, stats: &mut hint_stats, deposits: &mut deposits };
+                    ctx.deposits.clear();
+                    let fresh = dsq_walk(
+                        net, tables, &mut ctx, source, target, 3, &mut QueryScratch::new(), any_edge,
+                    );
+                    prop_assert_eq!(&hinted, &fresh, "resumed hinted walk {} -> {}", source, target);
+                    prop_assert_eq!(deposits.runs(), &resumed[..]);
                 }
             }
         }

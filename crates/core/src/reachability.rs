@@ -49,14 +49,13 @@ pub fn reachability_set_into(
     // Level-synchronous walk of the contact graph on the query engine;
     // every newly consumed contact unions its neighborhood in. Messages
     // are not charged (this is the paper's §III.B *metric*, not a query).
+    // A free call: no memo outlives it.
     let walk = &mut scratch.walk;
-    walk.begin(net.node_count(), source);
+    walk.forget();
+    walk.open(net.node_count(), source);
     let mut no_msgs = 0u64;
-    for _ in 0..depth {
-        if walk.exhausted() {
-            break;
-        }
-        walk.advance_level(contact_tables, &mut no_msgs, any_edge, |c, _| {
+    for level in 1..=depth {
+        walk.scan_level(level, contact_tables, &mut no_msgs, any_edge, |c, _| {
             for m in tables.of(c).iter_members() {
                 out.insert(m.index());
             }

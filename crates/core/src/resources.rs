@@ -276,6 +276,8 @@ pub fn resource_query(
     at: SimTime,
     scratch: &mut QueryScratch,
 ) -> QueryOutcome {
+    // A free call: no memo outlives it.
+    scratch.walk.forget();
     let out = match hints {
         Some(ctx) => resource_query_unrecorded(
             net,

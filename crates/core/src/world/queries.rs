@@ -196,13 +196,15 @@ impl<'a> QueryView<'a> {
     }
 }
 
-/// One sweep lane: the walk workspace and the deposit log a span of a
-/// sweep's slots runs on. A world keeps one per shard, reused across
-/// sweeps; a sweep of one runs on lane 0.
+/// One sweep lane: the walk workspace, the deposit log and the visiting
+/// order a span of a sweep's slots runs on. A world keeps one per shard,
+/// reused across sweeps; a sweep of one runs on lane 0.
 #[derive(Clone)]
 pub(super) struct QueryLane {
     pub(super) scratch: QueryScratch,
     pub(super) deposits: DepositLog,
+    /// A hint-less span's slot indices, in the order the lane visits them.
+    order: Vec<u32>,
 }
 
 impl QueryLane {
@@ -210,6 +212,7 @@ impl QueryLane {
         QueryLane {
             scratch: QueryScratch::with_capacity(nodes),
             deposits: DepositLog::new(),
+            order: Vec::new(),
         }
     }
 }
@@ -316,7 +319,7 @@ impl CardWorld {
     }
 
     /// The sweep over one slot.
-    fn sweep_one<'g>(
+    pub(super) fn sweep_one<'g>(
         &mut self,
         source: NodeId,
         goal: impl Into<Goal<'g>> + Copy + Sync,
@@ -336,7 +339,18 @@ impl CardWorld {
     /// as in a batch of concurrently in-flight queries. Message counters
     /// land in per-span deltas merged in shard order; the deposit stage
     /// follows when hints are on.
-    fn sweep<'g, G>(&mut self, asks: &[(NodeId, G)], out: &mut [QueryOutcome])
+    ///
+    /// A lane's walk memo (see [`crate::query`]) lives for one sweep: the
+    /// lane forgets it when the sweep starts and when it ends. Without
+    /// hints a query is a pure function of `(view, pair)`, so a span visits
+    /// its slots grouped by source, stable by slot (the lane's order
+    /// buffer, sorted in O(P log P)), and each source's contact tree is
+    /// walked once. A hinted span keeps slot order: its deposit log merges
+    /// a holder's consecutive deposits into runs, and the exchange delivers
+    /// them in slot order, so a different visiting order would change what
+    /// the plane carries. It still resumes a memo between adjacent slots
+    /// that share a source.
+    pub(super) fn sweep<'g, G>(&mut self, asks: &[(NodeId, G)], out: &mut [QueryOutcome])
     where
         G: Copy + Sync + Into<Goal<'g>>,
     {
@@ -365,8 +379,14 @@ impl CardWorld {
             .map(|((asks, slots), lane)| (asks, slots, lane))
             .collect();
         let deltas = parallel_shard_map(&mut work, |_, (asks, slots, lane)| {
-            let QueryLane { scratch, deposits } = &mut **lane;
+            let QueryLane {
+                scratch,
+                deposits,
+                order,
+            } = &mut **lane;
             deposits.clear();
+            // A walk memo is good for this sweep's frozen view only.
+            scratch.walk.forget();
             // The span's message delta: every query lands at the same
             // instant, so two counters recorded in bulk afterwards produce
             // buckets bit-identical to per-query recording.
@@ -377,12 +397,25 @@ impl CardWorld {
                 hint_stats: &mut hint_delta,
                 deposits,
             };
-            for (slot, &(s, goal)) in slots.iter_mut().zip(asks.iter()) {
+            let mut ask = |i: usize| {
+                let (s, goal) = asks[i];
                 let o = view.query(s, goal.into(), &mut sink);
                 dsq += o.query_msgs;
                 reply += o.reply_msgs;
-                *slot = o;
+                slots[i] = o;
+            };
+            if view.hints.is_none() {
+                // A hint-less query is a pure function of (view, pair), so
+                // the span visits its slots grouped by source, stable by
+                // slot: each source's memo serves all of its slots.
+                order.clear();
+                order.extend(0..asks.len() as u32);
+                order.sort_unstable_by_key(|&i| (asks[i as usize].0, i));
+                order.iter().for_each(|&i| ask(i as usize));
+            } else {
+                (0..asks.len()).for_each(ask);
             }
+            sink.scratch.walk.forget();
             (dsq, reply, hint_delta)
         });
         for (dsq, reply, hint_delta) in &deltas {

@@ -31,7 +31,7 @@ impl CardWorld {
     /// Resolve (or re-resolve) standing query `id` through the shared
     /// per-pair body, without the hint cache: depth-0 if the target sits in
     /// the source's own neighborhood, otherwise a full escalation whose
-    /// answer chain is captured from the walk's parent pointers. Under
+    /// answer chain is captured from the walk's parent entries. Under
     /// faults a crashed endpoint fails the subscription outright (the
     /// round heartbeat re-marks it, so a rejoin re-resolves).
     fn standing_resolve(&mut self, id: u32, initial: bool) {
@@ -53,7 +53,11 @@ impl CardWorld {
             let q = standing.get(id);
             (q.source, q.target)
         };
-        let QueryLane { scratch, deposits } = &mut lanes[0];
+        let QueryLane {
+            scratch, deposits, ..
+        } = &mut lanes[0];
+        // Resolution runs outside any sweep: its walk starts a fresh memo.
+        scratch.walk.forget();
         let out = QueryView::over(net, shards, contacts, per, false, cfg.depth, faults).query(
             source,
             Goal::Node(target),
@@ -73,10 +77,7 @@ impl CardWorld {
         }
         let own_zone = [source];
         let path: &[NodeId] = if out.depth_used > 0 {
-            let answer = scratch.walk.answerer();
-            scratch
-                .walk
-                .walk_path(answer.expect("a resolved escalation has an answerer"))
+            scratch.walk.answer_path()
         } else {
             &own_zone
         };

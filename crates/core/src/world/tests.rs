@@ -1,12 +1,15 @@
 use super::*;
 use crate::config::SelectionMethod;
 use crate::hints::HintKey;
-use crate::query::QueryOutcome;
+use crate::query::{dsq_query, QueryOutcome, QueryScratch};
+use crate::reachability::reachability_set;
 use crate::resources::{ResourceId, ResourceRegistry};
 use mobility::statics::StaticModel;
 use mobility::waypoint::RandomWaypoint;
 use sim_core::faults::FaultPlan;
 use sim_core::stats::MsgKind;
+
+use super::queries::Goal;
 
 fn scenario() -> Scenario {
     Scenario::new(150, 500.0, 500.0, 60.0)
@@ -1313,4 +1316,103 @@ mod stored_paths {
             }
         }
     }
+}
+
+/// A hint-less sweep that mixes node and resource slots of three sources
+/// (so each source's walk memo serves both goals) equals one query at a
+/// time, calm and under crashes and an open partition, at one and four
+/// shards: outcomes in slot order and the message totals.
+#[test]
+fn a_sweep_mixing_goals_of_repeated_sources_equals_single_queries() {
+    let mut reg = ResourceRegistry::new(150, 3);
+    for (r, host) in [(0, 9), (1, 70), (1, 131), (2, 44)] {
+        reg.add_host(ResourceId(r), NodeId::new(host));
+    }
+    let asks: Vec<(NodeId, Goal<'_>)> = (0..120u32)
+        .map(|i| {
+            let source = NodeId::new([3, 77, 140][(i * 7 % 3) as usize]);
+            let goal = match i % 4 {
+                0 => Goal::Resource(&reg, ResourceId(i % 3)),
+                _ => Goal::Node(NodeId::new(i * 37 % 150)),
+            };
+            (source, goal)
+        })
+        .collect();
+    for faulted in [false, true] {
+        for shards in [1, 4] {
+            let mut w = CardWorld::build(&scenario(), cfg().with_depth(3));
+            w.set_shard_count(shards);
+            w.select_all_contacts();
+            if faulted {
+                w.enable_faults(FaultPlan::generate(&fault_cfg(), 150, 99));
+                w.validation_round();
+                w.validation_round();
+                let state = w.fault_state().expect("armed");
+                assert!(state.down_count() > 0 && state.partition_active());
+            }
+            let mut singles = w.clone();
+            let expected: Vec<QueryOutcome> = asks
+                .iter()
+                .map(|&(s, goal)| match goal {
+                    Goal::Node(t) => singles.sweep_one(s, t),
+                    Goal::Resource(reg, r) => singles.query_resource(reg, s, r),
+                })
+                .collect();
+            let mut out = vec![QueryOutcome::MISS; asks.len()];
+            w.sweep(&asks, &mut out);
+            let at = format!("faulted {faulted}, {shards} shards");
+            assert_eq!(out, expected, "{at}");
+            assert_eq!(w.fingerprint().diff(&singles.fingerprint()), None, "{at}");
+        }
+    }
+}
+
+/// A sweep's walk memos die with its frozen view. One lane and one source
+/// per sweep: a memo kept past the first sweep would answer the second
+/// from the contact tree before the motion and the validation round.
+/// Both sweeps must equal the free query on a fresh scratch.
+#[test]
+fn a_walk_memo_never_outlives_its_view_across_sweeps() {
+    let mut w = CardWorld::build(&scenario(), cfg().with_depth(3));
+    w.set_shard_count(1);
+    w.select_all_contacts();
+    let source = NodeId::new(0);
+    let pairs: Vec<(NodeId, NodeId)> = NodeId::all(150).map(|t| (source, t)).collect();
+    let fresh = |w: &CardWorld| -> Vec<QueryOutcome> {
+        let mut stats = MsgStats::new(SimDuration::from_secs(1));
+        pairs
+            .iter()
+            .map(|&(s, t)| {
+                let tables = w.contact_tables();
+                let scratch = &mut QueryScratch::new();
+                dsq_query(
+                    w.network(),
+                    tables,
+                    None,
+                    s,
+                    t,
+                    3,
+                    &mut stats,
+                    w.now(),
+                    scratch,
+                )
+            })
+            .collect()
+    };
+    let reach = |w: &CardWorld| reachability_set(w.network(), w.contact_tables(), source, 3);
+    let before = w.query_all(&pairs);
+    assert_eq!(before, fresh(&w));
+    let reach_before = reach(&w);
+    let mut model = RandomWaypoint::new(
+        150,
+        w.network().field(),
+        5.0,
+        20.0,
+        0.0,
+        SeedSplitter::new(7).stream("mobility", 0),
+    );
+    w.run_mobile(&mut model, SimDuration::from_secs(6));
+    w.validation_round();
+    assert_ne!(reach(&w), reach_before, "the source's contact tree moved");
+    assert_eq!(w.query_all(&pairs), fresh(&w));
 }

@@ -17,12 +17,17 @@
 //!    queries draw no randomness);
 //! 3. **resource anycast generalizes node lookup** — a resource hosted by
 //!    exactly one node is discovered with exactly the node-lookup DSQ's
-//!    outcome and message count (both run the one shared walker).
+//!    outcome and message count (both run the one shared walker);
+//! 4. **a sweep walks each source once** — a hint-less sweep visits its
+//!    slots grouped by source over one walk memo per source, and still
+//!    equals one query at a time when few sources repeat many times, calm
+//!    or under crashes and an open partition.
 
 use card_manet::card::query::{dsq_query, dsq_query_rewalk, QueryScratch};
 use card_manet::card::resources::{resource_query, ResourceId, ResourceRegistry};
 use card_manet::card::world::CardWorld;
 use card_manet::card::CardConfig;
+use card_manet::sim::faults::{FaultConfig, FaultPlan, PartitionWindow};
 use card_manet::sim::stats::MsgStats;
 use card_manet::sim::time::SimDuration;
 use card_manet::topology::node::NodeId;
@@ -118,6 +123,86 @@ proptest! {
                 serial.fingerprint(),
                 "worlds diverged on sweep {} at {} shards", sweep, shards
             );
+        }
+    }
+
+    /// Sweeps of few sources with many targets each — interleaved,
+    /// shuffled, with duplicate pairs — equal a loop of `CardWorld::query`
+    /// on a one-shard world: outcomes in slot order and the fingerprint
+    /// (retry queue included), at one shard and at `shards`, calm or under
+    /// a plan whose crashes and open partition the walk memo must veto.
+    /// Then every source asks for resources, which must equal the
+    /// reference world's and, calm, the free call on a fresh scratch.
+    #[test]
+    fn prop_sweeps_with_repeated_sources_equal_single_queries(
+        seed in 0u64..300,
+        shards in 2usize..9,
+        sources in proptest::collection::vec(0usize..NODES, 1..5),
+        picks in proptest::collection::vec((0usize..4, 0usize..NODES), 20..120),
+        dups in proptest::collection::vec(0usize..1000, 0..30),
+        shuffle in 0u64..1 << 32,
+        faulted in any::<bool>(),
+    ) {
+        let mut pairs: Vec<(NodeId, NodeId)> = picks
+            .iter()
+            .map(|&(k, t)| (NodeId::from(sources[k % sources.len()]), NodeId::from(t)))
+            .collect();
+        for &d in &dups {
+            pairs.push(pairs[d % pairs.len()]);
+        }
+        let mut state = shuffle | 1;
+        for i in (1..pairs.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            pairs.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        let mut reg = ResourceRegistry::new(NODES, 3);
+        for (r, host) in [(0, 5), (1, 60), (1, 111), (2, 97)] {
+            reg.add_host(ResourceId(r), NodeId::new(host));
+        }
+        let build = |k: usize| {
+            let mut w = world(seed, 3);
+            w.set_shard_count(k);
+            if faulted {
+                let plan = FaultConfig {
+                    churn_rate: 0.2,
+                    partition: Some(PartitionWindow { start_round: 1, end_round: 9, fraction: 0.5 }),
+                    rounds: 1,
+                    ..FaultConfig::calm()
+                };
+                w.enable_faults(FaultPlan::generate(&plan, NODES, seed));
+                w.validation_round();
+                w.validation_round();
+            }
+            w
+        };
+        let mut serial = build(1);
+        if faulted {
+            let state = serial.fault_state().expect("armed");
+            prop_assert!(state.down_count() > 0 && state.partition_active());
+        }
+        let expected: Vec<_> = pairs.iter().map(|&(s, t)| serial.query(s, t)).collect();
+        for k in [1, shards] {
+            let mut swept = build(k);
+            prop_assert_eq!(&swept.query_all(&pairs), &expected, "{} shards", k);
+            prop_assert_eq!(swept.pending_query_retries(), serial.pending_query_retries());
+            prop_assert_eq!(swept.fingerprint().diff(&serial.fingerprint()), None, "{} shards", k);
+            let mut reference = serial.clone();
+            for &s in &sources {
+                let s = NodeId::from(s);
+                for r in (0..3).map(ResourceId) {
+                    let got = swept.query_resource(&reg, s, r);
+                    prop_assert_eq!(&got, &reference.query_resource(&reg, s, r), "{} for {}", s, r);
+                    if !faulted {
+                        let free = resource_query(
+                            swept.network(), swept.contact_tables(), &reg, None, s, r, 3,
+                            &mut mk_stats(), swept.now(), &mut QueryScratch::new(),
+                        );
+                        prop_assert_eq!(&got, &free, "{} for {}", s, r);
+                    }
+                }
+            }
         }
     }
 
