@@ -66,10 +66,6 @@ pub struct CardConfig {
     /// edge within r hops (thousands of messages), far beyond the per-node
     /// overheads the paper reports.
     pub max_csq_steps: u32,
-    /// How many CSQ walks a below-NoC node launches per validation round
-    /// (§III.C.1 step 1 sends CSQs "one at a time"; Fig 13's slowly-growing
-    /// contact count shows selection trickling over many periods).
-    pub selection_walks_per_round: usize,
     /// Root seed for every random decision (placement, walk choices, PM
     /// probability draws).
     pub seed: u64,
@@ -100,7 +96,6 @@ impl Default for CardConfig {
             local_recovery: true,
             mobility_tick: SimDuration::from_millis(100),
             max_csq_steps: 320,
-            selection_walks_per_round: 3,
             seed: 1,
             hint_slots_per_bucket: 4,
             hint_ttl: 32,

@@ -11,23 +11,22 @@
 //!
 //! ## Storage layout
 //!
-//! One [`HintStore`] holds a contiguous *span* of nodes' hint tables in a
-//! single flat slot array (the sharded-`CardWorld` state model: no
-//! per-node boxes, node `start + k`'s slots at
-//! `k·per_node‥(k+1)·per_node`). A store covering every node is just the
-//! span `start = 0`; under the shard-owned state model each protocol
-//! shard owns the span store for its node range. Each node's table is
-//! split into [`HINT_BUCKETS`] *distance buckets* keyed by the hint's
-//! remaining depth — the Kademlia idiom: near answers (depth 1) never
-//! fight far answers (depth ≥ 4) for slots — with LRU replacement inside
-//! a bucket. The LRU clock is **per node** (each node counts its own
-//! deposits), so slot stamps are a pure function of that node's deposit
-//! history — independent of how nodes are grouped into stores, which is
-//! what keeps hint state bit-identical across shard counts. Beside the
-//! slots each node keeps a `u16` *occupancy count* (2 B a node), updated
-//! by every slot write — deposit fill, bucket migration, eviction,
-//! invalidation, clear and re-shard copy — and checked against a recount
-//! in debug builds. [`HintLookup::holds_hints`] reads it, so a query that
+//! One [`HintStore`] holds every node's hint table in a single flat slot
+//! array (no per-node boxes: node `i`'s slots at
+//! `i·per_node‥(i+1)·per_node`). A `CardWorld` keeps one whole-network
+//! store, like its RNG streams and backoffs: fixed-size per-node state is
+//! node-indexed, never cut by shard. Each node's table is split into
+//! [`HINT_BUCKETS`] *distance buckets* keyed by the hint's remaining
+//! depth — the Kademlia idiom: near answers (depth 1) never fight far
+//! answers (depth ≥ 4) for slots — with LRU replacement inside a bucket.
+//! The LRU clock is **per node** (each node counts its own deposits), so
+//! slot stamps are a pure function of that node's deposit history —
+//! independent of the order in which different holders' deposits
+//! interleave, which is what keeps hint state bit-identical across shard
+//! counts. Beside the slots each node keeps a `u16` *occupancy count*
+//! (2 B a node), updated by every slot write — deposit fill, bucket
+//! migration, eviction, invalidation and clear — and checked against a
+//! recount in debug builds. [`HintLookup::holds_hints`] reads it, so a query that
 //! peeks at an empty table (every holder of a cold sweep) pays one load,
 //! not a probe call and a 16-slot scan, and is charged the same `Absent`
 //! lookup the scan would have reported. The count caches the slots; it is
@@ -55,19 +54,20 @@
 //! ## Determinism
 //!
 //! The store is plain state — lookups and deposits draw no randomness —
-//! and a store is written only by the shard that owns it: every deposit
-//! comes from a sweep (`CardWorld::query_all`, whose parallel phase reads
-//! *frozen* stores; a live `CardWorld::query` is a sweep of one) and
-//! crosses the message plane to its holder's shard, where it is applied
-//! in the plane's deterministic drain order (deferred runs first, then
-//! `(src, seq)`). Restricted to any one holder that order equals global
-//! query order, and holders in different stores touch disjoint slots, so
-//! — together with the per-node LRU clocks — outcomes, hint statistics
-//! *and the stores themselves* are a pure function of `(network, tables,
-//! store, pairs)` at any worker or shard count, calm or lossy. With the
-//! cache disabled the same sweep runs without a hint view — no lookup, no
-//! deposit stage — and is bit-identical to one `CardWorld::query` per pair
-//! on a one-shard world (pinned by `tests/hint_cache.rs`).
+//! and it is written only in a sweep's drain: every deposit comes from a
+//! sweep (`CardWorld::query_all`, whose parallel phase reads the *frozen*
+//! store; a live `CardWorld::query` is a sweep of one) and crosses the
+//! message plane to its holder's shard mailbox, and the drain applies the
+//! mailboxes in shard order, each in the plane's deterministic delivery
+//! order (deferred runs first, then `(src, seq)`). A mailbox holds only
+//! the holders of its own span, so restricted to any one holder that
+//! order equals global query order — and with the per-node LRU clocks,
+//! outcomes, hint statistics *and the store itself* are a pure function
+//! of `(network, tables, store, pairs)` at any worker or shard count,
+//! calm or lossy. With the cache disabled the same sweep runs without a
+//! hint view — no lookup, no deposit stage — and is bit-identical to one
+//! `CardWorld::query` per pair on a one-shard world (pinned by
+//! `tests/hint_cache.rs`).
 //!
 //! ## Runs: deposits combine at the sender
 //!
@@ -373,10 +373,9 @@ impl HintStats {
     }
 }
 
-/// Read access to hint tables, however the stores are laid out: one
-/// whole-network [`HintStore`] or the shard-owned span stores behind
-/// `CardWorld`. Implementations must be pure reads (sharded sweeps
-/// consult frozen stores concurrently).
+/// Read access to hint tables: a [`HintStore`] (or a reference to one),
+/// or `NoHints` on a world without the cache. Implementations must be
+/// pure reads (sharded sweeps consult the frozen store concurrently).
 pub trait HintLookup {
     /// Whether hint tables stand behind this lookup at all. The walk checks
     /// it before every hint touch (probes, counters, deposits), so over
@@ -435,31 +434,26 @@ impl HintLookup for NoHints {
     }
 }
 
-/// Bounded per-node hint tables over one flat slot array, covering a
-/// contiguous node span (see the module docs for layout, staleness, and
-/// determinism).
+/// Bounded per-node hint tables over one flat slot array, covering nodes
+/// `0..n` (see the module docs for layout, staleness, and determinism).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HintStore {
     slots: Vec<HintSlot>,
-    /// First node index covered by this store (0 for a whole-network
-    /// store; the shard's span start under shard-owned state).
-    start: usize,
     /// Slots per node (`HINT_BUCKETS · slots_per_bucket`).
     per_node: usize,
     slots_per_bucket: usize,
     /// TTL in epochs: a slot with `epoch − stamp > ttl` is expired.
     ttl: u32,
-    /// Current epoch (advanced once per validation round; span stores of
-    /// one world advance in lockstep).
+    /// Current epoch (advanced once per validation round).
     epoch: u32,
-    /// Per-node monotone deposit clocks for LRU ordering (`clocks[k]`
-    /// counts node `start + k`'s deposits). LRU comparisons only ever
+    /// Per-node monotone deposit clocks for LRU ordering (`clocks[i]`
+    /// counts node `i`'s deposits). LRU comparisons only ever
     /// rank slots of one node, so per-node clocks order them exactly as
     /// a global clock would — while staying a pure function of the
     /// node's own history, independent of store layout.
     clocks: Vec<u32>,
-    /// Per-node occupancy (`occupied[k]` = non-vacant slots of node
-    /// `start + k`): a cache of the slot array, kept by every slot write,
+    /// Per-node occupancy (`occupied[i]` = non-vacant slots of node
+    /// `i`): a cache of the slot array, kept by every slot write,
     /// so an empty table answers `Absent` without a scan.
     occupied: Vec<u16>,
 }
@@ -469,11 +463,6 @@ impl HintStore {
     /// of the [`HINT_BUCKETS`] distance buckets, and the given TTL
     /// (epochs).
     pub fn new(n: usize, slots_per_bucket: usize, ttl: u32) -> Self {
-        Self::new_span(0, n, slots_per_bucket, ttl)
-    }
-
-    /// A store covering the node span `start..start + len`.
-    pub fn new_span(start: usize, len: usize, slots_per_bucket: usize, ttl: u32) -> Self {
         assert!(slots_per_bucket >= 1, "hint buckets need at least one slot");
         let per_node = HINT_BUCKETS * slots_per_bucket;
         assert!(
@@ -481,14 +470,13 @@ impl HintStore {
             "a node's hint slots must fit the u16 occupancy count"
         );
         HintStore {
-            slots: vec![VACANT; len * per_node],
-            start,
+            slots: vec![VACANT; n * per_node],
             per_node,
             slots_per_bucket,
             ttl,
             epoch: 0,
-            clocks: vec![0; len],
-            occupied: vec![0; len],
+            clocks: vec![0; n],
+            occupied: vec![0; n],
         }
     }
 
@@ -515,33 +503,21 @@ impl HintStore {
             + self.occupied.capacity() * std::mem::size_of::<u16>()
     }
 
-    /// Copy node `node`'s slots, LRU clock and occupancy out of `other`
-    /// (which must cover it, with identical bucket geometry). Used to
-    /// migrate hint state when the world is re-sharded.
-    pub(crate) fn copy_node_from(&mut self, other: &HintStore, node: NodeId) {
-        debug_assert_eq!(self.per_node, other.per_node);
-        debug_assert_eq!(self.slots_per_bucket, other.slots_per_bucket);
-        let dst = self.region(node);
-        let src = other.region(node);
-        self.slots[dst].copy_from_slice(&other.slots[src]);
-        let (k, o) = (node.index() - self.start, node.index() - other.start);
-        self.clocks[k] = other.clocks[o];
-        self.occupied[k] = other.occupied[o];
-        self.debug_check_count(node);
-    }
-
-    /// Force the TTL epoch (re-shard migration: span stores must inherit
-    /// the old store's epoch so TTL stamps keep their age).
-    pub(crate) fn set_epoch(&mut self, epoch: u32) {
-        self.epoch = epoch;
+    /// Heap bytes a node's table takes (its slots, clock and count): a
+    /// store of `n` nodes holds `n` times this, so a span of `k` nodes is
+    /// charged `k` times it in per-shard memory accounting.
+    pub(crate) fn node_bytes(&self) -> usize {
+        self.per_node * std::mem::size_of::<HintSlot>()
+            + std::mem::size_of::<u32>()
+            + std::mem::size_of::<u16>()
     }
 
     /// Feed `node`'s slots, LRU clock and occupancy count into `h` (the
     /// world fingerprint's hint layer).
     pub(crate) fn hash_node(&self, node: NodeId, h: &mut impl Hasher) {
         self.slots[self.region(node)].hash(h);
-        let k = node.index() - self.start;
-        (self.clocks[k], self.occupied[k]).hash(h);
+        let i = node.index();
+        (self.clocks[i], self.occupied[i]).hash(h);
     }
 
     /// Live (non-vacant) hints across all nodes — observability only.
@@ -558,14 +534,14 @@ impl HintStore {
     /// non-zero): one read, no scan.
     #[inline]
     pub fn holds_hints(&self, holder: NodeId) -> bool {
-        self.occupied[holder.index() - self.start] != 0
+        self.occupied[holder.index()] != 0
     }
 
     /// Debug builds: `node`'s occupancy count equals a recount of its slots.
     #[inline]
     fn debug_check_count(&self, node: NodeId) {
         debug_assert_eq!(
-            self.occupied[node.index() - self.start] as usize,
+            self.occupied[node.index()] as usize,
             self.slots[self.region(node)]
                 .iter()
                 .filter(|s| s.key != EMPTY)
@@ -582,13 +558,7 @@ impl HintStore {
 
     #[inline]
     fn region(&self, node: NodeId) -> std::ops::Range<usize> {
-        debug_assert!(
-            node.index() >= self.start,
-            "node {} below span start {}",
-            node.index(),
-            self.start
-        );
-        let start = (node.index() - self.start) * self.per_node;
+        let start = node.index() * self.per_node;
         start..start + self.per_node
     }
 
@@ -646,7 +616,7 @@ impl HintStore {
             depth,
             count,
         } = *d;
-        let k = holder.index() - self.start;
+        let k = holder.index();
         let node_clock = &mut self.clocks[k];
         *node_clock = node_clock.wrapping_add(count);
         let clock = *node_clock;
@@ -710,8 +680,7 @@ impl HintStore {
     /// Drop every hint held at `node` (mobility invalidation: its
     /// neighborhood view changed). Returns how many hints were evicted.
     pub fn invalidate_node(&mut self, node: NodeId) -> usize {
-        let k = node.index() - self.start;
-        let evicted = std::mem::take(&mut self.occupied[k]) as usize;
+        let evicted = std::mem::take(&mut self.occupied[node.index()]) as usize;
         if evicted > 0 {
             let region = self.region(node);
             self.slots[region].fill(VACANT);
@@ -873,51 +842,6 @@ mod tests {
     }
 
     #[test]
-    fn span_store_offsets_regions() {
-        let mut store = HintStore::new_span(100, 4, 2, 8);
-        assert_eq!(store.node_count(), 4);
-        put(&mut store, n(100), HintKey::node(n(3)), n(101), 1);
-        put(&mut store, n(103), HintKey::node(n(3)), n(102), 2);
-        assert!(matches!(
-            store.lookup(n(100), HintKey::node(n(3))),
-            Lookup::Hit(_)
-        ));
-        assert_eq!(store.lookup(n(101), HintKey::node(n(3))), Lookup::Absent);
-        assert_eq!(store.invalidate_node(n(103)), 1);
-        assert_eq!(store.len(), 1);
-    }
-
-    #[test]
-    fn copy_node_from_migrates_slots_and_clock() {
-        let mut whole = HintStore::new(6, 2, 8);
-        put(&mut whole, n(4), HintKey::node(n(1)), n(5), 1);
-        put(&mut whole, n(4), HintKey::node(n(2)), n(5), 1);
-        whole.advance_epoch();
-        let mut span = HintStore::new_span(3, 3, 2, 8);
-        span.set_epoch(whole.epoch());
-        for k in 3..6 {
-            span.copy_node_from(&whole, n(k));
-        }
-        assert_eq!(
-            span.lookup(n(4), HintKey::node(n(1))),
-            whole.lookup(n(4), HintKey::node(n(1)))
-        );
-        // LRU state migrated too: the next deposit must evict the same
-        // victim in both stores.
-        let a = put(&mut span, n(4), HintKey::node(n(9)), n(5), 1);
-        let b = put(&mut whole, n(4), HintKey::node(n(9)), n(5), 1);
-        assert_eq!(a, b);
-        assert_eq!(
-            span.lookup(n(4), HintKey::node(n(1))),
-            whole.lookup(n(4), HintKey::node(n(1)))
-        );
-        assert_eq!(
-            span.lookup(n(4), HintKey::node(n(2))),
-            whole.lookup(n(4), HintKey::node(n(2)))
-        );
-    }
-
-    #[test]
     fn log_merges_only_into_the_holders_latest_entry() {
         let mut log = DepositLog::new();
         assert_eq!(log.memory_bytes(), 0, "an unused log allocates nothing");
@@ -1027,35 +951,8 @@ mod tests {
             .count()
     }
 
-    /// Nodes covered by the occupancy proptest's span stores.
-    const OCC_NODES: usize = 5;
-
-    /// Nodes `0..OCC_NODES` split into span stores at `cuts` (in any
-    /// order; non-interior cuts are ignored), each with `spb` slots per
-    /// bucket.
-    fn span_stores(cuts: &[usize], spb: usize, ttl: u32) -> Vec<HintStore> {
-        let mut bounds = vec![0, OCC_NODES];
-        bounds.extend(cuts.iter().copied().filter(|&c| 0 < c && c < OCC_NODES));
-        bounds.sort_unstable();
-        bounds.dedup();
-        bounds
-            .windows(2)
-            .map(|w| HintStore::new_span(w[0], w[1] - w[0], spb, ttl))
-            .collect()
-    }
-
-    /// The nodes a span store covers.
-    fn span(store: &HintStore) -> impl Iterator<Item = NodeId> {
-        (store.start..store.start + store.node_count()).map(|k| n(k as u32))
-    }
-
-    /// Index of the span store holding `node`.
-    fn covering(stores: &[HintStore], node: NodeId) -> usize {
-        stores
-            .iter()
-            .position(|s| span(s).any(|k| k == node))
-            .expect("the spans cover every node")
-    }
+    /// Nodes covered by the occupancy proptest's store.
+    const OCC_NODES: u32 = 5;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
@@ -1064,14 +961,14 @@ mod tests {
         /// recount of its slots — so a holder the walk skips as empty
         /// (`holds_hints` false) answers `Absent` for every key — over
         /// deposit runs (fills, bucket migrations, LRU and expired-slot
-        /// evictions), per-node and wholesale invalidation, `clear`, TTL
-        /// ageing and re-sharding into differently spanned stores.
+        /// evictions), per-node and wholesale invalidation, `clear` and TTL
+        /// ageing.
         #[test]
         fn prop_occupancy_counts_match_the_slots(
             spb in 1usize..3,
             ttl in 1u32..3,
             steps in collection::vec(
-                (0u32..12, (0u32..5, 0u32..5, 0u32..3), (1u16..6, 1u32..4)),
+                (0u32..10, (0..OCC_NODES, 0u32..5, 0u32..3), (1u16..6, 1u32..4)),
                 1..80,
             ),
         ) {
@@ -1079,60 +976,40 @@ mod tests {
                 .map(|k| HintKey::node(n(10 + k)))
                 .chain([HintKey::resource(ResourceId(0))])
                 .collect();
-            let mut stores = span_stores(&[], spb, ttl);
+            let mut store = HintStore::new(OCC_NODES as usize, spb, ttl);
             let mut stats = HintStats::default();
             for &(op, (node, key, hop), (depth, count)) in &steps {
                 let holder = n(node);
-                let at = covering(&stores, holder);
                 match op {
                     0..=5 => {
                         let d = HintDeposit::new(holder, keys[key as usize], n(20 + hop), depth);
-                        stores[at].deposit(&HintDeposit { count, ..d }, &mut stats);
+                        store.deposit(&HintDeposit { count, ..d }, &mut stats);
                     }
                     6 => {
-                        let held = recount(&stores[at], holder);
-                        prop_assert_eq!(stores[at].invalidate_node(holder), held);
+                        let held = recount(&store, holder);
+                        prop_assert_eq!(store.invalidate_node(holder), held);
                     }
                     7 => {
-                        let held: usize = stores
-                            .iter()
-                            .flat_map(|s| span(s).map(move |k| recount(s, k)))
-                            .sum();
-                        let evicted: usize = stores.iter_mut().map(HintStore::invalidate_all).sum();
-                        prop_assert_eq!(evicted, held);
+                        let held: usize = (0..OCC_NODES).map(|k| recount(&store, n(k))).sum();
+                        prop_assert_eq!(store.invalidate_all(), held);
                     }
-                    8 => stores.iter_mut().for_each(HintStore::clear),
-                    9 => stores.iter_mut().for_each(HintStore::advance_epoch),
-                    _ => {
-                        // Re-shard: new spans cut at `key` and `hop + 2`,
-                        // each node's slots, clock and count copied over.
-                        let mut next = span_stores(&[key as usize, hop as usize + 2], spb, ttl);
-                        for store in &mut next {
-                            store.set_epoch(stores[0].epoch());
-                            for k in span(store) {
-                                store.copy_node_from(&stores[covering(&stores, k)], k);
-                            }
-                        }
-                        stores = next;
-                    }
+                    8 => store.clear(),
+                    _ => store.advance_epoch(),
                 }
-                for store in &stores {
-                    let mut total = 0;
-                    for holder in span(store) {
-                        let held = recount(store, holder);
-                        total += held;
-                        let count = store.occupied[holder.index() - store.start];
-                        prop_assert_eq!(count as usize, held);
-                        prop_assert_eq!(store.holds_hints(holder), held > 0);
-                        if held == 0 {
-                            for &key in &keys {
-                                prop_assert_eq!(store.lookup(holder, key), Lookup::Absent);
-                            }
+                let mut total = 0;
+                for holder in (0..OCC_NODES).map(n) {
+                    let held = recount(&store, holder);
+                    total += held;
+                    prop_assert_eq!(store.occupied[holder.index()] as usize, held);
+                    prop_assert_eq!(store.holds_hints(holder), held > 0);
+                    if held == 0 {
+                        for &key in &keys {
+                            prop_assert_eq!(store.lookup(holder, key), Lookup::Absent);
                         }
                     }
-                    prop_assert_eq!(store.len(), total);
-                    prop_assert_eq!(store.is_empty(), total == 0);
                 }
+                prop_assert_eq!(store.len(), total);
+                prop_assert_eq!(store.is_empty(), total == 0);
             }
         }
     }

@@ -38,12 +38,13 @@
 //!   §V "resource distribution" models, and resource DSQs;
 //! * [`world`] — [`world::CardWorld`]: network + per-node CARD state +
 //!   event-driven simulation loop (mobility ticks, validation rounds).
-//!   Per-node protocol state is *sharded*: the whole-network selection and
-//!   validation sweeps fan out over the persistent `sim_core::par` worker
-//!   pool with shard-owned RNG streams and walk scratches, bit-identical
-//!   at any worker or shard count; a one-shard world runs the same calls
-//!   inline and is the serial reference (the module docs spell out the
-//!   determinism contract). A seeded
+//!   Only contact rows are stored per shard; RNG streams, backoffs and the
+//!   hint store are node-indexed world arrays that each fan-out cuts into
+//!   span slices. The whole-network selection and validation sweeps fan
+//!   out over the persistent `sim_core::par` worker pool, one span and one
+//!   scratch lane per worker, bit-identical at any worker or shard count;
+//!   a one-shard world runs the same calls inline and is the serial
+//!   reference (the module docs spell out the determinism contract). A seeded
 //!   `sim_core::faults` plan can be armed on any world
 //!   ([`world::CardWorld::enable_faults`]) for deterministic crash/
 //!   partition/message-loss injection with tombstone, retry-timer, and

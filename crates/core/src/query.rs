@@ -53,7 +53,7 @@
 //!   so each source's tree is walked once per sweep; a hinted sweep keeps
 //!   slot order and reuses a memo between adjacent slots of one source.
 //! * Batched sweeps (`CardWorld::query_all`) fan pair lists out over
-//!   protocol shards with shard-owned scratches; queries draw no
+//!   protocol shards, one scratch lane each; queries draw no
 //!   randomness, so outcomes are a pure function of `(network, tables,
 //!   fault view, pair)` and the sweep is bit-identical at any worker or
 //!   shard count, one shard (a single inline lane) included.

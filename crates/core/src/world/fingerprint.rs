@@ -163,15 +163,14 @@ impl CardWorld {
             }
         });
         let tables = per_node(n, |i, h| {
-            let (s, k) = (&self.shards[i / self.per], i % self.per);
-            let store = &self.contacts[i / self.per];
+            let (store, k) = (&self.contacts[i / self.per], i % self.per);
             let table = store.table(k);
             table.len().hash(h);
             for c in table.contacts() {
                 (c.id, c.path).hash(h);
             }
-            (table.tombstones(), store.retries(k), s.backoff[k]).hash(h);
-            s.rngs[k].clone().next_raw().hash(h);
+            (table.tombstones(), store.retries(k), self.backoff[i]).hash(h);
+            self.rngs[i].clone().next_raw().hash(h);
         });
         let mut held: Vec<Fnv> = (0..n).map(|_| Fnv::default()).collect();
         // Runs expand to their copies: where a log splits a run depends on
@@ -182,15 +181,15 @@ impl CardWorld {
             }
         }
         let mut hints = per_node(n, |i, h| {
-            if let Some(store) = &self.shards[i / self.per].hints {
+            if let Some(store) = &self.hints {
                 store.hash_node(NodeId::from(i), h);
             }
             held[i].finish().hash(h);
         });
         let ps = self.plane.stats();
-        let epoch = self.hint_store().map(|s| s.epoch());
+        let epoch = self.hints.as_ref().map(|s| s.epoch());
         let ledger = (ps.sent, ps.dropped, ps.delayed, ps.local + ps.cross_shard);
-        hints.push(word(&(self.hints_on, epoch, ledger)));
+        hints.push(word(&(self.hints.is_some(), epoch, ledger)));
         let mut h = Fnv::default();
         (&self.query_retry, &self.standing, self.now).hash(&mut h);
         for &(t, v) in self.contacts_series.points() {

@@ -1,12 +1,13 @@
 //! `CardWorld` — the complete protocol-over-network world.
 //!
 //! Couples a [`Network`] with per-node CARD state (contact tables, RNG
-//! streams). Everything the protocol does is a direct method call on the
-//! world — one-shot selection, a validation round with re-selection
-//! (§III.C.3, rule 5) and the standing-query recheck, queries,
-//! reachability. The world owns no clock: [`crate::events::EventDriver`]
-//! steps it through virtual time (mobility wake-ups interleaved with
-//! per-period rounds), and [`CardWorld::run_mobile`] is one drive of it.
+//! streams, selection backoffs, the §V hint tables). Everything the
+//! protocol does is a direct method call on the world — one-shot
+//! selection, a validation round with re-selection (§III.C.3, rule 5) and
+//! the standing-query recheck, queries, reachability. The world owns no
+//! clock: [`crate::events::EventDriver`] steps it through virtual time
+//! (mobility wake-ups interleaved with per-period rounds), and
+//! [`CardWorld::run_mobile`] is one drive of it.
 //!
 //! ## One file per mechanism
 //!
@@ -17,21 +18,24 @@
 //!
 //! | file | what it holds |
 //! |---|---|
-//! | `shards.rs` | shard ownership: `ProtocolShard` and its contact store, the [`TablesView`] and [`HintsView`] read views, resharding, per-shard memory |
+//! | `shards.rs` | the shard cut: one contact store per shard, the [`TablesView`] read view, resharding, per-shard memory |
 //! | `round.rs` | contact selection (§III.C.1), the validation round with local recovery (§III.C.3), and the round's fault stage ([`FaultReport`]); each rewrites the contact stores row by row |
 //! | `queries.rs` | DSQ queries (§III.C.4): the one per-pair body, the one sweep (a live or retried query is a sweep of one), and the one hint-deposit exchange |
 //! | `subscriptions.rs` | standing-query upkeep: register, resolve, probe, revalidate |
 //! | `fingerprint.rs` | [`CardWorld::fingerprint`]: what counts as world state, hashed in layers, for the tests that compare worlds |
 //!
-//! **One contact store per shard.** Each shard's [`ContactStore`] holds its
-//! span's contacts once, as node-ordered rows over one path arena, with
-//! each node's tombstones and retry state. Selection and the validation
-//! round rewrite every row of it in node order; every contact walk —
-//! queries, retries, standing resolution, reachability — and every
-//! hint-chase next-hop lookup reads a row's `ids` and `hops` columns
-//! through [`TablesView`] (the owning store is `i / per`), and
-//! maintenance and the re-walk oracle read the same rows' paths. There is
-//! no second copy to keep in step.
+//! **Only contact rows are stored per shard.** Each shard's
+//! [`ContactStore`] holds its span's contacts once, as node-ordered rows
+//! over one path arena, with each node's tombstones and retry state.
+//! Fixed-size per-node state — RNG streams, selection backoffs, the hint
+//! store — is node-indexed world-wide and cut into span slices per
+//! fan-out, and the scratch a fan-out needs lives in the query lanes.
+//! Selection and the validation round rewrite every row of a store in
+//! node order; every contact walk — queries, retries, standing
+//! resolution, reachability — and every hint-chase next-hop lookup reads
+//! a row's `ids` and `hops` columns through [`TablesView`] (the owning
+//! store is `i / per`), and maintenance and the re-walk oracle read the
+//! same rows' paths. There is no second copy to keep in step.
 //!
 //! **Determinism.** Every random protocol decision draws from the RNG
 //! stream of the node making it (derived as `("card-node", node)` from the
@@ -59,7 +63,6 @@ pub use crate::contact::TablesView;
 pub use crate::maintenance::MaintenanceTotals;
 pub use fingerprint::{Fingerprint, Layer};
 pub use round::FaultReport;
-pub use shards::HintsView;
 
 use manet_routing::network::{DirtyReport, Network};
 use mobility::model::MobilityModel;
@@ -67,7 +70,7 @@ use net_topology::node::NodeId;
 use net_topology::scenario::Scenario;
 use sim_core::par::shard_spans;
 use sim_core::plane::{MessagePlane, PlaneStats};
-use sim_core::rng::SeedSplitter;
+use sim_core::rng::{RngStream, SeedSplitter};
 use sim_core::stats::{MsgStats, TimeSeries};
 use sim_core::time::{SimDuration, SimTime};
 
@@ -81,13 +84,13 @@ use crate::standing::StandingQueries;
 
 use queries::QueryLane;
 use round::FaultRuntime;
-use shards::{default_shard_count, partition_state, ProtocolShard};
+use shards::default_shard_count;
 
-/// The CARD world: network + shard-owned protocol state + measurement.
+/// The CARD world: network + per-node protocol state + measurement.
 ///
-/// `Clone` snapshots the entire world — network, shards, RNG streams,
-/// statistics — so divergent what-if runs (and the sweep benches) can
-/// branch from a common prepared state.
+/// `Clone` snapshots the entire world — network, contact stores, RNG
+/// streams, hint tables, statistics — so divergent what-if runs (and the
+/// sweep benches) can branch from a common prepared state.
 #[derive(Clone)]
 pub struct CardWorld {
     net: Network,
@@ -98,24 +101,26 @@ pub struct CardWorld {
     /// (time, total live contacts) after each validation round (Fig 13).
     contacts_series: TimeSeries,
     maintenance: MaintenanceTotals,
-    /// The shard-owned protocol state; `shards.len()` is the shard count.
-    shards: Vec<ProtocolShard>,
-    /// Shard `k`'s contact tables, rows in node order (`world/shards.rs`).
+    /// Shard `k`'s contact tables, rows in node order (`world/shards.rs`);
+    /// `contacts.len()` is the shard count.
     contacts: Vec<ContactStore>,
+    /// Node `i`'s RNG stream: every random protocol decision of `i`.
+    rngs: Vec<RngStream>,
+    /// Node `i`'s selection backoff (`world/round.rs`).
+    backoff: Vec<Backoff>,
     /// Span width of the canonical partition (`ceil(N / shards)`, min 1);
     /// node `i` is owned by shard `i / per`.
     per: usize,
-    /// One query lane — walk workspace plus deposit log — per shard (sweeps
-    /// need a mutable scratch while reading *all* shards' tables
-    /// immutably, so the lanes live outside the shards, sized with them).
-    /// A single query is a sweep of one and runs on lane 0, as does
-    /// standing resolution.
+    /// One lane — query and CSQ walk workspaces plus deposit log — per
+    /// shard: all the scratch a fan-out needs. A single query is a sweep
+    /// of one and runs on lane 0, as does standing resolution.
     lanes: Vec<QueryLane>,
     /// The cross-shard message plane: the only way a hint deposit reaches
     /// a store (plus metered validation crossings).
     plane: MessagePlane<HintDeposit>,
-    /// Is the §V route-hint cache active (spans allocated in the shards)?
-    hints_on: bool,
+    /// The §V route-hint cache, one whole-network store; `None` while the
+    /// cache is off.
+    hints: Option<HintStore>,
     /// Hit/miss/staleness counters of the hint subsystem.
     hint_stats: HintStats,
     /// Long-lived standing subscriptions (see [`crate::standing`]).
@@ -160,12 +165,7 @@ impl CardWorld {
         );
         let n = net.node_count();
         let splitter = SeedSplitter::new(cfg.seed);
-        let rngs = (0..n)
-            .map(|i| splitter.stream("card-node", i as u64))
-            .collect();
         let k = default_shard_count();
-        let spans = shard_spans(n, k);
-        let shards = partition_state(&spans, rngs, vec![Backoff::default(); n], None);
         CardWorld {
             net,
             cfg,
@@ -173,12 +173,18 @@ impl CardWorld {
             now: SimTime::ZERO,
             contacts_series: TimeSeries::new(),
             maintenance: MaintenanceTotals::default(),
-            shards,
-            contacts: spans.iter().map(|s| ContactStore::new(s.len())).collect(),
+            contacts: shard_spans(n, k)
+                .iter()
+                .map(|s| ContactStore::new(s.len()))
+                .collect(),
+            rngs: (0..n)
+                .map(|i| splitter.stream("card-node", i as u64))
+                .collect(),
+            backoff: vec![Backoff::default(); n],
             per: n.div_ceil(k).max(1),
             lanes: (0..k).map(|_| QueryLane::new(n)).collect(),
             plane: MessagePlane::new(k),
-            hints_on: false,
+            hints: None,
             hint_stats: HintStats::default(),
             standing: StandingQueries::new(n),
             standing_ids: Vec::new(),
@@ -279,30 +285,24 @@ impl CardWorld {
 
     /// Is the §V route-hint cache active?
     pub fn hints_enabled(&self) -> bool {
-        self.hints_on
+        self.hints.is_some()
     }
 
     /// Enable or disable the route-hint cache at runtime. Enabling builds
-    /// an empty span store in every shard from the config's sizing knobs;
-    /// disabling drops the stores entirely, and with them every deposit a
+    /// an empty whole-network store from the config's sizing knobs;
+    /// disabling drops the store entirely, and with them every deposit a
     /// lossy plane still holds deferred (counted as `dropped` in
     /// [`CardWorld::plane_stats`], so the ledger still closes). Without a
     /// hint view a query never touches the subsystem, so a disabled world
     /// answers bit-identically to one that never had hints, and a
     /// re-enabled one starts from a cold cache.
     pub fn set_hints_enabled(&mut self, enabled: bool) {
-        if enabled && !self.hints_on {
+        if enabled && self.hints.is_none() {
             let (spb, ttl) = (self.cfg.hint_slots_per_bucket, self.cfg.hint_ttl);
-            for shard in &mut self.shards {
-                shard.hints = Some(HintStore::new_span(shard.start, shard.len(), spb, ttl));
-            }
-            self.hints_on = true;
+            self.hints = Some(HintStore::new(self.net.node_count(), spb, ttl));
         } else if !enabled {
-            for shard in &mut self.shards {
-                shard.hints = None;
-            }
+            self.hints = None;
             self.plane.clear_pending();
-            self.hints_on = false;
         }
     }
 
@@ -316,25 +316,19 @@ impl CardWorld {
         self.hint_stats = HintStats::default();
     }
 
-    /// Read view over the shard-owned hint spans, when enabled
-    /// (observability, tests).
-    pub fn hint_store(&self) -> Option<HintsView<'_>> {
-        self.hints_on.then(|| HintsView {
-            shards: &self.shards,
-            per: self.per,
-        })
+    /// The hint store, when enabled (observability, tests).
+    pub fn hint_store(&self) -> Option<&HintStore> {
+        self.hints.as_ref()
     }
 
-    /// Empty every hint span (cold-cache resets) without touching the hint
+    /// Empty the hint store (cold-cache resets) without touching the hint
     /// counters. Deposits still in flight — deferred by a lossy plane's
     /// last exchange — go with the stores (counted as `dropped` in
     /// [`CardWorld::plane_stats`]), so nothing sent before the reset lands
     /// after it. A calm plane holds nothing between exchanges.
     pub fn clear_hints(&mut self) {
-        for shard in &mut self.shards {
-            if let Some(store) = &mut shard.hints {
-                store.clear();
-            }
+        if let Some(store) = &mut self.hints {
+            store.clear();
         }
         self.plane.clear_pending();
     }
@@ -344,33 +338,14 @@ impl CardWorld {
     /// caught by the probe's live contact-table check — it just keeps the
     /// `stale_contact` miss rate down under churn.
     fn evict_dirty_hints(&mut self) {
-        if !self.hints_on {
+        let Some(store) = &mut self.hints else {
             return;
-        }
-        let per = self.per;
-        let CardWorld {
-            net,
-            shards,
-            hint_stats,
-            ..
-        } = self;
-        match net.dirty_report() {
-            DirtyReport::All => {
-                for shard in shards.iter_mut() {
-                    if let Some(store) = &mut shard.hints {
-                        hint_stats.evicted_mobility += store.invalidate_all() as u64;
-                    }
-                }
-            }
-            DirtyReport::Exact(dirty) => {
-                for &node in dirty {
-                    let shard = &mut shards[node.index() / per];
-                    if let Some(store) = &mut shard.hints {
-                        hint_stats.evicted_mobility += store.invalidate_node(node) as u64;
-                    }
-                }
-            }
-        }
+        };
+        let evicted = match self.net.dirty_report() {
+            DirtyReport::All => store.invalidate_all(),
+            DirtyReport::Exact(dirty) => dirty.iter().map(|&v| store.invalidate_node(v)).sum(),
+        };
+        self.hint_stats.evicted_mobility += evicted as u64;
     }
 
     /// Run the mobile protocol for `duration` under [`EventDriver`]'s

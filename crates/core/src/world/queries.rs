@@ -15,23 +15,23 @@
 //! message kinds and reads the walk's answer chain.
 //!
 //! Queries read protocol state and draw no randomness, so a sweep shards
-//! its *slots*, not the node spans: each span runs on a shard-owned
-//! `QueryLane` (a [`QueryScratch`] and a deposit log; a sweep of one runs
+//! its *slots*, not the node spans: each span runs on one `QueryLane` of
+//! the world (a [`QueryScratch`] and a deposit log; a sweep of one runs
 //! on lane 0), and the spans' DSQ/reply counters merge in shard order.
 //!
 //! ## Hint deposits
 //!
 //! A resolved query deposits hints at relay nodes that usually live on
-//! other shards, and a store is written only by its owner shard's drain,
-//! so every hinted sweep ends in the one exchange stage,
+//! other shards, and the store is written only in the drain, so every
+//! hinted sweep ends in the one exchange stage,
 //! `exchange_deposits`: each lane's [`DepositLog`] (which combines a
 //! holder's repeated deposits into counted runs at the sender — "Runs" in
 //! [`crate::hints`]) is sent from the lane's outbox, and each run crosses
-//! the plane as one envelope to its holder's owner shard. A run weighs
+//! the plane as one envelope to its holder's shard mailbox. A run weighs
 //! its count in the plane's ledger and draws one content-keyed fault
-//! verdict — the one every copy would have drawn. Query *reads* (remote
-//! contact links) stay direct reads of the shards' contact stores through
-//! [`TablesView`]. The drain's ordering contract is spelled out on
+//! verdict — the one every copy would have drawn. Query *reads* stay
+//! direct: remote contact links through [`TablesView`], hints through
+//! the one `&HintStore`. The drain's ordering contract is spelled out on
 //! `exchange_deposits`.
 
 use manet_routing::network::Network;
@@ -42,12 +42,12 @@ use sim_core::plane::Outbox;
 use sim_core::stats::MsgKind;
 
 use crate::contact::{ContactStore, TablesView};
-use crate::hints::{DepositLog, HintDeposit, HintLookup, HintStats, NoHints};
+use crate::csq::CsqScratch;
+use crate::hints::{DepositLog, HintDeposit, HintLookup, HintStats, HintStore, NoHints};
 use crate::query::{any_edge, dsq_walk, HintContext, QueryFaultFilter, QueryOutcome, QueryScratch};
 use crate::resources::{resource_query_unrecorded, ResourceId, ResourceRegistry};
 
 use super::round::FaultRuntime;
-use super::shards::{HintsView, ProtocolShard};
 use super::CardWorld;
 
 /// What one query is looking for.
@@ -67,14 +67,14 @@ impl From<NodeId> for Goal<'_> {
 }
 
 /// Everything a query reads, frozen for one sweep or standing resolution:
-/// the network, the table and hint views over the shards, and the fault
-/// view picked from the armed plan.
+/// the network, the table view over the shards, the hint store, and the
+/// fault view picked from the armed plan.
 #[derive(Clone, Copy)]
 pub(super) struct QueryView<'a> {
     net: &'a Network,
     tables: TablesView<'a>,
-    /// The §V hint spans, when the query consults (and feeds) the cache.
-    hints: Option<HintsView<'a>>,
+    /// The §V hint store, when the query consults (and feeds) the cache.
+    hints: Option<&'a HintStore>,
     depth: u16,
     /// `None` on a calm world.
     faults: Option<QueryFaultFilter<'a>>,
@@ -91,17 +91,16 @@ pub(super) struct QuerySink<'a> {
 impl<'a> QueryView<'a> {
     pub(super) fn over(
         net: &'a Network,
-        shards: &'a [ProtocolShard],
         contacts: &'a [ContactStore],
         per: usize,
-        hints: bool,
+        hints: Option<&'a HintStore>,
         depth: u16,
         faults: &'a Option<FaultRuntime>,
     ) -> Self {
         QueryView {
             net,
             tables: TablesView::new(contacts, per),
-            hints: hints.then_some(HintsView { shards, per }),
+            hints,
             depth,
             faults: faults.as_ref().map(|rt| QueryFaultFilter {
                 down: rt.state.down_mask(),
@@ -141,7 +140,7 @@ impl<'a> QueryView<'a> {
     }
 
     /// The unrecorded [`crate::query`] walk for `goal` under one edge veto,
-    /// instantiated over the view's hint spans or, without the cache, over
+    /// instantiated over the view's hint store or, without the cache, over
     /// `NoHints` (which leaves the sink's counters and log untouched).
     fn walk(
         &self,
@@ -196,15 +195,20 @@ impl<'a> QueryView<'a> {
     }
 }
 
-/// One sweep lane: the walk workspace, the deposit log and the visiting
-/// order a span of a sweep's slots runs on. A world keeps one per shard,
-/// reused across sweeps; a sweep of one runs on lane 0.
+/// One lane: all the scratch a fan-out runs on — the query walk
+/// workspace, the deposit log and the visiting order a span of a sweep's
+/// slots uses, and the CSQ workspace of a selection or validation span. A
+/// world keeps one per shard, reused across fan-outs (a reshard only adds
+/// or drops lanes); a sweep of one runs on lane 0.
 #[derive(Clone)]
 pub(super) struct QueryLane {
     pub(super) scratch: QueryScratch,
     pub(super) deposits: DepositLog,
     /// A hint-less span's slot indices, in the order the lane visits them.
     order: Vec<u32>,
+    /// CSQ walk workspace (grows to O(N) once, then reused
+    /// allocation-free across every selection and validation fan-out).
+    pub(super) csq: CsqScratch,
 }
 
 impl QueryLane {
@@ -213,12 +217,13 @@ impl QueryLane {
             scratch: QueryScratch::with_capacity(nodes),
             deposits: DepositLog::new(),
             order: Vec::new(),
+            csq: CsqScratch::new(),
         }
     }
 }
 
 /// Queue a deposit log's runs in `outbox`, in log order, each to its
-/// holder's owner shard, and empty the log.
+/// holder's shard mailbox, and empty the log.
 fn send_deposits(outbox: &mut Outbox<HintDeposit>, log: &mut DepositLog, per: usize) {
     for &d in log.runs() {
         outbox.send(d.holder.index() / per, d);
@@ -289,10 +294,11 @@ impl CardWorld {
     /// (the *pair list* is sharded; see `world/queries.rs`), returning the
     /// outcomes in pair order. With the route-hint cache enabled the sweep
     /// consults views *frozen* for the whole parallel phase and routes the
-    /// shards' deposit logs through the message plane to their owner shards
-    /// afterwards, so either way results and statistics are bit-identical
-    /// at any worker or shard count (with the cache off the sweep
-    /// additionally equals one [`CardWorld::query`] per pair, in order).
+    /// lanes' deposit logs through the message plane to the holders' shard
+    /// mailboxes afterwards, so either way results and statistics are
+    /// bit-identical at any worker or shard count (with the cache off the
+    /// sweep additionally equals one [`CardWorld::query`] per pair, in
+    /// order).
     pub fn query_all(&mut self, pairs: &[(NodeId, NodeId)]) -> Vec<QueryOutcome> {
         let mut out = Vec::new();
         self.query_all_into(pairs, &mut out);
@@ -361,15 +367,14 @@ impl CardWorld {
             cfg,
             stats,
             now,
-            shards,
             contacts,
             lanes,
-            hints_on,
+            hints,
             hint_stats,
             faults,
             ..
         } = self;
-        let view = QueryView::over(net, shards, contacts, per, *hints_on, cfg.depth, faults);
+        let view = QueryView::over(net, contacts, per, hints.as_ref(), cfg.depth, faults);
         // Each span of the canonical `shard_spans` partition owns its chunk
         // of the asks, the matching chunk of the output buffer (written in
         // place — no per-span collection) and one query lane.
@@ -383,6 +388,7 @@ impl CardWorld {
                 scratch,
                 deposits,
                 order,
+                ..
             } = &mut **lane;
             deposits.clear();
             // A walk memo is good for this sweep's frozen view only.
@@ -423,7 +429,7 @@ impl CardWorld {
             stats.record_n(*now, MsgKind::DsqReply, *reply);
             hint_stats.merge(hint_delta);
         }
-        if self.hints_on {
+        if self.hints.is_some() {
             let outboxes = self.plane.outboxes_mut();
             for (outbox, lane) in outboxes.iter_mut().zip(&mut self.lanes) {
                 send_deposits(outbox, &mut lane.deposits, per);
@@ -434,24 +440,24 @@ impl CardWorld {
 
     /// The deposit stage that ends every hinted sweep (a single query is a
     /// sweep of one): exchange the deposit runs queued in the plane's
-    /// outboxes, each to its holder's owner shard, and apply them in a
-    /// parallel drain phase.
+    /// outboxes, each to its holder's shard mailbox, and apply the
+    /// mailboxes to the store in shard order.
     ///
     /// Delivery order makes the drain deterministic. A mailbox holds the
     /// runs a lossy plane deferred from the previous exchange, then this
     /// exchange's runs by `(source shard, send sequence)`; lane `i` sends
     /// span `i`'s log in slot order and the spans are contiguous in lane
-    /// order, so the deposit sequence each holder observes is the global
-    /// query order restricted to that holder, with deferred
-    /// runs landing one exchange late — bit-identical at any worker or
-    /// shard count (pinned by `tests/hint_cache.rs` and
-    /// `tests/message_plane.rs`). A run stands for its copies at the
-    /// position of its first one; since it only ever absorbed pushes made
-    /// while it was its holder's latest entry, the expanded sequence is
-    /// unchanged.
+    /// order, and mailbox `d` holds only holders of span `d`, so the
+    /// deposit sequence each holder observes is the global query order
+    /// restricted to that holder, with deferred runs landing one exchange
+    /// late — bit-identical at any worker or shard count (pinned by
+    /// `tests/hint_cache.rs` and `tests/message_plane.rs`). A run stands
+    /// for its copies at the position of its first one; since it only ever
+    /// absorbed pushes made while it was its holder's latest entry, the
+    /// expanded sequence is unchanged.
     fn exchange_deposits(&mut self) {
         let CardWorld {
-            shards,
+            hints,
             hint_stats,
             plane,
             faults,
@@ -483,24 +489,14 @@ impl CardWorld {
                 plane.exchange();
             }
         }
-        // Deterministic drain: each shard applies its own mailbox to its
-        // own span store (no cross-shard writes), counters merged in
-        // shard order.
-        let mailboxes = plane.mailboxes_mut();
-        let mut drains: Vec<_> = shards.iter_mut().zip(mailboxes.iter_mut()).collect();
-        let applied = parallel_shard_map(&mut drains, |_, (shard, mailbox)| {
-            let mut delta = HintStats::default();
-            let store = shard
-                .hints
-                .as_mut()
-                .expect("hinted exchange without span stores");
+        // Deterministic drain: the mailboxes in shard order, each in
+        // delivery order. Holders of different mailboxes are disjoint, so
+        // the order across mailboxes never shows.
+        let store = hints.as_mut().expect("hinted exchange without a store");
+        for mailbox in plane.mailboxes_mut() {
             for d in mailbox.drain(..) {
-                store.deposit(&d, &mut delta);
+                store.deposit(&d, hint_stats);
             }
-            delta
-        });
-        for delta in &applied {
-            hint_stats.merge(delta);
         }
     }
 }

@@ -34,16 +34,19 @@ use manet_routing::network::Network;
 use net_topology::node::NodeId;
 use sim_core::faults::{FaultPlan, FaultState, NodeFaultKind};
 use sim_core::par::parallel_shard_map;
+use sim_core::rng::RngStream;
 use sim_core::stats::{MsgKind, MsgStats};
 use sim_core::time::{SimDuration, SimTime};
 
 use crate::config::CardConfig;
-use crate::contact::{Contact, ContactStore, RowEdit, TOMBSTONE_TTL, VALIDATION_RETRY_CAP};
-use crate::csq::{select_contacts, ALL_EDGE_NODES};
+use crate::contact::{
+    Backoff, Contact, ContactStore, RowEdit, TOMBSTONE_TTL, VALIDATION_RETRY_CAP,
+};
+use crate::csq::{select_contacts, CsqScratch, ALL_EDGE_NODES};
 use crate::maintenance::{validate_contacts, MaintenanceTotals, Probe};
 use crate::query::{any_edge, RetryStats};
 
-use super::shards::ProtocolShard;
+use super::queries::QueryLane;
 use super::CardWorld;
 
 /// Live fault-injection state of a world with faults armed: the immutable
@@ -105,9 +108,48 @@ struct ShardDelta {
 /// Cap on the selection backoff's window shift (2^5 − 1 = 31 rounds).
 const SELECTION_BACKOFF_CAP: u32 = 5;
 
+/// How many CSQ walks a below-NoC node launches per validation round
+/// (§III.C.1 step 1 sends CSQs "one at a time"; Fig 13's slowly-growing
+/// contact count shows selection trickling over many periods).
+const SELECTION_WALKS_PER_ROUND: usize = 3;
+
+/// One shard's cut of the world for a selection or validation fan-out:
+/// its contact store, its span's slices of the node-indexed RNG streams
+/// and backoffs (node `start + k` at `k`), and its lane's CSQ scratch.
+struct Span<'a> {
+    start: usize,
+    store: &'a mut ContactStore,
+    rngs: &'a mut [RngStream],
+    backoff: &'a mut [Backoff],
+    csq: &'a mut CsqScratch,
+}
+
+/// Cut the node-indexed state into the spans of `per` nodes the contact
+/// stores cover, one lane each.
+fn spans<'a>(
+    per: usize,
+    contacts: &'a mut [ContactStore],
+    rngs: &'a mut [RngStream],
+    backoff: &'a mut [Backoff],
+    lanes: &'a mut [QueryLane],
+) -> Vec<Span<'a>> {
+    let cut = contacts.iter_mut().zip(rngs.chunks_mut(per));
+    cut.zip(backoff.chunks_mut(per))
+        .zip(lanes)
+        .enumerate()
+        .map(|(k, (((store, rngs), backoff), lane))| Span {
+            start: k * per,
+            store,
+            rngs,
+            backoff,
+            csq: &mut lane.csq,
+        })
+        .collect()
+}
+
 impl CardWorld {
     /// Initial contact selection for every node, fanned out over the
-    /// protocol shards (ownership: `world/shards.rs`). Bit-identical at any
+    /// protocol shards (the cut: `world/shards.rs`). Bit-identical at any
     /// shard count; at one shard the fan-out runs inline on the caller's
     /// thread, which makes a one-shard world the serial reference.
     pub fn select_all_contacts(&mut self) {
@@ -116,21 +158,25 @@ impl CardWorld {
             cfg,
             stats,
             now,
-            shards,
             contacts,
+            rngs,
+            backoff,
+            per,
+            lanes,
             ..
         } = self;
         let width = stats.bucket_width();
         let at = *now;
-        let mut work: Vec<_> = shards.iter_mut().zip(contacts.iter_mut()).collect();
-        let deltas = parallel_shard_map(&mut work, |_, (shard, store)| {
+        let mut work = spans(*per, contacts, rngs, backoff, lanes);
+        let deltas = parallel_shard_map(&mut work, |_, span| {
             let mut delta = MsgStats::new(width);
-            let ProtocolShard {
+            let Span {
                 start,
+                store,
                 rngs,
-                scratch,
+                csq,
                 ..
-            } = &mut **shard;
+            } = span;
             store.rewrite(|k, row| {
                 row.keep_all();
                 let node = NodeId::from(*start + k);
@@ -144,7 +190,7 @@ impl CardWorld {
                     &mut delta,
                     at,
                     ALL_EDGE_NODES,
-                    scratch,
+                    csq,
                 );
             });
             delta
@@ -170,8 +216,8 @@ impl CardWorld {
     /// Re-selection is throttled twice, which is what keeps steady-state
     /// overhead at the per-node magnitudes of Figs 10–13 (the paper's
     /// steady state is essentially validation-only):
-    /// * at most `cfg.selection_walks_per_round` CSQs per node per round
-    ///   ("one at a time", §III.C.1);
+    /// * at most `SELECTION_WALKS_PER_ROUND` (three) CSQs per node per
+    ///   round ("one at a time", §III.C.1);
     /// * exponential backoff after fruitless rounds — a node whose
     ///   selection attempt yields nothing skips `2^level − 1` rounds
     ///   (level capped at 5), resetting on any success. Saturated nodes
@@ -190,8 +236,10 @@ impl CardWorld {
             stats,
             now,
             maintenance,
-            shards,
             contacts,
+            rngs,
+            backoff,
+            lanes,
             plane,
             faults,
             ..
@@ -201,9 +249,9 @@ impl CardWorld {
             .map(|rt| (&rt.plan, &rt.state, rt.report.rounds_applied - 1));
         let width = stats.bucket_width();
         let at = *now;
-        let mut work: Vec<_> = shards.iter_mut().zip(contacts.iter_mut()).collect();
-        let deltas = parallel_shard_map(&mut work, |_, (shard, store)| {
-            Self::validate_span(net, cfg, shard, store, at, width, per, fault_view)
+        let mut work = spans(per, contacts, rngs, backoff, lanes);
+        let deltas = parallel_shard_map(&mut work, |_, span| {
+            Self::validate_span(net, cfg, span, at, width, per, fault_view)
         });
         let mut liveness = 0u64;
         for delta in &deltas {
@@ -228,24 +276,18 @@ impl CardWorld {
         }
     }
 
-    /// Advance the freshness epoch of every hint span (all spans move
-    /// together; the epoch is global).
+    /// Advance the hint store's freshness epoch.
     fn advance_hint_epochs(&mut self) {
-        if !self.hints_on {
-            return;
-        }
-        for shard in &mut self.shards {
-            if let Some(store) = &mut shard.hints {
-                store.advance_epoch();
-            }
+        if let Some(store) = &mut self.hints {
+            store.advance_epoch();
         }
     }
 
     /// The per-shard body of a validation round: one rewrite of the span's
     /// store, validating each node's row and then (throttled) re-selecting
-    /// into it. Touches only shard-owned state and the immutable network;
-    /// emits its message/maintenance counters and metered path crossings as
-    /// a delta for in-order merging.
+    /// into it. Touches only the span's cut of the world and the immutable
+    /// network; emits its message/maintenance counters and metered path
+    /// crossings as a delta for in-order merging.
     ///
     /// Under a fault view `(plan, state, round)`, per up node: tombstone
     /// confirmed-dead contacts (evicted now, barred from re-selection until
@@ -258,12 +300,10 @@ impl CardWorld {
     /// Crashed nodes send nothing and maintain nothing: their rows are
     /// written empty. The in-run liveness check counts any tombstone
     /// observed past its TTL before the round's decay.
-    #[allow(clippy::too_many_arguments)] // the span, its store and the round's inputs
     fn validate_span(
         net: &Network,
         cfg: &CardConfig,
-        shard: &mut ProtocolShard,
-        store: &mut ContactStore,
+        span: &mut Span<'_>,
         at: SimTime,
         bucket_width: SimDuration,
         per: usize,
@@ -278,13 +318,13 @@ impl CardWorld {
         // Every source sends at `at`, so recording the span's sums once per
         // kind fills the buckets per-source records would (zeros never do).
         let (mut validation_msgs, mut reply_msgs) = (0u64, 0u64);
-        let ProtocolShard {
+        let Span {
             start,
+            store,
             rngs,
             backoff,
-            scratch,
-            ..
-        } = shard;
+            csq,
+        } = span;
         store.rewrite(|k, row| {
             let node = NodeId::from(*start + k);
             // The validation traffic this node sends down its stored paths
@@ -353,8 +393,8 @@ impl CardWorld {
                 &mut rngs[k],
                 &mut delta.stats,
                 at,
-                cfg.selection_walks_per_round,
-                scratch,
+                SELECTION_WALKS_PER_ROUND,
+                csq,
             );
             if row.len() > before {
                 backoff[k].reset();
@@ -421,10 +461,10 @@ impl CardWorld {
     /// grid residency of every event site (positions are untouched by
     /// radio-off faults, so any stale bucket is a pipeline bug).
     fn apply_fault_round(&mut self) {
-        let per = self.per;
         let CardWorld {
             net,
-            shards,
+            backoff,
+            hints,
             hint_stats,
             faults,
             ..
@@ -447,9 +487,8 @@ impl CardWorld {
                     // plan never rejoins a node in the round it crashes.)
                     rt.state.set_down(i, true);
                     rt.report.crashes += 1;
-                    let shard = &mut shards[i / per];
-                    shard.backoff[i - shard.start].reset();
-                    if let Some(store) = &mut shard.hints {
+                    backoff[i].reset();
+                    if let Some(store) = hints {
                         hint_stats.evicted_mobility +=
                             store.invalidate_node(NodeId::from(i)) as u64;
                     }

@@ -41,7 +41,6 @@ impl CardWorld {
             cfg,
             stats,
             now,
-            shards,
             contacts,
             lanes,
             hint_stats,
@@ -58,10 +57,10 @@ impl CardWorld {
         } = &mut lanes[0];
         // Resolution runs outside any sweep: its walk starts a fresh memo.
         scratch.walk.forget();
-        let out = QueryView::over(net, shards, contacts, per, false, cfg.depth, faults).query(
+        let out = QueryView::over(net, contacts, per, None, cfg.depth, faults).query(
             source,
             Goal::Node(target),
-            // A view without hint spans leaves the hint half (lane 0's
+            // A view without a hint store leaves the hint half (lane 0's
             // counters and log) untouched.
             &mut QuerySink {
                 scratch: &mut *scratch,

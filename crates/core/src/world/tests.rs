@@ -348,7 +348,7 @@ fn fingerprint_diff_names_the_layer_and_node_of_one_extra_call() {
             Some(149),
         ),
         (
-            |c| _ = c.shards[1].backoff[3].fail(5),
+            |c| _ = c.backoff[c.per + 3].fail(5),
             Layer::Tables,
             Some(w.per + 3),
         ),
@@ -372,10 +372,8 @@ fn fingerprint_diff_names_the_layer_and_node_of_one_extra_call() {
 /// Write one hint straight into `holder`'s store.
 fn deposit_at(w: &mut CardWorld, holder: NodeId) {
     let d = HintDeposit::new(holder, HintKey::node(NodeId::new(7)), NodeId::new(8), 2);
-    let store = w.shards[holder.index() / w.per].hints.as_mut();
-    store
-        .expect("hints on")
-        .deposit(&d, &mut HintStats::default());
+    let store = w.hints.as_mut().expect("hints on");
+    store.deposit(&d, &mut HintStats::default());
 }
 
 #[test]
@@ -873,9 +871,10 @@ fn shard_memory_and_plane_stats_surface() {
 /// (`ContactStore::assert_invariants`).
 fn assert_stores_hold(w: &CardWorld, after: &str) {
     assert_eq!(w.contacts.len(), w.shard_count(), "after {after}");
-    for (s, store) in w.shards.iter().zip(&w.contacts) {
-        assert_eq!(store.len(), s.len(), "after {after}");
-        store.assert_invariants(s.start);
+    let spans = shard_spans(w.network().node_count(), w.shard_count());
+    for (span, store) in spans.iter().zip(&w.contacts) {
+        assert_eq!(store.len(), span.len(), "after {after}");
+        store.assert_invariants(span.start);
     }
 }
 

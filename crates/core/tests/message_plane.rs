@@ -259,9 +259,10 @@ type LossyTrace = (Fingerprint, [Vec<QueryOutcome>; 3]);
 /// an exchange of its own: the first delivers the sweep's delayed runs
 /// ahead of its own deposits, which draw verdicts too), an optional
 /// reshard (while the deferred lane may hold runs the last live query
-/// delayed), a round, a warm sweep and a round: the trace, plus the plane
-/// counters (whose envelopes depend on the shard counts, so they stay out
-/// of the trace). The plane ledger must close.
+/// delayed; the fingerprint must not move across it), a round, a warm
+/// sweep and a round: the trace, plus the plane counters (whose envelopes
+/// depend on the shard counts, so they stay out of the trace). The plane
+/// ledger must close.
 fn lossy_run(
     seed: u64,
     plan: &FaultPlan,
@@ -277,7 +278,11 @@ fn lossy_run(
     let cold = w.query_all(workload); // lossy: deposits drop/defer
     let live: Vec<QueryOutcome> = workload[..6].iter().map(|&(s, t)| w.query(s, t)).collect();
     if let Some(k) = reshard {
-        w.set_shard_count(k); // migrates the deferred deposits
+        // A reshard is state-neutral in itself: it re-cuts the contact
+        // stores and moves the deferred deposits to their new lanes.
+        let before = w.fingerprint();
+        w.set_shard_count(k);
+        assert_eq!(w.fingerprint().diff(&before), None, "reshard to {k}");
     }
     w.validation_round();
     let warm = w.query_all(workload);

@@ -13,13 +13,14 @@
 //! * [`parallel_shard_map`] — fan out over *mutable shards* of long-lived
 //!   state. Each shard is visited exactly once, by exactly one thread, and
 //!   outputs come back in shard order. This is the primitive behind the
-//!   sharded CARD protocol state (`card_core::world::CardWorld`): per-node
-//!   RNG streams, contact tables and walk scratches live inside the shards,
-//!   so the result of a fan-out is a pure function of shard contents —
-//!   bit-identical no matter how many workers participate, or whether the
-//!   call runs inline. The batched query sweeps (`CardWorld::query_all`)
-//!   use the same primitive with the *work list* sharded instead of the
-//!   state: read-only queries carry only a shard-owned walk scratch, and
+//!   sharded CARD protocol state (`card_core::world::CardWorld`): each shard
+//!   is one span's contact rows, its slices of the node-indexed RNG streams
+//!   and backoffs, and one lane of walk scratch, so the result of a fan-out
+//!   is a pure function of that state — bit-identical no matter how many
+//!   workers participate, or whether the call runs inline. The batched
+//!   query sweeps (`CardWorld::query_all`) use the same primitive with the
+//!   *work list* sharded instead of the state: read-only queries carry
+//!   only a lane's walk scratch, and
 //!   their message deltas merge in shard order. A single shard runs inline
 //!   on the caller's thread, so a one-shard `CardWorld` *is* the serial
 //!   reference of every protocol sweep — there is no second, serial body
@@ -30,10 +31,11 @@
 //! All primitives preserve input order, and none of them leak scheduling
 //! into results: a closure sees only its item (plus its thread-private or
 //! shard-private scratch), never "which worker am I". Randomized parallel
-//! work stays seed-deterministic by *owning its RNG streams in the items or
-//! shards themselves* (derive them with [`crate::rng::SeedSplitter`], one
-//! stream per node or shard) rather than sharing one stream across the
-//! fan-out — a shared stream would make draw order depend on scheduling.
+//! work stays seed-deterministic by *keeping its RNG streams in the state
+//! it works on* — one stream per node or item, derived with
+//! [`crate::rng::SeedSplitter`] and handed to the shard that holds that
+//! node — rather than in workers or one stream shared across the fan-out:
+//! a shared stream would make draw order depend on scheduling.
 //! [`shard_spans`] computes the canonical contiguous partition used to form
 //! shards, so callers can agree on shard boundaries across runs.
 //!

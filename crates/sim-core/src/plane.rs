@@ -1,15 +1,15 @@
 //! Cross-shard message plane: shard-owned outboxes, batched exchange
 //! rounds, deterministic delivery order.
 //!
-//! The sharded protocol layers (card-core) fan protocol state out as
-//! *owned* shards — contact tables, RNG streams, backoff state and hint
-//! stores all live inside their shard. Any effect one shard wants to have
-//! on state owned by another shard must travel as a typed message through
-//! a [`MessagePlane`]: the sending shard pushes into its own
-//! [`Outbox`] during a parallel phase (no locks, no sharing), the caller
-//! runs [`MessagePlane::exchange`] as a sequential barrier, and each
-//! receiving shard then drains its mailbox (a plain `Vec`, one per
-//! destination shard) in the next parallel phase.
+//! The sharded protocol layers (card-core) cut protocol state into
+//! shards for their fan-outs — each shard writes only its own nodes'
+//! contact rows, RNG streams, backoff state and hints during a parallel
+//! phase. Any effect one shard wants to have on another shard's nodes
+//! must travel as a typed message through a [`MessagePlane`]: the sending
+//! shard pushes into its own [`Outbox`] during a parallel phase (no
+//! locks, no sharing), the caller runs [`MessagePlane::exchange`] as a
+//! sequential barrier, and the mailboxes (a plain `Vec`, one per
+//! destination shard) are then drained in shard order.
 //!
 //! ## Delivery-order contract
 //!
