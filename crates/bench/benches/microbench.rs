@@ -798,70 +798,17 @@ fn bench_query_engine(c: &mut Criterion) {
     group.finish();
 }
 
-/// The cross-shard message plane in isolation: the `exchange` lane drain
-/// (src-outer/dst-inner merge into `(dst, src, seq)` delivery order) and
-/// the full route → exchange → drain round trip, at the shard/message
-/// shape the sharded hint sweeps produce (16 shards, 8192 messages of a
-/// deposit-sized payload, scatter-routed), plus the one-shard degenerate
-/// case where every message stays local. Buffers are plane-owned and
-/// reused, so steady-state iterations are allocation-free — these ids
-/// guard exactly the per-sweep overhead `CardWorld` pays to make
-/// cross-shard writes explicit.
-fn bench_message_plane(c: &mut Criterion) {
-    use sim_core::plane::{Envelope, MessagePlane};
-    /// Holder, next-hop, depth — deposit-shaped (the drain reads only the
-    /// holder; the rest is payload the exchange moves).
-    #[allow(dead_code)]
-    struct Payload(u32, u32, u16);
-    impl Envelope for Payload {}
-    let msgs = 8192usize;
-    let splitter = SeedSplitter::new(41);
-    let mut group = c.benchmark_group("message_plane");
-    for shards in [1usize, 16] {
-        let mut route_rng = splitter.stream("plane-routes", shards as u64);
-        let routes: Vec<(usize, usize)> = (0..msgs)
-            .map(|_| (route_rng.index(shards), route_rng.index(shards)))
-            .collect();
-        group.bench_function(format!("exchange/s{shards}_m{msgs}"), |b| {
-            let mut plane: MessagePlane<Payload> = MessagePlane::new(shards);
-            b.iter(|| {
-                let outboxes = plane.outboxes_mut();
-                for (i, &(src, dst)) in routes.iter().enumerate() {
-                    outboxes[src].send(dst, Payload(i as u32, i as u32 ^ 7, 2));
-                }
-                black_box(plane.exchange())
-            })
-        });
-        group.bench_function(format!("round_trip/s{shards}_m{msgs}"), |b| {
-            let mut plane: MessagePlane<Payload> = MessagePlane::new(shards);
-            b.iter(|| {
-                let outboxes = plane.outboxes_mut();
-                for (i, &(src, dst)) in routes.iter().enumerate() {
-                    outboxes[src].send(dst, Payload(i as u32, i as u32 ^ 7, 2));
-                }
-                plane.exchange();
-                let mut sum = 0u64;
-                for mb in plane.mailboxes_mut() {
-                    for Payload(a, _, _) in mb.drain(..) {
-                        sum += a as u64;
-                    }
-                }
-                black_box(sum)
-            })
-        });
-    }
-    group.finish();
-
-    // The sharded validation round at N = 10000: path polling + absorb +
-    // throttled re-select over shard-resident state, with validation
-    // traffic metered against shard spans into the plane's stats. Each
-    // iteration clones a selected world (mutating sweep — same pattern as
-    // `validation_round/n1000`), so the absolute number includes the
-    // clone; the id exists to track the full-protocol 10⁴ round the
-    // `repro scale-raw` tier scales up from. The world is static, so every
-    // stored path is clean (no row changed since CSQ confirmed it) and
-    // the walk re-tests no hop; under the fault plan below only the veto
-    // still runs per hop.
+/// The sharded validation round at N = 10000: path polling + absorb +
+/// throttled re-select over shard-resident state, with validation traffic
+/// metered against shard spans into the world's exchange ledger
+/// (`ExchangeStats::metered_crossings`). Each iteration clones a selected
+/// world (mutating sweep — same pattern as `validation_round/n1000`), so
+/// the absolute number includes the clone; the id exists to track the
+/// full-protocol 10⁴ round the `repro scale-raw` tier scales up from. The
+/// world is static, so every stored path is clean (no row changed since
+/// CSQ confirmed it) and the walk re-tests no hop; under the fault plan
+/// below only the veto still runs per hop.
+fn bench_validation_round_10k(c: &mut Criterion) {
     let n = 10_000usize;
     let cfg = CardConfig::default()
         .with_radius(2)
@@ -1036,7 +983,7 @@ criterion_group! {
         bench_csq_walk,
         bench_protocol_sweeps,
         bench_query_engine,
-        bench_message_plane,
+        bench_validation_round_10k,
         bench_query_retry,
         bench_drive_loops,
 }

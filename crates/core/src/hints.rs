@@ -56,12 +56,12 @@
 //! The store is plain state — lookups and deposits draw no randomness —
 //! and it is written only in a sweep's drain: every deposit comes from a
 //! sweep (`CardWorld::query_all`, whose parallel phase reads the *frozen*
-//! store; a live `CardWorld::query` is a sweep of one) and crosses the
-//! message plane to its holder's shard mailbox, and the drain applies the
-//! mailboxes in shard order, each in the plane's deterministic delivery
-//! order (deferred runs first, then `(src, seq)`). A mailbox holds only
-//! the holders of its own span, so restricted to any one holder that
-//! order equals global query order — and with the per-node LRU clocks,
+//! store; a live `CardWorld::query` is a sweep of one) and waits in its
+//! lane's log, and the drain applies the runs a lossy plan deferred from
+//! the previous sweep, then the lanes' logs in lane order, each in log
+//! order. The lanes hold contiguous spans of the sweep's slots, so
+//! restricted to any one holder that order equals global query order,
+//! deferred runs one sweep late — and with the per-node LRU clocks,
 //! outcomes, hint statistics *and the store itself* are a pure function
 //! of `(network, tables, store, pairs)` at any worker or shard count,
 //! calm or lossy. With the cache disabled the same sweep runs without a
@@ -74,8 +74,8 @@
 //! Under a skewed query mix a sweep deposits the same hint at the same
 //! holder over and over. A [`DepositLog`] therefore merges a push into
 //! that holder's *latest* entry when key, next hop and depth match, and
-//! the entry becomes a counted run ([`HintDeposit::count`]) that crosses
-//! the plane as one envelope. [`HintStore::deposit`] applies a run
+//! the entry becomes a counted run ([`HintDeposit::count`]) that the drain
+//! judges and applies as one. [`HintStore::deposit`] applies a run
 //! exactly: the first copy places the hint (and may evict), the other
 //! copies would find it in place and only re-stamp it, so the run costs
 //! one write at the holder's clock advanced by `count`. This equals
@@ -84,9 +84,8 @@
 //! * a holder's state depends only on its own deposit order, and merging
 //!   into the holder's latest entry — never an earlier one — leaves that
 //!   order unchanged;
-//! * the plane delivers one lane's traffic to one holder contiguously in
-//!   `(src, seq)` order, and a log is one lane of one exchange: runs
-//!   never span logs, exchanges or deferred envelopes;
+//! * the drain applies one lane's log in log order, and a log is one lane
+//!   of one exchange: runs never span logs, exchanges or deferred runs;
 //! * fault verdicts are keyed on a deposit's content, which excludes
 //!   `count`, so every copy of a run would draw the run's one verdict —
 //!   dropped, delayed or delivered together.
@@ -97,7 +96,6 @@
 use std::hash::{Hash, Hasher};
 
 use net_topology::node::NodeId;
-use sim_core::plane::Envelope;
 
 use crate::resources::ResourceId;
 
@@ -182,7 +180,7 @@ pub enum Lookup {
 }
 
 /// A run of identical hints queued for deposit — the unit a query logs
-/// and the message plane carries to the holder's shard (see "Runs" in the
+/// and the drain applies, weighing `count` deposits (see "Runs" in the
 /// module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HintDeposit {
@@ -208,14 +206,6 @@ impl HintDeposit {
             depth,
             count: 1,
         }
-    }
-}
-
-/// A run weighs its count in the message plane's ledger.
-impl Envelope for HintDeposit {
-    #[inline]
-    fn weight(&self) -> u64 {
-        self.count as u64
     }
 }
 

@@ -172,9 +172,9 @@ fn validate_path(
 
 /// Number of shard-boundary crossings along `path` when nodes are
 /// partitioned into contiguous spans of `span_width` indices — how the
-/// message plane meters validation traffic that the retained direct-read
-/// implementation performs without materializing per-hop messages (see
-/// `CardWorld::validation_round` and `PlaneStats::metered_crossings`).
+/// world meters validation traffic that the direct-read implementation
+/// performs without materializing per-hop messages (see
+/// `CardWorld::validation_round` and `ExchangeStats::metered_crossings`).
 pub fn path_shard_crossings(path: &[NodeId], span_width: usize) -> u64 {
     let w = span_width.max(1);
     let Some((first, rest)) = path.split_first() else {

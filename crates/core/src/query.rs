@@ -507,9 +507,9 @@ const MAX_FAILED_CHASES: u32 = 4;
 /// Borrowed view of the hint subsystem threaded through one hinted query:
 /// a *read-only* store (frozen for the whole parallel phase of a sharded
 /// sweep), the caller's counters, and a deposit log. Deposits are queued,
-/// not applied — `CardWorld` exchanges them through its message plane
-/// after each sweep (a single query is a sweep of one), which keeps hinted
-/// queries bit-identical at any worker or shard count. The log combines repeated
+/// not applied — `CardWorld` drains the logs into its store after each
+/// sweep (a single query is a sweep of one), which keeps hinted queries
+/// bit-identical at any worker or shard count. The log combines repeated
 /// deposits into counted runs as they are queued (see [`DepositLog`]).
 pub struct HintContext<'a, S: HintLookup = &'a HintStore> {
     /// The hint tables consulted (never written during the query).

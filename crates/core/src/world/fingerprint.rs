@@ -12,7 +12,7 @@
 //! |---|---|---|
 //! | [`Layer::Topology`] | position (`to_bits`), adjacency row, zone members with their distances | — |
 //! | [`Layer::Tables`] | contacts `(id, path)`, tombstones, validation-retry and selection backoffs, RNG position (the next draw of a clone of its stream) | — |
-//! | [`Layer::Hints`] | hint slots, LRU clock and occupancy count; the deferred deposits it holds, in lane order, each run as its copies | cache on/off, epoch, plane ledger `(sent, dropped, delayed, local + cross)` |
+//! | [`Layer::Hints`] | hint slots, LRU clock and occupancy count; the deferred deposits it holds, in the order they were delayed, each run as its copies | cache on/off, epoch, deposit ledger `(sent, dropped, delayed, local + cross)` |
 //! | [`Layer::Timeline`] | — | query-retry queue, standing queries, `now`, contacts series |
 //! | [`Layer::Counters`] | — | per-kind `MsgStats` series, `MaintenanceTotals`, `HintStats`, `FaultReport`, lossy-exchange count |
 //!
@@ -22,7 +22,7 @@
 //!
 //! **What stays out** is what only caches or meters: `Contact::confirmed`,
 //! the network's row stamps and link version, the CSQ scratch, buffer
-//! capacities, the shard count, the plane's local/cross split,
+//! capacities, the shard count, the deposit ledger's local/cross split,
 //! `metered_crossings`, and its `rounds` and `envelopes`. The split and
 //! the crossings move with the shard boundaries, and `rounds`/`envelopes`
 //! with how traffic was batched (a query is one exchange, a sweep of many
@@ -45,8 +45,8 @@ pub enum Layer {
     Topology,
     /// Contact tables, backoffs and RNG positions (per node).
     Tables,
-    /// Hint stores and the deposits the plane holds (per node), the
-    /// plane ledger.
+    /// Hint stores and the deferred deposits (per node), the deposit
+    /// ledger.
     Hints,
     /// Query retries, standing queries and the clock.
     Timeline,
@@ -175,7 +175,7 @@ impl CardWorld {
         let mut held: Vec<Fnv> = (0..n).map(|_| Fnv::default()).collect();
         // Runs expand to their copies: where a log splits a run depends on
         // how the sweep was cut into lanes.
-        for d in self.plane.deferred() {
+        for d in &self.deferred {
             for _ in 0..d.count {
                 (d.key, d.next_hop, d.depth).hash(&mut held[d.holder.index()]);
             }
@@ -186,7 +186,7 @@ impl CardWorld {
             }
             held[i].finish().hash(h);
         });
-        let ps = self.plane.stats();
+        let ps = &self.traffic;
         let epoch = self.hints.as_ref().map(|s| s.epoch());
         let ledger = (ps.sent, ps.dropped, ps.delayed, ps.local + ps.cross_shard);
         hints.push(word(&(self.hints.is_some(), epoch, ledger)));

@@ -20,7 +20,7 @@
 //! |---|---|
 //! | `shards.rs` | the shard cut: one contact store per shard, the [`TablesView`] read view, resharding, per-shard memory |
 //! | `round.rs` | contact selection (§III.C.1), the validation round with local recovery (§III.C.3), and the round's fault stage ([`FaultReport`]); each rewrites the contact stores row by row |
-//! | `queries.rs` | DSQ queries (§III.C.4): the one per-pair body, the one sweep (a live or retried query is a sweep of one), and the one hint-deposit exchange |
+//! | `queries.rs` | DSQ queries (§III.C.4): the one per-pair body, the one sweep (a live or retried query is a sweep of one), and the one hint-deposit exchange with its [`ExchangeStats`] ledger |
 //! | `subscriptions.rs` | standing-query upkeep: register, resolve, probe, revalidate |
 //! | `fingerprint.rs` | [`CardWorld::fingerprint`]: what counts as world state, hashed in layers, for the tests that compare worlds |
 //!
@@ -41,9 +41,9 @@
 //! stream of the node making it (derived as `("card-node", node)` from the
 //! config seed), never from a shared stream. Message counters accumulate
 //! into per-shard [`MsgStats`] deltas merged in shard order afterwards, and
-//! plane messages are delivered per destination shard, deferred ones
-//! first, then in `(source shard, send sequence)` order — a pure function
-//! of the protocol's own send order, independent of worker scheduling.
+//! hint deposits are applied deferred runs first, then lane by lane in
+//! log order — a pure function of the protocol's own query order,
+//! independent of worker scheduling.
 //! The result of a sweep is therefore a pure function of `(network,
 //! config, per-node state)` — bit-identical across worker counts and shard
 //! counts. There is no separate serial path: a world set to one shard
@@ -62,6 +62,7 @@ mod tests;
 pub use crate::contact::TablesView;
 pub use crate::maintenance::MaintenanceTotals;
 pub use fingerprint::{Fingerprint, Layer};
+pub use queries::ExchangeStats;
 pub use round::FaultReport;
 
 use manet_routing::network::{DirtyReport, Network};
@@ -69,7 +70,6 @@ use mobility::model::MobilityModel;
 use net_topology::node::NodeId;
 use net_topology::scenario::Scenario;
 use sim_core::par::shard_spans;
-use sim_core::plane::{MessagePlane, PlaneStats};
 use sim_core::rng::{RngStream, SeedSplitter};
 use sim_core::stats::{MsgStats, TimeSeries};
 use sim_core::time::{SimDuration, SimTime};
@@ -115,9 +115,11 @@ pub struct CardWorld {
     /// shard: all the scratch a fan-out needs. A single query is a sweep
     /// of one and runs on lane 0, as does standing resolution.
     lanes: Vec<QueryLane>,
-    /// The cross-shard message plane: the only way a hint deposit reaches
-    /// a store (plus metered validation crossings).
-    plane: MessagePlane<HintDeposit>,
+    /// Deposit runs a lossy fault plan delayed, in the order they were
+    /// delayed: applied first, verdict spent, at the next exchange.
+    deferred: Vec<HintDeposit>,
+    /// The deposit exchanges' ledger, plus metered validation crossings.
+    traffic: ExchangeStats,
     /// The §V route-hint cache, one whole-network store; `None` while the
     /// cache is off.
     hints: Option<HintStore>,
@@ -183,7 +185,8 @@ impl CardWorld {
             backoff: vec![Backoff::default(); n],
             per: n.div_ceil(k).max(1),
             lanes: (0..k).map(|_| QueryLane::new(n)).collect(),
-            plane: MessagePlane::new(k),
+            deferred: Vec::new(),
+            traffic: ExchangeStats::default(),
             hints: None,
             hint_stats: HintStats::default(),
             standing: StandingQueries::new(n),
@@ -219,29 +222,29 @@ impl CardWorld {
         &self.stats
     }
 
-    /// Cumulative message-plane statistics (exchange rounds, sent, local
-    /// vs cross-shard deliveries, metered validation crossings).
-    pub fn plane_stats(&self) -> &PlaneStats {
-        self.plane.stats()
+    /// Cumulative hint-deposit traffic (exchanges, sent, local vs
+    /// cross-shard deliveries, losses, metered validation crossings).
+    pub fn plane_stats(&self) -> &ExchangeStats {
+        &self.traffic
     }
 
-    /// Number of fault-delayed plane messages parked in the deferred lane
-    /// for the next exchange. With this the plane ledger closes at any
-    /// instant: `sent == local + cross_shard + dropped + deferred`.
+    /// Number of fault-delayed deposits held for the next exchange. With
+    /// this the ledger closes at any instant:
+    /// `sent == local + cross_shard + dropped + deferred`.
     pub fn plane_deferred_pending(&self) -> usize {
-        self.plane.deferred_pending()
+        self.deferred.iter().map(|d| d.count as usize).sum()
     }
 
-    /// Heap bytes held by the hint-deposit transport between sweeps: the
-    /// deposit logs' runs and holder indexes plus the plane's outbox lanes,
-    /// deferred lanes and mailboxes. Transient traffic that
-    /// [`CardWorld::shard_memory_bytes`] (protocol state) leaves out.
+    /// Heap bytes held by the hint-deposit path between sweeps: the
+    /// deposit logs' runs and holder indexes plus the deferred runs'
+    /// buffer. Transient traffic that [`CardWorld::shard_memory_bytes`]
+    /// (protocol state) leaves out.
     pub fn plane_buffer_bytes(&self) -> usize {
         self.lanes
             .iter()
             .map(|lane| lane.deposits.memory_bytes())
             .sum::<usize>()
-            + self.plane.buffer_bytes()
+            + self.deferred.capacity() * std::mem::size_of::<HintDeposit>()
     }
 
     /// Current virtual time.
@@ -290,8 +293,8 @@ impl CardWorld {
 
     /// Enable or disable the route-hint cache at runtime. Enabling builds
     /// an empty whole-network store from the config's sizing knobs;
-    /// disabling drops the store entirely, and with them every deposit a
-    /// lossy plane still holds deferred (counted as `dropped` in
+    /// disabling drops the store entirely, and with it every deposit a
+    /// lossy plan still holds deferred (counted as `dropped` in
     /// [`CardWorld::plane_stats`], so the ledger still closes). Without a
     /// hint view a query never touches the subsystem, so a disabled world
     /// answers bit-identically to one that never had hints, and a
@@ -302,7 +305,7 @@ impl CardWorld {
             self.hints = Some(HintStore::new(self.net.node_count(), spb, ttl));
         } else if !enabled {
             self.hints = None;
-            self.plane.clear_pending();
+            self.discard_deferred();
         }
     }
 
@@ -322,15 +325,22 @@ impl CardWorld {
     }
 
     /// Empty the hint store (cold-cache resets) without touching the hint
-    /// counters. Deposits still in flight — deferred by a lossy plane's
-    /// last exchange — go with the stores (counted as `dropped` in
+    /// counters. Deposits still in flight — deferred by a lossy plan at
+    /// the last exchange — go with the store (counted as `dropped` in
     /// [`CardWorld::plane_stats`]), so nothing sent before the reset lands
-    /// after it. A calm plane holds nothing between exchanges.
+    /// after it. A calm world holds nothing between exchanges.
     pub fn clear_hints(&mut self) {
         if let Some(store) = &mut self.hints {
             store.clear();
         }
-        self.plane.clear_pending();
+        self.discard_deferred();
+    }
+
+    /// Drop the deferred deposits, keeping the ledger closed.
+    fn discard_deferred(&mut self) {
+        let pending = self.plane_deferred_pending() as u64;
+        self.traffic.discard_deferred(pending);
+        self.deferred.clear();
     }
 
     /// Evict hints held at nodes the last topology refresh dirtied.

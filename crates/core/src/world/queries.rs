@@ -22,28 +22,26 @@
 //! ## Hint deposits
 //!
 //! A resolved query deposits hints at relay nodes that usually live on
-//! other shards, and the store is written only in the drain, so every
-//! hinted sweep ends in the one exchange stage,
-//! `exchange_deposits`: each lane's [`DepositLog`] (which combines a
-//! holder's repeated deposits into counted runs at the sender — "Runs" in
-//! [`crate::hints`]) is sent from the lane's outbox, and each run crosses
-//! the plane as one envelope to its holder's shard mailbox. A run weighs
-//! its count in the plane's ledger and draws one content-keyed fault
-//! verdict — the one every copy would have drawn. Query *reads* stay
-//! direct: remote contact links through [`TablesView`], hints through
-//! the one `&HintStore`. The drain's ordering contract is spelled out on
-//! `exchange_deposits`.
+//! other shards, and the store is written only after the parallel phase,
+//! so every hinted sweep ends in the one deposit stage,
+//! `exchange_deposits`: it drains each lane's [`DepositLog`] (which
+//! combines a holder's repeated deposits into counted runs at the sender
+//! — "Runs" in [`crate::hints`]) straight into the one [`HintStore`]. A
+//! run weighs its count in the [`ExchangeStats`] ledger and draws one
+//! content-keyed fault verdict — the one every copy would have drawn.
+//! Query *reads* stay direct: remote contact links through
+//! [`TablesView`], hints through the one `&HintStore`. The drain's
+//! ordering contract is spelled out on `exchange_deposits`.
 
 use manet_routing::network::Network;
 use net_topology::node::NodeId;
-use sim_core::faults::FaultPlan;
+use sim_core::faults::{FaultPlan, FaultVerdict};
 use sim_core::par::parallel_shard_map;
-use sim_core::plane::Outbox;
 use sim_core::stats::MsgKind;
 
 use crate::contact::{ContactStore, TablesView};
 use crate::csq::CsqScratch;
-use crate::hints::{DepositLog, HintDeposit, HintLookup, HintStats, HintStore, NoHints};
+use crate::hints::{DepositLog, HintLookup, HintStats, HintStore, NoHints};
 use crate::query::{any_edge, dsq_walk, HintContext, QueryFaultFilter, QueryOutcome, QueryScratch};
 use crate::resources::{resource_query_unrecorded, ResourceId, ResourceRegistry};
 
@@ -222,13 +220,57 @@ impl QueryLane {
     }
 }
 
-/// Queue a deposit log's runs in `outbox`, in log order, each to its
-/// holder's shard mailbox, and empty the log.
-fn send_deposits(outbox: &mut Outbox<HintDeposit>, log: &mut DepositLog, per: usize) {
-    for &d in log.runs() {
-        outbox.send(d.holder.index() / per, d);
+/// Traffic accounting of the world's hint-deposit exchanges (one per
+/// hinted sweep), plus the validation crossings a round meters. All
+/// counters are cumulative over the world's lifetime, in logical deposits:
+/// a run weighs its count everywhere but in `envelopes`. The ledger
+///
+/// ```text
+/// sent == local + cross_shard + dropped + CardWorld::plane_deferred_pending()
+/// ```
+///
+/// holds at any instant. The local/cross split (a run's holder lies
+/// outside the span of the lane that logged it), `envelopes` and
+/// `metered_crossings` depend on how the world is cut into shards; the
+/// other counters do not.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct ExchangeStats {
+    /// Exchanges run.
+    pub rounds: u64,
+    /// Deposits logged by the sweeps, each counted once, at its first
+    /// exchange.
+    pub sent: u64,
+    /// Runs that carried them: `sent`'s physical count (not
+    /// shard-invariant).
+    pub envelopes: u64,
+    /// Deposits applied whose holder lies outside the sending lane's span.
+    pub cross_shard: u64,
+    /// Deposits applied whose holder lies inside the sending lane's span.
+    pub local: u64,
+    /// Largest number of deposits one exchange applied.
+    pub max_round_msgs: u64,
+    /// Deposits a lossy fault plan dropped (never applied), and deferred
+    /// ones a cache reset discarded.
+    pub dropped: u64,
+    /// Deposits a lossy fault plan delayed by one exchange. Nothing is
+    /// delayed twice, so this also bounds the deferred backlog.
+    pub delayed: u64,
+    /// Shard-boundary crossings *metered* on paths the world resolves by
+    /// direct reads (validation relay hops): the traffic a
+    /// process-level deployment would route as messages.
+    pub metered_crossings: u64,
+    /// Weight of the deferred runs that cross a span boundary: the
+    /// cross-shard part of their delivery.
+    deferred_cross: u64,
+}
+
+impl ExchangeStats {
+    /// Discard deferred runs of total weight `pending`: they were counted
+    /// as sent at their exchange, so they count as dropped now.
+    pub(super) fn discard_deferred(&mut self, pending: u64) {
+        self.dropped += pending;
+        self.deferred_cross = 0;
     }
-    log.clear();
 }
 
 impl CardWorld {
@@ -236,8 +278,8 @@ impl CardWorld {
     /// `target`, escalating depth up to `cfg.depth`: [`CardWorld::query_all`]
     /// over one pair, run on the world's first query lane with a one-slot
     /// outcome buffer. With the route-hint cache enabled, the cache is
-    /// consulted first and the query's deposits cross the message plane in
-    /// an exchange of their own before this returns, so on a calm world
+    /// consulted first and the query's deposits reach the store in an
+    /// exchange of their own before this returns, so on a calm world
     /// the very next call can hit. Under an armed fault plan a failed query
     /// enters the retry queue.
     pub fn query(&mut self, source: NodeId, target: NodeId) -> QueryOutcome {
@@ -293,12 +335,11 @@ impl CardWorld {
     /// escalating up to `cfg.depth` — fanned out over the protocol shards
     /// (the *pair list* is sharded; see `world/queries.rs`), returning the
     /// outcomes in pair order. With the route-hint cache enabled the sweep
-    /// consults views *frozen* for the whole parallel phase and routes the
-    /// lanes' deposit logs through the message plane to the holders' shard
-    /// mailboxes afterwards, so either way results and statistics are
-    /// bit-identical at any worker or shard count (with the cache off the
-    /// sweep additionally equals one [`CardWorld::query`] per pair, in
-    /// order).
+    /// consults views *frozen* for the whole parallel phase and drains the
+    /// lanes' deposit logs into the store afterwards, so either way results
+    /// and statistics are bit-identical at any worker or shard count (with
+    /// the cache off the sweep additionally equals one [`CardWorld::query`]
+    /// per pair, in order).
     pub fn query_all(&mut self, pairs: &[(NodeId, NodeId)]) -> Vec<QueryOutcome> {
         let mut out = Vec::new();
         self.query_all_into(pairs, &mut out);
@@ -352,10 +393,10 @@ impl CardWorld {
     /// its slots grouped by source, stable by slot (the lane's order
     /// buffer, sorted in O(P log P)), and each source's contact tree is
     /// walked once. A hinted span keeps slot order: its deposit log merges
-    /// a holder's consecutive deposits into runs, and the exchange delivers
-    /// them in slot order, so a different visiting order would change what
-    /// the plane carries. It still resumes a memo between adjacent slots
-    /// that share a source.
+    /// a holder's consecutive deposits into runs, and the exchange applies
+    /// them in slot order, so a different visiting order would change the
+    /// runs it applies. It still resumes a memo between adjacent slots that
+    /// share a source.
     pub(super) fn sweep<'g, G>(&mut self, asks: &[(NodeId, G)], out: &mut [QueryOutcome])
     where
         G: Copy + Sync + Into<Goal<'g>>,
@@ -430,52 +471,66 @@ impl CardWorld {
             hint_stats.merge(hint_delta);
         }
         if self.hints.is_some() {
-            let outboxes = self.plane.outboxes_mut();
-            for (outbox, lane) in outboxes.iter_mut().zip(&mut self.lanes) {
-                send_deposits(outbox, &mut lane.deposits, per);
-            }
             self.exchange_deposits();
         }
     }
 
     /// The deposit stage that ends every hinted sweep (a single query is a
-    /// sweep of one): exchange the deposit runs queued in the plane's
-    /// outboxes, each to its holder's shard mailbox, and apply the
-    /// mailboxes to the store in shard order.
+    /// sweep of one): apply the runs a lossy plan deferred from the
+    /// previous exchange, then each lane's log in lane order, each in log
+    /// order, and empty the logs.
     ///
-    /// Delivery order makes the drain deterministic. A mailbox holds the
-    /// runs a lossy plane deferred from the previous exchange, then this
-    /// exchange's runs by `(source shard, send sequence)`; lane `i` sends
-    /// span `i`'s log in slot order and the spans are contiguous in lane
-    /// order, and mailbox `d` holds only holders of span `d`, so the
-    /// deposit sequence each holder observes is the global query order
-    /// restricted to that holder, with deferred runs landing one exchange
-    /// late — bit-identical at any worker or shard count (pinned by
-    /// `tests/hint_cache.rs` and `tests/message_plane.rs`). A run stands
+    /// That order makes the stage deterministic. A deposit touches only
+    /// its holder's slots, LRU clock and occupancy count, so only the
+    /// sequence of deposits each holder receives matters. Lane `i` logs
+    /// span `i`'s slots in slot order and the spans are contiguous in lane
+    /// order, so that sequence is the global query order restricted to the
+    /// holder, with deferred runs landing one exchange late and ahead of
+    /// all fresh ones — bit-identical at any worker or shard count (pinned
+    /// by `tests/hint_cache.rs` and `tests/message_plane.rs`). A run stands
     /// for its copies at the position of its first one; since it only ever
     /// absorbed pushes made while it was its holder's latest entry, the
     /// expanded sequence is unchanged.
-    fn exchange_deposits(&mut self) {
+    pub(super) fn exchange_deposits(&mut self) {
+        let per = self.per;
         let CardWorld {
+            lanes,
             hints,
             hint_stats,
-            plane,
+            deferred,
+            traffic,
             faults,
             ..
         } = self;
-        // A lossy fault plane judges each deposit by its *content* (plus a
+        let store = hints.as_mut().expect("hinted exchange without a store");
+        // Deferred runs first: sent in an earlier exchange, they precede
+        // everything sent in this one, and their verdict is already spent.
+        let mut round = 0u64;
+        for d in deferred.drain(..) {
+            round += u64::from(d.count);
+            store.deposit(&d, hint_stats);
+        }
+        traffic.cross_shard += traffic.deferred_cross;
+        traffic.local += round - traffic.deferred_cross;
+        traffic.deferred_cross = 0;
+        // A lossy fault plan judges each run by its *content* (plus a
         // shard-invariant exchange salt, so identical payloads in different
-        // exchanges draw independent verdicts) — never by transport
-        // coordinates — keeping faulted deliveries bit-identical at any
-        // shard count. The key leaves out a run's `count`: every copy
-        // would draw the run's one verdict. Delayed deposits park in the
-        // plane's deferred lane and land first at the next exchange.
-        match faults.as_mut().filter(|rt| rt.plan.lossy()) {
-            Some(rt) => {
-                rt.exchanges += 1;
-                let salt = rt.exchanges;
-                let plan = &rt.plan;
-                plane.exchange_faulted(|d| {
+        // exchanges draw independent verdicts) — never by lane or position
+        // — keeping faulted deliveries bit-identical at any shard count.
+        // The key leaves out a run's `count`: every copy would draw the
+        // run's one verdict.
+        let lossy = faults.as_mut().filter(|rt| rt.plan.lossy()).map(|rt| {
+            rt.exchanges += 1;
+            (&rt.plan, rt.exchanges)
+        });
+        for (k, lane) in lanes.iter_mut().enumerate() {
+            let runs = lane.deposits.runs();
+            traffic.envelopes += runs.len() as u64;
+            for d in runs {
+                let w = u64::from(d.count);
+                traffic.sent += w;
+                let cross = d.holder.index() / per != k;
+                let verdict = lossy.map_or(FaultVerdict::Deliver, |(plan, salt)| {
                     plan.message_verdict(FaultPlan::salted_key(&[
                         d.holder.index() as u64,
                         d.next_hop.index() as u64,
@@ -484,19 +539,29 @@ impl CardWorld {
                         salt,
                     ]))
                 });
+                match verdict {
+                    FaultVerdict::Deliver => {
+                        store.deposit(d, hint_stats);
+                        round += w;
+                        if cross {
+                            traffic.cross_shard += w;
+                        } else {
+                            traffic.local += w;
+                        }
+                    }
+                    FaultVerdict::Drop => traffic.dropped += w,
+                    FaultVerdict::Delay => {
+                        traffic.delayed += w;
+                        if cross {
+                            traffic.deferred_cross += w;
+                        }
+                        deferred.push(*d);
+                    }
+                }
             }
-            None => {
-                plane.exchange();
-            }
+            lane.deposits.clear();
         }
-        // Deterministic drain: the mailboxes in shard order, each in
-        // delivery order. Holders of different mailboxes are disjoint, so
-        // the order across mailboxes never shows.
-        let store = hints.as_mut().expect("hinted exchange without a store");
-        for mailbox in plane.mailboxes_mut() {
-            for d in mailbox.drain(..) {
-                store.deposit(&d, hint_stats);
-            }
-        }
+        traffic.rounds += 1;
+        traffic.max_round_msgs = traffic.max_round_msgs.max(round);
     }
 }

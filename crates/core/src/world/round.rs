@@ -3,7 +3,7 @@
 //! stage fused into that round.
 //!
 //! Validation walks contact paths that cross span boundaries; the round
-//! meters those crossings into `PlaneStats::metered_crossings` (via
+//! meters those crossings into `ExchangeStats::metered_crossings` (via
 //! [`path_shard_crossings`]) without materializing per-hop messages.
 //!
 //! ## Fault injection
@@ -206,7 +206,7 @@ impl CardWorld {
     /// and is bit-identical at any shard count (one shard runs inline: the
     /// serial reference). Span-boundary crossings of the validated paths
     /// are metered into
-    /// [`PlaneStats::metered_crossings`](sim_core::plane::PlaneStats::metered_crossings). With a fault plan
+    /// [`ExchangeStats::metered_crossings`](super::ExchangeStats::metered_crossings). With a fault plan
     /// armed the round first applies its scheduled fault events and
     /// re-runs the due query retries after the sweep — fused here so a
     /// driven and a hand-stepped world see one fault history. The round
@@ -240,7 +240,7 @@ impl CardWorld {
             rngs,
             backoff,
             lanes,
-            plane,
+            traffic,
             faults,
             ..
         } = self;
@@ -257,7 +257,7 @@ impl CardWorld {
         for delta in &deltas {
             stats.merge(&delta.stats);
             maintenance.merge(&delta.maintenance);
-            plane.stats_mut().metered_crossings += delta.crossings;
+            traffic.metered_crossings += delta.crossings;
             liveness += delta.liveness_violations;
         }
         if let Some(rt) = faults {
@@ -330,7 +330,8 @@ impl CardWorld {
             // The validation traffic this node sends down its stored paths
             // is metered for every contact it held at round start — at its
             // tombstone, hold-out or walk: every span-boundary crossing is a
-            // message the plane would carry if validation were materialized.
+            // message a process-level deployment would carry if validation
+            // were materialized.
             let (totals, crossings, validation, reply) = match fault_view {
                 None => validate_contacts(net, cfg, node, row, any_edge, per, |_, _| Probe::Walk),
                 Some((_, state, _)) if state.is_down(node.index()) => {

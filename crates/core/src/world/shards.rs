@@ -10,20 +10,19 @@
 //! checker still hands every span `&mut` to its own nodes only. Scratch
 //! lives in the query lanes, one per shard. The stores sit in a slice of
 //! their own, so [`TablesView`] over them is the same type as a
-//! hand-built store's view. Cross-shard *writes* — hint deposits — become
-//! [`HintDeposit`](crate::hints::HintDeposit) runs routed through a
-//! [`MessagePlane`] to their holder's shard mailbox and applied in a
-//! deterministic drain (`queries.rs`).
+//! hand-built store's view. Hint deposits, whose holders may lie in any
+//! span, are logged per lane as [`HintDeposit`](crate::hints::HintDeposit)
+//! runs and applied to the one store after the parallel phase
+//! (`queries.rs`).
 //!
 //! The whole-network protocol sweeps ([`CardWorld::select_all_contacts`]
 //! and [`CardWorld::validation_round`]) fan each span out to exactly one
 //! worker via [`sim_core::par::parallel_shard_map`]; a span's sweep
 //! touches only its own store, its slices of the node arrays and its
 //! lane, plus the immutable network. A reshard therefore re-cuts the
-//! stores, the lanes and the plane's deferred lanes, and nothing else.
+//! stores and the lanes, and nothing else.
 
 use sim_core::par::{max_workers, shard_spans};
-use sim_core::plane::MessagePlane;
 use sim_core::rng::RngStream;
 
 use crate::contact::{Backoff, ContactStore, TablesView};
@@ -52,12 +51,12 @@ impl CardWorld {
     }
 
     /// Re-cut the world over `shards` shards: the contact stores move
-    /// their rows to the new spans, the query lanes are resized and the
-    /// message plane is rebuilt. RNG streams, backoffs and the hint store
-    /// are node-indexed, so they do not move. Results are
+    /// their rows to the new spans and the query lanes are resized. RNG
+    /// streams, backoffs, the hint store and the deferred deposits are
+    /// node-indexed or node-keyed, so they do not move. Results are
     /// shard-count-independent — per-node RNG streams make each node's
-    /// decisions a function of its own state, and plane delivery order is
-    /// pinned to the protocol's send order — so this only moves the
+    /// decisions a function of its own state, and deposits are applied in
+    /// the protocol's own query order — so this only moves the
     /// parallelism/memory trade-off. Only non-empty spans of the canonical
     /// partition (`ceil(N / shards)` nodes each) become shards, and
     /// [`shard_count`](Self::shard_count) reports those: 5 nodes over 4
@@ -77,21 +76,6 @@ impl CardWorld {
         self.per = n.div_ceil(shards).max(1);
         self.lanes.resize_with(shards, || QueryLane::new(n));
         self.lanes.shrink_to_fit();
-        // Rebuild the plane at the new width, migrating the deposits a
-        // lossy fault plane deferred from its last exchange (every send is
-        // exchanged within the call that made it, so nothing else is in
-        // flight). They re-enter the deferred lane of the holder's new
-        // shard — their delivery verdict is already spent, so re-sending
-        // them through an outbox would draw a second verdict and diverge
-        // from a run that never resharded. The walk keeps delivery order,
-        // so the per-holder delivery sequence is unchanged.
-        let deferred = self.plane.take_deferred();
-        let plane_stats = self.plane.stats().clone();
-        self.plane = MessagePlane::new(shards);
-        *self.plane.stats_mut() = plane_stats;
-        for msg in deferred {
-            self.plane.defer(msg.holder.index() / self.per, msg);
-        }
     }
 
     /// Estimated live heap bytes of each shard's protocol state — the

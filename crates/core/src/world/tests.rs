@@ -1,6 +1,6 @@
 use super::*;
 use crate::config::SelectionMethod;
-use crate::hints::HintKey;
+use crate::hints::{HintDeposit, HintKey, HintStats, HintStore};
 use crate::query::{dsq_query, QueryOutcome, QueryScratch};
 use crate::reachability::reachability_set;
 use crate::resources::{ResourceId, ResourceRegistry};
@@ -512,9 +512,9 @@ fn live_queries_warm_the_very_next_call() {
 
 #[test]
 fn live_deposits_cross_the_lossy_plane() {
-    // A live query's deposits reach the store only through the message
-    // plane: under an all-drop plan a resolved query leaves the cache
-    // empty, and the plane counts its whole deposit weight (what a calm
+    // A live query's deposits reach the store only through the deposit
+    // exchange: under an all-drop plan a resolved query leaves the cache
+    // empty, and the ledger counts its whole deposit weight (what a calm
     // twin writes) as sent and dropped.
     let mut w = hinted_world(3);
     w.select_all_contacts();
@@ -550,6 +550,64 @@ fn live_deposits_cross_the_lossy_plane() {
         let ps = lossy.plane_stats();
         assert_eq!((ps.sent, ps.dropped), (weight, weight));
         assert_eq!(ps.sent, ps.local + ps.cross_shard + ps.dropped);
+    }
+}
+
+/// A plan that drops every deposit (`drop`) or delays every one.
+fn all_lost(drop: bool) -> FaultPlan {
+    let rate = |on: bool| if on { 1.0 } else { 0.0 };
+    let cfg = sim_core::faults::FaultConfig {
+        drop_rate: rate(drop),
+        delay_rate: rate(!drop),
+        ..sim_core::faults::FaultConfig::calm()
+    };
+    FaultPlan::generate(&cfg, 150, 5)
+}
+
+#[test]
+fn deferred_runs_land_first_with_their_verdict_spent() {
+    // Two deposits contest node 0's one depth-2 slot; the one applied
+    // last keeps it. `late` is logged by lane 1 (node 0 lies in span 0:
+    // a crossing) and delayed; `fresh` is logged by lane 0 one exchange
+    // later. The deferred run must land first, and must land even when
+    // the next exchange drops everything fresh.
+    let holder = NodeId::new(0);
+    let late = HintDeposit::new(holder, HintKey::node(NodeId::new(7)), NodeId::new(1), 2);
+    let fresh = HintDeposit::new(holder, HintKey::node(NodeId::new(9)), NodeId::new(2), 2);
+    let applied = |ds: &[&HintDeposit]| {
+        let mut store = HintStore::new(150, 1, cfg().hint_ttl);
+        ds.iter()
+            .for_each(|d| store.deposit(d, &mut HintStats::default()));
+        store
+    };
+    assert_ne!(applied(&[&late, &fresh]), applied(&[&fresh, &late]));
+    for second in [None, Some(all_lost(true))] {
+        let mut w = CardWorld::build(&scenario(), cfg().with_hint_slots_per_bucket(1));
+        w.set_hints_enabled(true);
+        w.set_shard_count(2);
+        w.enable_faults(all_lost(false));
+        w.lanes[1].deposits.push(late);
+        w.exchange_deposits();
+        assert_eq!(w.plane_deferred_pending(), 1);
+        assert!(w.hint_store().unwrap().is_empty());
+        w.faults = None;
+        if let Some(plan) = second.clone() {
+            w.enable_faults(plan);
+        }
+        w.lanes[0].deposits.push(fresh);
+        w.exchange_deposits();
+        let ps = w.plane_stats();
+        assert_eq!(w.plane_deferred_pending(), 0);
+        assert_eq!((ps.rounds, ps.sent, ps.envelopes, ps.delayed), (2, 2, 2, 1));
+        assert_eq!(ps.sent, ps.local + ps.cross_shard + ps.dropped);
+        assert_eq!(ps.cross_shard, 1, "the late run crossed a span boundary");
+        if second.is_none() {
+            assert_eq!(w.hint_store(), Some(&applied(&[&late, &fresh])));
+            assert_eq!((ps.local, ps.dropped, ps.max_round_msgs), (1, 0, 2));
+        } else {
+            assert_eq!(w.hint_store(), Some(&applied(&[&late])));
+            assert_eq!((ps.local, ps.dropped, ps.max_round_msgs), (0, 1, 1));
+        }
     }
 }
 
@@ -853,7 +911,7 @@ fn shard_memory_and_plane_stats_surface() {
     let ps = w.plane_stats().clone();
     assert!(ps.rounds >= 1, "hinted sweep exchanges deposits");
     if w.hint_stats().deposits > 0 {
-        assert!(ps.sent > 0, "deposits must travel the plane");
+        assert!(ps.sent > 0, "deposits must be exchanged");
         // Full ledger: faulted deliveries account drops and deferrals
         // (both zero on this calm world).
         assert_eq!(ps.sent, ps.local + ps.cross_shard + ps.dropped);

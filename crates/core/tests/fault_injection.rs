@@ -1,8 +1,8 @@
-//! Differential harness pinning the fault-injection plane.
+//! Differential harness pinning fault injection.
 //!
 //! The determinism contract extends to hostile regimes: a faulted run —
 //! node crashes and rejoins, a region-scoped partition window, per-message
-//! drop/delay on the deposit plane — is **bit-identical** across protocol
+//! drop/delay of hint deposits — is **bit-identical** across protocol
 //! shard counts (which is also the worker axis: k shards fan out over the
 //! `sim_core::par` pool, one shard runs the same span body inline on the
 //! caller's thread), and between the tick and event drive modes. Faults
@@ -12,7 +12,7 @@
 //!
 //! The chaos proptests draw random fault regimes and assert the same
 //! invariants hold for all of them: bit-identical replay (equal
-//! `CardWorld::fingerprint`s and query outcomes), a closed plane ledger
+//! `CardWorld::fingerprint`s and query outcomes), a closed deposit ledger
 //! (`sent == local + cross_shard + dropped + deferred`), zero
 //! tombstone-liveness violations, and zero grid-residency violations for
 //! tombstoned/rejoined nodes.
@@ -44,7 +44,7 @@ fn cfg(seed: u64) -> CardConfig {
 }
 
 /// The acceptance regime: crashes with rejoins, one partition window,
-/// 1% drop and 1% delay on the plane.
+/// 1% drop and 1% delay of hint deposits.
 fn hostile() -> FaultConfig {
     FaultConfig {
         churn_rate: 0.15,
@@ -105,7 +105,7 @@ fn world(seed: u64, shards: usize, hints: bool) -> CardWorld {
 
 /// Drive a faulted world through the full mobile pipeline and return it
 /// with its workload outcomes. Every faulted run keeps the tombstone
-/// liveness and grid-residency invariants and closes the plane ledger
+/// liveness and grid-residency invariants and closes the deposit ledger
 /// with its drops and deferrals accounted.
 fn drive_faulted(
     seed: u64,
@@ -123,9 +123,9 @@ fn drive_faulted(
     let mut driver = EventDriver::new(&w, &m, mode, workload(seed, horizon_ms));
     driver.drive(&mut w, &mut m, SimDuration::from_millis(horizon_ms));
     assert_eq!(driver.report().audit_violations, 0);
-    // The workload's single queries already sent their hint deposits
-    // through the (lossy) message plane; two sweeps add batched exchanges
-    // whose drop/delay verdicts exercise the deferred-delivery lane.
+    // The workload's single queries already exchanged their hint deposits
+    // under the lossy plan; two sweeps add batched exchanges whose
+    // drop/delay verdicts exercise deferred delivery.
     let mut outcomes = driver.report().outcomes.clone();
     let pairs: Vec<(NodeId, NodeId)> = (0..48u32)
         .map(|i| {
@@ -352,7 +352,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
     /// Null plan ≡ no plan: arming a plan with no events, no partition
-    /// window and a lossless plane (and no retry queue) changes nothing a
+    /// window and no message loss (and no retry queue) changes nothing a
     /// run can observe — the fault stages of the one round, the one sweep
     /// and the one query body are exact no-ops on it, at any shard count
     /// and under either driver.
@@ -378,7 +378,7 @@ proptest! {
     }
 
     /// Chaos differential: random fault regimes replay bit-identically
-    /// across shard counts and drive modes, with a closed plane ledger
+    /// across shard counts and drive modes, with a closed deposit ledger
     /// and zero liveness/grid violations.
     #[test]
     fn prop_chaos_regimes_replay_bit_identically(

@@ -1,10 +1,10 @@
-//! Proptest harness pinning the cross-shard message plane's delivery
-//! contract: what the protocol routes through the plane — hint deposits
-//! drained per destination shard, deferred runs first, then in
-//! `(src shard, seq)` order — and what it meters
-//! against it (validation traffic) must be **bit-identical** across
-//! protocol shard counts (including the one-shard degenerate case and
-//! more shards than nodes). The shard axis is also the worker axis: a
+//! Proptest harness pinning the hint-deposit exchange's delivery
+//! contract: the deposits each hinted sweep drains into the store —
+//! deferred runs first, then each lane's log in lane order — and the
+//! validation traffic metered against the shard spans must be
+//! **bit-identical** across protocol shard counts (including the
+//! one-shard degenerate case and more shards than nodes), calm or lossy,
+//! and across a mid-run reshard. The shard axis is also the worker axis: a
 //! one-shard world runs every round and sweep inline on one thread, while
 //! k shards fan out over the worker pool (the pool size itself is fixed
 //! per host, so one shard vs k shards is the worker axis a single process
@@ -12,17 +12,17 @@
 //!
 //! What is compared: the world's `CardWorld::fingerprint` — contact
 //! tables, every hint slot (deposit order decides which hint keeps a
-//! contested slot), the plane ledger and its deferred lane, the message
+//! contested slot), the deposit ledger and the deferred runs, the message
 //! series and the rest of world state — plus query outcomes entry for
-//! entry, which are not world state.
+//! entry, which are not world state, and the shard-invariant exchange
+//! counters the fingerprint leaves out (`rounds`, `max_round_msgs`).
 
 use card_core::prelude::*;
-use card_core::world::Fingerprint;
+use card_core::world::{ExchangeStats, Fingerprint};
 use net_topology::node::NodeId;
 use net_topology::scenario::Scenario;
 use proptest::prelude::*;
 use sim_core::faults::{FaultConfig, FaultPlan, PartitionWindow};
-use sim_core::plane::PlaneStats;
 
 const NODES: usize = 140;
 
@@ -63,9 +63,24 @@ fn pairs(seed: u64, count: usize) -> Vec<(NodeId, NodeId)> {
         .collect()
 }
 
-/// Everything the plane could corrupt, captured after a protocol run:
-/// the world's fingerprint and the cold and warm sweeps' outcomes.
-type Trace = (Fingerprint, Vec<QueryOutcome>, Vec<QueryOutcome>);
+/// The exchange counters that do not depend on the shard count: `(sent,
+/// dropped, delayed, rounds, max_round_msgs)`.
+type Counters = (u64, u64, u64, u64, u64);
+
+fn counters(ps: &ExchangeStats) -> Counters {
+    (
+        ps.sent,
+        ps.dropped,
+        ps.delayed,
+        ps.rounds,
+        ps.max_round_msgs,
+    )
+}
+
+/// Everything the exchange could corrupt, captured after a protocol run:
+/// the world's fingerprint, the cold and warm sweeps' outcomes and the
+/// shard-invariant exchange counters.
+type Trace = (Fingerprint, Vec<QueryOutcome>, Vec<QueryOutcome>, Counters);
 
 /// Run the full protocol — selection, two validation rounds, a cold and
 /// a warm query sweep — on `shards` shards (one shard: inline on the
@@ -83,21 +98,20 @@ fn trace(seed: u64, hints: bool, shards: usize) -> Trace {
     w.validation_round();
     let cold = w.query_all(&workload);
     let warm = w.query_all(&workload);
-    // Plane accounting must always balance — faulted deliveries (drops
-    // and the deferred lane) are part of the ledger, and on this calm
-    // world both fault legs are zero. One shard can never cross a
-    // boundary.
+    // The ledger must always balance — faulted deliveries (drops and the
+    // deferred runs) are part of it, and on this calm world both fault
+    // legs are zero. One shard can never cross a boundary.
     let ps = w.plane_stats();
     assert_eq!(
         ps.sent,
         ps.cross_shard + ps.local + ps.dropped + w.plane_deferred_pending() as u64,
-        "plane ledger"
+        "deposit ledger"
     );
     assert_eq!((ps.dropped, ps.delayed), (0, 0), "calm world never faults");
     if w.shard_count() == 1 {
         assert_eq!(ps.cross_shard, 0, "one shard has no boundary to cross");
     }
-    (w.fingerprint(), cold, warm)
+    (w.fingerprint(), cold, warm, counters(ps))
 }
 
 proptest! {
@@ -122,10 +136,9 @@ proptest! {
         );
     }
 
-    /// Hint deposits routed through the plane build the same cache as
-    /// depositing in pair order directly: resharding *mid-run* (state
-    /// migrated slot by slot) must not disturb a single counter of a
-    /// subsequent warm sweep.
+    /// Hint deposits drained after a sweep build the same cache whether or
+    /// not the world reshards *mid-run*: a reshard must not disturb a
+    /// single counter of a subsequent warm sweep.
     #[test]
     fn prop_deposits_survive_mid_run_reshard(
         seed in 1u64..1_000_000,
@@ -139,9 +152,9 @@ proptest! {
             let mut w = world(seed, true);
             w.set_shard_count(before);
             w.select_all_contacts();
-            let cold = w.query_all(&workload); // deposits route via plane
+            let cold = w.query_all(&workload); // deposits drain into the store
             if let Some(k) = reshard {
-                w.set_shard_count(k); // migrates hint slots + LRU clocks
+                w.set_shard_count(k); // re-cuts contact stores and lanes
             }
             w.reset_hint_stats();
             let warm = w.query_all(&workload);
@@ -155,12 +168,11 @@ proptest! {
     }
 
     /// Reshard *under churn*: `set_shard_count` fired between a lossy
-    /// sweep and the next round, while the plane's deferred lane may hold
-    /// fault-delayed deposits and contact tables carry live tombstone,
-    /// retry-backoff and fruitless-round state. The migrated world must
-    /// finish the run bit-identically to one that never resharded —
-    /// deferred messages are re-injected with their verdicts already
-    /// spent, so no message draws a second verdict.
+    /// sweep and the next round, while the world may hold fault-delayed
+    /// deposits and contact tables carry live tombstone, retry-backoff and
+    /// fruitless-round state. The resharded world must finish the run
+    /// bit-identically to one that never resharded — deferred runs keep
+    /// their spent verdicts, so no deposit draws a second verdict.
     #[test]
     fn prop_reshard_under_churn_preserves_faulted_trace(
         seed in 1u64..1_000_000,
@@ -182,7 +194,7 @@ proptest! {
     /// The same lossy, resharded run on a skewed workload — a handful of
     /// resolvable pairs repeated to a few hundred queries — where the
     /// deposit logs combine repeats into runs: each run draws one verdict
-    /// and is dropped, delayed (and migrated) or delivered whole, so the
+    /// and is dropped, delayed (across the reshard) or delivered whole, so the
     /// trace still ignores the shard count before and after the reshard,
     /// and the ledger still counts every logical deposit.
     #[test]
@@ -251,25 +263,26 @@ fn skewed_pairs(seed: u64, block: usize, len: usize) -> Vec<(NodeId, NodeId)> {
 }
 
 /// What a lossy run leaves: the world's fingerprint (tables with
-/// tombstones, hint slots, the plane ledger and deferred deposits,
-/// pending retries, all counters) and the cold, warm and live outcomes.
-type LossyTrace = (Fingerprint, [Vec<QueryOutcome>; 3]);
+/// tombstones, hint slots, the deposit ledger and deferred deposits,
+/// pending retries, all counters), the cold, warm and live outcomes and
+/// the shard-invariant exchange counters.
+type LossyTrace = (Fingerprint, [Vec<QueryOutcome>; 3], Counters);
 
 /// Selection, a faulted round, a lossy cold sweep, six live queries (each
 /// an exchange of its own: the first delivers the sweep's delayed runs
 /// ahead of its own deposits, which draw verdicts too), an optional
-/// reshard (while the deferred lane may hold runs the last live query
-/// delayed; the fingerprint must not move across it), a round, a warm
-/// sweep and a round: the trace, plus the plane counters (whose envelopes
-/// depend on the shard counts, so they stay out of the trace). The plane
-/// ledger must close.
+/// reshard (while the world may hold runs the last live query delayed;
+/// the fingerprint must not move across it), a round, a warm sweep and a
+/// round: the trace, plus the exchange counters (whose envelopes and
+/// local/cross split depend on the shard counts, so they stay out of the
+/// trace). The ledger must close.
 fn lossy_run(
     seed: u64,
     plan: &FaultPlan,
     workload: &[(NodeId, NodeId)],
     before: usize,
     reshard: Option<usize>,
-) -> (LossyTrace, PlaneStats) {
+) -> (LossyTrace, ExchangeStats) {
     let mut w = world(seed, true);
     w.set_shard_count(before);
     w.select_all_contacts();
@@ -279,7 +292,7 @@ fn lossy_run(
     let live: Vec<QueryOutcome> = workload[..6].iter().map(|&(s, t)| w.query(s, t)).collect();
     if let Some(k) = reshard {
         // A reshard is state-neutral in itself: it re-cuts the contact
-        // stores and moves the deferred deposits to their new lanes.
+        // stores and the lanes, and the deferred deposits stay put.
         let before = w.fingerprint();
         w.set_shard_count(k);
         assert_eq!(w.fingerprint().diff(&before), None, "reshard to {k}");
@@ -290,14 +303,16 @@ fn lossy_run(
     let ps = w.plane_stats().clone();
     let delivered = ps.local + ps.cross_shard + ps.dropped;
     assert_eq!(ps.sent, delivered + w.plane_deferred_pending() as u64);
-    ((w.fingerprint(), [cold, warm, live]), ps)
+    ((w.fingerprint(), [cold, warm, live], counters(&ps)), ps)
 }
 
-/// Deferred runs land ahead of every fresh run, whichever shard sent
-/// them. Half of a first sweep's deposits are delayed into a second sweep
-/// of different pairs; with one slot per bucket the arrival order at each
-/// holder decides which hint keeps a contested slot, so every slot must
-/// match the one-shard run's at any shard count.
+/// Deferred runs take the same place in each holder's arrival order
+/// whichever shard sent them. Half of a first sweep's deposits are
+/// delayed into a second sweep of different pairs; with one slot per
+/// bucket the arrival order at each holder decides which hint keeps a
+/// contested slot, so every slot must match the one-shard run's at any
+/// shard count. That the place is ahead of every fresh run is pinned by
+/// the world's `deferred_runs_land_first_with_their_verdict_spent`.
 #[test]
 fn delayed_deposits_land_first_at_any_shard_count() {
     let run = |seed: u64, shards: usize| {
@@ -309,11 +324,17 @@ fn delayed_deposits_land_first_at_any_shard_count() {
         let first = w.query_all(&pairs(seed ^ 0x1, 300));
         let second = w.query_all(&pairs(seed ^ 0x2, 300));
         let held = w.hint_stats().deposits > 0 && w.plane_deferred_pending() > 0;
-        (w.fingerprint(), first, second, held)
+        (
+            w.fingerprint(),
+            first,
+            second,
+            counters(w.plane_stats()),
+            held,
+        )
     };
     for seed in [11u64, 23, 37, 41, 53] {
         let reference = run(seed, 1);
-        assert!(reference.3, "seed {seed}: nothing deposited or deferred");
+        assert!(reference.4, "seed {seed}: nothing deposited or deferred");
         for shards in [2usize, 3, 5, 8] {
             assert_eq!(
                 run(seed, shards),

@@ -12,7 +12,7 @@
 //! runs the N = 10⁴–10⁵ substrate scale family; `scale-raw` the N = 10⁶
 //! raw-speed tier (kernel build + mobility/refresh loop, then the full
 //! protocol on shard-resident state with per-shard memory and
-//! plane-traffic columns); `scale-events` the event-vs-tick drive race;
+//! deposit-traffic columns); `scale-events` the event-vs-tick drive race;
 //! `scale-hostile` the fault-injection degradation grid (churn ×
 //! partition × message loss). `--nodes` overrides any tier's node counts
 //! from the command line so new sizes need no recompile. A tier panics,

@@ -48,9 +48,8 @@
 //!
 //! `repro scale-raw` is the N = 10⁶ tier: the same substrate run at R = 1
 //! for the pedestrian and ped-dwell profiles, with RSS and node-tick
-//! throughput columns, then hinted cold/warm query sweeps whose
-//! cross-shard deposits travel the message plane, with per-shard memory
-//! and plane-traffic columns.
+//! throughput columns, then hinted cold/warm query sweeps, with
+//! per-shard memory and deposit-traffic columns.
 //!
 //! Override any tier's node counts with `--nodes N` — no recompile needed.
 
@@ -500,7 +499,7 @@ pub struct ScaleRow {
     /// Largest per-shard protocol state after the Zipf sweeps, bytes
     /// ([`CardWorld::shard_memory_bytes`]).
     pub zipf_shard_mem_max: usize,
-    /// Deposit-transport buffers (deposit logs, plane lanes, mailboxes)
+    /// Deposit-path buffers (the lanes' deposit logs, the deferred runs)
     /// held after the Zipf sweeps, bytes ([`CardWorld::plane_buffer_bytes`]).
     pub zipf_plane_buffer_bytes: usize,
 }
@@ -825,7 +824,7 @@ pub struct RawParams {
     /// Mobility ticks per run.
     pub ticks: usize,
     /// Queries per sweep of the query phase (two sweeps run: cold —
-    /// deposits route through the plane — then warm).
+    /// deposits drain into the hint store — then warm).
     pub queries: usize,
     /// Root seed.
     pub seed: u64,
@@ -873,14 +872,15 @@ pub struct RawRow {
     pub shard_mem_mean: usize,
     /// Largest per-shard resident protocol state, bytes.
     pub shard_mem_max: usize,
-    /// Messages routed through the cross-shard plane (total sent).
+    /// Hint deposits exchanged (total sent).
     pub plane_sent: u64,
-    /// Plane messages that actually crossed a shard boundary.
+    /// Deposits whose holder lies outside the span of the lane that
+    /// logged them.
     pub plane_cross: u64,
-    /// Plane messages whose source and destination shard coincided.
+    /// Deposits whose holder lies inside that span.
     pub plane_local: u64,
     /// Validation-traffic span-boundary crossings metered (not
-    /// materialized) into the plane's stats.
+    /// materialized) into the deposit ledger.
     pub plane_span_crossings: u64,
     /// Resident-set size after the query phase (bytes).
     pub protocol_rss_bytes: usize,
@@ -1023,11 +1023,11 @@ const RAW_PROTOCOL: &[Column<RawRow>] = &[
 
 /// Render the raw tier as two Markdown tables: the topology-substrate
 /// speed columns, then the full-protocol columns — per-shard memory,
-/// protocol/query throughput and cross-shard plane traffic.
+/// protocol/query throughput and deposit traffic.
 pub fn render_raw(rows: &[RawRow]) -> String {
     format!(
         "### Scale raw — topology-substrate speed runs at scenario-5 density (R={}, tick={:.0} ms)\n\n{}\n\n\
-         ### Scale raw — full protocol on shard-resident state (selection + {} validation rounds + hinted cold/warm query sweeps through the message plane)\n\n{}",
+         ### Scale raw — full protocol on shard-resident state (selection + {} validation rounds + hinted cold/warm query sweeps)\n\n{}",
         RAW_RADIUS,
         CardConfig::default().mobility_tick.as_secs_f64() * 1e3,
         table(RAW_SUBSTRATE, rows),
@@ -1279,7 +1279,7 @@ mod tests {
             #[cfg(target_os = "linux")]
             assert!(s.build_rss_bytes > 0 && s.end_rss_bytes > 0);
 
-            // Full-protocol phase: shard-resident state + plane traffic
+            // Full-protocol phase: shard-resident state + deposit traffic
             // must be populated on a 500-node world.
             assert!(
                 r.sub.total_contacts > 0,
@@ -1296,7 +1296,7 @@ mod tests {
             assert_eq!(
                 r.plane_sent,
                 r.plane_cross + r.plane_local,
-                "plane accounting must balance"
+                "deposit accounting must balance"
             );
             assert!(
                 r.plane_span_crossings > 0,
@@ -1316,7 +1316,7 @@ mod tests {
     fn raw_tier_full_protocol_is_run_deterministic() {
         // The raw tier's protocol phase rides the same sharded sweeps as
         // `run`; repeat runs must land identical protocol outcomes and
-        // identical plane traffic.
+        // identical deposit traffic.
         let p = RawParams {
             nodes: vec![400],
             ticks: 2,

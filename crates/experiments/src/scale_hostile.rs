@@ -2,8 +2,8 @@
 //!
 //! The fault plane (`sim_core::faults`) makes hostility a first-class,
 //! replayable input: seeded node crashes with rejoins, a region-scoped
-//! partition window over a frozen x-cut, and per-message drop/delay on
-//! the cross-shard deposit plane. This tier measures what the hardening
+//! partition window over a frozen x-cut, and per-message drop/delay of
+//! hint deposits. This tier measures what the hardening
 //! layer — contact tombstones, per-contact validation retry timers,
 //! hinted-probe fallback and capped query retries — buys at scale:
 //! **resolution success, messages per query and hint hit-rate as
@@ -34,10 +34,10 @@ use net_topology::node::NodeId;
 use sim_core::faults::{FaultConfig, FaultPlan, PartitionWindow};
 use sim_core::rng::SeedSplitter;
 
-/// Per-message drop probability on the deposit plane.
+/// Per-deposit drop probability.
 pub const DROP_RATE: f64 = 0.01;
 
-/// Per-message one-exchange delay probability on the deposit plane.
+/// Per-deposit one-exchange delay probability.
 pub const DELAY_RATE: f64 = 0.01;
 
 /// Rounds a crashed node stays down before rejoining.

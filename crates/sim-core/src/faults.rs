@@ -18,15 +18,16 @@
 
 use crate::rng::{RngStream, SeedSplitter};
 
-/// Per-message delivery verdict from the fault plane.
+/// Per-message delivery verdict from a [`FaultPlan`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultVerdict {
     /// Deliver the message normally this round.
     Deliver,
-    /// Drop the message: it never reaches its destination mailbox.
+    /// Drop the message: it never reaches its destination.
     Drop,
-    /// Defer the message by one exchange: it is parked in the plane's
-    /// deferred lane and delivered unconditionally on the next exchange.
+    /// Defer the message by one exchange: the caller holds it and
+    /// delivers it unconditionally, ahead of fresh traffic, on the next
+    /// exchange.
     Delay,
 }
 
@@ -78,9 +79,9 @@ pub struct FaultConfig {
     pub rejoin_after: u32,
     /// Optional partition/heal window.
     pub partition: Option<PartitionWindow>,
-    /// Probability that a plane message is dropped, in `[0, 1]`.
+    /// Probability that an exchanged message is dropped, in `[0, 1]`.
     pub drop_rate: f64,
-    /// Probability that a plane message is delayed by one exchange, in
+    /// Probability that an exchanged message is delayed by one exchange, in
     /// `[0, 1]`. Drop is tested first; `drop_rate + delay_rate` must be
     /// `<= 1`.
     pub delay_rate: f64,
@@ -90,7 +91,7 @@ pub struct FaultConfig {
 }
 
 impl FaultConfig {
-    /// A no-op regime: no churn, no partition, lossless plane.
+    /// A no-op regime: no churn, no partition, no message loss.
     pub fn calm() -> Self {
         FaultConfig {
             churn_rate: 0.0,
@@ -234,8 +235,8 @@ impl FaultPlan {
         self.partition.as_ref()
     }
 
-    /// True when the plan can affect plane messages (saves the faulted
-    /// exchange when both rates are zero).
+    /// True when the plan can drop or delay exchanged messages (saves the
+    /// verdict draws when both rates are zero).
     pub fn lossy(&self) -> bool {
         self.delay_cut > 0
     }
@@ -260,7 +261,7 @@ impl FaultPlan {
 
     /// True when the validation probe from `source` to its contact `target`
     /// is lost this `round` (an independent content-keyed draw, since
-    /// validation traffic is metered rather than routed through the plane).
+    /// validation traffic is metered rather than exchanged as messages).
     /// The loss probability is the plan's drop rate.
     pub fn validation_lost(&self, source: u32, target: u32, round: u32) -> bool {
         if self.drop_cut == 0 {

@@ -30,15 +30,10 @@
 //!   calling thread participating in every fan-out and nested fan-outs
 //!   automatically inlined. The pool is never torn down; its parked
 //!   threads die with the process.
-//! * [`plane`] — the cross-shard message plane: shard-owned outboxes and
-//!   mailboxes with batched, double-buffered exchange rounds and a
-//!   deterministic delivery order (per destination shard: deferred
-//!   messages first, then `(src shard, send seq)`), the seam along which
-//!   in-process shards become process-level ones.
 //! * [`faults`] — deterministic fault injection: seeded [`faults::FaultPlan`]s
 //!   scheduling node crash/rejoin events, a frozen partition window, and
-//!   content-keyed per-message drop/delay verdicts applied at the plane's
-//!   exchange boundary, all replayable from `(seed, plan)` at any shard or
+//!   content-keyed per-message drop/delay verdicts that the protocol layer
+//!   applies where it exchanges messages, all replayable from `(seed, plan)` at any shard or
 //!   worker count.
 //!
 //! The engine knows nothing about networks; `net-topology`, `manet-routing`
@@ -77,7 +72,6 @@ pub mod engine;
 pub mod event;
 pub mod faults;
 pub mod par;
-pub mod plane;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -89,7 +83,6 @@ pub mod prelude {
     pub use crate::event::EventQueue;
     pub use crate::faults::{FaultConfig, FaultPlan, FaultState, FaultVerdict};
     pub use crate::par::{parallel_map, parallel_map_with, parallel_shard_map};
-    pub use crate::plane::{Envelope, MessagePlane, Outbox, PlaneStats};
     pub use crate::rng::{RngStream, SeedSplitter};
     pub use crate::stats::{MsgStats, TimeSeries};
     pub use crate::time::{SimDuration, SimTime};

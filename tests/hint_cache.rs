@@ -209,7 +209,7 @@ fn duplicate_heavy(
 
 /// The serial reference of a hinted sweep: every query reads the store
 /// as it stood before the sweep, then each logged deposit is applied
-/// alone, copy by copy, in pair order — no runs, no plane.
+/// alone, copy by copy, in pair order — no runs, no lanes.
 fn serial_hinted_sweep(
     w: &CardWorld,
     store: &mut HintStore,
@@ -259,8 +259,8 @@ proptest! {
     /// Contract 4: duplicate-heavy sweeps (a handful of pairs repeated to
     /// a few hundred queries, one slot per bucket so runs evict) give the
     /// sharded hinted sweep the serial reference's outcomes, hint
-    /// counters and store at 1, 2, 4 and 7 shards — while the plane
-    /// carries fewer envelopes than logical deposits.
+    /// counters and store at 1, 2, 4 and 7 shards — while the exchange
+    /// applies fewer runs (envelopes) than logical deposits.
     #[test]
     fn prop_duplicate_heavy_sweeps_equal_the_serial_reference(
         seed in 0u64..200,
@@ -562,10 +562,10 @@ fn ttl_expiry_is_counted_and_harmless() {
     );
 }
 
-/// A cache reset discards the deposits a lossy plane still holds: under a
+/// A cache reset discards the deposits a lossy plan left deferred: under a
 /// plan that delays every deposit, one sweep of 2 800 pairs leaves its
 /// deposits deferred; after `reset`, the next hinted exchange must deliver
-/// nothing into the emptied stores, and the plane ledger still closes.
+/// nothing into the emptied store, and the deposit ledger still closes.
 fn assert_reset_discards_deferred_deposits(reset: impl FnOnce(&mut CardWorld)) {
     let mut w = world(7, true);
     let delay_all = FaultConfig {
